@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .config import DEFAULT_CAP, Meter
 from .errors import (CertificateFailure, PreconditionFailed, UndecidedAtCap,
@@ -35,7 +36,8 @@ from .transforms import (CatDiagram, HomCategory, Modification, Transformation,
                          TwoFunctor, Flavor, PSEUDO, STRICT, LAX,
                          check_transformation, compose_diagram,
                          constant_diagram, hom_eps, sigma_flavor)
-from .presented import Presentation, PresentedCategory, localize, inv_name
+from .presented import (Presentation, PresentedCategory, base_of_inv, is_inv,
+                        localize)
 from . import elements as el_mod
 
 
@@ -129,19 +131,33 @@ class ConeCategory:
     cones: dict  # object name -> SigmaCone
     morphisms: dict  # arrow name -> dict of components
 
-    def name_of_cone(self, c: SigmaCone) -> str:
-        k = c.key()
+    @cached_property
+    def _cone_names(self) -> dict:
+        out = {}
         for name, d in self.cones.items():
-            if d.key() == k:
-                return name
-        raise KeyError("cone is not an object of this cone category")
+            out.setdefault(d.key(), name)
+        return out
+
+    @cached_property
+    def _morphism_names(self) -> dict:
+        out = {}
+        for name, comps in self.morphisms.items():
+            src, tgt = self.cat.arrows[name]
+            out.setdefault(
+                (src, tgt, tuple((A, comps[A].key()) for A in sorted(comps))), name)
+        return out
+
+    def name_of_cone(self, c: SigmaCone) -> str:
+        try:
+            return self._cone_names[c.key()]
+        except KeyError:
+            raise KeyError("cone is not an object of this cone category") from None
 
     def name_of_morphism(self, src: str, tgt: str, comps_key) -> str:
-        for name, comps in self.morphisms.items():
-            if self.cat.arrows[name] == (src, tgt) and \
-                    tuple((A, comps[A].key()) for A in sorted(comps)) == comps_key:
-                return name
-        raise KeyError("morphism is not an arrow of this cone category")
+        try:
+            return self._morphism_names[(src, tgt, comps_key)]
+        except KeyError:
+            raise KeyError("morphism is not an arrow of this cone category") from None
 
 
 def cones_sigma(Q: CatDiagram, marked: frozenset, E: FinCat,
@@ -210,12 +226,13 @@ def cones_sigma(Q: CatDiagram, marked: frozenset, E: FinCat,
                 morphisms[name] = rho
                 labels[(cname[i], cname[j],
                         tuple((A, rho[A].key()) for A in objs))] = name
+    out_of = {}  # cone name -> [(morphism name, its target, components)]
+    for n2, rho2 in morphisms.items():
+        j, k = arrows[n2]
+        out_of.setdefault(j, []).append((n2, k, rho2))
     for n1, rho1 in morphisms.items():
         i, j = arrows[n1]
-        for n2, rho2 in morphisms.items():
-            j2, k = arrows[n2]
-            if j2 != j:
-                continue
+        for n2, k, rho2 in out_of.get(j, ()):
             comp = {A: vcomp_nat(rho2[A], rho1[A]) for A in objs}
             compose[(n2, n1)] = labels[(i, k, tuple((A, comp[A].key()) for A in objs))]
     cat = mk_fincat([cname[i] for i in range(len(found))], arrows, identity, compose)
@@ -424,8 +441,8 @@ def induced_from_colimit(result: ColimitResult, target: SigmaCone,
     for name, (src_obj, word) in result.presented.rep_of_arrow.items():
         cur = E.identity[obj_map[src_obj]]
         for g in word:
-            if g.endswith("~inv"):
-                base_g = g[: -len("~inv")]
+            if is_inv(g):
+                base_g = base_of_inv(g)
                 step = E.inverse(image_of_class(base_g))
                 if step is None:
                     raise CertificateFailure(

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .config import Meter
 from .errors import ValidationError
@@ -27,7 +28,9 @@ class FinCat:
     """A finite category: objects, typed arrows, identities, full table.
 
     ``compose[(g, f)]`` is the composite ``g after f`` and is defined for
-    exactly the pairs with ``tgt(f) == src(g)``.
+    exactly the pairs with ``tgt(f) == src(g)``.  The tables are never
+    mutated after construction; ``hom`` relies on this, since it answers
+    from an index of the arrow table built on its first call.
     """
 
     objects: tuple[str, ...]
@@ -45,7 +48,15 @@ class FinCat:
         return sorted(self.arrows)
 
     def hom(self, x: str, y: str) -> list[str]:
-        return sorted(a for a, (s, t) in self.arrows.items() if s == x and t == y)
+        return list(self._hom_index.get((x, y), ()))
+
+    @cached_property
+    def _hom_index(self) -> dict:
+        """(src, tgt) -> arrows between them, sorted by name."""
+        index = {}
+        for a, st in sorted(self.arrows.items()):
+            index.setdefault(st, []).append(a)
+        return index
 
     def comp(self, g: str, f: str) -> str:
         return self.compose[(g, f)]
@@ -279,11 +290,11 @@ def identity_nat(F: Functor) -> NatTransf:
 
 def vcomp_nat(b: NatTransf, a: NatTransf) -> NatTransf:
     """Vertical composite b∘a (a first)."""
-    assert a.target.key() == b.source.key()
-    d = a.source.target
+    assert a.target is b.source or (a.target.obj_map == b.source.obj_map and
+                                    a.target.arr_map == b.source.arr_map)
+    compose, bc = a.source.target.compose, b.components
     return NatTransf(a.source, b.target,
-                     {x: d.compose[(b.components[x], a.components[x])]
-                      for x in a.components})
+                     {x: compose[(bc[x], ax)] for x, ax in a.components.items()})
 
 
 def whisker_functor_nat(G: Functor, n: NatTransf) -> NatTransf:
@@ -393,22 +404,35 @@ class FunctorCategory:
     functors: dict  # object name -> Functor
     transfs: dict  # arrow name -> NatTransf
 
-    def name_of_functor(self, F: Functor) -> str:
-        k = F.key()
+    @cached_property
+    def _functor_names(self) -> dict:
+        out = {}
         for name, G in self.functors.items():
-            if G.key() == k:
-                return name
-        raise KeyError("functor not an object of this functor category")
+            out.setdefault(G.key(), name)
+        return out
+
+    @cached_property
+    def _transf_names(self) -> dict:
+        out = {}
+        for name, m in self.transfs.items():
+            src, tgt = self.cat.arrows[name]
+            out.setdefault((src, tgt, m.key()), name)
+        return out
+
+    def name_of_functor(self, F: Functor) -> str:
+        try:
+            return self._functor_names[F.key()]
+        except KeyError:
+            raise KeyError("functor not an object of this functor category") from None
 
     def name_of_transf(self, n: NatTransf) -> str:
         src = self.name_of_functor(n.source)
         tgt = self.name_of_functor(n.target)
-        k = n.key()
-        for name, m in self.transfs.items():
-            if m.key() == k and self.name_of_functor(m.source) == src \
-                    and self.name_of_functor(m.target) == tgt:
-                return name
-        raise KeyError("transformation not an arrow of this functor category")
+        try:
+            return self._transf_names[(src, tgt, n.key())]
+        except KeyError:
+            raise KeyError("transformation not an arrow of this functor category") \
+                from None
 
 
 def functor_category_full(c: FinCat, d: FinCat,
@@ -426,7 +450,9 @@ def functor_category_full(c: FinCat, d: FinCat,
             nats[(i, j)] = enumerate_nat_transfs(F, G, meter)
     counter = 0
     name_of = {}
+    named = {}  # (i, j) -> [(arrow name, NatTransf)], in (i, j) order
     for (i, j), ns in sorted(nats.items()):
+        named[(i, j)] = []
         for n in ns:
             if i == j and nat_is_identity(n):
                 name = f"1_{fname[i]}"
@@ -437,16 +463,17 @@ def functor_category_full(c: FinCat, d: FinCat,
             arrows[name] = (fname[i], fname[j])
             transfs[name] = n
             name_of[(i, j, n.key())] = name
-    for (i, j), ns in sorted(nats.items()):
-        for (j2, k), ms in sorted(nats.items()):
-            if j2 != j:
-                continue
-            for n in ns:
-                for m in ms:
+            named[(i, j)].append((name, n))
+    # visit composable pairs only: the arrows out of each functor, by target
+    out_of = {}
+    for (j, k), ms in named.items():
+        out_of.setdefault(j, []).append((k, ms))
+    for (i, j), ns in named.items():
+        for k, ms in out_of[j]:
+            for f, n in ns:
+                for g, m in ms:
                     meter.tick()
                     comp = vcomp_nat(m, n)
-                    g = name_of[(j, k, m.key())]
-                    f = name_of[(i, j, n.key())]
                     compose[(g, f)] = name_of[(i, k, comp.key())]
     cat = mk_fincat(objects, arrows, identity, compose)
     return FunctorCategory(cat, {fname[i]: fs[i] for i in range(len(fs))}, transfs)

@@ -24,6 +24,12 @@ of neighbor moves, each a sound congruence step:
 The closure is sound but deliberately incomplete: identifications whose
 every derivation passes through words longer than the cap are missed,
 which is exactly what the undecided status records.
+
+The formal inverse of an inverted generator g is the generator named
+``g~inv``.  That name must not already name a generator (an arrow of the
+input category): the two would be one letter of the words, and the
+closure would cancel a plain arrow against g.  ``localize`` and
+``saturate_presentation`` refuse such input with a ValidationError.
 """
 
 from __future__ import annotations
@@ -104,13 +110,27 @@ class _Closure:
         self.by_length = {}  # length -> list of word keys, discovery order
         self.last_activity = 0
         src_tgt = dict(pres.generators)
+        self._cancels = set()  # adjacent pairs g, g~inv and g~inv, g
+        self._inverted_at = {}  # object -> inverted g that can be inserted there
         for g in pres.inverted:
             s, t = pres.generators[g]
             src_tgt[inv_name(g)] = (t, s)
+            self._cancels |= {(g, inv_name(g)), (inv_name(g), g)}
+            for x in dict.fromkeys((s, t)):
+                self._inverted_at.setdefault(x, []).append((g, s, t))
         self.src_tgt = src_tgt
         self.by_src = {}
         for g, (s, _) in sorted(src_tgt.items()):
             self.by_src.setdefault(s, []).append(g)
+        # relation moves (either side rewritten to the other), in scan order,
+        # indexed by the first one or two letters of the side they match
+        self._moves = []
+        self._moves_by_head = {}
+        for lhs, rhs, rel_src in pres.relations:
+            for a, b in ((lhs, rhs), (rhs, lhs)):
+                if a:
+                    self._moves_by_head.setdefault(a[:2], []).append(len(self._moves))
+                    self._moves.append((a, b, rel_src))
         self._unfold = {}
         self._id_unfold = {}
         for (f, g), h in sorted(pres.compose_hints.items()):
@@ -133,30 +153,25 @@ class _Closure:
     def reduce(self, word) -> tuple:
         """Cancellation first, then one fold, repeated to a fixpoint."""
         w = list(word)
-        changed = True
-        while changed:
-            changed = False
-            i = 0
-            while i + 1 < len(w):
-                a, b = w[i], w[i + 1]
-                if (is_inv(b) and base_of_inv(b) == a) or \
-                        (is_inv(a) and base_of_inv(a) == b):
-                    del w[i:i + 2]
-                    changed = True
-                    i = max(i - 1, 0)
-                else:
-                    i += 1
-            for i in range(len(w) - 1):
-                pair = (w[i], w[i + 1])
-                if pair in self.pres.compose_hints:
-                    h = self.pres.compose_hints[pair]
-                    if h is None:
+        cancels = self._cancels
+        hints = self.pres.compose_hints
+        while True:
+            if not cancels.isdisjoint(zip(w, w[1:])):
+                i = 0
+                while i + 1 < len(w):
+                    if (w[i], w[i + 1]) in cancels:
                         del w[i:i + 2]
+                        i = max(i - 1, 0)
                     else:
-                        w[i:i + 2] = [h]
-                    changed = True
+                        i += 1
+            if hints.keys().isdisjoint(zip(w, w[1:])):
+                return tuple(w)
+            # fold the leftmost foldable pair, then cancel again
+            for i, pair in enumerate(zip(w, w[1:])):
+                if pair in hints:
+                    h = hints[pair]
+                    w[i:i + 2] = [] if h is None else [h]
                     break
-        return tuple(w)
 
     # -- union-find
 
@@ -175,49 +190,48 @@ class _Closure:
 
     def neighbors(self, src: str, word: tuple):
         hints = self.pres.compose_hints
-        for lhs, rhs, rel_src in self.pres.relations:
-            for a, b in ((lhs, rhs), (rhs, lhs)):
-                if not a:
-                    continue
-                n = len(a)
-                for i in range(len(word) - n + 1):
-                    if word[i:i + n] != a:
-                        continue
-                    here = src if i == 0 else self.src_tgt[word[i - 1]][1]
-                    if here != rel_src:
-                        continue
-                    yield self.reduce(list(word[:i]) + list(b) + list(word[i + n:]))
+        # here[i] is the object at the seam before word[i]
+        here = [src]
+        for g in word:
+            here.append(self.src_tgt[g][1])
+        # relation moves whose left side starts at i, in (move, position) order
+        hits = []
+        for i in range(len(word)):
+            for head in {word[i:i + 1], word[i:i + 2]}:
+                for m in self._moves_by_head.get(head, ()):
+                    a, _, rel_src = self._moves[m]
+                    if here[i] == rel_src and word[i:i + len(a)] == a:
+                        hits.append((m, i))
+        hits.sort()
+        for m, i in hits:
+            a, b, _ = self._moves[m]
+            yield self.reduce(word[:i] + b + word[i + len(a):])
         for i, h in enumerate(word):
             for f, g in self._unfold.get(h, ()):
-                yield self.reduce(list(word[:i]) + [f, g] + list(word[i + 1:]))
+                yield self.reduce(word[:i] + (f, g) + word[i + 1:])
         # identity factorizations may be inserted anywhere; useful only when a
         # cancellation fires at a seam, so no-ops are filtered out
         for i in range(len(word) + 1):
-            here = src if i == 0 else self.src_tgt[word[i - 1]][1]
-            for f, g in self._id_unfold.get(here, ()):
-                out = self.reduce(list(word[:i]) + [f, g] + list(word[i:]))
+            for f, g in self._id_unfold.get(here[i], ()):
+                out = self.reduce(word[:i] + (f, g) + word[i:])
                 if out != word:
                     yield out
         for i in range(len(word) + 1):
-            here = src if i == 0 else self.src_tgt[word[i - 1]][1]
-            for g in self.pres.inverted:
-                s, t = self.pres.generators[g]
+            for g, s, t in self._inverted_at.get(here[i], ()):
                 # insert (g, g_inv) at an s-position and fold g leftward
-                if here == s and i >= 1:
+                if here[i] == s and i >= 1:
                     pair = (word[i - 1], g)
                     if pair in hints:
                         h = hints[pair]
-                        mid = [] if h is None else [h]
-                        yield self.reduce(
-                            list(word[:i - 1]) + mid + [inv_name(g)] + list(word[i:]))
+                        mid = () if h is None else (h,)
+                        yield self.reduce(word[:i - 1] + mid + (inv_name(g),) + word[i:])
                 # insert (g_inv, g) at a t-position and fold g rightward
-                if here == t and i < len(word):
+                if here[i] == t and i < len(word):
                     pair = (g, word[i])
                     if pair in hints:
                         h = hints[pair]
-                        mid = [] if h is None else [h]
-                        yield self.reduce(
-                            list(word[:i]) + [inv_name(g)] + mid + list(word[i + 1:]))
+                        mid = () if h is None else (h,)
+                        yield self.reduce(word[:i] + (inv_name(g),) + mid + word[i + 1:])
 
     # -- discovery
 
@@ -328,6 +342,10 @@ def _short_equalities(closure: _Closure) -> set:
 def saturate_presentation(pres: Presentation, cap: int = DEFAULT_CAP,
                           meter: Meter | None = None) -> PresentedCategory:
     meter = meter or Meter()
+    for g in pres.inverted:
+        if inv_name(g) in pres.generators:
+            raise ValidationError(
+                f"formal inverse {inv_name(g)} of {g} is already a generator name")
     relations = set(pres.relations)
     closure = None
     for _ in range(MAX_SATURATION_ROUNDS):

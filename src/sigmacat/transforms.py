@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .config import Meter
 from .errors import PreconditionFailed, ValidationError
@@ -524,12 +525,19 @@ class HomCategory:
     mods: dict  # arrow name -> Modification
     flavor: Flavor
 
-    def name_of_transf(self, t: Transformation) -> str:
-        k = t.key()
+    @cached_property
+    def _transf_names(self) -> dict:
+        out = {}
         for name, u in self.transfs.items():
-            if u.key() == k:
-                return name
-        raise KeyError("transformation is not an object of this Hom category")
+            out.setdefault(u.key(), name)
+        return out
+
+    def name_of_transf(self, t: Transformation) -> str:
+        try:
+            return self._transf_names[t.key()]
+        except KeyError:
+            raise KeyError("transformation is not an object of this Hom category") \
+                from None
 
 
 def enumerate_transformations(P: CatDiagram, Q: CatDiagram, flavor: Flavor,
@@ -660,7 +668,9 @@ def hom_eps(P: CatDiagram, Q: CatDiagram, flavor: Flavor,
     for i, t1 in enumerate(ts):
         for j, t2 in enumerate(ts):
             all_mods[(i, j)] = enumerate_modifications(t1, t2, meter)
+    named = {}  # (i, j) -> [(arrow name, Modification)], in (i, j) order
     for (i, j), ms in sorted(all_mods.items()):
+        named[(i, j)] = []
         for m in ms:
             if i == j and all(nat_is_identity(n) for n in m.components.values()):
                 name = f"1_{tname[i]}"
@@ -671,18 +681,20 @@ def hom_eps(P: CatDiagram, Q: CatDiagram, flavor: Flavor,
             arrows[name] = (tname[i], tname[j])
             mods[name] = m
             name_of[(i, j, m.key())] = name
-    for (i, j), ms in sorted(all_mods.items()):
-        for (j2, k), ms2 in sorted(all_mods.items()):
-            if j2 != j:
-                continue
-            for m1 in ms:
-                for m2 in ms2:
+            named[(i, j)].append((name, m))
+    # visit composable pairs only: the modifications out of each object, by target
+    out_of = {}
+    for (j, k), ms in named.items():
+        out_of.setdefault(j, []).append((k, ms))
+    for (i, j), ms in named.items():
+        for k, ms2 in out_of[j]:
+            for n1, m1 in ms:
+                for n2, m2 in ms2:
                     meter.tick()
                     comp = {A: vcomp_nat(m2.components[A], m1.components[A])
                             for A in m1.components}
                     ckey = tuple((A, comp[A].key()) for A in sorted(comp))
-                    compose[(name_of[(j, k, m2.key())], name_of[(i, j, m1.key())])] = \
-                        name_of[(i, k, ckey)]
+                    compose[(n2, n1)] = name_of[(i, k, ckey)]
     cat = mk_fincat([tname[i] for i in range(len(ts))], arrows, identity, compose)
     return HomCategory(cat, transfs, mods, flavor)
 

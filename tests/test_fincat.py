@@ -25,9 +25,17 @@ FIXTURES = [
 ]
 
 
+def hom_matches_scan(c):
+    """The indexed hom agrees with a sorted scan of the arrow table."""
+    return all(
+        c.hom(x, y) == sorted(a for a, st in c.arrows.items() if st == (x, y))
+        for x in c.objects for y in c.objects)
+
+
 @pytest.mark.parametrize("name,cat", FIXTURES)
 def test_fixtures_validate(name, cat):
     assert validate_category(cat).ok
+    assert hom_matches_scan(cat)
 
 
 def test_validation_catches_identity_law_violation():
@@ -118,8 +126,9 @@ def test_product_with_terminal_and_empty():
 @pytest.mark.parametrize("name,cat", FIXTURES)
 def test_functor_and_product_categories_validate(name, cat):
     other = arrow_category()
-    assert validate_category(functor_category(cat, other)).ok
-    assert validate_category(product_category(cat, other)).ok
+    fun, prod = functor_category(cat, other), product_category(cat, other)
+    assert validate_category(fun).ok and hom_matches_scan(fun)
+    assert validate_category(prod).ok and hom_matches_scan(prod)
 
 
 def test_is_equivalence_identity_and_inclusions():

@@ -7,8 +7,9 @@ import pytest
 from sigmacat.fincat import (arrow_category, categories_equivalent,
                              enumerate_functors, find_isomorphism,
                              group_z2_category, iso_pair_category,
-                             parallel_pair_category, terminal_category,
-                             validate_category)
+                             mk_fincat, parallel_pair_category,
+                             terminal_category, validate_category)
+from sigmacat.errors import ValidationError
 from sigmacat.presented import localize, localization_functor
 
 
@@ -80,11 +81,34 @@ def test_localize_arrow_at_f_is_the_walking_iso():
     assert len(words) == 4
 
 
+def split_idempotent(h="h"):
+    """f : a -> b with a section h: f∘h = id_b, and e = h∘f idempotent on a."""
+    arrows = {"id_a": ("a", "a"), "id_b": ("b", "b"), "f": ("a", "b"),
+              h: ("b", "a"), "e": ("a", "a")}
+    compose = {(x, "id_a"): x for x in ("id_a", "f", "e")}
+    compose.update({(x, "id_b"): x for x in ("id_b", h)})
+    compose.update({("id_a", x): x for x in ("id_a", h, "e")})
+    compose.update({("id_b", x): x for x in ("id_b", "f")})
+    compose.update({("f", h): "id_b", (h, "f"): "e", ("e", "e"): "e",
+                    ("f", "e"): "f", ("e", h): h})
+    return mk_fincat(("a", "b"), arrows, {"a": "id_a", "b": "id_b"}, compose)
+
+
 def test_localize_nothing_is_the_identity():
-    for c in (arrow_category(), parallel_pair_category(), group_z2_category()):
+    # the last input names an arrow like a formal inverse; inverting
+    # nothing must still leave it a plain arrow
+    for c in (arrow_category(), parallel_pair_category(), group_z2_category(),
+              split_idempotent(), split_idempotent("f~inv")):
+        assert validate_category(c).ok
         loc = localize(c, set(), 8)
         assert loc.finite
+        assert len(loc.realization.arrows) == len(c.arrows)
         assert find_isomorphism(loc.realization, c) is not None
+
+
+def test_localize_refuses_a_formal_inverse_named_like_an_arrow():
+    with pytest.raises(ValidationError, match="f~inv"):
+        localize(split_idempotent("f~inv"), {"f"}, 8)
 
 
 def test_integers_generating_fixture_is_undecided():
