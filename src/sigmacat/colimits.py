@@ -28,8 +28,8 @@ from .fincat import (FinCat, Functor, NatTransf, ValidationReport,
                      functor_category_full, identity_functor,
                      iso_pair_category, is_equivalence, mk_fincat,
                      nat_is_identity, nat_is_invertible, parallel_pair_category,
-                     terminal_category, validate_functor, vcomp_nat,
-                     whisker_functor_nat, whisker_nat_functor)
+                     terminal_category, validate_functor, validate_nat_transf,
+                     vcomp_nat, whisker_functor_nat, whisker_nat_functor)
 from .two_cat import (Fin2Cat, WideSub, op_dual, pair_name, pi0,
                       pi0_class_map, split_pair_name, two_cat_product)
 from .transforms import (CatDiagram, HomCategory, Modification, Transformation,
@@ -93,7 +93,7 @@ def check_sigma_cone(c: SigmaCone) -> ValidationReport:
         tgt = c.components[A]
         if n is None or n.source.key() != src.key() or n.target.key() != tgt.key():
             rep.add("structural-typing", (f,), f"structural cell at {f} mistyped")
-        elif not validate_nat_transf_ok(n):
+        elif not validate_nat_transf(n).ok:
             rep.add("structural-natural", (f,), f"cell at {f} not natural")
     if not rep.ok:
         return rep
@@ -118,11 +118,6 @@ def check_sigma_cone(c: SigmaCone) -> ValidationReport:
         if lhs.components != rhs.components:
             rep.add("LN1", (gf,), f"composition coherence fails at ({g},{f})")
     return rep
-
-
-def validate_nat_transf_ok(n: NatTransf) -> bool:
-    from .fincat import validate_nat_transf
-    return validate_nat_transf(n).ok
 
 
 @dataclass
@@ -162,30 +157,42 @@ class ConeCategory:
 
 def cones_sigma(Q: CatDiagram, marked: frozenset, E: FinCat,
                 meter: Meter | None = None) -> ConeCategory:
-    """The category of marked-relative cones under Q with vertex E."""
+    """The category of marked-relative cones under Q with vertex E.
+
+    The axioms are decided on component tables, as in the transformation
+    enumerator; ``check_sigma_cone`` is the functor-level reference.
+    """
     meter = meter or Meter()
     base = Q.source
     objs = sorted(base.objects)
     comp_pools = [enumerate_functors(Q.on_obj[A], E, meter) for A in objs]
     non_id = [f for f in base.all_one_cells() if f not in set(base.id1.values())]
+    ln2, ln1 = _cone_tables(Q)
+    # built once per component choice: (A, i) -> the identity cell at id_A
+    # on the i-th component at A, (f, j) -> the functor κ_B Q(f) on the
+    # j-th component at B
+    unit, leg = {}, {}
     found = []
     if not any(not p for p in comp_pools):
-        for combo in itertools.product(*comp_pools):
+        for idx in itertools.product(*(range(len(pool)) for pool in comp_pools)):
             meter.tick()
-            comps = dict(zip(objs, combo))
+            at = dict(zip(objs, idx))
+            comps = {A: pool[i] for A, pool, i in zip(objs, comp_pools, idx)}
             structural = {}
             for A in objs:
-                idA = base.id1[A]
-                src = compose_functors(comps[A], Q.on_1[idA])
-                structural[idA] = NatTransf(src, comps[A], {
-                    x: E.identity[comps[A].obj_map[x]]
-                    for x in Q.on_obj[A].objects})
+                if (A, at[A]) not in unit:
+                    k = comps[A]
+                    unit[(A, at[A])] = NatTransf(
+                        compose_functors(k, Q.on_1[base.id1[A]]), k,
+                        {x: E.identity[k.obj_map[x]] for x in Q.on_obj[A].objects})
+                structural[base.id1[A]] = unit[(A, at[A])]
             pools = []
             ok = True
             for f in non_id:
                 A, B = base.src1(f), base.tgt1(f)
-                src = compose_functors(comps[B], Q.on_1[f])
-                pool = enumerate_nat_transfs(src, comps[A], meter)
+                if (f, at[B]) not in leg:
+                    leg[(f, at[B])] = compose_functors(comps[B], Q.on_1[f])
+                pool = enumerate_nat_transfs(leg[(f, at[B])], comps[A], meter)
                 if f in marked:
                     pool = [n for n in pool if nat_is_invertible(n)]
                 if not pool:
@@ -194,28 +201,34 @@ def cones_sigma(Q: CatDiagram, marked: frozenset, E: FinCat,
                 pools.append(pool)
             if not ok:
                 continue
+            eqs2 = [(f, g, [(y, comps[B].arr_map[qx[y]]) for y in ys])
+                    for f, g, B, qx, ys in ln2]
+            fixed = {f: n.components for f, n in structural.items()}
             for cells in itertools.product(*pools):
                 meter.tick()
-                st = dict(structural)
-                st.update(dict(zip(non_id, cells)))
-                cone = SigmaCone(Q, marked, E, comps, st)
-                if _cone_axioms_hold(cone):
-                    found.append(cone)
+                cc = dict(fixed)
+                cc.update(zip(non_id, [n.components for n in cells]))
+                if _cone_axioms_hold(E.compose, eqs2, ln1, cc):
+                    st = dict(structural)
+                    st.update(zip(non_id, cells))
+                    found.append(SigmaCone(Q, marked, E, comps, st))
     found.sort(key=lambda c: c.key())
     cname = {i: f"c{i}" for i in range(len(found))}
     arrows, identity, compose = {}, {}, {}
     morphisms = {}
     labels = {}
     counter = 0
+    pos = {A: k for k, A in enumerate(objs)}
     for i, c1 in enumerate(found):
         for j, c2 in enumerate(found):
+            squares = _cone_morphism_squares(c1, c2, pos)
             for combo in itertools.product(
                     *[enumerate_nat_transfs(c1.components[A], c2.components[A], meter)
                       for A in objs]):
                 meter.tick()
-                rho = dict(zip(objs, combo))
-                if not _cone_morphism_ok(c1, c2, rho):
+                if not _cone_morphism_ok(E.compose, squares, combo):
                     continue
+                rho = dict(zip(objs, combo))
                 if i == j and all(nat_is_identity(n) for n in rho.values()):
                     name = f"1_{cname[i]}"
                     identity[cname[i]] = name
@@ -239,32 +252,65 @@ def cones_sigma(Q: CatDiagram, marked: frozenset, E: FinCat,
     return ConeCategory(cat, {cname[i]: found[i] for i in range(len(found))}, morphisms)
 
 
-def _cone_axioms_hold(c: SigmaCone) -> bool:
-    Q, base = c.diagram, c.diagram.source
+def _cone_tables(Q: CatDiagram) -> tuple[list, list]:
+    """The tables the cone axioms read, per object y of Q(A).
+
+    LN2 at x : f ⇒ g (f, g : A → B) reads Q(x); LN1 at (g, f) with
+    f : A → B reads Q(f) on objects.
+    """
+    base = Q.source
+    ln2 = []
     for x in base.all_two_cells():
         f, g = base.src2(x), base.tgt2(x)
-        B = base.tgt1(f)
-        rhs = vcomp_nat(c.structural[g],
-                        whisker_functor_nat(c.components[B], Q.on_2[x]))
-        if c.structural[f].components != rhs.components:
-            return False
+        ln2.append((f, g, base.tgt1(f), Q.on_2[x].components,
+                    Q.on_obj[base.src1(f)].objects))
+    ln1 = []
     for (g, f), gf in base.hcomp1.items():
-        rhs = vcomp_nat(c.structural[f],
-                        whisker_nat_functor(c.structural[g], Q.on_1[f]))
-        if c.structural[gf].components != rhs.components:
-            return False
+        qf = Q.on_1[f].obj_map
+        ln1.append((gf, g, f, [(y, qf[y]) for y in Q.on_obj[base.src1(f)].objects]))
+    return ln2, ln1
+
+
+def _cone_axioms_hold(cmp: dict, eqs2: list, ln1: list, cells: dict) -> bool:
+    """LN2, then LN1, pointwise in the vertex's composition table ``cmp``.
+
+    Per object y, LN2 compares σ_f,y with σ_g,y∘κ_B(Q(x)_y) (``eqs2``
+    holds κ_B(Q(x)_y)) and LN1 compares σ_gf,y with σ_f,y∘σ_g,Q(f)y.
+    """
+    for f, g, rows in eqs2:
+        sf, sg = cells[f], cells[g]
+        for y, kx in rows:
+            if sf[y] != cmp[(sg[y], kx)]:
+                return False
+    for gf, g, f, rows in ln1:
+        sgf, sg, sf = cells[gf], cells[g], cells[f]
+        for y, fy in rows:
+            if sgf[y] != cmp[(sf[y], sg[fy])]:
+                return False
     return True
 
 
-def _cone_morphism_ok(c1: SigmaCone, c2: SigmaCone, rho: dict) -> bool:
+def _cone_morphism_squares(c1: SigmaCone, c2: SigmaCone, pos: dict) -> list:
+    """Per 1-cell f : A → B, the positions of A and B and, per object y of
+    Q(A), the cells σ1_f,y and σ2_f,y and the object Q(f)y."""
     Q, base = c1.diagram, c1.diagram.source
+    squares = []
     for f in base.all_one_cells():
         A, B = base.src1(f), base.tgt1(f)
-        lhs = vcomp_nat(rho[A], c1.structural[f])
-        rhs = vcomp_nat(c2.structural[f],
-                        whisker_nat_functor(rho[B], Q.on_1[f]))
-        if lhs.components != rhs.components:
-            return False
+        s1, s2 = c1.structural[f].components, c2.structural[f].components
+        qf = Q.on_1[f].obj_map
+        squares.append((pos[A], pos[B],
+                        [(y, s1[y], s2[y], qf[y]) for y in Q.on_obj[A].objects]))
+    return squares
+
+
+def _cone_morphism_ok(cmp: dict, squares: list, combo: tuple) -> bool:
+    """The morphism square ρ_A,y∘σ1_f,y = σ2_f,y∘ρ_B,Q(f)y at every f and y."""
+    for a, b, rows in squares:
+        ra, rb = combo[a].components, combo[b].components
+        for y, s1, s2, fy in rows:
+            if cmp[(ra[y], s1)] != cmp[(s2, rb[fy])]:
+                return False
     return True
 
 
@@ -702,12 +748,13 @@ def base_cone_category(D: TwoFunctor, marked: frozenset, vertex: str,
                 arrows[name] = (cname[i], cname[j])
                 data[name] = rho
                 labels[(cname[i], cname[j], tuple(sorted(rho.items())))] = name
+    out_of = {}  # cone name -> [(morphism name, its target, components)]
+    for n2, rho2 in data.items():
+        j, k = arrows[n2]
+        out_of.setdefault(j, []).append((n2, k, rho2))
     for n1, rho1 in data.items():
         i, j = arrows[n1]
-        for n2, rho2 in data.items():
-            j2, k = arrows[n2]
-            if j2 != j:
-                continue
+        for n2, k, rho2 in out_of.get(j, ()):
             comp = {o: amb.vcomp(rho2[o], rho1[o]) for o in objs}
             compose[(n2, n1)] = labels[(i, k, tuple(sorted(comp.items())))]
     cat = mk_fincat([cname[i] for i in range(len(found))], arrows, identity, compose)
@@ -1233,7 +1280,6 @@ def coend_eps(T: CatDiagram, base: Fin2Cat, flavor: Flavor,
     out = saturate_presentation(pres, cap, meter)
     certificate = []
     if out.finite and test_family:
-        from .transforms import internal_hom_diagram
         for label, E in test_family:
             fc = functor_category_full(out.realization, E, meter)
             # the end of Cat(T(-,-), E) over the swapped-variance diagram

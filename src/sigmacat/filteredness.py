@@ -289,15 +289,6 @@ def check_sigma_cofinal(T: TwoFunctor, sigma: WideSub, sigma_prime: WideSub,
     return rep
 
 
-def check_sigma_coinitial(T: TwoFunctor, sigma: WideSub, sigma_prime: WideSub,
-                          meter: Meter | None = None) -> FilterednessReport:
-    """The dual cofinality: the 1-cell dual of T is cofinal."""
-    cop, cpop = op_dual(T.source), op_dual(T.target)
-    Top = TwoFunctor(cop, cpop, dict(T.obj_map), dict(T.map1), dict(T.map2))
-    return check_sigma_cofinal(Top, transport_sigma(sigma, cop),
-                               transport_sigma(sigma_prime, cpop), meter)
-
-
 # ---------------------------------------------------------------------------
 # The three shapes and their cone categories
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .config import Meter
-from .errors import ValidationError
 
 
 # ---------------------------------------------------------------------------
@@ -211,12 +210,6 @@ def validate_category(c: FinCat) -> ValidationReport:
     return rep
 
 
-def require_valid(c: FinCat, what: str = "category") -> None:
-    rep = validate_category(c)
-    if not rep.ok:
-        raise ValidationError(f"invalid {what}: {rep.violations[0].detail}")
-
-
 def validate_functor(F: Functor) -> ValidationReport:
     rep = ValidationReport("Functor")
     c, d = F.source, F.target
@@ -279,15 +272,6 @@ def compose_functors(G: Functor, F: Functor) -> Functor:
     )
 
 
-def constant_functor(c: FinCat, d: FinCat, y: str) -> Functor:
-    return Functor(c, d, {x: y for x in c.objects},
-                   {a: d.identity[y] for a in c.arrows})
-
-
-def identity_nat(F: Functor) -> NatTransf:
-    return NatTransf(F, F, {x: F.target.identity[F.obj_map[x]] for x in F.source.objects})
-
-
 def vcomp_nat(b: NatTransf, a: NatTransf) -> NatTransf:
     """Vertical composite b∘a (a first)."""
     assert a.target is b.source or (a.target.obj_map == b.source.obj_map and
@@ -307,11 +291,6 @@ def whisker_nat_functor(n: NatTransf, F: Functor) -> NatTransf:
     """n restricted along F: the transformation G∘F ⇒ G'∘F."""
     return NatTransf(compose_functors(n.source, F), compose_functors(n.target, F),
                      {x: n.components[F.obj_map[x]] for x in F.source.objects})
-
-
-def hcomp_nat(b: NatTransf, a: NatTransf) -> NatTransf:
-    """Horizontal composite of b : G⇒G' with a : F⇒F' (a on the inside)."""
-    return vcomp_nat(whisker_nat_functor(b, a.target), whisker_functor_nat(b.source, a))
 
 
 def nat_is_invertible(n: NatTransf) -> bool:

@@ -14,7 +14,13 @@ per object and a structural natural transformation per 1-cell, directed
 
 Hom categories of a given flavor are produced by exhaustive enumeration:
 components first, then structural cells, pruning with the per-2-cell
-axiom before the composition axiom.  Enumeration order is deterministic.
+axiom before the composition axiom.  The enumerators decide each axiom
+pointwise on component tables, as lookups in the target categories'
+composition tables, and build a Transformation or Modification only for
+the candidates they accept.  ``check_transformation`` and
+``check_modification`` state the same axioms with whiskered functors and
+transformations; they are the functor-level reference.  Enumeration
+order is deterministic.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .config import Meter
-from .errors import PreconditionFailed, ValidationError
+from .errors import PreconditionFailed
 from .fincat import (FinCat, Functor, FunctorCategory, NatTransf,
                      ValidationReport, compose_functors, enumerate_functors,
                      enumerate_nat_transfs, functor_category_full,
@@ -95,19 +101,19 @@ def identity_twofunctor(a: Fin2Cat) -> TwoFunctor:
                       {x: x for x in a.all_two_cells()})
 
 
-def compose_twofunctors(G: TwoFunctor, F: TwoFunctor) -> TwoFunctor:
-    return TwoFunctor(F.source, G.target,
-                      {A: G.obj_map[B] for A, B in F.obj_map.items()},
-                      {f: G.map1[g] for f, g in F.map1.items()},
-                      {x: G.map2[y] for x, y in F.map2.items()})
-
-
 # ---------------------------------------------------------------------------
 # Cat-valued diagrams
 
 
 @dataclass(frozen=True)
 class CatDiagram:
+    """A Cat-valued diagram on a finite 2-category, strict or pseudo.
+
+    Diagrams are never mutated after construction; ``alpha_at`` and
+    ``alpha_pair`` rely on this, since a strict diagram builds its
+    identity-shaped structure cells once, on first use, and keeps them.
+    """
+
     source: Fin2Cat
     on_obj: dict  # object -> FinCat
     on_1: dict  # 1-cell -> Functor
@@ -130,17 +136,28 @@ class CatDiagram:
         return self.on_2[x]
 
     def alpha_at(self, A: str) -> NatTransf:
-        if self.is_pseudo:
-            return self.alpha_obj[A]
-        P = self.on_1[self.source.id1[A]]
-        return _identity_transf_between(identity_functor(self.on_obj[A]), P)
+        """The structure cell id ⇒ P(id_A); identity when strict."""
+        return self._alpha_units[A]
 
     def alpha_pair(self, f: str, g: str) -> NatTransf:
         """The structure cell P(g)P(f) ⇒ P(gf); identity when strict."""
+        return self._alpha_pairs[(f, g)]
+
+    @cached_property
+    def _alpha_units(self) -> dict:
         if self.is_pseudo:
-            return self.alpha_comp[(f, g)]
-        comp = compose_functors(self.on_1[g], self.on_1[f])
-        return _identity_transf_between(comp, self.on_1[self.source.hcomp1[(g, f)]])
+            return self.alpha_obj
+        return {A: _identity_transf_between(identity_functor(self.on_obj[A]),
+                                            self.on_1[self.source.id1[A]])
+                for A in self.source.objects}
+
+    @cached_property
+    def _alpha_pairs(self) -> dict:
+        if self.is_pseudo:
+            return self.alpha_comp
+        return {(f, g): _identity_transf_between(
+                    compose_functors(self.on_1[g], self.on_1[f]), self.on_1[gf])
+                for (g, f), gf in self.source.hcomp1.items()}
 
 
 def _identity_transf_between(F: Functor, G: Functor) -> NatTransf:
@@ -299,12 +316,6 @@ def validate_diagram(P: CatDiagram) -> ValidationReport:
 def _hcomp_transf(b: NatTransf, a: NatTransf) -> NatTransf:
     """Horizontal composite of transformation images (a on the inside)."""
     return vcomp_nat(whisker_nat_functor(b, a.target), whisker_functor_nat(b.source, a))
-
-
-def require_valid_diagram(P: CatDiagram, what: str = "diagram") -> None:
-    rep = validate_diagram(P)
-    if not rep.ok:
-        raise ValidationError(f"invalid {what}: {rep.violations[0].detail}")
 
 
 def reinterpret_as_pseudo(P: CatDiagram) -> CatDiagram:
@@ -544,31 +555,34 @@ def enumerate_transformations(P: CatDiagram, Q: CatDiagram, flavor: Flavor,
                               meter: Meter | None = None) -> list[Transformation]:
     meter = meter or Meter()
     base = P.source
-    if flavor.requires_identity() and (P.is_pseudo or Q.is_pseudo):
+    strict = flavor.requires_identity()
+    if strict and (P.is_pseudo or Q.is_pseudo):
         raise PreconditionFailed("strict flavor requires strict diagrams")
     objs = sorted(base.objects)
     comp_pools = [enumerate_functors(P.on_obj[A], Q.on_obj[A], meter) for A in objs]
     if any(not pool for pool in comp_pools):
         return []
-    non_id = [f for f in base.all_one_cells()
-              if f not in set(base.id1.values())]
+    ids = set(base.id1.values())
+    non_id = [f for f in base.all_one_cells() if f not in ids]
+    ln2, ln1 = _coherence_tables(P, Q)
+    # what depends on one component choice is built once per choice:
+    # (A, i) -> the identity cell LN0 forces on the i-th component at A;
+    # (f, i, j) -> the source and target of the cell at f between the i-th
+    # components at its ends, and the strict flavor's identity cell if any
+    forced, typed = {}, {}
     out = []
-    for combo in itertools.product(*comp_pools):
+    for idx in itertools.product(*(range(len(pool)) for pool in comp_pools)):
         meter.tick()
-        comps = dict(zip(objs, combo))
+        at = dict(zip(objs, idx))
+        comps = {A: pool[i] for A, pool, i in zip(objs, comp_pools, idx)}
         structural = {}
         ok = True
-        # identity 1-cells are forced by LN0
         for A in objs:
-            idA = base.id1[A]
-            rhs = whisker_functor_nat(comps[A], P.alpha_at(A))
-            pre = whisker_nat_functor(Q.alpha_at(A), comps[A])
-            forced = vcomp_nat(rhs, invert_nat(pre))
-            structural[idA] = NatTransf(
-                compose_functors(Q.on_1[idA], comps[A]),
-                compose_functors(comps[A], P.on_1[idA]),
-                forced.components)
-            if flavor.requires_identity() and not nat_is_identity(structural[idA]):
+            if (A, at[A]) not in forced:
+                forced[(A, at[A])] = _forced_identity_cell(P, Q, A, comps[A], strict)
+            cell, passes = forced[(A, at[A])]
+            structural[base.id1[A]] = cell
+            if not passes:
                 ok = False
                 break
         if not ok:
@@ -576,13 +590,15 @@ def enumerate_transformations(P: CatDiagram, Q: CatDiagram, flavor: Flavor,
         pools = []
         for f in non_id:
             A, B = base.src1(f), base.tgt1(f)
-            src = compose_functors(Q.on_1[f], comps[A])
-            tgt = compose_functors(comps[B], P.on_1[f])
-            if flavor.requires_identity():
-                if src.key() != tgt.key():
-                    pool = []
-                else:
-                    pool = [_identity_transf_between(src, tgt)]
+            if (f, at[A], at[B]) not in typed:
+                src = compose_functors(Q.on_1[f], comps[A])
+                tgt = compose_functors(comps[B], P.on_1[f])
+                same = strict and src.key() == tgt.key()
+                typed[(f, at[A], at[B])] = (
+                    src, tgt, _identity_transf_between(src, tgt) if same else None)
+            src, tgt, identity = typed[(f, at[A], at[B])]
+            if strict:
+                pool = [identity] if identity is not None else []
             else:
                 pool = enumerate_nat_transfs(src, tgt, meter)
                 if flavor.requires_invertible(f):
@@ -593,60 +609,139 @@ def enumerate_transformations(P: CatDiagram, Q: CatDiagram, flavor: Flavor,
             pools.append(pool)
         if not ok:
             continue
+        eqs2, eqs1 = _bind_components(ln2, ln1, comps)
+        fixed = {f: n.components for f, n in structural.items()}
         for cells in itertools.product(*pools):
             meter.tick()
-            st = dict(structural)
-            st.update(dict(zip(non_id, cells)))
-            t = Transformation(P, Q, comps, st, flavor)
-            if _axioms_hold(t):
-                out.append(t)
+            cc = dict(fixed)
+            cc.update(zip(non_id, [n.components for n in cells]))
+            if _coherent(eqs2, eqs1, cc):
+                st = dict(structural)
+                st.update(zip(non_id, cells))
+                out.append(Transformation(P, Q, comps, st, flavor))
     out.sort(key=lambda t: t.key())
     return out
 
 
-def _axioms_hold(t: Transformation) -> bool:
-    P, Q = t.source, t.target
+def _forced_identity_cell(P: CatDiagram, Q: CatDiagram, A: str, th: Functor,
+                          strict: bool) -> tuple[NatTransf, bool]:
+    """The cell at id_A that LN0 forces on θ_A, and whether it passes the
+    strict flavor's identity test (always True for the other flavors)."""
+    idA = P.source.id1[A]
+    rhs = whisker_functor_nat(th, P.alpha_at(A))
+    pre = whisker_nat_functor(Q.alpha_at(A), th)
+    forced = vcomp_nat(rhs, invert_nat(pre))
+    cell = NatTransf(compose_functors(Q.on_1[idA], th), compose_functors(th, P.on_1[idA]),
+                     forced.components)
+    return cell, not strict or nat_is_identity(cell)
+
+
+def _coherence_tables(P: CatDiagram, Q: CatDiagram) -> tuple[list, list]:
+    """The tables LN2 and LN1 read, per 2-cell and per composable pair.
+
+    LN2 at x : f ⇒ g (f, g : A → B) reads P(x), Q(x) and Q(B)'s
+    composition; LN1 at (g, f) with f : A → B, g : B → C reads the two
+    composition cells at (f, g), P(f) on objects, Q(g) on arrows and
+    Q(C)'s composition.  Each equation is checked at every object y of
+    P(A).
+    """
     base = P.source
-    # LN2 first: per 2-cell, no composite lookups
+    ln2 = []
     for x in base.all_two_cells():
         f, g = base.src2(x), base.tgt2(x)
         A, B = base.src1(f), base.tgt1(f)
-        lhs = vcomp_nat(whisker_functor_nat(t.components[B], P.on_2[x]),
-                        t.structural[f])
-        rhs = vcomp_nat(t.structural[g],
-                        whisker_nat_functor(Q.on_2[x], t.components[A]))
-        if lhs.components != rhs.components:
-            return False
+        ln2.append((f, g, A, B, Q.on_obj[B].compose, P.on_2[x].components,
+                    Q.on_2[x].components, P.on_obj[A].objects))
+    ln1 = []
     for (g, f), gf in base.hcomp1.items():
         A, C = base.src1(f), base.tgt1(g)
-        lhs = vcomp_nat(t.structural[gf],
-                        whisker_nat_functor(Q.alpha_pair(f, g), t.components[A]))
-        rhs = vcomp_nat(
-            whisker_functor_nat(t.components[C], P.alpha_pair(f, g)),
-            vcomp_nat(whisker_nat_functor(t.structural[g], P.on_1[f]),
-                      whisker_functor_nat(Q.on_1[g], t.structural[f])))
-        if lhs.components != rhs.components:
-            return False
+        ln1.append((gf, g, f, A, C, Q.on_obj[C].compose,
+                    Q.alpha_pair(f, g).components, P.alpha_pair(f, g).components,
+                    P.on_1[f].obj_map, Q.on_1[g].arr_map, P.on_obj[A].objects))
+    return ln2, ln1
+
+
+def _bind_components(ln2: list, ln1: list, comps: dict) -> tuple[list, list]:
+    """``_coherence_tables`` with the component functors applied."""
+    eqs2 = []
+    for f, g, A, B, cmp, px, qx, ys in ln2:
+        thA, thB = comps[A].obj_map, comps[B].arr_map
+        eqs2.append((f, g, cmp, [(y, thB[px[y]], qx[thA[y]]) for y in ys]))
+    eqs1 = []
+    for gf, g, f, A, C, cmp, aq, ap, pf, qg, ys in ln1:
+        thA, thC = comps[A].obj_map, comps[C].arr_map
+        eqs1.append((gf, g, f, cmp, qg,
+                     [(y, aq[thA[y]], thC[ap[y]], pf[y]) for y in ys]))
+    return eqs2, eqs1
+
+
+def _coherent(eqs2: list, eqs1: list, cells: dict) -> bool:
+    """LN2, then LN1, pointwise on the structural cells' components.
+
+    Per object y of ``_bind_components``' rows, LN2 compares
+    θ_B(P(x)_y)∘σ_f,y with σ_g,y∘Q(x)_θ_A(y) and LN1 compares
+    σ_gf,y∘αQ_θ_A(y) with θ_C(αP_y)∘σ_g,P(f)y∘Q(g)(σ_f,y).  Composition
+    tables have entries only for composable pairs, so a mistyped component
+    raises KeyError instead of giving an answer.
+    """
+    for f, g, cmp, rows in eqs2:
+        sf, sg = cells[f], cells[g]
+        for y, left, right in rows:
+            if cmp[(left, sf[y])] != cmp[(sg[y], right)]:
+                return False
+    for gf, g, f, cmp, qg, rows in eqs1:
+        sgf, sg, sf = cells[gf], cells[g], cells[f]
+        for y, aq, ap, fy in rows:
+            if cmp[(sgf[y], aq)] != cmp[(ap, cmp[(sg[fy], qg[sf[y]])])]:
+                return False
     return True
 
 
 def enumerate_modifications(t1: Transformation, t2: Transformation,
                             meter: Meter | None = None) -> list[Modification]:
     meter = meter or Meter()
-    base = t1.source.source
+    P, Q = t1.source, t1.target
+    base = P.source
     objs = sorted(base.objects)
     pools = [enumerate_nat_transfs(t1.components[A], t2.components[A], meter)
              for A in objs]
     if any(not p for p in pools):
         return []
+    # check_modification's per-component typing and naturality, once per
+    # pool element; enumerate_nat_transfs output always passes them
+    pools = [[n for n in pool if _modification_component_ok(n, t1.components[A],
+                                                            t2.components[A])]
+             for A, pool in zip(objs, pools)]
+    pos = {A: k for k, A in enumerate(objs)}
+    squares = []  # LNM at f : A → B, per object y of P(A)
+    for f in base.all_one_cells():
+        A, B = base.src1(f), base.tgt1(f)
+        s1, s2 = t1.structural[f].components, t2.structural[f].components
+        pf = P.on_1[f].obj_map
+        squares.append((pos[A], pos[B], Q.on_obj[B].compose, Q.on_1[f].arr_map,
+                        [(y, s2[y], s1[y], pf[y]) for y in P.on_obj[A].objects]))
     out = []
     for combo in itertools.product(*pools):
         meter.tick()
-        m = Modification(t1, t2, dict(zip(objs, combo)))
-        if check_modification(m).ok:
-            out.append(m)
+        if _squares_commute(squares, combo):
+            out.append(Modification(t1, t2, dict(zip(objs, combo))))
     out.sort(key=lambda m: m.key())
     return out
+
+
+def _modification_component_ok(n: NatTransf, src: Functor, tgt: Functor) -> bool:
+    return (n.source is src or n.source.key() == src.key()) and \
+        (n.target is tgt or n.target.key() == tgt.key()) and validate_nat_transf(n).ok
+
+
+def _squares_commute(squares: list, combo: tuple) -> bool:
+    """LNM pointwise: σ'_f,y∘Q(f)(m_A,y) = m_B,P(f)y∘σ_f,y."""
+    for a, b, cmp, qf, rows in squares:
+        ma, mb = combo[a].components, combo[b].components
+        for y, s2, s1, fy in rows:
+            if cmp[(s2, qf[ma[y]])] != cmp[(mb[fy], s1)]:
+                return False
+    return True
 
 
 def hom_eps(P: CatDiagram, Q: CatDiagram, flavor: Flavor,

@@ -224,12 +224,6 @@ def validate_2category(a: Fin2Cat) -> ValidationReport:
     return rep
 
 
-def require_valid_2cat(a: Fin2Cat, what: str = "2-category") -> None:
-    rep = validate_2category(a)
-    if not rep.ok:
-        raise ValidationError(f"invalid {what}: {rep.violations[0].detail}")
-
-
 # ---------------------------------------------------------------------------
 # Wide subcategories and markings
 

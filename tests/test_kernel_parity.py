@@ -14,9 +14,15 @@ from sigmacat.colimits import cones_sigma, conical_sigma_colimit
 from sigmacat.config import Meter
 from sigmacat.fincat import (arrow_category, functor_category_full,
                              iso_pair_category, product_category)
-from sigmacat.fixtures import arrow_2cat, diagram_pick0, poset_category
+from sigmacat.fixtures import (arrow_2cat, diagram_on_free2cell, diagram_pick0,
+                               diamond_2cat, poset_category, pseudo_swap,
+                               pseudo_z2)
+from sigmacat.flatness import (check_left_exact, generate_bilimit_cones,
+                               representable)
 from sigmacat.presented import localize
-from sigmacat.two_cat import wide_all
+from sigmacat.transforms import (LAX, PSEUDO, STRICT, constant_diagram, hom_eps,
+                                 sigma_flavor)
+from sigmacat.two_cat import free_2cell_2cat, wide_all
 
 
 def chain(n):
@@ -52,6 +58,20 @@ CASES = {
         {"(f,id_0)", "(id_1,f)"}, meter=m).realization,
     "conical-pick0-all": lambda m: conical_sigma_colimit(
         diagram_pick0(), wide_all(arrow_2cat()), meter=m).category,
+    "hom-s-pick0-delta_arrow": lambda m: hom_eps(
+        diagram_pick0(), constant_diagram(arrow_2cat(), arrow_category()),
+        STRICT, m).cat,
+    "hom-sigma-free2cell-u": lambda m: hom_eps(
+        diagram_on_free2cell(),
+        constant_diagram(free_2cell_2cat(), arrow_category()),
+        sigma_flavor({"u"}), m).cat,
+    "hom-l-free2cell": lambda m: hom_eps(
+        diagram_on_free2cell(),
+        constant_diagram(free_2cell_2cat(), arrow_category()), LAX, m).cat,
+    "hom-p-pseudo_z2-pseudo_z2": lambda m: hom_eps(
+        pseudo_z2(), pseudo_z2(), PSEUDO, m).cat,
+    "hom-l-pseudo_swap-pseudo_z2": lambda m: hom_eps(
+        pseudo_swap(), pseudo_z2(), LAX, m).cat,
 }
 
 # (ticks, objects, arrows, composable pairs, table digest)
@@ -64,6 +84,11 @@ EXPECTED = {
     "localize-chain3-all": (2234, 3, 9, 27, "48fe927c6f128b67"),
     "localize-square-two": (4375, 4, 17, 73, "a4b770df3a0b7bd6"),
     "conical-pick0-all": (1061, 3, 7, 15, "dbdd782538462259"),
+    "hom-s-pick0-delta_arrow": (49, 3, 6, 10, "4eb0be34087b9cf2"),
+    "hom-sigma-free2cell-u": (56, 3, 6, 10, "4eb0be34087b9cf2"),
+    "hom-l-free2cell": (83, 4, 10, 20, "335d5fd468a95cc7"),
+    "hom-p-pseudo_z2-pseudo_z2": (182, 4, 16, 64, "0b751bc33008244a"),
+    "hom-l-pseudo_swap-pseudo_z2": (2854, 8, 128, 2048, "dbde37d6009e4081"),
 }
 
 
@@ -73,3 +98,15 @@ def test_ticks_and_tables_are_pinned(case):
     result = CASES[case](meter)
     assert fingerprint(meter, result) == EXPECTED[case]
 
+
+
+def test_left_exactness_on_the_diamond_is_pinned():
+    """Ticks, verdict and per-shape answers of the bilimit cone search and
+    the comparison functors it feeds, recorded at the parent commit."""
+    meter = Meter()
+    base = diamond_2cat()
+    rep = check_left_exact(representable(base, "bot"),
+                           generate_bilimit_cones(base, meter), meter)
+    digest = hashlib.sha256(repr(rep.per_shape).encode()).hexdigest()[:16]
+    assert (meter.count, rep.verdict, len(rep.per_shape), digest) == \
+        (806, True, 43, "fd678c713a00414d")
