@@ -10,7 +10,6 @@ inputs produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .config import DEFAULT_CAP, Meter
@@ -18,13 +17,12 @@ from .errors import (CertificateFailure, Inconsistency, ParseError,
                      PreconditionFailed, SizeLimitExceeded, UndecidedAtCap,
                      ValidationError)
 from . import io as sio
-from .fincat import FinCat, validate_category
-from .two_cat import (Fin2Cat, Marked2Cat, WideSub, validate_2category,
-                      wide_from)
+from .fincat import FinCat
+from .two_cat import Fin2Cat, Marked2Cat, wide_from
 from .transforms import (CatDiagram, LAX, PSEUDO, STRICT, TwoFunctor,
                          hom_eps, sigma_flavor)
-from .colimits import (bilimit_cat, conical_sigma_colimit, default_test_family,
-                       weighted_limit_cat, weighted_sigma_colimit)
+from .colimits import (bilimit_cat, conical_sigma_colimit, weighted_limit_cat,
+                       weighted_sigma_colimit)
 from .elements import cart_sigma, elements_of, elements_of_pseudo
 from .filteredness import (check_sigma_cofiltered, check_sigma_cofinal,
                            check_sigma_filtered)

@@ -11,30 +11,38 @@ the universal cone must be an isomorphism between functors out of the
 realized category and the enumerated cone category.  A certificate
 failure is a bug and raises; an unstable localization propagates as an
 undecided status, never as a guess.
+
+Cones over a 2-functor into a finite 2-category go through one cone
+kernel: ``base_cone_candidates`` proposes legs and structural cells,
+``base_cone_laws`` decides LN2 and LN1 by lookups in the ambient's
+tables, and ``base_cone_square`` decides the modification square.
+``base_cone_category``, the bilimit search of ``flatness`` and the
+cocone searches of ``filteredness`` all run on it; a cocone is a cone in
+the 1-cell dual, with the same maps.  ``check_base_cone`` and
+``check_sigma_cone`` state the laws directly and are the reference
+validators.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .config import DEFAULT_CAP, Meter
-from .errors import (CertificateFailure, PreconditionFailed, UndecidedAtCap,
-                     ValidationError)
+from .errors import CertificateFailure, PreconditionFailed, UndecidedAtCap
 from .fincat import (FinCat, Functor, NatTransf, ValidationReport,
-                     arrow_category, compose_functors, enumerate_functors,
-                     enumerate_nat_transfs, find_isomorphism,
-                     functor_category_full, identity_functor,
-                     iso_pair_category, is_equivalence, mk_fincat,
-                     nat_is_identity, nat_is_invertible, parallel_pair_category,
+                     arrow_category, assemble_category, compose_functors,
+                     enumerate_functors, enumerate_nat_transfs,
+                     find_isomorphism, functor_category_full,
+                     iso_pair_category, is_equivalence, nat_is_identity,
+                     nat_is_invertible, parallel_pair_category, partition,
                      terminal_category, validate_functor, validate_nat_transf,
                      vcomp_nat, whisker_functor_nat, whisker_nat_functor)
 from .two_cat import (Fin2Cat, WideSub, op_dual, pair_name, pi0,
                       pi0_class_map, split_pair_name, two_cat_product)
-from .transforms import (CatDiagram, HomCategory, Modification, Transformation,
-                         TwoFunctor, Flavor, PSEUDO, STRICT, LAX,
-                         check_transformation, compose_diagram,
+from .transforms import (CatDiagram, HomCategory, Transformation, TwoFunctor,
+                         Flavor, PSEUDO, STRICT, compose_diagram,
                          constant_diagram, hom_eps, sigma_flavor)
 from .presented import (Presentation, PresentedCategory, base_of_inv, is_inv,
                         localize)
@@ -213,43 +221,24 @@ def cones_sigma(Q: CatDiagram, marked: frozenset, E: FinCat,
                     st.update(zip(non_id, cells))
                     found.append(SigmaCone(Q, marked, E, comps, st))
     found.sort(key=lambda c: c.key())
-    cname = {i: f"c{i}" for i in range(len(found))}
-    arrows, identity, compose = {}, {}, {}
-    morphisms = {}
-    labels = {}
-    counter = 0
     pos = {A: k for k, A in enumerate(objs)}
+    homs = {}
     for i, c1 in enumerate(found):
         for j, c2 in enumerate(found):
             squares = _cone_morphism_squares(c1, c2, pos)
+            homs[(i, j)] = []
             for combo in itertools.product(
                     *[enumerate_nat_transfs(c1.components[A], c2.components[A], meter)
                       for A in objs]):
                 meter.tick()
-                if not _cone_morphism_ok(E.compose, squares, combo):
-                    continue
-                rho = dict(zip(objs, combo))
-                if i == j and all(nat_is_identity(n) for n in rho.values()):
-                    name = f"1_{cname[i]}"
-                    identity[cname[i]] = name
-                else:
-                    name = f"r{counter}"
-                    counter += 1
-                arrows[name] = (cname[i], cname[j])
-                morphisms[name] = rho
-                labels[(cname[i], cname[j],
-                        tuple((A, rho[A].key()) for A in objs))] = name
-    out_of = {}  # cone name -> [(morphism name, its target, components)]
-    for n2, rho2 in morphisms.items():
-        j, k = arrows[n2]
-        out_of.setdefault(j, []).append((n2, k, rho2))
-    for n1, rho1 in morphisms.items():
-        i, j = arrows[n1]
-        for n2, k, rho2 in out_of.get(j, ()):
-            comp = {A: vcomp_nat(rho2[A], rho1[A]) for A in objs}
-            compose[(n2, n1)] = labels[(i, k, tuple((A, comp[A].key()) for A in objs))]
-    cat = mk_fincat([cname[i] for i in range(len(found))], arrows, identity, compose)
-    return ConeCategory(cat, {cname[i]: found[i] for i in range(len(found))}, morphisms)
+                if _cone_morphism_ok(E.compose, squares, combo):
+                    homs[(i, j)].append(dict(zip(objs, combo)))
+    cat, morphisms = assemble_category(
+        len(found), ("c", "r"), homs,
+        lambda rho: all(nat_is_identity(n) for n in rho.values()),
+        lambda rho: tuple((A, rho[A].key()) for A in objs),
+        lambda r2, r1: tuple((A, vcomp_nat(r2[A], r1[A]).key()) for A in objs))
+    return ConeCategory(cat, {f"c{i}": c for i, c in enumerate(found)}, morphisms)
 
 
 def _cone_tables(Q: CatDiagram) -> tuple[list, list]:
@@ -686,91 +675,130 @@ def check_base_cone(c: BaseCone) -> ValidationReport:
     return rep
 
 
+def base_cone_candidates(D: TwoFunctor, marked: frozenset, vertex: str,
+                         meter: Meter, legs=None):
+    """The candidate cones over D with the given vertex, per choice of legs.
+
+    Yields, for every choice of legs t_i : vertex → D(i) in lexicographic
+    order (drawn from ``legs`` when it is given), the legs and an iterator
+    over every family of structural cells D(u)∘t_i ⇒ t_j: identities at
+    identity 1-cells, invertible at marked ones.  A choice of legs with no
+    cell at some 1-cell yields nothing.  Ticks once per choice of legs;
+    callers tick per cell candidate where they need to.
+    """
+    sh, amb = D.source, D.target
+    objs = sorted(sh.objects)
+    ids = set(sh.id1.values())
+    non_id = [u for u in sh.all_one_cells() if u not in ids]
+    pools = [[t for t in amb.one_cells(vertex, D.obj_map[i])
+              if legs is None or t in legs] for i in objs]
+    for combo in itertools.product(*pools):
+        meter.tick()
+        comp = dict(zip(objs, combo))
+        cell_pools = []
+        for u in non_id:
+            src = amb.hcomp1[(D.map1[u], comp[sh.src1(u)])]
+            pool = amb.two_cells_between(src, comp[sh.tgt1(u)])
+            if u in marked:
+                pool = [x for x in pool if amb.is_invertible_2cell(x)]
+            if not pool:
+                break
+            cell_pools.append(pool)
+        else:
+            fixed = {sh.id1[i]: amb.id2(comp[i]) for i in objs}
+            yield comp, ({**fixed, **dict(zip(non_id, cells))}
+                         for cells in itertools.product(*cell_pools))
+
+
+def base_cone_laws(D: TwoFunctor, comp: dict):
+    """The test of LN2 and LN1 on structural cells over the legs ``comp``.
+
+    LN2 at x : u ⇒ v (u, v : i → j) compares σ_u with σ_v∘(D(x)*t_i), and
+    LN1 at (v, u) compares σ_vu with σ_v∘(D(v)*σ_u).  Both are lookups in
+    the ambient's tables: the whiskers in its horizontal composition, the
+    vertical composites in the hom holding the leg at the target.
+    ``check_base_cone`` states the same laws and is the reference.
+    """
+    sh, amb = D.source, D.target
+    hc2 = amb.hcomp2
+    cmp = {i: amb.hom[amb.hom_of_1cell(t)].compose for i, t in comp.items()}
+    ln2 = []
+    for x in sh.all_two_cells():
+        u, v = sh.src2(x), sh.tgt2(x)
+        ln2.append((u, v, hc2[(D.map2[x], amb.id2(comp[sh.src1(u)]))],
+                    cmp[sh.tgt1(u)]))
+    ln1 = [(vu, v, u, amb.id2(D.map1[v]), cmp[sh.tgt1(v)])
+           for (v, u), vu in sh.hcomp1.items()]
+
+    def hold(struct: dict) -> bool:
+        for u, v, whisker, c in ln2:
+            if struct[u] != c[(struct[v], whisker)]:
+                return False
+        for vu, v, u, idv, c in ln1:
+            if struct[vu] != c[(struct[v], hc2[(idv, struct[u])])]:
+                return False
+        return True
+
+    return hold
+
+
+def base_cone_square(D: TwoFunctor, s1: dict, s2: dict):
+    """The test of the modification square ρ_j∘σ1_u = σ2_u∘(D(u)*ρ_i), at
+    every 1-cell u : i → j, on families ρ between cones with structural
+    cells ``s1`` and ``s2``; both sides are composed in the hom of σ1_u."""
+    sh, amb = D.source, D.target
+    hc2 = amb.hcomp2
+    rows = [(sh.src1(u), sh.tgt1(u), s1[u], s2[u], amb.id2(D.map1[u]),
+             amb.hom[amb.hom_of_2cell(s1[u])].compose)
+            for u in sh.all_one_cells()]
+
+    def commutes(rho: dict) -> bool:
+        for i, j, c1, c2, idu, c in rows:
+            if c[(rho[j], c1)] != c[(c2, hc2[(idu, rho[i])])]:
+                return False
+        return True
+
+    return commutes
+
+
 def base_cone_category(D: TwoFunctor, marked: frozenset, vertex: str,
                        meter: Meter | None = None):
     """All marked-relative cones over D with the given vertex, as a FinCat.
 
     Arrows are families of 2-cells between components satisfying the
-    modification square.  Returns (category, cones by name).
+    modification square.  Returns (category, cones by name, arrow
+    components by name).  Ticks once per choice of legs, per cell
+    candidate and per morphism candidate.
     """
     meter = meter or Meter()
     sh, amb = D.source, D.target
     objs = sorted(sh.objects)
-    non_id = [u for u in sh.all_one_cells() if u not in set(sh.id1.values())]
-    pools = [amb.one_cells(vertex, D.obj_map[i]) for i in objs]
     found = []
-    if not any(not p for p in pools):
-        for combo in itertools.product(*pools):
+    for comp, structs in base_cone_candidates(D, marked, vertex, meter):
+        hold = base_cone_laws(D, comp)
+        for struct in structs:
             meter.tick()
-            comp = dict(zip(objs, combo))
-            cell_pools = []
-            ok = True
-            for u in non_id:
-                i, j = sh.src1(u), sh.tgt1(u)
-                src = amb.hcomp1[(D.map1[u], comp[i])]
-                pool = amb.two_cells_between(src, comp[j])
-                if u in marked:
-                    pool = [x for x in pool if amb.is_invertible_2cell(x)]
-                if not pool:
-                    ok = False
-                    break
-                cell_pools.append(pool)
-            if not ok:
-                continue
-            for cells in itertools.product(*cell_pools):
-                meter.tick()
-                struct = {sh.id1[i]: amb.id2(comp[i]) for i in objs}
-                struct.update(dict(zip(non_id, cells)))
-                cone = BaseCone(sh, D, marked, vertex, comp, struct)
-                if check_base_cone(cone).ok:
-                    found.append(cone)
+            if hold(struct):
+                found.append(BaseCone(sh, D, marked, vertex, comp, struct))
     found.sort(key=lambda c: (tuple(sorted(c.comp.items())),
                               tuple(sorted(c.struct.items()))))
-    cname = {i: f"k{i}" for i in range(len(found))}
-    arrows, identity, compose = {}, {}, {}
-    data = {}
-    labels = {}
-    counter = 0
+    homs = {}
     for i, c1 in enumerate(found):
         for j, c2 in enumerate(found):
-            pools = [amb.two_cells_between(c1.comp[o], c2.comp[o]) for o in objs]
-            for combo in itertools.product(*pools):
+            commutes = base_cone_square(D, c1.struct, c2.struct)
+            homs[(i, j)] = []
+            for combo in itertools.product(
+                    *[amb.two_cells_between(c1.comp[o], c2.comp[o]) for o in objs]):
                 meter.tick()
                 rho = dict(zip(objs, combo))
-                if not _base_cone_morphism_ok(c1, c2, rho):
-                    continue
-                if i == j and all(amb.is_identity_2cell(x) for x in rho.values()):
-                    name = f"1_{cname[i]}"
-                    identity[cname[i]] = name
-                else:
-                    name = f"q{counter}"
-                    counter += 1
-                arrows[name] = (cname[i], cname[j])
-                data[name] = rho
-                labels[(cname[i], cname[j], tuple(sorted(rho.items())))] = name
-    out_of = {}  # cone name -> [(morphism name, its target, components)]
-    for n2, rho2 in data.items():
-        j, k = arrows[n2]
-        out_of.setdefault(j, []).append((n2, k, rho2))
-    for n1, rho1 in data.items():
-        i, j = arrows[n1]
-        for n2, k, rho2 in out_of.get(j, ()):
-            comp = {o: amb.vcomp(rho2[o], rho1[o]) for o in objs}
-            compose[(n2, n1)] = labels[(i, k, tuple(sorted(comp.items())))]
-    cat = mk_fincat([cname[i] for i in range(len(found))], arrows, identity, compose)
-    return cat, {cname[i]: found[i] for i in range(len(found))}, data
-
-
-def _base_cone_morphism_ok(c1: BaseCone, c2: BaseCone, rho: dict) -> bool:
-    sh, D = c1.shape, c1.diagram
-    amb = D.target
-    for u in sh.all_one_cells():
-        i, j = sh.src1(u), sh.tgt1(u)
-        lhs = amb.vcomp(rho[j], c1.struct[u])
-        rhs = amb.vcomp(c2.struct[u], amb.hcomp2[(amb.id2(D.map1[u]), rho[i])])
-        if lhs != rhs:
-            return False
-    return True
+                if commutes(rho):
+                    homs[(i, j)].append(rho)
+    cat, data = assemble_category(
+        len(found), ("k", "q"), homs,
+        lambda rho: all(amb.is_identity_2cell(x) for x in rho.values()),
+        lambda rho: tuple(sorted(rho.items())),
+        lambda r2, r1: tuple(sorted((o, amb.vcomp(r2[o], r1[o])) for o in objs)))
+    return cat, {f"k{i}": c for i, c in enumerate(found)}, data
 
 
 def is_bilimit_cone(c: BaseCone, meter: Meter | None = None) -> bool:
@@ -1260,21 +1288,11 @@ def coend_eps(T: CatDiagram, base: Fin2Cat, flavor: Flavor,
                 TBA = T.on_obj[pair_name(B, A)]
                 inverted.extend(e_gen(f, z) for z in sorted(TBA.objects))
     # strict flavor merges objects outright
-    merged = {o: o for o in objects}
     if strict_object_merges:
-        def find(o):
-            while merged[o] != o:
-                merged[o] = merged[merged[o]]
-                o = merged[o]
-            return o
-        for a, b in strict_object_merges:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                merged[max(ra, rb)] = min(ra, rb)
-        objects2 = sorted({find(o) for o in objects})
-        generators = {g: (find(s), find(t)) for g, (s, t) in generators.items()}
-        relations = [(l, r, find(s)) for (l, r, s) in relations]
-        objects = objects2
+        merged = partition(objects, strict_object_merges)
+        objects = sorted(set(merged.values()))
+        generators = {g: (merged[s], merged[t]) for g, (s, t) in generators.items()}
+        relations = [(l, r, merged[s]) for (l, r, s) in relations]
     pres = Presentation(tuple(objects), generators, hints,
                         tuple(relations), tuple(sorted(inverted)))
     out = saturate_presentation(pres, cap, meter)

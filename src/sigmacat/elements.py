@@ -21,8 +21,7 @@ from .errors import PreconditionFailed, ValidationError
 from .fincat import FinCat, Functor, NatTransf, mk_fincat
 from .two_cat import Fin2Cat, WideSub, mk_fin2cat
 from .transforms import (CatDiagram, Transformation, TwoFunctor,
-                         check_transformation, compose_diagram, hom_eps,
-                         sigma_flavor, LAX)
+                         check_transformation, compose_diagram, hom_eps, LAX)
 
 
 def obj_name(x: str, A: str) -> str:
@@ -390,8 +389,6 @@ def lax_dense_transport(P: CatDiagram, Q: CatDiagram, el_p: ElementsResult,
 
 
 def _transport_forward(P, Q, el_p, eta, k1, q_proj, cone_flavor) -> Transformation:
-    base = P.source
-    one = k1.on_obj[el_p.cat.objects[0]] if el_p.cat.objects else None
     comps = {}
     structural = {}
     for o in el_p.cat.objects:

@@ -8,11 +8,15 @@ merged by some marked postcomposition.  The checker scans every
 instance of every axiom, records the first witness found in a fixed
 lexicographic order, and re-validates each witness against the raw
 equations before reporting it.
+
+The probe shapes' cocones (``cone_existence``, ``cocone_category``) are
+found by the cone kernel of ``colimits``: a cocone under a diagram is a
+cone over the same maps between the 1-cell duals of the shape and of the
+2-category, so the kernel runs there unchanged.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .config import Meter
@@ -20,6 +24,7 @@ from .errors import PreconditionFailed
 from .fincat import FinCat, mk_fincat, is_equivalence, Functor, enumerate_functors
 from .two_cat import Fin2Cat, Marked2Cat, WideSub, op_dual, transport_sigma
 from .transforms import TwoFunctor
+from .colimits import base_cone_candidates, base_cone_category, base_cone_laws
 
 
 AXIOM_NONEMPTY = "nonempty"
@@ -359,6 +364,12 @@ def _pulled_marking(T: TwoFunctor, sigma: WideSub) -> frozenset:
                      if T.map1[u] in sigma.arrows)
 
 
+def _dual(T: TwoFunctor) -> TwoFunctor:
+    """T between the 1-cell duals of its source and target, same maps; a
+    cocone under T is a cone over it."""
+    return TwoFunctor(op_dual(T.source), op_dual(T.target), T.obj_map, T.map1, T.map2)
+
+
 def cone_existence(sd: ShapeDiagram, sigma: WideSub,
                    meter: Meter | None = None):
     """Search for a cone under the diagram with marked structure arrows.
@@ -368,138 +379,27 @@ def cone_existence(sd: ShapeDiagram, sigma: WideSub,
     lexicographic order, or None.
     """
     meter = meter or Meter()
-    sh, T = sd.shape, sd.diagram
-    a = T.target
-    sig = sigma.arrows
-    objs = sorted(sh.objects)
-    non_id = [u for u in sh.all_one_cells() if u not in set(sh.id1.values())]
-    for E in sorted(a.objects):
-        pools = [[t for t in a.one_cells(T.obj_map[i], E) if t in sig]
-                 for i in objs]
-        if any(not p for p in pools):
-            continue
-        for combo in itertools.product(*pools):
-            meter.tick()
-            comp = dict(zip(objs, combo))
-            cell_pools = []
-            ok = True
-            for u in non_id:
-                i, j = sh.src1(u), sh.tgt1(u)
-                src = a.hcomp1[(comp[j], T.map1[u])]
-                pool = a.two_cells_between(src, comp[i])
-                if u in sd.marked:
-                    pool = [x for x in pool if a.is_invertible_2cell(x)]
-                if not pool:
-                    ok = False
-                    break
-                cell_pools.append(pool)
-            if not ok:
-                continue
-            for cells in itertools.product(*cell_pools):
+    D = _dual(sd.diagram)
+    for E in sorted(D.target.objects):
+        for comp, structs in base_cone_candidates(D, sd.marked, E, meter,
+                                                  legs=sigma.arrows):
+            hold = base_cone_laws(D, comp)
+            for struct in structs:
                 meter.tick()
-                struct = {sh.id1[i]: a.id2(comp[i]) for i in objs}
-                struct.update(dict(zip(non_id, cells)))
-                if _cocone_ok(sd, comp, struct):
+                if hold(struct):
                     return (E, comp, struct)
     return None
-
-
-def _cocone_ok(sd: ShapeDiagram, comp: dict, struct: dict) -> bool:
-    sh, T = sd.shape, sd.diagram
-    a = T.target
-    for x in sh.all_two_cells():
-        u, v = sh.src2(x), sh.tgt2(x)
-        j = sh.tgt1(u)
-        lhs = struct[u]
-        rhs = a.vcomp(struct[v], a.hcomp2[(a.id2(comp[j]), T.map2[x])])
-        if lhs != rhs:
-            return False
-    for (v, u), vu in sh.hcomp1.items():
-        lhs = struct[vu]
-        rhs = a.vcomp(struct[u], a.hcomp2[(struct[v], a.id2(T.map1[u]))])
-        if lhs != rhs:
-            return False
-    return True
 
 
 def cocone_category(sd: ShapeDiagram, E: str, meter: Meter | None = None):
     """All cones under the diagram with vertex E (components unrestricted).
 
     Objects are cones, arrows are 2-cell families satisfying the
-    modification square.  Returns (category, cones by name).
+    modification square.  Returns (category, (legs, cells) of each cone
+    by name); the names are those of ``base_cone_category``.
     """
-    meter = meter or Meter()
-    sh, T = sd.shape, sd.diagram
-    a = T.target
-    objs = sorted(sh.objects)
-    non_id = [u for u in sh.all_one_cells() if u not in set(sh.id1.values())]
-    found = []
-    pools = [a.one_cells(T.obj_map[i], E) for i in objs]
-    if not any(not p for p in pools):
-        for combo in itertools.product(*pools):
-            meter.tick()
-            comp = dict(zip(objs, combo))
-            cell_pools = []
-            ok = True
-            for u in non_id:
-                i, j = sh.src1(u), sh.tgt1(u)
-                src = a.hcomp1[(comp[j], T.map1[u])]
-                pool = a.two_cells_between(src, comp[i])
-                if u in sd.marked:
-                    pool = [x for x in pool if a.is_invertible_2cell(x)]
-                if not pool:
-                    ok = False
-                    break
-                cell_pools.append(pool)
-            if not ok:
-                continue
-            for cells in itertools.product(*cell_pools):
-                meter.tick()
-                struct = {sh.id1[i]: a.id2(comp[i]) for i in objs}
-                struct.update(dict(zip(non_id, cells)))
-                if _cocone_ok(sd, comp, struct):
-                    found.append((comp, struct))
-    found.sort(key=lambda cs: (tuple(sorted(cs[0].items())),
-                               tuple(sorted(cs[1].items()))))
-    cname = {i: f"c{i}" for i in range(len(found))}
-    arrows, identity, compose = {}, {}, {}
-    data, labels = {}, {}
-    counter = 0
-    for i, (comp1, st1) in enumerate(found):
-        for j, (comp2, st2) in enumerate(found):
-            pools = [a.two_cells_between(comp1[o], comp2[o]) for o in objs]
-            for combo in itertools.product(*pools):
-                meter.tick()
-                rho = dict(zip(objs, combo))
-                ok = True
-                for u in sh.all_one_cells():
-                    i2, j2 = sh.src1(u), sh.tgt1(u)
-                    lhs = a.vcomp(rho[i2], st1[u])
-                    rhs = a.vcomp(st2[u], a.hcomp2[(rho[j2], a.id2(T.map1[u]))])
-                    if lhs != rhs:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                if i == j and all(a.is_identity_2cell(x) for x in rho.values()):
-                    name = f"1_{cname[i]}"
-                    identity[cname[i]] = name
-                else:
-                    name = f"r{counter}"
-                    counter += 1
-                arrows[name] = (cname[i], cname[j])
-                data[name] = rho
-                labels[(cname[i], cname[j], tuple(sorted(rho.items())))] = name
-    for n1, rho1 in data.items():
-        i, j = arrows[n1]
-        for n2, rho2 in data.items():
-            j2, k = arrows[n2]
-            if j2 != j:
-                continue
-            comp = {o: a.vcomp(rho2[o], rho1[o]) for o in objs}
-            compose[(n2, n1)] = labels[(i, k, tuple(sorted(comp.items())))]
-    cat = mk_fincat([cname[i] for i in range(len(found))], arrows, identity, compose)
-    return cat, {cname[i]: found[i] for i in range(len(found))}
+    cat, cones, _ = base_cone_category(_dual(sd.diagram), sd.marked, E, meter)
+    return cat, {n: (c.comp, c.struct) for n, c in cones.items()}
 
 
 def explicit_shape_category(sd: ShapeDiagram, E: str, which: int,
@@ -515,7 +415,6 @@ def explicit_shape_category(sd: ShapeDiagram, E: str, which: int,
     T = sd.diagram
     if which == 1:
         C, D = T.obj_map["a"], T.obj_map["b"]
-        hc = a.hom[(C, E)] if (C, E) in a.hom else None
         objs = [f"({h},{l})" for h in a.one_cells(C, E) for l in a.one_cells(D, E)]
         arrows, identity, compose = {}, {}, {}
         for h in a.one_cells(C, E):

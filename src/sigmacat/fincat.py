@@ -377,6 +377,48 @@ def enumerate_nat_transfs(F: Functor, G: Functor,
 # Constructions
 
 
+def assemble_category(n: int, prefixes: tuple[str, str], homs: dict,
+                      is_identity, key, composite_key) -> tuple[FinCat, dict]:
+    """The category on objects ``{o}0 … {o}{n-1}`` with ``homs[(i, j)]``
+    the morphisms from the i-th object to the j-th, ``(o, a) = prefixes``.
+
+    Arrows are named in (i, j) order: ``1_{o}{i}`` for the morphism at
+    (i, i) that ``is_identity`` accepts, ``{a}0``, ``{a}1``, … for the
+    others.  The composite of f : i → j and g : j → k is the arrow from i
+    to k whose ``key`` is ``composite_key(g, f)``; only composable pairs
+    are visited, grouped by the source of g.  Returns the category and
+    the morphism named by each arrow.
+    """
+    obj, arr = prefixes
+    names = [f"{obj}{i}" for i in range(n)]
+    arrows, identity, compose, data = {}, {}, {}, {}
+    name_of = {}  # (i, j, key) -> arrow name
+    named = {}  # (i, j) -> [(arrow name, morphism)]
+    counter = 0
+    for (i, j), ms in sorted(homs.items()):
+        named[(i, j)] = []
+        for m in ms:
+            if i == j and is_identity(m):
+                name = f"1_{names[i]}"
+                identity[names[i]] = name
+            else:
+                name = f"{arr}{counter}"
+                counter += 1
+            arrows[name] = (names[i], names[j])
+            data[name] = m
+            name_of[(i, j, key(m))] = name
+            named[(i, j)].append((name, m))
+    out_of = {}
+    for (j, k), gs in named.items():
+        out_of.setdefault(j, []).append((k, gs))
+    for (i, j), fs in named.items():
+        for k, gs in out_of.get(j, ()):
+            for f, mf in fs:
+                for g, mg in gs:
+                    compose[(g, f)] = name_of[(i, k, composite_key(mg, mf))]
+    return mk_fincat(names, arrows, identity, compose), data
+
+
 @dataclass(frozen=True)
 class FunctorCategory:
     cat: FinCat
@@ -419,43 +461,16 @@ def functor_category_full(c: FinCat, d: FinCat,
     """The category of all functors c -> d and all natural transformations."""
     meter = meter or Meter()
     fs = enumerate_functors(c, d, meter)
-    fname = {i: f"F{i}" for i in range(len(fs))}
-    objects = [fname[i] for i in range(len(fs))]
-    arrows, identity, compose = {}, {}, {}
-    transfs = {}
-    nats = {}  # (i, j) -> list of NatTransf
-    for i, F in enumerate(fs):
-        for j, G in enumerate(fs):
-            nats[(i, j)] = enumerate_nat_transfs(F, G, meter)
-    counter = 0
-    name_of = {}
-    named = {}  # (i, j) -> [(arrow name, NatTransf)], in (i, j) order
-    for (i, j), ns in sorted(nats.items()):
-        named[(i, j)] = []
-        for n in ns:
-            if i == j and nat_is_identity(n):
-                name = f"1_{fname[i]}"
-                identity[fname[i]] = name
-            else:
-                name = f"n{counter}"
-                counter += 1
-            arrows[name] = (fname[i], fname[j])
-            transfs[name] = n
-            name_of[(i, j, n.key())] = name
-            named[(i, j)].append((name, n))
-    # visit composable pairs only: the arrows out of each functor, by target
-    out_of = {}
-    for (j, k), ms in named.items():
-        out_of.setdefault(j, []).append((k, ms))
-    for (i, j), ns in named.items():
-        for k, ms in out_of[j]:
-            for f, n in ns:
-                for g, m in ms:
-                    meter.tick()
-                    comp = vcomp_nat(m, n)
-                    compose[(g, f)] = name_of[(i, k, comp.key())]
-    cat = mk_fincat(objects, arrows, identity, compose)
-    return FunctorCategory(cat, {fname[i]: fs[i] for i in range(len(fs))}, transfs)
+    nats = {(i, j): enumerate_nat_transfs(F, G, meter)
+            for i, F in enumerate(fs) for j, G in enumerate(fs)}
+
+    def composite(m: NatTransf, n: NatTransf) -> tuple:
+        meter.tick()
+        return vcomp_nat(m, n).key()
+
+    cat, transfs = assemble_category(len(fs), ("F", "n"), nats, nat_is_identity,
+                                     NatTransf.key, composite)
+    return FunctorCategory(cat, {f"F{i}": F for i, F in enumerate(fs)}, transfs)
 
 
 def functor_category(c: FinCat, d: FinCat, meter: Meter | None = None) -> FinCat:
@@ -499,9 +514,10 @@ def product_projections(p: FinCat, c: FinCat, d: FinCat) -> tuple[Functor, Funct
     return Functor(p, c, om1, am1), Functor(p, d, om2, am2)
 
 
-def connected_components(c: FinCat) -> list[frozenset]:
-    """Partition of objects under the zig-zag closure of arrows."""
-    parent = {x: x for x in c.objects}
+def partition(items, pairs) -> dict:
+    """The finest partition of ``items`` in which the two ends of every
+    pair share a block, as item -> the least member of its block."""
+    parent = {x: x for x in items}
 
     def find(x):
         while parent[x] != x:
@@ -509,14 +525,23 @@ def connected_components(c: FinCat) -> list[frozenset]:
             x = parent[x]
         return x
 
-    for a, (s, t) in c.arrows.items():
-        rs, rt = find(s), find(t)
-        if rs != rt:
-            parent[max(rs, rt)] = min(rs, rt)
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    return {x: find(x) for x in items}
+
+
+def _blocks(least: dict) -> list[frozenset]:
     groups = {}
-    for x in c.objects:
-        groups.setdefault(find(x), set()).add(x)
-    return sorted((frozenset(v) for v in groups.values()), key=lambda s: sorted(s))
+    for x, r in least.items():
+        groups.setdefault(r, set()).add(x)
+    return sorted((frozenset(v) for v in groups.values()), key=sorted)
+
+
+def connected_components(c: FinCat) -> list[frozenset]:
+    """Partition of objects under the zig-zag closure of arrows."""
+    return _blocks(partition(c.objects, c.arrows.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -536,24 +561,8 @@ class EquivalenceReport:
 
 
 def iso_classes(c: FinCat) -> list[frozenset]:
-    parent = {x: x for x in c.objects}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a in c.arrows:
-        if c.is_iso(a):
-            s, t = c.arrows[a]
-            rs, rt = find(s), find(t)
-            if rs != rt:
-                parent[max(rs, rt)] = min(rs, rt)
-    groups = {}
-    for x in c.objects:
-        groups.setdefault(find(x), set()).add(x)
-    return sorted((frozenset(v) for v in groups.values()), key=lambda s: sorted(s))
+    return _blocks(partition(c.objects, (st for a, st in c.arrows.items()
+                                         if c.is_iso(a))))
 
 
 def is_equivalence(F: Functor) -> EquivalenceReport:

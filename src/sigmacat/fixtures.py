@@ -11,10 +11,8 @@ from .fincat import (FinCat, Functor, NatTransf, arrow_category,
                      discrete_category, group_z2_category, identity_functor,
                      iso_pair_category, mk_fincat, parallel_pair_category,
                      terminal_category)
-from .two_cat import (Fin2Cat, Marked2Cat, WideSub, free_2cell_2cat,
-                      terminal_2cat, two_cat_from_cat,
-                      two_parallel_2cells_2cat, wide_all, wide_from,
-                      wide_identities)
+from .two_cat import (Fin2Cat, Marked2Cat, free_2cell_2cat, terminal_2cat,
+                      two_cat_from_cat, wide_all, wide_from, wide_identities)
 from .transforms import CatDiagram, constant_diagram
 
 

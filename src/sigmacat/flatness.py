@@ -12,24 +12,22 @@ check, never assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .config import DEFAULT_CAP, Meter
-from .errors import Inconsistency, PreconditionFailed, UndecidedAtCap
-from .fincat import (FinCat, Functor, NatTransf, compose_functors,
-                     identity_functor, is_equivalence, mk_fincat,
-                     EquivalenceReport, validate_functor)
+from .errors import Inconsistency, PreconditionFailed
+from .fincat import (Functor, NatTransf, compose_functors, is_equivalence,
+                     mk_fincat, EquivalenceReport, validate_functor)
 from .two_cat import Fin2Cat, Marked2Cat, WideSub, op_dual
-from .transforms import (CatDiagram, Transformation, check_transformation,
-                         hom_eps, PSEUDO, reinterpret_as_pseudo,
-                         validate_diagram)
+from .transforms import (CatDiagram, Transformation, hom_eps, PSEUDO,
+                         reinterpret_as_pseudo)
 from .elements import (ElementsResult, elements_of, elements_of_pseudo,
-                       obj_name, _split_obj)
+                       _split_obj)
 from .filteredness import FilterednessReport, check_sigma_cofiltered
-from .colimits import (BaseCone, ColimitResult, SigmaCone, check_base_cone,
-                       conical_sigma_colimit, induced_from_colimit,
-                       is_bilimit_cone, preserves_bilimit)
-from . import elements as el_mod
+from .colimits import (BaseCone, SigmaCone, base_cone_candidates,
+                       base_cone_laws, check_base_cone, conical_sigma_colimit,
+                       induced_from_colimit, is_bilimit_cone,
+                       preserves_bilimit)
 
 
 # ---------------------------------------------------------------------------
@@ -120,41 +118,18 @@ def generate_bilimit_cones(a: Fin2Cat, meter: Meter | None = None) -> list:
     """
     from .filteredness import (shape_pair, shape_parallel, shape_two_cells)
     from .transforms import TwoFunctor
-    import itertools
     meter = meter or Meter()
     cones = []
 
-    def search(shape, D, marked, label):
-        objs = sorted(shape.objects)
-        non_id = [u for u in shape.all_one_cells()
-                  if u not in set(shape.id1.values())]
+    def search(D, marked):
         for L in sorted(a.objects):
-            pools = [a.one_cells(L, D.obj_map[i]) for i in objs]
-            if any(not p for p in pools):
-                continue
-            for combo in itertools.product(*pools):
-                meter.tick()
-                comp = dict(zip(objs, combo))
-                cell_pools = []
-                feasible = True
-                for u in non_id:
-                    i, j = shape.src1(u), shape.tgt1(u)
-                    src = a.hcomp1[(D.map1[u], comp[i])]
-                    pool = a.two_cells_between(src, comp[j])
-                    if u in marked:
-                        pool = [x for x in pool if a.is_invertible_2cell(x)]
-                    if not pool:
-                        feasible = False
-                        break
-                    cell_pools.append(pool)
-                if not feasible:
-                    continue
-                for cells in itertools.product(*cell_pools):
-                    struct = {shape.id1[i]: a.id2(comp[i]) for i in objs}
-                    struct.update(dict(zip(non_id, cells)))
-                    cone = BaseCone(shape, D, marked, L, comp, struct)
-                    if check_base_cone(cone).ok and is_bilimit_cone(cone, meter):
-                        return cone
+            for comp, structs in base_cone_candidates(D, marked, L, meter):
+                hold = base_cone_laws(D, comp)
+                for struct in structs:
+                    if hold(struct):
+                        cone = BaseCone(D.source, D, marked, L, comp, struct)
+                        if is_bilimit_cone(cone, meter):
+                            return cone
         return None
 
     sh1 = shape_pair()
@@ -164,7 +139,7 @@ def generate_bilimit_cones(a: Fin2Cat, meter: Meter | None = None) -> list:
                               {sh1.id1["a"]: a.id1[C], sh1.id1["b"]: a.id1[D_]},
                               {sh1.id2(sh1.id1["a"]): a.id2(a.id1[C]),
                                sh1.id2(sh1.id1["b"]): a.id2(a.id1[D_])})
-            got = search(sh1, diag, frozenset(), f"biproduct({C},{D_})")
+            got = search(diag, frozenset())
             if got is not None:
                 cones.append((f"biproduct({C},{D_})", got))
     sh2 = shape_parallel()
@@ -178,12 +153,10 @@ def generate_bilimit_cones(a: Fin2Cat, meter: Meter | None = None) -> list:
                         {"id_a": a.id1[A], "id_b": a.id1[B], "u": f, "v": g},
                         {"i2_id_a": a.id2(a.id1[A]), "i2_id_b": a.id2(a.id1[B]),
                          "i2_u": a.id2(f), "i2_v": a.id2(g)})
-                    got = search(sh2, diag2, frozenset({"u", "v"}),
-                                 f"biequalizer({f},{g})")
+                    got = search(diag2, frozenset({"u", "v"}))
                     if got is not None:
                         cones.append((f"biequalizer({f},{g})", got))
-                    got = search(sh2, diag2, frozenset({"v"}),
-                                 f"biinserter({f},{g})")
+                    got = search(diag2, frozenset({"v"}))
                     if got is not None:
                         cones.append((f"biinserter({f},{g})", got))
                     for al in a.two_cells_between(f, g):
@@ -196,8 +169,7 @@ def generate_bilimit_cones(a: Fin2Cat, meter: Meter | None = None) -> list:
                                  "i2_id_b": a.id2(a.id1[B]),
                                  "i2_u": a.id2(f), "i2_v": a.id2(g),
                                  "th": al, "et": be})
-                            got = search(sh3, diag3, frozenset({"u", "v"}),
-                                         f"biequifier({al},{be})")
+                            got = search(diag3, frozenset({"u", "v"}))
                             if got is not None:
                                 cones.append((f"biequifier({al},{be})", got))
     return cones

@@ -31,10 +31,10 @@ from functools import cached_property
 
 from .config import Meter
 from .errors import PreconditionFailed
-from .fincat import (FinCat, Functor, FunctorCategory, NatTransf,
-                     ValidationReport, compose_functors, enumerate_functors,
+from .fincat import (FinCat, Functor, NatTransf, ValidationReport,
+                     assemble_category, compose_functors, enumerate_functors,
                      enumerate_nat_transfs, functor_category_full,
-                     identity_functor, invert_nat, mk_fincat, nat_is_identity,
+                     identity_functor, invert_nat, nat_is_identity,
                      nat_is_invertible, validate_functor, validate_nat_transf,
                      vcomp_nat, whisker_functor_nat, whisker_nat_functor)
 from .two_cat import Fin2Cat, WideSub, pair_name, two_cat_product
@@ -89,7 +89,6 @@ def validate_twofunctor(F: TwoFunctor) -> ValidationReport:
             rep.add("hcomp2", (y, x), "2-cell horizontal composition not preserved")
     for pair, h in a.hom.items():
         for (q, p), r in h.compose.items():
-            tp = a._cell2_home[p]
             if F.target.vcomp(F.map2[q], F.map2[p]) != F.map2[r]:
                 rep.add("vcomp", (q, p), "vertical composition not preserved")
     return rep
@@ -753,45 +752,20 @@ def hom_eps(P: CatDiagram, Q: CatDiagram, flavor: Flavor,
     """
     meter = meter or Meter()
     ts = enumerate_transformations(P, Q, flavor, meter)
-    tname = {i: f"t{i}" for i in range(len(ts))}
-    transfs = {tname[i]: ts[i] for i in range(len(ts))}
-    mods = {}
-    arrows, identity, compose = {}, {}, {}
-    name_of = {}
-    counter = 0
-    all_mods = {}
-    for i, t1 in enumerate(ts):
-        for j, t2 in enumerate(ts):
-            all_mods[(i, j)] = enumerate_modifications(t1, t2, meter)
-    named = {}  # (i, j) -> [(arrow name, Modification)], in (i, j) order
-    for (i, j), ms in sorted(all_mods.items()):
-        named[(i, j)] = []
-        for m in ms:
-            if i == j and all(nat_is_identity(n) for n in m.components.values()):
-                name = f"1_{tname[i]}"
-                identity[tname[i]] = name
-            else:
-                name = f"m{counter}"
-                counter += 1
-            arrows[name] = (tname[i], tname[j])
-            mods[name] = m
-            name_of[(i, j, m.key())] = name
-            named[(i, j)].append((name, m))
-    # visit composable pairs only: the modifications out of each object, by target
-    out_of = {}
-    for (j, k), ms in named.items():
-        out_of.setdefault(j, []).append((k, ms))
-    for (i, j), ms in named.items():
-        for k, ms2 in out_of[j]:
-            for n1, m1 in ms:
-                for n2, m2 in ms2:
-                    meter.tick()
-                    comp = {A: vcomp_nat(m2.components[A], m1.components[A])
-                            for A in m1.components}
-                    ckey = tuple((A, comp[A].key()) for A in sorted(comp))
-                    compose[(n2, n1)] = name_of[(i, k, ckey)]
-    cat = mk_fincat([tname[i] for i in range(len(ts))], arrows, identity, compose)
-    return HomCategory(cat, transfs, mods, flavor)
+    mods = {(i, j): enumerate_modifications(t1, t2, meter)
+            for i, t1 in enumerate(ts) for j, t2 in enumerate(ts)}
+
+    def is_identity(m: Modification) -> bool:
+        return all(nat_is_identity(n) for n in m.components.values())
+
+    def composite(m2: Modification, m1: Modification) -> tuple:
+        meter.tick()
+        return tuple((A, vcomp_nat(m2.components[A], n).key())
+                     for A, n in sorted(m1.components.items()))
+
+    cat, named = assemble_category(len(ts), ("t", "m"), mods, is_identity,
+                                   Modification.key, composite)
+    return HomCategory(cat, {f"t{i}": t for i, t in enumerate(ts)}, named, flavor)
 
 
 @dataclass
@@ -815,14 +789,11 @@ def flavor_inclusions(P: CatDiagram, Q: CatDiagram, sigma: WideSub,
     keysets = {k: {t.key(): name for name, t in homs[k].transfs.items()}
                for k in flavors}
 
-    def strip(key):
-        return key  # transformation keys ignore the flavor tag already
-
     functors = {}
     for a, b in (("s", "p"), ("p", "sigma"), ("sigma", "l")):
         obj_map, arr_map = {}, {}
         for name, t in homs[a].transfs.items():
-            k = strip(t.key())
+            k = t.key()
             if k not in keysets[b]:
                 rep.add("inclusion", (a, b, name),
                         f"{a}-transformation {name} missing from {b}-enumeration")
@@ -993,8 +964,6 @@ def end_eps(T: CatDiagram, base: Fin2Cat, flavor: Flavor,
     non_id = [f for f in base.all_one_cells() if f not in set(base.id1.values())]
     points = []
     pools = [sorted(diag[A].objects) for A in objs]
-    if any(not p for p in pools):
-        pass
     for combo in itertools.product(*pools):
         meter.tick()
         xs = dict(zip(objs, combo))
@@ -1026,36 +995,23 @@ def end_eps(T: CatDiagram, base: Fin2Cat, flavor: Flavor,
             if _end_point_ok(T, base, xs, phis, non_id):
                 points.append((xs, phis))
     points.sort(key=lambda p: (tuple(sorted(p[0].items())), tuple(sorted(p[1].items()))))
-    pname = {i: f"e{i}" for i in range(len(points))}
-    arrows, identity, compose = {}, {}, {}
-    labels = {}
-    counter = 0
-    arrow_data = {}
+    homs = {}
     for i, (xs1, ph1) in enumerate(points):
         for j, (xs2, ph2) in enumerate(points):
+            homs[(i, j)] = []
             for combo in itertools.product(
                     *[diag[A].hom(xs1[A], xs2[A]) for A in objs]):
                 meter.tick()
                 xi = dict(zip(objs, combo))
-                if not _end_arrow_ok(T, base, ph1, ph2, xi):
-                    continue
-                if i == j and all(diag[A].is_identity(xi[A]) for A in objs):
-                    name = f"1_{pname[i]}"
-                    identity[pname[i]] = name
-                else:
-                    name = f"a{counter}"
-                    counter += 1
-                arrows[name] = (pname[i], pname[j])
-                labels[(i, j, tuple(sorted(xi.items())))] = name
-                arrow_data[name] = (i, j, xi)
-    for n1, (i, j, xi1) in arrow_data.items():
-        for n2, (j2, k, xi2) in arrow_data.items():
-            if j2 != j:
-                continue
-            comp = {A: diag[A].compose[(xi2[A], xi1[A])] for A in objs}
-            compose[(n2, n1)] = labels[(i, k, tuple(sorted(comp.items())))]
-    cat = mk_fincat([pname[i] for i in range(len(points))], arrows, identity, compose)
-    return EndCategory(cat, {pname[i]: points[i] for i in range(len(points))}, flavor)
+                if _end_arrow_ok(T, base, ph1, ph2, xi):
+                    homs[(i, j)].append(xi)
+    cat, _ = assemble_category(
+        len(points), ("e", "a"), homs,
+        lambda xi: all(diag[A].is_identity(xi[A]) for A in objs),
+        lambda xi: tuple(sorted(xi.items())),
+        lambda xi2, xi1: tuple(sorted((A, diag[A].compose[(xi2[A], xi1[A])])
+                                      for A in objs)))
+    return EndCategory(cat, {f"e{i}": p for i, p in enumerate(points)}, flavor)
 
 
 def _end_point_ok(T, base, xs, phis, non_id) -> bool:

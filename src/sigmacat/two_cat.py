@@ -10,15 +10,19 @@ identity 2-cells.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
-from .fincat import (FinCat, ValidationReport, mk_fincat, product_category,
-                     validate_category)
+from .fincat import (FinCat, ValidationReport, mk_fincat, partition,
+                     product_category, validate_category)
 from .errors import Inconsistency, ValidationError
 
 
 @dataclass(frozen=True)
 class Fin2Cat:
+    """The tables are never mutated after construction; the component
+    classes ``pi0`` reads are computed on first use and kept."""
+
     objects: tuple[str, ...]
     hom: dict  # (A, B) -> FinCat
     id1: dict  # object -> 1-cell name
@@ -106,6 +110,17 @@ class Fin2Cat:
     def is_identity_2cell(self, a: str) -> bool:
         pair = self._cell2_home[a]
         return self.hom[pair].is_identity(a)
+
+    @cached_property
+    def _pi0_classes(self) -> dict:
+        """1-cell -> ``[f]``, f the least 1-cell of its connected component
+        in its hom; ``pi0`` and ``pi0_class_map`` share it."""
+        out = {}
+        for pair in sorted(self.hom):
+            h = self.hom[pair]
+            out.update((f, f"[{r}]")
+                       for f, r in partition(h.objects, h.arrows.values()).items())
+        return out
 
 
 def mk_fin2cat(objects, hom, id1, hcomp1, hcomp2) -> Fin2Cat:
@@ -320,39 +335,16 @@ def pi0(a: Fin2Cat) -> FinCat:
     Composition is induced on component classes and its well-definedness
     is verified; a violation means the input tables were inconsistent.
     """
-    cls_of = {}
-    class_names = {}
-    for pair in sorted(a.hom):
-        h = a.hom[pair]
-        parent = {f: f for f in h.objects}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for arr, (s, t) in h.arrows.items():
-            rs, rt = find(s), find(t)
-            if rs != rt:
-                parent[max(rs, rt)] = min(rs, rt)
-        groups = {}
-        for f in h.objects:
-            groups.setdefault(find(f), set()).add(f)
-        for members in groups.values():
-            name = f"[{min(members)}]"
-            class_names[(pair, name)] = frozenset(members)
-            for f in members:
-                cls_of[f] = name
-
-    arrows = {}
-    for (pair, name), members in class_names.items():
-        arrows[name] = pair
+    cls_of = a._pi0_classes
+    members = {}  # class name -> its 1-cells
+    for f, name in cls_of.items():
+        members.setdefault(name, []).append(f)
+    arrows = {name: a.hom_of_1cell(fs[0]) for name, fs in members.items()}
     identity = {A: cls_of[a.id1[A]] for A in a.objects}
     compose = {}
-    for (pairG, gname), gmem in class_names.items():
-        for (pairF, fname), fmem in class_names.items():
-            if pairF[1] != pairG[0]:
+    for gname, gmem in members.items():
+        for fname, fmem in members.items():
+            if arrows[fname][1] != arrows[gname][0]:
                 continue
             results = {cls_of[a.hcomp1[(g, f)]] for g in gmem for f in fmem}
             if len(results) != 1:
@@ -364,29 +356,7 @@ def pi0(a: Fin2Cat) -> FinCat:
 
 def pi0_class_map(a: Fin2Cat) -> dict:
     """1-cell -> component-class arrow name of pi0(a)."""
-    out = {}
-    for pair in sorted(a.hom):
-        h = a.hom[pair]
-        parent = {f: f for f in h.objects}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for arr, (s, t) in h.arrows.items():
-            rs, rt = find(s), find(t)
-            if rs != rt:
-                parent[max(rs, rt)] = min(rs, rt)
-        groups = {}
-        for f in h.objects:
-            groups.setdefault(find(f), set()).add(f)
-        for members in groups.values():
-            name = f"[{min(members)}]"
-            for f in members:
-                out[f] = name
-    return out
+    return dict(a._pi0_classes)
 
 
 # ---------------------------------------------------------------------------

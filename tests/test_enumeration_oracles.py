@@ -8,25 +8,42 @@ cones.  Cone morphisms have no public validator, so their reference is
 the morphism square written out with whiskered transformations.  The
 enumerators decide the same axioms on component tables and must return
 exactly these results, in the same order.
+
+Cones inside a finite 2-category are checked the same way against the
+cone kernel of ``colimits``: the full product of legs and of cells at
+every shape 1-cell, filtered by ``check_base_cone`` for the cones of
+``base_cone_category``, and by the cocone laws written out here for
+``cocone_category``, whose cocones the kernel finds as cones in the
+1-cell dual; their morphisms by the modification squares written out
+here.
 """
 
 import itertools
 
 import pytest
 
-from sigmacat.colimits import SigmaCone, check_sigma_cone, cones_sigma
+from sigmacat.colimits import (BaseCone, SigmaCone, base_cone_category,
+                               check_base_cone, check_sigma_cone, cones_sigma)
 from sigmacat.errors import PreconditionFailed
-from sigmacat.fincat import (arrow_category, compose_functors,
-                             enumerate_functors, enumerate_nat_transfs,
-                             iso_pair_category, vcomp_nat, whisker_nat_functor)
-from sigmacat.fixtures import (arrow_2cat, diagram_collapse,
+from sigmacat.filteredness import (ShapeDiagram, cocone_category,
+                                   cone_existence, shape_diagram_1,
+                                   shape_diagram_2, shape_diagram_3)
+from sigmacat.fincat import (arrow_category, assemble_category,
+                             compose_functors, enumerate_functors,
+                             enumerate_nat_transfs, group_z2_category,
+                             iso_pair_category, mk_fincat, vcomp_nat,
+                             whisker_nat_functor)
+from sigmacat.fixtures import (arrow_2cat, chain3_2cat, diagram_collapse,
                                diagram_on_free2cell, diagram_pick0,
-                               pseudo_swap, pseudo_z2)
+                               diamond_2cat, marked_fixtures, pseudo_swap,
+                               pseudo_z2)
 from sigmacat.transforms import (LAX, PSEUDO, STRICT, Modification,
                                  Transformation, check_modification,
                                  check_transformation, constant_diagram,
-                                 hom_eps, sigma_flavor)
-from sigmacat.two_cat import free_2cell_2cat
+                                 hom_eps, identity_twofunctor, sigma_flavor,
+                                 TwoFunctor, validate_twofunctor)
+from sigmacat.two_cat import (Marked2Cat, free_2cell_2cat, mk_fin2cat,
+                              two_parallel_2cells_2cat, wide_all, wide_from)
 
 
 def brute_transformations(P, Q, flavor) -> list:
@@ -171,3 +188,240 @@ def test_cones_sigma_matches_the_brute_force_reference(case):
     for n1, c1 in cc.cones.items():
         for n2, c2 in cc.cones.items():
             assert by_pair.get((n1, n2), []) == brute_cone_morphisms(c1, c2)
+
+
+# ---------------------------------------------------------------------------
+# Cones and cocones inside a finite 2-category
+
+
+def cell_product(a, sh, pools, source_of):
+    """Every choice of legs from ``pools`` with every choice of 2-cells
+    source_of(u, legs) ⇒ (the leg at the far end of u) at every 1-cell u."""
+    objs = sorted(sh.objects)
+    cells = sh.all_one_cells()
+    for combo in itertools.product(*pools):
+        comp = dict(zip(objs, combo))
+        for st in itertools.product(*(a.two_cells_between(*source_of(u, comp))
+                                      for u in cells)):
+            yield comp, dict(zip(cells, st))
+
+
+def brute_base_cones(D, marked, vertex) -> list:
+    """Every cone check_base_cone accepts, in the enumerator's order."""
+    sh, a = D.source, D.target
+    pools = [a.one_cells(vertex, D.obj_map[i]) for i in sorted(sh.objects)]
+    found = [(comp, st) for comp, st in cell_product(
+                 a, sh, pools, lambda u, comp: (a.hcomp1[(D.map1[u], comp[sh.src1(u)])],
+                                                comp[sh.tgt1(u)]))
+             if check_base_cone(BaseCone(sh, D, marked, vertex, comp, st)).ok]
+    return sorted(found, key=lambda cs: (sorted(cs[0].items()), sorted(cs[1].items())))
+
+
+def cocone_laws_hold(T, marked, comp, st) -> bool:
+    """A cocone with legs D(i) → E and cells t_j∘D(u) ⇒ t_i: identities at
+    identity 1-cells, invertible at marked ones, LN2 and LN1."""
+    sh, a = T.source, T.target
+    for i in sh.objects:
+        if st[sh.id1[i]] != a.id2(comp[i]):
+            return False
+    for u in marked:
+        if not a.is_invertible_2cell(st[u]):
+            return False
+    for x in sh.all_two_cells():
+        u, v = sh.src2(x), sh.tgt2(x)
+        j = sh.tgt1(u)
+        if st[u] != a.vcomp(st[v], a.hcomp2[(a.id2(comp[j]), T.map2[x])]):
+            return False
+    for (v, u), vu in sh.hcomp1.items():
+        if st[vu] != a.vcomp(st[u], a.hcomp2[(st[v], a.id2(T.map1[u]))]):
+            return False
+    return True
+
+
+def brute_cocones(sd, E, legs=None) -> list:
+    """Every cocone under sd with vertex E, legs drawn from ``legs`` if
+    given, in the enumerator's order."""
+    T = sd.diagram
+    sh, a = T.source, T.target
+    pools = [[t for t in a.one_cells(T.obj_map[i], E) if legs is None or t in legs]
+             for i in sorted(sh.objects)]
+    found = [(comp, st) for comp, st in cell_product(
+                 a, sh, pools, lambda u, comp: (a.hcomp1[(comp[sh.tgt1(u)], T.map1[u])],
+                                                comp[sh.src1(u)]))
+             if cocone_laws_hold(T, sd.marked, comp, st)]
+    return sorted(found, key=lambda cs: (sorted(cs[0].items()), sorted(cs[1].items())))
+
+
+def base_square(D, s1, s2, rho) -> bool:
+    """ρ_j ∘ σ1_u = σ2_u ∘ (D(u)*ρ_i) at every 1-cell u : i → j."""
+    sh, a = D.source, D.target
+    return all(a.vcomp(rho[sh.tgt1(u)], s1[u]) ==
+               a.vcomp(s2[u], a.hcomp2[(a.id2(D.map1[u]), rho[sh.src1(u)])])
+               for u in sh.all_one_cells())
+
+
+def cocone_square(T, s1, s2, rho) -> bool:
+    """ρ_i ∘ σ1_u = σ2_u ∘ (ρ_j*T(u)) at every 1-cell u : i → j."""
+    sh, a = T.source, T.target
+    return all(a.vcomp(rho[sh.src1(u)], s1[u]) ==
+               a.vcomp(s2[u], a.hcomp2[(rho[sh.tgt1(u)], a.id2(T.map1[u]))])
+               for u in sh.all_one_cells())
+
+
+def brute_morphisms(a, objs, c1, c2, square) -> list:
+    """Every family of 2-cells between the legs of c1 and c2, in product
+    order, that ``square`` accepts, as sorted (object, 2-cell) pairs."""
+    out = []
+    for combo in itertools.product(*(a.two_cells_between(c1[0][o], c2[0][o])
+                                     for o in objs)):
+        rho = dict(zip(objs, combo))
+        if square(c1[1], c2[1], rho):
+            out.append(sorted(rho.items()))
+    return out
+
+
+def assert_cone_category(cat, cones, a, objs, brute, square, prefixes):
+    """The cones equal ``brute``, in order, and the category equals the
+    one assembled from them and their brute-force morphisms, composed
+    componentwise.  Returns the reference's morphism of each arrow."""
+    assert list(cones.values()) == brute
+    homs = {(i, j): brute_morphisms(a, objs, c1, c2, square)
+            for i, c1 in enumerate(brute) for j, c2 in enumerate(brute)}
+    ref, ref_data = assemble_category(
+        len(brute), prefixes, homs,
+        lambda rho: all(a.is_identity_2cell(x) for _, x in rho), tuple,
+        lambda r2, r1: tuple((o, a.vcomp(dict(r2)[o], x)) for o, x in r1))
+    assert cat == ref
+    return ref_data
+
+
+def idempotent_category():
+    """One object, with e and an idempotent z that is not invertible."""
+    return mk_fincat(("*",), {"e": ("*", "*"), "z": ("*", "*")}, {"*": "e"},
+                     {("e", "e"): "e", ("e", "z"): "z", ("z", "e"): "z",
+                      ("z", "z"): "z"})
+
+
+def suspension(M):
+    """One object X and one 1-cell, whose 2-cells are the arrows of the
+    commutative one-object category M under both compositions, so that
+    every hom of cells is non-thin."""
+    return mk_fin2cat(("X",), {("X", "X"): M}, {"X": "*"}, {("*", "*"): "*"},
+                      dict(M.compose))
+
+
+def collapse(shape, M, cells=(), to="e"):
+    """The 2-functor collapsing ``shape`` onto the suspension of M, sending
+    the 2-cells in ``cells`` to ``to`` and every other 2-cell to e."""
+    D = TwoFunctor(shape, suspension(M), {A: "X" for A in shape.objects},
+                   {u: "*" for u in shape.all_one_cells()},
+                   {x: to if x in cells else "e" for x in shape.all_two_cells()})
+    assert validate_twofunctor(D).ok
+    return D
+
+
+def free2cell_marked():
+    return dict((l, mm) for l, mm, _ in marked_fixtures())["free2cell/ids+v"]
+
+
+def two_cells_marked():
+    a = two_parallel_2cells_2cat()
+    return Marked2Cat(a, wide_from(a, ["v"]))
+
+
+BASE_DIAGRAMS = {
+    "diamond-biproduct-a-b": lambda: (
+        shape_diagram_1(Marked2Cat(diamond_2cat(), wide_all(diamond_2cat())),
+                        "a", "b").diagram, frozenset()),
+    "diamond-biequalizer": lambda: (
+        shape_diagram_2(Marked2Cat(diamond_2cat(), wide_all(diamond_2cat())),
+                        "bot<a", "bot<a").diagram, frozenset({"u", "v"})),
+    "free2cell-inserter-v": lambda: (
+        shape_diagram_2(free2cell_marked(), "u", "v").diagram, frozenset({"v"})),
+    "free2cell-identity-lax": lambda: (
+        identity_twofunctor(free_2cell_2cat()), frozenset()),
+    "free2cell-identity-v": lambda: (
+        identity_twofunctor(free_2cell_2cat()), frozenset({"v"})),
+    "two-cells-th-th": lambda: (
+        shape_diagram_3(two_cells_marked(), "u", "v", "th", "th").diagram,
+        frozenset({"v"})),
+    "z2-free2cell": lambda: (
+        collapse(free_2cell_2cat(), group_z2_category(), {"th"}, "s"), frozenset()),
+    "z2-chain3": lambda: (
+        collapse(chain3_2cat(), group_z2_category()), frozenset({"a<b"})),
+    "idempotent-free2cell-v": lambda: (
+        collapse(free_2cell_2cat(), idempotent_category(), {"th"}, "z"),
+        frozenset({"v"})),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BASE_DIAGRAMS))
+def test_base_cone_category_matches_the_brute_force_reference(case):
+    D, marked = BASE_DIAGRAMS[case]()
+    a = D.target
+    objs = sorted(D.source.objects)
+    seen = 0
+    for X in sorted(a.objects):
+        cat, cones, data = base_cone_category(D, marked, X)
+        seen += len(cat.arrows)
+        ref_data = assert_cone_category(
+            cat, {n: (c.comp, c.struct) for n, c in cones.items()}, a, objs,
+            brute_base_cones(D, marked, X),
+            lambda s1, s2, rho: base_square(D, s1, s2, rho), ("k", "q"))
+        assert {n: sorted(rho.items()) for n, rho in data.items()} == ref_data
+    assert seen
+
+
+def fully_marked(sd):
+    a = sd.diagram.target
+    return Marked2Cat(a, wide_all(a)), sd
+
+
+SHAPES = {
+    "free2cell-pair": lambda: (free2cell_marked(),
+                               shape_diagram_1(free2cell_marked(), "a", "b")),
+    "free2cell-parallel": lambda: (free2cell_marked(),
+                                   shape_diagram_2(free2cell_marked(), "u", "v")),
+    "free2cell-two-cells": lambda: (free2cell_marked(), shape_diagram_3(
+        free2cell_marked(), "u", "v", "th", "th")),
+    "free2cell-identity": lambda: (free2cell_marked(), ShapeDiagram(
+        free_2cell_2cat(), identity_twofunctor(free_2cell_2cat()), frozenset({"v"}))),
+    "two-cells-th-th": lambda: (two_cells_marked(), shape_diagram_3(
+        two_cells_marked(), "u", "v", "th", "th")),
+    "z2-free2cell": lambda: fully_marked(ShapeDiagram(
+        free_2cell_2cat(), collapse(free_2cell_2cat(), group_z2_category(), {"th"}, "s"),
+        frozenset())),
+    "z2-chain3": lambda: fully_marked(ShapeDiagram(
+        chain3_2cat(), collapse(chain3_2cat(), group_z2_category()),
+        frozenset({"b<c"}))),
+    "idempotent-free2cell-v": lambda: fully_marked(ShapeDiagram(
+        free_2cell_2cat(), collapse(free_2cell_2cat(), idempotent_category(), {"th"}, "z"),
+        frozenset({"v"}))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHAPES))
+def test_cocone_category_matches_the_brute_force_reference(case):
+    m, sd = SHAPES[case]()
+    a = sd.diagram.target
+    seen = 0
+    for E in sorted(a.objects):
+        cat, cones = cocone_category(sd, E)
+        seen += len(cat.arrows)
+        assert_cone_category(cat, cones, a, sorted(sd.shape.objects),
+                             brute_cocones(sd, E),
+                             lambda s1, s2, rho: cocone_square(sd.diagram, s1, s2, rho),
+                             ("k", "q"))
+    assert seen
+
+
+@pytest.mark.parametrize("case", sorted(SHAPES))
+def test_cone_existence_is_the_first_brute_force_cocone(case):
+    m, sd = SHAPES[case]()
+    first = None
+    for E in sorted(sd.diagram.target.objects):
+        found = brute_cocones(sd, E, legs=m.sigma.arrows)
+        if found:
+            first = (E, *found[0])
+            break
+    assert cone_existence(sd, m.sigma) == first

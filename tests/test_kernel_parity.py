@@ -10,19 +10,24 @@ import hashlib
 
 import pytest
 
-from sigmacat.colimits import cones_sigma, conical_sigma_colimit
+from sigmacat.colimits import (base_cone_category, cones_sigma,
+                               conical_sigma_colimit)
 from sigmacat.config import Meter
 from sigmacat.fincat import (arrow_category, functor_category_full,
-                             iso_pair_category, product_category)
+                             iso_pair_category, product_category,
+                             terminal_category)
+from sigmacat.filteredness import (cocone_category, cone_existence,
+                                   shape_diagram_1, shape_diagram_2,
+                                   shape_diagram_3)
 from sigmacat.fixtures import (arrow_2cat, diagram_on_free2cell, diagram_pick0,
-                               diamond_2cat, poset_category, pseudo_swap,
-                               pseudo_z2)
+                               diamond_2cat, marked_fixtures, poset_category,
+                               pseudo_swap, pseudo_z2)
 from sigmacat.flatness import (check_left_exact, generate_bilimit_cones,
                                representable)
 from sigmacat.presented import localize
-from sigmacat.transforms import (LAX, PSEUDO, STRICT, constant_diagram, hom_eps,
-                                 sigma_flavor)
-from sigmacat.two_cat import free_2cell_2cat, wide_all
+from sigmacat.transforms import (LAX, PSEUDO, STRICT, constant_diagram, end_eps,
+                                 hom_eps, internal_hom_diagram, sigma_flavor)
+from sigmacat.two_cat import Marked2Cat, free_2cell_2cat, wide_all
 
 
 def chain(n):
@@ -72,6 +77,10 @@ CASES = {
         pseudo_z2(), pseudo_z2(), PSEUDO, m).cat,
     "hom-l-pseudo_swap-pseudo_z2": lambda m: hom_eps(
         pseudo_swap(), pseudo_z2(), LAX, m).cat,
+    "end-l-delta_arrow-delta_arrow": lambda m: end_eps(
+        internal_hom_diagram(constant_diagram(arrow_2cat(), arrow_category()),
+                             constant_diagram(arrow_2cat(), arrow_category()))[0],
+        arrow_2cat(), LAX, m).cat,
 }
 
 # (ticks, objects, arrows, composable pairs, table digest)
@@ -89,6 +98,7 @@ EXPECTED = {
     "hom-l-free2cell": (83, 4, 10, 20, "335d5fd468a95cc7"),
     "hom-p-pseudo_z2-pseudo_z2": (182, 4, 16, 64, "0b751bc33008244a"),
     "hom-l-pseudo_swap-pseudo_z2": (2854, 8, 128, 2048, "dbde37d6009e4081"),
+    "end-l-delta_arrow-delta_arrow": (35, 6, 20, 50, "3ee6b5da0ebcf55d"),
 }
 
 
@@ -110,3 +120,106 @@ def test_left_exactness_on_the_diamond_is_pinned():
     digest = hashlib.sha256(repr(rep.per_shape).encode()).hexdigest()[:16]
     assert (meter.count, rep.verdict, len(rep.per_shape), digest) == \
         (806, True, 43, "fd678c713a00414d")
+
+
+# ---------------------------------------------------------------------------
+# Cone searches inside a finite 2-category.  Each case records the ticks
+# and one digest of the cones found, in order, and of the sorted tables of
+# every cone category built; cocone categories with their names replaced
+# by positions, so that the digest does not depend on the name prefixes.
+
+
+def digest(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+
+def diamond_base_cones(m, which):
+    """base_cone_category of every biproduct (which = 1) or biequalizer
+    (which = 2) diagram in the diamond, at every vertex."""
+    a = diamond_2cat()
+    full = Marked2Cat(a, wide_all(a))
+    if which == 1:
+        diagrams = [(shape_diagram_1(full, C, D).diagram, frozenset())
+                    for C in sorted(a.objects) for D in sorted(a.objects)]
+    else:
+        diagrams = [(shape_diagram_2(full, f, g).diagram, frozenset({"u", "v"}))
+                    for A in sorted(a.objects) for B in sorted(a.objects)
+                    for f in a.one_cells(A, B) for g in a.one_cells(A, B)]
+    rows = []
+    for D, marked in diagrams:
+        for X in sorted(a.objects):
+            cat, cones, data = base_cone_category(D, marked, X, m)
+            rows.append(([(n, sorted(c.comp.items()), sorted(c.struct.items()))
+                          for n, c in cones.items()],
+                         sorted((n, sorted(rho.items())) for n, rho in data.items()),
+                         table_digest(cat)))
+    return rows
+
+
+def free2cell_shapes():
+    m = dict((l, mm) for l, mm, _ in marked_fixtures())["free2cell/ids+v"]
+    return m, [shape_diagram_1(m, "a", "b"), shape_diagram_2(m, "u", "v"),
+               shape_diagram_3(m, "u", "v", "th", "th")]
+
+
+def positional_tables(c) -> tuple:
+    """The sorted tables with every name replaced by its position in the
+    sorted names, so that renaming the cocone category's objects and
+    arrows, in an order-preserving way, leaves them unchanged."""
+    ob = {x: i for i, x in enumerate(sorted(c.objects))}
+    ar = {a: i for i, a in enumerate(sorted(c.arrows))}
+    return (len(ob), sorted((ar[a], ob[s], ob[t]) for a, (s, t) in c.arrows.items()),
+            sorted((ob[x], ar[a]) for x, a in c.identity.items()),
+            sorted((ar[g], ar[f], ar[h]) for (g, f), h in c.compose.items()))
+
+
+def free2cell_cocones(m):
+    fx, shapes = free2cell_shapes()
+    rows = []
+    for sd in shapes:
+        for E in sorted(fx.cat.objects):
+            cat, cones = cocone_category(sd, E, m)
+            rows.append(([(sorted(comp.items()), sorted(struct.items()))
+                          for comp, struct in cones.values()], positional_tables(cat)))
+    return rows
+
+
+def free2cell_cone_existence(m):
+    fx, shapes = free2cell_shapes()
+    rows = []
+    for sd in shapes:
+        got = cone_existence(sd, fx.sigma, m)
+        rows.append(None if got is None else
+                    (got[0], sorted(got[1].items()), sorted(got[2].items())))
+    return rows
+
+
+def diamond_bilimit_cones(m):
+    return [(label, c.vertex, sorted(c.comp.items()), sorted(c.struct.items()),
+             sorted(c.marked))
+            for label, c in generate_bilimit_cones(diamond_2cat(), m)]
+
+
+CONE_CASES = {
+    "base-cones-diamond-biproducts": lambda m: diamond_base_cones(m, 1),
+    "base-cones-diamond-biequalizers": lambda m: diamond_base_cones(m, 2),
+    "cocones-free2cell-ids+v": free2cell_cocones,
+    "cone-existence-free2cell-ids+v": free2cell_cone_existence,
+    "bilimit-cones-diamond": diamond_bilimit_cones,
+}
+
+# (ticks, number of rows, digest of the rows)
+CONE_EXPECTED = {
+    "base-cones-diamond-biequalizers": (48, 36, "a0af0a49479d9f50"),
+    "base-cones-diamond-biproducts": (75, 64, "76eed562399096db"),
+    "bilimit-cones-diamond": (322, 43, "f5d5c73e2569e3db"),
+    "cocones-free2cell-ids+v": (15, 6, "0d3a7961ed08e797"),
+    "cone-existence-free2cell-ids+v": (6, 3, "34d60c7a7254de5f"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONE_CASES))
+def test_cone_search_ticks_and_results_are_pinned(case):
+    meter = Meter()
+    rows = CONE_CASES[case](meter)
+    assert (meter.count, len(rows), digest(rows)) == CONE_EXPECTED[case]
