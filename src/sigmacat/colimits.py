@@ -8,9 +8,13 @@ components, and invert the marked cartesian arrows in the category of
 fractions.  Whenever the localization stabilizes, a certificate is run:
 for every test category E in the configured family, precomposition with
 the universal cone must be an isomorphism between functors out of the
-realized category and the enumerated cone category.  A certificate
-failure is a bug and raises; an unstable localization propagates as an
-undecided status, never as a guess.
+realized category and the enumerated cone category.  It is decided on
+objects and hom-sets alone (``functor_homs`` and ``sigma_cone_homs``):
+precomposition preserves composition and identities because both
+categories compose componentwise in E, so a map that is bijective on
+objects and on every hom-set is an isomorphism, and neither composition
+table is built.  A certificate failure is a bug and raises; an unstable
+localization propagates as an undecided status, never as a guess.
 
 Cones over a 2-functor into a finite 2-category go through one cone
 kernel: ``base_cone_candidates`` proposes legs and structural cells,
@@ -34,7 +38,7 @@ from .errors import CertificateFailure, PreconditionFailed, UndecidedAtCap
 from .fincat import (FinCat, Functor, NatTransf, ValidationReport,
                      arrow_category, assemble_category, compose_functors,
                      enumerate_functors, enumerate_nat_transfs,
-                     find_isomorphism, functor_category_full,
+                     find_isomorphism, functor_category_full, functor_homs,
                      iso_pair_category, is_equivalence, nat_is_identity,
                      nat_is_invertible, parallel_pair_category, partition,
                      terminal_category, validate_functor, validate_nat_transf,
@@ -146,8 +150,7 @@ class ConeCategory:
         out = {}
         for name, comps in self.morphisms.items():
             src, tgt = self.cat.arrows[name]
-            out.setdefault(
-                (src, tgt, tuple((A, comps[A].key()) for A in sorted(comps))), name)
+            out.setdefault((src, tgt, _morphism_key(comps)), name)
         return out
 
     def name_of_cone(self, c: SigmaCone) -> str:
@@ -165,7 +168,34 @@ class ConeCategory:
 
 def cones_sigma(Q: CatDiagram, marked: frozenset, E: FinCat,
                 meter: Meter | None = None) -> ConeCategory:
-    """The category of marked-relative cones under Q with vertex E.
+    """The category of marked-relative cones under Q with vertex E:
+    ``sigma_cone_homs`` assembled, composed componentwise, one tick per
+    composable pair."""
+    meter = meter or Meter()
+    found, homs = sigma_cone_homs(Q, marked, E, meter)
+    objs = sorted(Q.source.objects)
+
+    def composite(r2: dict, r1: dict) -> tuple:
+        meter.tick()
+        return tuple((A, vcomp_nat(r2[A], r1[A]).key()) for A in objs)
+
+    cat, morphisms = assemble_category(
+        len(found), ("c", "r"), homs,
+        lambda rho: all(nat_is_identity(n) for n in rho.values()),
+        _morphism_key, composite)
+    return ConeCategory(cat, {f"c{i}": c for i, c in enumerate(found)}, morphisms)
+
+
+def _morphism_key(rho: dict) -> tuple:
+    return tuple((A, rho[A].key()) for A in sorted(rho))
+
+
+def sigma_cone_homs(Q: CatDiagram, marked: frozenset, E: FinCat,
+                    meter: Meter | None = None) -> tuple[list[SigmaCone], dict]:
+    """The marked-relative cones under Q with vertex E, sorted by key, and
+    per pair (i, j) of their positions the cone morphisms from the i-th to
+    the j-th, each a dict from base object to component: the objects and
+    hom-sets of ``cones_sigma``, with no composition table.
 
     The axioms are decided on component tables, as in the transformation
     enumerator; ``check_sigma_cone`` is the functor-level reference.
@@ -233,12 +263,7 @@ def cones_sigma(Q: CatDiagram, marked: frozenset, E: FinCat,
                 meter.tick()
                 if _cone_morphism_ok(E.compose, squares, combo):
                     homs[(i, j)].append(dict(zip(objs, combo)))
-    cat, morphisms = assemble_category(
-        len(found), ("c", "r"), homs,
-        lambda rho: all(nat_is_identity(n) for n in rho.values()),
-        lambda rho: tuple((A, rho[A].key()) for A in objs),
-        lambda r2, r1: tuple((A, vcomp_nat(r2[A], r1[A]).key()) for A in objs))
-    return ConeCategory(cat, {f"c{i}": c for i, c in enumerate(found)}, morphisms)
+    return found, homs
 
 
 def _cone_tables(Q: CatDiagram) -> tuple[list, list]:
@@ -395,42 +420,60 @@ def conical_sigma_colimit(Q: CatDiagram, sigma: WideSub, cap: int = DEFAULT_CAP,
 
 
 def _certify_against(result: ColimitResult, E: FinCat, meter: Meter) -> bool:
-    """Precomposition with the cone must be an isomorphism of categories."""
+    """Precomposition with the cone must be an isomorphism of categories
+    Cat(R, E) → σ-Cones(Q, E), decided on objects and hom-sets.
+
+    Functors H : R → E go to the cones Hκ, and a transformation μ : H ⇒ H'
+    to the cone morphism μκ = (μκ_A)_A, whose component at a base object A
+    and an object x of Q(A) is μ_{κ_A x}.  The object map must be a
+    bijection, and for every pair of functors the arrow map a bijection of
+    hom-sets: each μκ is built from μ per base object and component, and
+    looked up by that key among the cone morphisms.  That is linear in
+    the arrows; no composition table is built on either side.  The map is
+    a functor without further checks: composition is componentwise in E on
+    both sides, so (μ'·μ)κ = (μ'κ)·(μκ), and 1_H κ has identity components,
+    so it is the identity of Hκ.  A functor bijective on objects and on
+    hom-sets is an isomorphism.
+    """
     R = result.category
     cone = result.cone
     Q = result.diagram
     base = Q.source
-    fc = functor_category_full(R, E, meter)
-    cc = cones_sigma(Q, result.marked, E, meter)
-    if len(fc.cat.objects) != len(cc.cat.objects) or \
-            len(fc.cat.arrows) != len(cc.cat.arrows):
+    objs = sorted(base.objects)
+    fs, nats = functor_homs(R, E, meter)
+    cones, chom = sigma_cone_homs(Q, result.marked, E, meter)
+    if len(fs) != len(cones):
         return False
-    obj_map, arr_map = {}, {}
-    for name, H in fc.functors.items():
+    position = {c.key(): i for i, c in enumerate(cones)}
+    obj_map = []
+    for H in fs:
         image = SigmaCone(
             Q, result.marked, E,
-            {A: compose_functors(H, cone.components[A]) for A in base.objects},
+            {A: compose_functors(H, cone.components[A]) for A in objs},
             {f: whisker_functor_nat(H, cone.structural[f])
              for f in base.all_one_cells()})
-        try:
-            obj_map[name] = cc.name_of_cone(image)
-        except KeyError:
+        i = position.get(image.key())
+        if i is None:
             return False
-    if len(set(obj_map.values())) != len(obj_map):
+        obj_map.append(i)
+    if len(set(obj_map)) != len(obj_map):
         return False
-    for name, mu in fc.transfs.items():
-        src, tgt = fc.cat.arrows[name]
-        comps = {A: whisker_nat_functor(mu, cone.components[A])
-                 for A in base.objects}
-        key = tuple((A, comps[A].key()) for A in sorted(comps))
-        try:
-            arr_map[name] = cc.name_of_morphism(obj_map[src], obj_map[tgt], key)
-        except KeyError:
+    # per base object, the objects x of Q(A) in key order with κ_A x
+    legs = [(A, sorted(cone.components[A].obj_map.items())) for A in objs]
+    for (i, j), mus in nats.items():
+        rhos = chom[(obj_map[i], obj_map[j])]
+        if len(mus) != len(rhos):
             return False
-    if len(set(arr_map.values())) != len(arr_map):
-        return False
-    F = Functor(fc.cat, cc.cat, obj_map, arr_map)
-    return validate_functor(F).ok
+        index = {_morphism_key(rho): k for k, rho in enumerate(rhos)}
+        hit = set()
+        for mu in mus:
+            mc = mu.components
+            k = index.get(tuple((A, tuple((x, mc[y]) for x, y in rows))
+                                for A, rows in legs))
+            if k is None or k in hit:
+                return False
+            hit.add(k)
+    return True
 
 
 def induced_from_colimit(result: ColimitResult, target: SigmaCone,

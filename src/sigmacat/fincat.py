@@ -456,13 +456,23 @@ class FunctorCategory:
                 from None
 
 
-def functor_category_full(c: FinCat, d: FinCat,
-                          meter: Meter | None = None) -> FunctorCategory:
-    """The category of all functors c -> d and all natural transformations."""
+def functor_homs(c: FinCat, d: FinCat,
+                 meter: Meter | None = None) -> tuple[list[Functor], dict]:
+    """All functors c -> d and, per pair (i, j) of their positions, the
+    natural transformations from the i-th to the j-th: the objects and
+    hom-sets of the functor category, with no composition table."""
     meter = meter or Meter()
     fs = enumerate_functors(c, d, meter)
-    nats = {(i, j): enumerate_nat_transfs(F, G, meter)
-            for i, F in enumerate(fs) for j, G in enumerate(fs)}
+    return fs, {(i, j): enumerate_nat_transfs(F, G, meter)
+                for i, F in enumerate(fs) for j, G in enumerate(fs)}
+
+
+def functor_category_full(c: FinCat, d: FinCat,
+                          meter: Meter | None = None) -> FunctorCategory:
+    """The category of all functors c -> d and all natural transformations:
+    ``functor_homs`` assembled, one tick per composable pair."""
+    meter = meter or Meter()
+    fs, nats = functor_homs(c, d, meter)
 
     def composite(m: NatTransf, n: NatTransf) -> tuple:
         meter.tick()

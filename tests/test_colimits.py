@@ -55,6 +55,22 @@ def test_conical_colimit_over_arrow_base_certifies(base):
         assert check_sigma_cone(res.cone).ok
 
 
+def test_conical_certificate_builds_no_composition_table(base, monkeypatch):
+    """The certificate decides precomposition on hom-sets: it must certify
+    with the category assembler and the functor category made to fail."""
+    from sigmacat import colimits, fincat
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the certificate assembled a composition table")
+
+    for module in (fincat, colimits):
+        monkeypatch.setattr(module, "assemble_category", refuse)
+        monkeypatch.setattr(module, "functor_category_full", refuse)
+    res = conical_sigma_colimit(diagram_pick0(), wide_all(base))
+    assert res.finite
+    assert [ok for _, ok in res.certificate] == [True] * 4
+
+
 def test_identity_marking_only_inverts_isos():
     # with only identities marked, the colimit is the components category
     # of the dual construction: the nontrivial 2-cell still merges arrows

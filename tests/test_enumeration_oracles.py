@@ -16,34 +16,48 @@ every shape 1-cell, filtered by ``check_base_cone`` for the cones of
 ``cocone_category``, whose cocones the kernel finds as cones in the
 1-cell dual; their morphisms by the modification squares written out
 here.
+
+The colimit certificate, which decides precomposition with a cone on
+hom-sets, is checked against the comparison functor between the
+assembled functor and cone categories, validated by ``validate_functor``,
+on the universal cone of each fixture colimit and on cones that are not
+universal.
 """
 
+import dataclasses
 import itertools
 
 import pytest
 
-from sigmacat.colimits import (BaseCone, SigmaCone, base_cone_category,
-                               check_base_cone, check_sigma_cone, cones_sigma)
+from sigmacat.colimits import (BaseCone, SigmaCone, _certify_against,
+                               base_cone_category, check_base_cone,
+                               check_sigma_cone, cones_sigma,
+                               conical_sigma_colimit, default_test_family)
+from sigmacat.config import Meter
 from sigmacat.errors import PreconditionFailed
 from sigmacat.filteredness import (ShapeDiagram, cocone_category,
                                    cone_existence, shape_diagram_1,
                                    shape_diagram_2, shape_diagram_3)
-from sigmacat.fincat import (arrow_category, assemble_category,
-                             compose_functors, enumerate_functors,
-                             enumerate_nat_transfs, group_z2_category,
-                             iso_pair_category, mk_fincat, vcomp_nat,
+from sigmacat.fincat import (Functor, NatTransf, arrow_category,
+                             assemble_category, compose_functors,
+                             discrete_category, enumerate_functors, enumerate_nat_transfs,
+                             functor_category_full, group_z2_category,
+                             iso_pair_category, mk_fincat, terminal_category,
+                             validate_functor,
+                             vcomp_nat, whisker_functor_nat,
                              whisker_nat_functor)
 from sigmacat.fixtures import (arrow_2cat, chain3_2cat, diagram_collapse,
                                diagram_on_free2cell, diagram_pick0,
                                diamond_2cat, marked_fixtures, pseudo_swap,
-                               pseudo_z2)
+                               pseudo_z2, weight_on_op_arrow)
 from sigmacat.transforms import (LAX, PSEUDO, STRICT, Modification,
                                  Transformation, check_modification,
                                  check_transformation, constant_diagram,
                                  hom_eps, identity_twofunctor, sigma_flavor,
                                  TwoFunctor, validate_twofunctor)
 from sigmacat.two_cat import (Marked2Cat, free_2cell_2cat, mk_fin2cat,
-                              two_parallel_2cells_2cat, wide_all, wide_from)
+                              terminal_2cat, two_parallel_2cells_2cat,
+                              wide_all, wide_from, wide_identities)
 
 
 def brute_transformations(P, Q, flavor) -> list:
@@ -191,6 +205,117 @@ def test_cones_sigma_matches_the_brute_force_reference(case):
 
 
 # ---------------------------------------------------------------------------
+# The colimit certificate against the assembled comparison.  The reference
+# assembles Fun(R, E) and the cone category with their composition tables,
+# maps each functor H to the cone Hκ and each transformation μ to μκ, and
+# asks validate_functor whether that is a functor; with both sides of the
+# same size and both maps injective, it is then an isomorphism.  The
+# certificate decides the same question on hom-sets alone.
+
+
+def assembled_certificate(result, E) -> bool:
+    Q, cone, base = result.diagram, result.cone, result.diagram.source
+    fc = functor_category_full(result.category, E)
+    cc = cones_sigma(Q, result.marked, E)
+    if len(fc.cat.objects) != len(cc.cat.objects) or \
+            len(fc.cat.arrows) != len(cc.cat.arrows):
+        return False
+    obj_map, arr_map = {}, {}
+    try:
+        for name, H in fc.functors.items():
+            obj_map[name] = cc.name_of_cone(SigmaCone(
+                Q, result.marked, E,
+                {A: compose_functors(H, cone.components[A]) for A in base.objects},
+                {f: whisker_functor_nat(H, cone.structural[f])
+                 for f in base.all_one_cells()}))
+        for name, mu in fc.transfs.items():
+            src, tgt = fc.cat.arrows[name]
+            key = tuple((A, whisker_nat_functor(mu, cone.components[A]).key())
+                        for A in sorted(base.objects))
+            arr_map[name] = cc.name_of_morphism(obj_map[src], obj_map[tgt], key)
+    except KeyError:
+        return False
+    if len(set(obj_map.values())) != len(obj_map) or \
+            len(set(arr_map.values())) != len(arr_map):
+        return False
+    return validate_functor(Functor(fc.cat, cc.cat, obj_map, arr_map)).ok
+
+
+def constant_cone(result):
+    """The cone whose legs send everything to the least object of R, with
+    identity cells: a cone, but not a universal one unless R has one arrow."""
+    Q, base, R = result.diagram, result.diagram.source, result.category
+    r = min(R.objects)
+    comps = {A: Functor(Q.on_obj[A], R, {x: r for x in Q.on_obj[A].objects},
+                        {a: R.identity[r] for a in Q.on_obj[A].arrows})
+             for A in base.objects}
+    structural = {f: NatTransf(compose_functors(comps[base.tgt1(f)], Q.on_1[f]),
+                               comps[base.src1(f)],
+                               {x: R.identity[r]
+                                for x in Q.on_obj[base.src1(f)].objects})
+                  for f in base.all_one_cells()}
+    cone = SigmaCone(Q, result.marked, R, comps, structural)
+    assert check_sigma_cone(cone).ok
+    return cone
+
+
+COLIMITS = {
+    f"{name}-{mark}": (mk, marking)
+    for name, mk in (("pick0", diagram_pick0), ("collapse", diagram_collapse),
+                     ("weight_on_op_arrow", weight_on_op_arrow),
+                     ("pair-over-point", lambda: constant_diagram(
+                         terminal_2cat(), discrete_category(["x", "y"]))))
+    for mark, marking in (("ids", wide_identities), ("all", wide_all))
+}
+
+def idempotent_category():
+    """One object, with e and an idempotent z that is not invertible."""
+    return mk_fincat(("*",), {"e": ("*", "*"), "z": ("*", "*")}, {"*": "e"},
+                     {("e", "e"): "e", ("e", "z"): "z", ("z", "e"): "z",
+                      ("z", "z"): "z"})
+
+
+# The test family, then two categories with non-identity endomorphisms.
+# Against Z2 the constant cone of the pair over a point is bijective on
+# objects, with hom-sets of equal sizes, but not injective on them.
+TEST_CATEGORIES = [E for _, E in default_test_family()] + [
+    group_z2_category(), idempotent_category()]
+
+
+@pytest.mark.parametrize("case", sorted(COLIMITS))
+def test_colimit_certificate_matches_the_assembled_comparison(case):
+    mk, marking = COLIMITS[case]
+    Q = mk()
+    result = conical_sigma_colimit(Q, marking(Q.source), test_family=[])
+    for E in TEST_CATEGORIES:
+        assert assembled_certificate(result, E)
+        assert _certify_against(result, E, Meter())
+    other = dataclasses.replace(result, cone=constant_cone(result))
+    verdicts = [assembled_certificate(other, E) for E in TEST_CATEGORIES]
+    assert [_certify_against(other, E, Meter()) for E in TEST_CATEGORIES] == verdicts
+    if case == "pick0-all":
+        assert verdicts[:4] == [True, False, False, False]
+
+
+@pytest.mark.parametrize("case", sorted(COLIMITS))
+def test_colimit_certificate_matches_the_assembled_comparison_on_every_cone(case):
+    """Every cone under Q with vertex 1 or the idempotent, put in place of
+    the universal one: the two sides agree on each."""
+    mk, marking = COLIMITS[case]
+    Q = mk()
+    result = conical_sigma_colimit(Q, marking(Q.source), test_family=[])
+    verdicts = set()
+    for V in (terminal_category(), idempotent_category()):
+        for cone in cones_sigma(Q, result.marked, V).cones.values():
+            other = dataclasses.replace(result, category=V, cone=cone)
+            for E in TEST_CATEGORIES:
+                verdict = assembled_certificate(other, E)
+                assert _certify_against(other, E, Meter()) == verdict
+                verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+# ---------------------------------------------------------------------------
 # Cones and cocones inside a finite 2-category
 
 
@@ -293,13 +418,6 @@ def assert_cone_category(cat, cones, a, objs, brute, square, prefixes):
         lambda r2, r1: tuple((o, a.vcomp(dict(r2)[o], x)) for o, x in r1))
     assert cat == ref
     return ref_data
-
-
-def idempotent_category():
-    """One object, with e and an idempotent z that is not invertible."""
-    return mk_fincat(("*",), {"e": ("*", "*"), "z": ("*", "*")}, {"*": "e"},
-                     {("e", "e"): "e", ("e", "z"): "z", ("z", "e"): "z",
-                      ("z", "z"): "z"})
 
 
 def suspension(M):

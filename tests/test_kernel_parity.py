@@ -11,11 +11,11 @@ import hashlib
 import pytest
 
 from sigmacat.colimits import (base_cone_category, cones_sigma,
-                               conical_sigma_colimit)
-from sigmacat.config import Meter
-from sigmacat.fincat import (arrow_category, functor_category_full,
-                             iso_pair_category, product_category,
-                             terminal_category)
+                               conical_sigma_colimit, default_test_family)
+from sigmacat.config import DEFAULT_BUDGET, Meter
+from sigmacat.fincat import (arrow_category, discrete_category,
+                             functor_category_full, iso_pair_category,
+                             product_category, terminal_category)
 from sigmacat.filteredness import (cocone_category, cone_existence,
                                    shape_diagram_1, shape_diagram_2,
                                    shape_diagram_3)
@@ -27,11 +27,12 @@ from sigmacat.flatness import (check_left_exact, generate_bilimit_cones,
 from sigmacat.presented import localize
 from sigmacat.transforms import (LAX, PSEUDO, STRICT, constant_diagram, end_eps,
                                  hom_eps, internal_hom_diagram, sigma_flavor)
-from sigmacat.two_cat import Marked2Cat, free_2cell_2cat, wide_all
+from sigmacat.two_cat import (Marked2Cat, free_2cell_2cat, two_cat_from_cat,
+                              wide_all, wide_identities)
 
 
-def chain(n):
-    objs = [str(i) for i in range(n)]
+def chain(n, prefix=""):
+    objs = [f"{prefix}{i}" for i in range(n)]
     return poset_category(objs, [(objs[i], objs[i + 1]) for i in range(n - 1)])
 
 
@@ -88,11 +89,11 @@ EXPECTED = {
     "fun-arrow-iso_pair": (88, 4, 16, 64, "47ba3bccd2aadb58"),
     "fun-chain2-chain3": (85, 6, 20, 50, "b7f2e2fb73bf173f"),
     "fun-chain3-chain4": (1239, 20, 175, 980, "3d7dda3da6006b89"),
-    "cones-pick0-iso_pair": (228, 8, 64, 512, "e204e570e8de4e94"),
+    "cones-pick0-iso_pair": (740, 8, 64, 512, "e204e570e8de4e94"),
     "localize-arrow-f": (4, 2, 4, 8, "a8766173a21e9366"),
     "localize-chain3-all": (2234, 3, 9, 27, "48fe927c6f128b67"),
     "localize-square-two": (4375, 4, 17, 73, "a4b770df3a0b7bd6"),
-    "conical-pick0-all": (1061, 3, 7, 15, "dbdd782538462259"),
+    "conical-pick0-all": (520, 3, 7, 15, "dbdd782538462259"),
     "hom-s-pick0-delta_arrow": (49, 3, 6, 10, "4eb0be34087b9cf2"),
     "hom-sigma-free2cell-u": (56, 3, 6, 10, "4eb0be34087b9cf2"),
     "hom-l-free2cell": (83, 4, 10, 20, "335d5fd468a95cc7"),
@@ -108,6 +109,32 @@ def test_ticks_and_tables_are_pinned(case):
     result = CASES[case](meter)
     assert fingerprint(meter, result) == EXPECTED[case]
 
+
+# Constant diagrams over the 3-chain c0 < c1 < c2, relative to the identity
+# marking (lax) and to every 1-cell (pseudo): the certificate decides them
+# on hom-sets, within the default budget.
+CHAIN3_RUNGS = {
+    "chain3/arrow/ids": (arrow_category, wide_identities, (24735, 6, 18)),
+    "chain3/pair/ids": (lambda: discrete_category(["x", "y"]), wide_identities,
+                        (31325, 6, 12)),
+    "chain3/pair/all": (lambda: discrete_category(["x", "y"]), wide_all,
+                        (31960, 6, 18)),
+    "chain3/arrow/all": (arrow_category, wide_all, (146010, 6, 27)),
+}
+
+
+@pytest.mark.parametrize("rung", sorted(CHAIN3_RUNGS))
+def test_chain3_colimits_are_certified_within_the_default_budget(rung):
+    value, marking, expected = CHAIN3_RUNGS[rung]
+    base = two_cat_from_cat(chain(3, prefix="c"))
+    meter = Meter(DEFAULT_BUDGET)
+    res = conical_sigma_colimit(constant_diagram(base, value()), marking(base),
+                                meter=meter)
+    assert res.finite
+    assert [label for label, ok in res.certificate if ok] == \
+        [label for label, _ in default_test_family()]
+    assert (meter.count, len(res.category.objects), len(res.category.arrows)) == \
+        expected
 
 
 def test_left_exactness_on_the_diamond_is_pinned():
