@@ -166,7 +166,8 @@ def cmd_colimit(args) -> int:
         doc["category"] = sio.fincat_to_doc(conical.category)
     _emit(doc)
     if not conical.finite:
-        _say(f"undecided at cap {args.cap}")
+        growth = " ".join(map(str, conical.presented.growth))
+        _say(f"undecided at cap {args.cap}; live cosets per word length: {growth}")
         return EXIT_UNDECIDED
     _say(f"colimit has {len(conical.category.objects)} objects; certificate passed")
     return EXIT_OK

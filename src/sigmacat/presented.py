@@ -1,45 +1,51 @@
-"""Presented categories and bounded word closure.
+"""Presented categories, decided by coset enumeration.
 
 A PresentedCategory is a category given by typed generators and
-relations, decided (when possible) by a naive breadth-first congruence
-closure over reduced words of bounded length.  No completion is
-attempted: the closure visits every reduced word up to the cap, merges
-words connected by single relation applications, and declares the
-category finite only when the last level that produced a new congruence
-class or a merge lies strictly below the cap.  Otherwise the status is
-``undecided-at-cap`` and no realization is emitted.
+relations.  It is computed by the Todd–Coxeter procedure for categories
+(Carmody–Walters 1991; Bush–Leeming–Walters, *Computing left Kan
+extensions*, J. Symbolic Comput. 2003).  A coset is an arrow out of an
+object, and the coset table records c·g, "c then g"; there is one start
+coset per object.  The relations are
+
+  * each composition hint, read as (f, g) = (h), or (f, g) = () when the
+    hint folds to an identity;
+  * every listed relation;
+  * g·g~inv = () and g~inv·g = () for every inverted generator g.
+
+Cosets are processed in the order they were defined (HLT): every
+relation is scanned at the coset, defining the cosets the scan needs,
+and the coset's missing entries are then filled.  Cosets a scan shows
+equal are merged through a union-find that keeps the older one.  When
+every live coset is processed the table is closed: it is the Cayley
+graph of the congruence the relations generate, so the status
+``finite`` is exact.  Before it is reported, every relation is walked
+again at every live coset; a mismatch is a bug and raises
+Inconsistency.
+
+A coset whose defining word would be longer than the cap stops the run
+with the status ``undecided-at-cap``.  No realization is emitted, and
+``growth`` records the number of live cosets per defining-word length.
 
 Words are paths written first-to-last: ``(f, g)`` means f then g, i.e.
-the composite g∘f.  Reduced words contain no identity generators, no
-adjacent pair that the composition hints can fold, and no adjacent
-formal-inverse cancellation.  Merges are discovered through three kinds
-of neighbor moves, each a sound congruence step:
-
-  * applying a listed relation at a position, in either direction;
-  * unfolding one generator into a two-step factorization taken from
-    the composition hints;
-  * inserting a cancelling pair s, s_inv and folding the plain end into
-    its neighboring generator.
-
-The closure is sound but deliberately incomplete: identifications whose
-every derivation passes through words longer than the cap are missed,
-which is exactly what the undecided status records.
+the composite g∘f.  Each arrow of the realization is named by the
+shortlex-least word of its class, generators in sorted order: ``id_x``
+for the empty word at x, ``w[f.g]`` otherwise.
 
 The formal inverse of an inverted generator g is the generator named
 ``g~inv``.  That name must not already name a generator (an arrow of the
-input category): the two would be one letter of the words, and the
-closure would cancel a plain arrow against g.  ``localize`` and
-``saturate_presentation`` refuse such input with a ValidationError.
+input category): the two would be one letter of the words, and g would
+cancel against a plain arrow.  ``localize`` and ``saturate_presentation``
+refuse such input with a ValidationError.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 
 from .config import DEFAULT_CAP, Meter
-from .errors import ValidationError
-from .fincat import FinCat, mk_fincat
+from .errors import Inconsistency, ValidationError
+from .fincat import FinCat, mk_fincat, validate_category
 
 INV_SUFFIX = "~inv"
 
@@ -83,6 +89,7 @@ class PresentedCategory:
     status: str  # "finite" | "undecided-at-cap"
     realization: FinCat | None
     rep_of_arrow: dict  # arrow name -> (src, word)
+    growth: tuple = ()  # undecided: live cosets per defining-word length
 
     @property
     def finite(self) -> bool:
@@ -92,251 +99,192 @@ class PresentedCategory:
         """Realization arrow named by a word; requires finite status."""
         if not self.finite:
             raise ValidationError("no realization: status is undecided-at-cap")
-        root = self._engine.lookup(src, tuple(word))
-        if root is None or root not in self._root_name:
-            raise ValidationError(f"word {tuple(word)} does not normalize within the cap")
-        return self._root_name[root]
+        table, names = self._cosets
+        table.endpoint(src, word)  # a word that is no path names no arrow
+        return names[table.walk(table.start[src], word)]
 
 
-class _Closure:
-    """Level-by-level congruence closure over reduced words up to a cap."""
+class _AtCap(Exception):
+    """A coset definition would exceed the cap."""
+
+
+class _CosetTable:
+    """HLT coset enumeration of a presentation, with coincidences."""
 
     def __init__(self, pres: Presentation, cap: int, meter: Meter):
-        self.pres = pres
         self.cap = cap
         self.meter = meter
-        self.parent = {}  # word key -> word key (union-find)
-        self.words = {}  # word key -> (src, word)
-        self.by_length = {}  # length -> list of word keys, discovery order
-        self.last_activity = 0
-        src_tgt = dict(pres.generators)
-        self._cancels = set()  # adjacent pairs g, g~inv and g~inv, g
-        self._inverted_at = {}  # object -> inverted g that can be inserted there
+        ends = dict(pres.generators)
         for g in pres.inverted:
             s, t = pres.generators[g]
-            src_tgt[inv_name(g)] = (t, s)
-            self._cancels |= {(g, inv_name(g)), (inv_name(g), g)}
-            for x in dict.fromkeys((s, t)):
-                self._inverted_at.setdefault(x, []).append((g, s, t))
-        self.src_tgt = src_tgt
-        self.by_src = {}
-        for g, (s, _) in sorted(src_tgt.items()):
-            self.by_src.setdefault(s, []).append(g)
-        # relation moves (either side rewritten to the other), in scan order,
-        # indexed by the first one or two letters of the side they match
-        self._moves = []
-        self._moves_by_head = {}
-        for lhs, rhs, rel_src in pres.relations:
-            for a, b in ((lhs, rhs), (rhs, lhs)):
-                if a:
-                    self._moves_by_head.setdefault(a[:2], []).append(len(self._moves))
-                    self._moves.append((a, b, rel_src))
-        self._unfold = {}
-        self._id_unfold = {}
-        for (f, g), h in sorted(pres.compose_hints.items()):
-            if h is not None:
-                self._unfold.setdefault(h, []).append((f, g))
-            else:
-                self._id_unfold.setdefault(src_tgt[f][0], []).append((f, g))
-
-    # -- word plumbing
+            ends[inv_name(g)] = (t, s)
+        self.ends = ends
+        self.gens_at = {x: [] for x in pres.objects}
+        for g, (s, _) in sorted(ends.items()):
+            self.gens_at[s].append(g)
+        self.parent = []  # union-find over cosets; a root is live
+        self.table = []  # coset -> {generator: coset}, targets read through find
+        self.end = []
+        self.depth = []  # length of the shortest defining word known
+        self.start = {x: self._new(x, 0) for x in sorted(pres.objects)}
+        rels = [((f, g), () if h is None else (h,), ends[f][0])
+                for (f, g), h in sorted(pres.compose_hints.items())]
+        rels.extend(pres.relations)
+        for g in pres.inverted:
+            rels.append(((g, inv_name(g)), (), ends[g][0]))
+            rels.append(((inv_name(g), g), (), ends[g][1]))
+        self.rels_at = {x: [] for x in pres.objects}
+        for u, v, src in rels:
+            if self.endpoint(src, u) != self.endpoint(src, v):
+                raise ValidationError(f"relation {u} = {v} at {src} is not parallel")
+            if u or v:
+                self.rels_at[src].append((u, v) if u else (v, u))
 
     def endpoint(self, src: str, word) -> str:
+        if src not in self.start:
+            raise ValidationError(f"{src} is not an object")
         cur = src
         for g in word:
-            s, t = self.src_tgt[g]
-            if s != cur:
+            if self.ends.get(g, (None,))[0] != cur:
                 raise ValidationError(f"word {tuple(word)} is not a path from {src}")
-            cur = t
+            cur = self.ends[g][1]
         return cur
 
-    def reduce(self, word) -> tuple:
-        """Cancellation first, then one fold, repeated to a fixpoint."""
-        w = list(word)
-        cancels = self._cancels
-        hints = self.pres.compose_hints
-        while True:
-            if not cancels.isdisjoint(zip(w, w[1:])):
-                i = 0
-                while i + 1 < len(w):
-                    if (w[i], w[i + 1]) in cancels:
-                        del w[i:i + 2]
-                        i = max(i - 1, 0)
-                    else:
-                        i += 1
-            if hints.keys().isdisjoint(zip(w, w[1:])):
-                return tuple(w)
-            # fold the leftmost foldable pair, then cancel again
-            for i, pair in enumerate(zip(w, w[1:])):
-                if pair in hints:
-                    h = hints[pair]
-                    w[i:i + 2] = [] if h is None else [h]
-                    break
+    # -- the table
 
-    # -- union-find
+    def _new(self, end: str, depth: int) -> int:
+        self.meter.tick()
+        c = len(self.parent)
+        self.parent.append(c)
+        self.table.append({})
+        self.end.append(end)
+        self.depth.append(depth)
+        return c
 
-    def find(self, k):
-        while self.parent[k] != k:
-            self.parent[k] = self.parent[self.parent[k]]
-            k = self.parent[k]
-        return k
+    def find(self, c: int) -> int:
+        parent = self.parent
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
 
-    def union(self, a, b) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
+    def step(self, c: int, g: str):
+        t = self.table[c].get(g)
+        return None if t is None else self.find(t)
 
-    # -- neighbor moves (each output is congruent to the input word)
-
-    def neighbors(self, src: str, word: tuple):
-        hints = self.pres.compose_hints
-        # here[i] is the object at the seam before word[i]
-        here = [src]
+    def walk(self, c: int, word) -> int:
+        """c·word in the closed table."""
         for g in word:
-            here.append(self.src_tgt[g][1])
-        # relation moves whose left side starts at i, in (move, position) order
-        hits = []
-        for i in range(len(word)):
-            for head in {word[i:i + 1], word[i:i + 2]}:
-                for m in self._moves_by_head.get(head, ()):
-                    a, _, rel_src = self._moves[m]
-                    if here[i] == rel_src and word[i:i + len(a)] == a:
-                        hits.append((m, i))
-        hits.sort()
-        for m, i in hits:
-            a, b, _ = self._moves[m]
-            yield self.reduce(word[:i] + b + word[i + len(a):])
-        for i, h in enumerate(word):
-            for f, g in self._unfold.get(h, ()):
-                yield self.reduce(word[:i] + (f, g) + word[i + 1:])
-        # identity factorizations may be inserted anywhere; useful only when a
-        # cancellation fires at a seam, so no-ops are filtered out
-        for i in range(len(word) + 1):
-            for f, g in self._id_unfold.get(here[i], ()):
-                out = self.reduce(word[:i] + (f, g) + word[i:])
-                if out != word:
-                    yield out
-        for i in range(len(word) + 1):
-            for g, s, t in self._inverted_at.get(here[i], ()):
-                # insert (g, g_inv) at an s-position and fold g leftward
-                if here[i] == s and i >= 1:
-                    pair = (word[i - 1], g)
-                    if pair in hints:
-                        h = hints[pair]
-                        mid = () if h is None else (h,)
-                        yield self.reduce(word[:i - 1] + mid + (inv_name(g),) + word[i:])
-                # insert (g_inv, g) at a t-position and fold g rightward
-                if here[i] == t and i < len(word):
-                    pair = (g, word[i])
-                    if pair in hints:
-                        h = hints[pair]
-                        mid = () if h is None else (h,)
-                        yield self.reduce(word[:i] + (inv_name(g),) + mid + word[i + 1:])
+            c = self.find(self.table[c][g])
+        return c
 
-    # -- discovery
+    def _define(self, c: int, g: str, depth: int) -> int:
+        if depth > self.cap:
+            raise _AtCap
+        t = self._new(self.ends[g][1], depth)
+        self.table[c][g] = t
+        return t
 
-    def _visit(self, src: str, word: tuple) -> None:
-        """Record a new word and scan its neighbors once, cascading."""
-        queue = deque()
-        key = (src, word)
-        self.words[key] = (src, word)
-        self.parent[key] = key
-        self.by_length.setdefault(len(word), []).append(key)
-        queue.append(key)
+    def _trace(self, c: int, word) -> int:
+        for g in word:
+            t = self.step(c, g)
+            c = self._define(c, g, self.depth[c] + 1) if t is None else t
+        return c
+
+    def _coincide(self, a: int, b: int) -> None:
+        """Merge two cosets and, in turn, the entries they disagree on."""
+        queue = deque([(a, b)])
         while queue:
-            k = queue.popleft()
-            s, w = self.words[k]
-            for nb in self.neighbors(s, w):
-                self.meter.tick()
-                if len(nb) > self.cap:
-                    continue
-                nk = (s, nb)
-                if nk in self.words:
-                    self.union(k, nk)
+            a, b = map(self.find, queue.popleft())
+            if a == b:
+                continue
+            a, b = min(a, b), max(a, b)
+            self.parent[b] = a
+            self.depth[a] = min(self.depth[a], self.depth[b])
+            row = self.table[a]
+            for g, t in self.table[b].items():
+                if g in row:
+                    queue.append((row[g], t))
                 else:
-                    self.words[nk] = nk
-                    self.parent[nk] = nk
-                    self.by_length.setdefault(len(nb), []).append(nk)
-                    queue.append(nk)
-                    self.union(k, nk)
+                    row[g] = t
+            self.table[b] = None
 
-    def run(self) -> None:
-        """Level loop.  Activity at a level means the class set changed.
+    def _scan(self, c: int, u: tuple, v: tuple) -> None:
+        """Make c·u = c·v, defining what the two walks need but their last steps."""
+        x, a = self._trace(c, u[:-1]), u[-1]
+        if v:
+            y, b = self._trace(c, v[:-1]), v[-1]
+            yb = self.step(y, b)
+        else:
+            y, b, yb = None, None, c
+        xa = self.step(x, a)
+        if xa is None and yb is None:
+            self.table[y][b] = self._define(x, a, min(self.depth[x], self.depth[y]) + 1)
+        elif xa is None:
+            self.table[x][a] = yb
+        elif yb is None:
+            self.table[y][b] = xa
+        else:
+            self._coincide(xa, yb)
 
-        A freshly discovered word that lands in an already-known class is
-        not activity: the arrow set is the set of classes, and it only
-        changes when a new class appears or two known classes merge.
-        """
-        for x in sorted(self.pres.objects):
-            self._visit(x, ())
-        signature = self._signature()
-        for level in range(1, self.cap + 1):
-            idx = 0
-            prev = self.by_length.get(level - 1, [])
-            # prev may grow while scanning (cascade discoveries); extend all
-            while idx < len(prev):
-                src, word = self.words[prev[idx]]
-                idx += 1
-                end = self.endpoint(src, word)
-                for g in self.by_src.get(end, ()):
-                    self.meter.tick()
-                    r = self.reduce(list(word) + [g])
-                    if (src, r) not in self.words:
-                        # extension reduced below the level was already seen
-                        self._visit(src, r)
-            new_signature = self._signature()
-            if new_signature != signature:
-                self.last_activity = level
-                signature = new_signature
+    # -- enumeration
 
-    # -- results
+    def run(self) -> bool:
+        """Process every coset in definition order.  True when the table
+        closes, False when a definition would exceed the cap."""
+        c = 0
+        try:
+            while c < len(self.parent):
+                if self.parent[c] == c:
+                    for u, v in self.rels_at[self.end[c]]:
+                        self.meter.tick()
+                        self._scan(c, u, v)
+                        if self.parent[c] != c:
+                            break
+                    else:
+                        for g in self.gens_at[self.end[c]]:
+                            if g not in self.table[c]:
+                                self._define(c, g, self.depth[c] + 1)
+                c += 1
+        except _AtCap:
+            return False
+        self._verify()
+        return True
 
-    def _signature(self) -> frozenset:
-        return frozenset(self.class_reps().values())
+    def live(self) -> list:
+        return [c for c, p in enumerate(self.parent) if p == c]
 
-    def class_reps(self) -> dict:
-        reps = {}
-        for k, (src, word) in self.words.items():
-            r = self.find(k)
-            cand = (len(word), word, src)
-            if r not in reps or cand < reps[r]:
-                reps[r] = cand
-        return reps
+    def _verify(self) -> None:
+        """Walk every relation at every live coset, defining nothing."""
+        for c in self.live():
+            if self.table[c].keys() != set(self.gens_at[self.end[c]]):
+                raise Inconsistency(f"closed coset table has a gap at coset {c}")
+            for u, v in self.rels_at[self.end[c]]:
+                if self.walk(c, u) != self.walk(c, v):
+                    raise Inconsistency(
+                        f"closed coset table breaks relation {u} = {v} at coset {c}")
 
-    def lookup(self, src: str, word):
-        r = self.reduce(word)
-        k = (src, r)
-        if k not in self.words:
-            return None
-        return self.find(k)
+    def growth(self) -> tuple:
+        """Live cosets per defining-word length."""
+        counts = Counter(self.depth[c] for c in self.live())
+        return tuple(counts[d] for d in range(max(counts, default=-1) + 1))
 
-
-SHORT_EQUALITY_LENGTH = 6
-MAX_SATURATION_ROUNDS = 4
-
-
-def _short_equalities(closure: _Closure) -> set:
-    """Class equalities among short words, as candidate relations.
-
-    Feeding these back as relations lets the next closure round apply
-    them inside longer words, which catches identifications whose only
-    step-by-step derivations pass through non-reduced intermediates.
-    """
-    classes = {}
-    for k, (src, word) in closure.words.items():
-        if len(word) > SHORT_EQUALITY_LENGTH:
-            continue
-        classes.setdefault(closure.find(k), []).append((len(word), word, src))
-    out = set()
-    for members in classes.values():
-        if len(members) < 2:
-            continue
-        members.sort()
-        _, rep, src = members[0]
-        for _, other, _ in members[1:]:
-            if other != rep:
-                out.add((rep, other, src))
-    return out
+    def shortlex_words(self) -> dict:
+        """Live coset -> (source, shortlex-least word), by breadth-first
+        search from the start cosets with the generators in sorted order."""
+        words = {}
+        for x, s in self.start.items():
+            words[s] = (x, ())
+            queue = deque([s])
+            while queue:
+                c = queue.popleft()
+                w = words[c][1]
+                for g in self.gens_at[self.end[c]]:
+                    t = self.find(self.table[c][g])
+                    if t not in words:
+                        words[t] = (x, w + (g,))
+                        queue.append(t)
+        return words
 
 
 def saturate_presentation(pres: Presentation, cap: int = DEFAULT_CAP,
@@ -346,74 +294,46 @@ def saturate_presentation(pres: Presentation, cap: int = DEFAULT_CAP,
         if inv_name(g) in pres.generators:
             raise ValidationError(
                 f"formal inverse {inv_name(g)} of {g} is already a generator name")
-    relations = set(pres.relations)
-    closure = None
-    for _ in range(MAX_SATURATION_ROUNDS):
-        working = Presentation(pres.objects, pres.generators,
-                               pres.compose_hints,
-                               tuple(sorted(relations)), pres.inverted)
-        closure = _Closure(working, cap, meter)
-        closure.run()
-        learned = _short_equalities(closure) - relations
-        if not learned:
-            break
-        relations |= learned
-    status = "finite" if closure.last_activity < cap else "undecided-at-cap"
+    table = _CosetTable(pres, cap, meter)
     result = PresentedCategory(
         objects=tuple(sorted(pres.objects)),
         generators=dict(pres.generators),
         relations=pres.relations,
         cap=cap,
-        status=status,
+        status="undecided-at-cap",
         realization=None,
         rep_of_arrow={},
     )
-    result._engine = closure
-    result._root_name = {}
-    if status != "finite":
+    if not table.run():
+        result.growth = table.growth()
         return result
-
-    reps = closure.class_reps()
-    named = {}
-    for root, (_, word, src) in sorted(reps.items(), key=lambda kv: kv[1]):
-        end = closure.endpoint(src, word)
-        name = f"id_{src}" if not word else "w[" + ".".join(word) + "]"
-        named[root] = (name, src, end, word)
-    arrows = {name: (s, t) for name, s, t, _ in named.values()}
-    identity = {x: f"id_{x}" for x in pres.objects}
+    words = dict(sorted(table.shortlex_words().items(),
+                        key=lambda kv: (len(kv[1][1]), kv[1][1], kv[1][0])))
+    names = {c: f"id_{src}" if not w else "w[" + ".".join(w) + "]"
+             for c, (src, w) in words.items()}
+    out_of = {x: [] for x in pres.objects}
+    for c, (src, _) in words.items():
+        out_of[src].append(c)
     compose = {}
-    for r1, (n1, s1, t1, w1) in named.items():
-        for r2, (n2, s2, t2, w2) in named.items():
-            if t1 != s2:
-                continue
-            root = closure.lookup(s1, w1 + w2)
-            if root is None or root not in named:
-                # a composite escaped the explored universe: not stable
-                result.status = "undecided-at-cap"
-                return result
-            compose[(n2, n1)] = named[root][0]
-    realization = mk_fincat(pres.objects, arrows, identity, compose)
-    from .fincat import validate_category
+    for c1 in words:
+        for c2 in out_of[table.end[c1]]:
+            compose[(names[c2], names[c1])] = names[table.walk(c1, words[c2][1])]
+    realization = mk_fincat(
+        pres.objects, {names[c]: (src, table.end[c]) for c, (src, _) in words.items()},
+        {x: f"id_{x}" for x in pres.objects}, compose)
     if not validate_category(realization).ok:
-        # an inconsistent table means the closure missed identifications
-        result.status = "undecided-at-cap"
-        return result
+        raise Inconsistency("closed coset table does not realize a category")
+    result.status = "finite"
     result.realization = realization
-    result.rep_of_arrow = {name: (s, w) for name, s, _, w in named.values()}
-    result._root_name = {root: name for root, (name, _, _, _) in named.items()}
+    result.rep_of_arrow = {names[c]: sw for c, sw in words.items()}
+    result._cosets = (table, names)
     return result
 
 
-def localize(c: FinCat, sigma, cap: int = DEFAULT_CAP,
-             meter: Meter | None = None) -> PresentedCategory:
-    """Category of fractions c[sigma^-1] by bounded closure.
-
-    Generators are the nonidentity arrows of c plus a formal inverse for
-    every nonidentity member of sigma; the relations are c's composition
-    table (as folding hints) and the two-sided invertibility equations
-    (as cancellations).  Identities in sigma are already invertible and
-    contribute nothing.
-    """
+def localization_presentation(c: FinCat, sigma) -> Presentation:
+    """c's nonidentity arrows with its composition table as hints, and a
+    formal inverse for every nonidentity member of sigma.  Identities in
+    sigma are already invertible and contribute nothing."""
     sigma = set(sigma)
     unknown = sigma - set(c.arrows)
     if unknown:
@@ -425,14 +345,15 @@ def localize(c: FinCat, sigma, cap: int = DEFAULT_CAP,
             continue
         hints[(f, g)] = None if c.is_identity(h) else h
     inverted = tuple(sorted(a for a in sigma if not c.is_identity(a)))
-    pres = Presentation(
-        objects=tuple(sorted(c.objects)),
-        generators=gens,
-        compose_hints=hints,
-        relations=(),
-        inverted=inverted,
-    )
-    return saturate_presentation(pres, cap, meter)
+    return Presentation(objects=tuple(sorted(c.objects)), generators=gens,
+                        compose_hints=hints, relations=(), inverted=inverted)
+
+
+def localize(c: FinCat, sigma, cap: int = DEFAULT_CAP,
+             meter: Meter | None = None) -> PresentedCategory:
+    """Category of fractions c[sigma^-1] by coset enumeration, exact when
+    the status is finite; the presentation is ``localization_presentation``."""
+    return saturate_presentation(localization_presentation(c, sigma), cap, meter)
 
 
 def localization_functor(c: FinCat, loc: PresentedCategory) -> tuple[dict, dict]:

@@ -22,8 +22,8 @@ from sigmacat.filteredness import (cocone_category, cone_existence,
 from sigmacat.fixtures import (arrow_2cat, diagram_on_free2cell, diagram_pick0,
                                diamond_2cat, marked_fixtures, poset_category,
                                pseudo_swap, pseudo_z2)
-from sigmacat.flatness import (check_left_exact, generate_bilimit_cones,
-                               representable)
+from sigmacat.flatness import (canonical_expression, check_left_exact,
+                               generate_bilimit_cones, representable)
 from sigmacat.presented import localize
 from sigmacat.transforms import (LAX, PSEUDO, STRICT, constant_diagram, end_eps,
                                  hom_eps, internal_hom_diagram, sigma_flavor)
@@ -90,10 +90,10 @@ EXPECTED = {
     "fun-chain2-chain3": (85, 6, 20, 50, "b7f2e2fb73bf173f"),
     "fun-chain3-chain4": (1239, 20, 175, 980, "3d7dda3da6006b89"),
     "cones-pick0-iso_pair": (740, 8, 64, 512, "e204e570e8de4e94"),
-    "localize-arrow-f": (4, 2, 4, 8, "a8766173a21e9366"),
-    "localize-chain3-all": (2234, 3, 9, 27, "48fe927c6f128b67"),
-    "localize-square-two": (4375, 4, 17, 73, "a4b770df3a0b7bd6"),
-    "conical-pick0-all": (520, 3, 7, 15, "dbdd782538462259"),
+    "localize-arrow-f": (8, 2, 4, 8, "a8766173a21e9366"),
+    "localize-chain3-all": (24, 3, 9, 27, "48fe927c6f128b67"),
+    "localize-square-two": (41, 4, 17, 73, "a4b770df3a0b7bd6"),
+    "conical-pick0-all": (525, 3, 7, 15, "dbdd782538462259"),
     "hom-s-pick0-delta_arrow": (49, 3, 6, 10, "4eb0be34087b9cf2"),
     "hom-sigma-free2cell-u": (56, 3, 6, 10, "4eb0be34087b9cf2"),
     "hom-l-free2cell": (83, 4, 10, 20, "335d5fd468a95cc7"),
@@ -114,12 +114,12 @@ def test_ticks_and_tables_are_pinned(case):
 # marking (lax) and to every 1-cell (pseudo): the certificate decides them
 # on hom-sets, within the default budget.
 CHAIN3_RUNGS = {
-    "chain3/arrow/ids": (arrow_category, wide_identities, (24735, 6, 18)),
+    "chain3/arrow/ids": (arrow_category, wide_identities, (24734, 6, 18)),
     "chain3/pair/ids": (lambda: discrete_category(["x", "y"]), wide_identities,
-                        (31325, 6, 12)),
+                        (31329, 6, 12)),
     "chain3/pair/all": (lambda: discrete_category(["x", "y"]), wide_all,
-                        (31960, 6, 18)),
-    "chain3/arrow/all": (arrow_category, wide_all, (146010, 6, 27)),
+                        (21810, 6, 18)),
+    "chain3/arrow/all": (arrow_category, wide_all, (22270, 6, 27)),
 }
 
 
@@ -135,6 +135,59 @@ def test_chain3_colimits_are_certified_within_the_default_budget(rung):
         [label for label, _ in default_test_family()]
     assert (meter.count, len(res.category.objects), len(res.category.arrows)) == \
         expected
+
+
+# Pseudo colimits (every 1-cell marked) whose answer is the codiscrete
+# groupoid on the base's objects, with (ticks, objects, arrows, composable
+# pairs, table digest), and F1, the canonical expression of the
+# diamond's bottom representable: the coset enumeration decides them within
+# the default budget, where the bounded word closure refused.
+FULLY_MARKED_RUNGS = {
+    "chain4/one/all": (lambda: constant_diagram(two_cat_from_cat(chain(4, prefix="c")),
+                                                terminal_category()),
+                       (2106, 4, 16, 64, "2f3565e7625f52e8")),
+    "diamond/one/all": (lambda: constant_diagram(diamond_2cat(), terminal_category()),
+                        (2053, 4, 16, 64, "9761daaf19e67344")),
+    "chain4/reprc0/all": (lambda: representable(two_cat_from_cat(chain(4, prefix="c")),
+                                                "c0"),
+                          (2106, 4, 16, 64, "b3b478f53cb63368")),
+    "diamond/reprbot/all": (lambda: representable(diamond_2cat(), "bot"),
+                            (2053, 4, 16, 64, "8dbf2d474fcac688")),
+}
+
+
+@pytest.mark.parametrize("rung", sorted(FULLY_MARKED_RUNGS))
+def test_fully_marked_colimits_are_certified_within_the_default_budget(rung):
+    diagram, expected = FULLY_MARKED_RUNGS[rung]
+    P = diagram()
+    meter = Meter(DEFAULT_BUDGET)
+    res = conical_sigma_colimit(P, wide_all(P.source), meter=meter)
+    assert res.finite
+    assert [label for label, ok in res.certificate if ok] == \
+        [label for label, _ in default_test_family()]
+    assert fingerprint(meter, res.category) == expected
+
+
+def test_canonical_expression_of_the_diamond_bottom_representable_is_pinned():
+    meter = Meter(DEFAULT_BUDGET)
+    res = canonical_expression(representable(diamond_2cat(), "bot"), meter=meter)
+    assert res.verdict == "equivalent"
+    assert [(B, st, ok) for B, st, ok in res.per_object] == \
+        [(B, "finite", True) for B in ("a", "b", "bot", "top")]
+    assert meter.count == 2908
+
+
+@pytest.mark.parametrize("n,ticks", [(4, 101), (8, 1444), (16, 21148)])
+def test_fully_marked_chain_localizes_to_the_codiscrete_groupoid(n, ticks):
+    """Scaling guard: the old word closure needed more than 3,000,000
+    ticks at n = 4; the coset table defines one coset per arrow here."""
+    c = chain(n)
+    meter = Meter(DEFAULT_BUDGET)
+    loc = localize(c, [a for a in c.arrows if not c.is_identity(a)], meter=meter)
+    assert loc.finite
+    assert sorted(loc.realization.arrows.values()) == \
+        sorted((x, y) for x in c.objects for y in c.objects)
+    assert meter.count == ticks
 
 
 def test_left_exactness_on_the_diamond_is_pinned():

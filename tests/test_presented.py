@@ -1,16 +1,23 @@
-"""Localization by bounded word closure."""
-
-import itertools
+"""Localization by coset enumeration."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from sigmacat.fincat import (arrow_category, categories_equivalent,
+from closure_reference import reference_localize
+from sigmacat.colimits import default_test_family
+from sigmacat.config import Meter
+from sigmacat.errors import SizeLimitExceeded, ValidationError
+from sigmacat.fincat import (Functor, arrow_category, compose_functors,
                              enumerate_functors, find_isomorphism,
                              group_z2_category, iso_pair_category,
                              mk_fincat, parallel_pair_category,
-                             terminal_category, validate_category)
-from sigmacat.errors import ValidationError
-from sigmacat.presented import localize, localization_functor
+                             validate_category)
+from sigmacat.presented import (Presentation, localization_functor, localize,
+                                saturate_presentation)
+from test_enumeration_oracles import idempotent_category
+from test_kernel_parity import table_digest
+from test_properties import posets
 
 
 def zigzag_oracle_classes(c, sigma, cap):
@@ -111,12 +118,22 @@ def test_localize_refuses_a_formal_inverse_named_like_an_arrow():
         localize(split_idempotent("f~inv"), {"f"}, 8)
 
 
+def test_saturate_refuses_a_relation_that_is_not_parallel():
+    # f = id_a would merge an arrow a -> b with one a -> a
+    pres = Presentation(("a", "b"), {"f": ("a", "b")}, {}, ((("f",), (), "a"),), ())
+    with pytest.raises(ValidationError, match="not parallel"):
+        saturate_presentation(pres)
+
+
 def test_integers_generating_fixture_is_undecided():
     # inverting both legs of the parallel pair presents the group of
     # integers: the class count grows by a fixed amount per level
     loc = localize(parallel_pair_category(), {"u", "v"}, 16)
     assert loc.status == "undecided-at-cap"
     assert loc.realization is None
+    # the growth curve: two start cosets, then, out of each object, one
+    # more word in each direction of Z per defining-word length
+    assert loc.growth == (2,) + (4,) * 16
     words = zigzag_oracle_classes(parallel_pair_category(), {"u", "v"}, 10)
     lengths = sorted(len(w) for (_, w) in words)
     assert lengths.count(9) > 0  # still growing at depth 9
@@ -139,27 +156,57 @@ def test_localized_generators_become_isomorphisms():
             assert loc.realization.is_iso(arr_map[s])
 
 
-def functors_inverting(c, sigma, e):
-    """All functors c -> e sending sigma to isomorphisms."""
-    out = []
-    for F in enumerate_functors(c, e):
-        if all(e.is_iso(F.arr_map[s]) for s in sigma):
-            out.append(F.key())
-    return out
+@st.composite
+def marked_categories(draw):
+    """A small category, a poset on at most 5 objects or one of three with
+    non-identity endomorphisms, and a drawn set of arrows to invert."""
+    c = draw(st.one_of(posets(5), st.sampled_from(
+        [group_z2_category(), idempotent_category(), split_idempotent()])))
+    plain = sorted(a for a in c.arrows if not c.is_identity(a))
+    sigma = draw(st.lists(st.sampled_from(plain), unique=True)) if plain else []
+    return c, set(sigma)
 
 
-@pytest.mark.parametrize("c,sigma", [
-    (arrow_category(), {"f"}),
-    (group_z2_category(), {"s"}),
-    (iso_pair_category(), {"u"}),
-])
-def test_universal_property_against_small_targets(c, sigma):
-    loc = localize(c, sigma, 10)
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(marked_categories())
+def test_coset_enumeration_agrees_with_the_word_closure(marked):
+    """Wherever the old bounded closure decides a localization, the coset
+    table gives the same tables, arrow names and representative words."""
+    c, sigma = marked
+    try:
+        # the old closure is exponential in the cap; inputs it cannot
+        # finish within this budget, which keeps the test fast, are skipped
+        ref = reference_localize(c, sigma, 8, Meter(20_000))
+    except SizeLimitExceeded:
+        return
+    if not ref.finite:
+        return
+    loc = localize(c, sigma, 8)
     assert loc.finite
-    for e in (terminal_category(), arrow_category(), iso_pair_category()):
-        through = enumerate_functors(loc.realization, e)
-        direct = functors_inverting(c, sigma, e)
-        assert len(through) == len(direct)
+    assert table_digest(loc.realization) == table_digest(ref.realization)
+    assert loc.rep_of_arrow == ref.rep_of_arrow
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(marked_categories())
+@example((arrow_category(), {"f"}))
+@example((group_z2_category(), {"s"}))
+@example((iso_pair_category(), {"u"}))
+def test_universal_property_against_small_targets(marked):
+    """Precomposition with the localization functor c -> R is a bijection
+    from the functors R -> E onto the functors c -> E inverting sigma."""
+    c, sigma = marked
+    loc = localize(c, sigma, 10)
+    if not loc.finite:
+        return
+    R = loc.realization
+    ell = Functor(c, R, *localization_functor(c, loc))
+    for _, e in default_test_family():
+        through = [compose_functors(H, ell).key() for H in enumerate_functors(R, e)]
+        direct = [F.key() for F in enumerate_functors(c, e)
+                  if all(e.is_iso(F.arr_map[s]) for s in sigma)]
+        assert len(set(through)) == len(through)
+        assert sorted(through) == sorted(direct)
 
 
 def test_status_finite_has_valid_realization():
