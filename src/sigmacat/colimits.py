@@ -13,7 +13,12 @@ objects and hom-sets alone (``functor_homs`` and ``sigma_cone_homs``):
 precomposition preserves composition and identities because both
 categories compose componentwise in E, so a map that is bijective on
 objects and on every hom-set is an isomorphism, and neither composition
-table is built.  A certificate failure is a bug and raises; an unstable
+table is built.  A weighted σ-colimit W ⋆ P is the conical one of P·π
+over the dual of W's elements, and is certified the same way: composition
+with the universal weighted cocone, read off the conical cone, must be
+bijective from functors out of the result to the enumerated σ-natural
+transformations W ⇒ Cat(P-, E) (``transformation_homs``) and on every
+hom-set.  A certificate failure is a bug and raises; an unstable
 localization propagates as an undecided status, never as a guess.
 
 Cones over a 2-functor into a finite 2-category go through one cone
@@ -47,7 +52,8 @@ from .two_cat import (Fin2Cat, WideSub, op_dual, pair_name, pi0,
                       pi0_class_map, split_pair_name, two_cat_product)
 from .transforms import (CatDiagram, HomCategory, Transformation, TwoFunctor,
                          Flavor, PSEUDO, STRICT, compose_diagram,
-                         constant_diagram, hom_eps, sigma_flavor)
+                         constant_diagram, hom_eps, sigma_flavor,
+                         transformation_homs)
 from .presented import (Presentation, PresentedCategory, base_of_inv, is_inv,
                         localize)
 from . import elements as el_mod
@@ -411,17 +417,24 @@ def conical_sigma_colimit(Q: CatDiagram, sigma: WideSub, cap: int = DEFAULT_CAP,
                                  f"{rep.violations[0].detail}")
     result.cone = cone
     for label, E in test_family:
-        ok = _certify_against(result, E, meter)
-        result.certificate.append((label, ok))
-        if not ok:
-            raise CertificateFailure(
-                f"colimit universal property fails against test category {label}")
+        _record(result.certificate, label,
+                _certify_against(result, E, functor_homs(R, E, meter), meter),
+                "colimit universal property fails against test category")
     return result
 
 
-def _certify_against(result: ColimitResult, E: FinCat, meter: Meter) -> bool:
+def _record(certificate: list, label: str, ok: bool, failure: str) -> None:
+    """Append a test category's verdict; a failed certificate is a bug."""
+    certificate.append((label, ok))
+    if not ok:
+        raise CertificateFailure(f"{failure} {label}")
+
+
+def _certify_against(result: ColimitResult, E: FinCat, homs: tuple,
+                     meter: Meter) -> bool:
     """Precomposition with the cone must be an isomorphism of categories
-    Cat(R, E) → σ-Cones(Q, E), decided on objects and hom-sets.
+    Cat(R, E) → σ-Cones(Q, E), decided on objects and hom-sets; ``homs``
+    is ``functor_homs(R, E)``.
 
     Functors H : R → E go to the cones Hκ, and a transformation μ : H ⇒ H'
     to the cone morphism μκ = (μκ_A)_A, whose component at a base object A
@@ -435,12 +448,11 @@ def _certify_against(result: ColimitResult, E: FinCat, meter: Meter) -> bool:
     so it is the identity of Hκ.  A functor bijective on objects and on
     hom-sets is an isomorphism.
     """
-    R = result.category
     cone = result.cone
     Q = result.diagram
     base = Q.source
     objs = sorted(base.objects)
-    fs, nats = functor_homs(R, E, meter)
+    fs, nats = homs
     cones, chom = sigma_cone_homs(Q, result.marked, E, meter)
     if len(fs) != len(cones):
         return False
@@ -563,9 +575,12 @@ def weighted_sigma_colimit(W: CatDiagram, P: CatDiagram, sigma: WideSub,
     """Weighted colimit reduced to a conical one over the weight's elements.
 
     The weight lives on the 1-cell dual of the argument's base.  The
-    certificate checks the weighted universal property directly: maps
-    out of the result correspond to weight-shaped families valued in
-    hom categories into each test vertex.
+    result C is the conical σ-colimit of P·π over the dual of W's elements,
+    with the universal cone κ.  Against each test category E two
+    certificates run: the conical one of κ, and the weighted one, which
+    checks the canonical comparison Cat(C, E) → σ-Nat(W, Cat(P-, E)),
+    composition with the universal weighted cocone ω read off κ, on
+    objects and hom-sets (``_certify_weighted``).
     """
     meter = meter or Meter()
     base = P.source
@@ -587,26 +602,26 @@ def weighted_sigma_colimit(W: CatDiagram, P: CatDiagram, sigma: WideSub,
         on_2[nm] = P.on_2[th]
     Q2 = CatDiagram(el_op, on_obj, on_1, on_2)
     marked_op = WideSub(el_op, marked_el.arrows)
-    # the inner conical certificate runs too: it checks the canonical
-    # precomposition map, which is sharper than the search-based weighted
-    # certificate below
-    conical = conical_sigma_colimit(Q2, marked_op, cap, meter,
-                                    test_family=test_family)
+    conical = conical_sigma_colimit(Q2, marked_op, cap, meter, test_family=[])
     out = WeightedColimitResult(conical, W, P, [])
     if not conical.finite:
         return out
+    # per test category, the conical certificate of C against P·π and the
+    # weighted one against W and P, on the same functors C → E
     for label, E in test_family:
-        ok = _certify_weighted(out, sigma, E, meter)
-        out.certificate.append((label, ok))
-        if not ok:
-            raise CertificateFailure(
-                f"weighted universal property fails against {label}")
+        homs = functor_homs(conical.category, E, meter)
+        _record(conical.certificate, label,
+                _certify_against(conical, E, homs, meter),
+                "colimit universal property fails against test category")
+        _record(out.certificate, label, _certify_weighted(out, sigma, E, homs, meter),
+                "weighted universal property fails against")
     return out
 
 
 def hom_into_diagram(P: CatDiagram, E: FinCat,
-                     meter: Meter | None = None) -> CatDiagram:
-    """The diagram Cat(P-, E) on the dual base."""
+                     meter: Meter | None = None) -> tuple[CatDiagram, dict]:
+    """The diagram Cat(P-, E) on the dual base, and per base object A the
+    functor category Cat(P(A), E) whose table is its value at A."""
     meter = meter or Meter()
     base = P.source
     opbase = op_dual(base)
@@ -626,30 +641,115 @@ def hom_into_diagram(P: CatDiagram, E: FinCat,
     for x in base.all_two_cells():
         f, g = base.src2(x), base.tgt2(x)
         A, B = base.src1(f), base.tgt1(f)
-        comps = {}
-        for hname, h in fcats[B].functors.items():
-            comps[hname] = fcats[A].name_of_transf(
-                whisker_functor_nat(h, P.on_2[x]))
-        # contravariance flips the direction: x : f => g acts g* => f*
-        on_2[x] = NatTransf(on_1[g], on_1[f], comps)
-    # in the dual base, 2-cells keep their boundaries, so rebuild typing
-    fixed_on_2 = {}
-    for x in base.all_two_cells():
-        f, g = base.src2(x), base.tgt2(x)
-        fixed_on_2[x] = NatTransf(on_1[f], on_1[g], on_2[x].components)
-    return CatDiagram(opbase, on_obj, on_1, fixed_on_2)
+        # P(x) : P(f) ⇒ P(g) whiskers to h∘P(f) ⇒ h∘P(g): in the dual base
+        # 2-cells keep their boundaries
+        comps = {hname: fcats[A].name_of_transf(whisker_functor_nat(h, P.on_2[x]))
+                 for hname, h in fcats[B].functors.items()}
+        on_2[x] = NatTransf(on_1[f], on_1[g], comps)
+    return CatDiagram(opbase, on_obj, on_1, on_2), fcats
 
 
 def _certify_weighted(out: WeightedColimitResult, sigma: WideSub, E: FinCat,
-                      meter: Meter) -> bool:
-    C = out.category
-    fc = functor_category_full(C, E, meter)
-    target = hom_into_diagram(out.argument, E, meter)
-    h = hom_eps(out.weight, target, sigma_flavor(sigma.arrows), meter)
-    if len(fc.cat.objects) != len(h.cat.objects) or \
-            len(fc.cat.arrows) != len(h.cat.arrows):
+                      homs: tuple, meter: Meter) -> bool:
+    """Composition with the universal weighted cocone ω must be an
+    isomorphism of categories Cat(C, E) → σ-Nat(W, Cat(P-, E)), decided on
+    objects and hom-sets; ``homs`` is ``functor_homs(C, E)``, the same the
+    conical certificate of C reads.
+
+    ω is read off the inner conical cone κ under P·π, whose base is the
+    dual of W's elements: ω_A(x) = κ_(x,A), ω_A(u : x → x') is κ's cell at
+    ``(id_A, u)@x``, and ω's structural cell at f : A → B (a 1-cell of W's
+    base) has at x the cell of κ at ``(f, id_{W(f)x})@x``.  A functor
+    H : C → E goes to the transformation H_*ω, looked up by
+    ``Transformation.key()`` among the enumerated ones; a transformation
+    μ : H ⇒ H' goes to the modification μ_*ω, whose component at A and x
+    is μκ_(x,A), named in Cat(P(A), E).  The object map must be a
+    bijection, and for every pair of functors the arrow map a bijection of
+    hom-sets.  Neither composition table is built.  The map is a functor
+    without further checks: both sides compose componentwise in E, so
+    (μ'·μ)_*ω = μ'_*ω · μ_*ω, and (1_H)_*ω has identity components, so it
+    is the identity of H_*ω.  A functor bijective on objects and on
+    hom-sets is an isomorphism.
+    """
+    W, kappa = out.weight, out.conical.cone
+    wbase = W.source
+    objs = sorted(wbase.objects)
+    target, fcats = hom_into_diagram(out.argument, E, meter)
+    ts, mods = transformation_homs(W, target, sigma_flavor(sigma.arrows), meter)
+    fs, nats = homs
+    if len(fs) != len(ts):
         return False
-    return find_isomorphism(fc.cat, h.cat, meter) is not None
+    # ω, with every list in the order its key sorts: the legs (A, x); per
+    # A the objects x and the arrows u : x → x' with κ's cell; per 1-cell
+    # f : A → B and x the cell of κ, from the leg at (A, x) precomposed
+    # with P(f) to the leg at (B, W(f)x); a cell is given by its rows
+    # (y, component) in the order of y
+    legs = {(A, x): kappa.components[el_mod.obj_name(x, A)]
+            for A in objs for x in W.on_obj[A].objects}
+    leg_rows = {leg: sorted(k.obj_map.items()) for leg, k in legs.items()}
+
+    def rows(cell: str) -> list:
+        return sorted(kappa.structural[cell].components.items())
+
+    def named(B: str, src: str, tgt: str, cell_rows: list, arr_map: dict) -> str:
+        """The arrow src → tgt of Cat(P(B), E) with component arr_map[c] at
+        each row (y, c)."""
+        return fcats[B].name_of_transf_between(
+            src, tgt, tuple((y, arr_map[c]) for y, c in cell_rows))
+
+    on_arrows = []
+    for A in objs:
+        WA = W.on_obj[A]
+        idA = wbase.id1[A]
+        on_arrows.append((A, sorted(WA.objects), [
+            (u, (A, x), (A, x2), rows(el_mod.mor_name(idA, u, x)))
+            for u, (x, x2) in sorted(WA.arrows.items())]))
+    on_cells = []
+    for f in sorted(wbase.all_one_cells()):
+        A, B = wbase.src1(f), wbase.tgt1(f)
+        WB, Wf = W.on_obj[B], W.on_1[f].obj_map
+        on_cells.append((f, B, target.on_1[f].obj_map, [
+            (x, (A, x), (B, Wf[x]), rows(el_mod.mor_name(f, WB.identity[Wf[x]], x)))
+            for x in sorted(W.on_obj[A].objects)]))
+
+    position = {t.key(): i for i, t in enumerate(ts)}
+    images = []  # per functor, the name in Cat(P(A), E) of each leg H κ_(x,A)
+    obj_map = []
+    for H in fs:
+        hk = {leg: fcats[leg[0]].name_of_functor(compose_functors(H, k))
+              for leg, k in legs.items()}
+        ha = H.arr_map
+        key = (tuple((A, (tuple((x, hk[(A, x)]) for x in xs),
+                          tuple((u, named(A, hk[s], hk[t], r, ha))
+                                for u, s, t, r in arrows)))
+                     for A, xs, arrows in on_arrows),
+               tuple((f, tuple((x, named(B, pre[hk[s]], hk[t], r, ha))
+                               for x, s, t, r in cells))
+                     for f, B, pre, cells in on_cells))
+        i = position.get(key)
+        if i is None:
+            return False
+        images.append(hk)
+        obj_map.append(i)
+    if len(set(obj_map)) != len(obj_map):
+        return False
+    for (i, j), mus in nats.items():
+        targets = mods[(obj_map[i], obj_map[j])]
+        if len(mus) != len(targets):
+            return False
+        index = {m.key(): k for k, m in enumerate(targets)}
+        src, tgt = images[i], images[j]
+        hit = set()
+        for mu in mus:
+            mc = mu.components
+            k = index.get(tuple(
+                (A, tuple((x, named(A, src[(A, x)], tgt[(A, x)], leg_rows[(A, x)], mc))
+                          for x in xs))
+                for A, xs, _ in on_arrows))
+            if k is None or k in hit:
+                return False
+            hit.add(k)
+    return True
 
 
 # ---------------------------------------------------------------------------

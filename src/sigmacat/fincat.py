@@ -447,10 +447,13 @@ class FunctorCategory:
             raise KeyError("functor not an object of this functor category") from None
 
     def name_of_transf(self, n: NatTransf) -> str:
-        src = self.name_of_functor(n.source)
-        tgt = self.name_of_functor(n.target)
+        return self.name_of_transf_between(self.name_of_functor(n.source),
+                                           self.name_of_functor(n.target), n.key())
+
+    def name_of_transf_between(self, src: str, tgt: str, key: tuple) -> str:
+        """The arrow ``src → tgt`` whose ``NatTransf.key()`` is ``key``."""
         try:
-            return self._transf_names[(src, tgt, n.key())]
+            return self._transf_names[(src, tgt, key)]
         except KeyError:
             raise KeyError("transformation not an arrow of this functor category") \
                 from None

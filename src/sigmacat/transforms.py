@@ -743,17 +743,26 @@ def _squares_commute(squares: list, combo: tuple) -> bool:
     return True
 
 
-def hom_eps(P: CatDiagram, Q: CatDiagram, flavor: Flavor,
-            meter: Meter | None = None) -> HomCategory:
-    """The category of flavor-constrained transformations P ⇒ Q.
-
-    Objects are the enumerated transformations, arrows all modifications
-    between them, composition componentwise.
-    """
+def transformation_homs(P: CatDiagram, Q: CatDiagram, flavor: Flavor,
+                        meter: Meter | None = None
+                        ) -> tuple[list[Transformation], dict]:
+    """The flavor-constrained transformations P ⇒ Q, sorted by key, and per
+    pair (i, j) of their positions the modifications from the i-th to the
+    j-th: the objects and hom-sets of ``hom_eps``, with no composition
+    table."""
     meter = meter or Meter()
     ts = enumerate_transformations(P, Q, flavor, meter)
-    mods = {(i, j): enumerate_modifications(t1, t2, meter)
-            for i, t1 in enumerate(ts) for j, t2 in enumerate(ts)}
+    return ts, {(i, j): enumerate_modifications(t1, t2, meter)
+                for i, t1 in enumerate(ts) for j, t2 in enumerate(ts)}
+
+
+def hom_eps(P: CatDiagram, Q: CatDiagram, flavor: Flavor,
+            meter: Meter | None = None) -> HomCategory:
+    """The category of flavor-constrained transformations P ⇒ Q:
+    ``transformation_homs`` assembled, composed componentwise, one tick per
+    composable pair."""
+    meter = meter or Meter()
+    ts, mods = transformation_homs(P, Q, flavor, meter)
 
     def is_identity(m: Modification) -> bool:
         return all(nat_is_identity(n) for n in m.components.values())

@@ -80,6 +80,21 @@ def test_undecided_colimit_exits_three(capsys):
                             "2 4 4 4 4 4 4 4 4\n")
 
 
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("sigma,golden", [
+    (["--sigma", "f"], "colimit_pick0_weight_on_op_arrow_sigma_f.json"),
+    ([], "colimit_pick0_weight_on_op_arrow.json"),
+])
+def test_weighted_colimit_reports(capsys, sigma, golden):
+    """The full report of ``colimit --weight``, byte for byte."""
+    code, out = invoke(capsys, "colimit", str(FIXTURES / "diagram_pick0.json"),
+                       "--weight", str(FIXTURES / "weight_on_op_arrow.json"), *sigma)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()
+
+
 def test_small_cap_is_honest(capsys):
     code, out = invoke(capsys, "colimit",
                        str(FIXTURES / "const_terminal_parallel.json"),

@@ -71,6 +71,35 @@ def test_conical_certificate_builds_no_composition_table(base, monkeypatch):
     assert [ok for _, ok in res.certificate] == [True] * 4
 
 
+def test_weighted_certificate_builds_no_composition_table(base, monkeypatch):
+    """The weighted certificate checks the canonical comparison on
+    hom-sets: it must certify with the isomorphism search, the Hom
+    category and the functor category out of the colimit made to fail."""
+    from sigmacat import colimits, elements, fincat, flatness, transforms
+    W, P = weight_on_op_arrow(), diagram_pick0()
+    C = weighted_sigma_colimit(W, P, wide_all(base), test_family=[]).category
+    full = fincat.functor_category_full
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the certificate assembled a composition table")
+
+    def functor_category_unless_out_of_c(c, d, meter=None):
+        if (c.objects, c.arrows) == (C.objects, C.arrows):
+            refuse()
+        return full(c, d, meter)
+
+    for module in (fincat, transforms, colimits, elements, flatness):
+        for name, stand_in in (("find_isomorphism", refuse), ("hom_eps", refuse),
+                               ("functor_category_full",
+                                functor_category_unless_out_of_c)):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, stand_in)
+    res = weighted_sigma_colimit(W, P, wide_all(base))
+    assert res.status == "finite"
+    assert [ok for _, ok in res.certificate] == [True] * 4
+    assert [ok for _, ok in res.conical.certificate] == [True] * 4
+
+
 def test_identity_marking_only_inverts_isos():
     # with only identities marked, the colimit is the components category
     # of the dual construction: the nontrivial 2-cell still merges arrows

@@ -21,7 +21,10 @@ The colimit certificate, which decides precomposition with a cone on
 hom-sets, is checked against the comparison functor between the
 assembled functor and cone categories, validated by ``validate_functor``,
 on the universal cone of each fixture colimit and on cones that are not
-universal.
+universal.  The weighted certificate, which decides composition with the
+universal weighted cocone on hom-sets, is checked the same way against
+the assembled canonical comparison, and against the isomorphism search
+it replaced.
 """
 
 import dataclasses
@@ -29,34 +32,40 @@ import itertools
 
 import pytest
 
+from helpers import idempotent_category
 from sigmacat.colimits import (BaseCone, SigmaCone, _certify_against,
-                               base_cone_category, check_base_cone,
-                               check_sigma_cone, cones_sigma,
-                               conical_sigma_colimit, default_test_family)
+                               _certify_weighted, base_cone_category,
+                               check_base_cone, check_sigma_cone, cones_sigma,
+                               conical_sigma_colimit, default_test_family,
+                               hom_into_diagram, weighted_sigma_colimit)
 from sigmacat.config import Meter
 from sigmacat.errors import PreconditionFailed
 from sigmacat.filteredness import (ShapeDiagram, cocone_category,
                                    cone_existence, shape_diagram_1,
                                    shape_diagram_2, shape_diagram_3)
+from sigmacat.elements import mor_name, obj_name
 from sigmacat.fincat import (Functor, NatTransf, arrow_category,
                              assemble_category, compose_functors,
                              discrete_category, enumerate_functors, enumerate_nat_transfs,
-                             functor_category_full, group_z2_category,
-                             iso_pair_category, mk_fincat, terminal_category,
+                             find_isomorphism, functor_category_full,
+                             functor_homs, group_z2_category,
+                             iso_pair_category, terminal_category,
                              validate_functor,
                              vcomp_nat, whisker_functor_nat,
                              whisker_nat_functor)
 from sigmacat.fixtures import (arrow_2cat, chain3_2cat, diagram_collapse,
                                diagram_on_free2cell, diagram_pick0,
                                diamond_2cat, marked_fixtures, pseudo_swap,
-                               pseudo_z2, weight_on_op_arrow)
+                               pseudo_z2, weight_constant_terminal_op,
+                               weight_on_op_arrow)
+from sigmacat.flatness import representable
 from sigmacat.transforms import (LAX, PSEUDO, STRICT, Modification,
                                  Transformation, check_modification,
                                  check_transformation, constant_diagram,
                                  hom_eps, identity_twofunctor, sigma_flavor,
                                  TwoFunctor, validate_twofunctor)
 from sigmacat.two_cat import (Marked2Cat, free_2cell_2cat, mk_fin2cat,
-                              terminal_2cat, two_parallel_2cells_2cat,
+                              op_dual, terminal_2cat, two_parallel_2cells_2cat,
                               wide_all, wide_from, wide_identities)
 
 
@@ -241,6 +250,10 @@ def assembled_certificate(result, E) -> bool:
     return validate_functor(Functor(fc.cat, cc.cat, obj_map, arr_map)).ok
 
 
+def conical_certificate(result, E) -> bool:
+    return _certify_against(result, E, functor_homs(result.category, E), Meter())
+
+
 def constant_cone(result):
     """The cone whose legs send everything to the least object of R, with
     identity cells: a cone, but not a universal one unless R has one arrow."""
@@ -268,12 +281,6 @@ COLIMITS = {
     for mark, marking in (("ids", wide_identities), ("all", wide_all))
 }
 
-def idempotent_category():
-    """One object, with e and an idempotent z that is not invertible."""
-    return mk_fincat(("*",), {"e": ("*", "*"), "z": ("*", "*")}, {"*": "e"},
-                     {("e", "e"): "e", ("e", "z"): "z", ("z", "e"): "z",
-                      ("z", "z"): "z"})
-
 
 # The test family, then two categories with non-identity endomorphisms.
 # Against Z2 the constant cone of the pair over a point is bijective on
@@ -289,10 +296,10 @@ def test_colimit_certificate_matches_the_assembled_comparison(case):
     result = conical_sigma_colimit(Q, marking(Q.source), test_family=[])
     for E in TEST_CATEGORIES:
         assert assembled_certificate(result, E)
-        assert _certify_against(result, E, Meter())
+        assert conical_certificate(result, E)
     other = dataclasses.replace(result, cone=constant_cone(result))
     verdicts = [assembled_certificate(other, E) for E in TEST_CATEGORIES]
-    assert [_certify_against(other, E, Meter()) for E in TEST_CATEGORIES] == verdicts
+    assert [conical_certificate(other, E) for E in TEST_CATEGORIES] == verdicts
     if case == "pick0-all":
         assert verdicts[:4] == [True, False, False, False]
 
@@ -310,7 +317,201 @@ def test_colimit_certificate_matches_the_assembled_comparison_on_every_cone(case
             other = dataclasses.replace(result, category=V, cone=cone)
             for E in TEST_CATEGORIES:
                 verdict = assembled_certificate(other, E)
-                assert _certify_against(other, E, Meter()) == verdict
+                assert conical_certificate(other, E) == verdict
+                verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# The weighted certificate.  Both references assemble Fun(C, E) and
+# σ-Nat(W, Cat(P-, E)) with their composition tables.  The first is the
+# search the certificate replaced: sizes, then any isomorphism between the
+# two.  The second is the canonical comparison between them, H ↦ H_*ω and
+# μ ↦ μ_*ω built by whiskering with the legs and cells of κ, named by
+# name_of_transf and checked by validate_functor.  The search does not read
+# the cone, so only the second can judge a cone that is not universal.
+
+
+def assembled_sides(out, sigma, E):
+    fc = functor_category_full(out.category, E)
+    target, fcats = hom_into_diagram(out.argument, E)
+    h = hom_eps(out.weight, target, sigma_flavor(sigma.arrows))
+    return fc, target, fcats, h
+
+
+def search_certificate(fc, h) -> bool:
+    if len(fc.cat.objects) != len(h.cat.objects) or \
+            len(fc.cat.arrows) != len(h.cat.arrows):
+        return False
+    return find_isomorphism(fc.cat, h.cat) is not None
+
+
+def assembled_weighted_certificate(out, fc, target, fcats, h) -> bool:
+    W, kappa, wbase = out.weight, out.conical.cone, out.weight.source
+    if len(fc.cat.objects) != len(h.cat.objects) or \
+            len(fc.cat.arrows) != len(h.cat.arrows):
+        return False
+
+    def leg(A, x):
+        return kappa.components[obj_name(x, A)]
+
+    def cell(H, B, name):
+        return fcats[B].name_of_transf(
+            whisker_functor_nat(H, kappa.structural[name]))
+
+    obj_map, arr_map = {}, {}
+    for name, H in fc.functors.items():
+        comps = {}
+        for A in wbase.objects:
+            WA = W.on_obj[A]
+            comps[A] = Functor(
+                WA, fcats[A].cat,
+                {x: fcats[A].name_of_functor(compose_functors(H, leg(A, x)))
+                 for x in WA.objects},
+                {u: cell(H, A, mor_name(wbase.id1[A], u, x))
+                 for u, (x, _) in WA.arrows.items()})
+        structural = {}
+        for f in wbase.all_one_cells():
+            A, B = wbase.src1(f), wbase.tgt1(f)
+            WB, Wf = W.on_obj[B], W.on_1[f]
+            structural[f] = NatTransf(
+                compose_functors(target.on_1[f], comps[A]),
+                compose_functors(comps[B], Wf),
+                {x: cell(H, B, mor_name(f, WB.identity[Wf.obj_map[x]], x))
+                 for x in W.on_obj[A].objects})
+        try:
+            obj_map[name] = h.name_of_transf(
+                Transformation(W, target, comps, structural, h.flavor))
+        except KeyError:
+            return False
+    mod_names = {(h.cat.arrows[n], m.key()): n for n, m in h.mods.items()}
+    for name, mu in fc.transfs.items():
+        src, tgt = fc.cat.arrows[name]
+        key = tuple((A, tuple(sorted(
+            (x, fcats[A].name_of_transf(whisker_nat_functor(mu, leg(A, x))))
+            for x in W.on_obj[A].objects))) for A in sorted(wbase.objects))
+        arr_map[name] = mod_names.get(((obj_map[src], obj_map[tgt]), key))
+        if arr_map[name] is None:
+            return False
+    if len(set(obj_map.values())) != len(obj_map) or \
+            len(set(arr_map.values())) != len(arr_map):
+        return False
+    return validate_functor(Functor(fc.cat, h.cat, obj_map, arr_map)).ok
+
+
+def weighted_certificate(out, sigma, E) -> bool:
+    return _certify_weighted(out, sigma, E, functor_homs(out.category, E), Meter())
+
+
+OP_ARROW = weight_on_op_arrow().source
+WEIGHTED = {
+    f"{wname}-{pname}-{mark}": (mkW, mkP, marking)
+    for wname, mkW in (("weight_on_op_arrow", weight_on_op_arrow),
+                       ("repr0", lambda: representable(OP_ARROW, "0")),
+                       ("repr1", lambda: representable(OP_ARROW, "1")),
+                       ("terminal", weight_constant_terminal_op))
+    for pname, mkP in (("pick0", diagram_pick0), ("collapse", diagram_collapse))
+    for mark, marking in (("ids", wide_identities), ("all", wide_all))
+}
+
+# Out of the references' reach: Fun(C, idempotent) for this case has 2,240
+# arrows, and assembling it alone takes 292,257 ticks, past the default
+# budget.  There the certificate runs alone and must hold.
+REFERENCE_OVER_BUDGET = {("weight_on_op_arrow-pick0-ids", 5)}
+
+
+def weighted_colimit(case):
+    mkW, mkP, marking = WEIGHTED[case]
+    P = mkP()
+    sigma = marking(P.source)
+    return weighted_sigma_colimit(mkW(), P, sigma, test_family=[]), sigma
+
+
+@pytest.mark.parametrize("case", sorted(WEIGHTED))
+def test_weighted_certificate_matches_the_search_it_replaced(case):
+    """On the universal cocone all three hold: the search against the
+    test family, the assembled canonical comparison against the test
+    family, Z2 and the idempotent."""
+    out, sigma = weighted_colimit(case)
+    for k, E in enumerate(TEST_CATEGORIES):
+        assert weighted_certificate(out, sigma, E)
+        if (case, k) in REFERENCE_OVER_BUDGET:
+            continue
+        fc, target, fcats, h = assembled_sides(out, sigma, E)
+        assert assembled_weighted_certificate(out, fc, target, fcats, h)
+        if k < len(default_test_family()):
+            assert search_certificate(fc, h)
+
+
+def pair_over_point():
+    """The terminal weight and the discrete pair over the point: C is the
+    pair itself, with two components."""
+    point = terminal_2cat()
+    return (weighted_sigma_colimit(
+        constant_diagram(op_dual(point), terminal_category()),
+        constant_diagram(point, discrete_category(["x", "y"])),
+        wide_all(point), test_family=[]), wide_all(point))
+
+
+def constant_weighted_cone(out):
+    """κ followed by the constant endofunctor of C at its least object."""
+    C, kappa = out.category, out.conical.cone
+    c = min(C.objects)
+    K = Functor(C, C, {o: c for o in C.objects}, {a: C.identity[c] for a in C.arrows})
+    cone = dataclasses.replace(
+        kappa,
+        components={A: compose_functors(K, k) for A, k in kappa.components.items()},
+        structural={f: whisker_functor_nat(K, n) for f, n in kappa.structural.items()})
+    assert check_sigma_cone(cone).ok
+    return dataclasses.replace(out, conical=dataclasses.replace(out.conical, cone=cone))
+
+
+@pytest.mark.parametrize("case", ["weight_on_op_arrow-pick0-all", "pair-over-point"])
+def test_weighted_certificate_rejects_a_constant_cone(case):
+    """With the legs sent to one object of C, which has at least two, the
+    certificate agrees with the assembled canonical comparison against
+    every test category.  Against iso_pair both reject: each functor
+    C → iso_pair gives a cocone that only sees its value at one object, so
+    composition is not injective on objects; the conical certificate of
+    the same cone rejects too.  The search does not read the cone, so it
+    still finds C to be the colimit.  Against Z2 the pair over the point is
+    bijective on objects, with hom-sets of equal sizes, but not injective
+    on them: C has two components and the cone sees one."""
+    out, sigma = weighted_colimit(case) if case in WEIGHTED else pair_over_point()
+    assert len(out.category.objects) >= 2
+    other = constant_weighted_cone(out)
+    verdicts = []
+    for E in TEST_CATEGORIES:
+        verdict = assembled_weighted_certificate(other, *assembled_sides(other, sigma, E))
+        assert weighted_certificate(other, sigma, E) == verdict
+        verdicts.append(verdict)
+    iso_pair = TEST_CATEGORIES[2]
+    assert verdicts[2] is False
+    assert not conical_certificate(other.conical, iso_pair)
+    fc, _, _, h = assembled_sides(other, sigma, iso_pair)
+    assert search_certificate(fc, h)
+    if case == "pair-over-point":
+        assert verdicts[4] is False  # Z2
+
+
+@pytest.mark.parametrize("case", sorted(
+    c for c in WEIGHTED if not c.startswith("weight_on_op_arrow")))
+def test_weighted_certificate_matches_the_assembled_comparison_on_every_cone(case):
+    """Every cone under P·π with vertex 1 or the idempotent, put in place of
+    the universal one: the certificate agrees with the assembled canonical
+    comparison on each.  The weight_on_op_arrow cases are left to the
+    tests above; their cones take seconds here."""
+    out, sigma = weighted_colimit(case)
+    Q, marked = out.conical.diagram, out.conical.marked
+    verdicts = set()
+    for V in (terminal_category(), idempotent_category()):
+        for cone in cones_sigma(Q, marked, V).cones.values():
+            other = dataclasses.replace(
+                out, conical=dataclasses.replace(out.conical, category=V, cone=cone))
+            for E in TEST_CATEGORIES:
+                verdict = assembled_weighted_certificate(
+                    other, *assembled_sides(other, sigma, E))
+                assert weighted_certificate(other, sigma, E) == verdict
                 verdicts.add(verdict)
     assert verdicts == {True, False}
 

@@ -10,8 +10,10 @@ import hashlib
 
 import pytest
 
+from helpers import table_digest
 from sigmacat.colimits import (base_cone_category, cones_sigma,
-                               conical_sigma_colimit, default_test_family)
+                               conical_sigma_colimit, default_test_family,
+                               weighted_sigma_colimit)
 from sigmacat.config import DEFAULT_BUDGET, Meter
 from sigmacat.fincat import (arrow_category, discrete_category,
                              functor_category_full, iso_pair_category,
@@ -19,9 +21,10 @@ from sigmacat.fincat import (arrow_category, discrete_category,
 from sigmacat.filteredness import (cocone_category, cone_existence,
                                    shape_diagram_1, shape_diagram_2,
                                    shape_diagram_3)
-from sigmacat.fixtures import (arrow_2cat, diagram_on_free2cell, diagram_pick0,
-                               diamond_2cat, marked_fixtures, poset_category,
-                               pseudo_swap, pseudo_z2)
+from sigmacat.fixtures import (arrow_2cat, diagram_collapse, diagram_on_free2cell,
+                               diagram_pick0, diamond_2cat, marked_fixtures,
+                               poset_category, pseudo_swap, pseudo_z2,
+                               weight_on_op_arrow)
 from sigmacat.flatness import (canonical_expression, check_left_exact,
                                generate_bilimit_cones, representable)
 from sigmacat.presented import localize
@@ -34,13 +37,6 @@ from sigmacat.two_cat import (Marked2Cat, free_2cell_2cat, two_cat_from_cat,
 def chain(n, prefix=""):
     objs = [f"{prefix}{i}" for i in range(n)]
     return poset_category(objs, [(objs[i], objs[i + 1]) for i in range(n - 1)])
-
-
-def table_digest(c):
-    """Digest of the full sorted tables: objects, arrows, identities, composition."""
-    tables = (tuple(sorted(c.objects)), sorted(c.arrows.items()),
-              sorted(c.identity.items()), sorted(c.compose.items()))
-    return hashlib.sha256(repr(tables).encode()).hexdigest()[:16]
 
 
 def fingerprint(meter, c):
@@ -82,6 +78,11 @@ CASES = {
         internal_hom_diagram(constant_diagram(arrow_2cat(), arrow_category()),
                              constant_diagram(arrow_2cat(), arrow_category()))[0],
         arrow_2cat(), LAX, m).cat,
+    "weighted-w_arrow-pick0-all": lambda m: weighted_sigma_colimit(
+        weight_on_op_arrow(), diagram_pick0(), wide_all(arrow_2cat()), meter=m).category,
+    "weighted-w_arrow-collapse-all": lambda m: weighted_sigma_colimit(
+        weight_on_op_arrow(), diagram_collapse(), wide_all(arrow_2cat()),
+        meter=m).category,
 }
 
 # (ticks, objects, arrows, composable pairs, table digest)
@@ -100,6 +101,8 @@ EXPECTED = {
     "hom-p-pseudo_z2-pseudo_z2": (182, 4, 16, 64, "0b751bc33008244a"),
     "hom-l-pseudo_swap-pseudo_z2": (2854, 8, 128, 2048, "dbde37d6009e4081"),
     "end-l-delta_arrow-delta_arrow": (35, 6, 20, 50, "3ee6b5da0ebcf55d"),
+    "weighted-w_arrow-pick0-all": (9783, 5, 18, 58, "237ee44e8199f1fe"),
+    "weighted-w_arrow-collapse-all": (2880, 4, 16, 64, "da9a62f7a933edb2"),
 }
 
 

@@ -5,6 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from closure_reference import reference_localize
+from helpers import idempotent_category, posets, table_digest
 from sigmacat.colimits import default_test_family
 from sigmacat.config import Meter
 from sigmacat.errors import SizeLimitExceeded, ValidationError
@@ -15,9 +16,6 @@ from sigmacat.fincat import (Functor, arrow_category, compose_functors,
                              validate_category)
 from sigmacat.presented import (Presentation, localization_functor, localize,
                                 saturate_presentation)
-from test_enumeration_oracles import idempotent_category
-from test_kernel_parity import table_digest
-from test_properties import posets
 
 
 def zigzag_oracle_classes(c, sigma, cap):
