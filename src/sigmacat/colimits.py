@@ -25,9 +25,12 @@ Cones over a 2-functor into a finite 2-category go through one cone
 kernel: ``base_cone_candidates`` proposes legs and structural cells,
 ``base_cone_laws`` decides LN2 and LN1 by lookups in the ambient's
 tables, and ``base_cone_square`` decides the modification square.
-``base_cone_category``, the bilimit search of ``flatness`` and the
-cocone searches of ``filteredness`` all run on it; a cocone is a cone in
-the 1-cell dual, with the same maps.  ``check_base_cone`` and
+``base_cone_category`` and the cocone searches of ``filteredness`` run
+on it; a cocone is a cone in the 1-cell dual, with the same maps.
+``BaseConeCategories`` keeps the cone categories of one diagram, built
+by ``base_cone_category`` once per vertex, and tests cones over it for
+being bilimits; ``is_bilimit_cone`` and the bilimit search of
+``flatness`` go through it.  ``check_base_cone`` and
 ``check_sigma_cone`` state the laws directly and are the reference
 validators.
 """
@@ -908,10 +911,15 @@ def base_cone_category(D: TwoFunctor, marked: frozenset, vertex: str,
                        meter: Meter | None = None):
     """All marked-relative cones over D with the given vertex, as a FinCat.
 
+    The cones are named ``k0, k1, …`` in the order the kernel generates
+    them: legs lexicographically, then structural cells.  Every pool is
+    sorted by name, so this is also the sorted order of (legs, cells).
     Arrows are families of 2-cells between components satisfying the
     modification square.  Returns (category, cones by name, arrow
     components by name).  Ticks once per choice of legs, per cell
-    candidate and per morphism candidate.
+    candidate, per morphism candidate and per composable pair of the
+    composition table.  ``BaseConeCategories`` keeps one per vertex for a
+    whole bilimit search.
     """
     meter = meter or Meter()
     sh, amb = D.source, D.target
@@ -923,8 +931,6 @@ def base_cone_category(D: TwoFunctor, marked: frozenset, vertex: str,
             meter.tick()
             if hold(struct):
                 found.append(BaseCone(sh, D, marked, vertex, comp, struct))
-    found.sort(key=lambda c: (tuple(sorted(c.comp.items())),
-                              tuple(sorted(c.struct.items()))))
     homs = {}
     for i, c1 in enumerate(found):
         for j, c2 in enumerate(found):
@@ -936,60 +942,91 @@ def base_cone_category(D: TwoFunctor, marked: frozenset, vertex: str,
                 rho = dict(zip(objs, combo))
                 if commutes(rho):
                     homs[(i, j)].append(rho)
+
+    def composite(r2: dict, r1: dict) -> tuple:
+        meter.tick()
+        return tuple(sorted((o, amb.vcomp(r2[o], r1[o])) for o in objs))
+
     cat, data = assemble_category(
         len(found), ("k", "q"), homs,
         lambda rho: all(amb.is_identity_2cell(x) for x in rho.values()),
-        lambda rho: tuple(sorted(rho.items())),
-        lambda r2, r1: tuple(sorted((o, amb.vcomp(r2[o], r1[o])) for o in objs)))
+        lambda rho: tuple(sorted(rho.items())), composite)
     return cat, {f"k{i}": c for i, c in enumerate(found)}, data
 
 
-def is_bilimit_cone(c: BaseCone, meter: Meter | None = None) -> bool:
-    """Bilimit test: precomposition is an equivalence at every vertex.
+def _cone_key(comp: dict, struct: dict) -> tuple:
+    return tuple(sorted(comp.items())), tuple(sorted(struct.items()))
 
-    The comparison from the ambient hom category at each object into the
-    cone category must be an equivalence, never an isomorphism;
-    equivalent bilimits need not be isomorphic.
+
+class BaseConeCategories:
+    """The cone categories Cones_D(X) of one diagram (D, marked), and the
+    bilimit test that reads them.
+
+    ``at(X)`` builds Cones_D(X) with ``base_cone_category`` on first use,
+    with the lookups of its cones and arrows, and keeps it: the categories
+    do not depend on the cone under test, so a search that tests many
+    cones over D shares one instance and builds each at most once.  All
+    ticks are those of the builds, on the given meter.
     """
-    meter = meter or Meter()
-    sh, D = c.shape, c.diagram
-    amb = D.target
-    if not check_base_cone(c).ok:
-        return False
-    for X in amb.objects:
-        cc_cat, cones, data = base_cone_category(D, c.marked, X, meter)
-        hom_cat = amb.hom[(X, c.vertex)]
-        lookup = {}
-        for name, cone in cones.items():
-            lookup[(tuple(sorted(cone.comp.items())),
-                    tuple(sorted(cone.struct.items())))] = name
-        obj_map = {}
-        for t in hom_cat.objects:
-            comp = {i: amb.hcomp1[(c.comp[i], t)] for i in sh.objects}
-            struct = {u: amb.hcomp2[(c.struct[u], amb.id2(t))]
-                      for u in sh.all_one_cells()}
-            key = (tuple(sorted(comp.items())), tuple(sorted(struct.items())))
-            if key not in lookup:
+
+    def __init__(self, D: TwoFunctor, marked: frozenset,
+                 meter: Meter | None = None):
+        self.D, self.marked = D, marked
+        self.meter = meter or Meter()
+        self._at = {}
+
+    def at(self, X: str) -> tuple:
+        """(Cones_D(X), cones by name in generation order, the name of
+        each cone by its (legs, cells), the name of each arrow by its
+        source, target and components)."""
+        got = self._at.get(X)
+        if got is None:
+            cat, cones, data = base_cone_category(self.D, self.marked, X, self.meter)
+            objects = {_cone_key(c.comp, c.struct): n for n, c in cones.items()}
+            arrows = {(*cat.arrows[n], tuple(sorted(rho.items()))): n
+                      for n, rho in data.items()}
+            got = self._at[X] = (cat, cones, objects, arrows)
+        return got
+
+    def is_bilimit(self, c: BaseCone) -> bool:
+        """Bilimit test: at every object X, precomposition with the cone,
+        hom(X, vertex) → Cones_D(X), is a functor and an equivalence,
+        never required to be an isomorphism; equivalent bilimits need not
+        be isomorphic.  The cone must be over (D, marked); its laws are
+        not checked here (``check_base_cone`` does that)."""
+        if c.diagram != self.D or c.marked != self.marked:
+            raise PreconditionFailed("the cone is not over this diagram")
+        sh, amb = self.D.source, self.D.target
+        for X in amb.objects:
+            cat, _, objects, arrows = self.at(X)
+            hom_cat = amb.hom[(X, c.vertex)]
+            obj_map = {}
+            for t in hom_cat.objects:
+                key = _cone_key({i: amb.hcomp1[(c.comp[i], t)] for i in sh.objects},
+                                {u: amb.hcomp2[(c.struct[u], amb.id2(t))]
+                                 for u in sh.all_one_cells()})
+                if key not in objects:
+                    return False
+                obj_map[t] = objects[key]
+            arr_map = {}
+            for a, (s, t) in hom_cat.arrows.items():
+                rho = {i: amb.hcomp2[(amb.id2(c.comp[i]), a)] for i in sh.objects}
+                key = (obj_map[s], obj_map[t], tuple(sorted(rho.items())))
+                if key not in arrows:
+                    return False
+                arr_map[a] = arrows[key]
+            F = Functor(hom_cat, cat, obj_map, arr_map)
+            if not validate_functor(F).ok or not is_equivalence(F).verdict:
                 return False
-            obj_map[t] = lookup[key]
-        rev = {}
-        for name, rho in data.items():
-            rev[(cc_cat.arrows[name][0], cc_cat.arrows[name][1],
-                 tuple(sorted(rho.items())))] = name
-        arr_map = {}
-        for a in hom_cat.arrows:
-            s, t2 = hom_cat.arrows[a]
-            rho = {i: amb.hcomp2[(amb.id2(c.comp[i]), a)] for i in sh.objects}
-            key = (obj_map[s], obj_map[t2], tuple(sorted(rho.items())))
-            if key not in rev:
-                return False
-            arr_map[a] = rev[key]
-        F = Functor(hom_cat, cc_cat, obj_map, arr_map)
-        if not validate_functor(F).ok:
-            return False
-        if not is_equivalence(F).verdict:
-            return False
-    return True
+        return True
+
+
+def is_bilimit_cone(c: BaseCone, meter: Meter | None = None) -> bool:
+    """The cone's laws (``check_base_cone``), then the bilimit test of
+    ``BaseConeCategories`` over its own diagram, which builds Cones_D(X)
+    once per object X it reaches."""
+    return check_base_cone(c).ok and \
+        BaseConeCategories(c.diagram, c.marked, meter).is_bilimit(c)
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,8 @@ from .transforms import (CatDiagram, Transformation, hom_eps, PSEUDO,
 from .elements import (ElementsResult, elements_of, elements_of_pseudo,
                        _split_obj)
 from .filteredness import FilterednessReport, check_sigma_cofiltered
-from .colimits import (BaseCone, SigmaCone, base_cone_candidates,
-                       base_cone_laws, check_base_cone, conical_sigma_colimit,
-                       induced_from_colimit, is_bilimit_cone,
+from .colimits import (BaseConeCategories, SigmaCone, check_base_cone,
+                       conical_sigma_colimit, induced_from_colimit,
                        preserves_bilimit)
 
 
@@ -113,8 +112,14 @@ def generate_bilimit_cones(a: Fin2Cat, meter: Meter | None = None) -> list:
     """Search the base for bilimit cones of the four generating shapes.
 
     Only shapes certified by the bilimit test are returned; on bases
-    without some bilimit the shape is simply absent.  Intended for
-    poset-like bases where the search is small.
+    without some bilimit the shape is simply absent.  Each diagram
+    (D, marked) is searched over one ``BaseConeCategories``: the vertices
+    L are tried in sorted order, the cones of Cones_D(L) in the kernel's
+    generation order, and the first cone that passes ``check_base_cone``
+    and the bilimit test is returned.  The walk and the test read the same
+    cone categories, so each Cones_D(X) is built at most once per diagram;
+    the ticks are those of these builds.  Intended for poset-like bases
+    where the search is small.
     """
     from .filteredness import (shape_pair, shape_parallel, shape_two_cells)
     from .transforms import TwoFunctor
@@ -122,14 +127,12 @@ def generate_bilimit_cones(a: Fin2Cat, meter: Meter | None = None) -> list:
     cones = []
 
     def search(D, marked):
+        over = BaseConeCategories(D, marked, meter)
         for L in sorted(a.objects):
-            for comp, structs in base_cone_candidates(D, marked, L, meter):
-                hold = base_cone_laws(D, comp)
-                for struct in structs:
-                    if hold(struct):
-                        cone = BaseCone(D.source, D, marked, L, comp, struct)
-                        if is_bilimit_cone(cone, meter):
-                            return cone
+            _, found, _, _ = over.at(L)
+            for cone in found.values():
+                if check_base_cone(cone).ok and over.is_bilimit(cone):
+                    return cone
         return None
 
     sh1 = shape_pair()

@@ -95,6 +95,15 @@ def test_weighted_colimit_reports(capsys, sigma, golden):
     assert out == (GOLDEN / golden).read_text()
 
 
+@pytest.mark.parametrize("fixture", ["representable_diamond_top", "repr_diamond_a"])
+def test_exact_reports(capsys, fixture):
+    """The full report of ``exact`` against the bilimit cones found in the
+    diamond, byte for byte."""
+    code, out = invoke(capsys, "exact", str(FIXTURES / f"{fixture}.json"))
+    assert code == 0
+    assert out == (GOLDEN / f"exact_{fixture}.json").read_text()
+
+
 def test_small_cap_is_honest(capsys):
     code, out = invoke(capsys, "colimit",
                        str(FIXTURES / "const_terminal_parallel.json"),

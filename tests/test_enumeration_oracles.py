@@ -25,19 +25,27 @@ universal.  The weighted certificate, which decides composition with the
 universal weighted cocone on hom-sets, is checked the same way against
 the assembled canonical comparison, and against the isomorphism search
 it replaced.
+
+The bilimit search of ``generate_bilimit_cones``, which walks shared cone
+categories, is checked against the per-candidate loop it replaced: the
+kernel's candidates and laws, then ``is_bilimit_cone`` on each, which
+builds every cone category again.  Labels and cones must agree, in order.
 """
 
 import dataclasses
 import itertools
 
 import pytest
+from hypothesis import given, settings
 
-from helpers import idempotent_category
+from helpers import idempotent_category, posets
 from sigmacat.colimits import (BaseCone, SigmaCone, _certify_against,
-                               _certify_weighted, base_cone_category,
+                               _certify_weighted, base_cone_candidates,
+                               base_cone_category, base_cone_laws,
                                check_base_cone, check_sigma_cone, cones_sigma,
                                conical_sigma_colimit, default_test_family,
-                               hom_into_diagram, weighted_sigma_colimit)
+                               hom_into_diagram, is_bilimit_cone,
+                               weighted_sigma_colimit)
 from sigmacat.config import Meter
 from sigmacat.errors import PreconditionFailed
 from sigmacat.filteredness import (ShapeDiagram, cocone_category,
@@ -58,15 +66,16 @@ from sigmacat.fixtures import (arrow_2cat, chain3_2cat, diagram_collapse,
                                diamond_2cat, marked_fixtures, pseudo_swap,
                                pseudo_z2, weight_constant_terminal_op,
                                weight_on_op_arrow)
-from sigmacat.flatness import representable
+from sigmacat.flatness import generate_bilimit_cones, representable
 from sigmacat.transforms import (LAX, PSEUDO, STRICT, Modification,
                                  Transformation, check_modification,
                                  check_transformation, constant_diagram,
                                  hom_eps, identity_twofunctor, sigma_flavor,
                                  TwoFunctor, validate_twofunctor)
 from sigmacat.two_cat import (Marked2Cat, free_2cell_2cat, mk_fin2cat,
-                              op_dual, terminal_2cat, two_parallel_2cells_2cat,
-                              wide_all, wide_from, wide_identities)
+                              op_dual, terminal_2cat, two_cat_from_cat,
+                              two_parallel_2cells_2cat, wide_all, wide_from,
+                              wide_identities)
 
 
 def brute_transformations(P, Q, flavor) -> list:
@@ -744,3 +753,79 @@ def test_cone_existence_is_the_first_brute_force_cocone(case):
             first = (E, *found[0])
             break
     assert cone_existence(sd, m.sigma) == first
+
+
+# ---------------------------------------------------------------------------
+# The bilimit search against the per-candidate loop
+
+
+def reference_bilimit_cones(a) -> list:
+    """The four generating shapes in ``generate_bilimit_cones``' order, each
+    searched candidate by candidate: the kernel's legs and cells, its laws,
+    then ``is_bilimit_cone`` on the cone, with nothing shared between
+    candidates."""
+    full = Marked2Cat(a, wide_all(a))
+
+    def search(D, marked):
+        for L in sorted(a.objects):
+            for comp, structs in base_cone_candidates(D, marked, L, Meter()):
+                hold = base_cone_laws(D, comp)
+                for struct in structs:
+                    if hold(struct):
+                        cone = BaseCone(D.source, D, marked, L, comp, struct)
+                        if is_bilimit_cone(cone):
+                            return cone
+        return None
+
+    searches = [(f"biproduct({C},{D})", shape_diagram_1(full, C, D).diagram,
+                 frozenset())
+                for C in sorted(a.objects) for D in sorted(a.objects)]
+    for A in sorted(a.objects):
+        for B in sorted(a.objects):
+            for f in a.one_cells(A, B):
+                for g in a.one_cells(A, B):
+                    D = shape_diagram_2(full, f, g).diagram
+                    searches.append((f"biequalizer({f},{g})", D, frozenset({"u", "v"})))
+                    searches.append((f"biinserter({f},{g})", D, frozenset({"v"})))
+                    for al in a.two_cells_between(f, g):
+                        for be in a.two_cells_between(f, g):
+                            searches.append((
+                                f"biequifier({al},{be})",
+                                shape_diagram_3(full, f, g, al, be).diagram,
+                                frozenset({"u", "v"})))
+    out = []
+    for label, D, marked in searches:
+        got = search(D, marked)
+        if got is not None:
+            out.append((label, got))
+    return out
+
+
+def cone_rows(cones) -> list:
+    return [(label, c.vertex, sorted(c.comp.items()), sorted(c.struct.items()),
+             sorted(c.marked), sorted(c.diagram.obj_map.items()),
+             sorted(c.diagram.map1.items()), sorted(c.diagram.map2.items()))
+            for label, c in cones]
+
+
+def z2_2cat():
+    """One object whose 1-cells form ℤ/2: both cones over the biequalizer
+    of a 1-cell with itself, with legs e and s, are bilimits, so the
+    search must return the first one the kernel generates."""
+    return two_cat_from_cat(group_z2_category())
+
+
+@pytest.mark.parametrize("base", [diamond_2cat, free_2cell_2cat, arrow_2cat, z2_2cat])
+def test_bilimit_search_matches_the_per_candidate_loop(base):
+    a = base()
+    got = cone_rows(generate_bilimit_cones(a))
+    assert got
+    assert got == cone_rows(reference_bilimit_cones(a))
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(c=posets(5))
+def test_bilimit_search_matches_the_per_candidate_loop_on_posets(c):
+    a = two_cat_from_cat(c)
+    assert cone_rows(generate_bilimit_cones(a)) == \
+        cone_rows(reference_bilimit_cones(a))

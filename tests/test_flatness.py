@@ -2,6 +2,7 @@
 
 import pytest
 
+from sigmacat.colimits import BaseConeCategories
 from sigmacat.errors import Inconsistency, PreconditionFailed
 from sigmacat.fincat import (Functor, arrow_category, discrete_category,
                              is_equivalence, iso_pair_category,
@@ -141,6 +142,32 @@ def _i_if_above_a(diamond):
         on_1[f] = F
         on_2[diamond.id2(f)] = idn(F)
     return CatDiagram(diamond, on_obj, on_1, on_2)
+
+
+def test_bilimit_search_builds_each_cone_category_once(diamond, monkeypatch):
+    """The walk over the vertices and the bilimit test read the same cone
+    categories, so no Cones_D(X) is built twice for one (D, marked)."""
+    from sigmacat import colimits
+    build = colimits.base_cone_category
+    built = []
+
+    def counted(D, marked, vertex, meter=None):
+        built.append((tuple(sorted(D.obj_map.items())), tuple(sorted(D.map1.items())),
+                      tuple(sorted(D.map2.items())), marked, vertex))
+        return build(D, marked, vertex, meter)
+
+    monkeypatch.setattr(colimits, "base_cone_category", counted)
+    assert len(generate_bilimit_cones(diamond)) == 43
+    assert built
+    assert len(set(built)) == len(built)
+
+
+def test_bilimit_test_refuses_a_cone_over_another_diagram(diamond_cones):
+    (_, over_aa), (_, over_ab) = diamond_cones[:2]
+    cats = BaseConeCategories(over_aa.diagram, over_aa.marked)
+    assert cats.is_bilimit(over_aa)
+    with pytest.raises(PreconditionFailed):
+        cats.is_bilimit(over_ab)
 
 
 def test_generated_cones_cover_the_shapes(diamond, diamond_cones):

@@ -14,8 +14,10 @@ from sigmacat.errors import SizeLimitExceeded
 from sigmacat.fincat import (enumerate_functors, functor_homs, identity_functor,
                              nat_is_identity, vcomp_nat, whisker_nat_functor)
 from sigmacat.fixtures import arrow_2cat, idn
+from sigmacat.flatness import generate_bilimit_cones
 from sigmacat.transforms import CatDiagram
-from sigmacat.two_cat import op_dual, wide_all, wide_identities
+from sigmacat.two_cat import (op_dual, two_cat_from_cat, wide_all,
+                              wide_identities)
 
 # the weighted σ-colimit property: posets on at most MAX_OBJECTS objects
 # at each base object, MAX_EXAMPLES draws
@@ -86,3 +88,25 @@ def test_weighted_sigma_colimits_of_poset_valued_diagrams_are_certified(data):
     labels = [label for label, _ in default_test_family()]
     assert res.certificate == [(label, True) for label in labels]
     assert res.conical.certificate == [(label, True) for label in labels]
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(c=posets(5))
+def test_finite_bilimits_in_a_poset(c):
+    """A poset is a locally discrete 2-category, whose finite bilimits are
+    its finite limits: the biproduct of C and D is found exactly when
+    their meet C ∧ D exists, with that meet as vertex, and the
+    biequalizer and the biinserter of f with itself are found at the
+    source of f."""
+    a = two_cat_from_cat(c)
+    vertex = {label: cone.vertex for label, cone in generate_bilimit_cones(a)}
+    below = {X: {Y for Y in c.objects if c.hom(Y, X)} for X in c.objects}
+    for C in c.objects:
+        for D in c.objects:
+            lower = below[C] & below[D]
+            meet = [L for L in lower if lower <= below[L]]
+            event(f"meet exists: {bool(meet)}")
+            assert vertex.get(f"biproduct({C},{D})") == (meet[0] if meet else None)
+    for f in a.all_one_cells():
+        assert vertex[f"biequalizer({f},{f})"] == a.src1(f)
+        assert vertex[f"biinserter({f},{f})"] == a.src1(f)
