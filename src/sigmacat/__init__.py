@@ -3,8 +3,10 @@
 A desk-scale kernel: every category, 2-category, and diagram is given by
 total tables, every law is validated by exhaustive loops, Hom categories
 of transformations are enumerated, conical relative colimits are built
-by localization with a word-length cap, and flatness of a Cat-valued
-diagram is decided through filteredness of its 2-category of elements.
+by localization through coset enumeration, with a cap on the length of
+a coset's defining word, and flatness of a Cat-valued diagram is decided
+through filteredness of its 2-category of elements.  The four shapes
+that generate the finite bilimits are catalogued in ``shapes``.
 """
 
 from .errors import (CertificateFailure, Inconsistency, ParseError,

@@ -17,10 +17,9 @@ from .errors import (CertificateFailure, Inconsistency, ParseError,
                      PreconditionFailed, SizeLimitExceeded, UndecidedAtCap,
                      ValidationError)
 from . import io as sio
-from .fincat import FinCat
 from .two_cat import Fin2Cat, Marked2Cat, wide_from
 from .transforms import (CatDiagram, LAX, PSEUDO, STRICT, TwoFunctor,
-                         hom_eps, sigma_flavor)
+                         hom_eps, reinterpret_as_pseudo, sigma_flavor)
 from .colimits import (bilimit_cat, conical_sigma_colimit, weighted_limit_cat,
                        weighted_sigma_colimit)
 from .elements import cart_sigma, elements_of, elements_of_pseudo
@@ -28,6 +27,7 @@ from .filteredness import (check_sigma_cofiltered, check_sigma_cofinal,
                            check_sigma_filtered)
 from .flatness import (check_flat, check_flat_pseudo, check_left_exact,
                        generate_bilimit_cones, strictify, yoneda_check)
+from .shapes import SHAPES
 
 EXIT_OK = 0
 EXIT_BUG = 1
@@ -114,7 +114,6 @@ def cmd_elements(args) -> int:
         raise ValidationError("elements expects a diagram document")
     meter = Meter(args.budget)
     if args.pseudo:
-        from .transforms import reinterpret_as_pseudo
         if not P.is_pseudo:
             P = reinterpret_as_pseudo(P)
         el = elements_of_pseudo(P, meter)
@@ -174,106 +173,14 @@ def cmd_colimit(args) -> int:
 
 
 def cmd_bilimit(args) -> int:
-    from .fincat import (arrow_category, iso_pair_category, product_category,
-                         terminal_category, Functor, identity_functor)
-    from .two_cat import two_cat_from_cat
-    from .fixtures import idn
-    from .fincat import NatTransf
     meter = Meter(args.budget)
-    shape = args.shape
-    if shape == "biproduct":
-        C = sio.parse_document(_read(args.args[0]))
-        D = sio.parse_document(_read(args.args[1]))
-        if not isinstance(C, FinCat) or not isinstance(D, FinCat):
-            raise ValidationError("biproduct expects two category documents")
-        from .fincat import discrete_category
-        base = two_cat_from_cat(discrete_category(["a", "b"]))
-        from .transforms import CatDiagram as CD
-        one = terminal_category()
-        F = CD(base, {"a": C, "b": D},
-               {base.id1["a"]: identity_functor(C), base.id1["b"]: identity_functor(D)},
-               {base.id2(base.id1["a"]): idn(identity_functor(C)),
-                base.id2(base.id1["b"]): idn(identity_functor(D))})
-        from .transforms import constant_diagram
-        W = constant_diagram(base, one)
-        h = bilimit_cat(W, F, meter)
-    elif shape in ("biinserter", "biequalizer"):
-        Ff = sio.parse_document(_read(args.args[0]))
-        Gg = sio.parse_document(_read(args.args[1]))
-        h = _inserter_like(Ff, Gg, shape, meter)
-    elif shape == "biequifier":
-        al = sio.parse_document(_read(args.args[0]))
-        be = sio.parse_document(_read(args.args[1]))
-        h = _equifier(al, be, meter)
-    else:
-        raise ParseError(f"unknown shape {shape!r}")
-    _emit({"command": "bilimit", "shape": shape,
+    x, y = (sio.parse_document(_read(path)) for path in args.args)
+    shape = SHAPES[args.shape]
+    h = bilimit_cat(shape.weight, shape.cat_diagram(x, y), meter)
+    _emit({"command": "bilimit", "shape": args.shape,
            "category": sio.fincat_to_doc(h.cat)})
-    _say(f"{shape} has {len(h.cat.objects)} objects")
+    _say(f"{args.shape} has {len(h.cat.objects)} objects")
     return EXIT_OK
-
-
-def _inserter_like(F, G, shape, meter):
-    from .fincat import (Functor, arrow_category, identity_functor,
-                         iso_pair_category, terminal_category)
-    from .two_cat import two_cat_from_cat
-    from .fincat import parallel_pair_category
-    from .transforms import CatDiagram as CD
-    from .fixtures import idn
-    if F.source != G.source or F.target != G.target:
-        raise ValidationError("expected parallel functor documents")
-    base = two_cat_from_cat(parallel_pair_category())
-    C, D = F.source, F.target
-    diag = CD(base, {"a": C, "b": D},
-              {"id_a": identity_functor(C), "id_b": identity_functor(D),
-               "u": F, "v": G},
-              {"i2_id_a": idn(identity_functor(C)),
-               "i2_id_b": idn(identity_functor(D)),
-               "i2_u": idn(F), "i2_v": idn(G)})
-    one = terminal_category()
-    wcat = arrow_category() if shape == "biinserter" else iso_pair_category()
-    pick0 = Functor(one, wcat, {"*": "0"}, {"id_*": wcat.identity["0"]})
-    pick1 = Functor(one, wcat, {"*": "1"}, {"id_*": wcat.identity["1"]})
-    W = CD(base, {"a": one, "b": wcat},
-           {"id_a": identity_functor(one), "id_b": identity_functor(wcat),
-            "u": pick0, "v": pick1},
-           {"i2_id_a": idn(identity_functor(one)),
-            "i2_id_b": idn(identity_functor(wcat)),
-            "i2_u": idn(pick0), "i2_v": idn(pick1)})
-    return bilimit_cat(W, diag, meter)
-
-
-def _equifier(al, be, meter):
-    from .fincat import Functor, NatTransf, arrow_category, identity_functor, \
-        terminal_category
-    from .two_cat import two_parallel_2cells_2cat
-    from .transforms import CatDiagram as CD
-    from .fixtures import idn
-    if al.source.key() != be.source.key() or al.target.key() != be.target.key():
-        raise ValidationError("expected parallel transformation documents")
-    F, G = al.source, al.target
-    base = two_parallel_2cells_2cat()
-    C, D = F.source, F.target
-    diag = CD(base, {"a": C, "b": D},
-              {"id_a": identity_functor(C), "id_b": identity_functor(D),
-               "u": F, "v": G},
-              {"i2_id_a": idn(identity_functor(C)),
-               "i2_id_b": idn(identity_functor(D)),
-               "i2_u": idn(F), "i2_v": idn(G),
-               "th": al, "et": be})
-    one = terminal_category()
-    two = arrow_category()
-    pick0 = Functor(one, two, {"*": "0"}, {"id_*": "id_0"})
-    pick1 = Functor(one, two, {"*": "1"}, {"id_*": "id_1"})
-    step = NatTransf(pick0, pick1, {"*": "f"})
-    W = CD(base, {"a": one, "b": two},
-           {"id_a": identity_functor(one), "id_b": identity_functor(two),
-            "u": pick0, "v": pick1},
-           {"i2_id_a": idn(identity_functor(one)),
-            "i2_id_b": idn(identity_functor(two)),
-            "i2_u": idn(pick0), "i2_v": idn(pick1),
-            "th": step, "et": step})
-    return bilimit_cat(W, diag, meter)
 
 
 def cmd_filtered(args) -> int:
@@ -420,9 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(fn=cmd_colimit)
 
     q = sub.add_parser("bilimit", help="one of the four generating bilimits")
-    q.add_argument("--shape", required=True,
-                   choices=["biproduct", "biequalizer", "biinserter",
-                            "biequifier"])
+    q.add_argument("--shape", required=True, choices=list(SHAPES))
     q.add_argument("args", nargs=2)
     q.set_defaults(fn=cmd_bilimit)
 

@@ -48,11 +48,11 @@ from .fincat import (FinCat, Functor, NatTransf, ValidationReport,
                      enumerate_functors, enumerate_nat_transfs,
                      find_isomorphism, functor_category_full, functor_homs,
                      iso_pair_category, is_equivalence, nat_is_identity,
-                     nat_is_invertible, parallel_pair_category, partition,
-                     terminal_category, validate_functor, validate_nat_transf,
-                     vcomp_nat, whisker_functor_nat, whisker_nat_functor)
-from .two_cat import (Fin2Cat, WideSub, op_dual, pair_name, pi0,
-                      pi0_class_map, split_pair_name, two_cat_product)
+                     nat_is_invertible, pair_name, parallel_pair_category,
+                     partition, split_pair_name, terminal_category,
+                     validate_functor, validate_nat_transf, vcomp_nat,
+                     whisker_functor_nat, whisker_nat_functor)
+from .two_cat import Fin2Cat, WideSub, op_dual, pi0, pi0_class_map, two_cat_product
 from .transforms import (CatDiagram, HomCategory, Transformation, TwoFunctor,
                          Flavor, PSEUDO, STRICT, compose_diagram,
                          constant_diagram, hom_eps, sigma_flavor,

@@ -21,10 +21,12 @@ from dataclasses import dataclass, field
 
 from .config import Meter
 from .errors import PreconditionFailed
-from .fincat import FinCat, mk_fincat, is_equivalence, Functor, enumerate_functors
+from .fincat import (FinCat, Functor, enumerate_functors, is_equivalence,
+                     mk_fincat, split_pair_name)
 from .two_cat import Fin2Cat, Marked2Cat, WideSub, op_dual, transport_sigma
 from .transforms import TwoFunctor
 from .colimits import base_cone_candidates, base_cone_category, base_cone_laws
+from .shapes import BIEQUIFIER, BIINSERTER, BIPRODUCT
 
 
 AXIOM_NONEMPTY = "nonempty"
@@ -298,24 +300,6 @@ def check_sigma_cofinal(T: TwoFunctor, sigma: WideSub, sigma_prime: WideSub,
 # The three shapes and their cone categories
 
 
-def shape_pair():
-    """Discrete two-object shape."""
-    from .fincat import discrete_category
-    from .two_cat import two_cat_from_cat
-    return two_cat_from_cat(discrete_category(["a", "b"]))
-
-
-def shape_parallel():
-    from .fincat import parallel_pair_category
-    from .two_cat import two_cat_from_cat
-    return two_cat_from_cat(parallel_pair_category())
-
-
-def shape_two_cells():
-    from .two_cat import two_parallel_2cells_2cat
-    return two_parallel_2cells_2cat()
-
-
 @dataclass(frozen=True)
 class ShapeDiagram:
     """One of the three filteredness probe diagrams, with its marking."""
@@ -326,37 +310,20 @@ class ShapeDiagram:
 
 
 def shape_diagram_1(m: Marked2Cat, C: str, D: str) -> ShapeDiagram:
-    sh = shape_pair()
-    a = m.cat
-    T = TwoFunctor(sh, a, {"a": C, "b": D},
-                   {sh.id1["a"]: a.id1[C], sh.id1["b"]: a.id1[D]},
-                   {sh.id2(sh.id1["a"]): a.id2(a.id1[C]),
-                    sh.id2(sh.id1["b"]): a.id2(a.id1[D])})
-    return ShapeDiagram(sh, T, _pulled_marking(T, m.sigma))
+    return _probe(m, BIPRODUCT.diagram(m.cat, C, D))
 
 
 def shape_diagram_2(m: Marked2Cat, f: str, g: str) -> ShapeDiagram:
-    sh = shape_parallel()
-    a = m.cat
-    A, B = a.src1(f), a.tgt1(f)
-    T = TwoFunctor(sh, a,
-                   {"a": A, "b": B},
-                   {"id_a": a.id1[A], "id_b": a.id1[B], "u": f, "v": g},
-                   {"i2_id_a": a.id2(a.id1[A]), "i2_id_b": a.id2(a.id1[B]),
-                    "i2_u": a.id2(f), "i2_v": a.id2(g)})
-    return ShapeDiagram(sh, T, _pulled_marking(T, m.sigma))
+    return _probe(m, BIINSERTER.diagram(m.cat, f, g))
 
 
 def shape_diagram_3(m: Marked2Cat, f: str, g: str, alpha: str, beta: str) -> ShapeDiagram:
-    sh = shape_two_cells()
-    a = m.cat
-    A, B = a.src1(f), a.tgt1(f)
-    T = TwoFunctor(sh, a,
-                   {"a": A, "b": B},
-                   {"id_a": a.id1[A], "id_b": a.id1[B], "u": f, "v": g},
-                   {"i2_id_a": a.id2(a.id1[A]), "i2_id_b": a.id2(a.id1[B]),
-                    "i2_u": a.id2(f), "i2_v": a.id2(g), "th": alpha, "et": beta})
-    return ShapeDiagram(sh, T, _pulled_marking(T, m.sigma))
+    """The probe at alpha, beta : f => g."""
+    return _probe(m, BIEQUIFIER.diagram(m.cat, alpha, beta))
+
+
+def _probe(m: Marked2Cat, T: TwoFunctor) -> ShapeDiagram:
+    return ShapeDiagram(T.source, T, _pulled_marking(T, m.sigma))
 
 
 def _pulled_marking(T: TwoFunctor, sigma: WideSub) -> frozenset:
@@ -428,11 +395,11 @@ def explicit_shape_category(sd: ShapeDiagram, E: str, which: int,
                                 arrows[f"({x},{y})"] = (o, o2)
                 identity[o] = f"({a.id2(h)},{a.id2(l)})"
         for n1, (o1, o2) in arrows.items():
-            x1, y1 = split_two(n1)
+            x1, y1 = split_pair_name(n1)
             for n2, (o2b, o3) in arrows.items():
                 if o2b != o2:
                     continue
-                x2, y2 = split_two(n2)
+                x2, y2 = split_pair_name(n2)
                 compose[(n2, n1)] = f"({a.vcomp(x2, x1)},{a.vcomp(y2, y1)})"
         return mk_fincat(objs, arrows, identity, compose)
     f, g = T.map1["u"], T.map1["v"]
@@ -488,18 +455,6 @@ def explicit_shape_category(sd: ShapeDiagram, E: str, which: int,
             e2 = n2.split("@")[0]
             compose[(n2, n1)] = f"{a.vcomp(e2, e1)}@{o1}->{o3}"
     return mk_fincat(objs, arrows, identity, compose)
-
-
-def split_two(name: str) -> tuple[str, str]:
-    depth = 0
-    for i, ch in enumerate(name):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 1:
-            return name[1:i], name[i + 1:-1]
-    raise ValueError(name)
 
 
 def cone_category_equiv(sd: ShapeDiagram, E: str, which: int, m: Marked2Cat,

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .config import Meter
+from .errors import ValidationError
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +222,7 @@ def validate_functor(F: Functor) -> ValidationReport:
         if fa not in d.arrows:
             rep.add("arr-map", (a,), f"arrow {a} is not mapped")
             continue
-        if d.arrows[fa] != (F.obj_map[s], F.obj_map[t]):
+        if d.arrows[fa] != (F.obj_map.get(s), F.obj_map.get(t)):
             rep.add("arr-typing", (a, fa), f"image of {a} has wrong endpoints")
     if not rep.ok:
         return rep
@@ -242,7 +243,7 @@ def validate_nat_transf(n: NatTransf) -> ValidationReport:
         a = n.components.get(x)
         if a not in d.arrows:
             rep.add("component-missing", (x,), f"no component at {x}")
-        elif d.arrows[a] != (F.obj_map[x], G.obj_map[x]):
+        elif d.arrows[a] != (F.obj_map.get(x), G.obj_map.get(x)):
             rep.add("component-typing", (x, a), f"component at {x} is mistyped")
     if not rep.ok:
         return rep
@@ -260,6 +261,12 @@ def validate_nat_transf(n: NatTransf) -> ValidationReport:
 
 def identity_functor(c: FinCat) -> Functor:
     return Functor(c, c, {x: x for x in c.objects}, {a: a for a in c.arrows})
+
+
+def idn(F: Functor) -> NatTransf:
+    """The identity transformation of F."""
+    return NatTransf(F, F, {x: F.target.identity[F.obj_map[x]]
+                            for x in F.source.objects})
 
 
 def compose_functors(G: Functor, F: Functor) -> Functor:
@@ -509,22 +516,27 @@ def product_category(c: FinCat, d: FinCat) -> FinCat:
 
 def product_projections(p: FinCat, c: FinCat, d: FinCat) -> tuple[Functor, Functor]:
     """Projections out of product_category(c, d), recovered from pair names."""
-    def split(name):
-        depth = 0
-        for i, ch in enumerate(name):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == "," and depth == 1:
-                return name[1:i], name[i + 1:-1]
-        raise ValueError(name)
-
-    om1 = {o: split(o)[0] for o in p.objects}
-    om2 = {o: split(o)[1] for o in p.objects}
-    am1 = {a: split(a)[0] for a in p.arrows}
-    am2 = {a: split(a)[1] for a in p.arrows}
+    om1 = {o: split_pair_name(o)[0] for o in p.objects}
+    om2 = {o: split_pair_name(o)[1] for o in p.objects}
+    am1 = {a: split_pair_name(a)[0] for a in p.arrows}
+    am2 = {a: split_pair_name(a)[1] for a in p.arrows}
     return Functor(p, c, om1, am1), Functor(p, d, om2, am2)
+
+
+def pair_name(x: str, y: str) -> str:
+    return f"({x},{y})"
+
+
+def split_pair_name(name: str) -> tuple[str, str]:
+    depth = 0
+    for i, ch in enumerate(name):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif ch == "," and depth == 1:
+            return name[1:i], name[i + 1:-1]
+    raise ValidationError(f"not a pair name: {name}")
 
 
 def partition(items, pairs) -> dict:

@@ -9,16 +9,12 @@ from __future__ import annotations
 
 from .fincat import (FinCat, Functor, NatTransf, arrow_category,
                      discrete_category, group_z2_category, identity_functor,
-                     iso_pair_category, mk_fincat, parallel_pair_category,
+                     idn, iso_pair_category, mk_fincat, parallel_pair_category,
                      terminal_category)
-from .two_cat import (Fin2Cat, Marked2Cat, free_2cell_2cat, terminal_2cat,
-                      two_cat_from_cat, wide_all, wide_from, wide_identities)
+from .two_cat import (Fin2Cat, Marked2Cat, free_2cell_2cat, parallel_2cells_2cat,
+                      terminal_2cat, two_cat_from_cat, wide_all, wide_from,
+                      wide_identities)
 from .transforms import CatDiagram, constant_diagram
-
-
-def idn(F: Functor) -> NatTransf:
-    return NatTransf(F, F, {x: F.target.identity[F.obj_map[x]]
-                            for x in F.source.objects})
 
 
 def arrow_2cat() -> Fin2Cat:
@@ -30,7 +26,7 @@ def iso_2cat() -> Fin2Cat:
 
 
 def parallel_2cat() -> Fin2Cat:
-    return two_cat_from_cat(parallel_pair_category())
+    return parallel_2cells_2cat()
 
 
 def poset_category(objs, le) -> FinCat:

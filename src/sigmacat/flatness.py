@@ -27,6 +27,7 @@ from .filteredness import FilterednessReport, check_sigma_cofiltered
 from .colimits import (BaseConeCategories, SigmaCone, check_base_cone,
                        conical_sigma_colimit, induced_from_colimit,
                        preserves_bilimit)
+from .shapes import generating_diagrams
 
 
 # ---------------------------------------------------------------------------
@@ -121,10 +122,7 @@ def generate_bilimit_cones(a: Fin2Cat, meter: Meter | None = None) -> list:
     the ticks are those of these builds.  Intended for poset-like bases
     where the search is small.
     """
-    from .filteredness import (shape_pair, shape_parallel, shape_two_cells)
-    from .transforms import TwoFunctor
     meter = meter or Meter()
-    cones = []
 
     def search(D, marked):
         over = BaseConeCategories(D, marked, meter)
@@ -135,46 +133,11 @@ def generate_bilimit_cones(a: Fin2Cat, meter: Meter | None = None) -> list:
                     return cone
         return None
 
-    sh1 = shape_pair()
-    for C in sorted(a.objects):
-        for D_ in sorted(a.objects):
-            diag = TwoFunctor(sh1, a, {"a": C, "b": D_},
-                              {sh1.id1["a"]: a.id1[C], sh1.id1["b"]: a.id1[D_]},
-                              {sh1.id2(sh1.id1["a"]): a.id2(a.id1[C]),
-                               sh1.id2(sh1.id1["b"]): a.id2(a.id1[D_])})
-            got = search(diag, frozenset())
-            if got is not None:
-                cones.append((f"biproduct({C},{D_})", got))
-    sh2 = shape_parallel()
-    sh3 = shape_two_cells()
-    for A in sorted(a.objects):
-        for B in sorted(a.objects):
-            for f in a.one_cells(A, B):
-                for g in a.one_cells(A, B):
-                    diag2 = TwoFunctor(
-                        sh2, a, {"a": A, "b": B},
-                        {"id_a": a.id1[A], "id_b": a.id1[B], "u": f, "v": g},
-                        {"i2_id_a": a.id2(a.id1[A]), "i2_id_b": a.id2(a.id1[B]),
-                         "i2_u": a.id2(f), "i2_v": a.id2(g)})
-                    got = search(diag2, frozenset({"u", "v"}))
-                    if got is not None:
-                        cones.append((f"biequalizer({f},{g})", got))
-                    got = search(diag2, frozenset({"v"}))
-                    if got is not None:
-                        cones.append((f"biinserter({f},{g})", got))
-                    for al in a.two_cells_between(f, g):
-                        for be in a.two_cells_between(f, g):
-                            diag3 = TwoFunctor(
-                                sh3, a, {"a": A, "b": B},
-                                {"id_a": a.id1[A], "id_b": a.id1[B],
-                                 "u": f, "v": g},
-                                {"i2_id_a": a.id2(a.id1[A]),
-                                 "i2_id_b": a.id2(a.id1[B]),
-                                 "i2_u": a.id2(f), "i2_v": a.id2(g),
-                                 "th": al, "et": be})
-                            got = search(diag3, frozenset({"u", "v"}))
-                            if got is not None:
-                                cones.append((f"biequifier({al},{be})", got))
+    cones = []
+    for label, D, marked in generating_diagrams(a):
+        got = search(D, marked)
+        if got is not None:
+            cones.append((label, got))
     return cones
 
 
@@ -376,13 +339,13 @@ def strictify(P: CatDiagram, meter: Meter | None = None):
         src_cat, tgt_cat = tilde_obj[B], tilde_obj[B2]
         om, am = {}, {}
         for o in src_cat.objects:
-            f, x = _split_pair(o)
+            f, x = _split_obj(o)
             om[o] = pobj(base.hcomp1[(g, f)], x)
         Pg = P.on_1[g]
         for n, (o1, o2) in src_cat.arrows.items():
             phi = n.split(":", 1)[0]
-            f1, x1 = _split_pair(o1)
-            f2, x2 = _split_pair(o2)
+            f1, x1 = _split_obj(o1)
+            f2, x2 = _split_obj(o2)
             moved = Pg.arr_map[phi]
             a1 = P.alpha_comp[(f1, g)].components[x1]
             a2 = P.alpha_comp[(f2, g)].components[x2]
@@ -398,7 +361,7 @@ def strictify(P: CatDiagram, meter: Meter | None = None):
         src_cat = tilde_obj[B]
         comps = {}
         for o in src_cat.objects:
-            f, x = _split_pair(o)
+            f, x = _split_obj(o)
             whisk = base.hcomp2[(cell, base.id2(f))]
             comps[o] = f"{P.on_2[whisk].components[x]}:" \
                        f"{tilde_1[g].obj_map[o]}->{tilde_1[g2].obj_map[o]}"
@@ -434,7 +397,7 @@ def strictify(P: CatDiagram, meter: Meter | None = None):
     for B in base.objects:
         src_cat = tilde_obj[B]
         PB = P.on_obj[B]
-        om = {o: P.on_1[_split_pair(o)[0]].obj_map[_split_pair(o)[1]]
+        om = {o: P.on_1[_split_obj(o)[0]].obj_map[_split_obj(o)[1]]
               for o in src_cat.objects}
         am = {n: n.split(":", 1)[0] for n in src_cat.arrows}
         eps_comps[B] = Functor(src_cat, PB, om, am)
@@ -443,26 +406,13 @@ def strictify(P: CatDiagram, meter: Meter | None = None):
         src_cat = tilde_obj[B]
         comp = {}
         for o in src_cat.objects:
-            f, x = _split_pair(o)
+            f, x = _split_obj(o)
             comp[o] = P.alpha_comp[(f, g)].components[x]
         src = compose_functors(P.on_1[g], eps_comps[B])
         tgt = compose_functors(eps_comps[B2], tilde_1[g])
         eps_struct[g] = NatTransf(src, tgt, comp)
     eps = Transformation(tilde, P, eps_comps, eps_struct, PSEUDO)
     return tilde, eta, eps
-
-
-def _split_pair(name: str) -> tuple[str, str]:
-    depth = 0
-    for i in range(len(name) - 1, -1, -1):
-        ch = name[i]
-        if ch == ")":
-            depth += 1
-        elif ch == "(":
-            depth -= 1
-        elif ch == "," and depth == 1:
-            return name[1:i], name[i + 1:-1]
-    raise ValueError(name)
 
 
 # ---------------------------------------------------------------------------

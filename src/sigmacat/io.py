@@ -11,13 +11,14 @@ from __future__ import annotations
 import json
 
 from .errors import ParseError, ValidationError
-from .fincat import (FinCat, Functor, NatTransf, mk_fincat, validate_category,
+from .fincat import (FinCat, Functor, NatTransf, compose_functors,
+                     identity_functor, mk_fincat, validate_category,
                      validate_functor, validate_nat_transf)
 from .two_cat import (Fin2Cat, Marked2Cat, WideSub, mk_fin2cat,
                       validate_2category, validate_wide_sub)
 from .transforms import (CatDiagram, Flavor, LAX, PSEUDO, STRICT,
-                         Transformation, TwoFunctor, sigma_flavor,
-                         validate_diagram, validate_twofunctor)
+                         Transformation, TwoFunctor, check_transformation,
+                         sigma_flavor, validate_diagram, validate_twofunctor)
 
 
 def _ident(s, what="identifier"):
@@ -255,13 +256,11 @@ def diagram_from_doc(doc: dict) -> CatDiagram:
     if kind == "pseudo":
         if "alpha_obj" not in doc or "alpha_comp" not in doc:
             raise ParseError("pseudo diagram needs alpha_obj and alpha_comp")
-        from .fincat import identity_functor
         alpha_obj = {}
         for A, comps in doc["alpha_obj"].items():
             alpha_obj[A] = NatTransf(identity_functor(on_obj[A]),
                                      on_1[base.id1[A]], dict(comps))
         alpha_comp = {}
-        from .fincat import compose_functors
         for rec in doc["alpha_comp"]:
             _need(rec, {"f", "g", "components"}, "alpha_comp entry")
             f, g = rec["f"], rec["g"]
@@ -337,8 +336,6 @@ def transformation_to_doc(t: Transformation) -> dict:
 
 
 def transformation_from_doc(doc: dict) -> Transformation:
-    from .fincat import compose_functors
-    from .transforms import check_transformation
     _need(doc, {"source", "target", "components", "structural", "flavor"},
           "transformation")
     P = diagram_from_doc(doc["source"])
@@ -349,6 +346,10 @@ def transformation_from_doc(doc: dict) -> Transformation:
         _need(d, {"obj_map", "arr_map"}, "component")
         comps[A] = Functor(P.on_obj[A], Q.on_obj[A], dict(d["obj_map"]),
                            dict(d["arr_map"]))
+        rep = validate_functor(comps[A])
+        if not rep.ok:
+            raise ValidationError(
+                f"transformation document: component at {A}: {rep.violations[0].detail}")
     structural = {}
     for f, c in doc["structural"].items():
         A, B = base.hom_of_1cell(f)

@@ -1,0 +1,132 @@
+"""The four shapes that generate the finite weighted bilimits.
+
+Biproducts, biequalizers, biinserters and biequifiers generate every
+finite weighted bilimit (Kelly, Elementary observations on 2-categorical
+limits, 1989).  Each shape is one ``Shape`` here: its 2-category, built
+once; the weight W for which the W-weighted bilimit is the shape's
+bilimit, read by the ``bilimit`` command; and the marking for which the
+shape's conical σ-bilimit is that bilimit, read by the cone search of
+``flatness.generate_bilimit_cones``.
+
+A diagram of a shape is given by the images of its top generators: the
+objects a, b of the biproduct, the 1-cells u, v : a -> b of the
+biequalizer and the biinserter, the 2-cells th, et : u => v of the
+biequifier.  The images of the lower generators are their boundaries,
+and identities go to identities.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from .errors import ValidationError
+from .fincat import (FinCat, Functor, NatTransf, arrow_category,
+                     discrete_category, identity_functor, idn,
+                     iso_pair_category, terminal_category)
+from .two_cat import Fin2Cat, parallel_2cells_2cat, two_cat_from_cat
+from .transforms import CatDiagram, TwoFunctor
+
+# The generators of each dimension, in the order their images are given.
+GENERATORS = (("a", "b"), ("u", "v"), ("th", "et"))
+
+# What a diagram into Cat sends the generators of each dimension to.
+_CAT_KINDS = ((FinCat, "category"), (Functor, "functor"),
+             (NatTransf, "transformation"))
+
+
+def _fill(sh: Fin2Cat, dim: int, tops, boundary, id1, id2):
+    """Images of every generator of ``sh`` from those of dimension ``dim``:
+    ``boundary(d, x)`` is the (source, target) of an image x of dimension d,
+    ``id1`` and ``id2`` give identities.  Returns (objects, 1-cells, 2-cells)."""
+    images = [dict(zip(GENERATORS[dim], tops))]
+    for d in range(dim, 0, -1):
+        tops = boundary(d, tops[0])
+        images.insert(0, dict(zip(GENERATORS[d - 1], tops)))
+    obj, one, two = images + [{}] * (3 - len(images))
+    map1 = {sh.id1[A]: id1(obj[A]) for A in GENERATORS[0]} | one
+    map2 = {sh.id2(f): id2(g) for f, g in map1.items()} | two
+    return obj, map1, map2
+
+
+def _cat_diagram(sh: Fin2Cat, dim: int, tops) -> CatDiagram:
+    return CatDiagram(sh, *_fill(sh, dim, tops, lambda d, x: (x.source, x.target),
+                                 identity_functor, idn))
+
+
+@dataclass(frozen=True)
+class Shape:
+    """One generating shape; the W-weighted bilimit of a diagram of it is
+    its bilimit, and so is its conical σ-bilimit for the marking."""
+
+    name: str
+    cat: Fin2Cat
+    dim: int  # the dimension of the top generators
+    weight: CatDiagram
+    marked: frozenset  # shape 1-cells marked in the conical search
+
+    def diagram(self, a: Fin2Cat, x: str, y: str) -> TwoFunctor:
+        """The diagram in ``a`` sending the top generators to x and y."""
+        def boundary(d, z):
+            return (a.src2(z), a.tgt2(z)) if d == 2 else (a.src1(z), a.tgt1(z))
+        return TwoFunctor(self.cat, a, *_fill(self.cat, self.dim, (x, y), boundary,
+                                              a.id1.__getitem__, a.id2))
+
+    def cat_diagram(self, x, y) -> CatDiagram:
+        """The diagram in Cat sending the top generators to x and y, which
+        must be parallel documents of the kind the shape reads."""
+        kind, noun = _CAT_KINDS[self.dim]
+        if not isinstance(x, kind) or not isinstance(y, kind):
+            raise ValidationError(f"{self.name} expects two {noun} documents")
+        if self.dim and (x.source, x.target) != (y.source, y.target):
+            raise ValidationError(f"expected parallel {noun} documents")
+        return _cat_diagram(self.cat, self.dim, (x, y))
+
+
+_ONE, _TWO, _ISO = terminal_category(), arrow_category(), iso_pair_category()
+_PARALLEL = parallel_2cells_2cat()
+
+
+def _picks(c: FinCat) -> tuple[Functor, Functor]:
+    """The objects 0 and 1 of c, as functors out of the terminal category."""
+    return tuple(Functor(_ONE, c, {"*": x}, {"id_*": c.identity[x]})
+                 for x in ("0", "1"))
+
+
+def _shape(name: str, cat: Fin2Cat, dim: int, weight, marked) -> Shape:
+    return Shape(name, cat, dim, _cat_diagram(cat, dim, weight), frozenset(marked))
+
+
+# The weights send the top generators to: the terminal category, twice; the
+# objects 0 and 1 of the walking isomorphism (biequalizer) or of the walking
+# arrow (biinserter); the arrow 0 -> 1 of the walking arrow, twice.
+_STEP = NatTransf(*_picks(_TWO), {"*": "f"})
+BIPRODUCT = _shape("biproduct", two_cat_from_cat(discrete_category(GENERATORS[0])),
+                   0, (_ONE, _ONE), ())
+BIEQUALIZER = _shape("biequalizer", _PARALLEL, 1, _picks(_ISO), GENERATORS[1])
+BIINSERTER = _shape("biinserter", _PARALLEL, 1, _picks(_TWO), GENERATORS[1][1:])
+BIEQUIFIER = _shape("biequifier", parallel_2cells_2cat(GENERATORS[2]), 2,
+                    (_STEP, _STEP), GENERATORS[1])
+
+SHAPES = {s.name: s for s in (BIPRODUCT, BIEQUALIZER, BIINSERTER, BIEQUIFIER)}
+
+
+def generating_diagrams(a: Fin2Cat):
+    """(label, diagram, marking) for every diagram of the four shapes in
+    ``a``: the biproducts of each pair of objects, then for each parallel
+    pair f, g the biequalizer, the biinserter and the biequifier of each
+    pair of 2-cells f => g."""
+    def of(sh, x, y):
+        return f"{sh.name}({x},{y})", sh.diagram(a, x, y), sh.marked
+
+    for C in sorted(a.objects):
+        for D in sorted(a.objects):
+            yield of(BIPRODUCT, C, D)
+    for A in sorted(a.objects):
+        for B in sorted(a.objects):
+            for f in a.one_cells(A, B):
+                for g in a.one_cells(A, B):
+                    yield of(BIEQUALIZER, f, g)
+                    yield of(BIINSERTER, f, g)
+                    for al in a.two_cells_between(f, g):
+                        for be in a.two_cells_between(f, g):
+                            yield of(BIEQUIFIER, al, be)

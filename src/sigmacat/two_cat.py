@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .fincat import (FinCat, ValidationReport, mk_fincat, partition,
+from .fincat import (FinCat, ValidationReport, mk_fincat, pair_name, partition,
                      product_category, validate_category)
 from .errors import Inconsistency, ValidationError
 
@@ -406,78 +406,39 @@ def two_cat_product(a: Fin2Cat, b: Fin2Cat) -> Fin2Cat:
     return mk_fin2cat(objects, hom, id1, hcomp1, hcomp2)
 
 
-def pair_name(x: str, y: str) -> str:
-    return f"({x},{y})"
+def parallel_2cells_2cat(cells: tuple[str, ...] = ()) -> Fin2Cat:
+    """Two objects, parallel 1-cells u, v : a -> b, and one 2-cell u => v
+    for each name in ``cells``.
 
-
-def split_pair_name(name: str) -> tuple[str, str]:
-    depth = 0
-    for i, ch in enumerate(name):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 1:
-            return name[1:i], name[i + 1:-1]
-    raise ValidationError(f"not a pair name: {name}")
-
-
-def free_2cell_2cat() -> Fin2Cat:
-    """Two objects, parallel 1-cells u, v : a -> b, one 2-cell th : u => v."""
-    from .fincat import mk_fincat as _mk
-    hom_ab = _mk(("u", "v"),
-                 {"i2_u": ("u", "u"), "i2_v": ("v", "v"), "th": ("u", "v")},
-                 {"u": "i2_u", "v": "i2_v"},
-                 {("i2_u", "i2_u"): "i2_u", ("i2_v", "i2_v"): "i2_v",
-                  ("th", "i2_u"): "th", ("i2_v", "th"): "th"})
-    hom_aa = _mk(("id_a",), {"i2_id_a": ("id_a", "id_a")}, {"id_a": "i2_id_a"},
-                 {("i2_id_a", "i2_id_a"): "i2_id_a"})
-    hom_bb = _mk(("id_b",), {"i2_id_b": ("id_b", "id_b")}, {"id_b": "i2_id_b"},
-                 {("i2_id_b", "i2_id_b"): "i2_id_b"})
-    hom_ba = _mk((), {}, {}, {})
-    hom = {("a", "a"): hom_aa, ("a", "b"): hom_ab, ("b", "a"): hom_ba, ("b", "b"): hom_bb}
-    hcomp1 = {}
-    hcomp2 = {}
-    for f in ("u", "v"):
-        hcomp1[(f, "id_a")] = f
-        hcomp1[("id_b", f)] = f
-    hcomp1[("id_a", "id_a")] = "id_a"
-    hcomp1[("id_b", "id_b")] = "id_b"
-    for x in ("i2_u", "i2_v", "th"):
-        hcomp2[(x, "i2_id_a")] = x
-        hcomp2[("i2_id_b", x)] = x
-    hcomp2[("i2_id_a", "i2_id_a")] = "i2_id_a"
-    hcomp2[("i2_id_b", "i2_id_b")] = "i2_id_b"
-    return mk_fin2cat(("a", "b"), hom, {"a": "id_a", "b": "id_b"}, hcomp1, hcomp2)
-
-
-def two_parallel_2cells_2cat() -> Fin2Cat:
-    """Two objects, 1-cells u, v : a -> b, two 2-cells th, et : u => v.
-
-    The free shape for equifier-style diagrams; homs are free on the
-    generating 2-cells (no composites arise: th and et are parallel and
-    not composable with each other).
+    The homs are free on the named 2-cells: being parallel, no two of them
+    compose.  With no cells this is the parallel pair viewed as a
+    2-category; with one, the free 2-cell.
     """
-    from .fincat import mk_fincat as _mk
-    hom_ab = _mk(("u", "v"),
-                 {"i2_u": ("u", "u"), "i2_v": ("v", "v"),
-                  "th": ("u", "v"), "et": ("u", "v")},
-                 {"u": "i2_u", "v": "i2_v"},
-                 {("i2_u", "i2_u"): "i2_u", ("i2_v", "i2_v"): "i2_v",
-                  ("th", "i2_u"): "th", ("i2_v", "th"): "th",
-                  ("et", "i2_u"): "et", ("i2_v", "et"): "et"})
-    hom_aa = _mk(("id_a",), {"i2_id_a": ("id_a", "id_a")}, {"id_a": "i2_id_a"},
-                 {("i2_id_a", "i2_id_a"): "i2_id_a"})
-    hom_bb = _mk(("id_b",), {"i2_id_b": ("id_b", "id_b")}, {"id_b": "i2_id_b"},
-                 {("i2_id_b", "i2_id_b"): "i2_id_b"})
-    hom_ba = _mk((), {}, {}, {})
-    hom = {("a", "a"): hom_aa, ("a", "b"): hom_ab, ("b", "a"): hom_ba, ("b", "b"): hom_bb}
+    def single(f):
+        return mk_fincat((f,), {f"i2_{f}": (f, f)}, {f: f"i2_{f}"},
+                         {(f"i2_{f}", f"i2_{f}"): f"i2_{f}"})
+
+    compose = {("i2_u", "i2_u"): "i2_u", ("i2_v", "i2_v"): "i2_v"}
+    for x in cells:
+        compose[(x, "i2_u")] = x
+        compose[("i2_v", x)] = x
+    hom_ab = mk_fincat(("u", "v"),
+                       {"i2_u": ("u", "u"), "i2_v": ("v", "v"),
+                        **{x: ("u", "v") for x in cells}},
+                       {"u": "i2_u", "v": "i2_v"}, compose)
+    hom = {("a", "a"): single("id_a"), ("a", "b"): hom_ab,
+           ("b", "a"): mk_fincat((), {}, {}, {}), ("b", "b"): single("id_b")}
     hcomp1 = {("id_a", "id_a"): "id_a", ("id_b", "id_b"): "id_b"}
     hcomp2 = {("i2_id_a", "i2_id_a"): "i2_id_a", ("i2_id_b", "i2_id_b"): "i2_id_b"}
     for f in ("u", "v"):
         hcomp1[(f, "id_a")] = f
         hcomp1[("id_b", f)] = f
-    for x in ("i2_u", "i2_v", "th", "et"):
+    for x in ("i2_u", "i2_v", *cells):
         hcomp2[(x, "i2_id_a")] = x
         hcomp2[("i2_id_b", x)] = x
     return mk_fin2cat(("a", "b"), hom, {"a": "id_a", "b": "id_b"}, hcomp1, hcomp2)
+
+
+def free_2cell_2cat() -> Fin2Cat:
+    """Two objects, parallel 1-cells u, v : a -> b, one 2-cell th : u => v."""
+    return parallel_2cells_2cat(("th",))

@@ -221,6 +221,65 @@ def test_bilimit_command(capsys, tmp_path):
     assert len(json.loads(out)["category"]["objects"]) == 2
 
 
+def _bilimit_documents(tmp_path) -> dict:
+    """The documents the ``bilimit`` reports below read: the identity and the
+    collapse-to-1 endofunctor of the walking arrow, and the transformation
+    between them whose component at 0 is the arrow."""
+    from sigmacat.fincat import Functor, NatTransf, identity_functor
+    two = arrow_category()
+    idf = identity_functor(two)
+    const1 = Functor(two, two, {"0": "1", "1": "1"},
+                     {a: "id_1" for a in two.arrows})
+    docs = {"id_functor": sio.functor_to_doc(idf),
+            "const1_functor": sio.functor_to_doc(const1),
+            "step_transf": sio.nat_transf_to_doc(
+                NatTransf(idf, const1, {"0": "f", "1": "id_1"}))}
+    paths = {}
+    for name, doc in docs.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(sio.dumps(doc))
+    return {name: str(path) for name, path in paths.items()}
+
+
+BILIMIT_INPUTS = {
+    "biproduct": (str(FIXTURES / "arrow_category.json"),
+                  str(FIXTURES / "iso_pair.json")),
+    "biinserter": ("id_functor", "const1_functor"),
+    "biequalizer": ("id_functor", "const1_functor"),
+    "biequifier": ("step_transf", "step_transf"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(BILIMIT_INPUTS))
+def test_bilimit_reports(capsys, tmp_path, shape):
+    """The full report of each ``bilimit`` shape, byte for byte."""
+    docs = _bilimit_documents(tmp_path)
+    args = [docs.get(a, a) for a in BILIMIT_INPUTS[shape]]
+    code, out = invoke(capsys, "bilimit", "--shape", shape, *args)
+    assert code == 0
+    assert out == (GOLDEN / f"bilimit_{shape}.json").read_text()
+
+
+@pytest.mark.parametrize("shape,args,detail", [
+    ("biproduct", ("id_functor", "const1_functor"),
+     "biproduct expects two category documents"),
+    ("biinserter", ("arrow_category", "iso_pair"),
+     "biinserter expects two functor documents"),
+    ("biequalizer", ("arrow_category", "iso_pair"),
+     "biequalizer expects two functor documents"),
+    ("biequifier", ("id_functor", "const1_functor"),
+     "biequifier expects two transformation documents"),
+])
+def test_bilimit_rejects_documents_of_the_wrong_kind(capsys, tmp_path, shape,
+                                                     args, detail):
+    docs = _bilimit_documents(tmp_path)
+    paths = [docs.get(a) or str(FIXTURES / f"{a}.json") for a in args]
+    code, out = invoke(capsys, "bilimit", "--shape", shape, *paths)
+    assert code == 2
+    assert json.loads(out) == {"command": "bilimit", "error": "invalid-input",
+                               "detail": detail}
+
+
 def test_strictify_command(capsys, tmp_path):
     out_path = tmp_path / "strict.json"
     code, _ = invoke(capsys, "strictify", str(FIXTURES / "pseudo_z2.json"),

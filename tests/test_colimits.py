@@ -26,6 +26,7 @@ from sigmacat.colimits import (SigmaCone, bilimit_cat, check_sigma_cone,
                                induced_from_colimit, interchange_check,
                                pointwise_limit_check, weighted_limit_cat,
                                weighted_sigma_colimit)
+from sigmacat.shapes import BIEQUALIZER, BIINSERTER
 
 
 @pytest.fixture(scope="module")
@@ -297,22 +298,20 @@ def explicit_inserter(C, D, F, G, invertible):
 
 
 def test_biinserter_matches_explicit_description():
-    from sigmacat.cli import _inserter_like
     two, F, G = _inserter_data()
-    h = _inserter_like(F, G, "biinserter", None)
+    h = bilimit_cat(BIINSERTER.weight, BIINSERTER.cat_diagram(F, G))
     explicit = explicit_inserter(two, two, F, G, invertible=False)
     assert validate_category(explicit).ok
     assert categories_equivalent(h.cat, explicit)
 
 
 def test_biequalizer_is_the_invertible_inserter():
-    from sigmacat.cli import _inserter_like
     two, F, G = _inserter_data()
-    heq = _inserter_like(F, G, "biequalizer", None)
+    heq = bilimit_cat(BIEQUALIZER.weight, BIEQUALIZER.cat_diagram(F, G))
     explicit = explicit_inserter(two, two, F, G, invertible=True)
     assert categories_equivalent(heq.cat, explicit)
     # and on a parallel pair of equal functors both notions collapse
-    hid = _inserter_like(F, F, "biequalizer", None)
+    hid = bilimit_cat(BIEQUALIZER.weight, BIEQUALIZER.cat_diagram(F, F))
     assert categories_equivalent(
         hid.cat, explicit_inserter(two, two, F, F, invertible=True))
 

@@ -73,8 +73,8 @@ from sigmacat.transforms import (LAX, PSEUDO, STRICT, Modification,
                                  hom_eps, identity_twofunctor, sigma_flavor,
                                  TwoFunctor, validate_twofunctor)
 from sigmacat.two_cat import (Marked2Cat, free_2cell_2cat, mk_fin2cat,
-                              op_dual, terminal_2cat, two_cat_from_cat,
-                              two_parallel_2cells_2cat, wide_all, wide_from,
+                              op_dual, parallel_2cells_2cat, terminal_2cat,
+                              two_cat_from_cat, wide_all, wide_from,
                               wide_identities)
 
 
@@ -653,7 +653,7 @@ def free2cell_marked():
 
 
 def two_cells_marked():
-    a = two_parallel_2cells_2cat()
+    a = parallel_2cells_2cat(("th", "et"))
     return Marked2Cat(a, wide_from(a, ["v"]))
 
 

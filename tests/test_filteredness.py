@@ -7,7 +7,7 @@ from sigmacat.fincat import is_equivalence
 from sigmacat.fixtures import (arrow_2cat, diamond_2cat, iso_2cat,
                                marked_fixtures, parallel_2cat)
 from sigmacat.two_cat import (Marked2Cat, WideSub, free_2cell_2cat, op_dual,
-                              terminal_2cat, two_parallel_2cells_2cat,
+                              parallel_2cells_2cat, terminal_2cat,
                               transport_sigma, wide_all, wide_from,
                               wide_identities)
 from sigmacat.transforms import TwoFunctor, identity_twofunctor
@@ -95,7 +95,7 @@ def test_general_diagram_direction_one_instance():
 
 def test_cone_existence_shape_three_negative():
     # two distinct parallel 2-cells with nothing to merge them
-    a = two_parallel_2cells_2cat()
+    a = parallel_2cells_2cat(("th", "et"))
     m = Marked2Cat(a, wide_all(a))
     sd = shape_diagram_3(m, "u", "v", "th", "et")
     assert cone_existence(sd, m.sigma) is None

@@ -4,6 +4,10 @@ A stdlib-only stand-in for a linter's unused-import rule: each module of
 the package is parsed, and every name bound by a top-level ``import`` or
 ``from ... import`` must appear as a name somewhere in the module's code.
 ``__init__.py`` is exempt, since its imports are the public re-exports.
+
+The command line and the shape catalogue import the package only at top
+level: nothing they import imports them back, so no import cycle needs a
+function-level import there.
 """
 
 import ast
@@ -31,3 +35,12 @@ def test_top_level_imports_are_used(module):
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     unused = [name for name in imported_names(tree) if name not in used]
     assert not unused, f"{module} never uses: {', '.join(unused)}"
+
+
+@pytest.mark.parametrize("module", ["cli.py", "shapes.py"])
+def test_package_imports_sit_at_top_level(module):
+    tree = ast.parse((PACKAGE / module).read_text(), module)
+    inner = [f"line {node.lineno}" for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.level
+             and node not in tree.body]
+    assert not inner, f"{module} imports inside a function at {', '.join(inner)}"

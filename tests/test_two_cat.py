@@ -7,9 +7,9 @@ from sigmacat.fincat import arrow_category, find_isomorphism, terminal_category
 from sigmacat.fixtures import (arrow_2cat, diamond_2cat, iso_2cat,
                                parallel_2cat)
 from sigmacat.two_cat import (Marked2Cat, WideSub, co_dual, free_2cell_2cat,
-                              mk_fin2cat, op_dual, pi0, terminal_2cat,
-                              two_cat_from_cat, two_cat_product,
-                              two_parallel_2cells_2cat, validate_2category,
+                              mk_fin2cat, op_dual, parallel_2cells_2cat, pi0,
+                              terminal_2cat, two_cat_from_cat, two_cat_product,
+                              validate_2category,
                               validate_wide_sub, wide_all, wide_from,
                               wide_identities)
 
@@ -19,7 +19,7 @@ FIXTURES = [
     ("iso", iso_2cat()),
     ("parallel", parallel_2cat()),
     ("free2cell", free_2cell_2cat()),
-    ("two2cells", two_parallel_2cells_2cat()),
+    ("two2cells", parallel_2cells_2cat(("th", "et"))),
     ("diamond", diamond_2cat()),
 ]
 
@@ -44,7 +44,7 @@ def test_interchange_violation_detected():
     # vertical composition lives in the homs, so retabulating one
     # horizontal composite of nonidentity cells breaks interchange or
     # functoriality of horizontal composition
-    a = two_parallel_2cells_2cat()
+    a = parallel_2cells_2cat(("th", "et"))
     bad = dict(a.hcomp2)
     bad[("th", "i2_id_a")] = "et"
     broken = mk_fin2cat(a.objects, a.hom, a.id1, a.hcomp1, bad)
