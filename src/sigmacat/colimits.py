@@ -25,14 +25,20 @@ Cones over a 2-functor into a finite 2-category go through one cone
 kernel: ``base_cone_candidates`` proposes legs and structural cells,
 ``base_cone_laws`` decides LN2 and LN1 by lookups in the ambient's
 tables, and ``base_cone_square`` decides the modification square.
-``base_cone_category`` and the cocone searches of ``filteredness`` run
-on it; a cocone is a cone in the 1-cell dual, with the same maps.
-``BaseConeCategories`` keeps the cone categories of one diagram, built
-by ``base_cone_category`` once per vertex, and tests cones over it for
-being bilimits; ``is_bilimit_cone`` and the bilimit search of
-``flatness`` go through it.  ``check_base_cone`` and
-``check_sigma_cone`` state the laws directly and are the reference
-validators.
+``base_cone_homs`` reads the cones and hom-sets of Cones_D(X) off it and
+``base_cone_category`` assembles them; the cocone searches of
+``filteredness`` run on it too, a cocone being a cone in the 1-cell
+dual, with the same maps.  ``BaseConeCategories`` keeps the hom-sets of
+the cone categories of one diagram, built once per vertex, and tests
+cones over it for being bilimits; ``is_bilimit_cone`` and the bilimit
+search of ``flatness`` go through it.  The bilimit test and
+``preserves_bilimit`` (the comparison of P(L) with the limit of P over
+a cone) are decided on objects and hom-sets by
+``fincat.is_equivalence_on_homs``: both sides compose componentwise, so
+precomposition is a functor by the ambient's laws, and no composition
+table is built.  ``comparison_functor`` assembles the comparison and is
+the reference.  ``check_base_cone`` and ``check_sigma_cone`` state the
+laws directly and are the reference validators.
 """
 
 from __future__ import annotations
@@ -47,15 +53,16 @@ from .fincat import (FinCat, Functor, NatTransf, ValidationReport,
                      arrow_category, assemble_category, compose_functors,
                      enumerate_functors, enumerate_nat_transfs,
                      find_isomorphism, functor_category_full, functor_homs,
-                     iso_pair_category, is_equivalence, nat_is_identity,
-                     nat_is_invertible, pair_name, parallel_pair_category,
-                     partition, split_pair_name, terminal_category,
-                     validate_functor, validate_nat_transf, vcomp_nat,
-                     whisker_functor_nat, whisker_nat_functor)
+                     iso_pair_category, is_equivalence_on_homs,
+                     nat_is_identity, nat_is_invertible, pair_name,
+                     parallel_pair_category, partition, split_pair_name,
+                     terminal_category, validate_functor, validate_nat_transf,
+                     vcomp_nat, whisker_functor_nat, whisker_nat_functor)
 from .two_cat import Fin2Cat, WideSub, op_dual, pi0, pi0_class_map, two_cat_product
 from .transforms import (CatDiagram, HomCategory, Transformation, TwoFunctor,
                          Flavor, PSEUDO, STRICT, compose_diagram,
-                         constant_diagram, hom_eps, sigma_flavor,
+                         constant_diagram, enumerate_modifications,
+                         enumerate_transformations, hom_eps, sigma_flavor,
                          transformation_homs)
 from .presented import (Presentation, PresentedCategory, base_of_inv, is_inv,
                         localize)
@@ -907,19 +914,19 @@ def base_cone_square(D: TwoFunctor, s1: dict, s2: dict):
     return commutes
 
 
-def base_cone_category(D: TwoFunctor, marked: frozenset, vertex: str,
-                       meter: Meter | None = None):
-    """All marked-relative cones over D with the given vertex, as a FinCat.
+def base_cone_homs(D: TwoFunctor, marked: frozenset, vertex: str,
+                   meter: Meter | None = None) -> tuple[list[BaseCone], dict]:
+    """All marked-relative cones over D with the given vertex and, per pair
+    (i, j) of their positions, the cone morphisms from the i-th to the
+    j-th: the objects and hom-sets of Cones_D(vertex), with no composition
+    table.
 
-    The cones are named ``k0, k1, …`` in the order the kernel generates
-    them: legs lexicographically, then structural cells.  Every pool is
-    sorted by name, so this is also the sorted order of (legs, cells).
-    Arrows are families of 2-cells between components satisfying the
-    modification square.  Returns (category, cones by name, arrow
-    components by name).  Ticks once per choice of legs, per cell
-    candidate, per morphism candidate and per composable pair of the
-    composition table.  ``BaseConeCategories`` keeps one per vertex for a
-    whole bilimit search.
+    The cones come in the order the kernel generates them: legs
+    lexicographically, then structural cells.  Every pool is sorted by
+    name, so this is also the sorted order of (legs, cells).  A morphism
+    is a family of 2-cells between components, by shape object, that
+    satisfies the modification square.  Ticks once per choice of legs, per
+    cell candidate and per morphism candidate.
     """
     meter = meter or Meter()
     sh, amb = D.source, D.target
@@ -942,6 +949,21 @@ def base_cone_category(D: TwoFunctor, marked: frozenset, vertex: str,
                 rho = dict(zip(objs, combo))
                 if commutes(rho):
                     homs[(i, j)].append(rho)
+    return found, homs
+
+
+def base_cone_category(D: TwoFunctor, marked: frozenset, vertex: str,
+                       meter: Meter | None = None):
+    """Cones_D(vertex) as a FinCat: ``base_cone_homs`` assembled, composed
+    componentwise, one tick per composable pair.
+
+    The cones are named ``k0, k1, …`` in generation order.  Returns
+    (category, cones by name, arrow components by name).
+    """
+    meter = meter or Meter()
+    amb = D.target
+    objs = sorted(D.source.objects)
+    found, homs = base_cone_homs(D, marked, vertex, meter)
 
     def composite(r2: dict, r1: dict) -> tuple:
         meter.tick()
@@ -959,14 +981,14 @@ def _cone_key(comp: dict, struct: dict) -> tuple:
 
 
 class BaseConeCategories:
-    """The cone categories Cones_D(X) of one diagram (D, marked), and the
-    bilimit test that reads them.
+    """The cone categories Cones_D(X) of one diagram (D, marked), kept as
+    objects and hom-sets, and the bilimit test that reads them.
 
-    ``at(X)`` builds Cones_D(X) with ``base_cone_category`` on first use,
-    with the lookups of its cones and arrows, and keeps it: the categories
-    do not depend on the cone under test, so a search that tests many
-    cones over D shares one instance and builds each at most once.  All
-    ticks are those of the builds, on the given meter.
+    ``at(X)`` builds Cones_D(X) with ``base_cone_homs`` on first use and
+    keeps it: the categories do not depend on the cone under test, so a
+    search that tests many cones over D shares one instance and builds
+    each at most once.  No composition table is built.  All ticks are
+    those of the builds, on the given meter.
     """
 
     def __init__(self, D: TwoFunctor, marked: frozenset,
@@ -976,47 +998,58 @@ class BaseConeCategories:
         self._at = {}
 
     def at(self, X: str) -> tuple:
-        """(Cones_D(X), cones by name in generation order, the name of
-        each cone by its (legs, cells), the name of each arrow by its
-        source, target and components)."""
+        """(the cones of Cones_D(X) in generation order, the position of
+        each cone by its (legs, cells), and per pair of positions the set
+        of the morphisms' components, each sorted by shape object)."""
         got = self._at.get(X)
         if got is None:
-            cat, cones, data = base_cone_category(self.D, self.marked, X, self.meter)
-            objects = {_cone_key(c.comp, c.struct): n for n, c in cones.items()}
-            arrows = {(*cat.arrows[n], tuple(sorted(rho.items()))): n
-                      for n, rho in data.items()}
-            got = self._at[X] = (cat, cones, objects, arrows)
+            cones, homs = base_cone_homs(self.D, self.marked, X, self.meter)
+            objects = {_cone_key(c.comp, c.struct): i for i, c in enumerate(cones)}
+            keys = {ij: {tuple(sorted(rho.items())) for rho in rhos}
+                    for ij, rhos in homs.items()}
+            got = self._at[X] = (cones, objects, keys)
         return got
 
     def is_bilimit(self, c: BaseCone) -> bool:
         """Bilimit test: at every object X, precomposition with the cone,
-        hom(X, vertex) → Cones_D(X), is a functor and an equivalence,
-        never required to be an isomorphism; equivalent bilimits need not
-        be isomorphic.  The cone must be over (D, marked); its laws are
-        not checked here (``check_base_cone`` does that)."""
+        hom(X, vertex) → Cones_D(X), is an equivalence, never required to
+        be an isomorphism; equivalent bilimits need not be isomorphic.
+
+        It is decided by ``is_equivalence_on_homs``.  A 1-cell t goes to
+        the cone with legs c_i∘t and cells σ_u*t, a 2-cell a : t ⇒ t' to
+        the family (c_i*a)_i.  Precomposition is a functor without a
+        check: both categories compose componentwise by vertical
+        composition, and the ambient's interchange law gives
+        c_i*(b·a) = (c_i*b)·(c_i*a) and c_i*1_t = 1_(c_i∘t).  A morphism
+        of cones whose components are all invertible is an isomorphism,
+        since its componentwise inverse satisfies the modification square
+        too.  The cone must be over (D, marked); its laws are not checked
+        here (``check_base_cone`` does that).
+        """
         if c.diagram != self.D or c.marked != self.marked:
             raise PreconditionFailed("the cone is not over this diagram")
         sh, amb = self.D.source, self.D.target
+        objs, cells = sorted(sh.objects), sorted(sh.all_one_cells())
+        hc1, hc2 = amb.hcomp1, amb.hcomp2
+        legs = [(i, c.comp[i], amb.id2(c.comp[i])) for i in objs]
+        structs = [(u, c.struct[u]) for u in cells]
+
+        def cone_of(t: str) -> tuple:
+            idt = amb.id2(t)
+            return (tuple((i, hc1[(leg, t)]) for i, leg, _ in legs),
+                    tuple((u, hc2[(s, idt)]) for u, s in structs))
+
+        def morphism_of(a: str) -> tuple:
+            return tuple((i, hc2[(idl, a)]) for i, _, idl in legs)
+
+        def invertible(rho: tuple) -> bool:
+            return all(amb.is_invertible_2cell(x) for _, x in rho)
+
         for X in amb.objects:
-            cat, _, objects, arrows = self.at(X)
-            hom_cat = amb.hom[(X, c.vertex)]
-            obj_map = {}
-            for t in hom_cat.objects:
-                key = _cone_key({i: amb.hcomp1[(c.comp[i], t)] for i in sh.objects},
-                                {u: amb.hcomp2[(c.struct[u], amb.id2(t))]
-                                 for u in sh.all_one_cells()})
-                if key not in objects:
-                    return False
-                obj_map[t] = objects[key]
-            arr_map = {}
-            for a, (s, t) in hom_cat.arrows.items():
-                rho = {i: amb.hcomp2[(amb.id2(c.comp[i]), a)] for i in sh.objects}
-                key = (obj_map[s], obj_map[t], tuple(sorted(rho.items())))
-                if key not in arrows:
-                    return False
-                arr_map[a] = arrows[key]
-            F = Functor(hom_cat, cat, obj_map, arr_map)
-            if not validate_functor(F).ok or not is_equivalence(F).verdict:
+            _, objects, homs = self.at(X)
+            if not is_equivalence_on_homs(amb.hom[(X, c.vertex)], objects, cone_of,
+                                          morphism_of, lambda i, j: homs[(i, j)],
+                                          invertible):
                 return False
         return True
 
@@ -1051,7 +1084,10 @@ def comparison_functor(P: CatDiagram, cone: BaseCone,
 
     The limit category is realized as the Hom category of cone-shaped
     families valued in P; the comparison sends c to the family of images
-    of c under the cone's components.
+    of c under the cone's components.  Both sides are assembled and the
+    functor is validated, so with ``is_equivalence`` this is the reference
+    for ``preserves_bilimit``, which decides the same comparison on
+    hom-sets.
     """
     meter = meter or Meter()
     sh = cone.shape
@@ -1105,8 +1141,56 @@ def comparison_functor(P: CatDiagram, cone: BaseCone,
 
 def preserves_bilimit(P: CatDiagram, cone: BaseCone,
                       meter: Meter | None = None) -> bool:
-    F, _ = comparison_functor(P, cone, meter)
-    return is_equivalence(F).verdict
+    """Whether P takes the cone to a bilimit cone in Cat: the comparison
+    P(vertex) → σ-Nat(Δ1, P·D), the functor of ``comparison_functor``, is
+    an equivalence, decided on hom-sets by ``is_equivalence_on_homs``.
+
+    The transformations Δ1 ⇒ P·D are enumerated; an object c of P(vertex)
+    goes to the one with components P(t_i)c and cells P(σ_u)_c, an arrow
+    a to the modification with components P(t_i)a, each looked up by key.
+    Modifications are enumerated only into the image, for pairs (i, j)
+    with j an image.  The map is a functor without a check: modifications
+    compose componentwise in each P(D(i)), where P(t_i) is a functor, and
+    1_c goes to identity components.  A modification whose components are
+    all invertible is an isomorphism, with the componentwise inverse.  No
+    composition table is built; ``comparison_functor`` with
+    ``is_equivalence`` is the assembled reference.  Strict diagrams only.
+    """
+    meter = meter or Meter()
+    sh, D = cone.shape, cone.diagram
+    if D.target != P.source:
+        raise PreconditionFailed("cone and diagram live over different bases")
+    if P.is_pseudo:
+        raise PreconditionFailed("left exactness expects a strict diagram")
+    PD = compose_diagram(P, D)
+    ts = enumerate_transformations(constant_diagram(sh, terminal_category()), PD,
+                                   sigma_flavor(cone.marked), meter)
+    legs = [(i, P.on_1[cone.comp[i]], PD.on_obj[i]) for i in sorted(sh.objects)]
+    cells = [(u, P.on_2[cone.struct[u]].components)
+             for u in sorted(sh.all_one_cells())]
+
+    # the keys of ``Transformation`` and ``Modification``; the components
+    # are functors and transformations out of the terminal category, whose
+    # one object is * with identity id_*
+    def transformation_of(c: str) -> tuple:
+        return (tuple((i, ((("*", F.obj_map[c]),),
+                           (("id_*", Pi.identity[F.obj_map[c]]),)))
+                      for i, F, Pi in legs),
+                tuple((u, (("*", cell[c]),)) for u, cell in cells))
+
+    def modification_of(a: str) -> tuple:
+        return tuple((i, (("*", F.arr_map[a]),)) for i, F, _ in legs)
+
+    def invertible(key: tuple) -> bool:
+        return all(Pi.is_iso(x) for (_, _, Pi), (_, ((_, x),)) in zip(legs, key))
+
+    def hom(i: int, j: int) -> set:
+        return {m.key() for m in enumerate_modifications(ts[i], ts[j], meter)}
+
+    return is_equivalence_on_homs(P.on_obj[cone.vertex],
+                                  {t.key(): n for n, t in enumerate(ts)},
+                                  transformation_of, modification_of, hom,
+                                  invertible)
 
 
 # ---------------------------------------------------------------------------

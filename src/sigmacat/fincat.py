@@ -263,10 +263,11 @@ def identity_functor(c: FinCat) -> Functor:
     return Functor(c, c, {x: x for x in c.objects}, {a: a for a in c.arrows})
 
 
-def idn(F: Functor) -> NatTransf:
-    """The identity transformation of F."""
-    return NatTransf(F, F, {x: F.target.identity[F.obj_map[x]]
-                            for x in F.source.objects})
+def idn(F: Functor, G: Functor | None = None) -> NatTransf:
+    """The identity transformation of F; given G, which agrees with F on
+    objects, the transformation F ⇒ G with the same identity components."""
+    return NatTransf(F, F if G is None else G,
+                     {x: F.target.identity[F.obj_map[x]] for x in F.source.objects})
 
 
 def compose_functors(G: Functor, F: Functor) -> Functor:
@@ -614,6 +615,55 @@ def is_equivalence(F: Functor) -> EquivalenceReport:
                 f"object {sorted(cls)[0]} is not isomorphic to any image"
             break
     return EquivalenceReport(full and faithful and ess, full, faithful, ess, witness)
+
+
+def is_equivalence_on_homs(c: FinCat, objects: dict, obj_key, arr_key, hom,
+                           invertible) -> bool:
+    """Whether a functor from c to a category D is an equivalence, decided
+    on D's objects and hom-sets alone: neither composition table is read.
+
+    D's objects are the positions 0, 1, … that ``objects`` gives by key,
+    and ``hom(i, j)`` is the set of keys of its morphisms from the i-th
+    object to the j-th.  The functor sends an object x of c to the object
+    with key ``obj_key(x)`` and an arrow a to the morphism with key
+    ``arr_key(a)``.  Three checks: every object maps to an object of D;
+    every hom-set c(x, y) maps injectively into the hom-set between the
+    images, which has the same size, so it maps onto it; every object of
+    D is isomorphic to an image, through a morphism into one that
+    ``invertible`` accepts.  ``hom`` is read at most once per pair (i, j),
+    and only for pairs with j an image.
+
+    Whether the map is a functor is the caller's to answer; the callers in
+    ``colimits`` map into categories composed componentwise, where it
+    follows from the ambient's laws.  ``is_equivalence`` on the assembled
+    functor is the reference.
+    """
+    pos = {}
+    for x in c.objects:
+        i = objects.get(obj_key(x))
+        if i is None:
+            return False
+        pos[x] = i
+    read = {}
+
+    def homset(i: int, j: int):
+        got = read.get((i, j))
+        if got is None:
+            got = read[(i, j)] = hom(i, j)
+        return got
+
+    for x in sorted(c.objects):
+        for y in sorted(c.objects):
+            target = homset(pos[x], pos[y])
+            arrows = c.hom(x, y)
+            image = {arr_key(a) for a in arrows}
+            if len(arrows) != len(target) or len(image) != len(arrows) or \
+                    not image <= target:
+                return False
+    hit = set(pos.values())
+    images = sorted(hit)
+    return all(i in hit or any(invertible(m) for j in images for m in homset(i, j))
+               for i in range(len(objects)))
 
 
 def quasi_inverse_search(F: Functor, meter: Meter | None = None) -> Functor | None:

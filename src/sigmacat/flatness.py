@@ -87,13 +87,16 @@ class ExactnessReport:
 
 def check_left_exact(P: CatDiagram, bilimit_cones,
                      meter: Meter | None = None) -> ExactnessReport:
-    """Preservation of each supplied bilimit cone, up to equivalence.
+    """Preservation of each supplied bilimit cone, up to equivalence,
+    decided on hom-sets by ``preserves_bilimit``.
 
     Cones must be declared bilimit cones in the base; a malformed cone
-    is a precondition failure.  An empty list is vacuously true and
-    flagged as carrying no evidence.
+    is a precondition failure, and so is a pseudo diagram.  An empty list
+    is vacuously true and flagged as carrying no evidence.
     """
     meter = meter or Meter()
+    if P.is_pseudo:
+        raise PreconditionFailed("left exactness expects a strict diagram")
     if not bilimit_cones:
         return ExactnessReport(True, [], no_evidence=True)
     per_shape = []
@@ -127,8 +130,7 @@ def generate_bilimit_cones(a: Fin2Cat, meter: Meter | None = None) -> list:
     def search(D, marked):
         over = BaseConeCategories(D, marked, meter)
         for L in sorted(a.objects):
-            _, found, _, _ = over.at(L)
-            for cone in found.values():
+            for cone in over.at(L)[0]:
                 if check_base_cone(cone).ok and over.is_bilimit(cone):
                     return cone
         return None

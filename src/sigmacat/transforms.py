@@ -34,7 +34,7 @@ from .errors import PreconditionFailed
 from .fincat import (FinCat, Functor, NatTransf, ValidationReport,
                      assemble_category, compose_functors, enumerate_functors,
                      enumerate_nat_transfs, functor_category_full,
-                     identity_functor, invert_nat, nat_is_identity,
+                     identity_functor, idn, invert_nat, nat_is_identity,
                      nat_is_invertible, validate_functor, validate_nat_transf,
                      vcomp_nat, whisker_functor_nat, whisker_nat_functor)
 from .two_cat import Fin2Cat, WideSub, pair_name, two_cat_product
@@ -146,31 +146,24 @@ class CatDiagram:
     def _alpha_units(self) -> dict:
         if self.is_pseudo:
             return self.alpha_obj
-        return {A: _identity_transf_between(identity_functor(self.on_obj[A]),
-                                            self.on_1[self.source.id1[A]])
+        return {A: idn(identity_functor(self.on_obj[A]), self.on_1[self.source.id1[A]])
                 for A in self.source.objects}
 
     @cached_property
     def _alpha_pairs(self) -> dict:
         if self.is_pseudo:
             return self.alpha_comp
-        return {(f, g): _identity_transf_between(
-                    compose_functors(self.on_1[g], self.on_1[f]), self.on_1[gf])
+        return {(f, g): idn(compose_functors(self.on_1[g], self.on_1[f]),
+                            self.on_1[gf])
                 for (g, f), gf in self.source.hcomp1.items()}
-
-
-def _identity_transf_between(F: Functor, G: Functor) -> NatTransf:
-    # identity-shaped transformation between pointwise-equal functors
-    d = F.target
-    return NatTransf(F, G, {x: d.identity[F.obj_map[x]] for x in F.source.objects})
 
 
 def constant_diagram(base: Fin2Cat, c: FinCat) -> CatDiagram:
     idf = identity_functor(c)
-    idn = NatTransf(idf, idf, {x: c.identity[x] for x in c.objects})
+    cell = idn(idf)
     return CatDiagram(base, {A: c for A in base.objects},
                       {f: idf for f in base.all_one_cells()},
-                      {x: idn for x in base.all_two_cells()})
+                      {x: cell for x in base.all_two_cells()})
 
 
 def compose_diagram(P: CatDiagram, H: TwoFunctor) -> CatDiagram:
@@ -227,7 +220,7 @@ def validate_diagram(P: CatDiagram) -> ValidationReport:
     for pair, h in base.hom.items():
         for f in h.objects:
             if P.on_2[base.id2(f)].components != \
-                    _identity_transf_between(P.on_1[f], P.on_1[f]).components:
+                    idn(P.on_1[f]).components:
                 rep.add("vert-id", (f,), f"identity 2-cell at {f} not sent to identity")
         for (q, p), r in h.compose.items():
             got = vcomp_nat(P.on_2[q], P.on_2[p])
@@ -397,7 +390,7 @@ def identity_transformation(P: CatDiagram, flavor: Flavor | None = None) -> Tran
     structural = {}
     for f in base.all_one_cells():
         F = P.on_1[f]
-        structural[f] = _identity_transf_between(F, F)
+        structural[f] = idn(F)
     return Transformation(P, P, comps, structural, flavor or STRICT)
 
 
@@ -594,7 +587,7 @@ def enumerate_transformations(P: CatDiagram, Q: CatDiagram, flavor: Flavor,
                 tgt = compose_functors(comps[B], P.on_1[f])
                 same = strict and src.key() == tgt.key()
                 typed[(f, at[A], at[B])] = (
-                    src, tgt, _identity_transf_between(src, tgt) if same else None)
+                    src, tgt, idn(src, tgt) if same else None)
             src, tgt, identity = typed[(f, at[A], at[B])]
             if strict:
                 pool = [identity] if identity is not None else []

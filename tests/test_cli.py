@@ -104,6 +104,16 @@ def test_exact_reports(capsys, fixture):
     assert out == (GOLDEN / f"exact_{fixture}.json").read_text()
 
 
+@pytest.mark.parametrize("fixture", ["pseudo_z2", "pseudo_swap", "pseudo_not_flat"])
+def test_exact_refuses_a_pseudo_diagram(capsys, fixture):
+    """Left exactness is decided for strict diagrams; a pseudo diagram is
+    invalid input, not a crash."""
+    code, out = invoke(capsys, "exact", str(FIXTURES / f"{fixture}.json"))
+    assert code == 2
+    assert json.loads(out) == {"command": "exact", "error": "invalid-input",
+                               "detail": "left exactness expects a strict diagram"}
+
+
 def test_small_cap_is_honest(capsys):
     code, out = invoke(capsys, "colimit",
                        str(FIXTURES / "const_terminal_parallel.json"),

@@ -26,10 +26,18 @@ universal weighted cocone on hom-sets, is checked the same way against
 the assembled canonical comparison, and against the isomorphism search
 it replaced.
 
-The bilimit search of ``generate_bilimit_cones``, which walks shared cone
-categories, is checked against the per-candidate loop it replaced: the
-kernel's candidates and laws, then ``is_bilimit_cone`` on each, which
-builds every cone category again.  Labels and cones must agree, in order.
+The bilimit test, which decides precomposition with a cone on the
+objects and hom-sets of the cone categories, is checked against the same
+comparison assembled: ``base_cone_category`` at every object, the functor
+validated by ``validate_functor`` and decided by ``is_equivalence``, on
+every cone of every cone category of the generating diagrams, bilimit or
+not.  The bilimit search of ``generate_bilimit_cones``, which walks
+shared cone categories, is checked against the per-candidate loop it
+replaced: the kernel's candidates and laws, then that assembled test on
+each, building every cone category again.  Labels and cones must agree,
+in order.  ``preserves_bilimit``, which decides the comparison into the
+limit on hom-sets, is checked against ``comparison_functor`` and
+``is_equivalence``.
 """
 
 import dataclasses
@@ -39,12 +47,14 @@ import pytest
 from hypothesis import given, settings
 
 from helpers import idempotent_category, posets
-from sigmacat.colimits import (BaseCone, SigmaCone, _certify_against,
-                               _certify_weighted, base_cone_candidates,
-                               base_cone_category, base_cone_laws,
-                               check_base_cone, check_sigma_cone, cones_sigma,
-                               conical_sigma_colimit, default_test_family,
-                               hom_into_diagram, is_bilimit_cone,
+from sigmacat.colimits import (BaseCone, BaseConeCategories, SigmaCone,
+                               _certify_against, _certify_weighted,
+                               base_cone_candidates, base_cone_category,
+                               base_cone_laws, check_base_cone,
+                               check_sigma_cone, comparison_functor,
+                               cones_sigma, conical_sigma_colimit,
+                               default_test_family, hom_into_diagram,
+                               is_bilimit_cone, preserves_bilimit,
                                weighted_sigma_colimit)
 from sigmacat.config import Meter
 from sigmacat.errors import PreconditionFailed
@@ -56,7 +66,7 @@ from sigmacat.fincat import (Functor, NatTransf, arrow_category,
                              assemble_category, compose_functors,
                              discrete_category, enumerate_functors, enumerate_nat_transfs,
                              find_isomorphism, functor_category_full,
-                             functor_homs, group_z2_category,
+                             functor_homs, group_z2_category, is_equivalence,
                              iso_pair_category, terminal_category,
                              validate_functor,
                              vcomp_nat, whisker_functor_nat,
@@ -67,6 +77,7 @@ from sigmacat.fixtures import (arrow_2cat, chain3_2cat, diagram_collapse,
                                pseudo_z2, weight_constant_terminal_op,
                                weight_on_op_arrow)
 from sigmacat.flatness import generate_bilimit_cones, representable
+from sigmacat.shapes import generating_diagrams
 from sigmacat.transforms import (LAX, PSEUDO, STRICT, Modification,
                                  Transformation, check_modification,
                                  check_transformation, constant_diagram,
@@ -756,13 +767,123 @@ def test_cone_existence_is_the_first_brute_force_cocone(case):
 
 
 # ---------------------------------------------------------------------------
-# The bilimit search against the per-candidate loop
+# The bilimit test and search against assembled categories
+
+
+def assembled_is_bilimit(c: BaseCone, cats=None) -> bool:
+    """The cone's laws, then at every object X precomposition with the
+    cone, hom(X, vertex) → Cones_D(X), as a functor into
+    ``base_cone_category``: it must be a functor (``validate_functor``)
+    and an equivalence (``is_equivalence``).  ``cats`` keeps the cone
+    categories by X between calls over one diagram."""
+    if not check_base_cone(c).ok:
+        return False
+    sh, amb = c.shape, c.diagram.target
+    cats = {} if cats is None else cats
+    for X in amb.objects:
+        if X not in cats:
+            cats[X] = base_cone_category(c.diagram, c.marked, X)
+        cat, cones, data = cats[X]
+        objects = {(tuple(sorted(k.comp.items())), tuple(sorted(k.struct.items()))): n
+                   for n, k in cones.items()}
+        arrows = {(*cat.arrows[n], tuple(sorted(rho.items()))): n
+                  for n, rho in data.items()}
+        hom_cat = amb.hom[(X, c.vertex)]
+        obj_map = {}
+        for t in hom_cat.objects:
+            key = (tuple(sorted((i, amb.hcomp1[(c.comp[i], t)]) for i in sh.objects)),
+                   tuple(sorted((u, amb.hcomp2[(c.struct[u], amb.id2(t))])
+                                for u in sh.all_one_cells())))
+            if key not in objects:
+                return False
+            obj_map[t] = objects[key]
+        arr_map = {}
+        for a, (s, t) in hom_cat.arrows.items():
+            key = (obj_map[s], obj_map[t],
+                   tuple(sorted((i, amb.hcomp2[(amb.id2(c.comp[i]), a)])
+                                for i in sh.objects)))
+            if key not in arrows:
+                return False
+            arr_map[a] = arrows[key]
+        F = Functor(hom_cat, cat, obj_map, arr_map)
+        if not validate_functor(F).ok or not is_equivalence(F).verdict:
+            return False
+    return True
+
+
+def z2_2cat():
+    """One object whose 1-cells form ℤ/2: both cones over the biequalizer
+    of a 1-cell with itself, with legs e and s, are bilimits, so the
+    search must return the first one the kernel generates."""
+    return two_cat_from_cat(group_z2_category())
+
+
+BILIMIT_BASES = [diamond_2cat, free_2cell_2cat, arrow_2cat, z2_2cat]
+
+
+def every_cone(a):
+    """Every cone of every Cones_D(L) of every generating diagram in a, in
+    the search's order, with its diagram's shared cone categories and the
+    dict ``assembled_is_bilimit`` keeps its assembled ones in."""
+    for _, D, marked in generating_diagrams(a):
+        over, cats = BaseConeCategories(D, marked), {}
+        for L in sorted(a.objects):
+            for cone in over.at(L)[0]:
+                yield over, cats, cone
+
+
+def every_cone_verdict(a) -> list:
+    """Per cone of ``every_cone(a)``: the bilimit test on hom-sets over the
+    shared cone categories, the same through ``is_bilimit_cone``, and the
+    assembled test."""
+    return [(over.is_bilimit(cone), is_bilimit_cone(cone),
+             assembled_is_bilimit(cone, cats)) for over, cats, cone in every_cone(a)]
+
+
+def assert_verdicts_agree(rows) -> None:
+    assert [(shared, fresh) for shared, fresh, _ in rows] == \
+        [(want, want) for *_, want in rows]
+
+
+@pytest.mark.parametrize("base", BILIMIT_BASES)
+def test_bilimit_test_matches_the_assembled_one_on_every_cone(base):
+    rows = every_cone_verdict(base())
+    assert_verdicts_agree(rows)
+    assert {want for *_, want in rows} == {True, False}
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(c=posets(5))
+def test_bilimit_test_matches_the_assembled_one_on_posets(c):
+    assert_verdicts_agree(every_cone_verdict(two_cat_from_cat(c)))
+
+
+@pytest.mark.parametrize("base", BILIMIT_BASES)
+def test_preservation_matches_the_assembled_comparison(base):
+    """Representables, Δ1 and Δ(discrete pair), against every cone of every
+    Cones_D(L) of the generating diagrams.  The representable a(X, -)
+    preserves a cone exactly when precomposition hom(X, L) → Cones_D(X) is
+    an equivalence, so the cones that every representable preserves are
+    the bilimit cones."""
+    a = base()
+    objs = sorted(a.objects)
+    diagrams = [representable(a, X) for X in objs] + \
+        [constant_diagram(a, terminal_category()),
+         constant_diagram(a, discrete_category(["x", "y"]))]
+    verdicts = set()
+    for over, _, cone in every_cone(a):
+        got = [preserves_bilimit(P, cone) for P in diagrams]
+        assert got == [is_equivalence(comparison_functor(P, cone)[0]).verdict
+                       for P in diagrams]
+        assert all(got[:len(objs)]) == over.is_bilimit(cone)
+        verdicts.update(got)
+    assert verdicts == {True, False}
 
 
 def reference_bilimit_cones(a) -> list:
     """The four generating shapes in ``generate_bilimit_cones``' order, each
     searched candidate by candidate: the kernel's legs and cells, its laws,
-    then ``is_bilimit_cone`` on the cone, with nothing shared between
+    then ``assembled_is_bilimit`` on the cone, with nothing shared between
     candidates."""
     full = Marked2Cat(a, wide_all(a))
 
@@ -773,7 +894,7 @@ def reference_bilimit_cones(a) -> list:
                 for struct in structs:
                     if hold(struct):
                         cone = BaseCone(D.source, D, marked, L, comp, struct)
-                        if is_bilimit_cone(cone):
+                        if assembled_is_bilimit(cone):
                             return cone
         return None
 
@@ -808,14 +929,7 @@ def cone_rows(cones) -> list:
             for label, c in cones]
 
 
-def z2_2cat():
-    """One object whose 1-cells form ℤ/2: both cones over the biequalizer
-    of a 1-cell with itself, with legs e and s, are bilimits, so the
-    search must return the first one the kernel generates."""
-    return two_cat_from_cat(group_z2_category())
-
-
-@pytest.mark.parametrize("base", [diamond_2cat, free_2cell_2cat, arrow_2cat, z2_2cat])
+@pytest.mark.parametrize("base", BILIMIT_BASES)
 def test_bilimit_search_matches_the_per_candidate_loop(base):
     a = base()
     got = cone_rows(generate_bilimit_cones(a))

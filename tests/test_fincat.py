@@ -4,12 +4,14 @@ import itertools
 
 import pytest
 
+from helpers import idempotent_category
 from sigmacat.fincat import (
     FinCat, Functor, arrow_category, categories_equivalent,
     connected_components, discrete_category, empty_category,
     enumerate_functors, find_isomorphism, functor_category,
     functor_category_full, group_z2_category, identity_functor,
-    is_equivalence, iso_pair_category, mk_fincat, parallel_pair_category,
+    is_equivalence, is_equivalence_on_homs, iso_pair_category, mk_fincat,
+    parallel_pair_category,
     product_category, product_projections, quasi_inverse_search, skeleton,
     terminal_category, validate_category, validate_functor)
 
@@ -153,6 +155,47 @@ def test_is_equivalence_agrees_with_quasi_inverse_search():
             for F in enumerate_functors(c, d):
                 assert is_equivalence(F).verdict == \
                     (quasi_inverse_search(F) is not None)
+
+
+def on_homs(F, d, objects):
+    """``is_equivalence_on_homs`` of F, into the full subcategory of its
+    target d on ``objects``, given by hom-sets."""
+    def hom(i, j):
+        return set(d.hom(objects[i], objects[j]))
+
+    return is_equivalence_on_homs(F.source, {x: i for i, x in enumerate(objects)},
+                                  F.obj_map.get, F.arr_map.get, hom, d.is_iso)
+
+
+def test_equivalence_on_homs_agrees_with_is_equivalence():
+    """Every functor between the fixtures and an idempotent monoid: the
+    verdict on hom-sets is that of ``is_equivalence`` on the assembled
+    functor.  A non-full functor (the discrete pair onto the walking
+    arrow), a non-faithful one of the same hom-set sizes (ℤ/2 onto its
+    unit) and one that misses an isomorphism class (a point of the
+    discrete pair) are among them."""
+    cats = [c for _, c in FIXTURES if c.objects] + [idempotent_category()]
+    verdicts = set()
+    for c in cats:
+        for d in cats:
+            for F in enumerate_functors(c, d):
+                got = on_homs(F, d, sorted(d.objects))
+                assert got == is_equivalence(F).verdict
+                verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+def test_equivalence_on_homs_refuses_an_object_outside_the_target():
+    """Given into a full subcategory that misses part of its image, a
+    functor is refused by the object lookup; into one that holds its
+    image, the verdict is that of the corestriction."""
+    two, pair = arrow_category(), discrete_category(["x", "y"])
+    to_0 = Functor(terminal_category(), two, {"*": "0"}, {"id_*": "id_0"})
+    assert not on_homs(to_0, two, ["1"])
+    assert on_homs(to_0, two, ["0"])
+    both = Functor(pair, two, {"x": "0", "y": "1"}, {"id_x": "id_0", "id_y": "id_1"})
+    assert not on_homs(both, two, ["0"])
+    assert not on_homs(both, two, ["0", "1"])
 
 
 def test_connected_components():

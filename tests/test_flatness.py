@@ -148,7 +148,7 @@ def test_bilimit_search_builds_each_cone_category_once(diamond, monkeypatch):
     """The walk over the vertices and the bilimit test read the same cone
     categories, so no Cones_D(X) is built twice for one (D, marked)."""
     from sigmacat import colimits
-    build = colimits.base_cone_category
+    build = colimits.base_cone_homs
     built = []
 
     def counted(D, marked, vertex, meter=None):
@@ -156,10 +156,28 @@ def test_bilimit_search_builds_each_cone_category_once(diamond, monkeypatch):
                       tuple(sorted(D.map2.items())), marked, vertex))
         return build(D, marked, vertex, meter)
 
-    monkeypatch.setattr(colimits, "base_cone_category", counted)
+    monkeypatch.setattr(colimits, "base_cone_homs", counted)
     assert len(generate_bilimit_cones(diamond)) == 43
     assert built
     assert len(set(built)) == len(built)
+
+
+def test_left_exactness_builds_no_composition_table(diamond, monkeypatch):
+    """The bilimit search and the comparisons into the limits are decided
+    on hom-sets: left exactness must be decided with the category
+    assembler and the equivalence test made to fail."""
+    from sigmacat import colimits, fincat, flatness, transforms
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a composition table was assembled")
+
+    for module in (fincat, colimits, transforms, flatness):
+        for name in ("assemble_category", "is_equivalence"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    rep = check_left_exact(representable(diamond, "bot"),
+                           generate_bilimit_cones(diamond))
+    assert rep.verdict and len(rep.per_shape) == 43
 
 
 def test_bilimit_test_refuses_a_cone_over_another_diagram(diamond_cones):
