@@ -133,6 +133,8 @@ def cmd_elements(args) -> int:
 def cmd_limit(args) -> int:
     W = sio.parse_document(_read(args.weight))
     P = sio.parse_document(_read(args.diagram))
+    if not isinstance(W, CatDiagram) or not isinstance(P, CatDiagram):
+        raise ValidationError("limit expects two diagram documents")
     fl = _flavor_from_args(args)
     if fl is None:
         fl = sigma_flavor(wide_from(P.source, _parse_sigma_names(args.sigma or "")))

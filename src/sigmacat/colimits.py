@@ -36,9 +36,13 @@ search of ``flatness`` go through it.  The bilimit test and
 a cone) are decided on objects and hom-sets by
 ``fincat.is_equivalence_on_homs``: both sides compose componentwise, so
 precomposition is a functor by the ambient's laws, and no composition
-table is built.  ``comparison_functor`` assembles the comparison and is
-the reference.  ``check_base_cone`` and ``check_sigma_cone`` state the
-laws directly and are the reference validators.
+table is built.  The limit of P over a cone, σ-Nat(Δ1, P·D), is a
+conical σ-limit: ``point_cone_homs`` reads its objects, the σ-cones
+from the point, and its hom-sets straight off P·D's tables, with no
+``Transformation`` or ``Modification``.  ``comparison_functor``
+assembles the comparison through ``hom_eps`` and is the reference.
+``check_base_cone`` and ``check_sigma_cone`` state the laws directly and
+are the reference validators.
 """
 
 from __future__ import annotations
@@ -61,8 +65,7 @@ from .fincat import (FinCat, Functor, NatTransf, ValidationReport,
 from .two_cat import Fin2Cat, WideSub, op_dual, pi0, pi0_class_map, two_cat_product
 from .transforms import (CatDiagram, HomCategory, Transformation, TwoFunctor,
                          Flavor, PSEUDO, STRICT, compose_diagram,
-                         constant_diagram, enumerate_modifications,
-                         enumerate_transformations, hom_eps, sigma_flavor,
+                         constant_diagram, hom_eps, sigma_flavor,
                          transformation_homs)
 from .presented import (Presentation, PresentedCategory, base_of_inv, is_inv,
                         localize)
@@ -214,7 +217,10 @@ def sigma_cone_homs(Q: CatDiagram, marked: frozenset, E: FinCat,
     hom-sets of ``cones_sigma``, with no composition table.
 
     The axioms are decided on component tables, as in the transformation
-    enumerator; ``check_sigma_cone`` is the functor-level reference.
+    enumerator; ``check_sigma_cone`` is the functor-level reference.  The
+    transformations between two component functors at one base object are
+    enumerated once per call, and shared by every pair of cones with
+    those components.
     """
     meter = meter or Meter()
     base = Q.source
@@ -265,21 +271,31 @@ def sigma_cone_homs(Q: CatDiagram, marked: frozenset, E: FinCat,
                 if _cone_axioms_hold(E.compose, eqs2, ln1, cc):
                     st = dict(structural)
                     st.update(zip(non_id, cells))
-                    found.append(SigmaCone(Q, marked, E, comps, st))
-    found.sort(key=lambda c: c.key())
+                    found.append((SigmaCone(Q, marked, E, comps, st), idx))
+    found.sort(key=lambda c: c[0].key())
     pos = {A: k for k, A in enumerate(objs)}
+    # (k, a, b) -> the transformations from the a-th to the b-th functor of
+    # the k-th component pool, enumerated once per call
+    nats = {}
+
+    def between(k: int, a: int, b: int) -> list:
+        got = nats.get((k, a, b))
+        if got is None:
+            pool = comp_pools[k]
+            got = nats[(k, a, b)] = enumerate_nat_transfs(pool[a], pool[b], meter)
+        return got
+
     homs = {}
-    for i, c1 in enumerate(found):
-        for j, c2 in enumerate(found):
+    for i, (c1, idx1) in enumerate(found):
+        for j, (c2, idx2) in enumerate(found):
             squares = _cone_morphism_squares(c1, c2, pos)
             homs[(i, j)] = []
             for combo in itertools.product(
-                    *[enumerate_nat_transfs(c1.components[A], c2.components[A], meter)
-                      for A in objs]):
+                    *[between(k, a, b) for k, (a, b) in enumerate(zip(idx1, idx2))]):
                 meter.tick()
                 if _cone_morphism_ok(E.compose, squares, combo):
                     homs[(i, j)].append(dict(zip(objs, combo)))
-    return found, homs
+    return [c for c, _ in found], homs
 
 
 def _cone_tables(Q: CatDiagram) -> tuple[list, list]:
@@ -1082,12 +1098,14 @@ def comparison_functor(P: CatDiagram, cone: BaseCone,
                        meter: Meter | None = None):
     """The canonical functor P(vertex) -> limit of P over the cone's shape.
 
-    The limit category is realized as the Hom category of cone-shaped
-    families valued in P; the comparison sends c to the family of images
-    of c under the cone's components.  Both sides are assembled and the
+    The limit category is realized as ``hom_eps(Δ1, P·D)``, the
+    σ-transformations out of the constant terminal diagram and their
+    modifications; the comparison sends c to the family of images of c
+    under the cone's components.  Both sides are assembled and the
     functor is validated, so with ``is_equivalence`` this is the reference
     for ``preserves_bilimit``, which decides the same comparison on
-    hom-sets.
+    hom-sets of the same limit read off P·D's tables by
+    ``point_cone_homs``.
     """
     meter = meter or Meter()
     sh = cone.shape
@@ -1139,21 +1157,111 @@ def comparison_functor(P: CatDiagram, cone: BaseCone,
     return F, h
 
 
+def point_cone_homs(Q: CatDiagram, marked: frozenset,
+                    meter: Meter | None = None) -> tuple[list, object]:
+    """The σ-cones from the point under a strict Cat-valued diagram Q on a
+    shape, read off Q's tables: the objects of σ-Nat(Δ1, Q), and a function
+    that gives the morphisms between two of them.
+
+    A cone is a pair of tuples: an object x_i of Q(i) per shape object i,
+    in sorted order, and an arrow per shape 1-cell u : i → j, in sorted
+    order, from Q(u)x_i to x_j in Q(j): the identity at an identity
+    1-cell, invertible at a marked one.  LN2 at x : u ⇒ v compares σ_u
+    with σ_v∘Q(x)_(x_i), and LN1 at (v, u) compares σ_vu with
+    σ_v∘Q(v)(σ_u), both by lookups in Q's composition tables.  The cones
+    come lexicographically in the objects, then in the cells.
+
+    ``hom(p, q)`` lists the morphisms from the p-th cone to the q-th: the
+    families (m_i) of arrows x_i → x'_i with σ'_u∘Q(u)(m_i) = m_j∘σ_u at
+    every 1-cell u.  It enumerates them afresh at each call, so a caller
+    reads only the hom-sets it needs.  Ticks once per family of objects,
+    per family of cells and per family of morphism components.  No
+    ``Functor``, ``NatTransf`` or ``Transformation`` is built; the
+    transformations Δ1 ⇒ Q of ``transforms`` are the reference.
+    """
+    meter = meter or Meter()
+    sh = Q.source
+    objs, cells = sorted(sh.objects), sorted(sh.all_one_cells())
+    pos = {i: k for k, i in enumerate(objs)}
+    cell_pos = {u: n for n, u in enumerate(cells)}
+    cats = [Q.on_obj[i] for i in objs]
+    ids = set(sh.id1.values())
+    units = [(cell_pos[u], pos[sh.src1(u)]) for u in cells if u in ids]
+    # per non-identity 1-cell u : i → j: its position, i, j, Q(u) on
+    # objects, Q(j), and whether its cell must be invertible
+    non_id = [(cell_pos[u], pos[sh.src1(u)], pos[sh.tgt1(u)], Q.on_1[u].obj_map,
+               Q.on_obj[sh.tgt1(u)], u in marked) for u in cells if u not in ids]
+    ln2 = []
+    for x in sh.all_two_cells():
+        u, v = sh.src2(x), sh.tgt2(x)
+        ln2.append((cell_pos[u], cell_pos[v], pos[sh.src1(u)],
+                    Q.on_2[x].components, Q.on_obj[sh.tgt1(u)].compose))
+    ln1 = [(cell_pos[vu], cell_pos[v], cell_pos[u], Q.on_1[v].arr_map,
+            Q.on_obj[sh.tgt1(v)].compose) for (v, u), vu in sh.hcomp1.items()]
+
+    def hold(xs: tuple, cs: list) -> bool:
+        for u, v, i, qx, cmp in ln2:
+            if cs[u] != cmp[(cs[v], qx[xs[i]])]:
+                return False
+        for vu, v, u, qv, cmp in ln1:
+            if cs[vu] != cmp[(cs[v], qv[cs[u]])]:
+                return False
+        return True
+
+    cones = []
+    for xs in itertools.product(*(sorted(c.objects) for c in cats)):
+        meter.tick()
+        pools = []
+        for _, i, j, qu, cj, inv in non_id:
+            pool = cj.hom(qu[xs[i]], xs[j])
+            if inv:
+                pool = [a for a in pool if cj.is_iso(a)]
+            if not pool:
+                break
+            pools.append(pool)
+        else:
+            cs = [None] * len(cells)
+            for n, i in units:
+                cs[n] = cats[i].identity[xs[i]]
+            for choice in itertools.product(*pools):
+                meter.tick()
+                for (n, *_), a in zip(non_id, choice):
+                    cs[n] = a
+                if hold(xs, cs):
+                    cones.append((xs, tuple(cs)))
+    # the square at an identity 1-cell holds in every strict Q
+    squares = [(n, i, j, Q.on_1[cells[n]].arr_map, cj.compose)
+               for n, i, j, _, cj, _ in non_id]
+
+    def hom(p: int, q: int) -> list:
+        (xs1, cs1), (xs2, cs2) = cones[p], cones[q]
+        out = []
+        for ms in itertools.product(*(c.hom(x, y) for c, x, y in zip(cats, xs1, xs2))):
+            meter.tick()
+            if all(cmp[(cs2[n], qu[ms[i]])] == cmp[(ms[j], cs1[n])]
+                   for n, i, j, qu, cmp in squares):
+                out.append(ms)
+        return out
+
+    return cones, hom
+
+
 def preserves_bilimit(P: CatDiagram, cone: BaseCone,
                       meter: Meter | None = None) -> bool:
     """Whether P takes the cone to a bilimit cone in Cat: the comparison
     P(vertex) → σ-Nat(Δ1, P·D), the functor of ``comparison_functor``, is
     an equivalence, decided on hom-sets by ``is_equivalence_on_homs``.
 
-    The transformations Δ1 ⇒ P·D are enumerated; an object c of P(vertex)
-    goes to the one with components P(t_i)c and cells P(σ_u)_c, an arrow
-    a to the modification with components P(t_i)a, each looked up by key.
-    Modifications are enumerated only into the image, for pairs (i, j)
-    with j an image.  The map is a functor without a check: modifications
-    compose componentwise in each P(D(i)), where P(t_i) is a functor, and
-    1_c goes to identity components.  A modification whose components are
-    all invertible is an isomorphism, with the componentwise inverse.  No
-    composition table is built; ``comparison_functor`` with
+    The limit is read off P·D's tables by ``point_cone_homs``: an object
+    c of P(vertex) goes to the cone with objects P(t_i)c and cells
+    P(σ_u)_c, an arrow a to the family P(t_i)a, each looked up as a tuple
+    of names.  Morphisms are enumerated only into the image, for pairs
+    (i, j) with j an image.  The map is a functor without a check: cone
+    morphisms compose componentwise in each P(D(i)), where P(t_i) is a
+    functor, and 1_c goes to identity components.  A morphism whose
+    components are all invertible is an isomorphism, with the
+    componentwise inverse.  No composition table, ``Transformation`` or
+    ``Modification`` is built; ``comparison_functor`` with
     ``is_equivalence`` is the assembled reference.  Strict diagrams only.
     """
     meter = meter or Meter()
@@ -1163,34 +1271,25 @@ def preserves_bilimit(P: CatDiagram, cone: BaseCone,
     if P.is_pseudo:
         raise PreconditionFailed("left exactness expects a strict diagram")
     PD = compose_diagram(P, D)
-    ts = enumerate_transformations(constant_diagram(sh, terminal_category()), PD,
-                                   sigma_flavor(cone.marked), meter)
-    legs = [(i, P.on_1[cone.comp[i]], PD.on_obj[i]) for i in sorted(sh.objects)]
-    cells = [(u, P.on_2[cone.struct[u]].components)
-             for u in sorted(sh.all_one_cells())]
+    cones, hom = point_cone_homs(PD, cone.marked, meter)
+    objs = sorted(sh.objects)
+    legs = [P.on_1[cone.comp[i]] for i in objs]
+    cells = [P.on_2[cone.struct[u]].components for u in sorted(sh.all_one_cells())]
+    cats = [PD.on_obj[i] for i in objs]
 
-    # the keys of ``Transformation`` and ``Modification``; the components
-    # are functors and transformations out of the terminal category, whose
-    # one object is * with identity id_*
-    def transformation_of(c: str) -> tuple:
-        return (tuple((i, ((("*", F.obj_map[c]),),
-                           (("id_*", Pi.identity[F.obj_map[c]]),)))
-                      for i, F, Pi in legs),
-                tuple((u, (("*", cell[c]),)) for u, cell in cells))
+    def cone_of(c: str) -> tuple:
+        return tuple(F.obj_map[c] for F in legs), tuple(s[c] for s in cells)
 
-    def modification_of(a: str) -> tuple:
-        return tuple((i, (("*", F.arr_map[a]),)) for i, F, _ in legs)
+    def morphism_of(a: str) -> tuple:
+        return tuple(F.arr_map[a] for F in legs)
 
-    def invertible(key: tuple) -> bool:
-        return all(Pi.is_iso(x) for (_, _, Pi), (_, ((_, x),)) in zip(legs, key))
-
-    def hom(i: int, j: int) -> set:
-        return {m.key() for m in enumerate_modifications(ts[i], ts[j], meter)}
+    def invertible(ms: tuple) -> bool:
+        return all(c.is_iso(m) for c, m in zip(cats, ms))
 
     return is_equivalence_on_homs(P.on_obj[cone.vertex],
-                                  {t.key(): n for n, t in enumerate(ts)},
-                                  transformation_of, modification_of, hom,
-                                  invertible)
+                                  {k: n for n, k in enumerate(cones)},
+                                  cone_of, morphism_of,
+                                  lambda i, j: set(hom(i, j)), invertible)
 
 
 # ---------------------------------------------------------------------------

@@ -547,6 +547,8 @@ def enumerate_transformations(P: CatDiagram, Q: CatDiagram, flavor: Flavor,
                               meter: Meter | None = None) -> list[Transformation]:
     meter = meter or Meter()
     base = P.source
+    if Q.source != base:
+        raise PreconditionFailed("the diagrams live on different bases")
     strict = flavor.requires_identity()
     if strict and (P.is_pseudo or Q.is_pseudo):
         raise PreconditionFailed("strict flavor requires strict diagrams")

@@ -170,6 +170,23 @@ def test_hom_and_limit_commands(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("command,documents,flags,detail", [
+    ("limit", ("const_terminal", "representable_diamond_top"), (),
+     "the diagrams live on different bases"),
+    ("hom", ("const_terminal", "representable_diamond_top"), ("--flavor", "s"),
+     "the diagrams live on different bases"),
+    ("limit", ("arrow_2cat", "const_terminal"), (),
+     "limit expects two diagram documents"),
+])
+def test_limit_and_hom_reject_mismatched_documents(capsys, command, documents,
+                                                   flags, detail):
+    paths = [str(FIXTURES / f"{name}.json") for name in documents]
+    code, out = invoke(capsys, command, *paths, *flags)
+    assert code == 2
+    assert json.loads(out) == {"command": command, "error": "invalid-input",
+                               "detail": detail}
+
+
 def test_elements_command_with_sigma(capsys):
     code, out = invoke(capsys, "elements", str(FIXTURES / "diagram_pick0.json"),
                        "--sigma", "f")

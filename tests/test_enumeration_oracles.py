@@ -37,7 +37,11 @@ replaced: the kernel's candidates and laws, then that assembled test on
 each, building every cone category again.  Labels and cones must agree,
 in order.  ``preserves_bilimit``, which decides the comparison into the
 limit on hom-sets, is checked against ``comparison_functor`` and
-``is_equivalence``.
+``is_equivalence``, on every such cone and on the cones the search finds
+in chains, grids and the diamond.  The σ-cones from the point that
+``point_cone_homs`` reads off a diagram's tables, and their morphisms,
+are checked against the σ-transformations out of Δ1 and their
+modifications.
 """
 
 import dataclasses
@@ -54,8 +58,8 @@ from sigmacat.colimits import (BaseCone, BaseConeCategories, SigmaCone,
                                check_sigma_cone, comparison_functor,
                                cones_sigma, conical_sigma_colimit,
                                default_test_family, hom_into_diagram,
-                               is_bilimit_cone, preserves_bilimit,
-                               weighted_sigma_colimit)
+                               is_bilimit_cone, point_cone_homs,
+                               preserves_bilimit, weighted_sigma_colimit)
 from sigmacat.config import Meter
 from sigmacat.errors import PreconditionFailed
 from sigmacat.filteredness import (ShapeDiagram, cocone_category,
@@ -73,15 +77,16 @@ from sigmacat.fincat import (Functor, NatTransf, arrow_category,
                              whisker_nat_functor)
 from sigmacat.fixtures import (arrow_2cat, chain3_2cat, diagram_collapse,
                                diagram_on_free2cell, diagram_pick0,
-                               diamond_2cat, marked_fixtures, pseudo_swap,
-                               pseudo_z2, weight_constant_terminal_op,
+                               diamond_2cat, marked_fixtures, poset_category,
+                               pseudo_swap, pseudo_z2, weight_constant_terminal_op,
                                weight_on_op_arrow)
 from sigmacat.flatness import generate_bilimit_cones, representable
 from sigmacat.shapes import generating_diagrams
 from sigmacat.transforms import (LAX, PSEUDO, STRICT, Modification,
                                  Transformation, check_modification,
                                  check_transformation, constant_diagram,
-                                 hom_eps, identity_twofunctor, sigma_flavor,
+                                 enumerate_modifications,
+                                 enumerate_transformations, hom_eps, identity_twofunctor, sigma_flavor,
                                  TwoFunctor, validate_twofunctor)
 from sigmacat.two_cat import (Marked2Cat, free_2cell_2cat, mk_fin2cat,
                               op_dual, parallel_2cells_2cat, terminal_2cat,
@@ -858,26 +863,136 @@ def test_bilimit_test_matches_the_assembled_one_on_posets(c):
     assert_verdicts_agree(every_cone_verdict(two_cat_from_cat(c)))
 
 
+def preservation_diagrams(a) -> list:
+    """Every representable of a, then Δ of the terminal category, the
+    discrete pair, the walking arrow, ℤ/2 and the idempotent monoid."""
+    return [representable(a, X) for X in sorted(a.objects)] + \
+        [constant_diagram(a, c) for c in (
+            terminal_category(), discrete_category(["x", "y"]), arrow_category(),
+            group_z2_category(), idempotent_category())]
+
+
+def assert_preservation_agrees(P, cone) -> bool:
+    got = preserves_bilimit(P, cone)
+    assert got == is_equivalence(comparison_functor(P, cone)[0]).verdict
+    return got
+
+
 @pytest.mark.parametrize("base", BILIMIT_BASES)
 def test_preservation_matches_the_assembled_comparison(base):
-    """Representables, Δ1 and Δ(discrete pair), against every cone of every
-    Cones_D(L) of the generating diagrams.  The representable a(X, -)
-    preserves a cone exactly when precomposition hom(X, L) → Cones_D(X) is
-    an equivalence, so the cones that every representable preserves are
-    the bilimit cones."""
+    """``preservation_diagrams`` against every cone of every Cones_D(L) of
+    the generating diagrams.  The representable a(X, -) preserves a cone
+    exactly when precomposition hom(X, L) → Cones_D(X) is an equivalence,
+    so the cones that every representable preserves are the bilimit
+    cones."""
     a = base()
     objs = sorted(a.objects)
-    diagrams = [representable(a, X) for X in objs] + \
-        [constant_diagram(a, terminal_category()),
-         constant_diagram(a, discrete_category(["x", "y"]))]
+    diagrams = preservation_diagrams(a)
     verdicts = set()
     for over, _, cone in every_cone(a):
-        got = [preserves_bilimit(P, cone) for P in diagrams]
-        assert got == [is_equivalence(comparison_functor(P, cone)[0]).verdict
-                       for P in diagrams]
+        got = [assert_preservation_agrees(P, cone) for P in diagrams]
         assert all(got[:len(objs)]) == over.is_bilimit(cone)
         verdicts.update(got)
     assert verdicts == {True, False}
+
+
+def poset_2cat(objs, covers):
+    return two_cat_from_cat(poset_category(objs, covers))
+
+
+def chain_2cat(n):
+    objs = [f"c{i}" for i in range(n)]
+    return poset_2cat(objs, list(zip(objs, objs[1:])))
+
+
+def grid_2cat(m, n):
+    objs = [f"g{i}_{j}" for i in range(m) for j in range(n)]
+    covers = [(f"g{i}_{j}", f"g{i + 1}_{j}") for i in range(m - 1) for j in range(n)]
+    covers += [(f"g{i}_{j}", f"g{i}_{j + 1}") for i in range(m) for j in range(n - 1)]
+    return poset_2cat(objs, covers)
+
+
+@pytest.mark.parametrize("base", [
+    lambda: chain_2cat(2), lambda: chain_2cat(4), lambda: chain_2cat(8),
+    lambda: grid_2cat(2, 2), lambda: grid_2cat(3, 3), diamond_2cat],
+    ids=["chain2", "chain4", "chain8", "grid2x2", "grid3x3", "diamond"])
+def test_preservation_of_the_generated_cones_matches_the_assembled_comparison(base):
+    """``preservation_diagrams`` against the bilimit cones
+    ``generate_bilimit_cones`` finds in chains, grids and the diamond."""
+    a = base()
+    diagrams = preservation_diagrams(a)
+    verdicts = {assert_preservation_agrees(P, cone)
+                for _, cone in generate_bilimit_cones(a) for P in diagrams}
+    assert verdicts == {True, False}
+
+
+def point_cone_rows(Q, marked) -> tuple:
+    """``point_cone_homs`` as sorted cones and, per pair of them, the
+    sorted morphisms."""
+    cones, hom = point_cone_homs(Q, marked)
+    order = sorted(range(len(cones)), key=lambda p: cones[p])
+    return ([cones[p] for p in order],
+            [[sorted(hom(p, q)) for q in order] for p in order])
+
+
+def transformation_rows(Q, marked) -> tuple:
+    """The σ-transformations Δ1 ⇒ Q and their modifications, the same way,
+    each read as the tuples of names ``point_cone_homs`` gives."""
+    sh = Q.source
+    objs, cells = sorted(sh.objects), sorted(sh.all_one_cells())
+    ts = enumerate_transformations(constant_diagram(sh, terminal_category()), Q,
+                                   sigma_flavor(marked))
+    keys = [(tuple(t.components[i].obj_map["*"] for i in objs),
+             tuple(t.structural[u].components["*"] for u in cells)) for t in ts]
+    order = sorted(range(len(ts)), key=lambda p: keys[p])
+    return ([keys[p] for p in order],
+            [[sorted(tuple(m.components[i].components["*"] for i in objs)
+                     for m in enumerate_modifications(ts[p], ts[q]))
+              for q in order] for p in order])
+
+
+def z2_constant(value):
+    return lambda: constant_diagram(z2_2cat(), value)
+
+
+POINT_CONE_CASES = {
+    # LN1 along c0 < c1 < c2, and invertibility where marked
+    "chain3/arrow/none": (lambda: constant_diagram(chain_2cat(3), arrow_category()),
+                          frozenset()),
+    "chain3/arrow/all": (lambda: constant_diagram(chain_2cat(3), arrow_category()),
+                         frozenset({"c0<c1", "c1<c2", "c0<c2"})),
+    "chain3/iso_pair/c0<c1": (lambda: constant_diagram(chain_2cat(3),
+                                                       iso_pair_category()),
+                              frozenset({"c0<c1"})),
+    "diamond/arrow/none": (lambda: constant_diagram(diamond_2cat(), arrow_category()),
+                           frozenset()),
+    "diamond/reprbot/none": (lambda: representable(diamond_2cat(), "bot"), frozenset()),
+    # LN1 at s∘s = e: σ_s must square to the identity
+    "z2/idempotent/none": (z2_constant(idempotent_category()), frozenset()),
+    "z2/z2/all": (z2_constant(group_z2_category()), frozenset({"e", "s"})),
+    # LN2 at a 2-cell acting nontrivially
+    "free2cell/arrow/none": (lambda: constant_diagram(free_2cell_2cat(),
+                                                      arrow_category()), frozenset()),
+    "free2cell/iso_pair/u": (lambda: constant_diagram(free_2cell_2cat(),
+                                                      iso_pair_category()),
+                             frozenset({"u"})),
+    "free2cell/diagram/none": (diagram_on_free2cell, frozenset()),
+    "free2cell/reprA/none": (lambda: representable(free_2cell_2cat(), "a"),
+                             frozenset()),
+    "arrow/pick0/all": (diagram_pick0, frozenset({"f"})),
+    "arrow/collapse/none": (diagram_collapse, frozenset()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(POINT_CONE_CASES))
+def test_point_cones_match_the_transformations_out_of_the_point(case):
+    """The σ-cones from the point and their morphisms, read off Q's tables,
+    are the σ-transformations Δ1 ⇒ Q and their modifications."""
+    diagram, marked = POINT_CONE_CASES[case]
+    Q = diagram()
+    got = point_cone_rows(Q, marked)
+    assert got == transformation_rows(Q, marked)
+    assert got[0]
 
 
 def reference_bilimit_cones(a) -> list:

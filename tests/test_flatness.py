@@ -2,11 +2,12 @@
 
 import pytest
 
-from sigmacat.colimits import BaseConeCategories
+from sigmacat.colimits import (BaseConeCategories, comparison_functor,
+                               preserves_bilimit)
 from sigmacat.errors import Inconsistency, PreconditionFailed
 from sigmacat.fincat import (Functor, arrow_category, discrete_category,
-                             is_equivalence, iso_pair_category,
-                             terminal_category)
+                             group_z2_category, is_equivalence,
+                             iso_pair_category, terminal_category)
 from sigmacat.fixtures import (arrow_2cat, diamond_2cat, idn, iso_2cat,
                                marked_fixtures, pseudo_not_flat, pseudo_swap,
                                pseudo_z2)
@@ -164,20 +165,68 @@ def test_bilimit_search_builds_each_cone_category_once(diamond, monkeypatch):
 
 def test_left_exactness_builds_no_composition_table(diamond, monkeypatch):
     """The bilimit search and the comparisons into the limits are decided
-    on hom-sets: left exactness must be decided with the category
-    assembler and the equivalence test made to fail."""
+    on hom-sets, and each limit is read off P·D's tables: left exactness
+    must be decided with the category assembler, the equivalence test and
+    the enumerators of transformations and modifications made to fail."""
     from sigmacat import colimits, fincat, flatness, transforms
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a composition table was assembled")
+        raise AssertionError("a composition table or a transformation was built")
 
     for module in (fincat, colimits, transforms, flatness):
-        for name in ("assemble_category", "is_equivalence"):
+        for name in ("assemble_category", "is_equivalence",
+                     "enumerate_transformations", "enumerate_modifications"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
     rep = check_left_exact(representable(diamond, "bot"),
                            generate_bilimit_cones(diamond))
     assert rep.verdict and len(rep.per_shape) == 43
+
+
+def _z2_killed_along_bot_a(diamond):
+    """P(bot) = P(a) = ℤ/2 and P(b) = P(top) = 1, with bot<a sent to the
+    endofunctor of ℤ/2 that sends s to e."""
+    z2, one = group_z2_category(), terminal_category()
+    values = {"bot": z2, "a": z2, "b": one, "top": one}
+    on_1, on_2 = {}, {}
+    for f in diamond.all_one_cells():
+        C, D = values[diamond.src1(f)], values[diamond.tgt1(f)]
+        if D is one:
+            F = Functor(C, one, {x: "*" for x in C.objects},
+                        {a: "id_*" for a in C.arrows})
+        elif f == "bot<a":
+            F = Functor(z2, z2, {"*": "*"}, {"e": "e", "s": "e"})
+        else:
+            F = identity_functor(C)
+        on_1[f] = F
+        on_2[diamond.id2(f)] = idn(F)
+    return CatDiagram(diamond, values, on_1, on_2)
+
+
+@pytest.mark.parametrize("diagram,full,faithful,essentially_surjective", [
+    # ℤ/2 → ℤ/2 × ℤ/2: hom-sets of size 2 against 4
+    pytest.param(lambda a: constant_diagram(a, group_z2_category()),
+                 False, True, True, id="const-z2"),
+    # ℤ/2 → ℤ/2 × 1 sends s to e: hom-sets of equal size, not injectively
+    pytest.param(_z2_killed_along_bot_a, False, False, True,
+                 id="z2-killed-along-bot<a"),
+    # {x, y} → {x, y}²: (x, y) is isomorphic to no image
+    pytest.param(lambda a: constant_diagram(a, discrete_category(["x", "y"])),
+                 True, True, False, id="const-pair"),
+])
+def test_a_comparison_failing_one_check_is_not_preserved(
+        diamond, diamond_cones, diagram, full, faithful, essentially_surjective):
+    """One comparison per check of ``is_equivalence_on_homs`` that fails it:
+    not full, not faithful, not essentially surjective, each at the
+    biproduct of a and b, whose bilimit cone has vertex bot."""
+    cone = dict(diamond_cones)["biproduct(a,b)"]
+    P = diagram(diamond)
+    assert validate_diagram(P).ok
+    rep = is_equivalence(comparison_functor(P, cone)[0])
+    assert (rep.full, rep.faithful, rep.essentially_surjective) == \
+        (full, faithful, essentially_surjective)
+    assert preserves_bilimit(P, cone) is False
+    assert ("biproduct(a,b)", False) in check_left_exact(P, diamond_cones).per_shape
 
 
 def test_bilimit_test_refuses_a_cone_over_another_diagram(diamond_cones):

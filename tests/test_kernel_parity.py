@@ -90,19 +90,19 @@ EXPECTED = {
     "fun-arrow-iso_pair": (88, 4, 16, 64, "47ba3bccd2aadb58"),
     "fun-chain2-chain3": (85, 6, 20, 50, "b7f2e2fb73bf173f"),
     "fun-chain3-chain4": (1239, 20, 175, 980, "3d7dda3da6006b89"),
-    "cones-pick0-iso_pair": (740, 8, 64, 512, "e204e570e8de4e94"),
+    "cones-pick0-iso_pair": (632, 8, 64, 512, "e204e570e8de4e94"),
     "localize-arrow-f": (8, 2, 4, 8, "a8766173a21e9366"),
     "localize-chain3-all": (24, 3, 9, 27, "48fe927c6f128b67"),
     "localize-square-two": (41, 4, 17, 73, "a4b770df3a0b7bd6"),
-    "conical-pick0-all": (525, 3, 7, 15, "dbdd782538462259"),
+    "conical-pick0-all": (401, 3, 7, 15, "dbdd782538462259"),
     "hom-s-pick0-delta_arrow": (49, 3, 6, 10, "4eb0be34087b9cf2"),
     "hom-sigma-free2cell-u": (56, 3, 6, 10, "4eb0be34087b9cf2"),
     "hom-l-free2cell": (83, 4, 10, 20, "335d5fd468a95cc7"),
     "hom-p-pseudo_z2-pseudo_z2": (182, 4, 16, 64, "0b751bc33008244a"),
     "hom-l-pseudo_swap-pseudo_z2": (2854, 8, 128, 2048, "dbde37d6009e4081"),
     "end-l-delta_arrow-delta_arrow": (35, 6, 20, 50, "3ee6b5da0ebcf55d"),
-    "weighted-w_arrow-pick0-all": (9783, 5, 18, 58, "237ee44e8199f1fe"),
-    "weighted-w_arrow-collapse-all": (2880, 4, 16, 64, "da9a62f7a933edb2"),
+    "weighted-w_arrow-pick0-all": (6651, 5, 18, 58, "237ee44e8199f1fe"),
+    "weighted-w_arrow-collapse-all": (2136, 4, 16, 64, "da9a62f7a933edb2"),
 }
 
 
@@ -117,12 +117,12 @@ def test_ticks_and_tables_are_pinned(case):
 # marking (lax) and to every 1-cell (pseudo): the certificate decides them
 # on hom-sets, within the default budget.
 CHAIN3_RUNGS = {
-    "chain3/arrow/ids": (arrow_category, wide_identities, (24734, 6, 18)),
+    "chain3/arrow/ids": (arrow_category, wide_identities, (11287, 6, 18)),
     "chain3/pair/ids": (lambda: discrete_category(["x", "y"]), wide_identities,
-                        (31329, 6, 12)),
+                        (14794, 6, 12)),
     "chain3/pair/all": (lambda: discrete_category(["x", "y"]), wide_all,
-                        (21810, 6, 18)),
-    "chain3/arrow/all": (arrow_category, wide_all, (22270, 6, 27)),
+                        (9570, 6, 18)),
+    "chain3/arrow/all": (arrow_category, wide_all, (10030, 6, 27)),
 }
 
 
@@ -148,14 +148,14 @@ def test_chain3_colimits_are_certified_within_the_default_budget(rung):
 FULLY_MARKED_RUNGS = {
     "chain4/one/all": (lambda: constant_diagram(two_cat_from_cat(chain(4, prefix="c")),
                                                 terminal_category()),
-                       (2106, 4, 16, 64, "2f3565e7625f52e8")),
+                       (1098, 4, 16, 64, "2f3565e7625f52e8")),
     "diamond/one/all": (lambda: constant_diagram(diamond_2cat(), terminal_category()),
-                        (2053, 4, 16, 64, "9761daaf19e67344")),
+                        (1045, 4, 16, 64, "9761daaf19e67344")),
     "chain4/reprc0/all": (lambda: representable(two_cat_from_cat(chain(4, prefix="c")),
                                                 "c0"),
-                          (2106, 4, 16, 64, "b3b478f53cb63368")),
+                          (1098, 4, 16, 64, "b3b478f53cb63368")),
     "diamond/reprbot/all": (lambda: representable(diamond_2cat(), "bot"),
-                            (2053, 4, 16, 64, "8dbf2d474fcac688")),
+                            (1045, 4, 16, 64, "8dbf2d474fcac688")),
 }
 
 
@@ -177,7 +177,7 @@ def test_canonical_expression_of_the_diamond_bottom_representable_is_pinned():
     assert res.verdict == "equivalent"
     assert [(B, st, ok) for B, st, ok in res.per_object] == \
         [(B, "finite", True) for B in ("a", "b", "bot", "top")]
-    assert meter.count == 2908
+    assert meter.count == 1741
 
 
 @pytest.mark.parametrize("n,ticks", [(4, 101), (8, 1444), (16, 21148)])
@@ -202,7 +202,7 @@ def test_left_exactness_on_the_diamond_is_pinned():
                            generate_bilimit_cones(base, meter), meter)
     digest = hashlib.sha256(repr(rep.per_shape).encode()).hexdigest()[:16]
     assert (meter.count, rep.verdict, len(rep.per_shape), digest) == \
-        (660, True, 43, "fd678c713a00414d")
+        (348, True, 43, "fd678c713a00414d")
 
 
 # ---------------------------------------------------------------------------
