@@ -152,6 +152,8 @@ def cmd_colimit(args) -> int:
     meter = Meter(args.budget)
     if args.weight is not None:
         W = sio.parse_document(_read(args.weight))
+        if not isinstance(W, CatDiagram):
+            raise ValidationError("--weight expects a diagram document")
         sig = wide_from(P.source, _parse_sigma_names(args.sigma or ""))
         res = weighted_sigma_colimit(W, P, sig, args.cap, meter)
         conical = res.conical

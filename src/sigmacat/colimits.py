@@ -5,21 +5,20 @@ computed by enumeration.  Conical colimits relative to a marking are
 computed by the classical recipe: take the dual elements construction of
 the diagram, reverse its 1-cells, collapse each hom to connected
 components, and invert the marked cartesian arrows in the category of
-fractions.  Whenever the localization stabilizes, a certificate is run:
-for every test category E in the configured family, precomposition with
-the universal cone must be an isomorphism between functors out of the
-realized category and the enumerated cone category.  It is decided on
-objects and hom-sets alone (``functor_homs`` and ``sigma_cone_homs``):
-precomposition preserves composition and identities because both
-categories compose componentwise in E, so a map that is bijective on
-objects and on every hom-set is an isomorphism, and neither composition
-table is built.  A weighted σ-colimit W ⋆ P is the conical one of P·π
-over the dual of W's elements, and is certified the same way: composition
-with the universal weighted cocone, read off the conical cone, must be
-bijective from functors out of the result to the enumerated σ-natural
-transformations W ⇒ Cat(P-, E) (``transformation_homs``) and on every
-hom-set.  A certificate failure is a bug and raises; an unstable
-localization propagates as an undecided status, never as a guess.
+fractions.  Whenever the localization stabilizes, the result R with its
+universal cone κ is certified by the cocone classifier: Cl(Q, Σ) is
+presented so that its functors into any E are exactly the σ-cones under
+Q with vertex E, and the functor Cl → R that κ induces must be an
+isomorphism, which proves the universal property for every E.  Cl is
+built from Q's own tables, not through the elements construction, and
+decided by one coset table (``presented.presents``).  A weighted
+σ-colimit W ⋆ P is the conical one of P·π over the dual of W's elements;
+it is certified the same way by the classifier of σ-natural
+transformations W ⇒ Cat(P-, E), built from W's and P's tables.  No
+functor, cone or transformation is enumerated.  A certificate failure is
+a bug and raises; an unstable localization propagates as an undecided
+status, and a classifier still growing at the cap raises UndecidedAtCap,
+never a guess.
 
 Cones over a 2-functor into a finite 2-category go through one cone
 kernel: ``base_cone_candidates`` proposes legs and structural cells,
@@ -56,7 +55,7 @@ from .errors import CertificateFailure, PreconditionFailed, UndecidedAtCap
 from .fincat import (FinCat, Functor, NatTransf, ValidationReport,
                      arrow_category, assemble_category, compose_functors,
                      enumerate_functors, enumerate_nat_transfs,
-                     find_isomorphism, functor_category_full, functor_homs,
+                     find_isomorphism, functor_category_full,
                      iso_pair_category, is_equivalence_on_homs,
                      nat_is_identity, nat_is_invertible, pair_name,
                      parallel_pair_category, partition, split_pair_name,
@@ -65,10 +64,9 @@ from .fincat import (FinCat, Functor, NatTransf, ValidationReport,
 from .two_cat import Fin2Cat, WideSub, op_dual, pi0, pi0_class_map, two_cat_product
 from .transforms import (CatDiagram, HomCategory, Transformation, TwoFunctor,
                          Flavor, PSEUDO, STRICT, compose_diagram,
-                         constant_diagram, hom_eps, sigma_flavor,
-                         transformation_homs)
+                         constant_diagram, hom_eps, sigma_flavor)
 from .presented import (Presentation, PresentedCategory, base_of_inv, is_inv,
-                        localize)
+                        localize, presents)
 from . import elements as el_mod
 
 
@@ -383,18 +381,18 @@ class ColimitResult:
 
 
 def conical_sigma_colimit(Q: CatDiagram, sigma: WideSub, cap: int = DEFAULT_CAP,
-                          meter: Meter | None = None,
-                          test_family=None) -> ColimitResult:
+                          meter: Meter | None = None) -> ColimitResult:
     """Conical colimit of a Cat-valued diagram relative to a marking.
 
     Built from the reversed dual elements construction, components
     collapsed, marked cartesian arrows inverted.  The universal cone
-    sends an element x over A to the class of the pair (x, A).
+    sends an element x over A to the class of the pair (x, A).  It is
+    certified by its classifier: the functor Cl(Q, Σ) → R it induces
+    must be an isomorphism (``_conical_classifier``).
     """
     meter = meter or Meter()
     if Q.is_pseudo:
         raise PreconditionFailed("conical colimits expect a strict diagram")
-    test_family = default_test_family() if test_family is None else test_family
     gamma = el_mod.gamma_dual(Q, meter)
     marked_pairs = el_mod.cart_sigma(gamma, sigma)
     gop = op_dual(gamma.cat)
@@ -442,76 +440,92 @@ def conical_sigma_colimit(Q: CatDiagram, sigma: WideSub, cap: int = DEFAULT_CAP,
         raise CertificateFailure(f"universal cone fails its own laws: "
                                  f"{rep.violations[0].detail}")
     result.cone = cone
-    for label, E in test_family:
-        _record(result.certificate, label,
-                _certify_against(result, E, functor_homs(R, E, meter), meter),
-                "colimit universal property fails against test category")
+    cl = _conical_classifier(Q, result.marked, cone)
+    result.certificate = cl.certify(R, cap, meter)
     return result
 
 
-def _record(certificate: list, label: str, ok: bool, failure: str) -> None:
-    """Append a test category's verdict; a failed certificate is a bug."""
-    certificate.append((label, ok))
-    if not ok:
-        raise CertificateFailure(f"{failure} {label}")
+class _Classifier:
+    """A classifier's presentation with the images of its objects and
+    generators under Φ.  Generators are named by position; in a path,
+    None stands for an identity and is dropped."""
+
+    def __init__(self):
+        self.obj_image, self.ends, self.gen_image = {}, {}, {}
+        self.hints, self.relations, self.inverted = {}, [], []
+
+    def gen(self, src, tgt, image: str) -> str:
+        name = f"g{len(self.ends)}"
+        self.ends[name] = (src, tgt)
+        self.gen_image[name] = image
+        return name
+
+    def hint(self, first, second, composite) -> None:
+        """first then second is composite, an identity when None."""
+        if first and second:
+            self.hints[(first, second)] = composite
+
+    def rel(self, u: tuple, v: tuple, src) -> None:
+        u, v = tuple(g for g in u if g), tuple(g for g in v if g)
+        if u != v:
+            self.relations.append((u, v, src))
+
+    def presentation(self) -> Presentation:
+        return Presentation(tuple(sorted(self.obj_image)), self.ends, self.hints,
+                            tuple(self.relations), tuple(sorted(self.inverted)))
+
+    def certify(self, R: FinCat, cap: int, meter: Meter) -> list:
+        """Φ : Cl → R must be an isomorphism; a failure is a bug and raises."""
+        if not presents(self.presentation(), self.obj_image, self.gen_image, R,
+                        cap, meter):
+            raise CertificateFailure("colimit is not isomorphic to its classifier")
+        return [("classifier", True)]
 
 
-def _certify_against(result: ColimitResult, E: FinCat, homs: tuple,
-                     meter: Meter) -> bool:
-    """Precomposition with the cone must be an isomorphism of categories
-    Cat(R, E) → σ-Cones(Q, E), decided on objects and hom-sets; ``homs``
-    is ``functor_homs(R, E)``.
+def _conical_classifier(Q: CatDiagram, marked: frozenset, cone: SigmaCone) -> _Classifier:
+    """Cl(Q, Σ), whose functors into any E are the σ-cones under Q with
+    vertex E, built from Q's tables, and Φ : Cl → R induced by ``cone``.
 
-    Functors H : R → E go to the cones Hκ, and a transformation μ : H ⇒ H'
-    to the cone morphism μκ = (μκ_A)_A, whose component at a base object A
-    and an object x of Q(A) is μ_{κ_A x}.  The object map must be a
-    bijection, and for every pair of functors the arrow map a bijection of
-    hom-sets: each μκ is built from μ per base object and component, and
-    looked up by that key among the cone morphisms.  That is linear in
-    the arrows; no composition table is built on either side.  The map is
-    a functor without further checks: composition is componentwise in E on
-    both sides, so (μ'·μ)κ = (μ'κ)·(μκ), and 1_H κ has identity components,
-    so it is the identity of Hκ.  A functor bijective on objects and on
-    hom-sets is an isomorphism.
+    Objects (A, y), y in Q(A); generators a[A|u] for each non-identity u
+    of Q(A) and s[f|y] : (B, Q(f)y) → (A, y) for each non-identity
+    f : A → B, s being empty at identities.  Relations: Q(A)'s composition
+    as hints; naturality of s[f|-]; LN1, s[g|Q(f)y] then s[f|y] is
+    s[gf|y]; LN2, a[B|Q(x)_y] then s[g|y] is s[f|y] for x : f ⇒ g; s[f|y]
+    inverted for f in Σ.  Φ sends a[A|u] to κ_A(u), s[f|y] to κ_f,y.
     """
-    cone = result.cone
-    Q = result.diagram
     base = Q.source
-    objs = sorted(base.objects)
-    fs, nats = homs
-    cones, chom = sigma_cone_homs(Q, result.marked, E, meter)
-    if len(fs) != len(cones):
-        return False
-    position = {c.key(): i for i, c in enumerate(cones)}
-    obj_map = []
-    for H in fs:
-        image = SigmaCone(
-            Q, result.marked, E,
-            {A: compose_functors(H, cone.components[A]) for A in objs},
-            {f: whisker_functor_nat(H, cone.structural[f])
-             for f in base.all_one_cells()})
-        i = position.get(image.key())
-        if i is None:
-            return False
-        obj_map.append(i)
-    if len(set(obj_map)) != len(obj_map):
-        return False
-    # per base object, the objects x of Q(A) in key order with κ_A x
-    legs = [(A, sorted(cone.components[A].obj_map.items())) for A in objs]
-    for (i, j), mus in nats.items():
-        rhos = chom[(obj_map[i], obj_map[j])]
-        if len(mus) != len(rhos):
-            return False
-        index = {_morphism_key(rho): k for k, rho in enumerate(rhos)}
-        hit = set()
-        for mu in mus:
-            mc = mu.components
-            k = index.get(tuple((A, tuple((x, mc[y]) for x, y in rows))
-                                for A, rows in legs))
-            if k is None or k in hit:
-                return False
-            hit.add(k)
-    return True
+    cl = _Classifier()
+    a, s = {}, {}
+    for A in sorted(base.objects):
+        QA, k = Q.on_obj[A], cone.components[A]
+        for y in sorted(QA.objects):
+            cl.obj_image[(A, y)] = k.obj_map[y]
+            s[(base.id1[A], y)] = None
+        for u, (y, y2) in sorted(QA.arrows.items()):
+            a[(A, u)] = None if QA.is_identity(u) else cl.gen((A, y), (A, y2),
+                                                              k.arr_map[u])
+        for (v, u), w in sorted(QA.compose.items()):
+            cl.hint(a[(A, u)], a[(A, v)], a[(A, w)])
+    for f in sorted(set(base.all_one_cells()) - set(base.id1.values())):
+        A, B = base.src1(f), base.tgt1(f)
+        Qf, cell = Q.on_1[f], cone.structural[f].components
+        for y in sorted(Q.on_obj[A].objects):
+            s[(f, y)] = cl.gen((B, Qf.obj_map[y]), (A, y), cell[y])
+            if f in marked:
+                cl.inverted.append(s[(f, y)])
+        for u, (y, y2) in sorted(Q.on_obj[A].arrows.items()):
+            cl.rel((s[(f, y)], a[(A, u)]), (a[(B, Qf.arr_map[u])], s[(f, y2)]),
+                   (B, Qf.obj_map[y]))
+    for (g, f), gf in sorted(base.hcomp1.items()):
+        qf, qgf = Q.on_1[f].obj_map, Q.on_1[gf].obj_map
+        for y in sorted(Q.on_obj[base.src1(f)].objects):
+            cl.rel((s[(g, qf[y])], s[(f, y)]), (s[(gf, y)],), (base.tgt1(g), qgf[y]))
+    for x in base.all_two_cells():
+        f, g = base.src2(x), base.tgt2(x)
+        B, qf, qx = base.tgt1(f), Q.on_1[f].obj_map, Q.on_2[x].components
+        for y in sorted(Q.on_obj[base.src1(f)].objects):
+            cl.rel((a[(B, qx[y])], s[(g, y)]), (s[(f, y)],), (B, qf[y]))
+    return cl
 
 
 def induced_from_colimit(result: ColimitResult, target: SigmaCone,
@@ -596,24 +610,24 @@ class WeightedColimitResult:
 
 
 def weighted_sigma_colimit(W: CatDiagram, P: CatDiagram, sigma: WideSub,
-                           cap: int = DEFAULT_CAP, meter: Meter | None = None,
-                           test_family=None) -> WeightedColimitResult:
+                           cap: int = DEFAULT_CAP,
+                           meter: Meter | None = None) -> WeightedColimitResult:
     """Weighted colimit reduced to a conical one over the weight's elements.
 
-    The weight lives on the 1-cell dual of the argument's base.  The
-    result C is the conical σ-colimit of P·π over the dual of W's elements,
-    with the universal cone κ.  Against each test category E two
-    certificates run: the conical one of κ, and the weighted one, which
-    checks the canonical comparison Cat(C, E) → σ-Nat(W, Cat(P-, E)),
-    composition with the universal weighted cocone ω read off κ, on
-    objects and hom-sets (``_certify_weighted``).
+    The weight lives on the 1-cell dual of the argument's base; both must
+    be strict.  The result C is the conical σ-colimit of P·π over the dual
+    of W's elements, with the universal cone κ and its conical
+    certificate.  The weighted certificate is the classifier of weighted
+    σ-cocones, built from W's and P's tables: the functor Cl_W(W, P, Σ) → C
+    that κ induces must be an isomorphism (``_weighted_classifier``).
     """
     meter = meter or Meter()
     base = P.source
     opbase = op_dual(base)
+    if W.is_pseudo or P.is_pseudo:
+        raise PreconditionFailed("weighted colimits expect a strict weight and diagram")
     if W.source != opbase:
         raise PreconditionFailed("weight must live on the dual of the base")
-    test_family = default_test_family() if test_family is None else test_family
     el_w = el_mod.elements_of(W, meter)
     sigma_op = WideSub(opbase, sigma.arrows)
     marked_el = el_mod.cart_sigma(el_w, sigma_op)
@@ -628,154 +642,89 @@ def weighted_sigma_colimit(W: CatDiagram, P: CatDiagram, sigma: WideSub,
         on_2[nm] = P.on_2[th]
     Q2 = CatDiagram(el_op, on_obj, on_1, on_2)
     marked_op = WideSub(el_op, marked_el.arrows)
-    conical = conical_sigma_colimit(Q2, marked_op, cap, meter, test_family=[])
+    conical = conical_sigma_colimit(Q2, marked_op, cap, meter)
     out = WeightedColimitResult(conical, W, P, [])
-    if not conical.finite:
-        return out
-    # per test category, the conical certificate of C against P·π and the
-    # weighted one against W and P, on the same functors C → E
-    for label, E in test_family:
-        homs = functor_homs(conical.category, E, meter)
-        _record(conical.certificate, label,
-                _certify_against(conical, E, homs, meter),
-                "colimit universal property fails against test category")
-        _record(out.certificate, label, _certify_weighted(out, sigma, E, homs, meter),
-                "weighted universal property fails against")
+    if conical.finite:
+        cl = _weighted_classifier(W, P, sigma.arrows, conical.cone)
+        out.certificate = cl.certify(conical.category, cap, meter)
     return out
 
 
-def hom_into_diagram(P: CatDiagram, E: FinCat,
-                     meter: Meter | None = None) -> tuple[CatDiagram, dict]:
-    """The diagram Cat(P-, E) on the dual base, and per base object A the
-    functor category Cat(P(A), E) whose table is its value at A."""
-    meter = meter or Meter()
-    base = P.source
-    opbase = op_dual(base)
-    fcats = {A: functor_category_full(P.on_obj[A], E, meter) for A in base.objects}
-    on_obj = {A: fcats[A].cat for A in base.objects}
-    on_1 = {}
-    for f in base.all_one_cells():
-        # f : A -> B in the base is a 1-cell B -> A in the dual
-        A, B = base.src1(f), base.tgt1(f)
-        om, am = {}, {}
-        for hname, h in fcats[B].functors.items():
-            om[hname] = fcats[A].name_of_functor(compose_functors(h, P.on_1[f]))
-        for nname, n in fcats[B].transfs.items():
-            am[nname] = fcats[A].name_of_transf(whisker_nat_functor(n, P.on_1[f]))
-        on_1[f] = Functor(fcats[B].cat, fcats[A].cat, om, am)
-    on_2 = {}
-    for x in base.all_two_cells():
-        f, g = base.src2(x), base.tgt2(x)
-        A, B = base.src1(f), base.tgt1(f)
-        # P(x) : P(f) ⇒ P(g) whiskers to h∘P(f) ⇒ h∘P(g): in the dual base
-        # 2-cells keep their boundaries
-        comps = {hname: fcats[A].name_of_transf(whisker_functor_nat(h, P.on_2[x]))
-                 for hname, h in fcats[B].functors.items()}
-        on_2[x] = NatTransf(on_1[f], on_1[g], comps)
-    return CatDiagram(opbase, on_obj, on_1, on_2), fcats
+def _weighted_classifier(W: CatDiagram, P: CatDiagram, marked,
+                         cone: SigmaCone) -> _Classifier:
+    """Cl_W(W, P, Σ), whose functors into any E are the σ-natural
+    transformations W ⇒ Cat(P-, E), built from W's and P's tables, and
+    Φ_W : Cl_W → C induced by the conical ``cone`` under P·π.
 
-
-def _certify_weighted(out: WeightedColimitResult, sigma: WideSub, E: FinCat,
-                      homs: tuple, meter: Meter) -> bool:
-    """Composition with the universal weighted cocone ω must be an
-    isomorphism of categories Cat(C, E) → σ-Nat(W, Cat(P-, E)), decided on
-    objects and hom-sets; ``homs`` is ``functor_homs(C, E)``, the same the
-    conical certificate of C reads.
-
-    ω is read off the inner conical cone κ under P·π, whose base is the
-    dual of W's elements: ω_A(x) = κ_(x,A), ω_A(u : x → x') is κ's cell at
-    ``(id_A, u)@x``, and ω's structural cell at f : A → B (a 1-cell of W's
-    base) has at x the cell of κ at ``(f, id_{W(f)x})@x``.  A functor
-    H : C → E goes to the transformation H_*ω, looked up by
-    ``Transformation.key()`` among the enumerated ones; a transformation
-    μ : H ⇒ H' goes to the modification μ_*ω, whose component at A and x
-    is μκ_(x,A), named in Cat(P(A), E).  The object map must be a
-    bijection, and for every pair of functors the arrow map a bijection of
-    hom-sets.  Neither composition table is built.  The map is a functor
-    without further checks: both sides compose componentwise in E, so
-    (μ'·μ)_*ω = μ'_*ω · μ_*ω, and (1_H)_*ω has identity components, so it
-    is the identity of H_*ω.  A functor bijective on objects and on
-    hom-sets is an isomorphism.
+    For f : A → B in W's base, W(f) : W(A) → W(B), P(f) : P(B) → P(A).
+    Objects (A, x, y), x in W(A), y in P(A); generators p[A|x|q] and
+    w[A|u|y] for non-identity q of P(A) and u of W(A), and
+    t[f|x|y] : (A, x, P(f)y) → (B, W(f)x, y) for non-identity f.
+    Relations: P(A)'s and W(A)'s composition as hints; the naturality of w
+    in q, of t in q and of t in u; LN1, t[f|x|P(g)y] then t[g|W(f)x|y] is
+    t[gf|x|y]; LN2, t[f|x|y] then w[B|W(θ)_x|y] is p[A|x|P(θ)_y] then
+    t[g|x|y] for θ : f ⇒ g; t inverted at f in Σ.  Φ_W sends p to
+    κ_(x,A)(q), w to κ's cell at ``(id_A,u)@x``, t to ``(f,id_{W(f)x})@x``.
     """
-    W, kappa = out.weight, out.conical.cone
     wbase = W.source
-    objs = sorted(wbase.objects)
-    target, fcats = hom_into_diagram(out.argument, E, meter)
-    ts, mods = transformation_homs(W, target, sigma_flavor(sigma.arrows), meter)
-    fs, nats = homs
-    if len(fs) != len(ts):
-        return False
-    # ω, with every list in the order its key sorts: the legs (A, x); per
-    # A the objects x and the arrows u : x → x' with κ's cell; per 1-cell
-    # f : A → B and x the cell of κ, from the leg at (A, x) precomposed
-    # with P(f) to the leg at (B, W(f)x); a cell is given by its rows
-    # (y, component) in the order of y
-    legs = {(A, x): kappa.components[el_mod.obj_name(x, A)]
-            for A in objs for x in W.on_obj[A].objects}
-    leg_rows = {leg: sorted(k.obj_map.items()) for leg, k in legs.items()}
-
-    def rows(cell: str) -> list:
-        return sorted(kappa.structural[cell].components.items())
-
-    def named(B: str, src: str, tgt: str, cell_rows: list, arr_map: dict) -> str:
-        """The arrow src → tgt of Cat(P(B), E) with component arr_map[c] at
-        each row (y, c)."""
-        return fcats[B].name_of_transf_between(
-            src, tgt, tuple((y, arr_map[c]) for y, c in cell_rows))
-
-    on_arrows = []
-    for A in objs:
-        WA = W.on_obj[A]
-        idA = wbase.id1[A]
-        on_arrows.append((A, sorted(WA.objects), [
-            (u, (A, x), (A, x2), rows(el_mod.mor_name(idA, u, x)))
-            for u, (x, x2) in sorted(WA.arrows.items())]))
-    on_cells = []
-    for f in sorted(wbase.all_one_cells()):
+    cl = _Classifier()
+    p, w, t = {}, {}, {}
+    for A in sorted(wbase.objects):
+        WA, PA = W.on_obj[A], P.on_obj[A]
+        for x in sorted(WA.objects):
+            k = cone.components[el_mod.obj_name(x, A)]
+            for y in sorted(PA.objects):
+                cl.obj_image[(A, x, y)] = k.obj_map[y]
+                t[(wbase.id1[A], x, y)] = None
+            for q, (y, y2) in sorted(PA.arrows.items()):
+                p[(A, x, q)] = None if PA.is_identity(q) else cl.gen(
+                    (A, x, y), (A, x, y2), k.arr_map[q])
+            for (q2, q), q3 in sorted(PA.compose.items()):
+                cl.hint(p[(A, x, q)], p[(A, x, q2)], p[(A, x, q3)])
+        for u, (x, x2) in sorted(WA.arrows.items()):
+            cell = cone.structural[el_mod.mor_name(wbase.id1[A], u, x)].components
+            for y in sorted(PA.objects):
+                w[(A, u, y)] = None if WA.is_identity(u) else cl.gen(
+                    (A, x, y), (A, x2, y), cell[y])
+            for q, (y, y2) in sorted(PA.arrows.items()):
+                cl.rel((w[(A, u, y)], p[(A, x2, q)]), (p[(A, x, q)], w[(A, u, y2)]),
+                       (A, x, y))
+        for (u2, u), u3 in sorted(WA.compose.items()):
+            for y in sorted(PA.objects):
+                cl.hint(w[(A, u, y)], w[(A, u2, y)], w[(A, u3, y)])
+    for f in sorted(set(wbase.all_one_cells()) - set(wbase.id1.values())):
         A, B = wbase.src1(f), wbase.tgt1(f)
-        WB, Wf = W.on_obj[B], W.on_1[f].obj_map
-        on_cells.append((f, B, target.on_1[f].obj_map, [
-            (x, (A, x), (B, Wf[x]), rows(el_mod.mor_name(f, WB.identity[Wf[x]], x)))
-            for x in sorted(W.on_obj[A].objects)]))
-
-    position = {t.key(): i for i, t in enumerate(ts)}
-    images = []  # per functor, the name in Cat(P(A), E) of each leg H κ_(x,A)
-    obj_map = []
-    for H in fs:
-        hk = {leg: fcats[leg[0]].name_of_functor(compose_functors(H, k))
-              for leg, k in legs.items()}
-        ha = H.arr_map
-        key = (tuple((A, (tuple((x, hk[(A, x)]) for x in xs),
-                          tuple((u, named(A, hk[s], hk[t], r, ha))
-                                for u, s, t, r in arrows)))
-                     for A, xs, arrows in on_arrows),
-               tuple((f, tuple((x, named(B, pre[hk[s]], hk[t], r, ha))
-                               for x, s, t, r in cells))
-                     for f, B, pre, cells in on_cells))
-        i = position.get(key)
-        if i is None:
-            return False
-        images.append(hk)
-        obj_map.append(i)
-    if len(set(obj_map)) != len(obj_map):
-        return False
-    for (i, j), mus in nats.items():
-        targets = mods[(obj_map[i], obj_map[j])]
-        if len(mus) != len(targets):
-            return False
-        index = {m.key(): k for k, m in enumerate(targets)}
-        src, tgt = images[i], images[j]
-        hit = set()
-        for mu in mus:
-            mc = mu.components
-            k = index.get(tuple(
-                (A, tuple((x, named(A, src[(A, x)], tgt[(A, x)], leg_rows[(A, x)], mc))
-                          for x in xs))
-                for A, xs, _ in on_arrows))
-            if k is None or k in hit:
-                return False
-            hit.add(k)
-    return True
+        WB, wf, pf = W.on_obj[B], W.on_1[f], P.on_1[f]
+        for x in sorted(W.on_obj[A].objects):
+            fx = wf.obj_map[x]
+            cell = cone.structural[el_mod.mor_name(f, WB.identity[fx], x)].components
+            for y in sorted(P.on_obj[B].objects):
+                t[(f, x, y)] = cl.gen((A, x, pf.obj_map[y]), (B, fx, y), cell[y])
+                if f in marked:
+                    cl.inverted.append(t[(f, x, y)])
+            for q, (y, y2) in sorted(P.on_obj[B].arrows.items()):
+                cl.rel((t[(f, x, y)], p[(B, fx, q)]),
+                       (p[(A, x, pf.arr_map[q])], t[(f, x, y2)]), (A, x, pf.obj_map[y]))
+        for u, (x, x2) in sorted(W.on_obj[A].arrows.items()):
+            for y in sorted(P.on_obj[B].objects):
+                cl.rel((t[(f, x, y)], w[(B, wf.arr_map[u], y)]),
+                       (w[(A, u, pf.obj_map[y])], t[(f, x2, y)]), (A, x, pf.obj_map[y]))
+    for (g, f), gf in sorted(wbase.hcomp1.items()):
+        A, C = wbase.src1(f), wbase.tgt1(g)
+        wf, pg, pgf = W.on_1[f].obj_map, P.on_1[g].obj_map, P.on_1[gf].obj_map
+        for x in sorted(W.on_obj[A].objects):
+            for y in sorted(P.on_obj[C].objects):
+                cl.rel((t[(f, x, pg[y])], t[(g, wf[x], y)]), (t[(gf, x, y)],),
+                       (A, x, pgf[y]))
+    for th in wbase.all_two_cells():
+        f, g = wbase.src2(th), wbase.tgt2(th)
+        A, B = wbase.src1(f), wbase.tgt1(f)
+        wth, pth, pf = W.on_2[th].components, P.on_2[th].components, P.on_1[f].obj_map
+        for x in sorted(W.on_obj[A].objects):
+            for y in sorted(P.on_obj[B].objects):
+                cl.rel((t[(f, x, y)], w[(B, wth[x], y)]),
+                       (p[(A, x, pth[y])], t[(g, x, y)]), (A, x, pf[y]))
+    return cl
 
 
 # ---------------------------------------------------------------------------

@@ -118,9 +118,9 @@ def generate_bilimit_cones(a: Fin2Cat, meter: Meter | None = None) -> list:
     Only shapes certified by the bilimit test are returned; on bases
     without some bilimit the shape is simply absent.  Each diagram
     (D, marked) is searched over one ``BaseConeCategories``: the vertices
-    L are tried in sorted order, the cones of Cones_D(L) in the kernel's
-    generation order, and the first cone that passes ``check_base_cone``
-    and the bilimit test is returned.  The walk and the test read the same
+    L are tried in sorted order, the cones of Cones_D(L), whose laws the
+    kernel decided, in its generation order, and the first cone that
+    passes the bilimit test is returned.  The walk and the test read the same
     cone categories, so each Cones_D(X) is built at most once per diagram;
     the ticks are those of these builds.  Intended for poset-like bases
     where the search is small.
@@ -131,7 +131,7 @@ def generate_bilimit_cones(a: Fin2Cat, meter: Meter | None = None) -> list:
         over = BaseConeCategories(D, marked, meter)
         for L in sorted(a.objects):
             for cone in over.at(L)[0]:
-                if check_base_cone(cone).ok and over.is_bilimit(cone):
+                if over.is_bilimit(cone):
                     return cone
         return None
 

@@ -25,6 +25,8 @@ Inconsistency.
 A coset whose defining word would be longer than the cap stops the run
 with the status ``undecided-at-cap``.  No realization is emitted, and
 ``growth`` records the number of live cosets per defining-word length.
+``presents`` decides on a closed table, with no realization, whether a
+functor out of the presented category is an isomorphism.
 
 Words are paths written first-to-last: ``(f, g)`` means f then g, i.e.
 the composite g∘f.  Each arrow of the realization is named by the
@@ -44,8 +46,8 @@ from collections import Counter, deque
 from dataclasses import dataclass
 
 from .config import DEFAULT_CAP, Meter
-from .errors import Inconsistency, ValidationError
-from .fincat import FinCat, mk_fincat, validate_category
+from .errors import Inconsistency, UndecidedAtCap, ValidationError
+from .fincat import FinCat, mk_fincat
 
 INV_SUFFIX = "~inv"
 
@@ -70,10 +72,11 @@ class Presentation:
     generator, or to an identity when the value is None.  ``relations``
     are additional parallel word pairs, each tagged with its source
     object; ``inverted`` lists the generators that acquire a formal
-    inverse.
+    inverse.  Generators are named by strings; objects may be any
+    sortable values, such as tuples.
     """
 
-    objects: tuple[str, ...]
+    objects: tuple
     generators: dict  # name -> (src, tgt)
     compose_hints: dict  # (first, second) -> name | None
     relations: tuple  # ((word, word, src), ...) with words = name tuples
@@ -318,16 +321,62 @@ def saturate_presentation(pres: Presentation, cap: int = DEFAULT_CAP,
     for c1 in words:
         for c2 in out_of[table.end[c1]]:
             compose[(names[c2], names[c1])] = names[table.walk(c1, words[c2][1])]
+    # a closed table that passed its re-walk is a category: no validation
     realization = mk_fincat(
         pres.objects, {names[c]: (src, table.end[c]) for c, (src, _) in words.items()},
         {x: f"id_{x}" for x in pres.objects}, compose)
-    if not validate_category(realization).ok:
-        raise Inconsistency("closed coset table does not realize a category")
     result.status = "finite"
     result.realization = realization
     result.rep_of_arrow = {names[c]: sw for c, sw in words.items()}
     result._cosets = (table, names)
     return result
+
+
+def presents(pres: Presentation, obj_image: dict, gen_image: dict, target: FinCat,
+             cap: int = DEFAULT_CAP, meter: Meter | None = None) -> bool:
+    """Whether Φ, from the category ``pres`` presents to ``target`` and
+    given on objects and generators, is an isomorphism.  One coset table
+    is enumerated under the cap, one tick per generator image besides its
+    own, and no realization is built; at the cap it raises UndecidedAtCap.
+    Φ(c·g) = Φ(g)∘Φ(c) is computed breadth-first and checked at every
+    entry, so Φ is a functor; it is an isomorphism when it is bijective on
+    objects and the live cosets are as many as target's arrows, with Φ
+    injective on them."""
+    meter = meter or Meter()
+    images = [obj_image[x] for x in pres.objects]
+    if len(set(images)) != len(images) or set(images) != set(target.objects):
+        return False
+    step = dict(gen_image)
+    for g, (s, t) in sorted(pres.generators.items()):
+        meter.tick()
+        if target.arrows.get(step[g]) != (obj_image[s], obj_image[t]):
+            return False
+    for g in pres.inverted:
+        meter.tick()
+        step[inv_name(g)] = target.inverse(step[g])
+        if step[inv_name(g)] is None:
+            return False
+    table = _CosetTable(pres, cap, meter)
+    if not table.run():
+        raise UndecidedAtCap(f"presentation still growing at cap {cap}; live cosets "
+                             f"per word length: {' '.join(map(str, table.growth()))}")
+    if len(table.live()) != len(target.arrows):
+        return False
+    image = {}
+    for x, s in table.start.items():
+        image[s] = target.identity[obj_image[x]]
+        queue = deque([s])
+        while queue:
+            c = queue.popleft()
+            for g in table.gens_at[table.end[c]]:
+                t = table.find(table.table[c][g])
+                a = target.compose[(step[g], image[c])]
+                if t not in image:
+                    image[t] = a
+                    queue.append(t)
+                elif image[t] != a:
+                    return False
+    return len(image) == len(target.arrows) == len(set(image.values()))
 
 
 def localization_presentation(c: FinCat, sigma) -> Presentation:

@@ -1,0 +1,213 @@
+"""The test-family certificates that σ-colimits carried before the classifier.
+
+Kept as the reference for the differential tests only.  Against one test
+category E, ``certify_against`` decides on objects and hom-sets that
+precomposition with a colimit's cone is an isomorphism
+Cat(R, E) → σ-Cones(Q, E), and ``certify_weighted`` that composition with
+the universal weighted cocone ω, read off the conical cone, is an
+isomorphism Cat(C, E) → σ-Nat(W, Cat(P-, E)).  Both enumerate functors,
+cones, transformations and their morphisms; that is evidence against E,
+where the classifier certificate of ``sigmacat.colimits`` is a proof for
+every E.  Where both run they must agree.
+"""
+
+from sigmacat import elements as el_mod
+from sigmacat.colimits import SigmaCone, _morphism_key, sigma_cone_homs
+from sigmacat.config import Meter
+from sigmacat.fincat import (FinCat, Functor, NatTransf, compose_functors,
+                             functor_category_full, whisker_functor_nat,
+                             whisker_nat_functor)
+from sigmacat.transforms import CatDiagram, sigma_flavor, transformation_homs
+from sigmacat.two_cat import WideSub, op_dual
+
+
+def certify_against(result, E: FinCat, homs: tuple,
+                     meter: Meter) -> bool:
+    """Precomposition with the cone must be an isomorphism of categories
+    Cat(R, E) → σ-Cones(Q, E), decided on objects and hom-sets; ``homs``
+    is ``functor_homs(R, E)``.
+
+    Functors H : R → E go to the cones Hκ, and a transformation μ : H ⇒ H'
+    to the cone morphism μκ = (μκ_A)_A, whose component at a base object A
+    and an object x of Q(A) is μ_{κ_A x}.  The object map must be a
+    bijection, and for every pair of functors the arrow map a bijection of
+    hom-sets: each μκ is built from μ per base object and component, and
+    looked up by that key among the cone morphisms.  That is linear in
+    the arrows; no composition table is built on either side.  The map is
+    a functor without further checks: composition is componentwise in E on
+    both sides, so (μ'·μ)κ = (μ'κ)·(μκ), and 1_H κ has identity components,
+    so it is the identity of Hκ.  A functor bijective on objects and on
+    hom-sets is an isomorphism.
+    """
+    cone = result.cone
+    Q = result.diagram
+    base = Q.source
+    objs = sorted(base.objects)
+    fs, nats = homs
+    cones, chom = sigma_cone_homs(Q, result.marked, E, meter)
+    if len(fs) != len(cones):
+        return False
+    position = {c.key(): i for i, c in enumerate(cones)}
+    obj_map = []
+    for H in fs:
+        image = SigmaCone(
+            Q, result.marked, E,
+            {A: compose_functors(H, cone.components[A]) for A in objs},
+            {f: whisker_functor_nat(H, cone.structural[f])
+             for f in base.all_one_cells()})
+        i = position.get(image.key())
+        if i is None:
+            return False
+        obj_map.append(i)
+    if len(set(obj_map)) != len(obj_map):
+        return False
+    # per base object, the objects x of Q(A) in key order with κ_A x
+    legs = [(A, sorted(cone.components[A].obj_map.items())) for A in objs]
+    for (i, j), mus in nats.items():
+        rhos = chom[(obj_map[i], obj_map[j])]
+        if len(mus) != len(rhos):
+            return False
+        index = {_morphism_key(rho): k for k, rho in enumerate(rhos)}
+        hit = set()
+        for mu in mus:
+            mc = mu.components
+            k = index.get(tuple((A, tuple((x, mc[y]) for x, y in rows))
+                                for A, rows in legs))
+            if k is None or k in hit:
+                return False
+            hit.add(k)
+    return True
+
+
+def hom_into_diagram(P: CatDiagram, E: FinCat,
+                     meter: Meter | None = None) -> tuple[CatDiagram, dict]:
+    """The diagram Cat(P-, E) on the dual base, and per base object A the
+    functor category Cat(P(A), E) whose table is its value at A."""
+    meter = meter or Meter()
+    base = P.source
+    opbase = op_dual(base)
+    fcats = {A: functor_category_full(P.on_obj[A], E, meter) for A in base.objects}
+    on_obj = {A: fcats[A].cat for A in base.objects}
+    on_1 = {}
+    for f in base.all_one_cells():
+        # f : A -> B in the base is a 1-cell B -> A in the dual
+        A, B = base.src1(f), base.tgt1(f)
+        om, am = {}, {}
+        for hname, h in fcats[B].functors.items():
+            om[hname] = fcats[A].name_of_functor(compose_functors(h, P.on_1[f]))
+        for nname, n in fcats[B].transfs.items():
+            am[nname] = fcats[A].name_of_transf(whisker_nat_functor(n, P.on_1[f]))
+        on_1[f] = Functor(fcats[B].cat, fcats[A].cat, om, am)
+    on_2 = {}
+    for x in base.all_two_cells():
+        f, g = base.src2(x), base.tgt2(x)
+        A, B = base.src1(f), base.tgt1(f)
+        # P(x) : P(f) ⇒ P(g) whiskers to h∘P(f) ⇒ h∘P(g): in the dual base
+        # 2-cells keep their boundaries
+        comps = {hname: fcats[A].name_of_transf(whisker_functor_nat(h, P.on_2[x]))
+                 for hname, h in fcats[B].functors.items()}
+        on_2[x] = NatTransf(on_1[f], on_1[g], comps)
+    return CatDiagram(opbase, on_obj, on_1, on_2), fcats
+
+
+def certify_weighted(out, sigma: WideSub, E: FinCat,
+                      homs: tuple, meter: Meter) -> bool:
+    """Composition with the universal weighted cocone ω must be an
+    isomorphism of categories Cat(C, E) → σ-Nat(W, Cat(P-, E)), decided on
+    objects and hom-sets; ``homs`` is ``functor_homs(C, E)``, the same the
+    conical certificate of C reads.
+
+    ω is read off the inner conical cone κ under P·π, whose base is the
+    dual of W's elements: ω_A(x) = κ_(x,A), ω_A(u : x → x') is κ's cell at
+    ``(id_A, u)@x``, and ω's structural cell at f : A → B (a 1-cell of W's
+    base) has at x the cell of κ at ``(f, id_{W(f)x})@x``.  A functor
+    H : C → E goes to the transformation H_*ω, looked up by
+    ``Transformation.key()`` among the enumerated ones; a transformation
+    μ : H ⇒ H' goes to the modification μ_*ω, whose component at A and x
+    is μκ_(x,A), named in Cat(P(A), E).  The object map must be a
+    bijection, and for every pair of functors the arrow map a bijection of
+    hom-sets.  Neither composition table is built.  The map is a functor
+    without further checks: both sides compose componentwise in E, so
+    (μ'·μ)_*ω = μ'_*ω · μ_*ω, and (1_H)_*ω has identity components, so it
+    is the identity of H_*ω.  A functor bijective on objects and on
+    hom-sets is an isomorphism.
+    """
+    W, kappa = out.weight, out.conical.cone
+    wbase = W.source
+    objs = sorted(wbase.objects)
+    target, fcats = hom_into_diagram(out.argument, E, meter)
+    ts, mods = transformation_homs(W, target, sigma_flavor(sigma.arrows), meter)
+    fs, nats = homs
+    if len(fs) != len(ts):
+        return False
+    # ω, with every list in the order its key sorts: the legs (A, x); per
+    # A the objects x and the arrows u : x → x' with κ's cell; per 1-cell
+    # f : A → B and x the cell of κ, from the leg at (A, x) precomposed
+    # with P(f) to the leg at (B, W(f)x); a cell is given by its rows
+    # (y, component) in the order of y
+    legs = {(A, x): kappa.components[el_mod.obj_name(x, A)]
+            for A in objs for x in W.on_obj[A].objects}
+    leg_rows = {leg: sorted(k.obj_map.items()) for leg, k in legs.items()}
+
+    def rows(cell: str) -> list:
+        return sorted(kappa.structural[cell].components.items())
+
+    def named(B: str, src: str, tgt: str, cell_rows: list, arr_map: dict) -> str:
+        """The arrow src → tgt of Cat(P(B), E) with component arr_map[c] at
+        each row (y, c)."""
+        return fcats[B].name_of_transf_between(
+            src, tgt, tuple((y, arr_map[c]) for y, c in cell_rows))
+
+    on_arrows = []
+    for A in objs:
+        WA = W.on_obj[A]
+        idA = wbase.id1[A]
+        on_arrows.append((A, sorted(WA.objects), [
+            (u, (A, x), (A, x2), rows(el_mod.mor_name(idA, u, x)))
+            for u, (x, x2) in sorted(WA.arrows.items())]))
+    on_cells = []
+    for f in sorted(wbase.all_one_cells()):
+        A, B = wbase.src1(f), wbase.tgt1(f)
+        WB, Wf = W.on_obj[B], W.on_1[f].obj_map
+        on_cells.append((f, B, target.on_1[f].obj_map, [
+            (x, (A, x), (B, Wf[x]), rows(el_mod.mor_name(f, WB.identity[Wf[x]], x)))
+            for x in sorted(W.on_obj[A].objects)]))
+
+    position = {t.key(): i for i, t in enumerate(ts)}
+    images = []  # per functor, the name in Cat(P(A), E) of each leg H κ_(x,A)
+    obj_map = []
+    for H in fs:
+        hk = {leg: fcats[leg[0]].name_of_functor(compose_functors(H, k))
+              for leg, k in legs.items()}
+        ha = H.arr_map
+        key = (tuple((A, (tuple((x, hk[(A, x)]) for x in xs),
+                          tuple((u, named(A, hk[s], hk[t], r, ha))
+                                for u, s, t, r in arrows)))
+                     for A, xs, arrows in on_arrows),
+               tuple((f, tuple((x, named(B, pre[hk[s]], hk[t], r, ha))
+                               for x, s, t, r in cells))
+                     for f, B, pre, cells in on_cells))
+        i = position.get(key)
+        if i is None:
+            return False
+        images.append(hk)
+        obj_map.append(i)
+    if len(set(obj_map)) != len(obj_map):
+        return False
+    for (i, j), mus in nats.items():
+        targets = mods[(obj_map[i], obj_map[j])]
+        if len(mus) != len(targets):
+            return False
+        index = {m.key(): k for k, m in enumerate(targets)}
+        src, tgt = images[i], images[j]
+        hit = set()
+        for mu in mus:
+            mc = mu.components
+            k = index.get(tuple(
+                (A, tuple((x, named(A, src[(A, x)], tgt[(A, x)], leg_rows[(A, x)], mc))
+                          for x in xs))
+                for A, xs, _ in on_arrows))
+            if k is None or k in hit:
+                return False
+            hit.add(k)
+    return True

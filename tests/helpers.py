@@ -4,8 +4,13 @@ import hashlib
 
 from hypothesis import strategies as st
 
-from sigmacat.fincat import mk_fincat
-from sigmacat.fixtures import poset_category
+from sigmacat.fincat import (arrow_category, discrete_category, mk_fincat,
+                             terminal_category)
+from sigmacat.fixtures import diamond_2cat, poset_category
+from sigmacat.flatness import representable
+from sigmacat.transforms import constant_diagram
+from sigmacat.two_cat import (two_cat_from_cat, wide_all, wide_from,
+                              wide_identities)
 
 
 def idempotent_category():
@@ -31,3 +36,39 @@ def table_digest(c):
     tables = (tuple(sorted(c.objects)), sorted(c.arrows.items()),
               sorted(c.identity.items()), sorted(c.compose.items()))
     return hashlib.sha256(repr(tables).encode()).hexdigest()[:16]
+
+
+def chain_2cat(n: int):
+    """The chain c0 < c1 < ... as a locally discrete 2-category."""
+    objs = [f"c{i}" for i in range(n)]
+    return two_cat_from_cat(poset_category(objs, [(objs[i], objs[i + 1])
+                                                  for i in range(n - 1)]))
+
+
+def colimit_rungs() -> dict:
+    """The 21 σ-colimits over the 3-chain, the 4-chain and the diamond that
+    the benchmark's colimit ladder leaves out for the cost of their old
+    certificate: label -> (diagram, marking).  Constant diagrams at the
+    walking arrow and the discrete pair under the identity marking (ids),
+    the first generating 1-cell (mid) and every 1-cell (all), and the
+    fully marked constant point and bottom representable over the larger
+    bases."""
+    bases = {"chain3": (chain_2cat(3), "c0<c1", "c0"),
+             "chain4": (chain_2cat(4), "c0<c1", "c0"),
+             "diamond": (diamond_2cat(), "bot<a", "bot")}
+    values = {"arrow": arrow_category, "pair": lambda: discrete_category(["x", "y"])}
+    rungs = {}
+    for name, (base, first, bottom) in bases.items():
+        markings = {"ids": wide_identities(base), "mid": wide_from(base, [first]),
+                    "all": wide_all(base)}
+        for vname, mk in values.items():
+            for mlabel, marking in markings.items():
+                if (name, vname, mlabel) != ("chain3", "arrow", "all"):
+                    rungs[f"{name}/{vname}/{mlabel}"] = (
+                        constant_diagram(base, mk()), marking)
+        if name != "chain3":
+            rungs[f"{name}/one/all"] = (constant_diagram(base, terminal_category()),
+                                        markings["all"])
+            rungs[f"{name}/repr{bottom}/all"] = (representable(base, bottom),
+                                                 markings["all"])
+    return rungs

@@ -5,6 +5,7 @@ import pathlib
 
 import pytest
 
+from helpers import colimit_rungs
 from sigmacat import io as sio
 from sigmacat.cli import run
 from sigmacat.errors import ParseError, ValidationError
@@ -95,6 +96,26 @@ def test_weighted_colimit_reports(capsys, sigma, golden):
     assert out == (GOLDEN / golden).read_text()
 
 
+@pytest.mark.parametrize("diagram,weight,detail", [
+    ("diagram_pick0", "arrow_2cat", "--weight expects a diagram document"),
+    ("pseudo_swap", "weight_on_op_arrow",
+     "weighted colimits expect a strict weight and diagram"),
+    ("pseudo_z2", "weight_on_op_arrow",
+     "weighted colimits expect a strict weight and diagram"),
+    ("diagram_pick0", "pseudo_swap",
+     "weighted colimits expect a strict weight and diagram"),
+])
+def test_weighted_colimit_rejects_documents_of_the_wrong_kind(capsys, diagram, weight,
+                                                              detail):
+    """A weight that is not a diagram, and a pseudo diagram or weight, are
+    invalid input, not a crash or an answer."""
+    code, out = invoke(capsys, "colimit", str(FIXTURES / f"{diagram}.json"),
+                       "--weight", str(FIXTURES / f"{weight}.json"))
+    assert code == 2
+    assert json.loads(out) == {"command": "colimit", "error": "invalid-input",
+                               "detail": detail}
+
+
 @pytest.mark.parametrize("fixture", ["representable_diamond_top", "repr_diamond_a"])
 def test_exact_reports(capsys, fixture):
     """The full report of ``exact`` against the bilimit cones found in the
@@ -119,6 +140,19 @@ def test_small_cap_is_honest(capsys):
                        str(FIXTURES / "const_terminal_parallel.json"),
                        "--sigma", "u,v", "--cap", "2")
     assert code == 3
+
+
+def test_classifier_at_the_cap_exits_three(tmp_path, capsys):
+    """A localization that closes at the cap while its classifier does not
+    is undecided: exit 3, never a pass and never a crash."""
+    P, _ = colimit_rungs()["chain3/arrow/ids"]
+    path = tmp_path / "chain3_arrow.json"
+    path.write_text(sio.dumps(sio.diagram_to_doc(P)))
+    code, out = invoke(capsys, "colimit", str(path), "--cap", "1")
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["error"] == "undecided"
+    assert doc["detail"].startswith("presentation still growing at cap 1")
 
 
 def test_broken_document_exits_two(tmp_path, capsys):

@@ -2,8 +2,9 @@
 
 import pytest
 
+from helpers import colimit_rungs
 from sigmacat.config import Meter
-from sigmacat.errors import CertificateFailure
+from sigmacat.errors import CertificateFailure, PreconditionFailed, UndecidedAtCap
 from sigmacat.fincat import (Functor, NatTransf, arrow_category,
                              categories_equivalent, compose_functors,
                              find_isomorphism, functor_category,
@@ -13,8 +14,9 @@ from sigmacat.fincat import (Functor, NatTransf, arrow_category,
                              terminal_category, validate_category)
 from sigmacat.fixtures import (arrow_2cat, diagram_collapse,
                                diagram_on_free2cell, diagram_pick0,
-                               diamond_2cat, idn, weight_constant_terminal_op,
-                               weight_on_op_arrow)
+                               diamond_2cat, idn, pseudo_swap, pseudo_z2,
+                               weight_constant_terminal_op, weight_on_op_arrow)
+from sigmacat.flatness import representable
 from sigmacat.two_cat import (WideSub, free_2cell_2cat, op_dual, pair_name,
                               pi0, terminal_2cat, two_cat_product,
                               wide_all, wide_identities)
@@ -22,7 +24,6 @@ from sigmacat.transforms import (LAX, PSEUDO, STRICT, CatDiagram,
                                  constant_diagram, hom_eps, sigma_flavor)
 from sigmacat.colimits import (SigmaCone, bilimit_cat, check_sigma_cone,
                                coend_eps, cones_sigma, conical_sigma_colimit,
-                               default_test_family, hom_into_diagram,
                                induced_from_colimit, interchange_check,
                                pointwise_limit_check, weighted_limit_cat,
                                weighted_sigma_colimit)
@@ -56,49 +57,45 @@ def test_conical_colimit_over_arrow_base_certifies(base):
         assert check_sigma_cone(res.cone).ok
 
 
-def test_conical_certificate_builds_no_composition_table(base, monkeypatch):
-    """The certificate decides precomposition on hom-sets: it must certify
-    with the category assembler and the functor category made to fail."""
-    from sigmacat import colimits, fincat
+# What the test-family certificates enumerated: functors out of the
+# colimit, cones and cone morphisms, transformations and modifications,
+# and the categories assembled from them.
+ENUMERATORS = ("functor_homs", "sigma_cone_homs", "transformation_homs",
+               "enumerate_functors", "enumerate_nat_transfs",
+               "enumerate_transformations", "enumerate_modifications",
+               "assemble_category", "functor_category_full", "hom_eps",
+               "find_isomorphism")
+
+
+def refuse_enumerators(monkeypatch):
+    from sigmacat import colimits, elements, fincat, flatness, presented, transforms
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the certificate assembled a composition table")
+        raise AssertionError("the certificate enumerated functors or cones")
 
-    for module in (fincat, colimits):
-        monkeypatch.setattr(module, "assemble_category", refuse)
-        monkeypatch.setattr(module, "functor_category_full", refuse)
-    res = conical_sigma_colimit(diagram_pick0(), wide_all(base))
-    assert res.finite
-    assert [ok for _, ok in res.certificate] == [True] * 4
+    for module in (fincat, transforms, colimits, elements, flatness, presented):
+        for name in ENUMERATORS:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+
+
+def test_conical_certificate_builds_no_composition_table(base, monkeypatch):
+    """The classifier certificate reads one coset table: it must certify
+    with every functor, cone and transformation enumerator made to fail."""
+    refuse_enumerators(monkeypatch)
+    for marking in (wide_all(base), wide_identities(base)):
+        res = conical_sigma_colimit(diagram_pick0(), marking)
+        assert res.finite
+        assert res.certificate == [("classifier", True)]
 
 
 def test_weighted_certificate_builds_no_composition_table(base, monkeypatch):
-    """The weighted certificate checks the canonical comparison on
-    hom-sets: it must certify with the isomorphism search, the Hom
-    category and the functor category out of the colimit made to fail."""
-    from sigmacat import colimits, elements, fincat, flatness, transforms
-    W, P = weight_on_op_arrow(), diagram_pick0()
-    C = weighted_sigma_colimit(W, P, wide_all(base), test_family=[]).category
-    full = fincat.functor_category_full
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("the certificate assembled a composition table")
-
-    def functor_category_unless_out_of_c(c, d, meter=None):
-        if (c.objects, c.arrows) == (C.objects, C.arrows):
-            refuse()
-        return full(c, d, meter)
-
-    for module in (fincat, transforms, colimits, elements, flatness):
-        for name, stand_in in (("find_isomorphism", refuse), ("hom_eps", refuse),
-                               ("functor_category_full",
-                                functor_category_unless_out_of_c)):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, stand_in)
-    res = weighted_sigma_colimit(W, P, wide_all(base))
+    """The weighted classifier certificate reads one coset table too."""
+    refuse_enumerators(monkeypatch)
+    res = weighted_sigma_colimit(weight_on_op_arrow(), diagram_pick0(), wide_all(base))
     assert res.status == "finite"
-    assert [ok for _, ok in res.certificate] == [True] * 4
-    assert [ok for _, ok in res.conical.certificate] == [True] * 4
+    assert res.certificate == [("classifier", True)]
+    assert res.conical.certificate == [("classifier", True)]
 
 
 def test_identity_marking_only_inverts_isos():
@@ -121,6 +118,18 @@ def test_undecided_colimit_propagates():
     assert res.status == "undecided-at-cap"
     assert res.category is None
     assert res.certificate == []
+
+
+def test_classifier_at_the_cap_is_undecided():
+    """At cap 1 the localization of the constant walking arrow over the
+    3-chain closes, but its classifier, whose generators are only the
+    arrows of the values and the cells at base 1-cells, needs longer
+    words: the certificate neither passes nor crashes."""
+    P, marking = colimit_rungs()["chain3/arrow/ids"]
+    with pytest.raises(UndecidedAtCap, match="live cosets per word length"):
+        conical_sigma_colimit(P, marking, cap=1)
+    assert conical_sigma_colimit(P, marking, cap=2).certificate == \
+        [("classifier", True)]
 
 
 def test_induced_functor_out_of_colimit(base):
@@ -168,11 +177,23 @@ def test_weighted_colimit_certificates(label, mkW, mkP, marking):
     assert all(ok for _, ok in res.conical.certificate)
 
 
+@pytest.mark.parametrize("mk", [pseudo_swap, pseudo_z2])
+def test_weighted_colimit_refuses_a_pseudo_diagram_or_weight(mk):
+    """P·π would be built from P's functors alone, dropping its coherence
+    cells: a pseudo P is refused, and so is a pseudo weight."""
+    P = mk()
+    W = representable(op_dual(P.source), "0")
+    with pytest.raises(PreconditionFailed, match="strict weight and diagram"):
+        weighted_sigma_colimit(W, P, wide_all(P.source))
+    with pytest.raises(PreconditionFailed, match="strict weight and diagram"):
+        weighted_sigma_colimit(P, W, wide_all(W.source))
+
+
 def test_terminal_weight_reduces_to_conical(base):
     W = weight_constant_terminal_op()
     P = diagram_pick0()
-    res_w = weighted_sigma_colimit(W, P, wide_all(base), test_family=[])
-    res_c = conical_sigma_colimit(P, wide_all(base), test_family=[])
+    res_w = weighted_sigma_colimit(W, P, wide_all(base))
+    res_c = conical_sigma_colimit(P, wide_all(base))
     assert find_isomorphism(res_w.category, res_c.category) is not None
 
 
@@ -181,9 +202,9 @@ def test_two_pipeline_symmetry(base):
     # equivalent categories
     W = weight_on_op_arrow()
     P = diagram_pick0()
-    lhs = weighted_sigma_colimit(W, P, wide_all(base), test_family=[])
+    lhs = weighted_sigma_colimit(W, P, wide_all(base))
     opb = op_dual(base)
-    rhs = weighted_sigma_colimit(P, W, wide_all(opb), test_family=[])
+    rhs = weighted_sigma_colimit(P, W, wide_all(opb))
     assert lhs.status == rhs.status == "finite"
     assert categories_equivalent(lhs.category, rhs.category)
 
@@ -200,7 +221,7 @@ def test_empty_weight_gives_empty_colimit(base):
                                  Functor(empty, empty, {}, {}), {})
                     for x in opb.all_two_cells()})
     P = diagram_pick0()
-    res = weighted_sigma_colimit(W, P, wide_all(base), test_family=[])
+    res = weighted_sigma_colimit(W, P, wide_all(base))
     assert res.status == "finite"
     assert res.category.objects == ()
 
@@ -208,7 +229,7 @@ def test_empty_weight_gives_empty_colimit(base):
 def test_lemma_cone_surjectivity(base):
     # every object of the realized colimit is hit by a cone component
     P = diagram_pick0()
-    res = conical_sigma_colimit(P, wide_all(base), test_family=[])
+    res = conical_sigma_colimit(P, wide_all(base))
     hit = set()
     for A in base.objects:
         for x in P.on_obj[A].objects:
@@ -431,7 +452,7 @@ def test_coend_of_tensor_matches_weighted_colimit(base):
     T = _tensor_diagram(W, P, base)
     out, cert = coend_eps(T, base, PSEUDO)
     assert out.finite and all(ok for _, ok in cert)
-    res = weighted_sigma_colimit(W, P, wide_all(base), test_family=[])
+    res = weighted_sigma_colimit(W, P, wide_all(base))
     assert find_isomorphism(out.realization, res.category) is not None
 
 
@@ -475,7 +496,7 @@ def test_filtered_colimit_commutes_with_finite_limit_one_instance():
                           {"i2_id_0": idn(identity_functor(fc0.cat)),
                            "i2_id_1": idn(identity_functor(fc1.cat)),
                            "i2_f": idn(act)})
-    lhs = conical_sigma_colimit(lhs_diag, wide_all(base), test_family=[])
+    lhs = conical_sigma_colimit(lhs_diag, wide_all(base))
     assert lhs.finite
     # pointwise colimit of the X_i, then maps from C into it
     inner_diag = CatDiagram(base, {"0": X0, "1": X1},
@@ -484,7 +505,7 @@ def test_filtered_colimit_commutes_with_finite_limit_one_instance():
                             {"i2_id_0": idn(identity_functor(X0)),
                              "i2_id_1": idn(identity_functor(X1)),
                              "i2_f": idn(pick0)})
-    inner = conical_sigma_colimit(inner_diag, wide_all(base), test_family=[])
+    inner = conical_sigma_colimit(inner_diag, wide_all(base))
     assert inner.finite
     rhs = functor_category_full(C, inner.category)
     # canonical comparison out of the colimit of hom categories

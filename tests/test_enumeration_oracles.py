@@ -17,14 +17,18 @@ every shape 1-cell, filtered by ``check_base_cone`` for the cones of
 1-cell dual; their morphisms by the modification squares written out
 here.
 
-The colimit certificate, which decides precomposition with a cone on
-hom-sets, is checked against the comparison functor between the
-assembled functor and cone categories, validated by ``validate_functor``,
-on the universal cone of each fixture colimit and on cones that are not
-universal.  The weighted certificate, which decides composition with the
-universal weighted cocone on hom-sets, is checked the same way against
-the assembled canonical comparison, and against the isomorphism search
-it replaced.
+The test-family certificate of ``certificate_reference``, which decides
+precomposition with a cone on hom-sets against one test category, is
+checked against the comparison functor between the assembled functor and
+cone categories, validated by ``validate_functor``, on the universal cone
+of each fixture colimit and on cones that are not universal.  Its
+weighted form, which decides composition with the universal weighted
+cocone on hom-sets, is checked the same way against the assembled
+canonical comparison, and against the isomorphism search it replaced.
+The classifier certificate of ``colimits`` must accept a cone exactly
+when the references accept it against every test category, ℤ/2 and the
+idempotent monoid, on the same cones and on diagrams whose values are
+not thin.
 
 The bilimit test, which decides precomposition with a cone on the
 objects and hom-sets of the cone categories, is checked against the same
@@ -50,18 +54,20 @@ import itertools
 import pytest
 from hypothesis import given, settings
 
-from helpers import idempotent_category, posets
+from certificate_reference import (certify_against, certify_weighted,
+                                   hom_into_diagram)
+from helpers import chain_2cat, idempotent_category, posets
 from sigmacat.colimits import (BaseCone, BaseConeCategories, SigmaCone,
-                               _certify_against, _certify_weighted,
+                               _conical_classifier, _weighted_classifier,
                                base_cone_candidates, base_cone_category,
                                base_cone_laws, check_base_cone,
                                check_sigma_cone, comparison_functor,
                                cones_sigma, conical_sigma_colimit,
-                               default_test_family, hom_into_diagram,
+                               default_test_family,
                                is_bilimit_cone, point_cone_homs,
                                preserves_bilimit, weighted_sigma_colimit)
 from sigmacat.config import Meter
-from sigmacat.errors import PreconditionFailed
+from sigmacat.errors import PreconditionFailed, SizeLimitExceeded
 from sigmacat.filteredness import (ShapeDiagram, cocone_category,
                                    cone_existence, shape_diagram_1,
                                    shape_diagram_2, shape_diagram_3)
@@ -81,6 +87,7 @@ from sigmacat.fixtures import (arrow_2cat, chain3_2cat, diagram_collapse,
                                pseudo_swap, pseudo_z2, weight_constant_terminal_op,
                                weight_on_op_arrow)
 from sigmacat.flatness import generate_bilimit_cones, representable
+from sigmacat.presented import presents
 from sigmacat.shapes import generating_diagrams
 from sigmacat.transforms import (LAX, PSEUDO, STRICT, Modification,
                                  Transformation, check_modification,
@@ -276,7 +283,15 @@ def assembled_certificate(result, E) -> bool:
 
 
 def conical_certificate(result, E) -> bool:
-    return _certify_against(result, E, functor_homs(result.category, E), Meter())
+    return certify_against(result, E, functor_homs(result.category, E), Meter())
+
+
+def classifier_verdict(result) -> bool:
+    """Whether the functor Cl(Q, Σ) → V that the result's cone induces is an
+    isomorphism onto the cone's vertex V: the classifier certificate, as a
+    verdict, on any cone."""
+    cl = _conical_classifier(result.diagram, result.marked, result.cone)
+    return presents(cl.presentation(), cl.obj_image, cl.gen_image, result.cone.vertex)
 
 
 def constant_cone(result):
@@ -318,13 +333,16 @@ TEST_CATEGORIES = [E for _, E in default_test_family()] + [
 def test_colimit_certificate_matches_the_assembled_comparison(case):
     mk, marking = COLIMITS[case]
     Q = mk()
-    result = conical_sigma_colimit(Q, marking(Q.source), test_family=[])
+    result = conical_sigma_colimit(Q, marking(Q.source))
+    assert result.certificate == [("classifier", True)]
+    assert classifier_verdict(result)
     for E in TEST_CATEGORIES:
         assert assembled_certificate(result, E)
         assert conical_certificate(result, E)
     other = dataclasses.replace(result, cone=constant_cone(result))
     verdicts = [assembled_certificate(other, E) for E in TEST_CATEGORIES]
     assert [conical_certificate(other, E) for E in TEST_CATEGORIES] == verdicts
+    assert classifier_verdict(other) == all(verdicts)
     if case == "pick0-all":
         assert verdicts[:4] == [True, False, False, False]
 
@@ -332,18 +350,23 @@ def test_colimit_certificate_matches_the_assembled_comparison(case):
 @pytest.mark.parametrize("case", sorted(COLIMITS))
 def test_colimit_certificate_matches_the_assembled_comparison_on_every_cone(case):
     """Every cone under Q with vertex 1 or the idempotent, put in place of
-    the universal one: the two sides agree on each."""
+    the universal one: the two sides agree on each, and the classifier
+    accepts the cone exactly when both accept it against every test
+    category."""
     mk, marking = COLIMITS[case]
     Q = mk()
-    result = conical_sigma_colimit(Q, marking(Q.source), test_family=[])
+    result = conical_sigma_colimit(Q, marking(Q.source))
     verdicts = set()
     for V in (terminal_category(), idempotent_category()):
         for cone in cones_sigma(Q, result.marked, V).cones.values():
             other = dataclasses.replace(result, category=V, cone=cone)
+            per_cone = []
             for E in TEST_CATEGORIES:
                 verdict = assembled_certificate(other, E)
                 assert conical_certificate(other, E) == verdict
-                verdicts.add(verdict)
+                per_cone.append(verdict)
+            assert classifier_verdict(other) == all(per_cone)
+            verdicts.update(per_cone)
     assert verdicts == {True, False}
 
 
@@ -424,8 +447,17 @@ def assembled_weighted_certificate(out, fc, target, fcats, h) -> bool:
     return validate_functor(Functor(fc.cat, h.cat, obj_map, arr_map)).ok
 
 
-def weighted_certificate(out, sigma, E) -> bool:
-    return _certify_weighted(out, sigma, E, functor_homs(out.category, E), Meter())
+def weighted_certificate(out, sigma, E, budget=None) -> bool:
+    meter = Meter(budget)
+    return certify_weighted(out, sigma, E, functor_homs(out.category, E, meter), meter)
+
+
+def weighted_classifier_verdict(out, sigma) -> bool:
+    """Whether the functor Cl_W(W, P, Σ) → V that the conical cone under P·π
+    induces is an isomorphism onto the cone's vertex V."""
+    cone = out.conical.cone
+    cl = _weighted_classifier(out.weight, out.argument, sigma.arrows, cone)
+    return presents(cl.presentation(), cl.obj_image, cl.gen_image, cone.vertex)
 
 
 OP_ARROW = weight_on_op_arrow().source
@@ -449,7 +481,7 @@ def weighted_colimit(case):
     mkW, mkP, marking = WEIGHTED[case]
     P = mkP()
     sigma = marking(P.source)
-    return weighted_sigma_colimit(mkW(), P, sigma, test_family=[]), sigma
+    return weighted_sigma_colimit(mkW(), P, sigma), sigma
 
 
 @pytest.mark.parametrize("case", sorted(WEIGHTED))
@@ -458,6 +490,8 @@ def test_weighted_certificate_matches_the_search_it_replaced(case):
     test family, the assembled canonical comparison against the test
     family, Z2 and the idempotent."""
     out, sigma = weighted_colimit(case)
+    assert out.certificate == out.conical.certificate == [("classifier", True)]
+    assert weighted_classifier_verdict(out, sigma)
     for k, E in enumerate(TEST_CATEGORIES):
         assert weighted_certificate(out, sigma, E)
         if (case, k) in REFERENCE_OVER_BUDGET:
@@ -475,7 +509,7 @@ def pair_over_point():
     return (weighted_sigma_colimit(
         constant_diagram(op_dual(point), terminal_category()),
         constant_diagram(point, discrete_category(["x", "y"])),
-        wide_all(point), test_family=[]), wide_all(point))
+        wide_all(point)), wide_all(point))
 
 
 def constant_weighted_cone(out):
@@ -510,6 +544,8 @@ def test_weighted_certificate_rejects_a_constant_cone(case):
         verdict = assembled_weighted_certificate(other, *assembled_sides(other, sigma, E))
         assert weighted_certificate(other, sigma, E) == verdict
         verdicts.append(verdict)
+    assert not weighted_classifier_verdict(other, sigma)
+    assert not classifier_verdict(other.conical)
     iso_pair = TEST_CATEGORIES[2]
     assert verdicts[2] is False
     assert not conical_certificate(other.conical, iso_pair)
@@ -524,8 +560,10 @@ def test_weighted_certificate_rejects_a_constant_cone(case):
 def test_weighted_certificate_matches_the_assembled_comparison_on_every_cone(case):
     """Every cone under P·π with vertex 1 or the idempotent, put in place of
     the universal one: the certificate agrees with the assembled canonical
-    comparison on each.  The weight_on_op_arrow cases are left to the
-    tests above; their cones take seconds here."""
+    comparison on each, and the weighted classifier accepts the cone
+    exactly when both accept it against every test category.  The
+    weight_on_op_arrow cases are left to the tests above; their cones take
+    seconds here."""
     out, sigma = weighted_colimit(case)
     Q, marked = out.conical.diagram, out.conical.marked
     verdicts = set()
@@ -533,12 +571,62 @@ def test_weighted_certificate_matches_the_assembled_comparison_on_every_cone(cas
         for cone in cones_sigma(Q, marked, V).cones.values():
             other = dataclasses.replace(
                 out, conical=dataclasses.replace(out.conical, category=V, cone=cone))
+            per_cone = []
             for E in TEST_CATEGORIES:
                 verdict = assembled_weighted_certificate(
                     other, *assembled_sides(other, sigma, E))
                 assert weighted_certificate(other, sigma, E) == verdict
-                verdicts.add(verdict)
+                per_cone.append(verdict)
+            assert weighted_classifier_verdict(other, sigma) == all(per_cone)
+            verdicts.update(per_cone)
     assert verdicts == {True, False}
+
+
+# Diagrams whose values are not thin, so that the composition of each
+# value, and not only the 1-cells of the base, shapes the classifier:
+# constant diagrams at ℤ/2 and at the idempotent monoid, and weighted
+# colimits with ℤ/2 as a weight or as a value, over bases with a composite
+# 1-cell (the 3-chain) and with a 2-cell (two parallel 1-cells u ⇒ v).
+NON_THIN_BASES = {"arrow": arrow_2cat, "chain3": lambda: chain_2cat(3),
+                  "free2cell": free_2cell_2cat}
+NON_THIN_VALUES = {"z2": group_z2_category, "idempotent": idempotent_category}
+MARKINGS = {"ids": wide_identities, "all": wide_all}
+
+
+@pytest.mark.parametrize("base", sorted(NON_THIN_BASES))
+@pytest.mark.parametrize("value", sorted(NON_THIN_VALUES))
+@pytest.mark.parametrize("mark", sorted(MARKINGS))
+def test_classifier_on_non_thin_values_matches_the_reference(base, value, mark):
+    a = NON_THIN_BASES[base]()
+    result = conical_sigma_colimit(constant_diagram(a, NON_THIN_VALUES[value]()),
+                                   MARKINGS[mark](a))
+    assert result.certificate == [("classifier", True)]
+    assert all(conical_certificate(result, E) for E in TEST_CATEGORIES)
+
+
+@pytest.mark.parametrize("base", sorted(NON_THIN_BASES))
+@pytest.mark.parametrize("which", ["weight", "value"])
+@pytest.mark.parametrize("mark", sorted(MARKINGS))
+def test_weighted_classifier_on_non_thin_values_matches_the_reference(base, which,
+                                                                      mark):
+    """ℤ/2 as the weight, with the arrow as the value, or the other way.
+    The reference runs against each test category where it fits a small
+    budget."""
+    a = NON_THIN_BASES[base]()
+    z2, arrow = group_z2_category(), arrow_category()
+    W = constant_diagram(op_dual(a), z2 if which == "weight" else arrow)
+    P = constant_diagram(a, arrow if which == "weight" else z2)
+    sigma = MARKINGS[mark](a)
+    out = weighted_sigma_colimit(W, P, sigma)
+    assert out.certificate == out.conical.certificate == [("classifier", True)]
+    checked = 0
+    for E in TEST_CATEGORIES:
+        try:
+            assert weighted_certificate(out, sigma, E, budget=5_000)
+        except SizeLimitExceeded:
+            continue  # the reference does not fit a small budget here
+        checked += 1
+    assert checked >= 1
 
 
 # ---------------------------------------------------------------------------
@@ -848,6 +936,29 @@ def every_cone_verdict(a) -> list:
 def assert_verdicts_agree(rows) -> None:
     assert [(shared, fresh) for shared, fresh, _ in rows] == \
         [(want, want) for *_, want in rows]
+
+
+def grid_2cat(m, n):
+    objs = [f"g{i}_{j}" for i in range(m) for j in range(n)]
+    rels = [(f"g{i}_{j}", f"g{i + 1}_{j}") for i in range(m - 1) for j in range(n)]
+    rels += [(f"g{i}_{j}", f"g{i}_{j + 1}") for i in range(m) for j in range(n - 1)]
+    return two_cat_from_cat(poset_category(objs, rels))
+
+
+# The bases whose left exactness the benchmark decides.
+EXACT_BASES = {"chain2": lambda: chain_2cat(2), "chain4": lambda: chain_2cat(4),
+               "chain8": lambda: chain_2cat(8), "grid2x2": lambda: grid_2cat(2, 2),
+               "grid3x3": lambda: grid_2cat(3, 3), "diamond": diamond_2cat}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_BASES))
+def test_every_cone_the_bilimit_search_walks_passes_check_base_cone(name):
+    """``generate_bilimit_cones`` tests the cones of ``BaseConeCategories``
+    without ``check_base_cone``, since the kernel has decided their laws:
+    every cone it can walk must pass the reference validator."""
+    cones = [cone for _, _, cone in every_cone(EXACT_BASES[name]())]
+    assert cones
+    assert all(check_base_cone(cone).ok for cone in cones)
 
 
 @pytest.mark.parametrize("base", BILIMIT_BASES)

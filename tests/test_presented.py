@@ -5,8 +5,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from closure_reference import reference_localize
-from helpers import idempotent_category, posets, table_digest
-from sigmacat.colimits import default_test_family
+from helpers import colimit_rungs, idempotent_category, posets, table_digest
+from sigmacat.colimits import conical_sigma_colimit, default_test_family
 from sigmacat.config import Meter
 from sigmacat.errors import SizeLimitExceeded, ValidationError
 from sigmacat.fincat import (Functor, arrow_category, compose_functors,
@@ -205,6 +205,31 @@ def test_universal_property_against_small_targets(marked):
                   if all(e.is_iso(F.arr_map[s]) for s in sigma)]
         assert len(set(through)) == len(through)
         assert sorted(through) == sorted(direct)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(marked_categories())
+@example((arrow_category(), {"f"}))
+@example((group_z2_category(), {"s"}))
+@example((iso_pair_category(), {"u"}))
+@example((split_idempotent(), {"f"}))
+@example((split_idempotent("f~inv"), set()))
+@example((parallel_pair_category(), set()))
+def test_every_finite_realization_is_a_category(marked):
+    """``saturate_presentation`` does not validate its realization: a
+    closed coset table that passes the relation re-walk is the Cayley graph
+    of a congruence, so it is a category.  The validator must agree."""
+    c, sigma = marked
+    loc = localize(c, sigma, 8)
+    if loc.finite:
+        assert validate_category(loc.realization).ok
+
+
+@pytest.mark.parametrize("rung", sorted(colimit_rungs()))
+def test_the_localizations_of_the_colimit_rungs_are_categories(rung):
+    P, marking = colimit_rungs()[rung]
+    res = conical_sigma_colimit(P, marking)
+    assert validate_category(res.category).ok
 
 
 def test_status_finite_has_valid_realization():
