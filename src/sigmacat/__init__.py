@@ -30,10 +30,10 @@ from .elements import (ElementsResult, cart_sigma, elements_of,
                        elements_of_pseudo, gamma_dual, lax_dense_transport,
                        lax_pullback_factor, t_eta, t_h)
 from .colimits import (BaseCone, ColimitResult, SigmaCone, bilimit_cat,
-                       coend_eps, comparison_functor, conical_sigma_colimit,
-                       interchange_check, is_bilimit_cone,
-                       pointwise_limit_check, preserves_bilimit,
-                       weighted_limit_cat, weighted_sigma_colimit)
+                       coend_eps, commutation_check, comparison_functor,
+                       conical_sigma_colimit, is_bilimit_cone,
+                       preserves_bilimit, weighted_limit_cat,
+                       weighted_sigma_colimit)
 from .filteredness import (FilterednessReport, check_sigma_cofiltered,
                            check_sigma_cofinal, check_sigma_filtered,
                            cofinal_via_ff, cone_category_equiv, cone_existence)

@@ -18,10 +18,12 @@ from dataclasses import dataclass
 
 from .config import Meter
 from .errors import PreconditionFailed, ValidationError
-from .fincat import FinCat, Functor, NatTransf, mk_fincat
+from .fincat import (FinCat, Functor, NatTransf, compose_functors, mk_fincat,
+                     terminal_category)
 from .two_cat import Fin2Cat, WideSub, mk_fin2cat
 from .transforms import (CatDiagram, Transformation, TwoFunctor,
-                         check_transformation, compose_diagram, hom_eps, LAX)
+                         check_transformation, compose_diagram,
+                         constant_diagram, hom_eps, LAX)
 
 
 def obj_name(x: str, A: str) -> str:
@@ -367,8 +369,6 @@ def lax_dense_transport(P: CatDiagram, Q: CatDiagram, el_p: ElementsResult,
     With a sigma flavor on the base, the image lands exactly in the
     cones that are sigma with respect to the induced marking on El_P.
     """
-    from .fincat import terminal_category
-    from .transforms import constant_diagram
     meter = meter or Meter()
     flavor = flavor or LAX
     cone_flavor = cone_flavor or LAX
@@ -404,20 +404,10 @@ def _transport_forward(P, Q, el_p, eta, k1, q_proj, cone_flavor) -> Transformati
         QB = Q.on_obj[B]
         comp = QB.compose[(eta.components[B].arr_map[phi],
                            eta.structural[f].components[x])]
-        src = _const_comp(q_proj.on_1[nm], comps[oa])
-        tgt = comps[ob]
-        structural[nm] = NatTransf(src, _comp_with_id(tgt, k1, nm), {"*": comp})
+        src = compose_functors(q_proj.on_1[nm], comps[oa])
+        tgt = compose_functors(comps[ob], k1.on_1[nm])
+        structural[nm] = NatTransf(src, tgt, {"*": comp})
     return Transformation(k1, q_proj, comps, structural, cone_flavor)
-
-
-def _const_comp(F: Functor, pick: Functor) -> Functor:
-    from .fincat import compose_functors
-    return compose_functors(F, pick)
-
-
-def _comp_with_id(pick: Functor, k1, nm) -> Functor:
-    from .fincat import compose_functors
-    return compose_functors(pick, k1.on_1[nm])
 
 
 def _transport_backward(P, Q, el_p, th, flavor) -> Transformation:
@@ -440,7 +430,6 @@ def _transport_backward(P, Q, el_p, th, flavor) -> Transformation:
         for x in PA.objects:
             nm = mor_name(f, P.on_obj[B].identity[P.on_1[f].obj_map[x]], x)
             comp[x] = th.structural[nm].components["*"]
-        from .fincat import compose_functors
         src = compose_functors(Q.on_1[f], comps[A])
         tgt = compose_functors(comps[B], P.on_1[f])
         structural[f] = NatTransf(src, tgt, comp)

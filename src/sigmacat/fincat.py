@@ -58,16 +58,6 @@ class FinCat:
             index.setdefault(st, []).append(a)
         return index
 
-    def comp(self, g: str, f: str) -> str:
-        return self.compose[(g, f)]
-
-    def comp_path(self, path: list[str]) -> str:
-        """Composite of a path listed first-to-last; path must be nonempty."""
-        out = path[0]
-        for a in path[1:]:
-            out = self.compose[(a, out)]
-        return out
-
     def is_identity(self, a: str) -> bool:
         return self.identity.get(self.src(a)) == a
 
@@ -109,12 +99,6 @@ class Functor:
     obj_map: dict  # object -> object
     arr_map: dict  # arrow -> arrow
 
-    def on_obj(self, x: str) -> str:
-        return self.obj_map[x]
-
-    def on_arr(self, a: str) -> str:
-        return self.arr_map[a]
-
     def key(self) -> tuple:
         return (tuple(sorted(self.obj_map.items())),
                 tuple(sorted(self.arr_map.items())))
@@ -125,9 +109,6 @@ class NatTransf:
     source: Functor
     target: Functor
     components: dict  # object of source.source -> arrow of target cat
-
-    def at(self, x: str) -> str:
-        return self.components[x]
 
     def key(self) -> tuple:
         return tuple(sorted(self.components.items()))

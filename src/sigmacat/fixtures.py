@@ -11,9 +11,9 @@ from .fincat import (FinCat, Functor, NatTransf, arrow_category,
                      discrete_category, group_z2_category, identity_functor,
                      idn, iso_pair_category, mk_fincat, parallel_pair_category,
                      terminal_category)
-from .two_cat import (Fin2Cat, Marked2Cat, free_2cell_2cat, parallel_2cells_2cat,
-                      terminal_2cat, two_cat_from_cat, wide_all, wide_from,
-                      wide_identities)
+from .two_cat import (Fin2Cat, Marked2Cat, free_2cell_2cat, op_dual,
+                      parallel_2cells_2cat, terminal_2cat, two_cat_from_cat,
+                      wide_all, wide_from, wide_identities)
 from .transforms import CatDiagram, constant_diagram
 
 
@@ -129,7 +129,6 @@ def diagram_collapse() -> CatDiagram:
 
 def weight_on_op_arrow() -> CatDiagram:
     """A weight on the dual of the walking arrow: 1 at 0, the arrow at 1."""
-    from .two_cat import op_dual
     base = op_dual(arrow_2cat())
     one, two = terminal_category(), arrow_category()
     bang = Functor(two, one, {"0": "*", "1": "*"},
@@ -142,7 +141,6 @@ def weight_on_op_arrow() -> CatDiagram:
 
 
 def weight_constant_terminal_op() -> CatDiagram:
-    from .two_cat import op_dual
     return constant_diagram(op_dual(arrow_2cat()), terminal_category())
 
 

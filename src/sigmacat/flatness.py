@@ -222,7 +222,7 @@ def canonical_expression(P: CatDiagram, cap: int = DEFAULT_CAP,
             verdict = "undecided"
             continue
         target = _comparison_cone(P, el, QB, B)
-        F = induced_from_colimit(colim, target, meter=meter)
+        F = induced_from_colimit(colim, target)
         ok = is_equivalence(F).verdict
         per_object.append((B, "finite", ok))
         if not ok:

@@ -37,7 +37,7 @@ from .fincat import (FinCat, Functor, NatTransf, ValidationReport,
                      identity_functor, idn, invert_nat, nat_is_identity,
                      nat_is_invertible, validate_functor, validate_nat_transf,
                      vcomp_nat, whisker_functor_nat, whisker_nat_functor)
-from .two_cat import Fin2Cat, WideSub, pair_name, two_cat_product
+from .two_cat import Fin2Cat, WideSub, op_dual, pair_name, two_cat_product
 
 
 # ---------------------------------------------------------------------------
@@ -124,15 +124,6 @@ class CatDiagram:
     @property
     def is_pseudo(self) -> bool:
         return self.kind == "pseudo"
-
-    def cat(self, A: str) -> FinCat:
-        return self.on_obj[A]
-
-    def functor(self, f: str) -> Functor:
-        return self.on_1[f]
-
-    def transf(self, x: str) -> NatTransf:
-        return self.on_2[x]
 
     def alpha_at(self, A: str) -> NatTransf:
         """The structure cell id ⇒ P(id_A); identity when strict."""
@@ -1064,7 +1055,6 @@ def internal_hom_diagram(P: CatDiagram, Q: CatDiagram,
     Returns the diagram together with its product base.  The end of this
     diagram recovers the Hom category of transformations P ⇒ Q.
     """
-    from .two_cat import op_dual
     meter = meter or Meter()
     base = P.source
     if Q.source != base:

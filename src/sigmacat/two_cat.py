@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .fincat import (FinCat, ValidationReport, mk_fincat, pair_name, partition,
-                     product_category, validate_category)
+                     product_category, terminal_category, validate_category)
 from .errors import Inconsistency, ValidationError
 
 
@@ -88,20 +88,6 @@ class Fin2Cat:
         """Vertical composite b∘a (a first)."""
         pair = self._cell2_home[a]
         return self.hom[pair].compose[(b, a)]
-
-    def comp1(self, g: str, f: str) -> str:
-        return self.hcomp1[(g, f)]
-
-    def comp2(self, b: str, a: str) -> str:
-        return self.hcomp2[(b, a)]
-
-    def whisker_l(self, g: str, a: str) -> str:
-        """g acting on a: the 2-cell g*a for a 1-cell g after 2-cell a."""
-        return self.hcomp2[(self.id2(g), a)]
-
-    def whisker_r(self, b: str, f: str) -> str:
-        """b acting on f: the 2-cell b*f for a 2-cell b after 1-cell f."""
-        return self.hcomp2[(b, self.id2(f))]
 
     def is_invertible_2cell(self, a: str) -> bool:
         pair = self._cell2_home[a]
@@ -379,7 +365,6 @@ def two_cat_from_cat(c: FinCat) -> Fin2Cat:
 
 
 def terminal_2cat() -> Fin2Cat:
-    from .fincat import terminal_category
     return two_cat_from_cat(terminal_category())
 
 

@@ -8,17 +8,33 @@ the universal weighted cocone ω, read off the conical cone, is an
 isomorphism Cat(C, E) → σ-Nat(W, Cat(P-, E)).  Both enumerate functors,
 cones, transformations and their morphisms; that is evidence against E,
 where the classifier certificate of ``sigmacat.colimits`` is a proof for
-every E.  Where both run they must agree.
+every E.  Where both run they must agree.  ``certify_coend`` is the
+test-family certificate ``coend_eps`` carried: functors out of the coend
+against the end of Cat(T(-,-), E), compared by an isomorphism search.
 """
 
 from sigmacat import elements as el_mod
 from sigmacat.colimits import SigmaCone, _morphism_key, sigma_cone_homs
 from sigmacat.config import Meter
-from sigmacat.fincat import (FinCat, Functor, NatTransf, compose_functors,
-                             functor_category_full, whisker_functor_nat,
+from sigmacat.fincat import (FinCat, Functor, NatTransf, arrow_category,
+                             compose_functors, find_isomorphism,
+                             functor_category_full, iso_pair_category,
+                             pair_name, parallel_pair_category,
+                             terminal_category, whisker_functor_nat,
                              whisker_nat_functor)
-from sigmacat.transforms import CatDiagram, sigma_flavor, transformation_homs
-from sigmacat.two_cat import WideSub, op_dual
+from sigmacat.transforms import (CatDiagram, end_eps, sigma_flavor,
+                                 transformation_homs)
+from sigmacat.two_cat import Fin2Cat, WideSub, op_dual
+
+
+def default_test_family() -> list[tuple[str, FinCat]]:
+    """The test categories the reference certificates run against."""
+    return [
+        ("terminal", terminal_category()),
+        ("arrow", arrow_category()),
+        ("iso_pair", iso_pair_category()),
+        ("parallel_pair", parallel_pair_category()),
+    ]
 
 
 def certify_against(result, E: FinCat, homs: tuple,
@@ -211,3 +227,58 @@ def certify_weighted(out, sigma: WideSub, E: FinCat,
                 return False
             hit.add(k)
     return True
+
+
+def certify_coend(R: FinCat, T: CatDiagram, base: Fin2Cat, flavor, E: FinCat,
+                  meter: Meter | None = None) -> bool:
+    """Functors out of the coend's realization R and the flavor's end of
+    Cat(T(-,-), E) must form isomorphic categories, found by search."""
+    meter = meter or Meter()
+    fc = functor_category_full(R, E, meter)
+    e = end_eps(hom_out_diagram(T, base, E, meter), base, flavor, meter)
+    return len(fc.cat.objects) == len(e.cat.objects) and \
+        len(fc.cat.arrows) == len(e.cat.arrows) and \
+        find_isomorphism(fc.cat, e.cat, meter) is not None
+
+
+def hom_out_diagram(T: CatDiagram, base: Fin2Cat, E: FinCat,
+                    meter: Meter) -> CatDiagram:
+    """The two-sided diagram (A,B) ↦ Cat(T(B,A), E)."""
+    prod = T.source
+    fcats = {}
+    for A in base.objects:
+        for B in base.objects:
+            fcats[(A, B)] = functor_category_full(
+                T.on_obj[pair_name(B, A)], E, meter)
+    on_obj = {pair_name(A, B): fcats[(A, B)].cat
+              for A in base.objects for B in base.objects}
+    on_1 = {}
+    for f in base.all_one_cells():
+        A2, A = base.src1(f), base.tgt1(f)
+        for g in base.all_one_cells():
+            B, B2 = base.src1(g), base.tgt1(g)
+            src_fc = fcats[(A, B)]
+            tgt_fc = fcats[(A2, B2)]
+            inner = T.on_1[pair_name(g, f)]  # T(B2,A2) -> T(B,A)
+            om, am = {}, {}
+            for name, h in src_fc.functors.items():
+                om[name] = tgt_fc.name_of_functor(compose_functors(h, inner))
+            for name, n in src_fc.transfs.items():
+                am[name] = tgt_fc.name_of_transf(whisker_nat_functor(n, inner))
+            on_1[pair_name(f, g)] = Functor(src_fc.cat, tgt_fc.cat, om, am)
+    on_2 = {}
+    for x in base.all_two_cells():
+        f, f2 = base.src2(x), base.tgt2(x)
+        A2, A = base.src1(f), base.tgt1(f)
+        for y in base.all_two_cells():
+            g, g2 = base.src2(y), base.tgt2(y)
+            B, B2 = base.src1(g), base.tgt1(g)
+            src_fc = fcats[(A, B)]
+            tgt_fc = fcats[(A2, B2)]
+            comps = {}
+            for name, h in src_fc.functors.items():
+                comps[name] = tgt_fc.name_of_transf(
+                    whisker_functor_nat(h, T.on_2[pair_name(y, x)]))
+            on_2[pair_name(x, y)] = NatTransf(
+                on_1[pair_name(f, g)], on_1[pair_name(f2, g2)], comps)
+    return CatDiagram(prod, on_obj, on_1, on_2)

@@ -4,13 +4,14 @@ import hashlib
 
 from hypothesis import strategies as st
 
-from sigmacat.fincat import (arrow_category, discrete_category, mk_fincat,
-                             terminal_category)
+from sigmacat.fincat import (Functor, NatTransf, arrow_category,
+                             discrete_category, mk_fincat, pair_name,
+                             product_category, terminal_category)
 from sigmacat.fixtures import diamond_2cat, poset_category
 from sigmacat.flatness import representable
-from sigmacat.transforms import constant_diagram
-from sigmacat.two_cat import (two_cat_from_cat, wide_all, wide_from,
-                              wide_identities)
+from sigmacat.transforms import CatDiagram, constant_diagram
+from sigmacat.two_cat import (two_cat_from_cat, two_cat_product, wide_all,
+                              wide_from, wide_identities)
 
 
 def idempotent_category():
@@ -29,6 +30,35 @@ def posets(draw, max_objects: int):
     pairs = [(objs[i], objs[j]) for i in range(n) for j in range(i + 1, n)]
     rels = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     return poset_category(objs, rels)
+
+
+def external_product(P, W):
+    """The diagram (A, B) ↦ P(A) × W(B) on the product of P's and W's bases,
+    acting coordinatewise."""
+    a, b = P.source, W.source
+    on_obj = {pair_name(A, B): product_category(P.on_obj[A], W.on_obj[B])
+              for A in a.objects for B in b.objects}
+    on_1 = {}
+    for f in a.all_one_cells():
+        for u in b.all_one_cells():
+            F, G = P.on_1[f], W.on_1[u]
+            on_1[pair_name(f, u)] = Functor(
+                on_obj[pair_name(a.src1(f), b.src1(u))],
+                on_obj[pair_name(a.tgt1(f), b.tgt1(u))],
+                {pair_name(x, y): pair_name(F.obj_map[x], G.obj_map[y])
+                 for x in F.source.objects for y in G.source.objects},
+                {pair_name(p, q): pair_name(F.arr_map[p], G.arr_map[q])
+                 for p in F.source.arrows for q in G.source.arrows})
+    on_2 = {}
+    for x in a.all_two_cells():
+        for y in b.all_two_cells():
+            f, u = a.src2(x), b.src2(y)
+            px, wy = P.on_2[x].components, W.on_2[y].components
+            on_2[pair_name(x, y)] = NatTransf(
+                on_1[pair_name(f, u)], on_1[pair_name(a.tgt2(x), b.tgt2(y))],
+                {pair_name(p, q): pair_name(px[p], wy[q])
+                 for p in px for q in wy})
+    return CatDiagram(two_cat_product(a, b), on_obj, on_1, on_2)
 
 
 def table_digest(c):

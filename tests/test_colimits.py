@@ -1,33 +1,40 @@
-"""Conical and weighted relative colimits, bilimits, pointwise computation."""
+"""Conical and weighted relative colimits, bilimits, coends, and the
+commutation of σ-filtered σ-colimits with the finite bilimits."""
+
+import sys
 
 import pytest
 
-from helpers import colimit_rungs
+from certificate_reference import certify_coend, default_test_family
+from helpers import colimit_rungs, external_product
 from sigmacat.config import Meter
 from sigmacat.errors import CertificateFailure, PreconditionFailed, UndecidedAtCap
+from sigmacat.filteredness import check_sigma_filtered
 from sigmacat.fincat import (Functor, NatTransf, arrow_category,
                              categories_equivalent, compose_functors,
-                             find_isomorphism, functor_category,
+                             discrete_category, find_isomorphism, functor_category,
+                             group_z2_category,
                              functor_category_full, identity_functor,
                              is_equivalence, iso_pair_category,
                              parallel_pair_category, product_category,
                              terminal_category, validate_category)
-from sigmacat.fixtures import (arrow_2cat, diagram_collapse,
+from sigmacat.fixtures import (arrow_2cat, diagram_chain_to_pp, diagram_collapse,
                                diagram_on_free2cell, diagram_pick0,
                                diamond_2cat, idn, pseudo_swap, pseudo_z2,
                                weight_constant_terminal_op, weight_on_op_arrow)
 from sigmacat.flatness import representable
-from sigmacat.two_cat import (WideSub, free_2cell_2cat, op_dual, pair_name,
-                              pi0, terminal_2cat, two_cat_product,
-                              wide_all, wide_identities)
+from sigmacat.two_cat import (Marked2Cat, WideSub, free_2cell_2cat, op_dual,
+                              pair_name, pi0, terminal_2cat, two_cat_from_cat,
+                              two_cat_product, wide_all, wide_from,
+                              wide_identities)
 from sigmacat.transforms import (LAX, PSEUDO, STRICT, CatDiagram,
-                                 constant_diagram, hom_eps, sigma_flavor)
+                                 constant_diagram, hom_eps,
+                                 reinterpret_as_pseudo, sigma_flavor)
 from sigmacat.colimits import (SigmaCone, bilimit_cat, check_sigma_cone,
-                               coend_eps, cones_sigma, conical_sigma_colimit,
-                               induced_from_colimit, interchange_check,
-                               pointwise_limit_check, weighted_limit_cat,
-                               weighted_sigma_colimit)
-from sigmacat.shapes import BIEQUALIZER, BIINSERTER
+                               coend_eps, commutation_check, cones_sigma,
+                               conical_sigma_colimit, induced_from_colimit,
+                               weighted_limit_cat, weighted_sigma_colimit)
+from sigmacat.shapes import BIEQUALIZER, BIEQUIFIER, BIINSERTER, BIPRODUCT, SHAPES
 
 
 @pytest.fixture(scope="module")
@@ -338,56 +345,6 @@ def test_biequalizer_is_the_invertible_inserter():
 
 
 # ---------------------------------------------------------------------------
-# Pointwise limits and interchange
-
-
-def _product_diagram_from(P, left, right):
-    """Spread a diagram on the left base constantly along the right base."""
-    prod = two_cat_product(left, right)
-    on_obj, on_1, on_2 = {}, {}, {}
-    for A in left.objects:
-        for B in right.objects:
-            on_obj[pair_name(A, B)] = P.on_obj[A]
-    for f in left.all_one_cells():
-        for g in right.all_one_cells():
-            on_1[pair_name(f, g)] = P.on_1[f]
-    for x in left.all_two_cells():
-        for y in right.all_two_cells():
-            on_2[pair_name(x, y)] = P.on_2[x]
-    return CatDiagram(prod, on_obj, on_1, on_2)
-
-
-def test_pointwise_limits_on_trivial_and_arrow_base(base):
-    P = diagram_pick0()
-    t2 = terminal_2cat()
-    W = constant_diagram(base, terminal_category())
-    T1 = _product_diagram_from(P, base, t2)
-    res1 = pointwise_limit_check(T1, base, t2, W, PSEUDO)
-    assert all(ok for _, ok in res1)
-    T2 = _product_diagram_from(P, base, base)
-    res2 = pointwise_limit_check(T2, base, base, W, PSEUDO)
-    assert all(ok for _, ok in res2)
-    res3 = pointwise_limit_check(T2, base, base, W, LAX)
-    assert all(ok for _, ok in res3)
-
-
-def test_interchange_on_two_fixtures(base):
-    P = diagram_pick0()
-    T = _product_diagram_from(P, base, base)
-    k1 = constant_diagram(base, terminal_category())
-    ok, nl, nr = interchange_check(k1, k1, T, base, base, PSEUDO, PSEUDO)
-    assert ok and nl == nr
-    ok2, nl2, nr2 = interchange_check(k1, k1, T, base, base, LAX, PSEUDO)
-    assert ok2
-    # degenerate: a diagram valued at the empty category on one side
-    from sigmacat.fincat import empty_category
-    E = constant_diagram(base, empty_category())
-    TE = _product_diagram_from(E, base, base)
-    ok3, nl3, nr3 = interchange_check(k1, k1, TE, base, base, PSEUDO, PSEUDO)
-    assert ok3 and nl3 == nr3
-
-
-# ---------------------------------------------------------------------------
 # Coends
 
 
@@ -398,9 +355,10 @@ def test_coend_over_one_object_base():
     T = CatDiagram(prod, {pair_name("*", "*"): C},
                    {pair_name("id_*", "id_*"): identity_functor(C)},
                    {pair_name("i2_id_*", "i2_id_*"): idn(identity_functor(C))})
-    out, cert = coend_eps(T, t2, PSEUDO)
+    out = coend_eps(T, t2, PSEUDO)
     assert out.finite
-    assert all(ok for _, ok in cert)
+    assert all(certify_coend(out.realization, T, t2, PSEUDO, E)
+               for _, E in default_test_family())
     assert find_isomorphism(out.realization, C) is not None
 
 
@@ -450,8 +408,10 @@ def test_coend_of_tensor_matches_weighted_colimit(base):
     W = weight_on_op_arrow()
     P = diagram_pick0()
     T = _tensor_diagram(W, P, base)
-    out, cert = coend_eps(T, base, PSEUDO)
-    assert out.finite and all(ok for _, ok in cert)
+    out = coend_eps(T, base, PSEUDO)
+    assert out.finite
+    assert all(certify_coend(out.realization, T, base, PSEUDO, E)
+               for _, E in default_test_family())
     res = weighted_sigma_colimit(W, P, wide_all(base))
     assert find_isomorphism(out.realization, res.category) is not None
 
@@ -462,7 +422,7 @@ def test_coend_over_empty_base_is_empty():
     e2 = mk_fin2cat((), {}, {}, {}, {})
     prod = two_cat_product(op_dual(e2), e2)
     T = CatDiagram(prod, {}, {}, {})
-    out, cert = coend_eps(T, e2, PSEUDO, test_family=[])
+    out = coend_eps(T, e2, PSEUDO)
     assert out.finite
     assert out.realization.objects == ()
 
@@ -535,3 +495,112 @@ def test_filtered_colimit_commutes_with_finite_limit_one_instance():
     assert check_sigma_cone(cone).ok
     comparison = induced_from_colimit(lhs, cone)
     assert is_equivalence(comparison).verdict
+
+
+# ---------------------------------------------------------------------------
+# Commutation of σ-filtered σ-colimits with the four generating bilimits
+
+
+def _indexed(P, marking=wide_all):
+    """P on its base marked by ``marking``, as (index, marking, P)."""
+    return P.source, marking(P.source), P
+
+
+# The fully marked walking arrow, 3-chain and diamond, and the free 2-cell
+# u ⇒ v with v marked, where the index's 2-cell acts.
+FILTERED_INDICES = {
+    "arrow": lambda: _indexed(diagram_pick0()),
+    "chain3": lambda: _indexed(diagram_chain_to_pp()),
+    "diamond": lambda: _indexed(representable(diamond_2cat(), "bot")),
+    "free2cell": lambda: _indexed(diagram_on_free2cell(),
+                                  lambda a: wide_from(a, ["v"])),
+}
+
+
+def _along(P, shape, kind):
+    """T(i,s) = P(i), constant along the shape, or P(i) × W(s) with W the
+    shape's own weight."""
+    W = shape.weight if kind == "weight" else \
+        constant_diagram(shape.cat, terminal_category())
+    return external_product(P, W)
+
+
+@pytest.mark.parametrize("kind", ["constant", "weight"])
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@pytest.mark.parametrize("index", sorted(FILTERED_INDICES))
+def test_commutation_holds_on_sigma_filtered_indices(index, shape, kind):
+    a, sigma, P = FILTERED_INDICES[index]()
+    assert check_sigma_filtered(Marked2Cat(a, sigma)).verdict
+    rep = commutation_check(_along(P, SHAPES[shape], kind), a, sigma, SHAPES[shape])
+    assert rep.verdict, rep.witness
+
+
+def _unequal_cells():
+    """A diagram of the biequifier shape whose two 2-cells agree only at p:
+    both send the discrete pair {p, q} to the one object of ℤ/2, one cell
+    has the identity at q and the other the involution.  Its conical
+    σ-limit, the equifier, has its cones over p only."""
+    C, Z = discrete_category(["p", "q"]), group_z2_category()
+    F = Functor(C, Z, {"p": "*", "q": "*"}, {"id_p": "e", "id_q": "e"})
+    return BIEQUIFIER.cat_diagram(NatTransf(F, F, {"p": "e", "q": "e"}),
+                                  NatTransf(F, F, {"p": "e", "q": "s"}))
+
+
+@pytest.mark.parametrize("index", sorted(FILTERED_INDICES))
+def test_commutation_holds_where_the_biequifier_cells_differ(index):
+    """Here C(θ), the 2-cells between the colimits, decide which cones the
+    right-hand limit has."""
+    a, sigma, P = FILTERED_INDICES[index]()
+    rep = commutation_check(external_product(P, _unequal_cells()), a, sigma,
+                            BIEQUIFIER)
+    assert rep.verdict, rep.witness
+
+
+@pytest.mark.parametrize("index", ["pair", "arrow"])
+def test_commutation_fails_with_a_witness_off_sigma_filtered_indices(index):
+    """The biproduct over an index marked by identities: a coproduct or a
+    lax colimit of products is not the product of the colimits."""
+    a = two_cat_from_cat(discrete_category(["x", "y"])) if index == "pair" \
+        else arrow_2cat()
+    sigma = wide_identities(a)
+    assert not check_sigma_filtered(Marked2Cat(a, sigma)).verdict
+    T = _along(constant_diagram(a, terminal_category()), BIPRODUCT, "constant")
+    rep = commutation_check(T, a, sigma, BIPRODUCT)
+    assert not rep.verdict
+    assert rep.witness == "object c1 is not isomorphic to any image"
+
+
+def test_commutation_check_refuses_a_pseudo_diagram():
+    a, sigma, P = FILTERED_INDICES["arrow"]()
+    T = reinterpret_as_pseudo(_along(P, BIEQUALIZER, "weight"))
+    with pytest.raises(PreconditionFailed):
+        commutation_check(T, a, sigma, BIEQUALIZER)
+
+
+def test_commutation_with_a_colimit_at_the_cap_is_undecided():
+    # over the fully marked parallel pair the constant point localizes to
+    # the integers
+    from sigmacat.fixtures import parallel_2cat
+    a = parallel_2cat()
+    T = _along(constant_diagram(a, terminal_category()), BIPRODUCT, "constant")
+    with pytest.raises(UndecidedAtCap):
+        commutation_check(T, a, wide_all(a), BIPRODUCT, cap=8)
+
+
+def test_commutation_and_coend_run_without_an_isomorphism_search(base, monkeypatch):
+    """Both decide by construction: with the isomorphism search, the end
+    and the functor categories made to fail in every module, they still
+    answer."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("an isomorphism search or a functor category ran")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "sigmacat":
+            for fn in ("find_isomorphism", "end_eps", "functor_category_full"):
+                if hasattr(module, fn):
+                    monkeypatch.setattr(module, fn, refuse)
+    a, sigma, P = FILTERED_INDICES["arrow"]()
+    assert commutation_check(_along(P, BIEQUALIZER, "weight"), a, sigma,
+                             BIEQUALIZER).verdict
+    T = _tensor_diagram(weight_on_op_arrow(), diagram_pick0(), base)
+    assert coend_eps(T, base, PSEUDO).finite

@@ -55,7 +55,7 @@ import pytest
 from hypothesis import given, settings
 
 from certificate_reference import (certify_against, certify_weighted,
-                                   hom_into_diagram)
+                                   default_test_family, hom_into_diagram)
 from helpers import chain_2cat, idempotent_category, posets
 from sigmacat.colimits import (BaseCone, BaseConeCategories, SigmaCone,
                                _conical_classifier, _weighted_classifier,
@@ -63,7 +63,6 @@ from sigmacat.colimits import (BaseCone, BaseConeCategories, SigmaCone,
                                base_cone_laws, check_base_cone,
                                check_sigma_cone, comparison_functor,
                                cones_sigma, conical_sigma_colimit,
-                               default_test_family,
                                is_bilimit_cone, point_cone_homs,
                                preserves_bilimit, weighted_sigma_colimit)
 from sigmacat.config import Meter

@@ -5,18 +5,24 @@ the package is parsed, and every name bound by a top-level ``import`` or
 ``from ... import`` must appear as a name somewhere in the module's code.
 ``__init__.py`` is exempt, since its imports are the public re-exports.
 
-The command line and the shape catalogue import the package only at top
-level: nothing they import imports them back, so no import cycle needs a
-function-level import there.
+Every module imports only at top level: the package's modules import
+one another without a cycle, so no import needs to wait inside a
+function.
 """
 
 import ast
+from functools import cache
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sigmacat"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+@cache
+def parsed(module: str) -> ast.Module:
+    return ast.parse((PACKAGE / module).read_text(), module)
 
 
 def imported_names(tree: ast.Module) -> list[str]:
@@ -31,16 +37,16 @@ def imported_names(tree: ast.Module) -> list[str]:
 
 @pytest.mark.parametrize("module", MODULES)
 def test_top_level_imports_are_used(module):
-    tree = ast.parse((PACKAGE / module).read_text(), module)
+    tree = parsed(module)
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     unused = [name for name in imported_names(tree) if name not in used]
     assert not unused, f"{module} never uses: {', '.join(unused)}"
 
 
-@pytest.mark.parametrize("module", ["cli.py", "shapes.py"])
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_package_imports_sit_at_top_level(module):
-    tree = ast.parse((PACKAGE / module).read_text(), module)
+    tree = parsed(module)
     inner = [f"line {node.lineno}" for node in ast.walk(tree)
-             if isinstance(node, ast.ImportFrom) and node.level
+             if isinstance(node, (ast.Import, ast.ImportFrom))
              and node not in tree.body]
     assert not inner, f"{module} imports inside a function at {', '.join(inner)}"

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from certificate_reference import default_test_family
 from closure_reference import reference_localize
 from helpers import colimit_rungs, idempotent_category, posets, table_digest
-from sigmacat.colimits import conical_sigma_colimit, default_test_family
+from sigmacat.colimits import conical_sigma_colimit
 from sigmacat.config import Meter
 from sigmacat.errors import SizeLimitExceeded, ValidationError
 from sigmacat.fincat import (Functor, arrow_category, compose_functors,

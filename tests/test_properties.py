@@ -10,17 +10,22 @@ from collections import Counter
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from certificate_reference import certify_against, certify_weighted
-from helpers import posets
-from sigmacat.colimits import default_test_family, weighted_sigma_colimit
+from certificate_reference import (certify_against, certify_weighted,
+                                   default_test_family)
+from helpers import external_product, posets
+from sigmacat.colimits import commutation_check, weighted_sigma_colimit
 from sigmacat.config import Meter
 from sigmacat.errors import SizeLimitExceeded
-from sigmacat.fincat import (enumerate_functors, functor_homs, identity_functor,
-                             nat_is_identity, vcomp_nat, whisker_nat_functor)
+from sigmacat.filteredness import check_sigma_filtered
+from sigmacat.fincat import (arrow_category, discrete_category,
+                             enumerate_functors, functor_homs, identity_functor,
+                             nat_is_identity, terminal_category, vcomp_nat,
+                             whisker_nat_functor)
 from sigmacat.fixtures import arrow_2cat, idn, poset_category
-from sigmacat.flatness import generate_bilimit_cones
-from sigmacat.transforms import CatDiagram
-from sigmacat.two_cat import (op_dual, two_cat_from_cat, wide_all,
+from sigmacat.flatness import generate_bilimit_cones, representable
+from sigmacat.shapes import SHAPES
+from sigmacat.transforms import CatDiagram, constant_diagram
+from sigmacat.two_cat import (Marked2Cat, op_dual, two_cat_from_cat, wide_all,
                               wide_identities)
 
 # the weighted σ-colimit property: posets on at most MAX_OBJECTS objects
@@ -180,3 +185,37 @@ def test_finite_bilimits_in_a_poset(c):
     for f in a.all_one_cells():
         assert vertex[f"biequalizer({f},{f})"] == a.src1(f)
         assert vertex[f"biinserter({f},{f})"] == a.src1(f)
+
+
+@st.composite
+def posets_with_top(draw, max_objects: int):
+    """A drawn poset on at most ``max_objects`` objects with a top element
+    added, as a locally discrete 2-category."""
+    c = draw(posets(max_objects), label="below top")
+    return two_cat_from_cat(poset_category(
+        [*c.objects, "top"],
+        [(x, y) for (x, y) in c.arrows.values() if x != y] +
+        [(x, "top") for x in c.objects]))
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(data=st.data())
+def test_sigma_filtered_colimits_commute_with_the_generating_bilimits(data):
+    """σ-filtered σ-colimits commute with the finite weighted bilimits in
+    Cat, and by Kelly it is enough to check the four generating shapes: a
+    fully marked poset with a top is σ-filtered, so for every T(i,s) =
+    P(i) × W(s), with W the shape's weight and P constant or
+    representable, the canonical comparison
+    σ-colim_i lim_s T(i,s) → lim_s σ-colim_i T(i,s) is an equivalence."""
+    a = data.draw(posets_with_top(3), label="index")
+    sigma = wide_all(a)
+    assert check_sigma_filtered(Marked2Cat(a, sigma)).verdict
+    shape = data.draw(st.sampled_from(sorted(SHAPES.values(), key=lambda s: s.name)),
+                      label="shape")
+    P = data.draw(st.one_of(
+        st.sampled_from(sorted(a.objects)).map(lambda A: representable(a, A)),
+        st.sampled_from([terminal_category(), arrow_category(),
+                         discrete_category(["x", "y"])]).map(
+            lambda C: constant_diagram(a, C))), label="P")
+    rep = commutation_check(external_product(P, shape.weight), a, sigma, shape)
+    assert rep.verdict, rep.witness
