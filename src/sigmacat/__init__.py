@@ -2,7 +2,8 @@
 
 A desk-scale kernel: every category, 2-category, and diagram is given by
 total tables, every law is validated by exhaustive loops, Hom categories
-of transformations are enumerated, conical relative colimits are built
+of transformations are enumerated, weighted σ-limits are read as conical
+ones over the weight's elements, conical relative colimits are built
 by localization through coset enumeration, with a cap on the length of
 a coset's defining word, and flatness of a Cat-valued diagram is decided
 through filteredness of its 2-category of elements.  The four shapes
@@ -33,7 +34,7 @@ from .colimits import (BaseCone, ColimitResult, SigmaCone, bilimit_cat,
                        coend_eps, commutation_check, comparison_functor,
                        conical_sigma_colimit, is_bilimit_cone,
                        preserves_bilimit, weighted_limit_cat,
-                       weighted_sigma_colimit)
+                       weighted_sigma_colimit, weighted_sigma_limit)
 from .filteredness import (FilterednessReport, check_sigma_cofiltered,
                            check_sigma_cofinal, check_sigma_filtered,
                            cofinal_via_ff, cone_category_equiv, cone_existence)

@@ -19,7 +19,7 @@ from .errors import (CertificateFailure, Inconsistency, ParseError,
 from . import io as sio
 from .two_cat import Fin2Cat, Marked2Cat, wide_from
 from .transforms import (CatDiagram, LAX, PSEUDO, STRICT, TwoFunctor,
-                         hom_eps, reinterpret_as_pseudo, sigma_flavor)
+                         reinterpret_as_pseudo, sigma_flavor)
 from .colimits import (bilimit_cat, conical_sigma_colimit, weighted_limit_cat,
                        weighted_sigma_colimit)
 from .elements import cart_sigma, elements_of, elements_of_pseudo
@@ -98,7 +98,7 @@ def cmd_hom(args) -> int:
     fl = _flavor_from_args(args)
     if fl is None:
         fl = sigma_flavor(wide_from(P.source, _parse_sigma_names(args.sigma or "")))
-    h = hom_eps(P, Q, fl, Meter(args.budget))
+    h = weighted_limit_cat(P, Q, fl, Meter(args.budget))
     _emit({"command": "hom", "flavor": sio.flavor_to_doc(fl),
            "objects": len(h.cat.objects), "arrows": len(h.cat.arrows),
            "category": sio.fincat_to_doc(h.cat)})

@@ -22,11 +22,11 @@ from .two_cat import Fin2Cat, Marked2Cat, WideSub, op_dual
 from .transforms import (CatDiagram, Transformation, hom_eps, PSEUDO,
                          reinterpret_as_pseudo)
 from .elements import (ElementsResult, elements_of, elements_of_pseudo,
-                       _split_obj)
+                       _split_obj, obj_name)
 from .filteredness import FilterednessReport, check_sigma_cofiltered
 from .colimits import (BaseConeCategories, SigmaCone, check_base_cone,
                        conical_sigma_colimit, induced_from_colimit,
-                       preserves_bilimit)
+                       preserves_bilimit, weighted_sigma_limit)
 from .shapes import generating_diagrams
 
 
@@ -56,15 +56,22 @@ def representable(a: Fin2Cat, A: str) -> CatDiagram:
 
 def yoneda_check(Q: CatDiagram, A: str,
                  meter: Meter | None = None) -> EquivalenceReport:
-    """Evaluation at the identity must be an equivalence of categories."""
+    """Evaluation at 1_A, from {Hom(A, -), Q}_p to Q(A), must be an
+    equivalence: for a strict Q, the leg of ``weighted_sigma_limit`` at
+    the element (1_A, A); for a pseudo Q, read off ``hom_eps``."""
     meter = meter or Meter()
     base = Q.source
-    h = hom_eps(representable(base, A), Q, PSEUDO, meter)
+    R = representable(base, A)
     QA = Q.on_obj[A]
     idA = base.id1[A]
-    obj_map = {name: t.components[A].obj_map[idA] for name, t in h.transfs.items()}
-    arr_map = {name: m.components[A].components[idA] for name, m in h.mods.items()}
-    ev = Functor(h.cat, QA, obj_map, arr_map)
+    if Q.is_pseudo:
+        h = hom_eps(R, Q, PSEUDO, meter)
+        ev = Functor(h.cat, QA,
+                     {name: t.components[A].obj_map[idA] for name, t in h.transfs.items()},
+                     {name: m.components[A].components[idA]
+                      for name, m in h.mods.items()})
+    else:
+        ev = weighted_sigma_limit(R, Q, PSEUDO, meter).leg(obj_name(idA, A), QA)
     rep = validate_functor(ev)
     if not rep.ok:
         raise Inconsistency(f"evaluation is not a functor: {rep.violations[0].detail}")

@@ -12,9 +12,10 @@ per object and a structural natural transformation per 1-cell, directed
     sigma  structural cells at marked 1-cells are invertible
     l      no invertibility required
 
-Hom categories of a given flavor are produced by exhaustive enumeration:
-components first, then structural cells, pruning with the per-2-cell
-axiom before the composition axiom.  The enumerators decide each axiom
+Hom categories of a given flavor are produced by exhaustive enumeration
+(``hom_eps``): components first, then structural cells, pruning with the
+per-2-cell axiom before the composition axiom; ``hom_eps`` is the
+reference for the faster ``colimits.weighted_sigma_limit``.  The enumerators decide each axiom
 pointwise on component tables, as lookups in the target categories'
 composition tables, and build a Transformation or Modification only for
 the candidates they accept.  ``check_transformation`` and
@@ -746,7 +747,13 @@ def hom_eps(P: CatDiagram, Q: CatDiagram, flavor: Flavor,
             meter: Meter | None = None) -> HomCategory:
     """The category of flavor-constrained transformations P ⇒ Q:
     ``transformation_homs`` assembled, composed componentwise, one tick per
-    composable pair."""
+    composable pair.
+
+    The reference for ``colimits.weighted_sigma_limit``, which reads the
+    same category with the same names off Q's tables, and the fallback of
+    ``colimits.weighted_limit_cat`` where that does not apply: the strict
+    flavour and pseudo P or Q.  Callers that need the ``Transformation``
+    and ``Modification`` objects call it directly."""
     meter = meter or Meter()
     ts, mods = transformation_homs(P, Q, flavor, meter)
 

@@ -1,17 +1,23 @@
 """Small categories, strategies and digests shared by the test modules."""
 
 import hashlib
+import pathlib
 
 from hypothesis import strategies as st
 
+from sigmacat import fixtures
+from sigmacat import io as sio
 from sigmacat.fincat import (Functor, NatTransf, arrow_category,
-                             discrete_category, mk_fincat, pair_name,
-                             product_category, terminal_category)
+                             discrete_category, identity_functor, mk_fincat,
+                             pair_name, product_category, terminal_category)
 from sigmacat.fixtures import diamond_2cat, poset_category
 from sigmacat.flatness import representable
+from sigmacat.shapes import BIINSERTER
 from sigmacat.transforms import CatDiagram, constant_diagram
-from sigmacat.two_cat import (two_cat_from_cat, two_cat_product, wide_all,
-                              wide_from, wide_identities)
+from sigmacat.two_cat import (free_2cell_2cat, two_cat_from_cat, two_cat_product,
+                              wide_all, wide_from, wide_identities)
+
+FIXTURE_DOCUMENTS = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def idempotent_category():
@@ -75,6 +81,15 @@ def chain_2cat(n: int):
                                                   for i in range(n - 1)]))
 
 
+def grid_2cat(m: int, n: int):
+    """The m × n grid g0_0 < g0_1, g1_0 < … as a locally discrete
+    2-category."""
+    objs = [f"g{i}_{j}" for i in range(m) for j in range(n)]
+    rels = [(f"g{i}_{j}", f"g{i + 1}_{j}") for i in range(m - 1) for j in range(n)]
+    rels += [(f"g{i}_{j}", f"g{i}_{j + 1}") for i in range(m) for j in range(n - 1)]
+    return two_cat_from_cat(poset_category(objs, rels))
+
+
 def colimit_rungs() -> dict:
     """The 21 σ-colimits over the 3-chain, the 4-chain and the diamond that
     the benchmark's colimit ladder leaves out for the cost of their old
@@ -102,3 +117,26 @@ def colimit_rungs() -> dict:
             rungs[f"{name}/repr{bottom}/all"] = (representable(base, bottom),
                                                  markings["all"])
     return rungs
+
+
+def strict_fixture_diagrams() -> dict:
+    """Every strict diagram among the fixtures, the package's and the
+    documents' (named by file), and Δ(walking arrow) on the free 2-cell."""
+    found = {name: getattr(fixtures, name)() for name in (
+        "diagram_chain_to_pp", "diagram_pick0", "diagram_collapse",
+        "weight_on_op_arrow", "weight_constant_terminal_op",
+        "diagram_on_free2cell")}
+    found["delta_arrow_free2cell"] = constant_diagram(free_2cell_2cat(), arrow_category())
+    for path in sorted(FIXTURE_DOCUMENTS.glob("*.json")):
+        value = sio.parse_document(path.read_text())
+        if isinstance(value, CatDiagram):
+            found[path.name] = value
+    return {name: d for name, d in found.items() if not d.is_pseudo}
+
+
+def corpus_biinserter():
+    """The biinserter diagram of the identity and the constant functor at 1
+    on the walking arrow, as the benchmark's CLI corpus asks for it."""
+    two = arrow_category()
+    const1 = Functor(two, two, {"0": "1", "1": "1"}, {a: "id_1" for a in two.arrows})
+    return BIINSERTER.cat_diagram(identity_functor(two), const1)

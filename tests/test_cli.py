@@ -96,6 +96,40 @@ def test_weighted_colimit_reports(capsys, sigma, golden):
     assert out == (GOLDEN / golden).read_text()
 
 
+# The Hom categories and weighted limits of the benchmark's CLI corpus, in
+# every flavour, and its Yoneda comparisons: reports captured from the
+# enumerating implementation that the conical reduction replaced.
+HOM_PAIRS = [("representable_0", "diagram_pick0"),
+             ("representable_0", "diagram_collapse"),
+             ("const_terminal", "representable_0")]
+FLAVOR_FLAGS = {"s": ["--flavor", "s"], "p": ["--flavor", "p"],
+                "lax": ["--flavor", "lax"],
+                "sigma_f": ["--flavor", "sigma", "--sigma", "f"]}
+
+
+@pytest.mark.parametrize("flavor", sorted(FLAVOR_FLAGS))
+@pytest.mark.parametrize("source,target", HOM_PAIRS)
+@pytest.mark.parametrize("command", ["hom", "limit"])
+def test_hom_and_limit_reports(capsys, command, source, target, flavor):
+    """The full report of ``hom`` and ``limit``, byte for byte."""
+    code, out = invoke(capsys, command, str(FIXTURES / f"{source}.json"),
+                       str(FIXTURES / f"{target}.json"), *FLAVOR_FLAGS[flavor])
+    assert code == 0
+    assert out == (GOLDEN / f"{command}_{source}_{target}_{flavor}.json").read_text()
+
+
+@pytest.mark.parametrize("base,obj,against", [
+    ("arrow_2cat", "0", "representable_0"), ("arrow_2cat", "1", "diagram_pick0"),
+    ("arrow_2cat", "0", "diagram_collapse"), ("diamond_2cat", "a", "repr_diamond_a"),
+    ("diamond_2cat", "bot", "representable_diamond_top")])
+def test_yoneda_reports(capsys, base, obj, against):
+    """The full report of ``yoneda``, byte for byte."""
+    code, out = invoke(capsys, "yoneda", str(FIXTURES / f"{base}.json"),
+                       "--object", obj, "--against", str(FIXTURES / f"{against}.json"))
+    assert code == 0
+    assert out == (GOLDEN / f"yoneda_{against}_{obj}.json").read_text()
+
+
 @pytest.mark.parametrize("diagram,weight,detail", [
     ("diagram_pick0", "arrow_2cat", "--weight expects a diagram document"),
     ("pseudo_swap", "weight_on_op_arrow",

@@ -6,8 +6,9 @@ import sys
 import pytest
 
 from certificate_reference import certify_coend, default_test_family
-from helpers import colimit_rungs, external_product
-from sigmacat.config import Meter
+from helpers import (chain_2cat, colimit_rungs, external_product,
+                     strict_fixture_diagrams)
+from sigmacat.config import DEFAULT_CAP, Meter
 from sigmacat.errors import CertificateFailure, PreconditionFailed, UndecidedAtCap
 from sigmacat.filteredness import check_sigma_filtered
 from sigmacat.fincat import (Functor, NatTransf, arrow_category,
@@ -30,8 +31,9 @@ from sigmacat.two_cat import (Marked2Cat, WideSub, free_2cell_2cat, op_dual,
 from sigmacat.transforms import (LAX, PSEUDO, STRICT, CatDiagram,
                                  constant_diagram, hom_eps,
                                  reinterpret_as_pseudo, sigma_flavor)
-from sigmacat.colimits import (SigmaCone, bilimit_cat, check_sigma_cone,
-                               coend_eps, commutation_check, cones_sigma,
+from sigmacat.colimits import (SigmaCone, _conical_classifier, bilimit_cat,
+                               check_sigma_cone, coend_eps, commutation_check,
+                               cones_sigma,
                                conical_sigma_colimit, induced_from_colimit,
                                weighted_limit_cat, weighted_sigma_colimit)
 from sigmacat.shapes import BIEQUALIZER, BIEQUIFIER, BIINSERTER, BIPRODUCT, SHAPES
@@ -62,6 +64,46 @@ def test_conical_colimit_over_arrow_base_certifies(base):
         assert res.finite
         assert all(ok for _, ok in res.certificate)
         assert check_sigma_cone(res.cone).ok
+
+
+def colimit_fixtures() -> dict:
+    """Every strict fixture diagram under the identity and the full
+    marking, and the shared rungs."""
+    out = {f"{name}/{mlabel}": (P, mark(P.source))
+           for name, P in strict_fixture_diagrams().items()
+           for mlabel, mark in (("ids", wide_identities), ("all", wide_all))}
+    out.update(colimit_rungs())
+    return out
+
+
+@pytest.mark.parametrize("label,fixture", sorted(colimit_fixtures().items()))
+def test_universal_cones_satisfy_the_cone_laws(label, fixture):
+    """``conical_sigma_colimit`` leaves the cone laws to its classifier
+    certificate; the functor-level validator must agree on every
+    universal cone it returns."""
+    P, marking = fixture
+    res = conical_sigma_colimit(P, marking)
+    if res.finite:
+        assert check_sigma_cone(res.cone).ok
+
+
+def test_a_cone_with_one_broken_cell_fails_its_classifier():
+    """Δ(ℤ/2) over the 3-chain, identities marked: the colimit ℤ/2 × 3 has
+    two arrows c0 → c2, and sending the cell at c0<c2 to the other one
+    breaks LN1 against c1<c2 after c0<c1, so Φ is not a functor."""
+    a = chain_2cat(3)
+    Q = constant_diagram(a, group_z2_category())
+    res = conical_sigma_colimit(Q, wide_identities(a))
+    R, cone = res.category, res.cone
+    cell = cone.structural["c0<c2"]
+    right = cell.components["*"]
+    wrong, = (b for b in R.hom(*R.arrows[right]) if b != right)
+    broken = SigmaCone(Q, cone.marked, R, cone.components,
+                       {**cone.structural, "c0<c2": NatTransf(
+                           cell.source, cell.target, {"*": wrong})})
+    assert [v.code for v in check_sigma_cone(broken).violations] == ["LN1"]
+    with pytest.raises(CertificateFailure):
+        _conical_classifier(Q, res.marked, broken).certify(R, DEFAULT_CAP, Meter())
 
 
 # What the test-family certificates enumerated: functors out of the
@@ -182,6 +224,13 @@ def test_weighted_colimit_certificates(label, mkW, mkP, marking):
     assert res.status == "finite"
     assert all(ok for _, ok in res.certificate)
     assert all(ok for _, ok in res.conical.certificate)
+
+
+@pytest.mark.parametrize("label,mkW,mkP,marking", WEIGHTED_FIXTURES)
+def test_weighted_universal_cones_satisfy_the_cone_laws(label, mkW, mkP, marking):
+    base = arrow_2cat()
+    sig = wide_all(base) if marking == "all" else wide_identities(base)
+    assert check_sigma_cone(weighted_sigma_colimit(mkW(), mkP(), sig).conical.cone).ok
 
 
 @pytest.mark.parametrize("mk", [pseudo_swap, pseudo_z2])

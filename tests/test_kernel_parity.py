@@ -10,9 +10,11 @@ import hashlib
 
 import pytest
 
-from helpers import colimit_rungs, table_digest
-from sigmacat.colimits import (base_cone_category, cones_sigma,
-                               conical_sigma_colimit, weighted_sigma_colimit)
+from helpers import (chain_2cat, colimit_rungs, corpus_biinserter, grid_2cat,
+                     table_digest)
+from sigmacat.colimits import (base_cone_category, bilimit_cat, cones_sigma,
+                               conical_sigma_colimit, point_cone_homs,
+                               weighted_sigma_colimit, weighted_sigma_limit)
 from sigmacat.config import DEFAULT_BUDGET, Meter
 from sigmacat.fincat import (arrow_category, discrete_category,
                              functor_category_full, iso_pair_category,
@@ -27,6 +29,7 @@ from sigmacat.fixtures import (arrow_2cat, diagram_collapse, diagram_on_free2cel
 from sigmacat.flatness import (canonical_expression, check_left_exact,
                                generate_bilimit_cones, representable)
 from sigmacat.presented import localize
+from sigmacat.shapes import BIINSERTER
 from sigmacat.transforms import (LAX, PSEUDO, STRICT, constant_diagram, end_eps,
                                  hom_eps, internal_hom_diagram, sigma_flavor)
 from sigmacat.two_cat import (Marked2Cat, free_2cell_2cat, two_cat_from_cat,
@@ -110,6 +113,46 @@ def test_ticks_and_tables_are_pinned(case):
     meter = Meter()
     result = CASES[case](meter)
     assert fingerprint(meter, result) == EXPECTED[case]
+
+
+# Weighted limits through the conical reduction.  The digests are those of
+# hom_eps on the same inputs, where these took 58,929, 1,387 and 38 ticks.
+WEIGHTED_LIMIT_CASES = {
+    "limit-l-one-chain8-delta_chain3": lambda m: weighted_sigma_limit(
+        constant_diagram(chain_2cat(8), terminal_category()),
+        constant_diagram(chain_2cat(8), chain(3)), LAX, m).cat,
+    "limit-p-repr_g0_0-grid3x3-delta_chain2": lambda m: weighted_sigma_limit(
+        representable(grid_2cat(3, 3), "g0_0"),
+        constant_diagram(grid_2cat(3, 3), chain(2)), PSEUDO, m).cat,
+    "bilimit-biinserter": lambda m: bilimit_cat(
+        BIINSERTER.weight, corpus_biinserter(), m).cat,
+}
+
+WEIGHTED_LIMIT_EXPECTED = {
+    "limit-l-one-chain8-delta_chain3": (16578, 45, 825, 9075, "ed122009426e1441"),
+    "limit-p-repr_g0_0-grid3x3-delta_chain2": (593, 2, 3, 4, "00d3901e01c0ebea"),
+    "bilimit-biinserter": (31, 2, 3, 4, "00d3901e01c0ebea"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WEIGHTED_LIMIT_CASES))
+def test_weighted_limit_ticks_and_tables_are_pinned(case):
+    meter = Meter()
+    result = WEIGHTED_LIMIT_CASES[case](meter)
+    assert fingerprint(meter, result) == WEIGHTED_LIMIT_EXPECTED[case]
+
+
+def test_the_lax_grid_limit_is_read_within_the_default_budget():
+    """σ-Nat(Δ1, Δ(3-chain)) over the 3×3 grid, lax: its 175 cones are the
+    monotone maps from the grid to the 3-chain, MacMahon's count of plane
+    partitions in a 3×3×2 box.  hom_eps is refused at the default budget
+    here; the kernel reads every cone and every hom-set within it.
+    Assembling the category costs another 211,250 composition ticks."""
+    grid = grid_2cat(3, 3)
+    meter = Meter(DEFAULT_BUDGET)
+    cones, hom = point_cone_homs(constant_diagram(grid, chain(3)), frozenset(), meter)
+    morphisms = sum(len(hom(p, q)) for p in range(len(cones)) for q in range(len(cones)))
+    assert (len(cones), morphisms, meter.count) == (175, 8790, 28648)
 
 
 # Constant diagrams over the 3-chain c0 < c1 < c2, relative to the identity

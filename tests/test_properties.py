@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from certificate_reference import (certify_against, certify_weighted,
                                    default_test_family)
 from helpers import external_product, posets
-from sigmacat.colimits import commutation_check, weighted_sigma_colimit
+from sigmacat.colimits import (commutation_check, weighted_sigma_colimit,
+                               weighted_sigma_limit)
 from sigmacat.config import Meter
 from sigmacat.errors import SizeLimitExceeded
 from sigmacat.filteredness import check_sigma_filtered
@@ -24,7 +25,8 @@ from sigmacat.fincat import (arrow_category, discrete_category,
 from sigmacat.fixtures import arrow_2cat, idn, poset_category
 from sigmacat.flatness import generate_bilimit_cones, representable
 from sigmacat.shapes import SHAPES
-from sigmacat.transforms import CatDiagram, constant_diagram
+from sigmacat.transforms import (LAX, PSEUDO, CatDiagram, constant_diagram,
+                                 hom_eps, sigma_flavor)
 from sigmacat.two_cat import (Marked2Cat, op_dual, two_cat_from_cat, wide_all,
                               wide_identities)
 
@@ -219,3 +221,28 @@ def test_sigma_filtered_colimits_commute_with_the_generating_bilimits(data):
             lambda C: constant_diagram(a, C))), label="P")
     rep = commutation_check(external_product(P, shape.weight), a, sigma, shape)
     assert rep.verdict, rep.witness
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(data=st.data())
+def test_weighted_limits_over_posets_are_the_conical_ones_over_the_elements(data):
+    """{W, P}_σ is the conical σ-limit of P·π over the elements of W: on a
+    poset base, with W constant at a poset or representable and P constant
+    at a poset or representable, ``weighted_sigma_limit`` gives
+    ``hom_eps``'s category table for table, in the lax and pseudo flavours
+    and in σ marking one 1-cell."""
+    a = two_cat_from_cat(data.draw(posets(3), label="base"))
+
+    def diagram(label, max_objects):
+        return data.draw(st.one_of(
+            st.sampled_from(sorted(a.objects)).map(lambda A: representable(a, A)),
+            posets(max_objects).map(lambda C: constant_diagram(a, C))), label=label)
+
+    W, P = diagram("W", 2), diagram("P", 3)
+    ids = set(a.id1.values())
+    one_cells = sorted(f for f in a.all_one_cells() if f not in ids)
+    flavor = data.draw(st.sampled_from(
+        [LAX, PSEUDO] + [sigma_flavor({f}) for f in one_cells]), label="flavor")
+    got, want = weighted_sigma_limit(W, P, flavor).cat, hom_eps(W, P, flavor).cat
+    assert (got.objects, got.arrows, got.identity, got.compose) == \
+        (want.objects, want.arrows, want.identity, want.compose)
