@@ -25,14 +25,14 @@ status, and a classifier still growing at the cap raises UndecidedAtCap,
 never a guess.
 
 Cones over a 2-functor into a finite 2-category go through one cone
-kernel: ``base_cone_candidates`` proposes legs and structural cells,
-``base_cone_laws`` decides LN2 and LN1 by lookups in the ambient's
-tables, and ``base_cone_square`` decides the modification square.
-``base_cone_homs`` reads the cones and hom-sets of Cones_D(X) off it and
-``base_cone_category`` assembles them; the cocone searches of
-``filteredness`` run on it too, a cocone being a cone in the 1-cell
-dual, with the same maps.  ``BaseConeCategories`` keeps the hom-sets of
-the cone categories of one diagram, built once per vertex, and tests
+kernel, ``ConeKernel``, compiled once per diagram (D, marked): the shape
+side, that is the cells at identities and the rows of LN2, LN1 and the
+modification square, is resolved then, so a build at a vertex only looks
+up the ambient's tables.  ``base_cone_homs`` builds the cones and
+hom-sets of Cones_D(X) on it and ``base_cone_category`` assembles them;
+the cocone searches of ``filteredness`` run on it too, a cocone being a
+cone in the 1-cell dual, with the same maps.  ``BaseConeCategories``
+keeps the cone categories of one diagram, each built once, and tests
 cones over it for being bilimits; ``is_bilimit_cone`` and the bilimit
 search of ``flatness`` go through it.  The bilimit test and
 ``preserves_bilimit`` (the comparison of P(L) with the limit of P over
@@ -801,127 +801,110 @@ def check_base_cone(c: BaseCone) -> ValidationReport:
     return rep
 
 
-def base_cone_candidates(D: TwoFunctor, marked: frozenset, vertex: str,
-                         meter: Meter, legs=None):
-    """The candidate cones over D with the given vertex, per choice of legs.
+class ConeKernel:
+    """The cone kernel over one diagram (D, marked) in a finite 2-category,
+    with the shape side resolved once.
 
-    Yields, for every choice of legs t_i : vertex → D(i) in lexicographic
-    order (drawn from ``legs`` when it is given), the legs and an iterator
-    over every family of structural cells D(u)∘t_i ⇒ t_j: identities at
-    identity 1-cells, invertible at marked ones.  A choice of legs with no
-    cell at some 1-cell yields nothing.  Ticks once per choice of legs;
-    callers tick per cell candidate where they need to.
+    A cone is held as (legs, cells): its legs t_i by shape object and its
+    structural cells σ_u : D(u)∘t_i ⇒ t_j by shape 1-cell, each a tuple in
+    sorted order; a morphism of cones as its components by shape object.
+    Compiling binds D's images into rows of positions: per 1-cell
+    u : i → j, the identity's object or u's image, ends and marking; per
+    non-identity 2-cell x : u ⇒ v, LN2, σ_u = σ_v∘(D(x)*t_i); per
+    composable pair (v, u) of non-identities, LN1, σ_vu = σ_v∘(D(v)*σ_u);
+    per non-identity u, the modification square
+    ρ_j∘σ1_u = σ2_u∘(D(u)*ρ_i).  The rows left out hold for any 2-functor
+    D once the cell at each identity 1-cell is the identity, as it is
+    here.  A build at a vertex X then only looks up the ambient's tables,
+    composing vertically in hom(X, D(j)).  ``check_base_cone`` states every law and
+    is the reference.
     """
-    sh, amb = D.source, D.target
-    objs = sorted(sh.objects)
-    ids = set(sh.id1.values())
-    non_id = [u for u in sh.all_one_cells() if u not in ids]
-    pools = [[t for t in amb.one_cells(vertex, D.obj_map[i])
-              if legs is None or t in legs] for i in objs]
-    for combo in itertools.product(*pools):
-        meter.tick()
-        comp = dict(zip(objs, combo))
-        cell_pools = []
-        for u in non_id:
-            src = amb.hcomp1[(D.map1[u], comp[sh.src1(u)])]
-            pool = amb.two_cells_between(src, comp[sh.tgt1(u)])
-            if u in marked:
-                pool = [x for x in pool if amb.is_invertible_2cell(x)]
-            if not pool:
-                break
-            cell_pools.append(pool)
-        else:
-            fixed = {sh.id1[i]: amb.id2(comp[i]) for i in objs}
-            yield comp, ({**fixed, **dict(zip(non_id, cells))}
-                         for cells in itertools.product(*cell_pools))
 
+    def __init__(self, D: TwoFunctor, marked: frozenset):
+        sh, amb = D.source, D.target
+        self.D, self.marked = D, marked
+        self.objs, self.cells = sorted(sh.objects), sorted(sh.all_one_cells())
+        pos = {i: k for k, i in enumerate(self.objs)}
+        at = {u: n for n, u in enumerate(self.cells)}
+        ids = {sh.id1[i]: pos[i] for i in self.objs}
+        self.values = [D.obj_map[i] for i in self.objs]
+        self.cell_rows = [(ids.get(u), D.map1[u], pos[sh.src1(u)],
+                           pos[sh.tgt1(u)], u in marked) for u in self.cells]
+        self.ln2 = [(at[sh.src2(x)], at[sh.tgt2(x)], D.map2[x],
+                     pos[sh.src1(sh.src2(x))], pos[sh.tgt1(sh.src2(x))])
+                    for x in sh.all_two_cells() if not sh.is_identity_2cell(x)]
+        self.ln1 = [(at[vu], at[v], at[u], amb.id2(D.map1[v]), pos[sh.tgt1(v)])
+                    for (v, u), vu in sh.hcomp1.items() if u not in ids and v not in ids]
+        self.squares = [(pos[sh.src1(u)], pos[sh.tgt1(u)], n, amb.id2(D.map1[u]))
+                        for n, u in enumerate(self.cells) if u not in ids]
 
-def base_cone_laws(D: TwoFunctor, comp: dict):
-    """The test of LN2 and LN1 on structural cells over the legs ``comp``.
-
-    LN2 at x : u ⇒ v (u, v : i → j) compares σ_u with σ_v∘(D(x)*t_i), and
-    LN1 at (v, u) compares σ_vu with σ_v∘(D(v)*σ_u).  Both are lookups in
-    the ambient's tables: the whiskers in its horizontal composition, the
-    vertical composites in the hom holding the leg at the target.
-    ``check_base_cone`` states the same laws and is the reference.
-    """
-    sh, amb = D.source, D.target
-    hc2 = amb.hcomp2
-    cmp = {i: amb.hom[amb.hom_of_1cell(t)].compose for i, t in comp.items()}
-    ln2 = []
-    for x in sh.all_two_cells():
-        u, v = sh.src2(x), sh.tgt2(x)
-        ln2.append((u, v, hc2[(D.map2[x], amb.id2(comp[sh.src1(u)]))],
-                    cmp[sh.tgt1(u)]))
-    ln1 = [(vu, v, u, amb.id2(D.map1[v]), cmp[sh.tgt1(v)])
-           for (v, u), vu in sh.hcomp1.items()]
-
-    def hold(struct: dict) -> bool:
-        for u, v, whisker, c in ln2:
-            if struct[u] != c[(struct[v], whisker)]:
-                return False
-        for vu, v, u, idv, c in ln1:
-            if struct[vu] != c[(struct[v], hc2[(idv, struct[u])])]:
-                return False
-        return True
-
-    return hold
-
-
-def base_cone_square(D: TwoFunctor, s1: dict, s2: dict):
-    """The test of the modification square ρ_j∘σ1_u = σ2_u∘(D(u)*ρ_i), at
-    every 1-cell u : i → j, on families ρ between cones with structural
-    cells ``s1`` and ``s2``; both sides are composed in the hom of σ1_u."""
-    sh, amb = D.source, D.target
-    hc2 = amb.hcomp2
-    rows = [(sh.src1(u), sh.tgt1(u), s1[u], s2[u], amb.id2(D.map1[u]),
-             amb.hom[amb.hom_of_2cell(s1[u])].compose)
-            for u in sh.all_one_cells()]
-
-    def commutes(rho: dict) -> bool:
-        for i, j, c1, c2, idu, c in rows:
-            if c[(rho[j], c1)] != c[(c2, hc2[(idu, rho[i])])]:
-                return False
-        return True
-
-    return commutes
-
-
-def base_cone_homs(D: TwoFunctor, marked: frozenset, vertex: str,
-                   meter: Meter | None = None) -> tuple[list[BaseCone], dict]:
-    """All marked-relative cones over D with the given vertex and, per pair
-    (i, j) of their positions, the cone morphisms from the i-th to the
-    j-th: the objects and hom-sets of Cones_D(vertex), with no composition
-    table.
-
-    The cones come in the order the kernel generates them: legs
-    lexicographically, then structural cells.  Every pool is sorted by
-    name, so this is also the sorted order of (legs, cells).  A morphism
-    is a family of 2-cells between components, by shape object, that
-    satisfies the modification square.  Ticks once per choice of legs, per
-    cell candidate and per morphism candidate.
-    """
-    meter = meter or Meter()
-    sh, amb = D.source, D.target
-    objs = sorted(sh.objects)
-    found = []
-    for comp, structs in base_cone_candidates(D, marked, vertex, meter):
-        hold = base_cone_laws(D, comp)
-        for struct in structs:
+    def cones(self, vertex: str, meter: Meter, legs=None):
+        """Every cone over D with the given vertex, as (legs, cells): legs
+        lexicographically (drawn from ``legs`` when it is given), then
+        cells, identities at identity 1-cells and invertible at marked
+        ones.  Every pool is sorted by name, so this is also the sorted
+        order.  Ticks once per choice of legs and per cell candidate."""
+        amb = self.D.target
+        hc1, hc2 = amb.hcomp1, amb.hcomp2
+        homs = [amb.hom.get((vertex, d)) for d in self.values]
+        pools = [[t for t in amb.one_cells(vertex, d) if legs is None or t in legs]
+                 for d in self.values]
+        for t in itertools.product(*pools):
             meter.tick()
-            if hold(struct):
-                found.append(BaseCone(sh, D, marked, vertex, comp, struct))
+            cell_pools = []
+            for k, Du, i, j, marked in self.cell_rows:
+                if k is not None:
+                    cell_pools.append((homs[k].identity[t[k]],))
+                    continue
+                pool = homs[j].hom(hc1[(Du, t[i])], t[j])
+                if marked:
+                    pool = [x for x in pool if homs[j].is_iso(x)]
+                if not pool:
+                    break
+                cell_pools.append(pool)
+            else:
+                ln2 = [(u, v, hc2[(Dx, homs[i].identity[t[i]])], homs[j].compose)
+                       for u, v, Dx, i, j in self.ln2]
+                ln1 = [(vu, v, u, idv, homs[j].compose) for vu, v, u, idv, j in self.ln1]
+                for s in itertools.product(*cell_pools):
+                    meter.tick()
+                    if all(s[u] == c[(s[v], w)] for u, v, w, c in ln2) and \
+                            all(s[vu] == c[(s[v], hc2[(idv, s[u])])]
+                                for vu, v, u, idv, c in ln1):
+                        yield t, s
+
+    def base_cone(self, vertex: str, legs: tuple, cells: tuple) -> BaseCone:
+        return BaseCone(self.D.source, self.D, self.marked, vertex,
+                        dict(zip(self.objs, legs)), dict(zip(self.cells, cells)))
+
+
+def base_cone_homs(kernel: ConeKernel, vertex: str,
+                   meter: Meter | None = None) -> tuple[list, dict]:
+    """Every build of a cone category goes through here: the cones of
+    Cones_D(vertex) as ``kernel.cones`` gives them, and per pair (p, q) of
+    their positions the morphisms from the p-th to the q-th, the families
+    of 2-cells between legs that satisfy the modification square, with no
+    composition table.  Ticks once per choice of legs, per cell candidate
+    and per morphism candidate."""
+    meter = meter or Meter()
+    amb = kernel.D.target
+    hc2 = amb.hcomp2
+    found = list(kernel.cones(vertex, meter))
+    homs_at = [amb.hom.get((vertex, d)) for d in kernel.values]
+    rows = [(i, j, n, idu, homs_at[j].compose)
+            for i, j, n, idu in kernel.squares] if found else []
     homs = {}
-    for i, c1 in enumerate(found):
-        for j, c2 in enumerate(found):
-            commutes = base_cone_square(D, c1.struct, c2.struct)
-            homs[(i, j)] = []
-            for combo in itertools.product(
-                    *[amb.two_cells_between(c1.comp[o], c2.comp[o]) for o in objs]):
+    for p, (t1, s1) in enumerate(found):
+        for q, (t2, s2) in enumerate(found):
+            got = homs[(p, q)] = []
+            for rho in itertools.product(
+                    *[h.hom(x, y) for h, x, y in zip(homs_at, t1, t2)]):
                 meter.tick()
-                rho = dict(zip(objs, combo))
-                if commutes(rho):
-                    homs[(i, j)].append(rho)
+                for i, j, n, idu, c in rows:
+                    if c[(rho[j], s1[n])] != c[(s2[n], hc2[(idu, rho[i])])]:
+                        break
+                else:
+                    got.append(rho)
     return found, homs
 
 
@@ -931,57 +914,55 @@ def base_cone_category(D: TwoFunctor, marked: frozenset, vertex: str,
     componentwise, one tick per composable pair.
 
     The cones are named ``k0, k1, …`` in generation order.  Returns
-    (category, cones by name, arrow components by name).
+    (category, cones by name, arrow components by name, each a dict by
+    shape object).
     """
     meter = meter or Meter()
     amb = D.target
-    objs = sorted(D.source.objects)
-    found, homs = base_cone_homs(D, marked, vertex, meter)
+    kernel = ConeKernel(D, marked)
+    found, homs = base_cone_homs(kernel, vertex, meter)
 
-    def composite(r2: dict, r1: dict) -> tuple:
+    def composite(r2: tuple, r1: tuple) -> tuple:
         meter.tick()
-        return tuple(sorted((o, amb.vcomp(r2[o], r1[o])) for o in objs))
+        return tuple(amb.vcomp(y, x) for y, x in zip(r2, r1))
 
     cat, data = assemble_category(
         len(found), ("k", "q"), homs,
-        lambda rho: all(amb.is_identity_2cell(x) for x in rho.values()),
-        lambda rho: tuple(sorted(rho.items())), composite)
-    return cat, {f"k{i}": c for i, c in enumerate(found)}, data
-
-
-def _cone_key(comp: dict, struct: dict) -> tuple:
-    return tuple(sorted(comp.items())), tuple(sorted(struct.items()))
+        lambda rho: all(amb.is_identity_2cell(x) for x in rho),
+        lambda rho: rho, composite)
+    return cat, {f"k{p}": kernel.base_cone(vertex, *c) for p, c in enumerate(found)}, \
+        {name: dict(zip(kernel.objs, rho)) for name, rho in data.items()}
 
 
 class BaseConeCategories:
     """The cone categories Cones_D(X) of one diagram (D, marked), kept as
     objects and hom-sets, and the bilimit test that reads them.
 
-    ``at(X)`` builds Cones_D(X) with ``base_cone_homs`` on first use and
-    keeps it: the categories do not depend on the cone under test, so a
-    search that tests many cones over D shares one instance and builds
-    each at most once.  No composition table is built.  All ticks are
-    those of the builds, on the given meter.
+    The diagram's ``ConeKernel`` is compiled once; ``at(X)`` builds
+    Cones_D(X) with ``base_cone_homs`` on first use and keeps it, so a
+    search that tests many cones over D builds each at most once.  All
+    ticks are those of the builds, on the given meter.
     """
 
     def __init__(self, D: TwoFunctor, marked: frozenset,
                  meter: Meter | None = None):
-        self.D, self.marked = D, marked
+        self.kernel = ConeKernel(D, marked)
         self.meter = meter or Meter()
         self._at = {}
 
     def at(self, X: str) -> tuple:
-        """(the cones of Cones_D(X) in generation order, the position of
-        each cone by its (legs, cells), and per pair of positions the set
-        of the morphisms' components, each sorted by shape object)."""
+        """(the cones of Cones_D(X) as (legs, cells) in generation order,
+        the position of each, and per pair of positions the components of
+        the morphisms between them)."""
         got = self._at.get(X)
         if got is None:
-            cones, homs = base_cone_homs(self.D, self.marked, X, self.meter)
-            objects = {_cone_key(c.comp, c.struct): i for i, c in enumerate(cones)}
-            keys = {ij: {tuple(sorted(rho.items())) for rho in rhos}
-                    for ij, rhos in homs.items()}
-            got = self._at[X] = (cones, objects, keys)
+            cones, homs = base_cone_homs(self.kernel, X, self.meter)
+            got = self._at[X] = (cones, {c: p for p, c in enumerate(cones)}, homs)
         return got
+
+    def cones(self, X: str) -> list[BaseCone]:
+        """The cones of Cones_D(X), in generation order."""
+        return [self.kernel.base_cone(X, *c) for c in self.at(X)[0]]
 
     def is_bilimit(self, c: BaseCone) -> bool:
         """Bilimit test: at every object X, precomposition with the cone,
@@ -999,29 +980,28 @@ class BaseConeCategories:
         too.  The cone must be over (D, marked); its laws are not checked
         here (``check_base_cone`` does that).
         """
-        if c.diagram != self.D or c.marked != self.marked:
+        if c.diagram != self.kernel.D or c.marked != self.kernel.marked:
             raise PreconditionFailed("the cone is not over this diagram")
-        sh, amb = self.D.source, self.D.target
-        objs, cells = sorted(sh.objects), sorted(sh.all_one_cells())
+        amb = c.diagram.target
         hc1, hc2 = amb.hcomp1, amb.hcomp2
-        legs = [(i, c.comp[i], amb.id2(c.comp[i])) for i in objs]
-        structs = [(u, c.struct[u]) for u in cells]
+        legs = [(c.comp[i], amb.id2(c.comp[i])) for i in self.kernel.objs]
+        structs = [c.struct[u] for u in self.kernel.cells]
 
         def cone_of(t: str) -> tuple:
             idt = amb.id2(t)
-            return (tuple((i, hc1[(leg, t)]) for i, leg, _ in legs),
-                    tuple((u, hc2[(s, idt)]) for u, s in structs))
+            return (tuple(hc1[(leg, t)] for leg, _ in legs),
+                    tuple(hc2[(s, idt)] for s in structs))
 
         def morphism_of(a: str) -> tuple:
-            return tuple((i, hc2[(idl, a)]) for i, _, idl in legs)
+            return tuple(hc2[(idl, a)] for _, idl in legs)
 
         def invertible(rho: tuple) -> bool:
-            return all(amb.is_invertible_2cell(x) for _, x in rho)
+            return all(amb.is_invertible_2cell(x) for x in rho)
 
         for X in amb.objects:
             _, objects, homs = self.at(X)
             if not is_equivalence_on_homs(amb.hom[(X, c.vertex)], objects, cone_of,
-                                          morphism_of, lambda i, j: homs[(i, j)],
+                                          morphism_of, lambda i, j: set(homs[(i, j)]),
                                           invertible):
                 return False
         return True

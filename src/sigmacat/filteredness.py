@@ -25,7 +25,7 @@ from .fincat import (FinCat, Functor, enumerate_functors, is_equivalence,
                      mk_fincat, split_pair_name)
 from .two_cat import Fin2Cat, Marked2Cat, WideSub, op_dual, transport_sigma
 from .transforms import TwoFunctor
-from .colimits import base_cone_candidates, base_cone_category, base_cone_laws
+from .colimits import ConeKernel, base_cone_category
 from .shapes import BIEQUIFIER, BIINSERTER, BIPRODUCT
 
 
@@ -346,15 +346,11 @@ def cone_existence(sd: ShapeDiagram, sigma: WideSub,
     lexicographic order, or None.
     """
     meter = meter or Meter()
-    D = _dual(sd.diagram)
-    for E in sorted(D.target.objects):
-        for comp, structs in base_cone_candidates(D, sd.marked, E, meter,
-                                                  legs=sigma.arrows):
-            hold = base_cone_laws(D, comp)
-            for struct in structs:
-                meter.tick()
-                if hold(struct):
-                    return (E, comp, struct)
+    kernel = ConeKernel(_dual(sd.diagram), sd.marked)
+    for E in sorted(kernel.D.target.objects):
+        for legs, cells in kernel.cones(E, meter, legs=sigma.arrows):
+            cone = kernel.base_cone(E, legs, cells)
+            return (E, cone.comp, cone.struct)
     return None
 
 

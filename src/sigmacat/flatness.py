@@ -124,22 +124,31 @@ def generate_bilimit_cones(a: Fin2Cat, meter: Meter | None = None) -> list:
 
     Only shapes certified by the bilimit test are returned; on bases
     without some bilimit the shape is simply absent.  Each diagram
-    (D, marked) is searched over one ``BaseConeCategories``: the vertices
-    L are tried in sorted order, the cones of Cones_D(L), whose laws the
-    kernel decided, in its generation order, and the first cone that
-    passes the bilimit test is returned.  The walk and the test read the same
-    cone categories, so each Cones_D(X) is built at most once per diagram;
-    the ticks are those of these builds.  Intended for poset-like bases
-    where the search is small.
+    (D, marked) is searched over one ``BaseConeCategories``: every
+    Cones_D(X) is built first, once, and the ticks are those of these
+    builds.  Then the vertices L are tried in sorted order, the cones of
+    Cones_D(L) in generation order, and the first that passes the bilimit
+    test is returned.  Only vertices L where hom(X, L) is inhabited
+    exactly where Cones_D(X) is are tried: at any other L the test fails
+    for every cone, as it asks at each X for an equivalence hom(X, L) →
+    Cones_D(X), and no functor between an empty and an inhabited category
+    is one.  So the filter changes neither the cone returned nor the
+    order; nor do the builds up front change the ticks, since a walk of
+    every vertex, when no cone passes, or else the passing test, builds
+    every Cones_D(X) anyway.
     """
     meter = meter or Meter()
+    objects = sorted(a.objects)
+    reaching = {L: {X for X in objects if a.one_cells(X, L)} for L in objects}
 
     def search(D, marked):
         over = BaseConeCategories(D, marked, meter)
-        for L in sorted(a.objects):
-            for cone in over.at(L)[0]:
-                if over.is_bilimit(cone):
-                    return cone
+        inhabited = {X for X in objects if over.at(X)[0]}
+        for L in objects:
+            if reaching[L] == inhabited:
+                for cone in over.cones(L):
+                    if over.is_bilimit(cone):
+                        return cone
         return None
 
     cones = []

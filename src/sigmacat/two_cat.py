@@ -20,8 +20,9 @@ from .errors import Inconsistency, ValidationError
 
 @dataclass(frozen=True)
 class Fin2Cat:
-    """The tables are never mutated after construction; the component
-    classes ``pi0`` reads are computed on first use and kept."""
+    """The tables are never mutated after construction; the sorted cells
+    the accessors return and the component classes ``pi0`` reads are
+    computed on first use and kept."""
 
     objects: tuple[str, ...]
     hom: dict  # (A, B) -> FinCat
@@ -51,15 +52,14 @@ class Fin2Cat:
         object.__setattr__(self, "_cell1_home", c1)
         object.__setattr__(self, "_cell2_home", c2)
 
-    def one_cells(self, A: str, B: str) -> list[str]:
-        h = self.hom.get((A, B))
-        return sorted(h.objects) if h else []
+    def one_cells(self, A: str, B: str) -> tuple[str, ...]:
+        return self._one_cells.get((A, B), ())
 
-    def all_one_cells(self) -> list[str]:
-        return sorted(self._cell1_home)
+    def all_one_cells(self) -> tuple[str, ...]:
+        return self._all_one_cells
 
-    def all_two_cells(self) -> list[str]:
-        return sorted(self._cell2_home)
+    def all_two_cells(self) -> tuple[str, ...]:
+        return self._all_two_cells
 
     def two_cells_between(self, f: str, g: str) -> list[str]:
         """2-cells f => g (f, g parallel 1-cells)."""
@@ -96,6 +96,19 @@ class Fin2Cat:
     def is_identity_2cell(self, a: str) -> bool:
         pair = self._cell2_home[a]
         return self.hom[pair].is_identity(a)
+
+    @cached_property
+    def _one_cells(self) -> dict:
+        """(A, B) -> the 1-cells A → B, sorted by name."""
+        return {pair: tuple(sorted(h.objects)) for pair, h in self.hom.items()}
+
+    @cached_property
+    def _all_one_cells(self) -> tuple[str, ...]:
+        return tuple(sorted(self._cell1_home))
+
+    @cached_property
+    def _all_two_cells(self) -> tuple[str, ...]:
+        return tuple(sorted(self._cell2_home))
 
     @cached_property
     def _pi0_classes(self) -> dict:

@@ -35,11 +35,12 @@ objects and hom-sets of the cone categories, is checked against the same
 comparison assembled: ``base_cone_category`` at every object, the functor
 validated by ``validate_functor`` and decided by ``is_equivalence``, on
 every cone of every cone category of the generating diagrams, bilimit or
-not.  The bilimit search of ``generate_bilimit_cones``, which walks
-shared cone categories, is checked against the per-candidate loop it
-replaced: the kernel's candidates and laws, then that assembled test on
-each, building every cone category again.  Labels and cones must agree,
-in order.  ``preserves_bilimit``, which decides the comparison into the
+not.  The bilimit search of ``generate_bilimit_cones``, which tests
+cones over shared cone categories, is checked against a per-candidate
+loop: the candidates and laws of the former kernel in
+``bilimit_reference``, then that assembled test on each, building every
+cone category again.  Labels and cones must agree, in order.
+``preserves_bilimit``, which decides the comparison into the
 limit on hom-sets, is checked against ``comparison_functor`` and
 ``is_equivalence``, on every such cone and on the cones the search finds
 in chains, grids and the diamond.  The σ-cones from the point that
@@ -54,13 +55,13 @@ import itertools
 import pytest
 from hypothesis import given, settings
 
+from bilimit_reference import cone_candidates, cone_laws
 from certificate_reference import (certify_against, certify_weighted,
                                    default_test_family, hom_into_diagram)
 from helpers import chain_2cat, idempotent_category, posets
 from sigmacat.colimits import (BaseCone, BaseConeCategories, SigmaCone,
                                _conical_classifier, _weighted_classifier,
-                               base_cone_candidates, base_cone_category,
-                               base_cone_laws, check_base_cone,
+                               base_cone_category, check_base_cone,
                                check_sigma_cone, comparison_functor,
                                cones_sigma, conical_sigma_colimit,
                                is_bilimit_cone, point_cone_homs,
@@ -920,7 +921,7 @@ def every_cone(a):
     for _, D, marked in generating_diagrams(a):
         over, cats = BaseConeCategories(D, marked), {}
         for L in sorted(a.objects):
-            for cone in over.at(L)[0]:
+            for cone in over.cones(L):
                 yield over, cats, cone
 
 
@@ -1107,15 +1108,15 @@ def test_point_cones_match_the_transformations_out_of_the_point(case):
 
 def reference_bilimit_cones(a) -> list:
     """The four generating shapes in ``generate_bilimit_cones``' order, each
-    searched candidate by candidate: the kernel's legs and cells, its laws,
-    then ``assembled_is_bilimit`` on the cone, with nothing shared between
-    candidates."""
+    searched candidate by candidate: the legs, cells and laws of
+    ``bilimit_reference``, then ``assembled_is_bilimit`` on the cone, with
+    nothing shared between candidates."""
     full = Marked2Cat(a, wide_all(a))
 
     def search(D, marked):
         for L in sorted(a.objects):
-            for comp, structs in base_cone_candidates(D, marked, L, Meter()):
-                hold = base_cone_laws(D, comp)
+            for comp, structs in cone_candidates(D, marked, L, Meter()):
+                hold = cone_laws(D, comp)
                 for struct in structs:
                     if hold(struct):
                         cone = BaseCone(D.source, D, marked, L, comp, struct)

@@ -23,6 +23,7 @@ from sigmacat.flatness import (canonical_expression, check_flat,
                                exact_implies_cofiltered_check,
                                generate_bilimit_cones, representable,
                                strictify, yoneda_check)
+from sigmacat.shapes import generating_diagrams
 
 
 BASES = [
@@ -146,21 +147,23 @@ def _i_if_above_a(diamond):
 
 
 def test_bilimit_search_builds_each_cone_category_once(diamond, monkeypatch):
-    """The walk over the vertices and the bilimit test read the same cone
-    categories, so no Cones_D(X) is built twice for one (D, marked)."""
+    """The vertex filter and the bilimit test read the same cone
+    categories: every Cones_D(X) is built exactly once for each
+    (D, marked), which is what keeps the ticks those of the builds."""
     from sigmacat import colimits
     build = colimits.base_cone_homs
     built = []
 
-    def counted(D, marked, vertex, meter=None):
+    def counted(kernel, vertex, meter=None):
+        D = kernel.D
         built.append((tuple(sorted(D.obj_map.items())), tuple(sorted(D.map1.items())),
-                      tuple(sorted(D.map2.items())), marked, vertex))
-        return build(D, marked, vertex, meter)
+                      tuple(sorted(D.map2.items())), kernel.marked, vertex))
+        return build(kernel, vertex, meter)
 
     monkeypatch.setattr(colimits, "base_cone_homs", counted)
     assert len(generate_bilimit_cones(diamond)) == 43
-    assert built
-    assert len(set(built)) == len(built)
+    diagrams = len(list(generating_diagrams(diamond)))
+    assert len(set(built)) == len(built) == len(diamond.objects) * diagrams == 4 * 43
 
 
 def test_left_exactness_builds_no_composition_table(diamond, monkeypatch):

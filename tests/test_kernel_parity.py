@@ -363,10 +363,11 @@ def free2cell_cone_existence(m):
     return rows
 
 
-def diamond_bilimit_cones(m):
-    return [(label, c.vertex, sorted(c.comp.items()), sorted(c.struct.items()),
-             sorted(c.marked))
-            for label, c in generate_bilimit_cones(diamond_2cat(), m)]
+def bilimit_cones(base):
+    """The rows of the cones ``generate_bilimit_cones`` finds in ``base()``."""
+    return lambda m: [(label, c.vertex, sorted(c.comp.items()),
+                       sorted(c.struct.items()), sorted(c.marked))
+                      for label, c in generate_bilimit_cones(base(), m)]
 
 
 CONE_CASES = {
@@ -374,14 +375,18 @@ CONE_CASES = {
     "base-cones-diamond-biequalizers": lambda m: diamond_base_cones(m, 2),
     "cocones-free2cell-ids+v": free2cell_cocones,
     "cone-existence-free2cell-ids+v": free2cell_cone_existence,
-    "bilimit-cones-diamond": diamond_bilimit_cones,
+    "bilimit-cones-diamond": bilimit_cones(diamond_2cat),
+    "bilimit-cones-chain8": bilimit_cones(lambda: chain_2cat(8)),
+    "bilimit-cones-grid3x3": bilimit_cones(lambda: grid_2cat(3, 3)),
 }
 
 # (ticks, number of rows, digest of the rows)
 CONE_EXPECTED = {
     "base-cones-diamond-biequalizers": (64, 36, "a0af0a49479d9f50"),
     "base-cones-diamond-biproducts": (100, 64, "76eed562399096db"),
+    "bilimit-cones-chain8": (1692, 172, "0d71d4c3f005b6c2"),
     "bilimit-cones-diamond": (219, 43, "f5d5c73e2569e3db"),
+    "bilimit-cones-grid3x3": (1488, 189, "3ac6646ddce8c017"),
     "cocones-free2cell-ids+v": (21, 6, "0d3a7961ed08e797"),
     "cone-existence-free2cell-ids+v": (6, 3, "34d60c7a7254de5f"),
 }
