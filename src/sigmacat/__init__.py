@@ -7,7 +7,9 @@ ones over the weight's elements, conical relative colimits are built
 by localization through coset enumeration, with a cap on the length of
 a coset's defining word, and flatness of a Cat-valued diagram is decided
 through filteredness of its 2-category of elements.  The four shapes
-that generate the finite bilimits are catalogued in ``shapes``.
+that generate the finite bilimits are catalogued in ``shapes``.  Each
+question has one implementation here; the assembled constructions that
+the kernels replaced are kept with the tests, as references.
 """
 
 from .errors import (CertificateFailure, Inconsistency, ParseError,
@@ -25,19 +27,19 @@ from .two_cat import (Fin2Cat, Marked2Cat, WideSub, co_dual, mk_fin2cat,
 from .transforms import (CatDiagram, Flavor, LAX, Modification, PSEUDO, STRICT,
                          Transformation, TwoFunctor, check_dicone,
                          check_modification, check_transformation,
-                         constant_diagram, end_eps, flavor_inclusions, hom_eps,
+                         constant_diagram, flavor_inclusions, hom_eps,
                          sigma_flavor, validate_diagram)
 from .elements import (ElementsResult, cart_sigma, elements_of,
                        elements_of_pseudo, gamma_dual, lax_dense_transport,
                        lax_pullback_factor, t_eta, t_h)
 from .colimits import (BaseCone, ColimitResult, SigmaCone, bilimit_cat,
                        coend_eps, commutation_check, comparison_functor,
-                       conical_sigma_colimit, is_bilimit_cone,
-                       preserves_bilimit, weighted_limit_cat,
-                       weighted_sigma_colimit, weighted_sigma_limit)
+                       conical_sigma_colimit, preserves_bilimit,
+                       weighted_limit_cat, weighted_sigma_colimit,
+                       weighted_sigma_limit)
 from .filteredness import (FilterednessReport, check_sigma_cofiltered,
                            check_sigma_cofinal, check_sigma_filtered,
-                           cofinal_via_ff, cone_category_equiv, cone_existence)
+                           cofinal_via_ff, cone_existence)
 from .flatness import (CanonicalExpression, FlatnessVerdict,
                        canonical_expression, check_flat, check_flat_pseudo,
                        check_left_exact, exact_implies_cofiltered_check,

@@ -29,12 +29,11 @@ kernel, ``ConeKernel``, compiled once per diagram (D, marked): the shape
 side, that is the cells at identities and the rows of LN2, LN1 and the
 modification square, is resolved then, so a build at a vertex only looks
 up the ambient's tables.  ``base_cone_homs`` builds the cones and
-hom-sets of Cones_D(X) on it and ``base_cone_category`` assembles them;
-the cocone searches of ``filteredness`` run on it too, a cocone being a
-cone in the 1-cell dual, with the same maps.  ``BaseConeCategories``
-keeps the cone categories of one diagram, each built once, and tests
-cones over it for being bilimits; ``is_bilimit_cone`` and the bilimit
-search of ``flatness`` go through it.  The bilimit test and
+hom-sets of Cones_D(X) on it; the cocone search of ``filteredness`` runs
+on it too, a cocone being a cone in the 1-cell dual, with the same maps.
+``BaseConeCategories`` keeps the cone categories of one diagram, each
+built once, and tests cones over it for being bilimits; the bilimit
+search of ``flatness`` goes through it.  The bilimit test and
 ``preserves_bilimit`` (the comparison of P(L) with the limit of P over
 a cone) are decided on objects and hom-sets by
 ``fincat.is_equivalence_on_homs``: both sides compose componentwise, so
@@ -66,7 +65,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 
 from .config import DEFAULT_CAP, Meter
 from .errors import CertificateFailure, PreconditionFailed, UndecidedAtCap
@@ -162,33 +160,6 @@ class ConeCategory:
     cat: FinCat
     cones: dict  # object name -> SigmaCone
     morphisms: dict  # arrow name -> dict of components
-
-    @cached_property
-    def _cone_names(self) -> dict:
-        out = {}
-        for name, d in self.cones.items():
-            out.setdefault(d.key(), name)
-        return out
-
-    @cached_property
-    def _morphism_names(self) -> dict:
-        out = {}
-        for name, comps in self.morphisms.items():
-            src, tgt = self.cat.arrows[name]
-            out.setdefault((src, tgt, _morphism_key(comps)), name)
-        return out
-
-    def name_of_cone(self, c: SigmaCone) -> str:
-        try:
-            return self._cone_names[c.key()]
-        except KeyError:
-            raise KeyError("cone is not an object of this cone category") from None
-
-    def name_of_morphism(self, src: str, tgt: str, comps_key) -> str:
-        try:
-            return self._morphism_names[(src, tgt, comps_key)]
-        except KeyError:
-            raise KeyError("morphism is not an arrow of this cone category") from None
 
 
 def cones_sigma(Q: CatDiagram, marked: frozenset, E: FinCat,
@@ -816,8 +787,8 @@ class ConeKernel:
     ρ_j∘σ1_u = σ2_u∘(D(u)*ρ_i).  The rows left out hold for any 2-functor
     D once the cell at each identity 1-cell is the identity, as it is
     here.  A build at a vertex X then only looks up the ambient's tables,
-    composing vertically in hom(X, D(j)).  ``check_base_cone`` states every law and
-    is the reference.
+    composing vertically in hom(X, D(j)).  ``check_base_cone`` states
+    every law and is the reference.
     """
 
     def __init__(self, D: TwoFunctor, marked: frozenset):
@@ -908,32 +879,6 @@ def base_cone_homs(kernel: ConeKernel, vertex: str,
     return found, homs
 
 
-def base_cone_category(D: TwoFunctor, marked: frozenset, vertex: str,
-                       meter: Meter | None = None):
-    """Cones_D(vertex) as a FinCat: ``base_cone_homs`` assembled, composed
-    componentwise, one tick per composable pair.
-
-    The cones are named ``k0, k1, …`` in generation order.  Returns
-    (category, cones by name, arrow components by name, each a dict by
-    shape object).
-    """
-    meter = meter or Meter()
-    amb = D.target
-    kernel = ConeKernel(D, marked)
-    found, homs = base_cone_homs(kernel, vertex, meter)
-
-    def composite(r2: tuple, r1: tuple) -> tuple:
-        meter.tick()
-        return tuple(amb.vcomp(y, x) for y, x in zip(r2, r1))
-
-    cat, data = assemble_category(
-        len(found), ("k", "q"), homs,
-        lambda rho: all(amb.is_identity_2cell(x) for x in rho),
-        lambda rho: rho, composite)
-    return cat, {f"k{p}": kernel.base_cone(vertex, *c) for p, c in enumerate(found)}, \
-        {name: dict(zip(kernel.objs, rho)) for name, rho in data.items()}
-
-
 class BaseConeCategories:
     """The cone categories Cones_D(X) of one diagram (D, marked), kept as
     objects and hom-sets, and the bilimit test that reads them.
@@ -1005,14 +950,6 @@ class BaseConeCategories:
                                           invertible):
                 return False
         return True
-
-
-def is_bilimit_cone(c: BaseCone, meter: Meter | None = None) -> bool:
-    """The cone's laws (``check_base_cone``), then the bilimit test of
-    ``BaseConeCategories`` over its own diagram, which builds Cones_D(X)
-    once per object X it reaches."""
-    return check_base_cone(c).ok and \
-        BaseConeCategories(c.diagram, c.marked, meter).is_bilimit(c)
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,10 @@ instance of every axiom, records the first witness found in a fixed
 lexicographic order, and re-validates each witness against the raw
 equations before reporting it.
 
-The probe shapes' cocones (``cone_existence``, ``cocone_category``) are
-found by the cone kernel of ``colimits``: a cocone under a diagram is a
-cone over the same maps between the 1-cell duals of the shape and of the
-2-category, so the kernel runs there unchanged.
+The probe shapes' marked cocones (``cone_existence``) are found by the
+cone kernel of ``colimits``: a cocone under a diagram is a cone over the
+same maps between the 1-cell duals of the shape and of the 2-category, so
+the kernel runs there unchanged.
 """
 
 from __future__ import annotations
@@ -21,11 +21,10 @@ from dataclasses import dataclass, field
 
 from .config import Meter
 from .errors import PreconditionFailed
-from .fincat import (FinCat, Functor, enumerate_functors, is_equivalence,
-                     mk_fincat, split_pair_name)
+from .fincat import Functor, is_equivalence
 from .two_cat import Fin2Cat, Marked2Cat, WideSub, op_dual, transport_sigma
 from .transforms import TwoFunctor
-from .colimits import ConeKernel, base_cone_category
+from .colimits import ConeKernel
 from .shapes import BIEQUIFIER, BIINSERTER, BIPRODUCT
 
 
@@ -352,118 +351,6 @@ def cone_existence(sd: ShapeDiagram, sigma: WideSub,
             cone = kernel.base_cone(E, legs, cells)
             return (E, cone.comp, cone.struct)
     return None
-
-
-def cocone_category(sd: ShapeDiagram, E: str, meter: Meter | None = None):
-    """All cones under the diagram with vertex E (components unrestricted).
-
-    Objects are cones, arrows are 2-cell families satisfying the
-    modification square.  Returns (category, (legs, cells) of each cone
-    by name); the names are those of ``base_cone_category``.
-    """
-    cat, cones, _ = base_cone_category(_dual(sd.diagram), sd.marked, E, meter)
-    return cat, {n: (c.comp, c.struct) for n, c in cones.items()}
-
-
-def explicit_shape_category(sd: ShapeDiagram, E: str, which: int,
-                            m: Marked2Cat) -> FinCat:
-    """The hand-rolled description of the cone category for each shape.
-
-    Shape 1: pairs of arrows to E with pairs of cells between them.
-    Shape 2: an arrow from the second value with a connecting cell,
-    invertible when the first leg is marked, arrows the compatible cells.
-    Shape 3: arrows equalizing the two whiskered cells, with all cells.
-    """
-    a = m.cat
-    T = sd.diagram
-    if which == 1:
-        C, D = T.obj_map["a"], T.obj_map["b"]
-        objs = [f"({h},{l})" for h in a.one_cells(C, E) for l in a.one_cells(D, E)]
-        arrows, identity, compose = {}, {}, {}
-        for h in a.one_cells(C, E):
-            for l in a.one_cells(D, E):
-                o = f"({h},{l})"
-                for h2 in a.one_cells(C, E):
-                    for l2 in a.one_cells(D, E):
-                        o2 = f"({h2},{l2})"
-                        for x in a.two_cells_between(h, h2):
-                            for y in a.two_cells_between(l, l2):
-                                arrows[f"({x},{y})"] = (o, o2)
-                identity[o] = f"({a.id2(h)},{a.id2(l)})"
-        for n1, (o1, o2) in arrows.items():
-            x1, y1 = split_pair_name(n1)
-            for n2, (o2b, o3) in arrows.items():
-                if o2b != o2:
-                    continue
-                x2, y2 = split_pair_name(n2)
-                compose[(n2, n1)] = f"({a.vcomp(x2, x1)},{a.vcomp(y2, y1)})"
-        return mk_fincat(objs, arrows, identity, compose)
-    f, g = T.map1["u"], T.map1["v"]
-    D = a.tgt1(f)
-    need_inv = which == 3 or (f in m.sigma.arrows)
-    if which == 2:
-        objs = []
-        info = {}
-        for h in a.one_cells(D, E):
-            hf, hg = a.hcomp1[(h, f)], a.hcomp1[(h, g)]
-            for gam in a.two_cells_between(hf, hg):
-                if need_inv and not a.is_invertible_2cell(gam):
-                    continue
-                o = f"({h},{gam})"
-                objs.append(o)
-                info[o] = (h, gam)
-        arrows, identity, compose = {}, {}, {}
-        for o, (h, gam) in info.items():
-            for o2, (h2, gam2) in info.items():
-                for eta in a.two_cells_between(h, h2):
-                    # compatibility with the connecting cells
-                    lhs = a.vcomp(a.hcomp2[(eta, a.id2(g))], gam)
-                    rhs = a.vcomp(gam2, a.hcomp2[(eta, a.id2(f))])
-                    if lhs == rhs:
-                        arrows[f"{eta}@{o}->{o2}"] = (o, o2)
-            identity[o] = f"{a.id2(h)}@{o}->{o}"
-        for n1, (o1, o2) in arrows.items():
-            e1 = n1.split("@")[0]
-            for n2, (o2b, o3) in arrows.items():
-                if o2b != o2:
-                    continue
-                e2 = n2.split("@")[0]
-                compose[(n2, n1)] = f"{a.vcomp(e2, e1)}@{o1}->{o3}"
-        return mk_fincat(objs, arrows, identity, compose)
-    # which == 3
-    alpha, beta = T.map2["th"], T.map2["et"]
-    objs = []
-    for h in a.one_cells(D, E):
-        idh = a.id2(h)
-        if a.hcomp2[(idh, alpha)] == a.hcomp2[(idh, beta)]:
-            objs.append(h)
-    arrows, identity, compose = {}, {}, {}
-    for h in objs:
-        for h2 in objs:
-            for eta in a.two_cells_between(h, h2):
-                arrows[f"{eta}@{h}->{h2}"] = (h, h2)
-        identity[h] = f"{a.id2(h)}@{h}->{h}"
-    for n1, (o1, o2) in arrows.items():
-        e1 = n1.split("@")[0]
-        for n2, (o2b, o3) in arrows.items():
-            if o2b != o2:
-                continue
-            e2 = n2.split("@")[0]
-            compose[(n2, n1)] = f"{a.vcomp(e2, e1)}@{o1}->{o3}"
-    return mk_fincat(objs, arrows, identity, compose)
-
-
-def cone_category_equiv(sd: ShapeDiagram, E: str, which: int, m: Marked2Cat,
-                        meter: Meter | None = None):
-    """Search for an equivalence between the enumerated cone category and
-    its explicit description.  Returns (cone category, explicit, functor)."""
-    meter = meter or Meter()
-    cat, _cones = cocone_category(sd, E, meter)
-    explicit = explicit_shape_category(sd, E, which, m)
-    for F in enumerate_functors(cat, explicit, meter):
-        if is_equivalence(F).verdict:
-            return cat, explicit, F
-    return cat, explicit, None
 
 
 def cofinal_via_ff(T: TwoFunctor, sigma_prime: WideSub,

@@ -647,23 +647,6 @@ def is_equivalence_on_homs(c: FinCat, objects: dict, obj_key, arr_key, hom,
                for i in range(len(objects)))
 
 
-def quasi_inverse_search(F: Functor, meter: Meter | None = None) -> Functor | None:
-    """Brute-force search for G with GF ≅ id and FG ≅ id.
-
-    Independent of is_equivalence; used to cross-check it on small inputs.
-    """
-    meter = meter or Meter()
-    for G in enumerate_functors(F.target, F.source, meter):
-        if enumerate_iso_transfs(compose_functors(G, F), identity_functor(F.source), meter) \
-                and enumerate_iso_transfs(compose_functors(F, G), identity_functor(F.target), meter):
-            return G
-    return None
-
-
-def enumerate_iso_transfs(F: Functor, G: Functor, meter: Meter | None = None) -> list[NatTransf]:
-    return [n for n in enumerate_nat_transfs(F, G, meter) if nat_is_invertible(n)]
-
-
 # ---------------------------------------------------------------------------
 # Isomorphism search between finite categories
 
@@ -763,28 +746,6 @@ def find_isomorphism(c: FinCat, d: FinCat, meter: Meter | None = None) -> Functo
                 prev = carrs[j]
                 am.pop(prev, None)
     return None
-
-
-def skeleton(c: FinCat) -> FinCat:
-    """Full subcategory on one representative per isomorphism class."""
-    reps = {}
-    for cls in iso_classes(c):
-        rep = min(cls)
-        for x in cls:
-            reps[x] = rep
-    keep = sorted(set(reps.values()))
-    arrows = {a: (s, t) for a, (s, t) in c.arrows.items()
-              if s in keep and t in keep}
-    identity = {x: c.identity[x] for x in keep}
-    compose = {(g, f): h for (g, f), h in c.compose.items()
-               if g in arrows and f in arrows}
-    return mk_fincat(keep, arrows, identity, compose)
-
-
-def categories_equivalent(c: FinCat, d: FinCat,
-                          meter: Meter | None = None) -> bool:
-    """Equivalence of finite categories via isomorphism of skeletons."""
-    return find_isomorphism(skeleton(c), skeleton(d), meter) is not None
 
 
 # ---------------------------------------------------------------------------

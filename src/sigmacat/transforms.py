@@ -21,7 +21,8 @@ composition tables, and build a Transformation or Modification only for
 the candidates they accept.  ``check_transformation`` and
 ``check_modification`` state the same axioms with whiskered functors and
 transformations; they are the functor-level reference.  Enumeration
-order is deterministic.
+order is deterministic.  ``check_dicone`` and ``check_dicone_morphism``
+state the laws of dicones; no end is enumerated here.
 """
 
 from __future__ import annotations
@@ -831,7 +832,7 @@ def flavor_inclusions(P: CatDiagram, Q: CatDiagram, sigma: WideSub,
 
 
 # ---------------------------------------------------------------------------
-# Dicones and ends
+# Dicones
 
 
 @dataclass(frozen=True)
@@ -941,114 +942,6 @@ def check_dicone_morphism(d1: Dicone, d2: Dicone, components: dict) -> Validatio
         if lhs.components != rhs.components:
             rep.add("LDM", (f,), f"morphism square fails at {f}")
     return rep
-
-
-@dataclass
-class EndCategory:
-    cat: FinCat
-    points: dict  # object name -> (x_assign, phi_assign)
-    flavor: Flavor
-
-
-def end_eps(T: CatDiagram, base: Fin2Cat, flavor: Flavor,
-            meter: Meter | None = None) -> EndCategory:
-    """The flavor-constrained end of a two-sided strict diagram.
-
-    Realized concretely as the category of vertex-1 dicones: objects are
-    families (x_A, phi_f) satisfying the dinaturality axioms, arrows are
-    families of cells satisfying the morphism axiom.
-    """
-    meter = meter or Meter()
-    if T.is_pseudo:
-        raise PreconditionFailed("ends are implemented for strict diagrams")
-    objs = sorted(base.objects)
-    diag = {A: T.on_obj[pair_name(A, A)] for A in objs}
-    non_id = [f for f in base.all_one_cells() if f not in set(base.id1.values())]
-    points = []
-    pools = [sorted(diag[A].objects) for A in objs]
-    for combo in itertools.product(*pools):
-        meter.tick()
-        xs = dict(zip(objs, combo))
-        cell_pools = []
-        feasible = True
-        for f in non_id:
-            A, B = base.src1(f), base.tgt1(f)
-            hom_cat = T.on_obj[pair_name(A, B)]
-            left = _t_cell(T, base.id1[A], f).obj_map[xs[A]]
-            right = _t_cell(T, f, base.id1[B]).obj_map[xs[B]]
-            if flavor.requires_identity():
-                pool = [hom_cat.identity[left]] if left == right else []
-            else:
-                pool = hom_cat.hom(left, right)
-                if flavor.requires_invertible(f):
-                    pool = [a for a in pool if hom_cat.is_iso(a)]
-            if not pool:
-                feasible = False
-                break
-            cell_pools.append(pool)
-        if not feasible:
-            continue
-        for cells in itertools.product(*cell_pools):
-            meter.tick()
-            phis = dict(zip(non_id, cells))
-            for A in objs:
-                idA = base.id1[A]
-                phis[idA] = diag[A].identity[xs[A]]
-            if _end_point_ok(T, base, xs, phis, non_id):
-                points.append((xs, phis))
-    points.sort(key=lambda p: (tuple(sorted(p[0].items())), tuple(sorted(p[1].items()))))
-    homs = {}
-    for i, (xs1, ph1) in enumerate(points):
-        for j, (xs2, ph2) in enumerate(points):
-            homs[(i, j)] = []
-            for combo in itertools.product(
-                    *[diag[A].hom(xs1[A], xs2[A]) for A in objs]):
-                meter.tick()
-                xi = dict(zip(objs, combo))
-                if _end_arrow_ok(T, base, ph1, ph2, xi):
-                    homs[(i, j)].append(xi)
-    cat, _ = assemble_category(
-        len(points), ("e", "a"), homs,
-        lambda xi: all(diag[A].is_identity(xi[A]) for A in objs),
-        lambda xi: tuple(sorted(xi.items())),
-        lambda xi2, xi1: tuple(sorted((A, diag[A].compose[(xi2[A], xi1[A])])
-                                      for A in objs)))
-    return EndCategory(cat, {f"e{i}": p for i, p in enumerate(points)}, flavor)
-
-
-def _end_point_ok(T, base, xs, phis, non_id) -> bool:
-    # LD2 before LD1, mirroring the transformation enumeration
-    for x in base.all_two_cells():
-        f, g = base.src2(x), base.tgt2(x)
-        if base.is_identity_2cell(x) and f == g:
-            continue
-        A, B = base.src1(f), base.tgt1(f)
-        hom_cat = T.on_obj[pair_name(A, B)]
-        idA2, idB2 = base.id2(base.id1[A]), base.id2(base.id1[B])
-        left = _t_2cell(T, x, idB2).components[xs[B]]
-        right = _t_2cell(T, idA2, x).components[xs[A]]
-        if hom_cat.compose[(left, phis[f])] != hom_cat.compose[(phis[g], right)]:
-            return False
-    for (g, f), gf in base.hcomp1.items():
-        A = base.src1(f)
-        C = base.tgt1(g)
-        hom_cat = T.on_obj[pair_name(A, C)]
-        post = _t_cell(T, f, base.id1[C]).arr_map[phis[g]]
-        pre = _t_cell(T, base.id1[A], g).arr_map[phis[f]]
-        if hom_cat.compose[(post, pre)] != phis[gf]:
-            return False
-    return True
-
-
-def _end_arrow_ok(T, base, ph1, ph2, xi) -> bool:
-    for f in base.all_one_cells():
-        A, B = base.src1(f), base.tgt1(f)
-        hom_cat = T.on_obj[pair_name(A, B)]
-        lhs = hom_cat.compose[(ph2[f], _t_cell(T, base.id1[A], f).arr_map[xi[A]])]
-        rhs = hom_cat.compose[(_t_cell(T, f, base.id1[B]).arr_map[xi[B]], ph1[f])]
-        if lhs != rhs:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

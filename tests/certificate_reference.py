@@ -11,19 +11,28 @@ where the classifier certificate of ``sigmacat.colimits`` is a proof for
 every E.  Where both run they must agree.  ``certify_coend`` is the
 test-family certificate ``coend_eps`` carried: functors out of the coend
 against the end of Cat(T(-,-), E), compared by an isomorphism search.
+That end is ``end_eps``: the flavour-constrained end of a strict
+two-sided diagram, realized as the category of dicones with vertex 1,
+enumerated and assembled.
 """
+
+import itertools
+from dataclasses import dataclass
+
 
 from sigmacat import elements as el_mod
 from sigmacat.colimits import SigmaCone, _morphism_key, sigma_cone_homs
 from sigmacat.config import Meter
+from sigmacat.errors import PreconditionFailed
 from sigmacat.fincat import (FinCat, Functor, NatTransf, arrow_category,
-                             compose_functors, find_isomorphism,
+                             assemble_category, compose_functors,
+                             find_isomorphism,
                              functor_category_full, iso_pair_category,
                              pair_name, parallel_pair_category,
                              terminal_category, whisker_functor_nat,
                              whisker_nat_functor)
-from sigmacat.transforms import (CatDiagram, end_eps, sigma_flavor,
-                                 transformation_homs)
+from sigmacat.transforms import (CatDiagram, Flavor, _t_2cell, _t_cell,
+                                 sigma_flavor, transformation_homs)
 from sigmacat.two_cat import Fin2Cat, WideSub, op_dual
 
 
@@ -282,3 +291,111 @@ def hom_out_diagram(T: CatDiagram, base: Fin2Cat, E: FinCat,
             on_2[pair_name(x, y)] = NatTransf(
                 on_1[pair_name(f, g)], on_1[pair_name(f2, g2)], comps)
     return CatDiagram(prod, on_obj, on_1, on_2)
+
+
+@dataclass
+class EndCategory:
+    cat: FinCat
+    points: dict  # object name -> (x_assign, phi_assign)
+    flavor: Flavor
+
+
+def end_eps(T: CatDiagram, base: Fin2Cat, flavor: Flavor,
+            meter: Meter | None = None) -> EndCategory:
+    """The flavor-constrained end of a two-sided strict diagram.
+
+    Realized concretely as the category of vertex-1 dicones: objects are
+    families (x_A, phi_f) satisfying the dinaturality axioms, arrows are
+    families of cells satisfying the morphism axiom.
+    """
+    meter = meter or Meter()
+    if T.is_pseudo:
+        raise PreconditionFailed("ends are implemented for strict diagrams")
+    objs = sorted(base.objects)
+    diag = {A: T.on_obj[pair_name(A, A)] for A in objs}
+    non_id = [f for f in base.all_one_cells() if f not in set(base.id1.values())]
+    points = []
+    pools = [sorted(diag[A].objects) for A in objs]
+    for combo in itertools.product(*pools):
+        meter.tick()
+        xs = dict(zip(objs, combo))
+        cell_pools = []
+        feasible = True
+        for f in non_id:
+            A, B = base.src1(f), base.tgt1(f)
+            hom_cat = T.on_obj[pair_name(A, B)]
+            left = _t_cell(T, base.id1[A], f).obj_map[xs[A]]
+            right = _t_cell(T, f, base.id1[B]).obj_map[xs[B]]
+            if flavor.requires_identity():
+                pool = [hom_cat.identity[left]] if left == right else []
+            else:
+                pool = hom_cat.hom(left, right)
+                if flavor.requires_invertible(f):
+                    pool = [a for a in pool if hom_cat.is_iso(a)]
+            if not pool:
+                feasible = False
+                break
+            cell_pools.append(pool)
+        if not feasible:
+            continue
+        for cells in itertools.product(*cell_pools):
+            meter.tick()
+            phis = dict(zip(non_id, cells))
+            for A in objs:
+                idA = base.id1[A]
+                phis[idA] = diag[A].identity[xs[A]]
+            if _end_point_ok(T, base, xs, phis, non_id):
+                points.append((xs, phis))
+    points.sort(key=lambda p: (tuple(sorted(p[0].items())), tuple(sorted(p[1].items()))))
+    homs = {}
+    for i, (xs1, ph1) in enumerate(points):
+        for j, (xs2, ph2) in enumerate(points):
+            homs[(i, j)] = []
+            for combo in itertools.product(
+                    *[diag[A].hom(xs1[A], xs2[A]) for A in objs]):
+                meter.tick()
+                xi = dict(zip(objs, combo))
+                if _end_arrow_ok(T, base, ph1, ph2, xi):
+                    homs[(i, j)].append(xi)
+    cat, _ = assemble_category(
+        len(points), ("e", "a"), homs,
+        lambda xi: all(diag[A].is_identity(xi[A]) for A in objs),
+        lambda xi: tuple(sorted(xi.items())),
+        lambda xi2, xi1: tuple(sorted((A, diag[A].compose[(xi2[A], xi1[A])])
+                                      for A in objs)))
+    return EndCategory(cat, {f"e{i}": p for i, p in enumerate(points)}, flavor)
+
+
+def _end_point_ok(T, base, xs, phis, non_id) -> bool:
+    # LD2 before LD1, mirroring the transformation enumeration
+    for x in base.all_two_cells():
+        f, g = base.src2(x), base.tgt2(x)
+        if base.is_identity_2cell(x) and f == g:
+            continue
+        A, B = base.src1(f), base.tgt1(f)
+        hom_cat = T.on_obj[pair_name(A, B)]
+        idA2, idB2 = base.id2(base.id1[A]), base.id2(base.id1[B])
+        left = _t_2cell(T, x, idB2).components[xs[B]]
+        right = _t_2cell(T, idA2, x).components[xs[A]]
+        if hom_cat.compose[(left, phis[f])] != hom_cat.compose[(phis[g], right)]:
+            return False
+    for (g, f), gf in base.hcomp1.items():
+        A = base.src1(f)
+        C = base.tgt1(g)
+        hom_cat = T.on_obj[pair_name(A, C)]
+        post = _t_cell(T, f, base.id1[C]).arr_map[phis[g]]
+        pre = _t_cell(T, base.id1[A], g).arr_map[phis[f]]
+        if hom_cat.compose[(post, pre)] != phis[gf]:
+            return False
+    return True
+
+
+def _end_arrow_ok(T, base, ph1, ph2, xi) -> bool:
+    for f in base.all_one_cells():
+        A, B = base.src1(f), base.tgt1(f)
+        hom_cat = T.on_obj[pair_name(A, B)]
+        lhs = hom_cat.compose[(ph2[f], _t_cell(T, base.id1[A], f).arr_map[xi[A]])]
+        rhs = hom_cat.compose[(_t_cell(T, f, base.id1[B]).arr_map[xi[B]], ph1[f])]
+        if lhs != rhs:
+            return False
+    return True

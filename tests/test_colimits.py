@@ -6,18 +6,19 @@ import sys
 import pytest
 
 from certificate_reference import certify_coend, default_test_family
+from equivalence_reference import categories_equivalent
 from helpers import (chain_2cat, colimit_rungs, external_product,
                      strict_fixture_diagrams)
 from sigmacat.config import DEFAULT_CAP, Meter
 from sigmacat.errors import CertificateFailure, PreconditionFailed, UndecidedAtCap
 from sigmacat.filteredness import check_sigma_filtered
 from sigmacat.fincat import (Functor, NatTransf, arrow_category,
-                             categories_equivalent, compose_functors,
-                             discrete_category, find_isomorphism, functor_category,
-                             group_z2_category,
-                             functor_category_full, identity_functor,
-                             is_equivalence, iso_pair_category,
-                             parallel_pair_category, product_category,
+                             compose_functors, discrete_category,
+                             find_isomorphism, functor_category,
+                             functor_category_full, group_z2_category,
+                             identity_functor, is_equivalence,
+                             iso_pair_category, parallel_pair_category,
+                             product_category, split_pair_name,
                              terminal_category, validate_category)
 from sigmacat.fixtures import (arrow_2cat, diagram_chain_to_pp, diagram_collapse,
                                diagram_on_free2cell, diagram_pick0,
@@ -413,17 +414,6 @@ def test_coend_over_one_object_base():
 
 def _tensor_diagram(W, P, base):
     prod = two_cat_product(op_dual(base), base)
-
-    def split(o):
-        depth = 0
-        for i, ch in enumerate(o):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == "," and depth == 1:
-                return o[1:i], o[i + 1:-1]
-
     on_obj, on_1, on_2 = {}, {}, {}
     for A in base.objects:
         for B in base.objects:
@@ -434,20 +424,22 @@ def _tensor_diagram(W, P, base):
             B, B2 = base.src1(g), base.tgt1(g)
             src = on_obj[pair_name(A, B)]
             tgt = on_obj[pair_name(A2, B2)]
-            om = {o: pair_name(W.on_1[f].obj_map[split(o)[0]],
-                               P.on_1[g].obj_map[split(o)[1]])
-                  for o in src.objects}
-            am = {a: pair_name(W.on_1[f].arr_map[split(a)[0]],
-                               P.on_1[g].arr_map[split(a)[1]])
-                  for a in src.arrows}
+            om, am = {}, {}
+            for o in src.objects:
+                w, p = split_pair_name(o)
+                om[o] = pair_name(W.on_1[f].obj_map[w], P.on_1[g].obj_map[p])
+            for a in src.arrows:
+                w, p = split_pair_name(a)
+                am[a] = pair_name(W.on_1[f].arr_map[w], P.on_1[g].arr_map[p])
             on_1[pair_name(f, g)] = Functor(src, tgt, om, am)
     for x in base.all_two_cells():
         for y in base.all_two_cells():
             f, f2 = base.src2(x), base.tgt2(x)
             g, g2 = base.src2(y), base.tgt2(y)
-            comps = {o: pair_name(W.on_2[x].components[split(o)[0]],
-                                  P.on_2[y].components[split(o)[1]])
-                     for o in on_1[pair_name(f, g)].source.objects}
+            comps = {}
+            for o in on_1[pair_name(f, g)].source.objects:
+                w, p = split_pair_name(o)
+                comps[o] = pair_name(W.on_2[x].components[w], P.on_2[y].components[p])
             on_2[pair_name(x, y)] = NatTransf(on_1[pair_name(f, g)],
                                               on_1[pair_name(f2, g2)], comps)
     return CatDiagram(prod, on_obj, on_1, on_2)
@@ -637,15 +629,15 @@ def test_commutation_with_a_colimit_at_the_cap_is_undecided():
 
 
 def test_commutation_and_coend_run_without_an_isomorphism_search(base, monkeypatch):
-    """Both decide by construction: with the isomorphism search, the end
-    and the functor categories made to fail in every module, they still
-    answer."""
+    """Both decide by construction: with the isomorphism search and the
+    functor categories made to fail in every module, they still answer.
+    No module of the package holds the assembled end any more."""
     def refuse(*args, **kwargs):
         raise AssertionError("an isomorphism search or a functor category ran")
 
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "sigmacat":
-            for fn in ("find_isomorphism", "end_eps", "functor_category_full"):
+            for fn in ("find_isomorphism", "functor_category_full"):
                 if hasattr(module, fn):
                     monkeypatch.setattr(module, fn, refuse)
     a, sigma, P = FILTERED_INDICES["arrow"]()

@@ -15,7 +15,7 @@ every shape 1-cell, filtered by ``check_base_cone`` for the cones of
 ``base_cone_category``, and by the cocone laws written out here for
 ``cocone_category``, whose cocones the kernel finds as cones in the
 1-cell dual; their morphisms by the modification squares written out
-here.
+here.  Both assembled categories are in ``cone_reference``.
 
 The test-family certificate of ``certificate_reference``, which decides
 precomposition with a cone on hom-sets against one test category, is
@@ -58,19 +58,20 @@ from hypothesis import given, settings
 from bilimit_reference import cone_candidates, cone_laws
 from certificate_reference import (certify_against, certify_weighted,
                                    default_test_family, hom_into_diagram)
+from cone_reference import (base_cone_category, cocone_category,
+                            cone_category_names)
 from helpers import chain_2cat, idempotent_category, posets
 from sigmacat.colimits import (BaseCone, BaseConeCategories, SigmaCone,
                                _conical_classifier, _weighted_classifier,
-                               base_cone_category, check_base_cone,
-                               check_sigma_cone, comparison_functor,
-                               cones_sigma, conical_sigma_colimit,
-                               is_bilimit_cone, point_cone_homs,
+                               check_base_cone, check_sigma_cone,
+                               comparison_functor, cones_sigma,
+                               conical_sigma_colimit, point_cone_homs,
                                preserves_bilimit, weighted_sigma_colimit)
 from sigmacat.config import Meter
 from sigmacat.errors import PreconditionFailed, SizeLimitExceeded
-from sigmacat.filteredness import (ShapeDiagram, cocone_category,
-                                   cone_existence, shape_diagram_1,
-                                   shape_diagram_2, shape_diagram_3)
+from sigmacat.filteredness import (ShapeDiagram, cone_existence,
+                                   shape_diagram_1, shape_diagram_2,
+                                   shape_diagram_3)
 from sigmacat.elements import mor_name, obj_name
 from sigmacat.fincat import (Functor, NatTransf, arrow_category,
                              assemble_category, compose_functors,
@@ -258,22 +259,23 @@ def assembled_certificate(result, E) -> bool:
     Q, cone, base = result.diagram, result.cone, result.diagram.source
     fc = functor_category_full(result.category, E)
     cc = cones_sigma(Q, result.marked, E)
+    cone_names, morphism_names = cone_category_names(cc)
     if len(fc.cat.objects) != len(cc.cat.objects) or \
             len(fc.cat.arrows) != len(cc.cat.arrows):
         return False
     obj_map, arr_map = {}, {}
     try:
         for name, H in fc.functors.items():
-            obj_map[name] = cc.name_of_cone(SigmaCone(
+            obj_map[name] = cone_names[SigmaCone(
                 Q, result.marked, E,
                 {A: compose_functors(H, cone.components[A]) for A in base.objects},
                 {f: whisker_functor_nat(H, cone.structural[f])
-                 for f in base.all_one_cells()}))
+                 for f in base.all_one_cells()}).key()]
         for name, mu in fc.transfs.items():
             src, tgt = fc.cat.arrows[name]
             key = tuple((A, whisker_nat_functor(mu, cone.components[A]).key())
                         for A in sorted(base.objects))
-            arr_map[name] = cc.name_of_morphism(obj_map[src], obj_map[tgt], key)
+            arr_map[name] = morphism_names[(obj_map[src], obj_map[tgt], key)]
     except KeyError:
         return False
     if len(set(obj_map.values())) != len(obj_map) or \
@@ -927,9 +929,11 @@ def every_cone(a):
 
 def every_cone_verdict(a) -> list:
     """Per cone of ``every_cone(a)``: the bilimit test on hom-sets over the
-    shared cone categories, the same through ``is_bilimit_cone``, and the
-    assembled test."""
-    return [(over.is_bilimit(cone), is_bilimit_cone(cone),
+    shared cone categories, the same after ``check_base_cone`` over cone
+    categories built afresh, and the assembled test."""
+    return [(over.is_bilimit(cone),
+             check_base_cone(cone).ok and
+             BaseConeCategories(cone.diagram, cone.marked).is_bilimit(cone),
              assembled_is_bilimit(cone, cats)) for over, cats, cone in every_cone(a)]
 
 

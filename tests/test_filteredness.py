@@ -2,8 +2,9 @@
 
 import pytest
 
+from cone_reference import cone_category_equiv, explicit_shape_category
 from sigmacat.errors import PreconditionFailed
-from sigmacat.fincat import is_equivalence
+from sigmacat.fincat import validate_category
 from sigmacat.fixtures import (arrow_2cat, diamond_2cat, iso_2cat,
                                marked_fixtures, parallel_2cat)
 from sigmacat.two_cat import (Marked2Cat, WideSub, free_2cell_2cat, op_dual,
@@ -12,8 +13,7 @@ from sigmacat.two_cat import (Marked2Cat, WideSub, free_2cell_2cat, op_dual,
                               wide_identities)
 from sigmacat.transforms import TwoFunctor, identity_twofunctor
 from sigmacat.filteredness import (check_sigma_cofiltered, check_sigma_cofinal,
-                                   check_sigma_filtered, cocone_category,
-                                   cofinal_via_ff, cone_category_equiv,
+                                   check_sigma_filtered, cofinal_via_ff,
                                    cone_existence, shape_diagram_1,
                                    shape_diagram_2, shape_diagram_3)
 
@@ -134,11 +134,9 @@ def test_cone_category_equivalences(which):
 def test_shape_two_arrow_condition_enforced():
     # arrows of the explicit description must satisfy the compatibility
     # between connecting cells
-    from sigmacat.filteredness import explicit_shape_category
     m = dict((l, mm) for l, mm, _ in marked_fixtures())["free2cell/ids+v"]
     sd = shape_diagram_2(m, "u", "v")
     explicit = explicit_shape_category(sd, "b", 2, m)
-    from sigmacat.fincat import validate_category
     assert validate_category(explicit).ok
 
 

@@ -4,16 +4,16 @@ import itertools
 
 import pytest
 
+from equivalence_reference import (categories_equivalent,
+                                   quasi_inverse_search, skeleton)
 from helpers import idempotent_category
 from sigmacat.fincat import (
-    FinCat, Functor, arrow_category, categories_equivalent,
-    connected_components, discrete_category, empty_category,
+    FinCat, Functor, arrow_category, connected_components, discrete_category, empty_category,
     enumerate_functors, find_isomorphism, functor_category,
     functor_category_full, group_z2_category, identity_functor,
     is_equivalence, is_equivalence_on_homs, iso_pair_category, mk_fincat,
     parallel_pair_category,
-    product_category, product_projections, quasi_inverse_search, skeleton,
-    terminal_category, validate_category, validate_functor)
+    product_category, product_projections, terminal_category, validate_category, validate_functor)
 
 
 FIXTURES = [

@@ -8,15 +8,22 @@ the package is parsed, and every name bound by a top-level ``import`` or
 Every module imports only at top level: the package's modules import
 one another without a cycle, so no import needs to wait inside a
 function.
+
+The traced benchmark run wraps the functions its span groups name
+(``GROUPS`` in ``bench/spans.py``) by looking each up in its module, so
+every one of them must still be there.
 """
 
 import ast
+import importlib
+import runpy
 from functools import cache
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sigmacat"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "sigmacat"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -50,3 +57,14 @@ def test_package_imports_sit_at_top_level(module):
              if isinstance(node, (ast.Import, ast.ImportFrom))
              and node not in tree.body]
     assert not inner, f"{module} imports inside a function at {', '.join(inner)}"
+
+
+def test_every_benchmark_span_names_a_package_function():
+    """``bench/spans.py`` imports only the standard library, so it is run by
+    path, without writing anything next to it."""
+    groups = runpy.run_path(str(ROOT / "bench" / "spans.py"))["GROUPS"]
+    pairs = [pair for group in groups.values() for pair in group]
+    missing = [f"sigmacat.{module}.{fn}" for module, fn in pairs
+               if not callable(getattr(importlib.import_module(f"sigmacat.{module}"),
+                                       fn, None))]
+    assert pairs and not missing, f"spans name missing functions: {', '.join(missing)}"

@@ -10,18 +10,19 @@ import hashlib
 
 import pytest
 
+from certificate_reference import end_eps
+from cone_reference import base_cone_category, cocone_category
 from helpers import (chain_2cat, colimit_rungs, corpus_biinserter, grid_2cat,
                      table_digest)
-from sigmacat.colimits import (base_cone_category, bilimit_cat, cones_sigma,
-                               conical_sigma_colimit, point_cone_homs,
-                               weighted_sigma_colimit, weighted_sigma_limit)
+from sigmacat.colimits import (bilimit_cat, cones_sigma, conical_sigma_colimit,
+                               point_cone_homs, weighted_sigma_colimit,
+                               weighted_sigma_limit)
 from sigmacat.config import DEFAULT_BUDGET, Meter
 from sigmacat.fincat import (arrow_category, discrete_category,
                              functor_category_full, iso_pair_category,
                              product_category, terminal_category)
-from sigmacat.filteredness import (cocone_category, cone_existence,
-                                   shape_diagram_1, shape_diagram_2,
-                                   shape_diagram_3)
+from sigmacat.filteredness import (cone_existence, shape_diagram_1,
+                                   shape_diagram_2, shape_diagram_3)
 from sigmacat.fixtures import (arrow_2cat, diagram_collapse, diagram_on_free2cell,
                                diagram_pick0, diamond_2cat, marked_fixtures,
                                poset_category, pseudo_swap, pseudo_z2,
@@ -30,7 +31,7 @@ from sigmacat.flatness import (canonical_expression, check_left_exact,
                                generate_bilimit_cones, representable)
 from sigmacat.presented import localize
 from sigmacat.shapes import BIINSERTER
-from sigmacat.transforms import (LAX, PSEUDO, STRICT, constant_diagram, end_eps,
+from sigmacat.transforms import (LAX, PSEUDO, STRICT, constant_diagram,
                                  hom_eps, internal_hom_diagram, sigma_flavor)
 from sigmacat.two_cat import (Marked2Cat, free_2cell_2cat, two_cat_from_cat,
                               wide_all, wide_identities)

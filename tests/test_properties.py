@@ -12,14 +12,17 @@ from hypothesis import strategies as st
 
 from certificate_reference import (certify_against, certify_weighted,
                                    default_test_family)
-from helpers import external_product, posets
+from equivalence_reference import quasi_inverse_search
+from helpers import external_product, idempotent_category, posets
 from sigmacat.colimits import (commutation_check, weighted_sigma_colimit,
                                weighted_sigma_limit)
 from sigmacat.config import Meter
 from sigmacat.errors import SizeLimitExceeded
 from sigmacat.filteredness import check_sigma_filtered
 from sigmacat.fincat import (arrow_category, discrete_category,
-                             enumerate_functors, functor_homs, identity_functor,
+                             enumerate_functors, functor_homs,
+                             group_z2_category, identity_functor,
+                             is_equivalence, iso_pair_category,
                              nat_is_identity, terminal_category, vcomp_nat,
                              whisker_nat_functor)
 from sigmacat.fixtures import arrow_2cat, idn, poset_category
@@ -246,3 +249,26 @@ def test_weighted_limits_over_posets_are_the_conical_ones_over_the_elements(data
     got, want = weighted_sigma_limit(W, P, flavor).cat, hom_eps(W, P, flavor).cat
     assert (got.objects, got.arrows, got.identity, got.compose) == \
         (want.objects, want.arrows, want.identity, want.compose)
+
+
+def test_is_equivalence_agrees_with_quasi_inverse_search():
+    """``is_equivalence`` decides F by full, faithful and essentially
+    surjective; ``quasi_inverse_search`` looks for G with GF ≅ id and
+    FG ≅ id.  They agree on every functor F drawn between posets on at
+    most three objects, the iso pair, ℤ/2 and the idempotent monoid, and
+    both verdicts occur among the draws."""
+    categories = st.one_of(posets(3), st.sampled_from(
+        [iso_pair_category(), group_z2_category(), idempotent_category()]))
+    verdicts = Counter()
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(data=st.data())
+    def agree(data):
+        c, d = data.draw(categories, label="C"), data.draw(categories, label="D")
+        F = data.draw(st.sampled_from(enumerate_functors(c, d)), label="F")
+        verdict = is_equivalence(F).verdict
+        assert verdict == (quasi_inverse_search(F) is not None)
+        verdicts[verdict] += 1
+
+    agree()
+    assert verdicts[True] and verdicts[False], verdicts
