@@ -25,10 +25,10 @@ from .two_cat import (Fin2Cat, Marked2Cat, WideSub, co_dual, mk_fin2cat,
                       op_dual, pi0, two_cat_from_cat, validate_2category,
                       wide_all, wide_from, wide_identities)
 from .transforms import (CatDiagram, Flavor, LAX, Modification, PSEUDO, STRICT,
-                         Transformation, TwoFunctor, check_dicone,
-                         check_modification, check_transformation,
-                         constant_diagram, flavor_inclusions, hom_eps,
-                         sigma_flavor, validate_diagram)
+                         Transformation, TwoFunctor, check_modification,
+                         check_transformation, constant_diagram,
+                         flavor_inclusions, hom_eps, sigma_flavor,
+                         validate_diagram)
 from .elements import (ElementsResult, cart_sigma, elements_of,
                        elements_of_pseudo, gamma_dual, lax_dense_transport,
                        lax_pullback_factor, t_eta, t_h)

@@ -78,7 +78,7 @@ from .fincat import (EquivalenceReport, FinCat, Functor, NatTransf,
 from .two_cat import Fin2Cat, WideSub, op_dual, pi0, pi0_class_map
 from .transforms import (CatDiagram, HomCategory, Transformation, TwoFunctor,
                          Flavor, PSEUDO, compose_diagram, constant_diagram,
-                         hom_eps, sigma_flavor)
+                         dual_twofunctor, hom_eps, sigma_flavor)
 from .presented import (Presentation, PresentedCategory, base_of_inv, is_inv,
                         localize, presents, saturate_presentation)
 from .shapes import Shape
@@ -534,8 +534,8 @@ def induced_from_colimit(result: ColimitResult, target: SigmaCone) -> Functor:
     def image_of_class(c_name: str) -> str:
         nm, f, phi = rep_pair[c_name]
         oa, ob = gamma.cat.hom_of_1cell(nm)
-        x, A = el_mod._split_obj(oa)
-        y, B = el_mod._split_obj(ob)
+        x, _ = gamma.points[oa]
+        _, B = gamma.points[ob]
         # (f, phi) : (x,A) -> (y,B) in the dual construction reads
         # backwards in the colimit; its image is kappa_f,x ∘ kappa_B(phi)
         k_phi = target.components[B].arr_map[phi]
@@ -544,7 +544,7 @@ def induced_from_colimit(result: ColimitResult, target: SigmaCone) -> Functor:
 
     obj_map = {}
     for o in R.objects:
-        x, A = el_mod._split_obj(o)
+        x, A = gamma.points[o]
         obj_map[o] = target.components[A].obj_map[x]
     arr_map = {}
     for name, (src_obj, word) in result.presented.rep_of_arrow.items():
@@ -610,17 +610,8 @@ def weighted_sigma_colimit(W: CatDiagram, P: CatDiagram, sigma: WideSub,
     el_w = el_mod.elements_of(W, meter)
     sigma_op = WideSub(opbase, sigma.arrows)
     marked_el = el_mod.cart_sigma(el_w, sigma_op)
-    el_op = op_dual(el_w.cat)
-    on_obj, on_1, on_2 = {}, {}, {}
-    for o in el_op.objects:
-        x, A = el_mod._split_obj(o)
-        on_obj[o] = P.on_obj[A]
-    for nm, (f, phi) in el_w.pairs1.items():
-        on_1[nm] = P.on_1[f]
-    for nm, th in el_w.pairs2.items():
-        on_2[nm] = P.on_2[th]
-    Q2 = CatDiagram(el_op, on_obj, on_1, on_2)
-    marked_op = WideSub(el_op, marked_el.arrows)
+    Q2 = compose_diagram(P, dual_twofunctor(el_w.projection))
+    marked_op = WideSub(Q2.source, marked_el.arrows)
     conical = conical_sigma_colimit(Q2, marked_op, cap, meter)
     out = WeightedColimitResult(conical, W, P, [])
     if conical.finite:
@@ -1401,8 +1392,9 @@ def commutation_check(T: CatDiagram, index: Fin2Cat, sigma: WideSub, shape: Shap
     for th in sh.all_two_cells():
         u = sh.src2(th)
         comps = {}
+        points = cols[sh.src1(u)].gamma.points
         for o in cols[sh.src1(u)].category.objects:
-            x, i = el_mod._split_obj(o)
+            x, i = points[o]
             cell = T.on_2[pair_name(index.id2(index.id1[i]), th)].components[x]
             comps[o] = cols[sh.tgt1(u)].cone.components[i].arr_map[cell]
         C2[th] = NatTransf(C1[u], C1[sh.tgt2(th)], comps)

@@ -8,8 +8,10 @@ morphism ``(x,A) -> (y,B)`` is a pair ``(f,phi)`` of a base 1-cell
 reverses phi.  Pseudofunctors use the corrected composition and
 identities built from their structure cells.
 
-Identifiers are the canonical pair strings, generated deterministically
-so that cross-module comparisons see stable names.
+Names are minted by ``obj_name``, ``mor_name``, ``cell_name`` and
+``pair_name`` and read back through the tables that minted them
+(``points``, ``pairs1`` and ``pairs2``), never parsed.  A name minted
+twice for different cells is refused.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from dataclasses import dataclass
 
 from .config import Meter
 from .errors import PreconditionFailed, ValidationError
-from .fincat import (FinCat, Functor, NatTransf, compose_functors, mk_fincat,
-                     terminal_category)
+from .fincat import (FinCat, Functor, NatTransf, compose_functors, mint,
+                     mk_fincat, terminal_category)
 from .two_cat import Fin2Cat, WideSub, mk_fin2cat
 from .transforms import (CatDiagram, Transformation, TwoFunctor,
                          check_transformation, compose_diagram,
@@ -45,30 +47,30 @@ class ElementsResult:
     cat: Fin2Cat
     cart: WideSub
     projection: TwoFunctor
+    points: dict  # object name -> (x, A)
     pairs1: dict  # 1-cell name -> (f, phi)
     pairs2: dict  # 2-cell name -> base 2-cell
-    flavor: str  # "elements" | "dual"
 
 
 def _build(P: CatDiagram, reverse_phi: bool, pseudo: bool,
            meter: Meter) -> ElementsResult:
     base = P.source
     objects = []
-    obj_info = {}
+    points = {}
     for A in sorted(base.objects):
         for x in sorted(P.on_obj[A].objects):
             name = obj_name(x, A)
             objects.append(name)
-            obj_info[name] = (x, A)
+            mint(points, name, (x, A))
 
     hom = {}
     pairs1 = {}
     pairs2 = {}
     id1 = {}
     for oa in objects:
-        x, A = obj_info[oa]
+        x, A = points[oa]
         for ob in objects:
-            y, B = obj_info[ob]
+            y, B = points[ob]
             cells1 = []
             local1 = {}
             for f in base.one_cells(A, B):
@@ -83,7 +85,7 @@ def _build(P: CatDiagram, reverse_phi: bool, pseudo: bool,
                     name = mor_name(f, phi, x)
                     cells1.append(name)
                     local1[name] = (f, phi)
-                    pairs1[name] = (f, phi)
+                    mint(pairs1, name, (f, phi))
             arrows = {}
             ident = {}
             for m1 in cells1:
@@ -103,7 +105,7 @@ def _build(P: CatDiagram, reverse_phi: bool, pseudo: bool,
                         if ok:
                             nm = cell_name(th, m1, m2)
                             arrows[nm] = (m1, m2)
-                            pairs2[nm] = th
+                            mint(pairs2, nm, th)
             for m1 in cells1:
                 f, _ = local1[m1]
                 ident[m1] = cell_name(base.id2(f), m1, m1)
@@ -120,7 +122,7 @@ def _build(P: CatDiagram, reverse_phi: bool, pseudo: bool,
 
     # identity 1-cells
     for oa in objects:
-        x, A = obj_info[oa]
+        x, A = points[oa]
         if pseudo:
             alpha = P.alpha_obj[A]
             inv = _invert_component(P.on_obj[A], alpha.components[x])
@@ -131,11 +133,11 @@ def _build(P: CatDiagram, reverse_phi: bool, pseudo: bool,
     # horizontal composition of 1-cells
     hcomp1 = {}
     for oa in objects:
-        x, A = obj_info[oa]
+        x, A = points[oa]
         for ob in objects:
-            y, B = obj_info[ob]
+            y, B = points[ob]
             for oc in objects:
-                z, C = obj_info[oc]
+                z, C = points[oc]
                 for m2 in hom[(ob, oc)].objects:
                     g, psi = pairs1[m2]
                     for m1 in hom[(oa, ob)].objects:
@@ -182,12 +184,11 @@ def _build(P: CatDiagram, reverse_phi: bool, pseudo: bool,
     cart = WideSub(cat, frozenset(cart_arrows))
     projection = TwoFunctor(
         cat, base,
-        {o: obj_info[o][1] for o in objects},
+        {o: points[o][1] for o in objects},
         {nm: fp[0] for nm, fp in pairs1.items()},
         {nm: th for nm, th in pairs2.items()},
     )
-    return ElementsResult(cat, cart, projection, pairs1, pairs2,
-                          "dual" if reverse_phi else "elements")
+    return ElementsResult(cat, cart, projection, points, pairs1, pairs2)
 
 
 def _invert_component(cat: FinCat, a: str) -> str:
@@ -240,13 +241,12 @@ def t_eta(eta: Transformation, el_p: ElementsResult,
     base = P.source
     obj_map = {}
     for o in el_p.cat.objects:
-        x, A = _split_obj(o)
+        x, A = el_p.points[o]
         obj_map[o] = obj_name(eta.components[A].obj_map[x], A)
     map1 = {}
     for nm, (f, phi) in el_p.pairs1.items():
         A, B = base.src1(f), base.tgt1(f)
-        oa, ob = el_p.cat.hom_of_1cell(nm)
-        x, _ = _split_obj(oa)
+        x, _ = el_p.points[el_p.cat.hom_of_1cell(nm)[0]]
         QB = Q.on_obj[B]
         struct = eta.structural[f].components[x]
         image_phi = QB.compose[(eta.components[B].arr_map[phi], struct)]
@@ -264,12 +264,11 @@ def t_h(H: TwoFunctor, P: CatDiagram, el_ph: ElementsResult,
     """The 2-functor El_{P∘H} -> El_P over a base change H."""
     obj_map = {}
     for o in el_ph.cat.objects:
-        x, A = _split_obj(o)
+        x, A = el_ph.points[o]
         obj_map[o] = obj_name(x, H.obj_map[A])
     map1 = {}
     for nm, (f, phi) in el_ph.pairs1.items():
-        oa, _ = el_ph.cat.hom_of_1cell(nm)
-        x, _A = _split_obj(oa)
+        x, _ = el_ph.points[el_ph.cat.hom_of_1cell(nm)[0]]
         map1[nm] = mor_name(H.map1[f], phi, x)
     map2 = {}
     for nm, th in el_ph.pairs2.items():
@@ -277,19 +276,6 @@ def t_h(H: TwoFunctor, P: CatDiagram, el_ph: ElementsResult,
         s, t = el_ph.cat.hom[hom_pair].arrows[nm]
         map2[nm] = cell_name(H.map2[th], map1[s], map1[t])
     return TwoFunctor(el_ph.cat, el_p.cat, obj_map, map1, map2)
-
-
-def _split_obj(name: str) -> tuple[str, str]:
-    depth = 0
-    for i in range(len(name) - 1, -1, -1):
-        ch = name[i]
-        if ch == ")":
-            depth += 1
-        elif ch == "(":
-            depth -= 1
-        elif ch == "," and depth == 1:
-            return name[1:i], name[i + 1:-1]
-    raise ValidationError(f"not an element name: {name}")
 
 
 def is_two_fully_faithful(T: TwoFunctor) -> bool:
@@ -341,7 +327,7 @@ def lax_pullback_factor(F: TwoFunctor, theta: Transformation,
     map1 = {}
     for r in Z.all_one_cells():
         phi = theta.structural[r].components["*"]
-        x, _ = _split_obj(obj_map[Z.src1(r)])
+        x = theta.components[Z.src1(r)].obj_map["*"]
         map1[r] = mor_name(F.map1[r], phi, x)
     map2 = {}
     for x in Z.all_two_cells():
@@ -392,15 +378,15 @@ def _transport_forward(P, Q, el_p, eta, k1, q_proj, cone_flavor) -> Transformati
     comps = {}
     structural = {}
     for o in el_p.cat.objects:
-        x, A = _split_obj(o)
+        x, A = el_p.points[o]
         target = Q.on_obj[A]
         val = eta.components[A].obj_map[x]
         comps[o] = Functor(k1.on_obj[o], target, {"*": val},
                            {"id_*": target.identity[val]})
     for nm, (f, phi) in el_p.pairs1.items():
         oa, ob = el_p.cat.hom_of_1cell(nm)
-        x, A = _split_obj(oa)
-        y, B = _split_obj(ob)
+        x, _ = el_p.points[oa]
+        _, B = el_p.points[ob]
         QB = Q.on_obj[B]
         comp = QB.compose[(eta.components[B].arr_map[phi],
                            eta.structural[f].components[x])]

@@ -23,7 +23,7 @@ from .config import Meter
 from .errors import PreconditionFailed
 from .fincat import Functor, is_equivalence
 from .two_cat import Fin2Cat, Marked2Cat, WideSub, op_dual, transport_sigma
-from .transforms import TwoFunctor
+from .transforms import TwoFunctor, dual_twofunctor
 from .colimits import ConeKernel
 from .shapes import BIEQUIFIER, BIINSERTER, BIPRODUCT
 
@@ -330,12 +330,6 @@ def _pulled_marking(T: TwoFunctor, sigma: WideSub) -> frozenset:
                      if T.map1[u] in sigma.arrows)
 
 
-def _dual(T: TwoFunctor) -> TwoFunctor:
-    """T between the 1-cell duals of its source and target, same maps; a
-    cocone under T is a cone over it."""
-    return TwoFunctor(op_dual(T.source), op_dual(T.target), T.obj_map, T.map1, T.map2)
-
-
 def cone_existence(sd: ShapeDiagram, sigma: WideSub,
                    meter: Meter | None = None):
     """Search for a cone under the diagram with marked structure arrows.
@@ -345,7 +339,7 @@ def cone_existence(sd: ShapeDiagram, sigma: WideSub,
     lexicographic order, or None.
     """
     meter = meter or Meter()
-    kernel = ConeKernel(_dual(sd.diagram), sd.marked)
+    kernel = ConeKernel(dual_twofunctor(sd.diagram), sd.marked)
     for E in sorted(kernel.D.target.objects):
         for legs, cells in kernel.cones(E, meter, legs=sigma.arrows):
             cone = kernel.base_cone(E, legs, cells)

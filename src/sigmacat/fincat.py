@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .config import Meter
-from .errors import ValidationError
+from .errors import PreconditionFailed
 
 
 # ---------------------------------------------------------------------------
@@ -480,45 +480,50 @@ def functor_category(c: FinCat, d: FinCat, meter: Meter | None = None) -> FinCat
 
 
 def product_category(c: FinCat, d: FinCat) -> FinCat:
-    objects = [f"({x},{y})" for x in sorted(c.objects) for y in sorted(d.objects)]
+    objects = pair_table(sorted(c.objects), sorted(d.objects))
     arrows = {}
-    identity = {}
+    for nm, (a, b) in pair_table(sorted(c.arrows), sorted(d.arrows)).items():
+        (s, t), (u, v) = c.arrows[a], d.arrows[b]
+        arrows[nm] = (pair_name(s, u), pair_name(t, v))
+    identity = {pair_name(x, y): pair_name(c.identity[x], d.identity[y])
+                for x in c.objects for y in d.objects}
     compose = {}
-    for a, (s, t) in sorted(c.arrows.items()):
-        for b, (u, v) in sorted(d.arrows.items()):
-            arrows[f"({a},{b})"] = (f"({s},{u})", f"({t},{v})")
-    for x in c.objects:
-        for y in d.objects:
-            identity[f"({x},{y})"] = f"({c.identity[x]},{d.identity[y]})"
     for (g, f), h in c.compose.items():
         for (k, l), m in d.compose.items():
-            compose[(f"({g},{k})", f"({f},{l})")] = f"({h},{m})"
-    return mk_fincat(objects, arrows, identity, compose)
+            compose[(pair_name(g, k), pair_name(f, l))] = pair_name(h, m)
+    return mk_fincat(list(objects), arrows, identity, compose)
 
 
 def product_projections(p: FinCat, c: FinCat, d: FinCat) -> tuple[Functor, Functor]:
-    """Projections out of product_category(c, d), recovered from pair names."""
-    om1 = {o: split_pair_name(o)[0] for o in p.objects}
-    om2 = {o: split_pair_name(o)[1] for o in p.objects}
-    am1 = {a: split_pair_name(a)[0] for a in p.arrows}
-    am2 = {a: split_pair_name(a)[1] for a in p.arrows}
-    return Functor(p, c, om1, am1), Functor(p, d, om2, am2)
+    """Projections out of product_category(c, d), read off c's and d's cells."""
+    objects = pair_table(c.objects, d.objects)
+    arrows = pair_table(c.arrows, d.arrows)
+    return (Functor(p, c, {o: x for o, (x, _) in objects.items()},
+                    {a: f for a, (f, _) in arrows.items()}),
+            Functor(p, d, {o: y for o, (_, y) in objects.items()},
+                    {a: g for a, (_, g) in arrows.items()}))
 
 
 def pair_name(x: str, y: str) -> str:
     return f"({x},{y})"
 
 
-def split_pair_name(name: str) -> tuple[str, str]:
-    depth = 0
-    for i, ch in enumerate(name):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 1:
-            return name[1:i], name[i + 1:-1]
-    raise ValidationError(f"not a pair name: {name}")
+def mint(table: dict, name: str, cell) -> None:
+    """Record ``name`` as standing for ``cell``; refuse a name that another
+    cell already took, since no table could then decode it."""
+    if name in table:
+        raise PreconditionFailed(
+            f"name {name} is minted for both {table[name]} and {cell}")
+    table[name] = cell
+
+
+def pair_table(xs, ys) -> dict:
+    """``pair_name(x, y) -> (x, y)`` for every pair, in order."""
+    table = {}
+    for x in xs:
+        for y in ys:
+            mint(table, pair_name(x, y), (x, y))
+    return table
 
 
 def partition(items, pairs) -> dict:

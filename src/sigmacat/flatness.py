@@ -16,13 +16,12 @@ from dataclasses import dataclass
 
 from .config import DEFAULT_CAP, Meter
 from .errors import Inconsistency, PreconditionFailed
-from .fincat import (Functor, NatTransf, compose_functors, is_equivalence,
+from .fincat import (Functor, NatTransf, compose_functors, is_equivalence, mint,
                      mk_fincat, EquivalenceReport, validate_functor)
-from .two_cat import Fin2Cat, Marked2Cat, WideSub, op_dual
-from .transforms import (CatDiagram, Transformation, hom_eps, PSEUDO,
-                         reinterpret_as_pseudo)
-from .elements import (ElementsResult, elements_of, elements_of_pseudo,
-                       _split_obj, obj_name)
+from .two_cat import Fin2Cat, Marked2Cat, WideSub
+from .transforms import (CatDiagram, Transformation, compose_diagram,
+                         dual_twofunctor, hom_eps, PSEUDO, reinterpret_as_pseudo)
+from .elements import ElementsResult, elements_of, elements_of_pseudo, obj_name
 from .filteredness import FilterednessReport, check_sigma_cofiltered
 from .colimits import (BaseConeCategories, SigmaCone, check_base_cone,
                        conical_sigma_colimit, induced_from_colimit,
@@ -226,12 +225,13 @@ def canonical_expression(P: CatDiagram, cap: int = DEFAULT_CAP,
     meter = meter or Meter()
     base = P.source
     el = elements_of(P, meter)
-    op_el = op_dual(el.cat)
-    marked = WideSub(op_el, el.cart.arrows)
+    pi = dual_twofunctor(el.projection)
+    marked = WideSub(pi.source, el.cart.arrows)
     per_object = []
     verdict = "equivalent"
     for B in sorted(base.objects):
-        QB = _representable_elements_diagram(P, el, op_el, B)
+        # the representables carried along El_P's projection
+        QB = compose_diagram(representable(pi.target, B), pi)
         colim = conical_sigma_colimit(QB, marked, cap, meter)
         if not colim.finite:
             per_object.append((B, "undecided", None))
@@ -246,54 +246,20 @@ def canonical_expression(P: CatDiagram, cap: int = DEFAULT_CAP,
     return CanonicalExpression(verdict, per_object)
 
 
-def _representable_elements_diagram(P: CatDiagram, el: ElementsResult,
-                                    op_el: Fin2Cat, B: str) -> CatDiagram:
-    base = P.source
-    on_obj = {}
-    for o in op_el.objects:
-        x, A = _split_obj(o)
-        on_obj[o] = base.hom[(A, B)]
-    on_1 = {}
-    for nm, (f, phi) in el.pairs1.items():
-        oa, ob = el.cat.hom_of_1cell(nm)
-        x, A = _split_obj(oa)
-        y, A2 = _split_obj(ob)
-        om = {h: base.hcomp1[(h, f)] for h in base.one_cells(A2, B)}
-        am = {d: base.hcomp2[(d, base.id2(f))]
-              for d in base.hom[(A2, B)].arrows}
-        on_1[nm] = Functor(base.hom[(A2, B)], base.hom[(A, B)], om, am)
-    on_2 = {}
-    for nm, th in el.pairs2.items():
-        pair = el.cat.hom_of_2cell(nm)
-        s, t = el.cat.hom[pair].arrows[nm]
-        f = el.pairs1[s][0]
-        g = el.pairs1[t][0]
-        oa, ob = el.cat.hom_of_1cell(s)
-        x, A = _split_obj(oa)
-        y, A2 = _split_obj(ob)
-        comps = {h: base.hcomp2[(base.id2(h), th)] for h in base.one_cells(A2, B)}
-        on_2[nm] = NatTransf(on_1[s], on_1[t], comps)
-    return CatDiagram(op_el, on_obj, on_1, on_2)
-
-
 def _comparison_cone(P: CatDiagram, el: ElementsResult, QB: CatDiagram,
                      B: str) -> SigmaCone:
     base = P.source
     PB = P.on_obj[B]
     comps = {}
     for o in QB.source.objects:
-        x, A = _split_obj(o)
+        x, A = el.points[o]
         om = {h: P.on_1[h].obj_map[x] for h in base.one_cells(A, B)}
         am = {d: P.on_2[d].components[x] for d in base.hom[(A, B)].arrows}
         comps[o] = Functor(base.hom[(A, B)], PB, om, am)
     structural = {}
     for nm, (f, phi) in el.pairs1.items():
         oa, ob = el.cat.hom_of_1cell(nm)
-        x, A = _split_obj(oa)
-        y, A2 = _split_obj(ob)
-        comp = {}
-        for h in base.one_cells(A2, B):
-            comp[h] = P.on_1[h].arr_map[phi]
+        comp = {h: P.on_1[h].arr_map[phi] for h in base.one_cells(base.tgt1(f), B)}
         src = compose_functors(comps[oa], QB.on_1[nm])
         structural[nm] = NatTransf(src, comps[ob], comp)
     return SigmaCone(QB, frozenset(el.cart.arrows), PB, comps, structural)
@@ -323,33 +289,34 @@ def strictify(P: CatDiagram, meter: Meter | None = None):
     def parr(phi, o1, o2):
         return f"{phi}:{o1}->{o2}"
 
+    # per object B of the base, the names minted for its category:
+    # object name -> (f, x), and arrow name -> (phi, o1, o2)
+    points, cells = {}, {}
     tilde_obj = {}
     for B in sorted(base.objects):
-        objs = []
-        info = {}
+        pts = points[B] = {}
+        arrs = cells[B] = {}
         for A in sorted(base.objects):
             for f in base.one_cells(A, B):
                 for x in sorted(P.on_obj[A].objects):
-                    o = pobj(f, x)
-                    objs.append(o)
-                    info[o] = (f, x, A)
+                    mint(pts, pobj(f, x), (f, x))
         arrows, identity, compose = {}, {}, {}
         PB = P.on_obj[B]
-        val = {o: P.on_1[info[o][0]].obj_map[info[o][1]] for o in objs}
-        for o1 in objs:
-            for o2 in objs:
+        val = {o: P.on_1[f].obj_map[x] for o, (f, x) in pts.items()}
+        for o1 in pts:
+            for o2 in pts:
                 for phi in PB.hom(val[o1], val[o2]):
                     meter.tick()
-                    arrows[parr(phi, o1, o2)] = (o1, o2)
+                    n = parr(phi, o1, o2)
+                    mint(arrs, n, (phi, o1, o2))
+                    arrows[n] = (o1, o2)
             identity[o1] = parr(PB.identity[val[o1]], o1, o1)
-        for n1, (o1, o2) in arrows.items():
-            phi1 = n1.split(":", 1)[0]
-            for n2, (o2b, o3) in arrows.items():
+        for n1, (phi1, o1, o2) in arrs.items():
+            for n2, (phi2, o2b, o3) in arrs.items():
                 if o2b != o2:
                     continue
-                phi2 = n2.split(":", 1)[0]
                 compose[(n2, n1)] = parr(PB.compose[(phi2, phi1)], o1, o3)
-        tilde_obj[B] = mk_fincat(objs, arrows, identity, compose)
+        tilde_obj[B] = mk_fincat(list(pts), arrows, identity, compose)
 
     tilde_1 = {}
     for g in base.all_one_cells():
@@ -357,19 +324,19 @@ def strictify(P: CatDiagram, meter: Meter | None = None):
         src_cat, tgt_cat = tilde_obj[B], tilde_obj[B2]
         om, am = {}, {}
         for o in src_cat.objects:
-            f, x = _split_obj(o)
+            f, x = points[B][o]
             om[o] = pobj(base.hcomp1[(g, f)], x)
         Pg = P.on_1[g]
-        for n, (o1, o2) in src_cat.arrows.items():
-            phi = n.split(":", 1)[0]
-            f1, x1 = _split_obj(o1)
-            f2, x2 = _split_obj(o2)
+        for n in src_cat.arrows:
+            phi, o1, o2 = cells[B][n]
+            f1, x1 = points[B][o1]
+            f2, x2 = points[B][o2]
             moved = Pg.arr_map[phi]
             a1 = P.alpha_comp[(f1, g)].components[x1]
             a2 = P.alpha_comp[(f2, g)].components[x2]
             PB2 = P.on_obj[B2]
             new_phi = PB2.compose[(a2, PB2.compose[(moved, PB2.inverse(a1))])]
-            am[n] = f"{new_phi}:{om[o1]}->{om[o2]}"
+            am[n] = parr(new_phi, om[o1], om[o2])
         tilde_1[g] = Functor(src_cat, tgt_cat, om, am)
 
     tilde_2 = {}
@@ -379,10 +346,10 @@ def strictify(P: CatDiagram, meter: Meter | None = None):
         src_cat = tilde_obj[B]
         comps = {}
         for o in src_cat.objects:
-            f, x = _split_obj(o)
+            f, x = points[B][o]
             whisk = base.hcomp2[(cell, base.id2(f))]
-            comps[o] = f"{P.on_2[whisk].components[x]}:" \
-                       f"{tilde_1[g].obj_map[o]}->{tilde_1[g2].obj_map[o]}"
+            comps[o] = parr(P.on_2[whisk].components[x],
+                            tilde_1[g].obj_map[o], tilde_1[g2].obj_map[o])
         tilde_2[cell] = NatTransf(tilde_1[g], tilde_1[g2], comps)
 
     tilde = CatDiagram(base, tilde_obj, tilde_1, tilde_2)
@@ -395,7 +362,7 @@ def strictify(P: CatDiagram, meter: Meter | None = None):
         am = {}
         PidA = P.on_1[idA]
         for n, (x, y) in PA.arrows.items():
-            am[n] = f"{PidA.arr_map[n]}:{om[x]}->{om[y]}"
+            am[n] = parr(PidA.arr_map[n], om[x], om[y])
         eta_comps[A] = Functor(PA, tilde_obj[A], om, am)
     for f in base.all_one_cells():
         A, B = base.src1(f), base.tgt1(f)
@@ -405,7 +372,7 @@ def strictify(P: CatDiagram, meter: Meter | None = None):
             src_o = pobj(base.hcomp1[(f, base.id1[A])], x)
             tgt_o = pobj(base.id1[B], P.on_1[f].obj_map[x])
             cellval = P.alpha_obj[B].components[P.on_1[f].obj_map[x]]
-            comp[x] = f"{cellval}:{src_o}->{tgt_o}"
+            comp[x] = parr(cellval, src_o, tgt_o)
         src = compose_functors(tilde_1[f], eta_comps[A])
         tgt = compose_functors(eta_comps[B], P.on_1[f])
         eta_struct[f] = NatTransf(src, tgt, comp)
@@ -415,16 +382,18 @@ def strictify(P: CatDiagram, meter: Meter | None = None):
     for B in base.objects:
         src_cat = tilde_obj[B]
         PB = P.on_obj[B]
-        om = {o: P.on_1[_split_obj(o)[0]].obj_map[_split_obj(o)[1]]
-              for o in src_cat.objects}
-        am = {n: n.split(":", 1)[0] for n in src_cat.arrows}
+        om = {}
+        for o in src_cat.objects:
+            f, x = points[B][o]
+            om[o] = P.on_1[f].obj_map[x]
+        am = {n: cells[B][n][0] for n in src_cat.arrows}
         eps_comps[B] = Functor(src_cat, PB, om, am)
     for g in base.all_one_cells():
         B, B2 = base.src1(g), base.tgt1(g)
         src_cat = tilde_obj[B]
         comp = {}
         for o in src_cat.objects:
-            f, x = _split_obj(o)
+            f, x = points[B][o]
             comp[o] = P.alpha_comp[(f, g)].components[x]
         src = compose_functors(P.on_1[g], eps_comps[B])
         tgt = compose_functors(eps_comps[B2], tilde_1[g])

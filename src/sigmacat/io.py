@@ -3,7 +3,10 @@
 Documents are dictionaries with a fixed key set per type; unknown keys
 are rejected, identifiers must be nonempty ASCII without whitespace, and
 round-tripping a parsed document re-serializes to the same cells and
-tables.  ``parse_document`` dispatches on the key set.
+tables.  ``parse_document`` dispatches on the key set.  Identifiers may
+hold the delimiters of composite names, since those names are decoded
+from the tables that minted them; a construction that would mint one
+name for two cells refuses the input (``PreconditionFailed``).
 """
 
 from __future__ import annotations

@@ -13,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .fincat import (FinCat, ValidationReport, mk_fincat, pair_name, partition,
-                     product_category, terminal_category, validate_category)
+from .fincat import (FinCat, ValidationReport, mk_fincat, pair_name, pair_table,
+                     partition, product_category, terminal_category,
+                     validate_category)
 from .errors import Inconsistency, ValidationError
 
 
@@ -382,8 +383,12 @@ def terminal_2cat() -> Fin2Cat:
 
 
 def two_cat_product(a: Fin2Cat, b: Fin2Cat) -> Fin2Cat:
-    """Cartesian product; cells are pair strings built by product_category."""
-    objects = [pair_name(A, B) for A in sorted(a.objects) for B in sorted(b.objects)]
+    """Cartesian product; cells are pair names, as in product_category.
+
+    A pair name shared by two pairs of cells is refused."""
+    objects = list(pair_table(sorted(a.objects), sorted(b.objects)))
+    pair_table(a.all_one_cells(), b.all_one_cells())
+    pair_table(a.all_two_cells(), b.all_two_cells())
     hom = {}
     for A1 in a.objects:
         for A2 in a.objects:

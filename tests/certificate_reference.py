@@ -19,7 +19,7 @@ enumerated and assembled.
 import itertools
 from dataclasses import dataclass
 
-
+from dicone_reference import _t_2cell, _t_cell
 from sigmacat import elements as el_mod
 from sigmacat.colimits import SigmaCone, _morphism_key, sigma_cone_homs
 from sigmacat.config import Meter
@@ -31,8 +31,8 @@ from sigmacat.fincat import (FinCat, Functor, NatTransf, arrow_category,
                              pair_name, parallel_pair_category,
                              terminal_category, whisker_functor_nat,
                              whisker_nat_functor)
-from sigmacat.transforms import (CatDiagram, Flavor, _t_2cell, _t_cell,
-                                 sigma_flavor, transformation_homs)
+from sigmacat.transforms import (CatDiagram, Flavor, sigma_flavor,
+                                 transformation_homs)
 from sigmacat.two_cat import Fin2Cat, WideSub, op_dual
 
 

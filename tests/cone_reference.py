@@ -16,9 +16,9 @@ cones and cone morphisms of a ``colimits.ConeCategory`` by key.
 
 from sigmacat.colimits import ConeKernel, _morphism_key, base_cone_homs
 from sigmacat.config import Meter
-from sigmacat.filteredness import _dual
 from sigmacat.fincat import (assemble_category, enumerate_functors,
-                             is_equivalence, mk_fincat, split_pair_name)
+                             is_equivalence, mk_fincat)
+from sigmacat.transforms import dual_twofunctor
 
 
 def base_cone_category(D, marked, vertex, meter=None):
@@ -51,7 +51,7 @@ def cocone_category(sd, E, meter=None):
     unrestricted), arrows the 2-cell families satisfying the modification
     square: ``base_cone_category`` in the 1-cell dual.  Returns (category,
     (legs, cells) of each cocone by name)."""
-    cat, cones, _ = base_cone_category(_dual(sd.diagram), sd.marked, E, meter)
+    cat, cones, _ = base_cone_category(dual_twofunctor(sd.diagram), sd.marked, E, meter)
     return cat, {n: (c.comp, c.struct) for n, c in cones.items()}
 
 
@@ -68,7 +68,7 @@ def explicit_shape_category(sd, E, which, m):
     if which == 1:
         C, D = T.obj_map["a"], T.obj_map["b"]
         objs = [f"({h},{l})" for h in a.one_cells(C, E) for l in a.one_cells(D, E)]
-        arrows, identity, compose = {}, {}, {}
+        arrows, identity, compose, cells = {}, {}, {}, {}
         for h in a.one_cells(C, E):
             for l in a.one_cells(D, E):
                 o = f"({h},{l})"
@@ -78,13 +78,14 @@ def explicit_shape_category(sd, E, which, m):
                         for x in a.two_cells_between(h, h2):
                             for y in a.two_cells_between(l, l2):
                                 arrows[f"({x},{y})"] = (o, o2)
+                                cells[f"({x},{y})"] = (x, y)
                 identity[o] = f"({a.id2(h)},{a.id2(l)})"
         for n1, (o1, o2) in arrows.items():
-            x1, y1 = split_pair_name(n1)
+            x1, y1 = cells[n1]
             for n2, (o2b, o3) in arrows.items():
                 if o2b != o2:
                     continue
-                x2, y2 = split_pair_name(n2)
+                x2, y2 = cells[n2]
                 compose[(n2, n1)] = f"({a.vcomp(x2, x1)},{a.vcomp(y2, y1)})"
         return mk_fincat(objs, arrows, identity, compose)
     f, g = T.map1["u"], T.map1["v"]
@@ -101,7 +102,7 @@ def explicit_shape_category(sd, E, which, m):
                 o = f"({h},{gam})"
                 objs.append(o)
                 info[o] = (h, gam)
-        arrows, identity, compose = {}, {}, {}
+        arrows, identity, compose, cells = {}, {}, {}, {}
         for o, (h, gam) in info.items():
             for o2, (h2, gam2) in info.items():
                 for eta in a.two_cells_between(h, h2):
@@ -110,14 +111,13 @@ def explicit_shape_category(sd, E, which, m):
                     rhs = a.vcomp(gam2, a.hcomp2[(eta, a.id2(f))])
                     if lhs == rhs:
                         arrows[f"{eta}@{o}->{o2}"] = (o, o2)
+                        cells[f"{eta}@{o}->{o2}"] = eta
             identity[o] = f"{a.id2(h)}@{o}->{o}"
         for n1, (o1, o2) in arrows.items():
-            e1 = n1.split("@")[0]
             for n2, (o2b, o3) in arrows.items():
                 if o2b != o2:
                     continue
-                e2 = n2.split("@")[0]
-                compose[(n2, n1)] = f"{a.vcomp(e2, e1)}@{o1}->{o3}"
+                compose[(n2, n1)] = f"{a.vcomp(cells[n2], cells[n1])}@{o1}->{o3}"
         return mk_fincat(objs, arrows, identity, compose)
     # which == 3
     alpha, beta = T.map2["th"], T.map2["et"]
@@ -126,19 +126,18 @@ def explicit_shape_category(sd, E, which, m):
         idh = a.id2(h)
         if a.hcomp2[(idh, alpha)] == a.hcomp2[(idh, beta)]:
             objs.append(h)
-    arrows, identity, compose = {}, {}, {}
+    arrows, identity, compose, cells = {}, {}, {}, {}
     for h in objs:
         for h2 in objs:
             for eta in a.two_cells_between(h, h2):
                 arrows[f"{eta}@{h}->{h2}"] = (h, h2)
+                cells[f"{eta}@{h}->{h2}"] = eta
         identity[h] = f"{a.id2(h)}@{h}->{h}"
     for n1, (o1, o2) in arrows.items():
-        e1 = n1.split("@")[0]
         for n2, (o2b, o3) in arrows.items():
             if o2b != o2:
                 continue
-            e2 = n2.split("@")[0]
-            compose[(n2, n1)] = f"{a.vcomp(e2, e1)}@{o1}->{o3}"
+            compose[(n2, n1)] = f"{a.vcomp(cells[n2], cells[n1])}@{o1}->{o3}"
     return mk_fincat(objs, arrows, identity, compose)
 
 

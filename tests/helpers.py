@@ -67,6 +67,16 @@ def external_product(P, W):
     return CatDiagram(two_cat_product(a, b), on_obj, on_1, on_2)
 
 
+def discrete_diagram(values: dict):
+    """The diagram on the discrete base over ``values``' keys whose value
+    at A is the discrete category on ``values[A]``."""
+    base = two_cat_from_cat(discrete_category(values))
+    on_obj = {A: discrete_category(xs) for A, xs in values.items()}
+    on_1 = {base.id1[A]: identity_functor(on_obj[A]) for A in values}
+    on_2 = {base.id2(f): fixtures.idn(F) for f, F in on_1.items()}
+    return CatDiagram(base, on_obj, on_1, on_2)
+
+
 def table_digest(c):
     """Digest of the full sorted tables: objects, arrows, identities, composition."""
     tables = (tuple(sorted(c.objects)), sorted(c.arrows.items()),

@@ -5,7 +5,7 @@ import pathlib
 
 import pytest
 
-from helpers import colimit_rungs
+from helpers import colimit_rungs, discrete_diagram
 from sigmacat import io as sio
 from sigmacat.cli import run
 from sigmacat.errors import ParseError, ValidationError
@@ -219,6 +219,47 @@ def test_unknown_keys_rejected(tmp_path, capsys):
     p.write_text(sio.dumps(doc))
     code, _ = invoke(capsys, "validate", str(p))
     assert code == 2
+
+
+def _renamed_fixture(tmp_path, stem: str) -> str:
+    """A copy of a fixture with every identifier ``1`` renamed ``p,q``."""
+    def rename(v):
+        if isinstance(v, dict):
+            return {rename(k): rename(x) for k, x in v.items()}
+        if isinstance(v, list):
+            return [rename(x) for x in v]
+        return "p,q" if v == "1" else v
+
+    path = tmp_path / f"{stem}.json"
+    path.write_text(json.dumps(rename(json.loads((FIXTURES / f"{stem}.json").read_text()))))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv,summary", [
+    (["strictify", "pseudo_swap"], "strictified diagram computed"),
+    (["flat", "pseudo_swap"], "verdict: flat"),
+    (["colimit", "diagram_pick0", "--weight", "weight_on_op_arrow"],
+     "colimit has 5 objects; certificate passed"),
+])
+def test_delimiters_in_identifiers_change_no_answer(capsys, tmp_path, argv, summary):
+    """An identifier holding the comma of pair names is read back from the
+    tables that minted its names, never parsed out of them: the renamed
+    fixtures give the plain fixtures' answers."""
+    command, *rest = argv
+    for place in (lambda stem: str(FIXTURES / f"{stem}.json"),
+                  lambda stem: _renamed_fixture(tmp_path, stem)):
+        args = [a if a.startswith("--") else place(a) for a in rest]
+        assert run([command, *args]) == 0
+        assert capsys.readouterr().err == summary + "\n"
+
+
+def test_colliding_element_names_exit_two(capsys, tmp_path):
+    path = tmp_path / "collide.json"
+    path.write_text(sio.dumps(sio.diagram_to_doc(
+        discrete_diagram({"c": ["a,b"], "b,c": ["a"]}))))
+    code, out = invoke(capsys, "flat", str(path))
+    assert code == 2
+    assert json.loads(out)["error"] == "invalid-input"
 
 
 def test_whitespace_identifier_rejected():

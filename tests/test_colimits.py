@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from certificate_reference import certify_coend, default_test_family
+from dicone_reference import cotensor_diagram
 from equivalence_reference import categories_equivalent
 from helpers import (chain_2cat, colimit_rungs, external_product,
                      strict_fixture_diagrams)
@@ -18,7 +19,7 @@ from sigmacat.fincat import (Functor, NatTransf, arrow_category,
                              functor_category_full, group_z2_category,
                              identity_functor, is_equivalence,
                              iso_pair_category, parallel_pair_category,
-                             product_category, split_pair_name,
+                             pair_table, product_category,
                              terminal_category, validate_category)
 from sigmacat.fixtures import (arrow_2cat, diagram_chain_to_pp, diagram_collapse,
                                diagram_on_free2cell, diagram_pick0,
@@ -314,7 +315,6 @@ def test_representables_come_out_of_the_second_variable(base):
     P = diagram_pick0()
     B = arrow_category()
     lhs = functor_category(B, weighted_limit_cat(W, P, LAX).cat)
-    from sigmacat.transforms import cotensor_diagram
     rhs = weighted_limit_cat(W, cotensor_diagram(B, P), LAX)
     assert len(lhs.objects) == len(rhs.cat.objects)
     assert find_isomorphism(lhs, rhs.cat) is not None
@@ -357,21 +357,20 @@ def explicit_inserter(C, D, F, G, invertible):
             o = f"({c},{gam})"
             objs.append(o)
             info[o] = (c, gam)
-    arrows, identity, compose = {}, {}, {}
+    arrows, identity, compose, steps = {}, {}, {}, {}
     for o, (c, gam) in info.items():
         for o2, (c2, gam2) in info.items():
             for h in C.hom(c, c2):
                 if D.compose[(gam2, F.arr_map[h])] == \
                         D.compose[(G.arr_map[h], gam)]:
                     arrows[f"{h}@{o}>{o2}"] = (o, o2)
+                    steps[f"{h}@{o}>{o2}"] = h
         identity[o] = f"{C.identity[c]}@{o}>{o}"
     for n1, (o1, o2) in arrows.items():
-        h1 = n1.split("@")[0]
         for n2, (o2b, o3) in arrows.items():
             if o2b != o2:
                 continue
-            h2 = n2.split("@")[0]
-            compose[(n2, n1)] = f"{C.compose[(h2, h1)]}@{o1}>{o3}"
+            compose[(n2, n1)] = f"{C.compose[(steps[n2], steps[n1])]}@{o1}>{o3}"
     return mk_fincat(objs, arrows, identity, compose)
 
 
@@ -414,32 +413,29 @@ def test_coend_over_one_object_base():
 
 def _tensor_diagram(W, P, base):
     prod = two_cat_product(op_dual(base), base)
-    on_obj, on_1, on_2 = {}, {}, {}
+    on_obj, on_1, on_2, points, arrows = {}, {}, {}, {}, {}
     for A in base.objects:
         for B in base.objects:
-            on_obj[pair_name(A, B)] = product_category(W.on_obj[A], P.on_obj[B])
+            WA, PB = W.on_obj[A], P.on_obj[B]
+            on_obj[pair_name(A, B)] = product_category(WA, PB)
+            points[pair_name(A, B)] = pair_table(WA.objects, PB.objects)
+            arrows[pair_name(A, B)] = pair_table(WA.arrows, PB.arrows)
     for f in base.all_one_cells():
         for g in base.all_one_cells():
             A2, A = base.src1(f), base.tgt1(f)
             B, B2 = base.src1(g), base.tgt1(g)
-            src = on_obj[pair_name(A, B)]
-            tgt = on_obj[pair_name(A2, B2)]
-            om, am = {}, {}
-            for o in src.objects:
-                w, p = split_pair_name(o)
-                om[o] = pair_name(W.on_1[f].obj_map[w], P.on_1[g].obj_map[p])
-            for a in src.arrows:
-                w, p = split_pair_name(a)
-                am[a] = pair_name(W.on_1[f].arr_map[w], P.on_1[g].arr_map[p])
-            on_1[pair_name(f, g)] = Functor(src, tgt, om, am)
+            om = {o: pair_name(W.on_1[f].obj_map[w], P.on_1[g].obj_map[p])
+                  for o, (w, p) in points[pair_name(A, B)].items()}
+            am = {a: pair_name(W.on_1[f].arr_map[w], P.on_1[g].arr_map[p])
+                  for a, (w, p) in arrows[pair_name(A, B)].items()}
+            on_1[pair_name(f, g)] = Functor(on_obj[pair_name(A, B)],
+                                            on_obj[pair_name(A2, B2)], om, am)
     for x in base.all_two_cells():
         for y in base.all_two_cells():
             f, f2 = base.src2(x), base.tgt2(x)
             g, g2 = base.src2(y), base.tgt2(y)
-            comps = {}
-            for o in on_1[pair_name(f, g)].source.objects:
-                w, p = split_pair_name(o)
-                comps[o] = pair_name(W.on_2[x].components[w], P.on_2[y].components[p])
+            comps = {o: pair_name(W.on_2[x].components[w], P.on_2[y].components[p])
+                     for o, (w, p) in points[pair_name(base.tgt1(f), base.src1(g))].items()}
             on_2[pair_name(x, y)] = NatTransf(on_1[pair_name(f, g)],
                                               on_1[pair_name(f2, g2)], comps)
     return CatDiagram(prod, on_obj, on_1, on_2)

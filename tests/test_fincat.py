@@ -7,6 +7,7 @@ import pytest
 from equivalence_reference import (categories_equivalent,
                                    quasi_inverse_search, skeleton)
 from helpers import idempotent_category
+from sigmacat.errors import PreconditionFailed
 from sigmacat.fincat import (
     FinCat, Functor, arrow_category, connected_components, discrete_category, empty_category,
     enumerate_functors, find_isomorphism, functor_category,
@@ -14,6 +15,7 @@ from sigmacat.fincat import (
     is_equivalence, is_equivalence_on_homs, iso_pair_category, mk_fincat,
     parallel_pair_category,
     product_category, product_projections, terminal_category, validate_category, validate_functor)
+from sigmacat.two_cat import two_cat_from_cat, two_cat_product
 
 
 FIXTURES = [
@@ -117,6 +119,15 @@ def test_product_counts_and_projections():
     assert validate_category(p).ok
     pr1, pr2 = product_projections(p, two, two)
     assert validate_functor(pr1).ok and validate_functor(pr2).ok
+
+
+def test_product_refuses_pair_names_that_collide():
+    # (a,b) with c and a with b,c would both be named (a,b,c)
+    c, d = discrete_category(["a,b", "a"]), discrete_category(["c", "b,c"])
+    with pytest.raises(PreconditionFailed, match=r"\(a,b,c\)"):
+        product_category(c, d)
+    with pytest.raises(PreconditionFailed, match=r"\(a,b,c\)"):
+        two_cat_product(two_cat_from_cat(c), two_cat_from_cat(d))
 
 
 def test_product_with_terminal_and_empty():

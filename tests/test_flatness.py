@@ -2,17 +2,19 @@
 
 import pytest
 
+from helpers import discrete_diagram
 from sigmacat.colimits import (BaseConeCategories, comparison_functor,
                                preserves_bilimit)
 from sigmacat.errors import Inconsistency, PreconditionFailed
 from sigmacat.fincat import (Functor, arrow_category, discrete_category,
                              group_z2_category, is_equivalence,
-                             iso_pair_category, terminal_category)
+                             iso_pair_category, mk_fincat, terminal_category)
 from sigmacat.fixtures import (arrow_2cat, diamond_2cat, idn, iso_2cat,
                                marked_fixtures, pseudo_not_flat, pseudo_swap,
                                pseudo_z2)
 from sigmacat.two_cat import (Marked2Cat, WideSub, free_2cell_2cat, op_dual,
-                              terminal_2cat, transport_sigma, wide_all)
+                              terminal_2cat, transport_sigma, two_cat_from_cat,
+                              wide_all)
 from sigmacat.transforms import (PSEUDO, CatDiagram, check_transformation,
                                  constant_diagram, identity_functor,
                                  reinterpret_as_pseudo, validate_diagram)
@@ -67,6 +69,14 @@ def test_discrete_pair_constant_is_not_flat():
     v = check_flat(P)
     assert v.verdict == "not-flat"
     assert v.evidence.counterexample.axiom == "sigma-F0"
+
+
+def test_element_names_that_collide_are_refused():
+    # the element a,b over c and the element a over b,c would both be
+    # named (a,b,c); read as one element they made the verdict flat
+    with pytest.raises(PreconditionFailed, match=r"\(a,b,c\)"):
+        check_flat(discrete_diagram({"c": ["a,b"], "b,c": ["a"]}))
+    assert check_flat(discrete_diagram({"c": ["a,b"], "d": ["a"]})).verdict == "not-flat"
 
 
 def test_constant_terminal_is_flat_on_good_bases():
@@ -334,6 +344,25 @@ def test_strictify_of_a_strict_diagram_is_not_the_identity():
     # least one of them properly grows
     assert any(len(tilde.on_obj[A].objects) > len(P.on_obj[A].objects)
                for A in base.objects)
+
+
+def test_strictify_refuses_object_names_that_collide():
+    # id_b and "id_b,p" both run into b, so (id_b,p,q) would name both
+    # the pair (id_b, p,q) and the pair (id_b,p, q)
+    c = mk_fincat(("a", "b"),
+                  {"id_a": ("a", "a"), "id_b": ("b", "b"), "id_b,p": ("a", "b")},
+                  {"a": "id_a", "b": "id_b"},
+                  {("id_a", "id_a"): "id_a", ("id_b", "id_b"): "id_b",
+                   ("id_b,p", "id_a"): "id_b,p", ("id_b", "id_b,p"): "id_b,p"})
+    base = two_cat_from_cat(c)
+    Pa, Pb = discrete_category(["q"]), discrete_category(["p,q"])
+    on_1 = {"id_a": identity_functor(Pa), "id_b": identity_functor(Pb),
+            "id_b,p": Functor(Pa, Pb, {"q": "p,q"}, {"id_q": "id_p,q"})}
+    P = CatDiagram(base, {"a": Pa, "b": Pb}, on_1,
+                   {base.id2(f): idn(F) for f, F in on_1.items()})
+    assert validate_diagram(P).ok
+    with pytest.raises(PreconditionFailed, match=r"\(id_b,p,q\)"):
+        strictify(P)
 
 
 def test_unit_counit_composites_are_equivalences():

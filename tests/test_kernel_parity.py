@@ -12,6 +12,7 @@ import pytest
 
 from certificate_reference import end_eps
 from cone_reference import base_cone_category, cocone_category
+from dicone_reference import internal_hom_diagram
 from helpers import (chain_2cat, colimit_rungs, corpus_biinserter, grid_2cat,
                      table_digest)
 from sigmacat.colimits import (bilimit_cat, cones_sigma, conical_sigma_colimit,
@@ -32,7 +33,7 @@ from sigmacat.flatness import (canonical_expression, check_left_exact,
 from sigmacat.presented import localize
 from sigmacat.shapes import BIINSERTER
 from sigmacat.transforms import (LAX, PSEUDO, STRICT, constant_diagram,
-                                 hom_eps, internal_hom_diagram, sigma_flavor)
+                                 hom_eps, sigma_flavor)
 from sigmacat.two_cat import (Marked2Cat, free_2cell_2cat, two_cat_from_cat,
                               wide_all, wide_identities)
 

@@ -14,24 +14,25 @@ from certificate_reference import (certify_against, certify_weighted,
                                    default_test_family)
 from equivalence_reference import quasi_inverse_search
 from helpers import external_product, idempotent_category, posets
-from sigmacat.colimits import (commutation_check, weighted_sigma_colimit,
-                               weighted_sigma_limit)
+from sigmacat.colimits import (commutation_check, conical_sigma_colimit,
+                               weighted_sigma_colimit, weighted_sigma_limit)
 from sigmacat.config import Meter
 from sigmacat.errors import SizeLimitExceeded
 from sigmacat.filteredness import check_sigma_filtered
-from sigmacat.fincat import (arrow_category, discrete_category,
-                             enumerate_functors, functor_homs,
-                             group_z2_category, identity_functor,
-                             is_equivalence, iso_pair_category,
+from sigmacat.elements import elements_of
+from sigmacat.fincat import (Functor, NatTransf, arrow_category,
+                             discrete_category, enumerate_functors,
+                             functor_homs, group_z2_category, identity_functor,
+                             is_equivalence, iso_pair_category, mk_fincat,
                              nat_is_identity, terminal_category, vcomp_nat,
                              whisker_nat_functor)
 from sigmacat.fixtures import arrow_2cat, idn, poset_category
-from sigmacat.flatness import generate_bilimit_cones, representable
+from sigmacat.flatness import check_flat, generate_bilimit_cones, representable
 from sigmacat.shapes import SHAPES
 from sigmacat.transforms import (LAX, PSEUDO, CatDiagram, constant_diagram,
-                                 hom_eps, sigma_flavor)
-from sigmacat.two_cat import (Marked2Cat, op_dual, two_cat_from_cat, wide_all,
-                              wide_identities)
+                                 hom_eps, sigma_flavor, validate_diagram)
+from sigmacat.two_cat import (Marked2Cat, WideSub, mk_fin2cat, op_dual,
+                              two_cat_from_cat, wide_all, wide_identities)
 
 # the weighted σ-colimit property: posets on at most MAX_OBJECTS objects
 # at each base object, MAX_EXAMPLES draws
@@ -272,3 +273,57 @@ def test_is_equivalence_agrees_with_quasi_inverse_search():
 
     agree()
     assert verdicts[True] and verdicts[False], verdicts
+
+
+def _renamed(P: CatDiagram, r) -> CatDiagram:
+    """P with every object A of its base and every object x of every value
+    renamed r(A) and r(x); 1-cells, 2-cells and arrows keep their names."""
+    a = P.source
+    base = mk_fin2cat([r(A) for A in a.objects],
+                      {(r(A), r(B)): h for (A, B), h in a.hom.items()},
+                      {r(A): f for A, f in a.id1.items()}, a.hcomp1, a.hcomp2)
+    cats = {A: mk_fincat([r(x) for x in C.objects],
+                         {n: (r(s), r(t)) for n, (s, t) in C.arrows.items()},
+                         {r(x): n for x, n in C.identity.items()}, C.compose)
+            for A, C in P.on_obj.items()}
+    on_1 = {f: Functor(cats[a.src1(f)], cats[a.tgt1(f)],
+                       {r(x): r(y) for x, y in F.obj_map.items()}, F.arr_map)
+            for f, F in P.on_1.items()}
+    on_2 = {x: NatTransf(on_1[a.src2(x)], on_1[a.tgt2(x)],
+                         {r(y): c for y, c in N.components.items()})
+            for x, N in P.on_2.items()}
+    return CatDiagram(base, {r(A): C for A, C in cats.items()}, on_1, on_2)
+
+
+def test_renaming_objects_changes_no_answer():
+    """Names are opaque.  Renaming every object s of a poset base and of
+    each value of a constant or representable diagram to ``(s,)`` changes
+    neither the flatness verdict, nor the number of elements, nor the size
+    of the conical σ-colimit for the identity and the full marking.  The
+    new names are balanced, so the renaming is injective and no two
+    minted names collide; both verdicts occur among the draws."""
+    verdicts = Counter()
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(data=st.data())
+    def invariant(data):
+        a = two_cat_from_cat(data.draw(posets(3), label="base"))
+        P = data.draw(st.one_of(
+            st.sampled_from(sorted(a.objects)).map(lambda A: representable(a, A)),
+            posets(2).map(lambda C: constant_diagram(a, C))), label="P")
+        R = _renamed(P, lambda s: f"({s},)")
+        assert validate_diagram(R).ok
+        verdict = check_flat(P).verdict
+        assert check_flat(R).verdict == verdict
+        assert len(elements_of(R).cat.objects) == len(elements_of(P).cat.objects)
+        for marking in (wide_identities(a), wide_all(a)):
+            want = conical_sigma_colimit(P, marking)
+            got = conical_sigma_colimit(R, WideSub(R.source, marking.arrows))
+            assert got.status == want.status
+            if want.finite:
+                assert (len(got.category.objects), len(got.category.arrows)) == \
+                    (len(want.category.objects), len(want.category.arrows))
+        verdicts[verdict] += 1
+
+    invariant()
+    assert verdicts["flat"] and verdicts["not-flat"], verdicts

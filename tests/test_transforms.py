@@ -8,6 +8,8 @@ cell and the corresponding axiom must be named in the report.
 import pytest
 
 from certificate_reference import end_eps
+from dicone_reference import (Dicone, check_dicone, check_dicone_morphism,
+                              cotensor_diagram, internal_hom_diagram)
 from sigmacat.config import Meter
 from sigmacat.fincat import (Functor, NatTransf, arrow_category,
                              find_isomorphism, functor_category,
@@ -19,13 +21,11 @@ from sigmacat.fixtures import (arrow_2cat, diagram_on_free2cell,
 from sigmacat.two_cat import (free_2cell_2cat, op_dual, pair_name,
                               two_cat_product, wide_all, wide_from,
                               wide_identities)
-from sigmacat.transforms import (LAX, PSEUDO, STRICT, CatDiagram, Dicone,
+from sigmacat.transforms import (LAX, PSEUDO, STRICT, CatDiagram,
                                  Modification, Transformation,
-                                 check_dicone, check_dicone_morphism,
                                  check_modification, check_transformation,
-                                 constant_diagram, cotensor_diagram,
-                                 enumerate_transformations, flavor_inclusions,
-                                 hom_eps, internal_hom_diagram,
+                                 constant_diagram, enumerate_transformations,
+                                 flavor_inclusions, hom_eps,
                                  identity_transformation,
                                  reinterpret_as_pseudo, sigma_flavor,
                                  validate_diagram)
