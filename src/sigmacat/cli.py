@@ -5,11 +5,20 @@ error.  Exit codes: 0 a verdict was computed, 1 an internal consistency
 or certificate check failed (always a bug), 2 the input was invalid or
 over budget, 3 the answer is undecided at the configured cap.  Identical
 inputs produce byte-identical reports.
+
+The argument parser is built on the first ``run`` and reused by later
+ones in the process, since building it costs more than many questions.
+Reuse is safe: ``parse_args`` leaves the parser unchanged and no default
+is mutable, ``--budget`` defaults to ``None`` and each ``Meter`` reads
+``SIGMACAT_BUDGET``, and help width is read when help is formatted.  Only
+each subcommand's ``fn``, a ``cmd_*`` function, is fixed when the parser
+is built; nothing patches those.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .config import DEFAULT_CAP, Meter
@@ -17,7 +26,7 @@ from .errors import (CertificateFailure, Inconsistency, ParseError,
                      PreconditionFailed, SizeLimitExceeded, UndecidedAtCap,
                      ValidationError)
 from . import io as sio
-from .two_cat import Fin2Cat, Marked2Cat, wide_from
+from .two_cat import Fin2Cat, Marked2Cat, WideSub, wide_from
 from .transforms import (CatDiagram, LAX, PSEUDO, STRICT, TwoFunctor,
                          reinterpret_as_pseudo, sigma_flavor)
 from .colimits import (bilimit_cat, conical_sigma_colimit, weighted_limit_cat,
@@ -48,21 +57,35 @@ def _say(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _parse_sigma_names(raw: str) -> list[str]:
-    return [s for s in raw.split(",") if s]
+def _read_as(path: str, kind, what: str):
+    value = sio.parse_document(_read(path))
+    if not isinstance(value, kind):
+        raise ValidationError(what)
+    return value
 
 
-def _flavor_from_args(args):
-    name = getattr(args, "flavor", None) or "p"
-    if name == "s":
-        return STRICT
-    if name == "p":
-        return PSEUDO
-    if name in ("l", "lax"):
-        return LAX
-    if name == "sigma":
-        return None  # resolved later against the base
-    raise ParseError(f"unknown flavor {name!r}")
+def _marking(base: Fin2Cat, raw: str | None) -> WideSub:
+    """The wide sub-2-category of ``base`` named by comma-separated 1-cells.
+    A name may hold commas: from each piece on, the longest run of pieces
+    that joins to a 1-cell's name is one name; a piece that starts none is
+    passed on as it is, for ``wide_from`` to reject."""
+    pieces = (raw or "").split(",")
+    names, k = [], 0
+    while k < len(pieces):
+        n = next((n for n in range(len(pieces), k, -1)
+                  if ",".join(pieces[k:n]) in base._cell1_home), k + 1)
+        names.append(",".join(pieces[k:n]))
+        k = n
+    return wide_from(base, [name for name in names if name])
+
+
+_FLAVORS = {"s": STRICT, "p": PSEUDO, "lax": LAX}
+
+
+def _flavor(args, base: Fin2Cat):
+    if args.flavor == "sigma":
+        return sigma_flavor(_marking(base, args.sigma))
+    return _FLAVORS[args.flavor]
 
 
 def _report_filteredness(rep) -> dict:
@@ -95,9 +118,7 @@ def cmd_hom(args) -> int:
     Q = sio.parse_document(_read(args.target))
     if not isinstance(P, CatDiagram) or not isinstance(Q, CatDiagram):
         raise ValidationError("hom expects two diagram documents")
-    fl = _flavor_from_args(args)
-    if fl is None:
-        fl = sigma_flavor(wide_from(P.source, _parse_sigma_names(args.sigma or "")))
+    fl = _flavor(args, P.source)
     h = weighted_limit_cat(P, Q, fl, Meter(args.budget))
     _emit({"command": "hom", "flavor": sio.flavor_to_doc(fl),
            "objects": len(h.cat.objects), "arrows": len(h.cat.arrows),
@@ -107,11 +128,7 @@ def cmd_hom(args) -> int:
 
 
 def cmd_elements(args) -> int:
-    P = sio.parse_document(_read(args.file))
-    if isinstance(P, CatDiagram):
-        pass
-    else:
-        raise ValidationError("elements expects a diagram document")
+    P = _read_as(args.file, CatDiagram, "elements expects a diagram document")
     meter = Meter(args.budget)
     if args.pseudo:
         if not P.is_pseudo:
@@ -123,8 +140,7 @@ def cmd_elements(args) -> int:
            "category": sio.fin2cat_to_doc(el.cat),
            "cart": sorted(el.cart.arrows)}
     if args.sigma is not None:
-        sig = wide_from(P.source, _parse_sigma_names(args.sigma))
-        doc["cart_sigma"] = sorted(cart_sigma(el, sig).arrows)
+        doc["cart_sigma"] = sorted(cart_sigma(el, _marking(P.source, args.sigma)).arrows)
     _emit(doc)
     _say(f"{len(el.cat.objects)} objects, {len(el.cart.arrows)} cartesian arrows")
     return EXIT_OK
@@ -135,9 +151,7 @@ def cmd_limit(args) -> int:
     P = sio.parse_document(_read(args.diagram))
     if not isinstance(W, CatDiagram) or not isinstance(P, CatDiagram):
         raise ValidationError("limit expects two diagram documents")
-    fl = _flavor_from_args(args)
-    if fl is None:
-        fl = sigma_flavor(wide_from(P.source, _parse_sigma_names(args.sigma or "")))
+    fl = _flavor(args, P.source)
     h = weighted_limit_cat(W, P, fl, Meter(args.budget))
     _emit({"command": "limit", "flavor": sio.flavor_to_doc(fl),
            "category": sio.fincat_to_doc(h.cat)})
@@ -146,22 +160,14 @@ def cmd_limit(args) -> int:
 
 
 def cmd_colimit(args) -> int:
-    P = sio.parse_document(_read(args.diagram))
-    if not isinstance(P, CatDiagram):
-        raise ValidationError("colimit expects a diagram document")
+    P = _read_as(args.diagram, CatDiagram, "colimit expects a diagram document")
     meter = Meter(args.budget)
     if args.weight is not None:
-        W = sio.parse_document(_read(args.weight))
-        if not isinstance(W, CatDiagram):
-            raise ValidationError("--weight expects a diagram document")
-        sig = wide_from(P.source, _parse_sigma_names(args.sigma or ""))
-        res = weighted_sigma_colimit(W, P, sig, args.cap, meter)
-        conical = res.conical
-        cert = res.certificate
+        W = _read_as(args.weight, CatDiagram, "--weight expects a diagram document")
+        res = weighted_sigma_colimit(W, P, _marking(P.source, args.sigma), args.cap, meter)
+        conical, cert = res.conical, res.certificate
     else:
-        sig = wide_from(P.source, _parse_sigma_names(args.sigma or ""))
-        conical = conical_sigma_colimit(P, sig, args.cap, meter)
-        res = conical
+        conical = conical_sigma_colimit(P, _marking(P.source, args.sigma), args.cap, meter)
         cert = conical.certificate
     doc = {"command": "colimit", "status": conical.status,
            "certificate": [{"test": label, "ok": ok} for label, ok in cert]}
@@ -188,16 +194,11 @@ def cmd_bilimit(args) -> int:
 
 
 def cmd_filtered(args) -> int:
-    value = sio.parse_document(_read(args.file))
-    if isinstance(value, Marked2Cat):
-        m = value
-        if args.sigma is not None:
-            m = Marked2Cat(m.cat, wide_from(m.cat, _parse_sigma_names(args.sigma)))
-    elif isinstance(value, Fin2Cat):
-        sig = wide_from(value, _parse_sigma_names(args.sigma or ""))
-        m = Marked2Cat(value, sig)
-    else:
-        raise ValidationError("filtered expects a 2-category document")
+    m = _read_as(args.file, (Marked2Cat, Fin2Cat),
+                 "filtered expects a 2-category document")
+    if isinstance(m, Fin2Cat) or args.sigma is not None:
+        base = m if isinstance(m, Fin2Cat) else m.cat
+        m = Marked2Cat(base, _marking(base, args.sigma))
     meter = Meter(args.budget)
     rep = check_sigma_cofiltered(m, meter) if args.co else \
         check_sigma_filtered(m, meter)
@@ -209,12 +210,9 @@ def cmd_filtered(args) -> int:
 
 
 def cmd_cofinal(args) -> int:
-    T = sio.parse_document(_read(args.file))
-    if not isinstance(T, TwoFunctor):
-        raise ValidationError("cofinal expects a 2-functor document")
-    sig = wide_from(T.source, _parse_sigma_names(args.sigma or ""))
-    sigp = wide_from(T.target, _parse_sigma_names(args.sigma_prime or ""))
-    rep = check_sigma_cofinal(T, sig, sigp, Meter(args.budget))
+    T = _read_as(args.file, TwoFunctor, "cofinal expects a 2-functor document")
+    rep = check_sigma_cofinal(T, _marking(T.source, args.sigma),
+                              _marking(T.target, args.sigma_prime), Meter(args.budget))
     doc = {"command": "cofinal"}
     doc.update(_report_filteredness(rep))
     _emit(doc)
@@ -223,9 +221,7 @@ def cmd_cofinal(args) -> int:
 
 
 def cmd_flat(args) -> int:
-    P = sio.parse_document(_read(args.file))
-    if not isinstance(P, CatDiagram):
-        raise ValidationError("flat expects a diagram document")
+    P = _read_as(args.file, CatDiagram, "flat expects a diagram document")
     meter = Meter(args.budget)
     v = check_flat_pseudo(P, meter) if (args.pseudo or P.is_pseudo) \
         else check_flat(P, meter)
@@ -238,9 +234,7 @@ def cmd_flat(args) -> int:
 
 
 def cmd_exact(args) -> int:
-    P = sio.parse_document(_read(args.file))
-    if not isinstance(P, CatDiagram):
-        raise ValidationError("exact expects a diagram document")
+    P = _read_as(args.file, CatDiagram, "exact expects a diagram document")
     meter = Meter(args.budget)
     if args.cones == "generated":
         cones = generate_bilimit_cones(P.source, meter)
@@ -256,9 +250,7 @@ def cmd_exact(args) -> int:
 
 
 def cmd_strictify(args) -> int:
-    P = sio.parse_document(_read(args.file))
-    if not isinstance(P, CatDiagram):
-        raise ValidationError("strictify expects a diagram document")
+    P = _read_as(args.file, CatDiagram, "strictify expects a diagram document")
     tilde, eta, eps = strictify(P, Meter(args.budget))
     out_doc = sio.diagram_to_doc(tilde)
     if args.output:
@@ -275,9 +267,7 @@ def cmd_strictify(args) -> int:
 
 def cmd_yoneda(args) -> int:
     base_doc = sio.parse_document(_read(args.file))
-    Q = sio.parse_document(_read(args.against))
-    if not isinstance(Q, CatDiagram):
-        raise ValidationError("yoneda expects a diagram via --against")
+    Q = _read_as(args.against, CatDiagram, "yoneda expects a diagram via --against")
     base = base_doc.cat if isinstance(base_doc, Marked2Cat) else base_doc
     if Q.source != base:
         raise ValidationError("diagram does not live on the given base")
@@ -291,6 +281,7 @@ def cmd_yoneda(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="sigmacat",

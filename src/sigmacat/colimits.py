@@ -64,7 +64,7 @@ its status is exact and it carries no certificate.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .config import DEFAULT_CAP, Meter
 from .errors import CertificateFailure, PreconditionFailed, UndecidedAtCap
@@ -707,7 +707,9 @@ class BaseCone:
 
     Components are 1-cells from the vertex to the diagram values and the
     structural cells point ``D(u) ∘ t_i ⇒ t_j``; cells at marked shape
-    arrows must be invertible.
+    arrows must be invertible.  ``searched`` is set only on the cones
+    ``BaseConeCategories.cones`` builds, whose laws the cone kernel
+    decided; ``dataclasses.replace`` clears it.
     """
 
     shape: Fin2Cat
@@ -716,6 +718,7 @@ class BaseCone:
     vertex: str  # object of the ambient
     comp: dict  # shape object -> ambient 1-cell
     struct: dict  # shape 1-cell -> ambient 2-cell
+    searched: bool = field(default=False, init=False, repr=False, compare=False)
 
 
 def check_base_cone(c: BaseCone) -> ValidationReport:
@@ -897,8 +900,11 @@ class BaseConeCategories:
         return got
 
     def cones(self, X: str) -> list[BaseCone]:
-        """The cones of Cones_D(X), in generation order."""
-        return [self.kernel.base_cone(X, *c) for c in self.at(X)[0]]
+        """The cones of Cones_D(X), in generation order, marked ``searched``."""
+        cones = [self.kernel.base_cone(X, *c) for c in self.at(X)[0]]
+        for cone in cones:
+            object.__setattr__(cone, "searched", True)
+        return cones
 
     def is_bilimit(self, c: BaseCone) -> bool:
         """Bilimit test: at every object X, precomposition with the cone,

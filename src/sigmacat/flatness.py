@@ -97,8 +97,9 @@ def check_left_exact(P: CatDiagram, bilimit_cones,
     decided on hom-sets by ``preserves_bilimit``.
 
     Cones must be declared bilimit cones in the base; a malformed cone
-    is a precondition failure, and so is a pseudo diagram.  An empty list
-    is vacuously true and flagged as carrying no evidence.
+    is a precondition failure, and so is a pseudo diagram; the cones of
+    ``generate_bilimit_cones``, marked ``searched``, are not checked again.
+    An empty list is vacuously true and flagged as carrying no evidence.
     """
     meter = meter or Meter()
     if P.is_pseudo:
@@ -108,10 +109,8 @@ def check_left_exact(P: CatDiagram, bilimit_cones,
     per_shape = []
     verdict = True
     for label, cone in bilimit_cones:
-        rep = check_base_cone(cone)
-        if not rep.ok:
-            raise PreconditionFailed(
-                f"malformed cone {label}: {rep.violations[0].detail}")
+        if not cone.searched and not (rep := check_base_cone(cone)).ok:
+            raise PreconditionFailed(f"malformed cone {label}: {rep.violations[0].detail}")
         ok = preserves_bilimit(P, cone, meter)
         per_shape.append((label, ok))
         verdict = verdict and ok

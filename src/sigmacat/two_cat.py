@@ -255,7 +255,7 @@ class WideSub:
 def validate_wide_sub(w: WideSub) -> ValidationReport:
     rep = ValidationReport("WideSub")
     a = w.parent
-    for f in w.arrows:
+    for f in sorted(w.arrows):
         if f not in a._cell1_home:
             rep.add("unknown-1cell", (f,), f"{f} is not a 1-cell of the parent")
     if not rep.ok:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 
 from bilimit_reference import reference_bilimit_cones
 from helpers import chain_2cat, grid_2cat, posets
+from sigmacat.colimits import check_base_cone
 from sigmacat.config import Meter
 from sigmacat.fincat import group_z2_category
 from sigmacat.fixtures import arrow_2cat, diamond_2cat, iso_2cat, poset_category
@@ -72,6 +73,14 @@ def test_bilimit_search_matches_the_reference(name):
     assert got == searched(reference_bilimit_cones, a)
     missing = len(got[0]) < len(list(generating_diagrams(a)))
     assert got[0] and missing == (name in INCOMPLETE)
+
+
+@pytest.mark.parametrize("name", sorted(BASES))
+def test_searched_cones_are_lawful(name):
+    """``check_left_exact`` does not check the cones of the search again,
+    so here every one of them is checked, and each is marked ``searched``."""
+    for _, cone in generate_bilimit_cones(BASES[name]()):
+        assert cone.searched and check_base_cone(cone).ok
 
 
 @settings(derandomize=True, max_examples=25, deadline=None)

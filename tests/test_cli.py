@@ -445,3 +445,121 @@ def test_budget_env_var(capsys, monkeypatch):
     code, out = invoke(capsys, "hom", str(FIXTURES / "const_terminal.json"),
                        str(FIXTURES / "diagram_pick0.json"), "--flavor", "lax")
     assert code == 2
+
+
+def test_the_parser_is_built_on_the_first_run_only(capsys, monkeypatch):
+    """``run`` reuses the argument parser it built on its first call: a
+    second call constructs no ``ArgumentParser``, not even a subparser."""
+    import argparse
+    from sigmacat import cli
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser.cache_clear()
+    argv = ["validate", str(FIXTURES / "arrow_category.json")]
+    assert invoke(capsys, *argv)[0] == 0
+    first = len(built)
+    assert first > 1
+    assert invoke(capsys, *argv)[0] == 0
+    assert len(built) == first
+
+
+def test_parser_reuse_leaks_no_state_between_runs(capsys, monkeypatch):
+    """In one process, usage errors and budget refusals, by flag and by
+    environment, interleaved with golden commands: every golden report is
+    unchanged, and every refusal reads the same on each pass."""
+    fx = {stem: str(FIXTURES / f"{stem}.json") for stem in (
+        "const_terminal", "diagram_pick0", "repr_diamond_a", "representable_0",
+        "weight_on_op_arrow", "arrow_2cat")}
+    goldens = [
+        (["exact", fx["repr_diamond_a"]], "exact_repr_diamond_a.json"),
+        (["hom", fx["representable_0"], fx["diagram_pick0"], "--flavor", "sigma",
+          "--sigma", "f"], "hom_representable_0_diagram_pick0_sigma_f.json"),
+        (["limit", fx["const_terminal"], fx["representable_0"], "--flavor", "lax"],
+         "limit_const_terminal_representable_0_lax.json"),
+        (["colimit", fx["diagram_pick0"], "--weight", fx["weight_on_op_arrow"],
+          "--sigma", "f"], "colimit_pick0_weight_on_op_arrow_sigma_f.json"),
+        (["yoneda", fx["arrow_2cat"], "--object", "0", "--against",
+          fx["representable_0"]], "yoneda_representable_0_0.json"),
+    ]
+    lax_hom = ["hom", fx["const_terminal"], fx["diagram_pick0"], "--flavor", "lax"]
+    refusal = ('{\n  "command": "hom",\n  "detail": "enumeration budget of 5 '
+               'candidates exceeded",\n  "error": "invalid-input"\n}\n')
+
+    def refusals():
+        got = [(run(["limit", fx["const_terminal"], fx["representable_0"],
+                     "--flavor", "x"]), capsys.readouterr())]
+        got.append((run(["--budget", "5", *lax_hom]), capsys.readouterr()))
+        monkeypatch.setenv("SIGMACAT_BUDGET", "5")
+        got.append((run(lax_hom), capsys.readouterr()))
+        monkeypatch.delenv("SIGMACAT_BUDGET")
+        return [(code, out.out, out.err) for code, out in got]
+
+    seen = []
+    for _ in range(2):
+        for argv, golden in goldens:
+            assert invoke(capsys, *argv) == (0, (GOLDEN / golden).read_text())
+            seen.append(refusals())
+        code, out = invoke(capsys, *lax_hom)
+        assert code == 0 and json.loads(out)["objects"] == 2
+    usage, by_flag, by_env = seen[0]
+    assert usage[:2] == (2, "") and "invalid choice: 'x'" in usage[2]
+    assert by_flag[:2] == by_env[:2] == (2, refusal)
+    assert all(got == seen[0] for got in seen)
+
+
+def _arrow_named(tmp_path, name: str) -> str:
+    """The constant walking arrow over a walking arrow whose arrow is
+    called ``name``, written as a document."""
+    from sigmacat.fincat import mk_fincat
+    from sigmacat.transforms import constant_diagram
+    from sigmacat.two_cat import two_cat_from_cat
+    base = mk_fincat(("0", "1"), {"id_0": ("0", "0"), "id_1": ("1", "1"), name: ("0", "1")},
+                     {"0": "id_0", "1": "id_1"},
+                     {("id_0", "id_0"): "id_0", ("id_1", "id_1"): "id_1",
+                      (name, "id_0"): name, ("id_1", name): name})
+    path = tmp_path / f"arrow_{name}.json"
+    path.write_text(sio.dumps(sio.diagram_to_doc(
+        constant_diagram(two_cat_from_cat(base), arrow_category()))))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", [["colimit"], ["elements"],
+                                     ["hom", "twice", "--flavor", "sigma"]])
+def test_sigma_marks_a_one_cell_whose_name_holds_a_comma(capsys, tmp_path, command):
+    """``--sigma f,g`` marks the 1-cell called ``f,g``: the report is that
+    of ``--sigma f`` on the same diagram with the arrow called ``f``, and
+    differs from the report with nothing marked."""
+    def report(name, *sigma):
+        doc = _arrow_named(tmp_path, name)
+        argv = [doc if a == "twice" else a for a in command]
+        code, out = invoke(capsys, *argv, doc, *sigma)
+        assert code == 0
+        return out.replace(name, "f")
+
+    marked = report("f", "--sigma", "f")
+    assert report("f,g", "--sigma", "f,g") == marked
+    assert report("f,g", "--sigma", "f,g,") == marked
+    assert report("f,g") != marked
+
+
+@pytest.mark.parametrize("name,sigma,detail", [
+    ("f", "f,g", "g is not a 1-cell of the parent"),
+    ("f,g", "f,g,h", "h is not a 1-cell of the parent"),
+    ("f,g", "g,f", "f is not a 1-cell of the parent"),
+    ("f,g", "h,g", "g is not a 1-cell of the parent"),
+])
+def test_sigma_names_that_name_no_one_cell_are_refused(capsys, tmp_path, name, sigma,
+                                                        detail):
+    """Pieces that start no 1-cell's name are passed on as they are, and
+    the first unknown name in sorted order is reported, whatever the
+    hash seed."""
+    code, out = invoke(capsys, "colimit", _arrow_named(tmp_path, name), "--sigma", sigma)
+    assert code == 2
+    assert json.loads(out) == {"command": "colimit", "error": "invalid-input",
+                               "detail": f"not a wide subcategory: {detail}"}

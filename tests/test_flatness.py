@@ -1,9 +1,12 @@
 """Flatness, left exactness, the canonical expression, strictification."""
 
+import dataclasses
+import re
+
 import pytest
 
 from helpers import discrete_diagram
-from sigmacat.colimits import (BaseConeCategories, comparison_functor,
+from sigmacat.colimits import (BaseCone, BaseConeCategories, comparison_functor,
                                preserves_bilimit)
 from sigmacat.errors import Inconsistency, PreconditionFailed
 from sigmacat.fincat import (Functor, arrow_category, discrete_category,
@@ -277,6 +280,30 @@ def test_exactness_agrees_with_flatness(diamond, diamond_cones):
 def test_empty_cone_list_is_flagged(diamond):
     rep = check_left_exact(representable(diamond, "a"), [])
     assert rep.verdict and rep.no_evidence
+
+
+def test_malformed_cones_passed_in_are_refused(diamond, diamond_cones):
+    """The cones of the search are marked ``searched`` and not checked
+    again; any other cone is, whether built by hand or derived from a
+    searched one with ``dataclasses.replace``, and a malformed one is a
+    precondition failure, also among searched cones."""
+    P = representable(diamond, "a")
+    label, cone = diamond_cones[0]
+    i = sorted(cone.comp)[0]
+    wrong = next(f for f in sorted(diamond.all_one_cells())
+                 if diamond.hom_of_1cell(f) != (cone.vertex, cone.diagram.obj_map[i]))
+    fields = {"shape": cone.shape, "diagram": cone.diagram, "marked": cone.marked,
+              "vertex": cone.vertex, "struct": cone.struct}
+    by_hand = BaseCone(comp=cone.comp, **fields)
+    assert cone.searched and not by_hand.searched and by_hand == cone
+    assert check_left_exact(P, [(label, by_hand)]) == check_left_exact(P, [(label, cone)])
+    for bad in (BaseCone(comp={**cone.comp, i: wrong}, **fields),
+                dataclasses.replace(cone, comp={**cone.comp, i: wrong})):
+        assert not bad.searched
+        for cones in ([(label, bad)], diamond_cones + [(label, bad)]):
+            with pytest.raises(PreconditionFailed,
+                               match=f"malformed cone {re.escape(label)}: component at"):
+                check_left_exact(P, cones)
 
 
 def test_exact_implies_cofiltered(diamond, diamond_cones):
