@@ -2,9 +2,11 @@
 
 Machine-readable JSON goes to standard output, human prose to standard
 error.  Exit codes: 0 a verdict was computed, 1 an internal consistency
-or certificate check failed (always a bug), 2 the input was invalid or
-over budget, 3 the answer is undecided at the configured cap.  Identical
-inputs produce byte-identical reports.
+or certificate check failed (always a bug), 2 the arguments or the input
+were invalid or over budget, 3 the answer is undecided at the configured
+cap.  A usage error is reported as ``{"command", "error": "usage",
+"detail"}``, with argparse's message as the detail and its usage text on
+standard error.  Identical inputs produce byte-identical reports.
 
 The argument parser is built on the first ``run`` and reused by later
 ones in the process, since building it costs more than many questions.
@@ -236,11 +238,7 @@ def cmd_flat(args) -> int:
 def cmd_exact(args) -> int:
     P = _read_as(args.file, CatDiagram, "exact expects a diagram document")
     meter = Meter(args.budget)
-    if args.cones == "generated":
-        cones = generate_bilimit_cones(P.source, meter)
-    else:
-        raise ParseError("only --cones generated is supported from the CLI")
-    rep = check_left_exact(P, cones, meter)
+    rep = check_left_exact(P, generate_bilimit_cones(P.source, meter), meter)
     _emit({"command": "exact", "verdict": rep.verdict,
            "no_evidence": rep.no_evidence,
            "per_shape": [{"shape": label, "ok": ok}
@@ -281,9 +279,23 @@ def cmd_yoneda(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _UsageError(Exception):
+    """A usage error: the subcommand it arose in, or None, and argparse's
+    message."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """Write argparse's usage text to stderr and hand the error to
+        ``run``, which reports it on stdout."""
+        self.print_usage(sys.stderr)
+        _say(f"{self.prog}: error: {message}")
+        raise _UsageError(self.prog.partition(" ")[2] or None, message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="sigmacat",
         description="finite 2-categories, relative limits, and flatness")
     p.add_argument("--budget", type=int, default=None,
@@ -345,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("exact", help="left exactness against bilimit cones")
     q.add_argument("file")
-    q.add_argument("--cones", default="generated")
     q.set_defaults(fn=cmd_exact)
 
     q = sub.add_parser("strictify", help="strictify a pseudofunctor")
@@ -365,6 +376,10 @@ def run(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+    except _UsageError as e:
+        command, detail = e.args
+        _emit({"command": command, "error": "usage", "detail": detail})
+        return EXIT_INVALID
     except SystemExit as e:
         return EXIT_INVALID if e.code not in (0, None) else 0
     try:

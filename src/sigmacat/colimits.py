@@ -24,26 +24,23 @@ a bug and raises; an unstable localization propagates as an undecided
 status, and a classifier still growing at the cap raises UndecidedAtCap,
 never a guess.
 
-Cones over a 2-functor into a finite 2-category go through one cone
-kernel, ``ConeKernel``, compiled once per diagram (D, marked): the shape
-side, that is the cells at identities and the rows of LN2, LN1 and the
-modification square, is resolved then, so a build at a vertex only looks
-up the ambient's tables.  ``base_cone_homs`` builds the cones and
-hom-sets of Cones_D(X) on it; the cocone search of ``filteredness`` runs
-on it too, a cocone being a cone in the 1-cell dual, with the same maps.
-``BaseConeCategories`` keeps the cone categories of one diagram, each
-built once, and tests cones over it for being bilimits; the bilimit
-search of ``flatness`` goes through it.  The bilimit test and
-``preserves_bilimit`` (the comparison of P(L) with the limit of P over
-a cone) are decided on objects and hom-sets by
-``fincat.is_equivalence_on_homs``: both sides compose componentwise, so
-precomposition is a functor by the ambient's laws, and no composition
-table is built.  The limit of P over a cone, σ-Nat(Δ1, P·D), is a
-conical σ-limit: ``point_cone_homs`` reads its objects, the σ-cones
-from the point, and its hom-sets straight off P·D's tables, with no
-``Transformation`` or ``Modification``; ``ConicalLimit`` is that limit
-assembled.  ``comparison_functor`` assembles the comparison through
-``hom_eps`` and is the reference.
+Cones from the point and cones in a finite 2-category run on one kernel,
+``ConeKernel``: the σ-cones from the point under a strict Cat-valued
+diagram given by its tables, and their morphisms.  ``point_cone_homs``
+binds it to a diagram's tables; so the limit of P over a cone,
+σ-Nat(Δ1, P·D), is read with no ``Transformation`` or ``Modification``,
+and ``ConicalLimit`` is that limit assembled.  A cone over D in a finite
+2-category with vertex X is a σ-cone from the point under the hom
+diagram a(X, D-), so ``BaseConeCategories`` binds the kernel once per
+diagram to the actions of ``hom_actions`` and builds each Cones_D(X) on
+it; the cocone search of ``filteredness`` runs there too, a cocone being
+a cone in the 1-cell duals.  A cone is a bilimit exactly when every
+a(X, -) takes it to a bilimit cone in Cat (Kelly 1989), so the bilimit
+test and ``preserves_bilimit`` decide the same comparison,
+``_comparison``, on objects and hom-sets by
+``fincat.is_equivalence_on_homs``, with no composition table.
+``comparison_functor`` assembles the comparison through ``hom_eps`` and
+is the reference.
 ``check_base_cone`` and ``check_sigma_cone`` state the laws directly and
 are the reference validators.
 
@@ -63,6 +60,7 @@ its status is exact and it carries no certificate.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -767,127 +765,172 @@ def check_base_cone(c: BaseCone) -> ValidationReport:
 
 
 class ConeKernel:
-    """The cone kernel over one diagram (D, marked) in a finite 2-category,
-    with the shape side resolved once.
+    """The one cone kernel: the σ-cones from the point under a strict
+    Cat-valued diagram Q on a shape, relative to a marking, and the
+    morphisms between them, read off Q's tables.
 
-    A cone is held as (legs, cells): its legs t_i by shape object and its
-    structural cells σ_u : D(u)∘t_i ⇒ t_j by shape 1-cell, each a tuple in
-    sorted order; a morphism of cones as its components by shape object.
-    Compiling binds D's images into rows of positions: per 1-cell
-    u : i → j, the identity's object or u's image, ends and marking; per
-    non-identity 2-cell x : u ⇒ v, LN2, σ_u = σ_v∘(D(x)*t_i); per
-    composable pair (v, u) of non-identities, LN1, σ_vu = σ_v∘(D(v)*σ_u);
-    per non-identity u, the modification square
-    ρ_j∘σ1_u = σ2_u∘(D(u)*ρ_i).  The rows left out hold for any 2-functor
-    D once the cell at each identity 1-cell is the identity, as it is
-    here.  A build at a vertex X then only looks up the ambient's tables,
-    composing vertically in hom(X, D(j)).  ``check_base_cone`` states
-    every law and is the reference.
+    A cone is a pair of tuples: an object x_i of Q(i) per shape object i,
+    and an arrow σ_u : Q(u)x_i → x_j of Q(j) per shape 1-cell u : i → j,
+    the identity at an identity 1-cell and invertible at a marked one,
+    each in sorted order; a morphism, its arrows m_i : x_i → x'_i.  The
+    shape's rows (``Fin2Cat._shape_index``) are bound to Q's tables:
+    per non-identity 2-cell x : u ⇒ v, LN2, σ_u = σ_v∘Q(x)_(x_i); per
+    composable pair (v, u) of non-identities, LN1, σ_vu = σ_v∘Q(v)(σ_u);
+    per non-identity u, the square m_j∘σ_u = σ'_u∘Q(u)(m_i).  The rows
+    left out hold in every strict Q.
+
+    ``on_1(u)`` gives Q(u)'s object and arrow maps, ``on_2(x)`` Q(x)'s
+    components, and the categories Q(i) come with each search, so one
+    kernel serves the diagrams that share their actions, as the hom
+    diagrams a(X, D-) do for every X.  The σ-transformations Δ1 ⇒ Q of
+    ``transforms`` and ``check_base_cone`` are the references.
     """
 
-    def __init__(self, D: TwoFunctor, marked: frozenset):
-        sh, amb = D.source, D.target
-        self.D, self.marked = D, marked
-        self.objs, self.cells = sorted(sh.objects), sorted(sh.all_one_cells())
-        pos = {i: k for k, i in enumerate(self.objs)}
-        at = {u: n for n, u in enumerate(self.cells)}
-        ids = {sh.id1[i]: pos[i] for i in self.objs}
-        self.values = [D.obj_map[i] for i in self.objs]
-        self.cell_rows = [(ids.get(u), D.map1[u], pos[sh.src1(u)],
-                           pos[sh.tgt1(u)], u in marked) for u in self.cells]
-        self.ln2 = [(at[sh.src2(x)], at[sh.tgt2(x)], D.map2[x],
-                     pos[sh.src1(sh.src2(x))], pos[sh.tgt1(sh.src2(x))])
-                    for x in sh.all_two_cells() if not sh.is_identity_2cell(x)]
-        self.ln1 = [(at[vu], at[v], at[u], amb.id2(D.map1[v]), pos[sh.tgt1(v)])
-                    for (v, u), vu in sh.hcomp1.items() if u not in ids and v not in ids]
-        self.squares = [(pos[sh.src1(u)], pos[sh.tgt1(u)], n, amb.id2(D.map1[u]))
-                        for n, u in enumerate(self.cells) if u not in ids]
+    def __init__(self, shape: Fin2Cat, marked: frozenset, on_1, on_2):
+        self.objs, self.cells, ends, two, pairs = shape._shape_index
+        maps = [None if k is not None else on_1(u) for u, (k, _, _) in zip(self.cells, ends)]
+        # per 1-cell: the identity's object, or Q(u) on objects, ends, marking
+        self.cell_rows = [(k, None, i, j, False) if m is None else
+                          (None, m[0], i, j, u in marked)
+                          for u, m, (k, i, j) in zip(self.cells, maps, ends)]
+        self.ln2 = [(u, v, on_2(x), *ends[u][1:]) for x, u, v in two]
+        self.ln1 = [(vu, v, u, maps[v][1], ends[v][2]) for vu, v, u in pairs]
+        self.squares = [(i, j, n, m[1]) for n, (m, (_, i, j)) in enumerate(zip(maps, ends))
+                        if m is not None]
 
-    def cones(self, vertex: str, meter: Meter, legs=None):
-        """Every cone over D with the given vertex, as (legs, cells): legs
-        lexicographically (drawn from ``legs`` when it is given), then
-        cells, identities at identity 1-cells and invertible at marked
-        ones.  Every pool is sorted by name, so this is also the sorted
-        order.  Ticks once per choice of legs and per cell candidate."""
-        amb = self.D.target
-        hc1, hc2 = amb.hcomp1, amb.hcomp2
-        homs = [amb.hom.get((vertex, d)) for d in self.values]
-        pools = [[t for t in amb.one_cells(vertex, d) if legs is None or t in legs]
-                 for d in self.values]
+    def cones(self, cats: list, pools: list, meter: Meter, legs=None):
+        """Every cone under Q with Q(i) = ``cats[i]``, lazily: objects
+        lexicographically from ``pools``, the sorted objects of each
+        category (kept to ``legs`` when it is given), then cells.  Every
+        pool is sorted by name, so this is also the sorted order.  Ticks
+        once per choice of objects and per cell candidate."""
+        if legs is not None:
+            pools = [[x for x in pool if x in legs] for pool in pools]
         for t in itertools.product(*pools):
             meter.tick()
             cell_pools = []
-            for k, Du, i, j, marked in self.cell_rows:
-                if k is not None:
-                    cell_pools.append((homs[k].identity[t[k]],))
+            for k, om, i, j, marked in self.cell_rows:
+                if om is None:
+                    cell_pools.append((cats[k].identity[t[k]],))
                     continue
-                pool = homs[j].hom(hc1[(Du, t[i])], t[j])
+                pool = cats[j].hom(om[t[i]], t[j])
                 if marked:
-                    pool = [x for x in pool if homs[j].is_iso(x)]
+                    pool = [a for a in pool if cats[j].is_iso(a)]
                 if not pool:
                     break
                 cell_pools.append(pool)
             else:
-                ln2 = [(u, v, hc2[(Dx, homs[i].identity[t[i]])], homs[j].compose)
-                       for u, v, Dx, i, j in self.ln2]
-                ln1 = [(vu, v, u, idv, homs[j].compose) for vu, v, u, idv, j in self.ln1]
+                ln2 = [(u, v, comps[t[i]], cats[j].compose) for u, v, comps, i, j in self.ln2]
+                ln1 = [(vu, v, u, am, cats[j].compose) for vu, v, u, am, j in self.ln1]
                 for s in itertools.product(*cell_pools):
                     meter.tick()
                     if all(s[u] == c[(s[v], w)] for u, v, w, c in ln2) and \
-                            all(s[vu] == c[(s[v], hc2[(idv, s[u])])]
-                                for vu, v, u, idv, c in ln1):
+                            all(s[vu] == c[(s[v], am[s[u]])] for vu, v, u, am, c in ln1):
                         yield t, s
 
-    def base_cone(self, vertex: str, legs: tuple, cells: tuple) -> BaseCone:
-        return BaseCone(self.D.source, self.D, self.marked, vertex,
-                        dict(zip(self.objs, legs)), dict(zip(self.cells, cells)))
+    def morphisms(self, cats: list, meter: Meter):
+        """``hom(c1, c2)``, the morphisms from the cone c1 to the cone c2
+        under Q with Q(i) = ``cats[i]``, enumerated afresh at each call,
+        each a tuple of components.  Ticks once per family of components."""
+        rows = [(i, j, n, am, cats[j].compose) for i, j, n, am in self.squares]
 
-
-def base_cone_homs(kernel: ConeKernel, vertex: str,
-                   meter: Meter | None = None) -> tuple[list, dict]:
-    """Every build of a cone category goes through here: the cones of
-    Cones_D(vertex) as ``kernel.cones`` gives them, and per pair (p, q) of
-    their positions the morphisms from the p-th to the q-th, the families
-    of 2-cells between legs that satisfy the modification square, with no
-    composition table.  Ticks once per choice of legs, per cell candidate
-    and per morphism candidate."""
-    meter = meter or Meter()
-    amb = kernel.D.target
-    hc2 = amb.hcomp2
-    found = list(kernel.cones(vertex, meter))
-    homs_at = [amb.hom.get((vertex, d)) for d in kernel.values]
-    rows = [(i, j, n, idu, homs_at[j].compose)
-            for i, j, n, idu in kernel.squares] if found else []
-    homs = {}
-    for p, (t1, s1) in enumerate(found):
-        for q, (t2, s2) in enumerate(found):
-            got = homs[(p, q)] = []
-            for rho in itertools.product(
-                    *[h.hom(x, y) for h, x, y in zip(homs_at, t1, t2)]):
+        def hom(c1: tuple, c2: tuple) -> list:
+            (t1, s1), (t2, s2) = c1, c2
+            out = []
+            for rho in itertools.product(*[c.hom(x, y) for c, x, y in zip(cats, t1, t2)]):
                 meter.tick()
-                for i, j, n, idu, c in rows:
-                    if c[(rho[j], s1[n])] != c[(s2[n], hc2[(idu, rho[i])])]:
+                for i, j, n, am, c in rows:
+                    if c[(rho[j], s1[n])] != c[(s2[n], am[rho[i]])]:
                         break
                 else:
-                    got.append(rho)
-    return found, homs
+                    out.append(rho)
+            return out
+        return hom
+
+
+def hom_actions(a: Fin2Cat) -> tuple:
+    """The actions of the hom diagrams a(X, -), for every X at once, each
+    table built from a's composition tables on first use: ``on_1(f)`` is
+    the pair (f∘- on 1-cells, 1_f*- on 2-cells) and ``on_2(x)`` is x*1_-
+    on 1-cells, over the cells into the source of f or of x."""
+    hc1, hc2, into = a.hcomp1, a.hcomp2, a._cells_into
+
+    def on_1(f: str) -> tuple:
+        idf, (ts, xs) = a.id2(f), into[a.src1(f)]
+        return {t: hc1[(f, t)] for t in ts}, {x: hc2[(idf, x)] for x in xs}
+
+    def on_2(x: str) -> dict:
+        return {t: hc2[(x, a.id2(t))] for t in into[a.src1(a.src2(x))][0]}
+
+    return functools.cache(on_1), functools.cache(on_2)
+
+
+def _comparison(legs: list, cells: list) -> tuple:
+    """The comparison of a cone over a strict Q into the category of cones
+    from the point under Q, as (on objects, on arrows): an object c of
+    the vertex goes to the cone with objects ``legs[k][0][c]`` and cells
+    ``cells[n][c]``, an arrow a to the family ``legs[k][1][a]``.
+
+    Both callers decide it with ``is_equivalence_on_homs``.  It is a
+    functor without a check: cone morphisms compose componentwise in each
+    Q(k), where each leg acts as a functor, and 1_c goes to identity
+    components.  A morphism whose components are all invertible is an
+    isomorphism, since its componentwise inverse satisfies the
+    modification square too."""
+    def cone_of(c: str) -> tuple:
+        return tuple(om[c] for om, _ in legs), tuple(s[c] for s in cells)
+
+    def morphism_of(a: str) -> tuple:
+        return tuple(am[a] for _, am in legs)
+
+    return cone_of, morphism_of
 
 
 class BaseConeCategories:
-    """The cone categories Cones_D(X) of one diagram (D, marked), kept as
-    objects and hom-sets, and the bilimit test that reads them.
+    """The cone categories Cones_D(X) of one diagram (D, marked) in a
+    finite 2-category, kept as objects and hom-sets, and the bilimit test
+    that reads them.
 
-    The diagram's ``ConeKernel`` is compiled once; ``at(X)`` builds
-    Cones_D(X) with ``base_cone_homs`` on first use and keeps it, so a
-    search that tests many cones over D builds each at most once.  All
-    ticks are those of the builds, on the given meter.
+    Cones_D(X) is the category of σ-cones from the point under the hom
+    diagram a(X, D-): a cone's legs t_i : X → D(i) and cells
+    σ_u : D(u)∘t_i ⇒ t_j are its objects and cells, its morphisms the
+    2-cells between legs.  So the diagram's ``ConeKernel`` is compiled
+    once, on the actions of ``hom_actions`` along D, and each X only
+    supplies the categories hom(X, D(i)).  ``at(X)`` builds Cones_D(X) on
+    first use and keeps it, so a search that tests many cones over D
+    builds each at most once.  All ticks are those of the builds, on the
+    given meter.
     """
 
     def __init__(self, D: TwoFunctor, marked: frozenset,
-                 meter: Meter | None = None):
-        self.kernel = ConeKernel(D, marked)
+                 meter: Meter | None = None, actions: tuple | None = None):
+        self.D, self.marked = D, marked
+        self.on_1, self.on_2 = actions or hom_actions(D.target)
+        self.kernel = ConeKernel(D.source, marked, lambda u: self.on_1(D.map1[u]),
+                                 lambda x: self.on_2(D.map2[x]))
+        self.values = [D.obj_map[i] for i in self.kernel.objs]
         self.meter = meter or Meter()
         self._at = {}
+
+    def search(self, X: str, legs=None):
+        """The cones of Cones_D(X) as (legs, cells), lazily, in generation
+        order; with ``legs``, only those whose legs all lie in it."""
+        amb = self.D.target
+        return self.kernel.cones([amb.hom.get((X, d)) for d in self.values],
+                                 [amb.one_cells(X, d) for d in self.values],
+                                 self.meter, legs)
+
+    def build(self, X: str) -> tuple[list, dict]:
+        """Cones_D(X) built afresh: its cones as ``search`` gives them, and
+        per pair (p, q) of their positions the morphisms from the p-th to
+        the q-th, with no composition table."""
+        cones = list(self.search(X))
+        if not cones:
+            return cones, {}
+        hom = self.kernel.morphisms([self.D.target.hom[(X, d)] for d in self.values],
+                                    self.meter)
+        return cones, {(p, q): hom(c1, c2)
+                       for p, c1 in enumerate(cones) for q, c2 in enumerate(cones)}
 
     def at(self, X: str) -> tuple:
         """(the cones of Cones_D(X) as (legs, cells) in generation order,
@@ -895,47 +938,39 @@ class BaseConeCategories:
         the morphisms between them)."""
         got = self._at.get(X)
         if got is None:
-            cones, homs = base_cone_homs(self.kernel, X, self.meter)
+            cones, homs = self.build(X)
             got = self._at[X] = (cones, {c: p for p, c in enumerate(cones)}, homs)
         return got
 
+    def base_cone(self, X: str, legs: tuple, cells: tuple) -> BaseCone:
+        return BaseCone(self.D.source, self.D, self.marked, X,
+                        dict(zip(self.kernel.objs, legs)),
+                        dict(zip(self.kernel.cells, cells)))
+
     def cones(self, X: str) -> list[BaseCone]:
         """The cones of Cones_D(X), in generation order, marked ``searched``."""
-        cones = [self.kernel.base_cone(X, *c) for c in self.at(X)[0]]
+        cones = [self.base_cone(X, *c) for c in self.at(X)[0]]
         for cone in cones:
             object.__setattr__(cone, "searched", True)
         return cones
 
     def is_bilimit(self, c: BaseCone) -> bool:
-        """Bilimit test: at every object X, precomposition with the cone,
-        hom(X, vertex) → Cones_D(X), is an equivalence, never required to
-        be an isomorphism; equivalent bilimits need not be isomorphic.
+        """Bilimit test: every hom diagram a(X, -) preserves the cone, that
+        is, precomposition with it, hom(X, vertex) → Cones_D(X), is an
+        equivalence at every X, never required to be an isomorphism;
+        equivalent bilimits need not be isomorphic.
 
-        It is decided by ``is_equivalence_on_homs``.  A 1-cell t goes to
-        the cone with legs c_i∘t and cells σ_u*t, a 2-cell a : t ⇒ t' to
-        the family (c_i*a)_i.  Precomposition is a functor without a
-        check: both categories compose componentwise by vertical
-        composition, and the ambient's interchange law gives
-        c_i*(b·a) = (c_i*b)·(c_i*a) and c_i*1_t = 1_(c_i∘t).  A morphism
-        of cones whose components are all invertible is an isomorphism,
-        since its componentwise inverse satisfies the modification square
-        too.  The cone must be over (D, marked); its laws are not checked
-        here (``check_base_cone`` does that).
+        A 1-cell t goes to the cone with legs c_i∘t and cells σ_u*1_t, a
+        2-cell a to the family 1_(c_i)*a: the ``_comparison`` of
+        ``preserves_bilimit`` for a(X, -), into the kept Cones_D(X).  The
+        cone must be over (D, marked); its laws are not checked here
+        (``check_base_cone`` does that).
         """
-        if c.diagram != self.kernel.D or c.marked != self.kernel.marked:
+        if c.diagram != self.D or c.marked != self.marked:
             raise PreconditionFailed("the cone is not over this diagram")
-        amb = c.diagram.target
-        hc1, hc2 = amb.hcomp1, amb.hcomp2
-        legs = [(c.comp[i], amb.id2(c.comp[i])) for i in self.kernel.objs]
-        structs = [c.struct[u] for u in self.kernel.cells]
-
-        def cone_of(t: str) -> tuple:
-            idt = amb.id2(t)
-            return (tuple(hc1[(leg, t)] for leg, _ in legs),
-                    tuple(hc2[(s, idt)] for s in structs))
-
-        def morphism_of(a: str) -> tuple:
-            return tuple(hc2[(idl, a)] for _, idl in legs)
+        amb = self.D.target
+        cone_of, morphism_of = _comparison([self.on_1(c.comp[i]) for i in self.kernel.objs],
+                                           [self.on_2(c.struct[u]) for u in self.kernel.cells])
 
         def invertible(rho: tuple) -> bool:
             return all(amb.is_invertible_2cell(x) for x in rho)
@@ -1021,108 +1056,34 @@ def comparison_functor(P: CatDiagram, cone: BaseCone,
 def point_cone_homs(Q: CatDiagram, marked: frozenset,
                     meter: Meter | None = None) -> tuple[list, object]:
     """The σ-cones from the point under a strict Cat-valued diagram Q on a
-    shape, read off Q's tables: the objects of σ-Nat(Δ1, Q), and a function
-    that gives the morphisms between two of them.
-
-    A cone is a pair of tuples: an object x_i of Q(i) per shape object i,
-    in sorted order, and an arrow per shape 1-cell u : i → j, in sorted
-    order, from Q(u)x_i to x_j in Q(j): the identity at an identity
-    1-cell, invertible at a marked one.  LN2 at x : u ⇒ v compares σ_u
-    with σ_v∘Q(x)_(x_i), and LN1 at (v, u) compares σ_vu with
-    σ_v∘Q(v)(σ_u), both by lookups in Q's composition tables.  The cones
-    come lexicographically in the objects, then in the cells.
-
-    ``hom(p, q)`` lists the morphisms from the p-th cone to the q-th: the
-    families (m_i) of arrows x_i → x'_i with σ'_u∘Q(u)(m_i) = m_j∘σ_u at
-    every 1-cell u.  It enumerates them afresh at each call, so a caller
-    reads only the hom-sets it needs.  Ticks once per family of objects,
-    per family of cells and per family of morphism components.  No
-    ``Functor``, ``NatTransf`` or ``Transformation`` is built; the
-    transformations Δ1 ⇒ Q of ``transforms`` are the reference.
-    """
+    shape, the objects of σ-Nat(Δ1, Q), as ``ConeKernel`` reads them off
+    Q's tables, and a function that gives the morphisms between two of
+    them: ``hom(p, q)`` lists those from the p-th cone to the q-th,
+    enumerated afresh at each call, so a caller reads only the hom-sets
+    it needs.  No ``Functor``, ``NatTransf`` or ``Transformation`` is
+    built."""
     meter = meter or Meter()
-    sh = Q.source
-    objs, cells = sorted(sh.objects), sorted(sh.all_one_cells())
-    pos = {i: k for k, i in enumerate(objs)}
-    cell_pos = {u: n for n, u in enumerate(cells)}
-    cats = [Q.on_obj[i] for i in objs]
-    ids = set(sh.id1.values())
-    units = [(cell_pos[u], pos[sh.src1(u)]) for u in cells if u in ids]
-    # per non-identity 1-cell u : i → j: its position, i, j, Q(u) on
-    # objects, Q(j), and whether its cell must be invertible
-    non_id = [(cell_pos[u], pos[sh.src1(u)], pos[sh.tgt1(u)], Q.on_1[u].obj_map,
-               Q.on_obj[sh.tgt1(u)], u in marked) for u in cells if u not in ids]
-    ln2 = []
-    for x in sh.all_two_cells():
-        u, v = sh.src2(x), sh.tgt2(x)
-        ln2.append((cell_pos[u], cell_pos[v], pos[sh.src1(u)],
-                    Q.on_2[x].components, Q.on_obj[sh.tgt1(u)].compose))
-    ln1 = [(cell_pos[vu], cell_pos[v], cell_pos[u], Q.on_1[v].arr_map,
-            Q.on_obj[sh.tgt1(v)].compose) for (v, u), vu in sh.hcomp1.items()]
-
-    def hold(xs: tuple, cs: list) -> bool:
-        for u, v, i, qx, cmp in ln2:
-            if cs[u] != cmp[(cs[v], qx[xs[i]])]:
-                return False
-        for vu, v, u, qv, cmp in ln1:
-            if cs[vu] != cmp[(cs[v], qv[cs[u]])]:
-                return False
-        return True
-
-    cones = []
-    for xs in itertools.product(*(sorted(c.objects) for c in cats)):
-        meter.tick()
-        pools = []
-        for _, i, j, qu, cj, inv in non_id:
-            pool = cj.hom(qu[xs[i]], xs[j])
-            if inv:
-                pool = [a for a in pool if cj.is_iso(a)]
-            if not pool:
-                break
-            pools.append(pool)
-        else:
-            cs = [None] * len(cells)
-            for n, i in units:
-                cs[n] = cats[i].identity[xs[i]]
-            for choice in itertools.product(*pools):
-                meter.tick()
-                for (n, *_), a in zip(non_id, choice):
-                    cs[n] = a
-                if hold(xs, cs):
-                    cones.append((xs, tuple(cs)))
-    # the square at an identity 1-cell holds in every strict Q
-    squares = [(n, i, j, Q.on_1[cells[n]].arr_map, cj.compose)
-               for n, i, j, _, cj, _ in non_id]
-
-    def hom(p: int, q: int) -> list:
-        (xs1, cs1), (xs2, cs2) = cones[p], cones[q]
-        out = []
-        for ms in itertools.product(*(c.hom(x, y) for c, x, y in zip(cats, xs1, xs2))):
-            meter.tick()
-            if all(cmp[(cs2[n], qu[ms[i]])] == cmp[(ms[j], cs1[n])]
-                   for n, i, j, qu, cmp in squares):
-                out.append(ms)
-        return out
-
-    return cones, hom
+    kernel = ConeKernel(Q.source, marked,
+                        lambda u: (Q.on_1[u].obj_map, Q.on_1[u].arr_map),
+                        lambda x: Q.on_2[x].components)
+    cats = [Q.on_obj[i] for i in kernel.objs]
+    cones = list(kernel.cones(cats, [sorted(c.objects) for c in cats], meter))
+    hom = kernel.morphisms(cats, meter)
+    return cones, lambda p, q: hom(cones[p], cones[q])
 
 
 def preserves_bilimit(P: CatDiagram, cone: BaseCone,
                       meter: Meter | None = None) -> bool:
     """Whether P takes the cone to a bilimit cone in Cat: the comparison
     P(vertex) → σ-Nat(Δ1, P·D), the functor of ``comparison_functor``, is
-    an equivalence, decided on hom-sets by ``is_equivalence_on_homs``.
+    an equivalence, decided on hom-sets.
 
     The limit is read off P·D's tables by ``point_cone_homs``: an object
     c of P(vertex) goes to the cone with objects P(t_i)c and cells
-    P(σ_u)_c, an arrow a to the family P(t_i)a, each looked up as a tuple
-    of names.  Morphisms are enumerated only into the image, for pairs
-    (i, j) with j an image.  The map is a functor without a check: cone
-    morphisms compose componentwise in each P(D(i)), where P(t_i) is a
-    functor, and 1_c goes to identity components.  A morphism whose
-    components are all invertible is an isomorphism, with the
-    componentwise inverse.  No composition table, ``Transformation`` or
-    ``Modification`` is built; ``comparison_functor`` with
+    P(σ_u)_c, an arrow a to the family P(t_i)a, and the comparison is
+    the one the bilimit test of ``BaseConeCategories`` decides for each
+    hom diagram.  Morphisms are enumerated only into the image, for pairs
+    (i, j) with j an image.  ``comparison_functor`` with
     ``is_equivalence`` is the assembled reference.  Strict diagrams only.
     """
     meter = meter or Meter()
@@ -1134,22 +1095,16 @@ def preserves_bilimit(P: CatDiagram, cone: BaseCone,
     PD = compose_diagram(P, D)
     cones, hom = point_cone_homs(PD, cone.marked, meter)
     objs = sorted(sh.objects)
-    legs = [P.on_1[cone.comp[i]] for i in objs]
+    legs = [(P.on_1[cone.comp[i]].obj_map, P.on_1[cone.comp[i]].arr_map) for i in objs]
     cells = [P.on_2[cone.struct[u]].components for u in sorted(sh.all_one_cells())]
     cats = [PD.on_obj[i] for i in objs]
-
-    def cone_of(c: str) -> tuple:
-        return tuple(F.obj_map[c] for F in legs), tuple(s[c] for s in cells)
-
-    def morphism_of(a: str) -> tuple:
-        return tuple(F.arr_map[a] for F in legs)
 
     def invertible(ms: tuple) -> bool:
         return all(c.is_iso(m) for c, m in zip(cats, ms))
 
     return is_equivalence_on_homs(P.on_obj[cone.vertex],
                                   {k: n for n, k in enumerate(cones)},
-                                  cone_of, morphism_of,
+                                  *_comparison(legs, cells),
                                   lambda i, j: set(hom(i, j)), invertible)
 
 

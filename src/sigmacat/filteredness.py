@@ -10,9 +10,9 @@ lexicographic order, and re-validates each witness against the raw
 equations before reporting it.
 
 The probe shapes' marked cocones (``cone_existence``) are found by the
-cone kernel of ``colimits``: a cocone under a diagram is a cone over the
-same maps between the 1-cell duals of the shape and of the 2-category, so
-the kernel runs there unchanged.
+one cone kernel of ``colimits``: a cocone under a diagram is a cone over
+the same maps between the 1-cell duals, that is a σ-cone from the point
+under the hom diagram of the dual at its vertex.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .errors import PreconditionFailed
 from .fincat import Functor, is_equivalence
 from .two_cat import Fin2Cat, Marked2Cat, WideSub, op_dual, transport_sigma
 from .transforms import TwoFunctor, dual_twofunctor
-from .colimits import ConeKernel
+from .colimits import BaseConeCategories
 from .shapes import BIEQUIFIER, BIINSERTER, BIPRODUCT
 
 
@@ -338,11 +338,10 @@ def cone_existence(sd: ShapeDiagram, sigma: WideSub,
     shape arrows must be invertible.  Returns the first cone found in
     lexicographic order, or None.
     """
-    meter = meter or Meter()
-    kernel = ConeKernel(dual_twofunctor(sd.diagram), sd.marked)
-    for E in sorted(kernel.D.target.objects):
-        for legs, cells in kernel.cones(E, meter, legs=sigma.arrows):
-            cone = kernel.base_cone(E, legs, cells)
+    over = BaseConeCategories(dual_twofunctor(sd.diagram), sd.marked, meter)
+    for E in sorted(over.D.target.objects):
+        for legs, cells in over.search(E, legs=sigma.arrows):
+            cone = over.base_cone(E, legs, cells)
             return (E, cone.comp, cone.struct)
     return None
 

@@ -24,7 +24,7 @@ from .transforms import (CatDiagram, Transformation, compose_diagram,
 from .elements import ElementsResult, elements_of, elements_of_pseudo, obj_name
 from .filteredness import FilterednessReport, check_sigma_cofiltered
 from .colimits import (BaseConeCategories, SigmaCone, check_base_cone,
-                       conical_sigma_colimit, induced_from_colimit,
+                       conical_sigma_colimit, hom_actions, induced_from_colimit,
                        preserves_bilimit, weighted_sigma_limit)
 from .shapes import generating_diagrams
 
@@ -122,9 +122,9 @@ def generate_bilimit_cones(a: Fin2Cat, meter: Meter | None = None) -> list:
 
     Only shapes certified by the bilimit test are returned; on bases
     without some bilimit the shape is simply absent.  Each diagram
-    (D, marked) is searched over one ``BaseConeCategories``: every
-    Cones_D(X) is built first, once, and the ticks are those of these
-    builds.  Then the vertices L are tried in sorted order, the cones of
+    (D, marked) is searched over one ``BaseConeCategories``, all of them
+    on the base's one ``hom_actions``: every Cones_D(X) is built first,
+    once, and the ticks are those of these builds.  Then the vertices L are tried in sorted order, the cones of
     Cones_D(L) in generation order, and the first that passes the bilimit
     test is returned.  Only vertices L where hom(X, L) is inhabited
     exactly where Cones_D(X) is are tried: at any other L the test fails
@@ -138,9 +138,10 @@ def generate_bilimit_cones(a: Fin2Cat, meter: Meter | None = None) -> list:
     meter = meter or Meter()
     objects = sorted(a.objects)
     reaching = {L: {X for X in objects if a.one_cells(X, L)} for L in objects}
+    actions = hom_actions(a)
 
     def search(D, marked):
-        over = BaseConeCategories(D, marked, meter)
+        over = BaseConeCategories(D, marked, meter, actions)
         inhabited = {X for X in objects if over.at(X)[0]}
         for L in objects:
             if reaching[L] == inhabited:

@@ -104,6 +104,33 @@ class Fin2Cat:
         return {pair: tuple(sorted(h.objects)) for pair, h in self.hom.items()}
 
     @cached_property
+    def _cells_into(self) -> dict:
+        """B -> (the 1-cells into B, the 2-cells between them)."""
+        out = {B: ([], []) for B in self.objects}
+        for (_, B), h in self.hom.items():
+            out[B][0].extend(h.objects)
+            out[B][1].extend(h.arrows)
+        return out
+
+    @cached_property
+    def _shape_index(self) -> tuple:
+        """The objects and the 1-cells, each sorted, and by position: per
+        1-cell, (the position of the object it is the identity of, or None,
+        its source, its target); per non-identity 2-cell x : f ⇒ g,
+        (x, f, g); per composable pair (g, f) of non-identity 1-cells,
+        (g∘f, g, f)."""
+        objs, cells = sorted(self.objects), self._all_one_cells
+        pos = {A: k for k, A in enumerate(objs)}
+        at = {f: n for n, f in enumerate(cells)}
+        ids = {self.id1[A]: pos[A] for A in objs}
+        ends = [(ids.get(f), *(pos[A] for A in self._cell1_home[f])) for f in cells]
+        two = [(x, at[self.src2(x)], at[self.tgt2(x)]) for x in self._all_two_cells
+               if not self.is_identity_2cell(x)]
+        pairs = [(at[gf], at[g], at[f]) for (g, f), gf in self.hcomp1.items()
+                 if f not in ids and g not in ids]
+        return objs, cells, ends, two, pairs
+
+    @cached_property
     def _all_one_cells(self) -> tuple[str, ...]:
         return tuple(sorted(self._cell1_home))
 

@@ -2,19 +2,19 @@
 
 Kept for the differential tests only.  ``base_cone_category`` assembles
 Cones_D(X) as a FinCat from the objects and hom-sets that
-``colimits.base_cone_homs`` builds on the cone kernel, and
-``cocone_category`` does the same for the cocones under a probe shape of
-``filteredness``, as cones over the same maps in the 1-cell duals.  The
-kernel decides the bilimit test and the cocone search on objects and
-hom-sets alone; the tests compare it against these assembled categories
-and their brute-force references, and the kernel-parity pins fix their
-ticks.  ``explicit_shape_category`` is the hand-written description of
+``colimits.BaseConeCategories.build`` reads off the hom diagram
+a(X, D-) with the one cone kernel, and ``cocone_category`` does the same
+for the cocones under a probe shape of ``filteredness``, as cones over
+the same maps in the 1-cell duals.  The kernel decides the bilimit test
+and the cocone search on objects and hom-sets alone; the tests compare
+it against these assembled categories and their brute-force references,
+and the kernel-parity pins fix their ticks.  ``explicit_shape_category`` is the hand-written description of
 each probe shape's cocone category, and ``cone_category_equiv`` searches
 for an equivalence between the two.  ``cone_category_names`` looks up the
 cones and cone morphisms of a ``colimits.ConeCategory`` by key.
 """
 
-from sigmacat.colimits import ConeKernel, _morphism_key, base_cone_homs
+from sigmacat.colimits import BaseConeCategories, _morphism_key
 from sigmacat.config import Meter
 from sigmacat.fincat import (assemble_category, enumerate_functors,
                              is_equivalence, mk_fincat)
@@ -22,8 +22,8 @@ from sigmacat.transforms import dual_twofunctor
 
 
 def base_cone_category(D, marked, vertex, meter=None):
-    """Cones_D(vertex) as a FinCat: ``base_cone_homs`` assembled, composed
-    componentwise, one tick per composable pair.
+    """Cones_D(vertex) as a FinCat: ``BaseConeCategories.build`` assembled,
+    composed componentwise, one tick per composable pair.
 
     The cones are named ``k0, k1, …`` in generation order.  Returns
     (category, cones by name, arrow components by name, each a dict by
@@ -31,8 +31,8 @@ def base_cone_category(D, marked, vertex, meter=None):
     """
     meter = meter or Meter()
     amb = D.target
-    kernel = ConeKernel(D, marked)
-    found, homs = base_cone_homs(kernel, vertex, meter)
+    over = BaseConeCategories(D, marked, meter)
+    found, homs = over.build(vertex)
 
     def composite(r2: tuple, r1: tuple) -> tuple:
         meter.tick()
@@ -42,8 +42,8 @@ def base_cone_category(D, marked, vertex, meter=None):
         len(found), ("k", "q"), homs,
         lambda rho: all(amb.is_identity_2cell(x) for x in rho),
         lambda rho: rho, composite)
-    return cat, {f"k{p}": kernel.base_cone(vertex, *c) for p, c in enumerate(found)}, \
-        {name: dict(zip(kernel.objs, rho)) for name, rho in data.items()}
+    return cat, {f"k{p}": over.base_cone(vertex, *c) for p, c in enumerate(found)}, \
+        {name: dict(zip(over.kernel.objs, rho)) for name, rho in data.items()}
 
 
 def cocone_category(sd, E, meter=None):

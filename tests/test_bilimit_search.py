@@ -2,19 +2,23 @@
 ``bilimit_reference``: the same cones, in the same order, for the same
 ticks, on chains, grids, the diamond, the free 2-cell, the walking arrow,
 posets where some shape has no bilimit, bases with more than one bilimit
-cone of a diagram, and generated posets."""
+cone of a diagram, and generated posets.  On the same bases, each cone
+category Cones_D(X) against the σ-cones from the point under a(X, D-),
+and the bilimit test against preservation by every representable."""
 
 import pytest
 from hypothesis import given, settings
 
 from bilimit_reference import reference_bilimit_cones
 from helpers import chain_2cat, grid_2cat, posets
-from sigmacat.colimits import check_base_cone
+from sigmacat.colimits import (BaseConeCategories, check_base_cone,
+                               point_cone_homs, preserves_bilimit)
 from sigmacat.config import Meter
 from sigmacat.fincat import group_z2_category
 from sigmacat.fixtures import arrow_2cat, diamond_2cat, iso_2cat, poset_category
-from sigmacat.flatness import generate_bilimit_cones
+from sigmacat.flatness import generate_bilimit_cones, representable
 from sigmacat.shapes import generating_diagrams
+from sigmacat.transforms import compose_diagram
 from sigmacat.two_cat import free_2cell_2cat, two_cat_from_cat
 
 
@@ -98,3 +102,65 @@ def test_bilimit_search_keeps_nothing_between_calls():
     first, second = searched(generate_bilimit_cones, a), searched(generate_bilimit_cones, a)
     assert first == second
     assert first[1] == 1692
+
+
+# A cone over D with vertex L is a σ-cone from the point under the
+# Cat-valued diagram a(X, D-) at every X, and a σ-bilimit exactly when
+# every representable a(X, -) takes it to a σ-bilimit cone in Cat.
+
+
+def each_cone_category(a):
+    """(D, marked, shared cone categories) per generating diagram of a."""
+    for _, D, marked in generating_diagrams(a):
+        yield D, marked, BaseConeCategories(D, marked)
+
+
+def assert_bilimit_is_preservation_by_representables(a) -> tuple:
+    """Per cone of every Cones_D(L), the bilimit test against
+    preservation by every representable; returns (cones, bilimits)."""
+    reps = [representable(a, X) for X in sorted(a.objects)]
+    cones = bilimits = 0
+    for _, _, over in each_cone_category(a):
+        for L in sorted(a.objects):
+            for cone in over.cones(L):
+                want = all(preserves_bilimit(R, cone) for R in reps)
+                assert over.is_bilimit(cone) == want
+                cones, bilimits = cones + 1, bilimits + want
+    return cones, bilimits
+
+
+@pytest.mark.parametrize("name", sorted(BASES))
+def test_a_bilimit_is_a_cone_every_representable_preserves(name):
+    cones, bilimits = assert_bilimit_is_preservation_by_representables(BASES[name]())
+    assert cones and bilimits
+
+
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(c=posets(4))
+def test_a_bilimit_is_a_cone_every_representable_preserves_on_posets(c):
+    assert_bilimit_is_preservation_by_representables(two_cat_from_cat(c))
+
+
+def assert_cone_categories_are_point_cones(a) -> int:
+    """Per generating diagram and vertex X: Cones_D(X), built on a fresh
+    meter, against the σ-cones from the point under a(X, D-) with every
+    hom-set read, on another; the same cones in the same order, the same
+    hom-sets and the same ticks.  Returns the number of pairs (D, X)."""
+    seen = 0
+    for D, marked, _ in each_cone_category(a):
+        for X in sorted(a.objects):
+            built = Meter()
+            cones, _, homs = BaseConeCategories(D, marked, built).at(X)
+            read = Meter()
+            point, hom = point_cone_homs(compose_diagram(representable(a, X), D),
+                                         marked, read)
+            n = range(len(point))
+            assert {(p, q): hom(p, q) for p in n for q in n} == homs
+            assert (cones, built.count) == (point, read.count)
+            seen += 1
+    return seen
+
+
+@pytest.mark.parametrize("name", sorted(BASES))
+def test_cone_categories_are_the_point_cones_under_the_hom_diagram(name):
+    assert assert_cone_categories_are_point_cones(BASES[name]())

@@ -508,7 +508,10 @@ def test_parser_reuse_leaks_no_state_between_runs(capsys, monkeypatch):
         code, out = invoke(capsys, *lax_hom)
         assert code == 0 and json.loads(out)["objects"] == 2
     usage, by_flag, by_env = seen[0]
-    assert usage[:2] == (2, "") and "invalid choice: 'x'" in usage[2]
+    report = json.loads(usage[1])
+    assert usage[0] == 2 and "invalid choice: 'x'" in usage[2]
+    assert report == {"command": "limit", "error": "usage", "detail": report["detail"]}
+    assert report["detail"].startswith("argument --flavor: invalid choice: 'x'")
     assert by_flag[:2] == by_env[:2] == (2, refusal)
     assert all(got == seen[0] for got in seen)
 
@@ -563,3 +566,30 @@ def test_sigma_names_that_name_no_one_cell_are_refused(capsys, tmp_path, name, s
     assert code == 2
     assert json.loads(out) == {"command": "colimit", "error": "invalid-input",
                                "detail": f"not a wide subcategory: {detail}"}
+
+
+@pytest.mark.parametrize("argv,command,detail", [
+    (["limit", "w.json", "d.json", "--flavor", "x"], "limit",
+     "argument --flavor: invalid choice: 'x'"),
+    (["flat"], "flat", "the following arguments are required: file"),
+    (["exact", "d.json", "--cones", "generated"], None,
+     "unrecognized arguments: --cones generated"),
+    (["--budget", "many", "flat", "d.json"], None,
+     "argument --budget: invalid int value: 'many'"),
+    ([], None, "the following arguments are required: command"),
+])
+def test_usage_errors_are_reported_as_json(capsys, argv, command, detail):
+    """A usage error exits 2 with a JSON report on stdout, naming the
+    subcommand it arose in, if any, with argparse's message as the detail;
+    argparse's usage text stays on stderr."""
+    code = run(argv)
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert code == 2 and captured.err.startswith("usage: sigmacat")
+    assert report == {"command": command, "error": "usage", "detail": report["detail"]}
+    assert report["detail"].startswith(detail)
+
+
+def test_help_is_unchanged(capsys):
+    assert run(["exact", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: sigmacat exact [-h] file\n")

@@ -163,17 +163,17 @@ def test_bilimit_search_builds_each_cone_category_once(diamond, monkeypatch):
     """The vertex filter and the bilimit test read the same cone
     categories: every Cones_D(X) is built exactly once for each
     (D, marked), which is what keeps the ticks those of the builds."""
-    from sigmacat import colimits
-    build = colimits.base_cone_homs
+    from sigmacat.colimits import BaseConeCategories
+    build = BaseConeCategories.build
     built = []
 
-    def counted(kernel, vertex, meter=None):
-        D = kernel.D
+    def counted(over, vertex):
+        D = over.D
         built.append((tuple(sorted(D.obj_map.items())), tuple(sorted(D.map1.items())),
-                      tuple(sorted(D.map2.items())), kernel.marked, vertex))
-        return build(kernel, vertex, meter)
+                      tuple(sorted(D.map2.items())), over.marked, vertex))
+        return build(over, vertex)
 
-    monkeypatch.setattr(colimits, "base_cone_homs", counted)
+    monkeypatch.setattr(BaseConeCategories, "build", counted)
     assert len(generate_bilimit_cones(diamond)) == 43
     diagrams = len(list(generating_diagrams(diamond)))
     assert len(set(built)) == len(built) == len(diamond.objects) * diagrams == 4 * 43
