@@ -6,8 +6,8 @@ of transformations are enumerated, weighted σ-limits are read as conical
 ones over the weight's elements, conical relative colimits are built
 by localization through coset enumeration, with a cap on the length of
 a coset's defining word, and flatness of a Cat-valued diagram is decided
-through filteredness of its 2-category of elements.  The four shapes
-that generate the finite bilimits are catalogued in ``shapes``.  Each
+through filteredness of its 2-category of elements.  The shapes that
+generate the finite bilimits are catalogued in ``shapes``.  Each
 question has one implementation here; the assembled constructions that
 the kernels replaced are kept with the tests, as references.
 """
@@ -22,16 +22,16 @@ from .fincat import (FinCat, Functor, NatTransf, ValidationReport,
                      product_category, validate_category)
 from .presented import PresentedCategory, localize
 from .two_cat import (Fin2Cat, Marked2Cat, WideSub, co_dual, mk_fin2cat,
-                      op_dual, pi0, two_cat_from_cat, validate_2category,
+                      op_dual, two_cat_from_cat, validate_2category,
                       wide_all, wide_from, wide_identities)
 from .transforms import (CatDiagram, Flavor, LAX, Modification, PSEUDO, STRICT,
                          Transformation, TwoFunctor, check_modification,
                          check_transformation, constant_diagram,
                          flavor_inclusions, hom_eps, sigma_flavor,
                          validate_diagram)
-from .elements import (ElementsResult, cart_sigma, elements_of,
-                       elements_of_pseudo, gamma_dual, lax_dense_transport,
-                       lax_pullback_factor, t_eta, t_h)
+from .elements import (DualPi0, ElementsResult, cart_sigma, dual_pi0,
+                       elements_of, elements_of_pseudo, gamma_dual,
+                       lax_dense_transport, lax_pullback_factor, t_eta, t_h)
 from .colimits import (BaseCone, ColimitResult, SigmaCone, bilimit_cat,
                        coend_eps, commutation_check, comparison_functor,
                        conical_sigma_colimit, preserves_bilimit,
@@ -39,7 +39,7 @@ from .colimits import (BaseCone, ColimitResult, SigmaCone, bilimit_cat,
                        weighted_sigma_limit)
 from .filteredness import (FilterednessReport, check_sigma_cofiltered,
                            check_sigma_cofinal, check_sigma_filtered,
-                           cofinal_via_ff, cone_existence)
+                           cofinal_via_ff)
 from .flatness import (CanonicalExpression, FlatnessVerdict,
                        canonical_expression, check_flat, check_flat_pseudo,
                        check_left_exact, exact_implies_cofiltered_check,

@@ -333,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--cap", type=int, default=DEFAULT_CAP)
     q.set_defaults(fn=cmd_colimit)
 
-    q = sub.add_parser("bilimit", help="one of the four generating bilimits")
+    q = sub.add_parser("bilimit", help="one of the four binary generating bilimits")
     q.add_argument("--shape", required=True, choices=list(SHAPES))
     q.add_argument("args", nargs=2)
     q.set_defaults(fn=cmd_bilimit)

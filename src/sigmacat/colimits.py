@@ -6,14 +6,17 @@ conical σ-limit of P·π over the elements of W (``weighted_sigma_limit``),
 read off P's tables by ``point_cone_homs``; the strict flavour, pseudo
 input and callers that need ``Transformation`` objects stay with
 ``transforms.hom_eps``.  Conical colimits relative to a marking are
-computed by the classical recipe: take the dual elements construction of
-the diagram, reverse its 1-cells, collapse each hom to connected
+computed by the classical recipe: take the dual elements construction
+Γ(Q) of the diagram, reverse its 1-cells, collapse each hom to connected
 components, and invert the marked cartesian arrows in the category of
-fractions.  Whenever the localization stabilizes, the result R with its
-universal cone κ is certified by the cocone classifier: Cl(Q, Σ) is
-presented so that its functors into any E are exactly the σ-cones under
-Q with vertex E, and the functor Cl → R that κ induces must be an
-isomorphism, which proves the universal property for every E.  Cl is
+fractions.  That π0 is read straight off Q's tables by
+``elements.dual_pi0``; Γ(Q) itself, its 2-cell compositions and its
+1-cell dual are never assembled.  Whenever the localization stabilizes,
+the result R with its universal cone κ is certified by the cocone
+classifier: Cl(Q, Σ) is presented so that its functors into any E are
+exactly the σ-cones under Q with vertex E, and the functor Cl → R that κ
+induces must be an isomorphism, which proves the universal property for
+every E.  Cl is
 built from Q's own tables, not through the elements construction, and
 decided by one coset table (``presented.presents``).  A weighted
 σ-colimit W ⋆ P is the conical one of P·π over the dual of W's elements;
@@ -73,7 +76,7 @@ from .fincat import (EquivalenceReport, FinCat, Functor, NatTransf,
                      pair_name, partition, terminal_category, validate_functor,
                      validate_nat_transf, vcomp_nat, whisker_functor_nat,
                      whisker_nat_functor)
-from .two_cat import Fin2Cat, WideSub, op_dual, pi0, pi0_class_map
+from .two_cat import Fin2Cat, WideSub, op_dual
 from .transforms import (CatDiagram, HomCategory, Transformation, TwoFunctor,
                          Flavor, PSEUDO, compose_diagram, constant_diagram,
                          dual_twofunctor, hom_eps, sigma_flavor)
@@ -343,7 +346,7 @@ def _cone_morphism_ok(cmp: dict, squares: list, combo: tuple) -> bool:
 class ColimitResult:
     diagram: CatDiagram
     marked: frozenset
-    gamma: el_mod.ElementsResult  # the dual elements construction of the diagram
+    gamma: el_mod.DualPi0  # π0 of the 1-cell dual of Γ(Q), and its decoding tables
     presented: PresentedCategory
     category: FinCat | None
     cone: SigmaCone | None
@@ -363,9 +366,12 @@ def conical_sigma_colimit(Q: CatDiagram, sigma: WideSub, cap: int = DEFAULT_CAP,
     """Conical colimit of a Cat-valued diagram relative to a marking.
 
     Built from the reversed dual elements construction, components
-    collapsed, marked cartesian arrows inverted.  The universal cone
-    sends an element x over A to the class of the pair (x, A).  It is
-    certified by its classifier: the functor Cl(Q, Σ) → R it induces
+    collapsed, marked cartesian arrows inverted: ``elements.dual_pi0``
+    reads that π0 and its class map off Q's tables, with the ticks of
+    ``gamma_dual``, and the classes of the cartesian (f, phi) with f in
+    Σ are localized.  No 2-category of elements is built.  The
+    universal cone sends an element x over A to the class of the pair
+    (x, A).  It is certified by its classifier: the functor Cl(Q, Σ) → R it induces
     must be an isomorphism (``_conical_classifier``).  That proves the
     cone laws too, so ``check_sigma_cone`` is not run: ``presents``
     checks Φ(c·g) = Φ(g)∘Φ(c) at every coset entry, and the relations
@@ -377,12 +383,9 @@ def conical_sigma_colimit(Q: CatDiagram, sigma: WideSub, cap: int = DEFAULT_CAP,
     meter = meter or Meter()
     if Q.is_pseudo:
         raise PreconditionFailed("conical colimits expect a strict diagram")
-    gamma = el_mod.gamma_dual(Q, meter)
-    marked_pairs = el_mod.cart_sigma(gamma, sigma)
-    gop = op_dual(gamma.cat)
-    base_cat = pi0(gop)
-    cls = pi0_class_map(gop)
-    inverted = {cls[m] for m in marked_pairs.arrows}
+    gamma = el_mod.dual_pi0(Q, meter)
+    base_cat, cls = gamma.pi0, gamma.classes
+    inverted = {cls[m] for m in gamma.cart if gamma.pairs1[m][0] in sigma.arrows}
     loc = localize(base_cat, inverted, cap, meter)
     result = ColimitResult(Q, frozenset(sigma.arrows), gamma, loc, None, None, [])
     if not loc.finite:
@@ -511,7 +514,8 @@ def _conical_classifier(Q: CatDiagram, marked: frozenset, cone: SigmaCone) -> _C
 def induced_from_colimit(result: ColimitResult, target: SigmaCone) -> Functor:
     """The functor out of a realized colimit determined by another cone.
 
-    It reads the dual elements construction the colimit was built from.
+    It reads the π0 tables of Γ(Q) the colimit was built from
+    (``result.gamma``), so nothing is built again.
     Marked generators must land on isomorphisms in the target vertex;
     failure to do so, or failure of functoriality on the realization, is
     a certificate failure.
@@ -521,9 +525,7 @@ def induced_from_colimit(result: ColimitResult, target: SigmaCone) -> Functor:
     R = result.category
     E = target.vertex
     gamma = result.gamma
-    gop = op_dual(gamma.cat)
-    base_cat = pi0(gop)
-    cls = pi0_class_map(gop)
+    cls = gamma.classes
     # one representative element pair per component class
     rep_pair = {}
     for nm, (f, phi) in sorted(gamma.pairs1.items()):
@@ -531,7 +533,7 @@ def induced_from_colimit(result: ColimitResult, target: SigmaCone) -> Functor:
 
     def image_of_class(c_name: str) -> str:
         nm, f, phi = rep_pair[c_name]
-        oa, ob = gamma.cat.hom_of_1cell(nm)
+        oa, ob = gamma.ends[nm]
         x, _ = gamma.points[oa]
         _, B = gamma.points[ob]
         # (f, phi) : (x,A) -> (y,B) in the dual construction reads

@@ -12,6 +12,14 @@ Names are minted by ``obj_name``, ``mor_name``, ``cell_name`` and
 ``pair_name`` and read back through the tables that minted them
 (``points``, ``pairs1`` and ``pairs2``), never parsed.  A name minted
 twice for different cells is refused.
+
+One enumerator, ``_cells``, lists the elements and the 1-cells and
+2-cells between them; it ticks and mints for both readers of it.
+``_build`` assembles the 2-category from it (``elements_of``,
+``elements_of_pseudo``, ``gamma_dual``).  ``dual_pi0`` reads from it only
+what a conical σ-colimit needs: π0 of the 1-cell dual of Γ(Q), each hom
+collapsed by its 2-cells, with no hom category, horizontal composition
+table or dual copy built.
 """
 
 from __future__ import annotations
@@ -19,9 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .config import Meter
-from .errors import PreconditionFailed, ValidationError
+from .errors import Inconsistency, PreconditionFailed, ValidationError
 from .fincat import (FinCat, Functor, NatTransf, compose_functors, mint,
-                     mk_fincat, terminal_category)
+                     mk_fincat, partition, terminal_category)
 from .two_cat import Fin2Cat, WideSub, mk_fin2cat
 from .transforms import (CatDiagram, Transformation, TwoFunctor,
                          check_transformation, compose_diagram,
@@ -52,30 +60,27 @@ class ElementsResult:
     pairs2: dict  # 2-cell name -> base 2-cell
 
 
-def _build(P: CatDiagram, reverse_phi: bool, pseudo: bool,
-           meter: Meter) -> ElementsResult:
+def _cells(P: CatDiagram, reverse_phi: bool, meter: Meter) -> tuple:
+    """The elements of P and, per ordered pair of them, the element 1-cells
+    and 2-cells, in one fixed order, each name minted: one tick per 1-cell
+    and per candidate 2-cell.  Returns (``points``, per pair of element
+    names the 1-cell names in order and the 2-cells as name -> (source,
+    target), ``pairs1``, ``pairs2``)."""
     base = P.source
-    objects = []
     points = {}
     for A in sorted(base.objects):
         for x in sorted(P.on_obj[A].objects):
-            name = obj_name(x, A)
-            objects.append(name)
-            mint(points, name, (x, A))
+            mint(points, obj_name(x, A), (x, A))
 
-    hom = {}
+    homs = {}
     pairs1 = {}
     pairs2 = {}
-    id1 = {}
-    for oa in objects:
-        x, A = points[oa]
-        for ob in objects:
-            y, B = points[ob]
+    for oa, (x, A) in points.items():
+        for ob, (y, B) in points.items():
+            cod = P.on_obj[B]
             cells1 = []
-            local1 = {}
             for f in base.one_cells(A, B):
                 Pf = P.on_1[f]
-                cod = P.on_obj[B]
                 if reverse_phi:
                     phis = cod.hom(y, Pf.obj_map[x])
                 else:
@@ -84,18 +89,15 @@ def _build(P: CatDiagram, reverse_phi: bool, pseudo: bool,
                     meter.tick()
                     name = mor_name(f, phi, x)
                     cells1.append(name)
-                    local1[name] = (f, phi)
                     mint(pairs1, name, (f, phi))
-            arrows = {}
-            ident = {}
+            cells2 = {}
             for m1 in cells1:
-                f, phi = local1[m1]
+                f, phi = pairs1[m1]
                 for m2 in cells1:
-                    g, psi = local1[m2]
+                    g, psi = pairs1[m2]
                     for th in base.two_cells_between(f, g):
                         meter.tick()
                         act = P.on_2[th].components[x]
-                        cod = P.on_obj[B]
                         if reverse_phi:
                             # psi = P(th)_x ∘ phi
                             ok = cod.compose[(act, phi)] == psi
@@ -104,21 +106,31 @@ def _build(P: CatDiagram, reverse_phi: bool, pseudo: bool,
                             ok = cod.compose[(psi, act)] == phi
                         if ok:
                             nm = cell_name(th, m1, m2)
-                            arrows[nm] = (m1, m2)
+                            cells2[nm] = (m1, m2)
                             mint(pairs2, nm, th)
-            for m1 in cells1:
-                f, _ = local1[m1]
-                ident[m1] = cell_name(base.id2(f), m1, m1)
-            compose = {}
-            hom_base = base.hom[(A, B)]
-            for nm2, (mid, m3) in arrows.items():
-                for nm1, (m1, mid2) in arrows.items():
-                    if mid2 != mid:
-                        continue
-                    th2, th1 = pairs2[nm2], pairs2[nm1]
-                    comp = hom_base.compose[(th2, th1)]
-                    compose[(nm2, nm1)] = cell_name(comp, m1, m3)
-            hom[(oa, ob)] = mk_fincat(cells1, arrows, ident, compose)
+            homs[(oa, ob)] = (cells1, cells2)
+    return points, homs, pairs1, pairs2
+
+
+def _build(P: CatDiagram, reverse_phi: bool, pseudo: bool,
+           meter: Meter) -> ElementsResult:
+    base = P.source
+    points, homs, pairs1, pairs2 = _cells(P, reverse_phi, meter)
+    objects = list(points)
+    hom = {}
+    id1 = {}
+    for (oa, ob), (cells1, arrows) in homs.items():
+        ident = {m1: cell_name(base.id2(pairs1[m1][0]), m1, m1) for m1 in cells1}
+        compose = {}
+        hom_base = base.hom[(points[oa][1], points[ob][1])]
+        for nm2, (mid, m3) in arrows.items():
+            for nm1, (m1, mid2) in arrows.items():
+                if mid2 != mid:
+                    continue
+                th2, th1 = pairs2[nm2], pairs2[nm1]
+                comp = hom_base.compose[(th2, th1)]
+                compose[(nm2, nm1)] = cell_name(comp, m1, m3)
+        hom[(oa, ob)] = mk_fincat(cells1, arrows, ident, compose)
 
     # identity 1-cells
     for oa in objects:
@@ -176,12 +188,7 @@ def _build(P: CatDiagram, reverse_phi: bool, pseudo: bool,
             hcomp2[(nm2, nm1)] = cell_name(th, hcomp1[(s2, s1)], hcomp1[(t2, t1)])
 
     cat = mk_fin2cat(objects, hom, id1, hcomp1, hcomp2)
-    cart_arrows = set()
-    for nm, (f, phi) in pairs1.items():
-        B = base.tgt1(f)
-        if P.on_obj[B].is_iso(phi):
-            cart_arrows.add(nm)
-    cart = WideSub(cat, frozenset(cart_arrows))
+    cart = WideSub(cat, _cartesian(P, pairs1))
     projection = TwoFunctor(
         cat, base,
         {o: points[o][1] for o in objects},
@@ -189,6 +196,13 @@ def _build(P: CatDiagram, reverse_phi: bool, pseudo: bool,
         {nm: th for nm, th in pairs2.items()},
     )
     return ElementsResult(cat, cart, projection, points, pairs1, pairs2)
+
+
+def _cartesian(P: CatDiagram, pairs1: dict) -> frozenset:
+    """The 1-cells (f, phi) whose phi is invertible."""
+    base = P.source
+    return frozenset(nm for nm, (f, phi) in pairs1.items()
+                     if P.on_obj[base.tgt1(f)].is_iso(phi))
 
 
 def _invert_component(cat: FinCat, a: str) -> str:
@@ -218,6 +232,70 @@ def gamma_dual(Q: CatDiagram, meter: Meter | None = None) -> ElementsResult:
     if Q.is_pseudo:
         raise PreconditionFailed("the dual construction expects a strict diagram")
     return _build(Q, reverse_phi=True, pseudo=False, meter=meter or Meter())
+
+
+@dataclass
+class DualPi0:
+    """What a conical σ-colimit reads of the dual construction Γ(Q): π0
+    of its 1-cell dual, and the tables that decode it.  Names are those
+    of ``gamma_dual``; the 1-cells of Γ(Q) point as there, and π0 is
+    the 1-cell dual's, so a class [m] runs from the target of m to its
+    source."""
+
+    points: dict  # object name -> (x, A)
+    pairs1: dict  # 1-cell name -> (f, phi)
+    ends: dict  # 1-cell name -> (source, target) object names in Γ(Q)
+    classes: dict  # 1-cell name -> its class, an arrow of pi0
+    cart: frozenset  # the 1-cells whose phi is invertible
+    pi0: FinCat  # π0 of the 1-cell dual of Γ(Q)
+
+
+def dual_pi0(Q: CatDiagram, meter: Meter | None = None) -> DualPi0:
+    """π0 of the 1-cell dual of Γ(Q), read off Q's tables with no
+    2-category of elements built.
+
+    The 1-cells and 2-cells of Γ(Q) are those of ``gamma_dual``, with the
+    same ticks and the same refusal of colliding names.  Each hom is
+    partitioned by its 2-cells, a class named ``[m]`` by its least
+    1-cell m.  The composition is read in one pass over the composable
+    pairs of non-empty homs, every pair of members composed in Q's
+    tables; two members giving different classes mean the tables are
+    inconsistent, and raise."""
+    meter = meter or Meter()
+    if Q.is_pseudo:
+        raise PreconditionFailed("the dual construction expects a strict diagram")
+    base = Q.source
+    points, homs, pairs1, _ = _cells(Q, reverse_phi=True, meter=meter)
+    ends, classes, arrows = {}, {}, {}
+    out_of = {}  # object -> [(target, the 1-cells to it)], homs that are non-empty
+    for (oa, ob), (cells1, cells2) in homs.items():
+        if not cells1:
+            continue
+        out_of.setdefault(oa, []).append((ob, cells1))
+        for m, least in partition(cells1, cells2.values()).items():
+            ends[m] = (oa, ob)
+            classes[m] = c = f"[{least}]"
+            arrows[c] = (ob, oa)
+    identity = {o: classes[mor_name(base.id1[A], Q.on_obj[A].identity[x], x)]
+                for o, (x, A) in points.items()}
+    compose = {}
+    for oa, firsts in out_of.items():
+        x = points[oa][0]
+        for ob, first in firsts:
+            for oc, second in out_of.get(ob, ()):
+                QC = Q.on_obj[points[oc][1]].compose
+                for m2 in second:
+                    g, psi = pairs1[m2]
+                    Qg, c2 = Q.on_1[g].arr_map, classes[m2]
+                    for m1 in first:
+                        f, phi = pairs1[m1]
+                        # x -> y -> z in Γ(Q) is z -> y -> x in its dual
+                        c = classes[mor_name(base.hcomp1[(g, f)], QC[(Qg[phi], psi)], x)]
+                        if compose.setdefault((classes[m1], c2), c) != c:
+                            raise Inconsistency(
+                                f"pi0 composition ill-defined on ({classes[m1]},{c2})")
+    return DualPi0(points, pairs1, ends, classes, _cartesian(Q, pairs1),
+                   mk_fincat(points, arrows, identity, compose))
 
 
 def cart_sigma(e: ElementsResult, sigma: WideSub) -> WideSub:

@@ -8,11 +8,6 @@ merged by some marked postcomposition.  The checker scans every
 instance of every axiom, records the first witness found in a fixed
 lexicographic order, and re-validates each witness against the raw
 equations before reporting it.
-
-The probe shapes' marked cocones (``cone_existence``) are found by the
-one cone kernel of ``colimits``: a cocone under a diagram is a cone over
-the same maps between the 1-cell duals, that is a σ-cone from the point
-under the hom diagram of the dual at its vertex.
 """
 
 from __future__ import annotations
@@ -22,10 +17,8 @@ from dataclasses import dataclass, field
 from .config import Meter
 from .errors import PreconditionFailed
 from .fincat import Functor, is_equivalence
-from .two_cat import Fin2Cat, Marked2Cat, WideSub, op_dual, transport_sigma
-from .transforms import TwoFunctor, dual_twofunctor
-from .colimits import BaseConeCategories
-from .shapes import BIEQUIFIER, BIINSERTER, BIPRODUCT
+from .two_cat import Marked2Cat, WideSub, op_dual, transport_sigma
+from .transforms import TwoFunctor
 
 
 AXIOM_NONEMPTY = "nonempty"
@@ -293,57 +286,6 @@ def check_sigma_cofinal(T: TwoFunctor, sigma: WideSub, sigma_prime: WideSub,
                                 return rep
                             rep.witnesses.append(found)
     return rep
-
-
-# ---------------------------------------------------------------------------
-# The three shapes and their cone categories
-
-
-@dataclass(frozen=True)
-class ShapeDiagram:
-    """One of the three filteredness probe diagrams, with its marking."""
-
-    shape: Fin2Cat
-    diagram: TwoFunctor
-    marked: frozenset  # shape 1-cells whose image lies in the marking
-
-
-def shape_diagram_1(m: Marked2Cat, C: str, D: str) -> ShapeDiagram:
-    return _probe(m, BIPRODUCT.diagram(m.cat, C, D))
-
-
-def shape_diagram_2(m: Marked2Cat, f: str, g: str) -> ShapeDiagram:
-    return _probe(m, BIINSERTER.diagram(m.cat, f, g))
-
-
-def shape_diagram_3(m: Marked2Cat, f: str, g: str, alpha: str, beta: str) -> ShapeDiagram:
-    """The probe at alpha, beta : f => g."""
-    return _probe(m, BIEQUIFIER.diagram(m.cat, alpha, beta))
-
-
-def _probe(m: Marked2Cat, T: TwoFunctor) -> ShapeDiagram:
-    return ShapeDiagram(T.source, T, _pulled_marking(T, m.sigma))
-
-
-def _pulled_marking(T: TwoFunctor, sigma: WideSub) -> frozenset:
-    return frozenset(u for u in T.source.all_one_cells()
-                     if T.map1[u] in sigma.arrows)
-
-
-def cone_existence(sd: ShapeDiagram, sigma: WideSub,
-                   meter: Meter | None = None):
-    """Search for a cone under the diagram with marked structure arrows.
-
-    Components must land in the marking; structural cells at marked
-    shape arrows must be invertible.  Returns the first cone found in
-    lexicographic order, or None.
-    """
-    over = BaseConeCategories(dual_twofunctor(sd.diagram), sd.marked, meter)
-    for E in sorted(over.D.target.objects):
-        for legs, cells in over.search(E, legs=sigma.arrows):
-            cone = over.base_cone(E, legs, cells)
-            return (E, cone.comp, cone.struct)
-    return None
 
 
 def cofinal_via_ff(T: TwoFunctor, sigma_prime: WideSub,

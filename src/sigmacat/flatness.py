@@ -118,13 +118,16 @@ def check_left_exact(P: CatDiagram, bilimit_cones,
 
 
 def generate_bilimit_cones(a: Fin2Cat, meter: Meter | None = None) -> list:
-    """Search the base for bilimit cones of the four generating shapes.
+    """Search the base for bilimit cones of the generating shapes: the
+    one diagram of the empty shape, whose bilimit is a biterminal object,
+    then every diagram of the four binary shapes (``generating_diagrams``).
 
     Only shapes certified by the bilimit test are returned; on bases
     without some bilimit the shape is simply absent.  Each diagram
     (D, marked) is searched over one ``BaseConeCategories``, all of them
     on the base's one ``hom_actions``: every Cones_D(X) is built first,
-    once, and the ticks are those of these builds.  Then the vertices L are tried in sorted order, the cones of
+    once, and the ticks are those of these builds.  Then the vertices L
+    are tried in sorted order, the cones of
     Cones_D(L) in generation order, and the first that passes the bilimit
     test is returned.  Only vertices L where hom(X, L) is inhabited
     exactly where Cones_D(X) is are tried: at any other L the test fails

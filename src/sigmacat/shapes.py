@@ -1,16 +1,23 @@
-"""The four shapes that generate the finite weighted bilimits.
+"""The shapes that generate the finite weighted bilimits.
 
-Biproducts, biequalizers, biinserters and biequifiers generate every
-finite weighted bilimit (Kelly, Elementary observations on 2-categorical
-limits, 1989).  Each shape is one ``Shape`` here: its 2-category, built
-once; the weight W for which the W-weighted bilimit is the shape's
-bilimit, read by the ``bilimit`` command; and the marking for which the
-shape's conical σ-bilimit is that bilimit, read by the cone search of
-``flatness.generate_bilimit_cones``.
+Kelly (Elementary observations on 2-categorical limits, 1989) builds
+every finite weighted limit from finite products, inserters and
+equifiers, and the finite products include the empty one, the terminal
+object.  So the biterminal object, the binary biproducts, the
+biinserters and the biequifiers generate every finite weighted bilimit;
+the biequalizers are searched as well.  Each binary shape is one
+``Shape`` here: its 2-category, built once; the weight W for which the
+W-weighted bilimit is the shape's bilimit, read by the ``bilimit``
+command; and the marking for which the shape's conical σ-bilimit is that
+bilimit, read by the cone search of ``flatness.generate_bilimit_cones``.
+The empty shape ``BITERMINAL`` has a single diagram in each 2-category,
+and its bilimit is a biterminal object: an L with every hom(X, L) ≃ 1.
+The ``bilimit`` command does not offer it, since it reads two documents
+and the biterminal object of Cat is the terminal category.
 
-A diagram of a shape is given by the images of its top generators: the
-objects a, b of the biproduct, the 1-cells u, v : a -> b of the
-biequalizer and the biinserter, the 2-cells th, et : u => v of the
+A diagram of a binary shape is given by the images of its top
+generators: the objects a, b of the biproduct, the 1-cells u, v : a -> b
+of the biequalizer and the biinserter, the 2-cells th, et : u => v of the
 biequifier.  The images of the lower generators are their boundaries,
 and identities go to identities.
 """
@@ -109,15 +116,20 @@ BIEQUIFIER = _shape("biequifier", parallel_2cells_2cat(GENERATORS[2]), 2,
 
 SHAPES = {s.name: s for s in (BIPRODUCT, BIEQUALIZER, BIINSERTER, BIEQUIFIER)}
 
+# The empty shape, whose bilimit is the empty biproduct.
+BITERMINAL = two_cat_from_cat(discrete_category(()))
+
 
 def generating_diagrams(a: Fin2Cat):
-    """(label, diagram, marking) for every diagram of the four shapes in
-    ``a``: the biproducts of each pair of objects, then for each parallel
+    """(label, diagram, marking) for every diagram of the generating shapes
+    in ``a``: the one diagram of the empty shape, labelled ``biterminal``,
+    then the biproducts of each pair of objects, then for each parallel
     pair f, g the biequalizer, the biinserter and the biequifier of each
     pair of 2-cells f => g."""
     def of(sh, x, y):
         return f"{sh.name}({x},{y})", sh.diagram(a, x, y), sh.marked
 
+    yield "biterminal", TwoFunctor(BITERMINAL, a, {}, {}, {}), frozenset()
     for C in sorted(a.objects):
         for D in sorted(a.objects):
             yield of(BIPRODUCT, C, D)

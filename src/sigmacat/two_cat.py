@@ -14,16 +14,15 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .fincat import (FinCat, ValidationReport, mk_fincat, pair_name, pair_table,
-                     partition, product_category, terminal_category,
-                     validate_category)
-from .errors import Inconsistency, ValidationError
+                     product_category, terminal_category, validate_category)
+from .errors import ValidationError
 
 
 @dataclass(frozen=True)
 class Fin2Cat:
     """The tables are never mutated after construction; the sorted cells
-    the accessors return and the component classes ``pi0`` reads are
-    computed on first use and kept."""
+    and the shape rows the accessors return are computed on first use and
+    kept."""
 
     objects: tuple[str, ...]
     hom: dict  # (A, B) -> FinCat
@@ -137,17 +136,6 @@ class Fin2Cat:
     @cached_property
     def _all_two_cells(self) -> tuple[str, ...]:
         return tuple(sorted(self._cell2_home))
-
-    @cached_property
-    def _pi0_classes(self) -> dict:
-        """1-cell -> ``[f]``, f the least 1-cell of its connected component
-        in its hom; ``pi0`` and ``pi0_class_map`` share it."""
-        out = {}
-        for pair in sorted(self.hom):
-            h = self.hom[pair]
-            out.update((f, f"[{r}]")
-                       for f, r in partition(h.objects, h.arrows.values()).items())
-        return out
 
 
 def mk_fin2cat(objects, hom, id1, hcomp1, hcomp2) -> Fin2Cat:
@@ -326,7 +314,7 @@ class Marked2Cat:
 
 
 # ---------------------------------------------------------------------------
-# Duals and pi0
+# Duals
 
 
 def op_dual(a: Fin2Cat) -> Fin2Cat:
@@ -354,36 +342,6 @@ def co_dual(a: Fin2Cat) -> Fin2Cat:
 def transport_sigma(w: WideSub, b: Fin2Cat) -> WideSub:
     """Reinterpret a marking in a dual with the same 1-cell names."""
     return WideSub(b, w.arrows)
-
-
-def pi0(a: Fin2Cat) -> FinCat:
-    """Collapse each hom to its connected components.
-
-    Composition is induced on component classes and its well-definedness
-    is verified; a violation means the input tables were inconsistent.
-    """
-    cls_of = a._pi0_classes
-    members = {}  # class name -> its 1-cells
-    for f, name in cls_of.items():
-        members.setdefault(name, []).append(f)
-    arrows = {name: a.hom_of_1cell(fs[0]) for name, fs in members.items()}
-    identity = {A: cls_of[a.id1[A]] for A in a.objects}
-    compose = {}
-    for gname, gmem in members.items():
-        for fname, fmem in members.items():
-            if arrows[fname][1] != arrows[gname][0]:
-                continue
-            results = {cls_of[a.hcomp1[(g, f)]] for g in gmem for f in fmem}
-            if len(results) != 1:
-                raise Inconsistency(
-                    f"pi0 composition ill-defined on ({gname},{fname})")
-            compose[(gname, fname)] = results.pop()
-    return mk_fincat(a.objects, arrows, identity, compose)
-
-
-def pi0_class_map(a: Fin2Cat) -> dict:
-    """1-cell -> component-class arrow name of pi0(a)."""
-    return dict(a._pi0_classes)
 
 
 # ---------------------------------------------------------------------------

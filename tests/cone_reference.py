@@ -8,17 +8,74 @@ for the cocones under a probe shape of ``filteredness``, as cones over
 the same maps in the 1-cell duals.  The kernel decides the bilimit test
 and the cocone search on objects and hom-sets alone; the tests compare
 it against these assembled categories and their brute-force references,
-and the kernel-parity pins fix their ticks.  ``explicit_shape_category`` is the hand-written description of
-each probe shape's cocone category, and ``cone_category_equiv`` searches
-for an equivalence between the two.  ``cone_category_names`` looks up the
+and the kernel-parity pins fix their ticks.  ``explicit_shape_category``
+is the hand-written description of each probe shape's cocone category,
+and ``cone_category_equiv`` searches for an equivalence between the two.
+
+The probe diagrams (``ShapeDiagram``, ``shape_diagram_1/2/3``) are the
+biproduct, biinserter and biequifier of ``shapes`` in a marked
+2-category, with the marking pulled back along them, and
+``cone_existence`` finds their first marked cocone on the same kernel: a
+cocone under a diagram is a cone over the same maps between the 1-cell
+duals, that is a σ-cone from the point under the hom diagram of the dual
+at its vertex.  ``filteredness`` scans the axioms directly; the tests
+check that a marked 2-category is filtered exactly when every probe has
+a marked cocone.  ``cone_category_names`` looks up the
 cones and cone morphisms of a ``colimits.ConeCategory`` by key.
 """
+
+from dataclasses import dataclass
 
 from sigmacat.colimits import BaseConeCategories, _morphism_key
 from sigmacat.config import Meter
 from sigmacat.fincat import (assemble_category, enumerate_functors,
                              is_equivalence, mk_fincat)
-from sigmacat.transforms import dual_twofunctor
+from sigmacat.shapes import BIEQUIFIER, BIINSERTER, BIPRODUCT
+from sigmacat.transforms import TwoFunctor, dual_twofunctor
+from sigmacat.two_cat import Fin2Cat, Marked2Cat, WideSub
+
+
+@dataclass(frozen=True)
+class ShapeDiagram:
+    """One of the three filteredness probe diagrams, with its marking."""
+
+    shape: Fin2Cat
+    diagram: TwoFunctor
+    marked: frozenset  # shape 1-cells whose image lies in the marking
+
+
+def probe(m: Marked2Cat, T: TwoFunctor) -> ShapeDiagram:
+    """T with the shape 1-cells that it sends into the marking marked."""
+    return ShapeDiagram(T.source, T, frozenset(
+        u for u in T.source.all_one_cells() if T.map1[u] in m.sigma.arrows))
+
+
+def shape_diagram_1(m: Marked2Cat, C: str, D: str) -> ShapeDiagram:
+    return probe(m, BIPRODUCT.diagram(m.cat, C, D))
+
+
+def shape_diagram_2(m: Marked2Cat, f: str, g: str) -> ShapeDiagram:
+    return probe(m, BIINSERTER.diagram(m.cat, f, g))
+
+
+def shape_diagram_3(m: Marked2Cat, f: str, g: str, alpha: str, beta: str) -> ShapeDiagram:
+    """The probe at alpha, beta : f => g."""
+    return probe(m, BIEQUIFIER.diagram(m.cat, alpha, beta))
+
+
+def cone_existence(sd: ShapeDiagram, sigma: WideSub, meter: Meter | None = None):
+    """Search for a cocone under the probe diagram with marked legs.
+
+    Components must land in the marking; structural cells at marked
+    shape arrows must be invertible.  Returns the first cocone found in
+    lexicographic order, as (vertex, legs, cells), or None.
+    """
+    over = BaseConeCategories(dual_twofunctor(sd.diagram), sd.marked, meter)
+    for E in sorted(over.D.target.objects):
+        for legs, cells in over.search(E, legs=sigma.arrows):
+            cone = over.base_cone(E, legs, cells)
+            return (E, cone.comp, cone.struct)
+    return None
 
 
 def base_cone_category(D, marked, vertex, meter=None):

@@ -54,8 +54,9 @@ BASES = {
 # Bases where some generating diagram has no bilimit cone.  In the free
 # 2-cell, Cones(a) over the pair (a, b) holds the two cones (1, u) and
 # (1, v) and a morphism between them, but hom(a, a) is a point; in ℤ/2,
-# Cones(*) over the pair (*, *) has four objects and hom(*, *) two.
-INCOMPLETE = {"cospan", "discrete-pair", "bowtie", "free2cell", "z2"}
+# Cones(*) over the pair (*, *) has four objects and hom(*, *) two.  The
+# span has no terminal object, so no biterminal one.
+INCOMPLETE = {"cospan", "discrete-pair", "bowtie", "free2cell", "z2", "span"}
 
 
 def rows(cones) -> list:
@@ -101,7 +102,7 @@ def test_bilimit_search_keeps_nothing_between_calls():
     a = chain_2cat(8)
     first, second = searched(generate_bilimit_cones, a), searched(generate_bilimit_cones, a)
     assert first == second
-    assert first[1] == 1692
+    assert first[1] == 1716
 
 
 # A cone over D with vertex L is a σ-cone from the point under the

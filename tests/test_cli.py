@@ -9,9 +9,9 @@ from helpers import colimit_rungs, discrete_diagram
 from sigmacat import io as sio
 from sigmacat.cli import run
 from sigmacat.errors import ParseError, ValidationError
-from sigmacat.fincat import arrow_category
+from sigmacat.fincat import arrow_category, discrete_category
 from sigmacat.fixtures import arrow_2cat, diagram_pick0, pseudo_swap
-from sigmacat.transforms import CatDiagram
+from sigmacat.transforms import CatDiagram, constant_diagram
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -260,6 +260,19 @@ def test_colliding_element_names_exit_two(capsys, tmp_path):
     code, out = invoke(capsys, "flat", str(path))
     assert code == 2
     assert json.loads(out)["error"] == "invalid-input"
+
+
+def test_exact_on_the_empty_constant_names_the_biterminal_shape(capsys, tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text(sio.dumps(sio.diagram_to_doc(
+        constant_diagram(arrow_2cat(), discrete_category([])))))
+    code, out = invoke(capsys, "exact", str(path))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["verdict"] is False and not doc["no_evidence"]
+    assert [e["shape"] for e in doc["per_shape"] if not e["ok"]] == ["biterminal"]
+    code, out = invoke(capsys, "flat", str(path))
+    assert json.loads(out)["verdict"] == "not-flat"
 
 
 def test_whitespace_identifier_rejected():

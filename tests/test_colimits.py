@@ -27,7 +27,7 @@ from sigmacat.fixtures import (arrow_2cat, diagram_chain_to_pp, diagram_collapse
                                weight_constant_terminal_op, weight_on_op_arrow)
 from sigmacat.flatness import representable
 from sigmacat.two_cat import (Marked2Cat, WideSub, free_2cell_2cat, op_dual,
-                              pair_name, pi0, terminal_2cat, two_cat_from_cat,
+                              pair_name, terminal_2cat, two_cat_from_cat,
                               two_cat_product, wide_all, wide_from,
                               wide_identities)
 from sigmacat.transforms import (LAX, PSEUDO, STRICT, CatDiagram,
@@ -535,7 +535,7 @@ def test_filtered_colimit_commutes_with_finite_limit_one_instance():
 
 
 # ---------------------------------------------------------------------------
-# Commutation of σ-filtered σ-colimits with the four generating bilimits
+# Commutation of σ-filtered σ-colimits with the four binary generating bilimits
 
 
 def _indexed(P, marking=wide_all):

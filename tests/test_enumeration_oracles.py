@@ -58,8 +58,9 @@ from hypothesis import given, settings
 from bilimit_reference import cone_candidates, cone_laws
 from certificate_reference import (certify_against, certify_weighted,
                                    default_test_family, hom_into_diagram)
-from cone_reference import (base_cone_category, cocone_category,
-                            cone_category_names)
+from cone_reference import (ShapeDiagram, base_cone_category, cocone_category,
+                            cone_category_names, cone_existence,
+                            shape_diagram_1, shape_diagram_2, shape_diagram_3)
 from helpers import chain_2cat, idempotent_category, posets
 from sigmacat.colimits import (BaseCone, BaseConeCategories, SigmaCone,
                                _conical_classifier, _weighted_classifier,
@@ -69,9 +70,6 @@ from sigmacat.colimits import (BaseCone, BaseConeCategories, SigmaCone,
                                preserves_bilimit, weighted_sigma_colimit)
 from sigmacat.config import Meter
 from sigmacat.errors import PreconditionFailed, SizeLimitExceeded
-from sigmacat.filteredness import (ShapeDiagram, cone_existence,
-                                   shape_diagram_1, shape_diagram_2,
-                                   shape_diagram_3)
 from sigmacat.elements import mor_name, obj_name
 from sigmacat.fincat import (Functor, NatTransf, arrow_category,
                              assemble_category, compose_functors,
@@ -89,7 +87,7 @@ from sigmacat.fixtures import (arrow_2cat, chain3_2cat, diagram_collapse,
                                weight_on_op_arrow)
 from sigmacat.flatness import generate_bilimit_cones, representable
 from sigmacat.presented import presents
-from sigmacat.shapes import generating_diagrams
+from sigmacat.shapes import BITERMINAL, generating_diagrams
 from sigmacat.transforms import (LAX, PSEUDO, STRICT, Modification,
                                  Transformation, check_modification,
                                  check_transformation, constant_diagram,
@@ -1111,7 +1109,7 @@ def test_point_cones_match_the_transformations_out_of_the_point(case):
 
 
 def reference_bilimit_cones(a) -> list:
-    """The four generating shapes in ``generate_bilimit_cones``' order, each
+    """The generating shapes in ``generate_bilimit_cones``' order, each
     searched candidate by candidate: the legs, cells and laws of
     ``bilimit_reference``, then ``assembled_is_bilimit`` on the cone, with
     nothing shared between candidates."""
@@ -1128,9 +1126,10 @@ def reference_bilimit_cones(a) -> list:
                             return cone
         return None
 
-    searches = [(f"biproduct({C},{D})", shape_diagram_1(full, C, D).diagram,
-                 frozenset())
-                for C in sorted(a.objects) for D in sorted(a.objects)]
+    searches = [("biterminal", TwoFunctor(BITERMINAL, a, {}, {}, {}), frozenset())]
+    searches += [(f"biproduct({C},{D})", shape_diagram_1(full, C, D).diagram,
+                  frozenset())
+                 for C in sorted(a.objects) for D in sorted(a.objects)]
     for A in sorted(a.objects):
         for B in sorted(a.objects):
             for f in a.one_cells(A, B):

@@ -2,20 +2,20 @@
 
 import pytest
 
-from cone_reference import cone_category_equiv, explicit_shape_category
+from cone_reference import (cone_category_equiv, cone_existence,
+                            explicit_shape_category, probe, shape_diagram_1,
+                            shape_diagram_2, shape_diagram_3)
 from sigmacat.errors import PreconditionFailed
 from sigmacat.fincat import validate_category
 from sigmacat.fixtures import (arrow_2cat, diamond_2cat, iso_2cat,
                                marked_fixtures, parallel_2cat)
-from sigmacat.two_cat import (Marked2Cat, WideSub, free_2cell_2cat, op_dual,
+from sigmacat.two_cat import (Marked2Cat, WideSub, op_dual,
                               parallel_2cells_2cat, terminal_2cat,
                               transport_sigma, wide_all, wide_from,
                               wide_identities)
 from sigmacat.transforms import TwoFunctor, identity_twofunctor
 from sigmacat.filteredness import (check_sigma_cofiltered, check_sigma_cofinal,
-                                   check_sigma_filtered, cofinal_via_ff,
-                                   cone_existence, shape_diagram_1,
-                                   shape_diagram_2, shape_diagram_3)
+                                   check_sigma_filtered, cofinal_via_ff)
 
 
 @pytest.mark.parametrize("label,m,expect", marked_fixtures())
@@ -81,12 +81,8 @@ def test_characterization_by_shape_cones(label, m, expect):
 def test_general_diagram_direction_one_instance():
     # a filtered fixture admits a marked cone over a diagram with two
     # objects, two arrows, and a connecting 2-cell
-    from sigmacat.filteredness import ShapeDiagram, _pulled_marking
     m = dict((l, mm) for l, mm, _ in marked_fixtures())["free2cell/ids+v"]
-    a = m.cat
-    sh = free_2cell_2cat()
-    D = identity_twofunctor(a)
-    sd = ShapeDiagram(sh, D, _pulled_marking(D, m.sigma))
+    sd = probe(m, identity_twofunctor(m.cat))
     got = cone_existence(sd, m.sigma)
     assert got is not None
     E, comp, struct = got

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from helpers import discrete_diagram
+from helpers import chain_2cat, discrete_diagram
 from sigmacat.colimits import (BaseCone, BaseConeCategories, comparison_functor,
                                preserves_bilimit)
 from sigmacat.errors import Inconsistency, PreconditionFailed
@@ -174,9 +174,9 @@ def test_bilimit_search_builds_each_cone_category_once(diamond, monkeypatch):
         return build(over, vertex)
 
     monkeypatch.setattr(BaseConeCategories, "build", counted)
-    assert len(generate_bilimit_cones(diamond)) == 43
+    assert len(generate_bilimit_cones(diamond)) == 44
     diagrams = len(list(generating_diagrams(diamond)))
-    assert len(set(built)) == len(built) == len(diamond.objects) * diagrams == 4 * 43
+    assert len(set(built)) == len(built) == len(diamond.objects) * diagrams == 4 * 44
 
 
 def test_left_exactness_builds_no_composition_table(diamond, monkeypatch):
@@ -196,7 +196,7 @@ def test_left_exactness_builds_no_composition_table(diamond, monkeypatch):
                 monkeypatch.setattr(module, name, refuse)
     rep = check_left_exact(representable(diamond, "bot"),
                            generate_bilimit_cones(diamond))
-    assert rep.verdict and len(rep.per_shape) == 43
+    assert rep.verdict and len(rep.per_shape) == 44
 
 
 def _z2_killed_along_bot_a(diamond):
@@ -282,13 +282,51 @@ def test_empty_cone_list_is_flagged(diamond):
     assert rep.verdict and rep.no_evidence
 
 
+# Δ(∅), the constant diagram at the empty category, over bases with a
+# terminal object: El is empty, so it is not flat, and P(top) = ∅ is not
+# ≃ 1, so the biterminal cone is not preserved and it is not left exact.
+EMPTY_VALUE_BASES = {"arrow": (arrow_2cat, "1"), "chain4": (lambda: chain_2cat(4), "c3"),
+                     "diamond": (diamond_2cat, "top")}
+
+
+@pytest.mark.parametrize("name", sorted(EMPTY_VALUE_BASES))
+def test_the_empty_constant_is_neither_flat_nor_left_exact(name):
+    base_of, top = EMPTY_VALUE_BASES[name]
+    base = base_of()
+    cones = generate_bilimit_cones(base)
+    label, terminal = cones[0]
+    assert (label, terminal.vertex, terminal.comp, terminal.struct) == \
+        ("biterminal", top, {}, {})
+    P = constant_diagram(base, discrete_category([]))
+    rep = check_left_exact(P, cones)
+    assert not rep.verdict and not rep.no_evidence
+    assert [label for label, ok in rep.per_shape if not ok] == ["biterminal"]
+    assert check_flat(P).verdict == "not-flat"
+    # the bridge check refuses the input as not left exact; it used to
+    # find it exact and raise Inconsistency
+    with pytest.raises(PreconditionFailed, match="not left exact"):
+        exact_implies_cofiltered_check(P, cones)
+
+
+def test_the_biterminal_cone_is_absent_without_a_terminal_object():
+    """The discrete pair has no terminal object; the point is biterminal
+    and Δ1 preserves it."""
+    pair = two_cat_from_cat(discrete_category(["x", "y"]))
+    assert "biterminal" not in dict(generate_bilimit_cones(pair))
+    point = terminal_2cat()
+    rep = check_left_exact(constant_diagram(point, terminal_category()),
+                           generate_bilimit_cones(point))
+    assert rep.verdict and rep.per_shape[0] == ("biterminal", True)
+
+
 def test_malformed_cones_passed_in_are_refused(diamond, diamond_cones):
     """The cones of the search are marked ``searched`` and not checked
     again; any other cone is, whether built by hand or derived from a
     searched one with ``dataclasses.replace``, and a malformed one is a
     precondition failure, also among searched cones."""
     P = representable(diamond, "a")
-    label, cone = diamond_cones[0]
+    # the first cone with a leg: the biterminal cone has none to get wrong
+    label, cone = next((label, c) for label, c in diamond_cones if c.comp)
     i = sorted(cone.comp)[0]
     wrong = next(f for f in sorted(diamond.all_one_cells())
                  if diamond.hom_of_1cell(f) != (cone.vertex, cone.diagram.obj_map[i]))

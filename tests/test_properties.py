@@ -208,8 +208,10 @@ def posets_with_top(draw, max_objects: int):
 @given(data=st.data())
 def test_sigma_filtered_colimits_commute_with_the_generating_bilimits(data):
     """σ-filtered σ-colimits commute with the finite weighted bilimits in
-    Cat, and by Kelly it is enough to check the four generating shapes: a
-    fully marked poset with a top is σ-filtered, so for every T(i,s) =
+    Cat, and by Kelly it is enough to check the generating shapes.  The
+    empty one asks that σ-colim Δ1 ≃ 1, which the fully marked ``one/all``
+    colimit rungs show; the four binary ones are drawn here.  A fully
+    marked poset with a top is σ-filtered, so for every T(i,s) =
     P(i) × W(s), with W the shape's weight and P constant or
     representable, the canonical comparison
     σ-colim_i lim_s T(i,s) → lim_s σ-colim_i T(i,s) is an equivalence."""

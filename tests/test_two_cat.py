@@ -2,12 +2,13 @@
 
 import pytest
 
+from pi0_reference import pi0
 from sigmacat.errors import ValidationError
 from sigmacat.fincat import arrow_category, find_isomorphism, terminal_category
 from sigmacat.fixtures import (arrow_2cat, diamond_2cat, iso_2cat,
                                parallel_2cat)
 from sigmacat.two_cat import (Marked2Cat, WideSub, co_dual, free_2cell_2cat,
-                              mk_fin2cat, op_dual, parallel_2cells_2cat, pi0,
+                              mk_fin2cat, op_dual, parallel_2cells_2cat,
                               terminal_2cat, two_cat_from_cat, two_cat_product,
                               validate_2category,
                               validate_wide_sub, wide_all, wide_from,
