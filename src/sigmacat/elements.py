@@ -14,12 +14,15 @@ Names are minted by ``obj_name``, ``mor_name``, ``cell_name`` and
 twice for different cells is refused.
 
 One enumerator, ``_cells``, lists the elements and the 1-cells and
-2-cells between them; it ticks and mints for both readers of it.
+2-cells between them; it ticks and mints for its three readers.
 ``_build`` assembles the 2-category from it (``elements_of``,
 ``elements_of_pseudo``, ``gamma_dual``).  ``dual_pi0`` reads from it only
 what a conical σ-colimit needs: π0 of the 1-cell dual of Γ(Q), each hom
-collapsed by its 2-cells, with no hom category, horizontal composition
-table or dual copy built.
+collapsed by its 2-cells.  ``_OpElements`` reads from it only what
+``check_flat``'s filteredness scan needs of the 1-cell dual of El_P: its homs of 1-cells
+and 2-cells, and its horizontal composites, each computed on first
+lookup.  Neither of the last two builds a hom category, a horizontal
+composition table or a dual copy.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .config import Meter
 from .errors import Inconsistency, PreconditionFailed, ValidationError
 from .fincat import (FinCat, Functor, NatTransf, compose_functors, mint,
                      mk_fincat, partition, terminal_category)
-from .two_cat import Fin2Cat, WideSub, mk_fin2cat
+from .two_cat import Fin2Cat, Marked2Cat, WideSub, mk_fin2cat
 from .transforms import (CatDiagram, Transformation, TwoFunctor,
                          check_transformation, compose_diagram,
                          constant_diagram, hom_eps, LAX)
@@ -114,25 +117,33 @@ def _cells(P: CatDiagram, reverse_phi: bool, meter: Meter) -> tuple:
 
 def _build(P: CatDiagram, reverse_phi: bool, pseudo: bool,
            meter: Meter) -> ElementsResult:
+    """The 2-category of ``_cells``' elements.  Every composite is taken
+    along non-empty homs only: pairs of 1-cells through the objects each
+    one reaches, pairs of 2-cells through their middle object."""
     base = P.source
     points, homs, pairs1, pairs2 = _cells(P, reverse_phi, meter)
     objects = list(points)
     hom = {}
-    id1 = {}
+    after = {}  # object -> the objects it has 1-cells to
+    cells2_from = {}  # object -> [(2-cell, (source, target))] in the homs out of it
     for (oa, ob), (cells1, arrows) in homs.items():
         ident = {m1: cell_name(base.id2(pairs1[m1][0]), m1, m1) for m1 in cells1}
         compose = {}
         hom_base = base.hom[(points[oa][1], points[ob][1])]
-        for nm2, (mid, m3) in arrows.items():
-            for nm1, (m1, mid2) in arrows.items():
-                if mid2 != mid:
-                    continue
-                th2, th1 = pairs2[nm2], pairs2[nm1]
-                comp = hom_base.compose[(th2, th1)]
-                compose[(nm2, nm1)] = cell_name(comp, m1, m3)
+        leaving = {}  # 1-cell -> the 2-cells out of it
+        for nm, (m1, _) in arrows.items():
+            leaving.setdefault(m1, []).append(nm)
+        for nm1, (m1, mid) in arrows.items():
+            for nm2 in leaving.get(mid, ()):
+                comp = hom_base.compose[(pairs2[nm2], pairs2[nm1])]
+                compose[(nm2, nm1)] = cell_name(comp, m1, arrows[nm2][1])
         hom[(oa, ob)] = mk_fincat(cells1, arrows, ident, compose)
+        if cells1:
+            after.setdefault(oa, []).append(ob)
+        cells2_from.setdefault(oa, []).extend(arrows.items())
 
     # identity 1-cells
+    id1 = {}
     for oa in objects:
         x, A = points[oa]
         if pseudo:
@@ -144,48 +155,23 @@ def _build(P: CatDiagram, reverse_phi: bool, pseudo: bool,
 
     # horizontal composition of 1-cells
     hcomp1 = {}
-    for oa in objects:
-        x, A = points[oa]
-        for ob in objects:
-            y, B = points[ob]
-            for oc in objects:
-                z, C = points[oc]
-                for m2 in hom[(ob, oc)].objects:
-                    g, psi = pairs1[m2]
-                    for m1 in hom[(oa, ob)].objects:
-                        f, phi = pairs1[m1]
-                        gf = base.hcomp1[(g, f)]
-                        PC = P.on_obj[C]
-                        Pg = P.on_1[g]
-                        if reverse_phi:
-                            # z -> P(g)(y) -> P(g)P(f)(x) [-> P(gf)(x)]
-                            w = PC.compose[(Pg.arr_map[phi], psi)]
-                            if pseudo:
-                                ac = P.alpha_comp[(f, g)].components[x]
-                                w = PC.compose[(ac, w)]
-                        else:
-                            # P(gf)(x) [-> P(g)P(f)(x)] -> P(g)(y) -> z
-                            w = PC.compose[(psi, Pg.arr_map[phi])]
-                            if pseudo:
-                                ac_inv = _invert_component(
-                                    PC, P.alpha_comp[(f, g)].components[x])
-                                w = PC.compose[(w, ac_inv)]
-                        hcomp1[(m2, m1)] = mor_name(gf, w, x)
+    for oa, reached in after.items():
+        x = points[oa][0]
+        for ob in reached:
+            firsts = homs[(oa, ob)][0]
+            for oc in after.get(ob, ()):
+                for m2 in homs[(ob, oc)][0]:
+                    for m1 in firsts:
+                        hcomp1[(m2, m1)] = _hcomp1(P, reverse_phi, pseudo,
+                                                   pairs1[m2], pairs1[m1], x)
 
     # horizontal composition of 2-cells is computed in the base
     hcomp2 = {}
-    all_cells2 = []
-    for pair, h in hom.items():
-        for nm in h.arrows:
-            all_cells2.append((nm, pair, h))
-    for nm2, (obm, ocm), h2 in all_cells2:
-        for nm1, (oam, obm2), h1 in all_cells2:
-            if obm2 != obm:
-                continue
-            s2, t2 = h2.arrows[nm2]
-            s1, t1 = h1.arrows[nm1]
-            th = base.hcomp2[(pairs2[nm2], pairs2[nm1])]
-            hcomp2[(nm2, nm1)] = cell_name(th, hcomp1[(s2, s1)], hcomp1[(t2, t1)])
+    for (_, ob), (_, arrows) in homs.items():
+        for nm1, (s1, t1) in arrows.items():
+            for nm2, (s2, t2) in cells2_from.get(ob, ()):
+                th = base.hcomp2[(pairs2[nm2], pairs2[nm1])]
+                hcomp2[(nm2, nm1)] = cell_name(th, hcomp1[(s2, s1)], hcomp1[(t2, t1)])
 
     cat = mk_fin2cat(objects, hom, id1, hcomp1, hcomp2)
     cart = WideSub(cat, _cartesian(P, pairs1))
@@ -196,6 +182,26 @@ def _build(P: CatDiagram, reverse_phi: bool, pseudo: bool,
         {nm: th for nm, th in pairs2.items()},
     )
     return ElementsResult(cat, cart, projection, points, pairs1, pairs2)
+
+
+def _hcomp1(P: CatDiagram, reverse_phi: bool, pseudo: bool, second: tuple,
+            first: tuple, x: str) -> str:
+    """The name of the composite of two element 1-cells: ``first`` =
+    (f, phi) out of an element (x, A), then ``second`` = (g, psi)."""
+    (g, psi), (f, phi) = second, first
+    base = P.source
+    PC = P.on_obj[base.tgt1(g)]
+    Pg = P.on_1[g]
+    if reverse_phi:
+        # z -> P(g)(y) -> P(g)P(f)(x)
+        w = PC.compose[(Pg.arr_map[phi], psi)]
+    else:
+        # P(gf)(x) [-> P(g)P(f)(x)] -> P(g)(y) -> z
+        w = PC.compose[(psi, Pg.arr_map[phi])]
+        if pseudo:
+            ac_inv = _invert_component(PC, P.alpha_comp[(f, g)].components[x])
+            w = PC.compose[(w, ac_inv)]
+    return mor_name(base.hcomp1[(g, f)], w, x)
 
 
 def _cartesian(P: CatDiagram, pairs1: dict) -> frozenset:
@@ -296,6 +302,102 @@ def dual_pi0(Q: CatDiagram, meter: Meter | None = None) -> DualPi0:
                                 f"pi0 composition ill-defined on ({classes[m1]},{c2})")
     return DualPi0(points, pairs1, ends, classes, _cartesian(Q, pairs1),
                    mk_fincat(points, arrows, identity, compose))
+
+
+class _Table(dict):
+    """A composition table whose entries are computed on first lookup,
+    by ``entry`` on the key's two cells, and kept."""
+
+    def __init__(self, entry):
+        super().__init__()
+        self.entry = entry
+
+    def __missing__(self, key):
+        value = self[key] = self.entry(*key)
+        return value
+
+
+class _OpElements:
+    """The 1-cell dual of El_P for a strict P, marked by its cartesian
+    1-cells, read off P's tables: what ``check_sigma_filtered`` reads of
+    ``op_dual(elements_of(P).cat)``, with no hom category, horizontal
+    composition table or dual copy built.  It serves ``check_flat`` only:
+    it is not a ``Fin2Cat``, and a reader of more than that scan reads
+    needs ``elements_of``.
+
+    Names, ticks and the refusal of colliding names are those of
+    ``elements_of``.  The 1-cells of the dual point against El_P's, its
+    2-cells as there.  ``hcomp1`` and ``hcomp2`` are the dual's tables,
+    each entry computed from P's tables on first lookup; a 2-cell is
+    invertible when its base 2-cell has an inverse among the 2-cells
+    back, by the vertical composition of the base."""
+
+    def __init__(self, P: CatDiagram, meter: Meter | None = None):
+        if P.is_pseudo:
+            raise PreconditionFailed("use elements_of_pseudo for pseudofunctors")
+        self.P, self.base = P, P.source
+        points, homs, self.pairs1, self.pairs2 = _cells(P, False, meter or Meter())
+        self.points = points
+        self.objects = tuple(sorted(points))
+        self.ends1 = {}  # 1-cell -> (source, target) in El_P
+        self.ends2 = {}  # 2-cell -> (source, target) 1-cells
+        self._one_cells = {}  # (A, B) -> the dual's 1-cells A -> B, sorted
+        between = {}
+        for (oa, ob), (cells1, cells2) in homs.items():
+            if cells1:
+                self._one_cells[(ob, oa)] = tuple(sorted(cells1))
+            for m in cells1:
+                self.ends1[m] = (oa, ob)
+            for nm, ends in cells2.items():
+                self.ends2[nm] = ends
+                between.setdefault(ends, []).append(nm)
+        self._between = {ends: sorted(cells) for ends, cells in between.items()}
+        self.cart = _cartesian(P, self.pairs1)
+        self.hcomp1 = _Table(self._hcomp1)
+        self.hcomp2 = _Table(self._hcomp2)
+
+    def _hcomp1(self, h: str, f: str) -> str:
+        """h∘f in the dual: f after h in El_P."""
+        x = self.points[self.ends1[h][0]][0]
+        return _hcomp1(self.P, False, False, self.pairs1[f], self.pairs1[h], x)
+
+    def _hcomp2(self, b: str, a: str) -> str:
+        """b*a in the dual: a*b in El_P, computed in the base."""
+        (sb, tb), (sa, ta) = self.ends2[b], self.ends2[a]
+        th = self.base.hcomp2[(self.pairs2[a], self.pairs2[b])]
+        return cell_name(th, self.hcomp1[(sb, sa)], self.hcomp1[(tb, ta)])
+
+    def one_cells(self, A: str, B: str) -> tuple[str, ...]:
+        return self._one_cells.get((A, B), ())
+
+    def two_cells_between(self, f: str, g: str) -> list[str]:
+        return self._between.get((f, g), [])
+
+    def src1(self, f: str) -> str:
+        return self.ends1[f][1]
+
+    def tgt1(self, f: str) -> str:
+        return self.ends1[f][0]
+
+    def src2(self, a: str) -> str:
+        return self.ends2[a][0]
+
+    def tgt2(self, a: str) -> str:
+        return self.ends2[a][1]
+
+    def id2(self, f: str) -> str:
+        return cell_name(self.base.id2(self.pairs1[f][0]), f, f)
+
+    def is_invertible_2cell(self, a: str) -> bool:
+        s, t = self.ends2[a]
+        base, th = self.base, self.pairs2[a]
+        one_s, one_t = base.id2(self.pairs1[s][0]), base.id2(self.pairs1[t][0])
+        return any(base.vcomp(self.pairs2[b], th) == one_s and
+                   base.vcomp(th, self.pairs2[b]) == one_t
+                   for b in self.two_cells_between(t, s))
+
+    def marked(self) -> Marked2Cat:
+        return Marked2Cat(self, WideSub(self, self.cart))
 
 
 def cart_sigma(e: ElementsResult, sigma: WideSub) -> WideSub:

@@ -167,26 +167,27 @@ def validate_category(c: FinCat) -> ValidationReport:
         elif c.arrows[h] != (c.src(f), c.tgt(g)):
             rep.add("compose-result-typing", (g, f, h),
                     f"{g}∘{f}={h} has the wrong endpoints")
-    for g in sorted(names):
-        for f in sorted(names):
-            if c.tgt(f) == c.src(g) and (g, f) not in c.compose:
+    ordered = sorted(names)
+    into = {}  # object -> the arrows into it, sorted
+    for a in ordered:
+        into.setdefault(c.tgt(a), []).append(a)
+    for g in ordered:
+        for f in into.get(c.src(g), ()):
+            if (g, f) not in c.compose:
                 rep.add("compose-missing", (g, f), "composable pair has no entry")
     if not rep.ok:
         return rep
-    for a in sorted(names):
+    for a in ordered:
         s, t = c.arrows[a]
         if c.compose[(a, c.identity[s])] != a:
             rep.add("identity-law", (a, c.identity[s]), f"{a}∘id != {a}")
         if c.compose[(c.identity[t], a)] != a:
             rep.add("identity-law", (c.identity[t], a), f"id∘{a} != {a}")
-    for h in sorted(names):
-        for g in sorted(names):
-            if c.tgt(g) != c.src(h):
-                continue
-            for f in sorted(names):
-                if c.tgt(f) != c.src(g):
-                    continue
-                if c.compose[(c.compose[(h, g)], f)] != c.compose[(h, c.compose[(g, f)])]:
+    for h in ordered:
+        for g in into.get(c.src(h), ()):
+            hg = c.compose[(h, g)]
+            for f in into.get(c.src(g), ()):
+                if c.compose[(hg, f)] != c.compose[(h, c.compose[(g, f)])]:
                     rep.add("associativity", (h, g, f),
                             f"(h∘g)∘f != h∘(g∘f) at ({h},{g},{f})")
     return rep

@@ -1,8 +1,12 @@
 """Flatness of Cat-valued diagrams, decided through the elements construction.
 
 A diagram is recorded as flat exactly when its 2-category of elements is
-cofiltered with respect to the cocartesian marking; the verdict carries
-the full filteredness report as evidence and names the route, since the
+cofiltered with respect to the cocartesian marking.  For a strict
+diagram the 1-cell dual of El_P is read off P's tables
+(``elements._OpElements``), not assembled; a pseudofunctor's El_P is
+assembled, and cross-checked against the reader on its
+strictification.  The verdict carries the full
+filteredness report as evidence and names the route, since the
 defining Kan-extension property quantifies over an infinite 2-category
 and is not checked directly.  Left exactness is checked shape by shape
 against user-supplied or generated bilimit cones, and the agreement of
@@ -21,8 +25,10 @@ from .fincat import (Functor, NatTransf, compose_functors, is_equivalence, mint,
 from .two_cat import Fin2Cat, Marked2Cat, WideSub
 from .transforms import (CatDiagram, Transformation, compose_diagram,
                          dual_twofunctor, hom_eps, PSEUDO, reinterpret_as_pseudo)
-from .elements import ElementsResult, elements_of, elements_of_pseudo, obj_name
-from .filteredness import FilterednessReport, check_sigma_cofiltered
+from .elements import (ElementsResult, _OpElements, elements_of,
+                       elements_of_pseudo, obj_name)
+from .filteredness import (FilterednessReport, check_sigma_cofiltered,
+                           check_sigma_filtered)
 from .colimits import (BaseConeCategories, SigmaCone, check_base_cone,
                        conical_sigma_colimit, hom_actions, induced_from_colimit,
                        preserves_bilimit, weighted_sigma_limit)
@@ -177,10 +183,11 @@ class FlatnessVerdict:
 
 
 def check_flat(P: CatDiagram, meter: Meter | None = None) -> FlatnessVerdict:
-    """Flatness of a strict diagram via cofilteredness of its elements."""
+    """Flatness of a strict diagram via cofilteredness of its elements:
+    filteredness of the 1-cell dual of El_P, which ``_OpElements`` reads
+    off P's tables rather than assembles."""
     meter = meter or Meter()
-    el = elements_of(P, meter)
-    rep = check_sigma_cofiltered(Marked2Cat(el.cat, el.cart), meter)
+    rep = check_sigma_filtered(_OpElements(P, meter).marked(), meter)
     return FlatnessVerdict("flat" if rep.verdict else "not-flat",
                            "elements-cofiltered", rep)
 
@@ -188,9 +195,10 @@ def check_flat(P: CatDiagram, meter: Meter | None = None) -> FlatnessVerdict:
 def check_flat_pseudo(P: CatDiagram, meter: Meter | None = None) -> FlatnessVerdict:
     """Flatness of a pseudofunctor, cross-checked through strictification.
 
-    The direct route tests cofilteredness of the pseudo elements
-    construction; the second route strictifies and runs the strict
-    checker.  Disagreement raises, since the two must coincide.
+    The direct route tests cofilteredness of the assembled pseudo
+    elements construction; the second route strictifies and runs
+    ``check_flat``, which reads the strictification's elements off its
+    tables.  Disagreement raises, since the two must coincide.
     """
     meter = meter or Meter()
     if not P.is_pseudo:
@@ -420,8 +428,7 @@ def exact_implies_cofiltered_check(P: CatDiagram, bilimit_cones,
     ex = check_left_exact(P, bilimit_cones, meter)
     if not ex.verdict:
         raise PreconditionFailed("diagram is not left exact on the supplied cones")
-    el = elements_of(P, meter)
-    rep = check_sigma_cofiltered(Marked2Cat(el.cat, el.cart), meter)
+    rep = check_flat(P, meter).evidence
     if not rep.verdict:
         raise Inconsistency(
             "left exact diagram with non-cofiltered elements: "

@@ -167,11 +167,12 @@ def validate_2category(a: Fin2Cat) -> ValidationReport:
         return rep
 
     cells1 = a.all_one_cells()
+    into1 = {}  # object -> the 1-cells into it, sorted
+    for f in cells1:
+        into1.setdefault(a.tgt1(f), []).append(f)
     # hcomp1 totality and typing
     for g in cells1:
-        for f in cells1:
-            if a.src1(g) != a.tgt1(f):
-                continue
+        for f in into1.get(a.src1(g), ()):
             if (g, f) not in a.hcomp1:
                 rep.add("hcomp1-missing", (g, f), "composable 1-cells have no entry")
                 continue
@@ -182,10 +183,11 @@ def validate_2category(a: Fin2Cat) -> ValidationReport:
         return rep
     # hcomp2 totality and typing
     cells2 = a.all_two_cells()
+    into2 = {}  # object -> the 2-cells between 1-cells into it, sorted
+    for x in cells2:
+        into2.setdefault(a.tgt1(a.src2(x)), []).append(x)
     for b in cells2:
-        for x in cells2:
-            if a.src1(a.src2(b)) != a.tgt1(a.src2(x)):
-                continue
+        for x in into2.get(a.src1(a.src2(b)), ()):
             if (b, x) not in a.hcomp2:
                 rep.add("hcomp2-missing", (b, x), "composable 2-cells have no entry")
                 continue
@@ -208,49 +210,42 @@ def validate_2category(a: Fin2Cat) -> ValidationReport:
             rep.add("unit2", (x,), f"identity 2-cells of identity 1-cells are not units at {x}")
     # associativity of 1-cell composition
     for h in cells1:
-        for g in cells1:
-            if a.src1(h) != a.tgt1(g):
-                continue
-            for f in cells1:
-                if a.src1(g) != a.tgt1(f):
-                    continue
-                if a.hcomp1[(a.hcomp1[(h, g)], f)] != a.hcomp1[(h, a.hcomp1[(g, f)])]:
+        for g in into1.get(a.src1(h), ()):
+            hg = a.hcomp1[(h, g)]
+            for f in into1.get(a.src1(g), ()):
+                if a.hcomp1[(hg, f)] != a.hcomp1[(h, a.hcomp1[(g, f)])]:
                     rep.add("assoc1", (h, g, f), "1-cell composition not associative")
     # associativity of 2-cell horizontal composition
     for z in cells2:
-        for y in cells2:
-            if a.src1(a.src2(z)) != a.tgt1(a.src2(y)):
-                continue
-            for x in cells2:
-                if a.src1(a.src2(y)) != a.tgt1(a.src2(x)):
-                    continue
-                if a.hcomp2[(a.hcomp2[(z, y)], x)] != a.hcomp2[(z, a.hcomp2[(y, x)])]:
+        for y in into2.get(a.src1(a.src2(z)), ()):
+            zy = a.hcomp2[(z, y)]
+            for x in into2.get(a.src1(a.src2(y)), ()):
+                if a.hcomp2[(zy, x)] != a.hcomp2[(z, a.hcomp2[(y, x)])]:
                     rep.add("assoc2", (z, y, x), "2-cell horizontal composition not associative")
     # functoriality of hcomp: identities and interchange
     for g in cells1:
-        for f in cells1:
-            if a.src1(g) != a.tgt1(f):
-                continue
+        for f in into1.get(a.src1(g), ()):
             if a.hcomp2[(a.id2(g), a.id2(f))] != a.id2(a.hcomp1[(g, f)]):
                 rep.add("hcomp-id", (g, f), "horizontal composite of identity 2-cells wrong")
+    homs_into = {}  # object -> the homs (pair, hom) into it
+    composable = {}  # hom -> its composable pairs (b2, b1) of 2-cells, sorted
+    for pair, h in a.hom.items():
+        homs_into.setdefault(pair[1], []).append((pair, h))
+        ordered = sorted(h.arrows)
+        ending = {}
+        for b in ordered:
+            ending.setdefault(h.tgt(b), []).append(b)
+        composable[pair] = [(b2, b1) for b2 in ordered for b1 in ending.get(h.src(b2), ())]
     for pairL, hL in a.hom.items():
-        for pairR, hR in a.hom.items():
-            if pairR[1] != pairL[0]:
-                continue
-            for b2 in sorted(hL.arrows):
-                for b1 in sorted(hL.arrows):
-                    if hL.tgt(b1) != hL.src(b2):
-                        continue
-                    for a2 in sorted(hR.arrows):
-                        for a1 in sorted(hR.arrows):
-                            if hR.tgt(a1) != hR.src(a2):
-                                continue
-                            lhs = a.hcomp2[(hL.compose[(b2, b1)], hR.compose[(a2, a1)])]
-                            rhs_cat = a.hom[(pairR[0], pairL[1])]
-                            rhs = rhs_cat.compose[(a.hcomp2[(b2, a2)], a.hcomp2[(b1, a1)])]
-                            if lhs != rhs:
-                                rep.add("interchange", (b2, b1, a2, a1),
-                                        "interchange law fails")
+        for pairR, hR in homs_into.get(pairL[0], ()):
+            rhs_cat = a.hom[(pairR[0], pairL[1])]
+            for b2, b1 in composable[pairL]:
+                b21 = hL.compose[(b2, b1)]
+                for a2, a1 in composable[pairR]:
+                    lhs = a.hcomp2[(b21, hR.compose[(a2, a1)])]
+                    rhs = rhs_cat.compose[(a.hcomp2[(b2, a2)], a.hcomp2[(b1, a1)])]
+                    if lhs != rhs:
+                        rep.add("interchange", (b2, b1, a2, a1), "interchange law fails")
     return rep
 
 
