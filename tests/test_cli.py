@@ -327,17 +327,69 @@ def test_filtered_and_cofinal_commands(capsys, tmp_path):
     code, out = invoke(capsys, "filtered",
                        str(FIXTURES / "arrow_2cat_marked.json"), "--co")
     assert code == 0
-    # a cofinal inclusion document
-    from sigmacat.transforms import TwoFunctor
-    from sigmacat.two_cat import terminal_2cat
-    a = arrow_2cat()
-    t2 = terminal_2cat()
-    T = TwoFunctor(t2, a, {"*": "1"}, {"id_*": "id_1"}, {"i2_id_*": "i2_id_1"})
-    p = tmp_path / "incl.json"
-    p.write_text(sio.dumps(sio.twofunctor_to_doc(T)))
-    code, out = invoke(capsys, "cofinal", str(p), "--sigma", "",
+    code, out = invoke(capsys, "cofinal", _inclusion_document(tmp_path), "--sigma", "",
                        "--sigma-prime", "f")
     assert code == 0 and json.loads(out)["verdict"] is True
+
+
+def _inclusion_document(tmp_path) -> str:
+    """A cofinal inclusion document: the terminal 2-category picking 1 in
+    the walking arrow."""
+    from sigmacat.transforms import TwoFunctor
+    from sigmacat.two_cat import terminal_2cat
+    T = TwoFunctor(terminal_2cat(), arrow_2cat(), {"*": "1"}, {"id_*": "id_1"},
+                   {"i2_id_*": "i2_id_1"})
+    p = tmp_path / "incl.json"
+    p.write_text(sio.dumps(sio.twofunctor_to_doc(T)))
+    return str(p)
+
+
+# The witness lists of ``filtered``, ``cofinal`` and ``flat``, captured from
+# the four separate coequalizer scans that one shared scan replaced.
+FILTERED_SIGMA = {"arrow_2cat": "f", "arrow_2cat_marked": "f",
+                  "diamond_2cat": "bot<a,bot<b,a<top,b<top,bot<top"}
+
+
+@pytest.mark.parametrize("co", [False, True])
+@pytest.mark.parametrize("marked", [False, True])
+@pytest.mark.parametrize("stem", sorted(FILTERED_SIGMA))
+def test_filtered_reports(capsys, stem, marked, co):
+    """The full report of ``filtered``, byte for byte."""
+    code, out = invoke(capsys, "filtered", str(FIXTURES / f"{stem}.json"),
+                       *(["--sigma", FILTERED_SIGMA[stem]] if marked else []),
+                       *(["--co"] if co else []))
+    assert code == 0
+    name = f"filtered_{stem}" + ("_sigma" if marked else "") + ("_co" if co else "")
+    assert out == (GOLDEN / f"{name}.json").read_text()
+
+
+def test_cofinal_report(capsys, tmp_path):
+    """The full report of ``cofinal`` on the inclusion, byte for byte."""
+    code, out = invoke(capsys, "cofinal", _inclusion_document(tmp_path), "--sigma", "",
+                       "--sigma-prime", "f")
+    assert code == 0
+    assert out == (GOLDEN / "cofinal_inclusion.json").read_text()
+
+
+def _flat_runs():
+    """(stem, --pseudo) for every diagram fixture; strict ones twice."""
+    for path in sorted(FIXTURES.glob("*.json")):
+        value = sio.parse_document(path.read_text())
+        if isinstance(value, CatDiagram):
+            yield path.stem, False
+            if not value.is_pseudo:
+                yield path.stem, True
+
+
+@pytest.mark.parametrize("stem,pseudo", list(_flat_runs()))
+def test_flat_reports(capsys, stem, pseudo):
+    """The full report of ``flat``, byte for byte; strict diagrams also
+    read as pseudofunctors."""
+    code, out = invoke(capsys, "flat", str(FIXTURES / f"{stem}.json"),
+                       *(["--pseudo"] if pseudo else []))
+    assert code == 0
+    name = f"flat_{stem}" + ("_pseudo" if pseudo else "")
+    assert out == (GOLDEN / f"{name}.json").read_text()
 
 
 def test_exact_command(capsys):

@@ -14,8 +14,9 @@ from sigmacat.two_cat import (Marked2Cat, WideSub, op_dual,
                               transport_sigma, wide_all, wide_from,
                               wide_identities)
 from sigmacat.transforms import TwoFunctor, identity_twofunctor
-from sigmacat.filteredness import (check_sigma_cofiltered, check_sigma_cofinal,
-                                   check_sigma_filtered, cofinal_via_ff)
+from sigmacat.filteredness import (Witness, check_sigma_cofiltered,
+                                   check_sigma_cofinal, check_sigma_filtered,
+                                   cofinal_via_ff)
 
 
 @pytest.mark.parametrize("label,m,expect", marked_fixtures())
@@ -161,6 +162,33 @@ def test_cofinal_inclusion_negative_names_the_object():
     assert not rep.verdict
     assert rep.counterexample.axiom == "sigma-C0"
     assert rep.counterexample.instance == ("1",)
+
+
+def _point_at_b(cells):
+    """The terminal 2-category picking b in the parallel pair u, v : a -> b
+    with the named 2-cells u => v; identities marked on the source, v on
+    the target."""
+    t2, p = terminal_2cat(), parallel_2cells_2cat(cells)
+    T = TwoFunctor(t2, p, {"*": "b"}, {"id_*": "id_b"}, {"i2_id_*": "i2_id_b"})
+    return T, wide_identities(t2), wide_from(p, ["v"])
+
+
+def test_cofinal_coequalizes_into_the_image():
+    rep = check_sigma_cofinal(*_point_at_b(("th",)))
+    assert rep.verdict and rep.counterexample is None
+    assert [(w.axiom, w.instance, w.data) for w in rep.witnesses] == [
+        ("sigma-C0", ("a",), ("*", "v")),
+        ("sigma-C0", ("b",), ("*", "id_b")),
+        ("sigma-C1", ("u", "v", "*"), ("id_*", "th")),
+        ("sigma-C1", ("v", "v", "*"), ("id_*", "i2_v")),
+        ("sigma-C1", ("id_b", "id_b", "*"), ("id_*", "i2_id_b"))]
+
+
+def test_cofinal_names_two_cells_that_no_marked_arrow_merges():
+    rep = check_sigma_cofinal(*_point_at_b(("th", "et")))
+    assert not rep.verdict
+    assert rep.witnesses[2] == Witness("sigma-C1", ("u", "v", "*"), ("id_*", "et"))
+    assert rep.counterexample == Witness("sigma-C2", ("u", "v", "et", "th", "*"), ())
 
 
 def test_cofinal_requires_filtered_source():

@@ -20,21 +20,26 @@ from sigmacat.colimits import (bilimit_cat, cones_sigma, conical_sigma_colimit,
                                point_cone_homs, weighted_sigma_colimit,
                                weighted_sigma_limit)
 from sigmacat.config import DEFAULT_BUDGET, Meter
+from sigmacat.errors import PreconditionFailed
+from sigmacat.filteredness import (check_sigma_cofiltered, check_sigma_cofinal,
+                                   check_sigma_filtered)
 from sigmacat.fincat import (arrow_category, discrete_category,
                              functor_category_full, iso_pair_category,
                              product_category, terminal_category)
 from sigmacat.fixtures import (arrow_2cat, diagram_collapse, diagram_on_free2cell,
                                diagram_pick0, diamond_2cat, marked_fixtures,
-                               poset_category, pseudo_swap, pseudo_z2,
-                               weight_on_op_arrow)
-from sigmacat.flatness import (canonical_expression, check_left_exact,
-                               generate_bilimit_cones, representable)
+                               poset_category, pseudo_not_flat, pseudo_swap,
+                               pseudo_z2, weight_on_op_arrow)
+from sigmacat.flatness import (canonical_expression, check_flat, check_flat_pseudo,
+                               check_left_exact, generate_bilimit_cones,
+                               representable)
 from sigmacat.presented import localize
 from sigmacat.shapes import BIINSERTER
-from sigmacat.transforms import (LAX, PSEUDO, STRICT, constant_diagram,
-                                 hom_eps, sigma_flavor)
-from sigmacat.two_cat import (Marked2Cat, free_2cell_2cat, two_cat_from_cat,
-                              wide_all, wide_identities)
+from sigmacat.transforms import (LAX, PSEUDO, STRICT, TwoFunctor, constant_diagram,
+                                 hom_eps, identity_twofunctor, sigma_flavor)
+from sigmacat.two_cat import (Marked2Cat, free_2cell_2cat, parallel_2cells_2cat,
+                              terminal_2cat, two_cat_from_cat, wide_all,
+                              wide_from, wide_identities)
 
 
 def chain(n, prefix=""):
@@ -397,3 +402,141 @@ def test_cone_search_ticks_and_results_are_pinned(case):
     meter = Meter()
     rows = CONE_CASES[case](meter)
     assert (meter.count, len(rows), digest(rows)) == CONE_EXPECTED[case]
+
+
+# Filteredness, cofinality and flatness scans.  Each case records the ticks
+# and one digest of the verdict, the witnesses in order and the
+# counterexample; a cofinality whose source is not filtered records the
+# refusal instead, with the ticks spent before it.
+
+
+def scan_result(rep) -> tuple:
+    return rep.verdict, rep.witnesses, rep.counterexample
+
+
+def cofinal_result(T, sigma, sigma_prime):
+    def run(m):
+        try:
+            return scan_result(check_sigma_cofinal(T, sigma, sigma_prime, m))
+        except PreconditionFailed as e:
+            return ("refused", str(e))
+    return run
+
+
+def flat_result(check, P):
+    def run(m):
+        v = check(P, m)
+        return v.verdict, v.route, scan_result(v.evidence)
+    return run
+
+
+def point_at_b(cells):
+    """The terminal 2-category picking b in the parallel pair with the
+    named 2-cells; identities marked on the source, v on the target."""
+    t2, p = terminal_2cat(), parallel_2cells_2cat(cells)
+    T = TwoFunctor(t2, p, {"*": "b"}, {"id_*": "id_b"}, {"i2_id_*": "i2_id_b"})
+    return T, wide_identities(t2), wide_from(p, ["v"])
+
+
+def scan_cases() -> dict:
+    marked = {label: m for label, m, _ in marked_fixtures()}
+    for name, base, first in (("diamond", diamond_2cat(), "bot<a"),
+                              ("grid2x3", grid_2cat(2, 3), "g0_0<g1_0")):
+        marked.update({f"{name}/ids": Marked2Cat(base, wide_identities(base)),
+                       f"{name}/mid": Marked2Cat(base, wide_from(base, [first])),
+                       f"{name}/all": Marked2Cat(base, wide_all(base))})
+    cases = {}
+    for label, m in marked.items():
+        cases[f"filtered-{label}"] = lambda meter, m=m: scan_result(
+            check_sigma_filtered(m, meter))
+        cases[f"cofiltered-{label}"] = lambda meter, m=m: scan_result(
+            check_sigma_cofiltered(m, meter))
+        cases[f"cofinal-identity-{label}"] = cofinal_result(
+            identity_twofunctor(m.cat), m.sigma, m.sigma)
+    cases["cofinal-point-th"] = cofinal_result(*point_at_b(("th",)))
+    cases["cofinal-point-th-et"] = cofinal_result(*point_at_b(("th", "et")))
+    for name, base in (("chain6", chain_2cat(6)), ("diamond", diamond_2cat())):
+        cases[f"flat-{name}-one"] = flat_result(
+            check_flat, constant_diagram(base, terminal_category()))
+        for A in sorted(base.objects):
+            cases[f"flat-{name}-repr{A}"] = flat_result(check_flat, representable(base, A))
+    for name, P in (("pseudo_swap", pseudo_swap()), ("pseudo_z2", pseudo_z2()),
+                    ("pseudo_not_flat", pseudo_not_flat())):
+        cases[f"flat-pseudo-{name}"] = flat_result(check_flat_pseudo, P)
+    return cases
+
+
+SCAN_CASES = scan_cases()
+
+# (ticks, digest of the result)
+SCAN_EXPECTED = {
+    "cofiltered-arrow/all": (7, "75018e7d4e00ebae"),
+    "cofiltered-arrow/ids": (2, "fe3c9597e7acb0ed"),
+    "cofiltered-diamond/all": (25, "f5b8c7ba248efb17"),
+    "cofiltered-diamond/ids": (1, "496c495e1d430eb5"),
+    "cofiltered-diamond/mid": (2, "496c495e1d430eb5"),
+    "cofiltered-discrete-pair/ids": (1, "d580d652e8d91982"),
+    "cofiltered-free2cell/all": (7, "c918691833f0f26a"),
+    "cofiltered-free2cell/ids+v": (10, "32cbe41b17cfc2eb"),
+    "cofiltered-grid2x3/all": (54, "711fa4f47490eab7"),
+    "cofiltered-grid2x3/ids": (2, "0f9ab1279c859b7d"),
+    "cofiltered-grid2x3/mid": (2, "0f9ab1279c859b7d"),
+    "cofiltered-iso/all": (8, "9b0257f7cbca52d4"),
+    "cofiltered-parallel/all": (6, "c918691833f0f26a"),
+    "cofiltered-span/all": (14, "07fc25abf8f58276"),
+    "cofiltered-terminal/ids": (2, "5780cfce31c7d491"),
+    "cofinal-identity-arrow/all": (12, "8d5a6457f38b6045"),
+    "cofinal-identity-arrow/ids": (1, "a9b00bbcc37ab101"),
+    "cofinal-identity-diamond/all": (38, "ab6b746fcd577533"),
+    "cofinal-identity-diamond/ids": (1, "a9b00bbcc37ab101"),
+    "cofinal-identity-diamond/mid": (1, "a9b00bbcc37ab101"),
+    "cofinal-identity-discrete-pair/ids": (1, "a9b00bbcc37ab101"),
+    "cofinal-identity-free2cell/all": (7, "a9b00bbcc37ab101"),
+    "cofinal-identity-free2cell/ids+v": (15, "25aed0e80d297133"),
+    "cofinal-identity-grid2x3/all": (78, "311cfed789642b0d"),
+    "cofinal-identity-grid2x3/ids": (1, "a9b00bbcc37ab101"),
+    "cofinal-identity-grid2x3/mid": (1, "a9b00bbcc37ab101"),
+    "cofinal-identity-iso/all": (14, "a0891355f0e92607"),
+    "cofinal-identity-parallel/all": (6, "a9b00bbcc37ab101"),
+    "cofinal-identity-span/all": (1, "a9b00bbcc37ab101"),
+    "cofinal-identity-terminal/ids": (4, "4406ce6b8fda3201"),
+    "cofinal-point-th": (8, "64e89dc95e11b9fe"),
+    "cofinal-point-th-et": (9, "753e8b3b9fa35cba"),
+    "filtered-arrow/all": (7, "e30816787a3a842d"),
+    "filtered-arrow/ids": (1, "fe3c9597e7acb0ed"),
+    "filtered-diamond/all": (25, "43e74c9b3e10eded"),
+    "filtered-diamond/ids": (1, "496c495e1d430eb5"),
+    "filtered-diamond/mid": (1, "496c495e1d430eb5"),
+    "filtered-discrete-pair/ids": (1, "d580d652e8d91982"),
+    "filtered-free2cell/all": (7, "c9814e02790a0815"),
+    "filtered-free2cell/ids+v": (9, "e5fcd2d67a2fda39"),
+    "filtered-grid2x3/all": (54, "980646a098bf9816"),
+    "filtered-grid2x3/ids": (1, "0f9ab1279c859b7d"),
+    "filtered-grid2x3/mid": (1, "0f9ab1279c859b7d"),
+    "filtered-iso/all": (8, "d773223e301e0c9c"),
+    "filtered-parallel/all": (6, "c9814e02790a0815"),
+    "filtered-span/all": (1, "496c495e1d430eb5"),
+    "filtered-terminal/ids": (2, "5780cfce31c7d491"),
+    "flat-chain6-one": (99, "c83cbde72bc41161"),
+    "flat-chain6-reprc0": (99, "aa0cc6d122cb9dd2"),
+    "flat-chain6-reprc1": (70, "7efa7bd33fcf7e29"),
+    "flat-chain6-reprc2": (46, "22a316181bbe36bd"),
+    "flat-chain6-reprc3": (27, "04028626acf80b6a"),
+    "flat-chain6-reprc4": (13, "24b6d2fb5ab63da4"),
+    "flat-chain6-reprc5": (4, "f296eb700f4a8726"),
+    "flat-diamond-one": (43, "8a8606f89152d7a4"),
+    "flat-diamond-repra": (13, "e3da6536290fde7b"),
+    "flat-diamond-reprb": (13, "ebef573332f28a96"),
+    "flat-diamond-reprbot": (43, "9551a9c653a473f2"),
+    "flat-diamond-reprtop": (4, "a08ddb331c5909c9"),
+    "flat-pseudo-pseudo_not_flat": (44, "d71bf0d1b4382a95"),
+    "flat-pseudo-pseudo_swap": (192, "6d37b739cf11ea52"),
+    "flat-pseudo-pseudo_z2": (85, "37ad08855fd83422"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCAN_CASES))
+def test_scan_ticks_and_reports_are_pinned(case):
+    meter = Meter()
+    result = SCAN_CASES[case](meter)
+    assert (meter.count, digest(result)) == SCAN_EXPECTED[case]
