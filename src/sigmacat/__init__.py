@@ -9,7 +9,10 @@ a coset's defining word, and flatness of a Cat-valued diagram is decided
 through filteredness of its 2-category of elements.  The shapes that
 generate the finite bilimits are catalogued in ``shapes``.  Each
 question has one implementation here; the assembled constructions that
-the kernels replaced are kept with the tests, as references.
+the kernels replaced are kept with the tests, as references, except
+``cones_sigma``, ``comparison_functor``, ``gamma_dual``,
+``find_isomorphism`` and ``functor_category``, which stay here because
+the benchmark's spans (``bench/spans.py``) wrap them.
 """
 
 from .errors import (CertificateFailure, Inconsistency, ParseError,

@@ -36,8 +36,10 @@ and ``ConicalLimit`` is that limit assembled.  A cone over D in a finite
 2-category with vertex X is a σ-cone from the point under the hom
 diagram a(X, D-), so ``BaseConeCategories`` binds the kernel once per
 diagram to the actions of ``hom_actions`` and builds each Cones_D(X) on
-it; the cocone search of ``filteredness`` runs there too, a cocone being
-a cone in the 1-cell duals.  A cone is a bilimit exactly when every
+it.  The tests' cocone search, ``cone_existence`` in
+``tests/cone_reference.py``, runs there too, a cocone being a cone in
+the 1-cell duals; ``filteredness`` scans its axioms directly and binds no
+kernel.  A cone is a bilimit exactly when every
 a(X, -) takes it to a bilimit cone in Cat (Kelly 1989), so the bilimit
 test and ``preserves_bilimit`` decide the same comparison,
 ``_comparison``, on objects and hom-sets by

@@ -351,7 +351,7 @@ class _OpElements:
             for nm, ends in cells2.items():
                 self.ends2[nm] = ends
                 between.setdefault(ends, []).append(nm)
-        self._between = {ends: sorted(cells) for ends, cells in between.items()}
+        self._between = {ends: tuple(sorted(cells)) for ends, cells in between.items()}
         self.cart = _cartesian(P, self.pairs1)
         self.hcomp1 = _Table(self._hcomp1)
         self.hcomp2 = _Table(self._hcomp2)
@@ -370,8 +370,8 @@ class _OpElements:
     def one_cells(self, A: str, B: str) -> tuple[str, ...]:
         return self._one_cells.get((A, B), ())
 
-    def two_cells_between(self, f: str, g: str) -> list[str]:
-        return self._between.get((f, g), [])
+    def two_cells_between(self, f: str, g: str) -> tuple[str, ...]:
+        return self._between.get((f, g), ())
 
     def src1(self, f: str) -> str:
         return self.ends1[f][1]

@@ -1,13 +1,17 @@
-"""Filteredness of a marked finite 2-category, by exhaustive search.
+"""Filteredness and cofinality of marked finite 2-categories, by
+exhaustive search.
 
 A marked 2-category is filtered when it is nonempty, every pair of
-objects admits a marked cospan, every parallel pair whose second leg is
-marked admits a marked coequalizing cell (invertible when the first leg
-is marked too), and every parallel pair of 2-cells into a marked leg is
-merged by some marked postcomposition.  The checker scans every
-instance of every axiom, records the first witness found in a fixed
-lexicographic order, and re-validates each witness against the raw
-equations before reporting it.
+objects admits a marked cospan (F0), every parallel pair whose second
+leg is marked admits a marked coequalizing cell, invertible when the
+first leg is marked too (F1), and every parallel pair of 2-cells into a
+marked leg is merged by some marked postcomposition (F2).  The
+cofinality axioms C1 and C2 of a 2-functor T say the same of pairs into
+T(C), postcomposed with T(u) for marked u out of C; for the identity they
+are F1 and F2, and one coequalizer scan serves all four.  Each checker
+records the first witness of every instance in a fixed lexicographic
+order, stops at the first instance without one, and re-validates the
+filteredness witnesses against the raw equations.
 """
 
 from __future__ import annotations
@@ -78,101 +82,98 @@ def _revalidate_f(m: Marked2Cat, w: Witness) -> bool:
     return False
 
 
+def _record(rep: FilterednessReport, axiom: str, instance: tuple,
+            data: tuple | None) -> bool:
+    """Append the witness of one axiom instance; with no ``data``, make
+    the instance the counterexample instead and fail the verdict."""
+    if data is None:
+        rep.verdict = False
+        rep.counterexample = Witness(axiom, instance, ())
+        return False
+    rep.witnesses.append(Witness(axiom, instance, data))
+    return True
+
+
+def _coequalize(a, marked, instances: list, axioms: tuple[str, str],
+                rep: FilterednessReport, meter: Meter) -> bool:
+    """The two coequalizer axioms over ``instances``, in ``a`` marked by
+    ``marked``: all of the 1-cell axiom first, then all of the 2-cell one.
+
+    An instance is ``(f, g, labels, extensions)``: a parallel pair with g
+    marked, the labels that end its instance tuple, and the marked
+    extensions ``(name, h)`` to try, in order, where h is the 1-cell of
+    ``a`` that postcomposes and name is what a witness records.  Returns
+    False at the first instance that no extension serves."""
+    def merge_legs(f, g, extensions):
+        invertible = f in marked
+        for name, h in extensions:
+            for alpha in a.two_cells_between(a.hcomp1[(h, f)], a.hcomp1[(h, g)]):
+                meter.tick()
+                if not invertible or a.is_invertible_2cell(alpha):
+                    return name, alpha
+        return None
+
+    def merge_cells(alpha, beta, extensions):
+        for name, h in extensions:
+            meter.tick()
+            idh = a.id2(h)
+            if a.hcomp2[(idh, alpha)] == a.hcomp2[(idh, beta)]:
+                return (name,)
+        return None
+
+    one, two = axioms
+    for f, g, labels, extensions in instances:
+        if not _record(rep, one, (f, g, *labels), merge_legs(f, g, extensions)):
+            return False
+    for f, g, labels, extensions in instances:
+        cells = a.two_cells_between(f, g)
+        for alpha in cells:
+            for beta in cells:
+                if alpha == beta:
+                    continue
+                data = merge_cells(alpha, beta, extensions)
+                if not _record(rep, two, (f, g, alpha, beta, *labels), data):
+                    return False
+    return True
+
+
 def check_sigma_filtered(m: Marked2Cat, meter: Meter | None = None) -> FilterednessReport:
     """Exhaustive scan of the three filteredness axioms with witnesses."""
     meter = meter or Meter()
     a, sig = m.cat, m.sigma.arrows
     rep = FilterednessReport(True)
-    if not a.objects:
-        rep.verdict = False
-        rep.counterexample = Witness(AXIOM_NONEMPTY, (), ())
+    objs = sorted(a.objects)
+    if not _record(rep, AXIOM_NONEMPTY, (), (objs[0],) if objs else None):
         return rep
-    rep.witnesses.append(Witness(AXIOM_NONEMPTY, (), (sorted(a.objects)[0],)))
 
     # F0: every object pair has a marked cospan
-    for A in sorted(a.objects):
-        for B in sorted(a.objects):
+    for A in objs:
+        for B in objs:
             found = None
-            for E in sorted(a.objects):
+            for E in objs:
                 for f in a.one_cells(A, E):
                     if f not in sig:
                         continue
                     for g in a.one_cells(B, E):
                         meter.tick()
                         if g in sig:
-                            found = Witness(AXIOM_F0, (A, B), (f, g))
+                            found = (f, g)
                             break
                     if found:
                         break
                 if found:
                     break
-            if found is None:
-                rep.verdict = False
-                rep.counterexample = Witness(AXIOM_F0, (A, B), ())
+            if not _record(rep, AXIOM_F0, (A, B), found):
                 return rep
-            rep.witnesses.append(found)
 
-    # F1: parallel pairs with marked second leg
-    for A in sorted(a.objects):
-        for B in sorted(a.objects):
-            for f in a.one_cells(A, B):
-                for g in a.one_cells(A, B):
-                    if g not in sig:
-                        continue
-                    need_invertible = f in sig
-                    found = None
-                    for E in sorted(a.objects):
-                        for h in a.one_cells(B, E):
-                            if h not in sig:
-                                continue
-                            hf, hg = a.hcomp1[(h, f)], a.hcomp1[(h, g)]
-                            for alpha in a.two_cells_between(hf, hg):
-                                meter.tick()
-                                if need_invertible and not a.is_invertible_2cell(alpha):
-                                    continue
-                                found = Witness(AXIOM_F1, (f, g), (h, alpha))
-                                break
-                            if found:
-                                break
-                        if found:
-                            break
-                    if found is None:
-                        rep.verdict = False
-                        rep.counterexample = Witness(AXIOM_F1, (f, g), ())
-                        return rep
-                    rep.witnesses.append(found)
-
-    # F2: parallel 2-cells into a marked leg
-    for A in sorted(a.objects):
-        for B in sorted(a.objects):
-            for f in a.one_cells(A, B):
-                for g in a.one_cells(A, B):
-                    if g not in sig:
-                        continue
-                    cells = a.two_cells_between(f, g)
-                    for alpha in cells:
-                        for beta in cells:
-                            if alpha == beta:
-                                continue
-                            found = None
-                            for E in sorted(a.objects):
-                                for h in a.one_cells(B, E):
-                                    if h not in sig:
-                                        continue
-                                    meter.tick()
-                                    idh = a.id2(h)
-                                    if a.hcomp2[(idh, alpha)] == a.hcomp2[(idh, beta)]:
-                                        found = Witness(AXIOM_F2,
-                                                        (f, g, alpha, beta), (h,))
-                                        break
-                                if found:
-                                    break
-                            if found is None:
-                                rep.verdict = False
-                                rep.counterexample = Witness(
-                                    AXIOM_F2, (f, g, alpha, beta), ())
-                                return rep
-                            rep.witnesses.append(found)
+    # F1 and F2: parallel pairs with marked second leg, extended by the
+    # marked 1-cells out of their target
+    marked_out = {B: [(h, h) for E in objs for h in a.one_cells(B, E) if h in sig]
+                  for B in objs}
+    instances = [(f, g, (), marked_out[B]) for A in objs for B in objs
+                 for f in a.one_cells(A, B) for g in a.one_cells(A, B) if g in sig]
+    if not _coequalize(a, sig, instances, (AXIOM_F1, AXIOM_F2), rep, meter):
+        return rep
 
     for w in rep.witnesses:
         if w.axiom != AXIOM_NONEMPTY and not _revalidate_f(m, w):
@@ -200,91 +201,33 @@ def check_sigma_cofinal(T: TwoFunctor, sigma: WideSub, sigma_prime: WideSub,
         raise PreconditionFailed("source is not filtered for its marking")
     sig, sigp = sigma.arrows, sigma_prime.arrows
     rep = FilterednessReport(True)
+    objs, target_objs = sorted(c.objects), sorted(cp.objects)
 
     # C0: every target object maps into the image along a marked arrow
-    for Cp in sorted(cp.objects):
+    for Cp in target_objs:
         found = None
-        for C in sorted(c.objects):
+        for C in objs:
             for f in cp.one_cells(Cp, T.obj_map[C]):
                 meter.tick()
                 if f in sigp:
-                    found = Witness(AXIOM_C0, (Cp,), (C, f))
+                    found = (C, f)
                     break
             if found:
                 break
-        if found is None:
-            rep.verdict = False
-            rep.counterexample = Witness(AXIOM_C0, (Cp,), ())
+        if not _record(rep, AXIOM_C0, (Cp,), found):
             return rep
-        rep.witnesses.append(found)
 
-    # C1: parallel pairs into an image object, second leg marked
-    for C in sorted(c.objects):
-        for Cp in sorted(cp.objects):
+    # C1 and C2: parallel pairs into an image object T(C), second leg
+    # marked, extended by the images of the marked 1-cells out of C
+    instances = []
+    for C in objs:
+        marked_out = [(u, T.map1[u]) for D in objs for u in c.one_cells(C, D)
+                      if u in sig]
+        for Cp in target_objs:
             cells = cp.one_cells(Cp, T.obj_map[C])
-            for f in cells:
-                for g in cells:
-                    if g not in sigp:
-                        continue
-                    need_invertible = f in sigp
-                    found = None
-                    for D in sorted(c.objects):
-                        for u in c.one_cells(C, D):
-                            if u not in sig:
-                                continue
-                            Tu = T.map1[u]
-                            uf = cp.hcomp1[(Tu, f)]
-                            ug = cp.hcomp1[(Tu, g)]
-                            for alpha in cp.two_cells_between(uf, ug):
-                                meter.tick()
-                                if need_invertible and \
-                                        not cp.is_invertible_2cell(alpha):
-                                    continue
-                                found = Witness(AXIOM_C1, (f, g, C), (u, alpha))
-                                break
-                            if found:
-                                break
-                        if found:
-                            break
-                    if found is None:
-                        rep.verdict = False
-                        rep.counterexample = Witness(AXIOM_C1, (f, g, C), ())
-                        return rep
-                    rep.witnesses.append(found)
-
-    # C2: parallel 2-cells into an image object, second leg marked
-    for C in sorted(c.objects):
-        for Cp in sorted(cp.objects):
-            cells = cp.one_cells(Cp, T.obj_map[C])
-            for f in cells:
-                for g in cells:
-                    if g not in sigp:
-                        continue
-                    twocells = cp.two_cells_between(f, g)
-                    for alpha in twocells:
-                        for beta in twocells:
-                            if alpha == beta:
-                                continue
-                            found = None
-                            for D in sorted(c.objects):
-                                for u in c.one_cells(C, D):
-                                    if u not in sig:
-                                        continue
-                                    meter.tick()
-                                    idu = cp.id2(T.map1[u])
-                                    if cp.hcomp2[(idu, alpha)] == \
-                                            cp.hcomp2[(idu, beta)]:
-                                        found = Witness(
-                                            AXIOM_C2, (f, g, alpha, beta, C), (u,))
-                                        break
-                                if found:
-                                    break
-                            if found is None:
-                                rep.verdict = False
-                                rep.counterexample = Witness(
-                                    AXIOM_C2, (f, g, alpha, beta, C), ())
-                                return rep
-                            rep.witnesses.append(found)
+            instances += [(f, g, (C,), marked_out)
+                          for f in cells for g in cells if g in sigp]
+    _coequalize(cp, sigp, instances, (AXIOM_C1, AXIOM_C2), rep, meter)
     return rep
 
 

@@ -47,8 +47,8 @@ class FinCat:
     def arrow_names(self) -> list[str]:
         return sorted(self.arrows)
 
-    def hom(self, x: str, y: str) -> list[str]:
-        return list(self._hom_index.get((x, y), ()))
+    def hom(self, x: str, y: str) -> tuple[str, ...]:
+        return self._hom_index.get((x, y), ())
 
     @cached_property
     def _hom_index(self) -> dict:
@@ -56,7 +56,7 @@ class FinCat:
         index = {}
         for a, st in sorted(self.arrows.items()):
             index.setdefault(st, []).append(a)
-        return index
+        return {st: tuple(arrows) for st, arrows in index.items()}
 
     def is_identity(self, a: str) -> bool:
         return self.identity.get(self.src(a)) == a
@@ -639,8 +639,9 @@ def is_equivalence_on_homs(c: FinCat, objects: dict, obj_key, arr_key, hom,
             got = read[(i, j)] = hom(i, j)
         return got
 
-    for x in sorted(c.objects):
-        for y in sorted(c.objects):
+    objs = sorted(c.objects)
+    for x in objs:
+        for y in objs:
             target = homset(pos[x], pos[y])
             arrows = c.hom(x, y)
             image = {arr_key(a) for a in arrows}

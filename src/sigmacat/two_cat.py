@@ -61,7 +61,7 @@ class Fin2Cat:
     def all_two_cells(self) -> tuple[str, ...]:
         return self._all_two_cells
 
-    def two_cells_between(self, f: str, g: str) -> list[str]:
+    def two_cells_between(self, f: str, g: str) -> tuple[str, ...]:
         """2-cells f => g (f, g parallel 1-cells)."""
         pair = self._cell1_home[f]
         return self.hom[pair].hom(f, g)

@@ -32,7 +32,7 @@ FIXTURES = [
 def hom_matches_scan(c):
     """The indexed hom agrees with a sorted scan of the arrow table."""
     return all(
-        c.hom(x, y) == sorted(a for a, st in c.arrows.items() if st == (x, y))
+        c.hom(x, y) == tuple(sorted(a for a, st in c.arrows.items() if st == (x, y)))
         for x in c.objects for y in c.objects)
 
 

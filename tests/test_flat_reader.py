@@ -129,7 +129,7 @@ def assert_reader_reads_the_dual(P):
         assert (view.src1(f), view.tgt1(f), view.id2(f)) == \
             (dual.src1(f), dual.tgt1(f), dual.id2(f))
         for g in dual.one_cells(dual.src1(f), dual.tgt1(f)):
-            assert list(view.two_cells_between(f, g)) == dual.two_cells_between(f, g)
+            assert view.two_cells_between(f, g) == dual.two_cells_between(f, g)
     for x in dual.all_two_cells():
         assert (view.src2(x), view.tgt2(x), view.is_invertible_2cell(x)) == \
             (dual.src2(x), dual.tgt2(x), dual.is_invertible_2cell(x))
