@@ -84,6 +84,28 @@ def table_digest(c):
     return hashlib.sha256(repr(tables).encode()).hexdigest()[:16]
 
 
+def shape_digest(c):
+    """Digest of c up to a renaming of its arrows: the objects by name, and
+    each arrow by its ends and whether it is an identity, refined along the
+    composition table until the classes stop splitting."""
+    after, before = {a: [] for a in c.arrows}, {a: [] for a in c.arrows}
+    for (g, f), h in c.compose.items():
+        after[f].append((g, h))
+        before[g].append((f, h))
+    colour = {a: (c.src(a), c.tgt(a), c.is_identity(a)) for a in c.arrows}
+    classes = len(set(colour.values()))
+    while True:
+        sig = {a: (colour[a], sorted((colour[g], colour[h]) for g, h in after[a]),
+                   sorted((colour[f], colour[h]) for f, h in before[a]))
+               for a in c.arrows}
+        rank = {s: i for i, s in enumerate(sorted(set(map(repr, sig.values()))))}
+        if len(rank) == classes:
+            break
+        colour, classes = {a: rank[repr(s)] for a, s in sig.items()}, len(rank)
+    tables = (tuple(sorted(c.objects)), sorted(map(repr, sig.values())))
+    return hashlib.sha256(repr(tables).encode()).hexdigest()[:16]
+
+
 def chain_2cat(n: int):
     """The chain c0 < c1 < ... as a locally discrete 2-category."""
     objs = [f"c{i}" for i in range(n)]

@@ -14,9 +14,10 @@ from certificate_reference import end_eps
 from cone_reference import (base_cone_category, cocone_category, cone_existence,
                             shape_diagram_1, shape_diagram_2, shape_diagram_3)
 from dicone_reference import internal_hom_diagram
-from helpers import (chain_2cat, colimit_rungs, corpus_biinserter, grid_2cat,
-                     table_digest)
-from sigmacat.colimits import (bilimit_cat, cones_sigma, conical_sigma_colimit,
+from helpers import (chain_2cat, colimit_rungs, corpus_biinserter,
+                     external_product, grid_2cat, shape_digest, table_digest)
+from sigmacat.colimits import (bilimit_cat, coend_eps, cones_sigma,
+                               conical_sigma_colimit,
                                point_cone_homs, weighted_sigma_colimit,
                                weighted_sigma_limit)
 from sigmacat.config import DEFAULT_BUDGET, Meter
@@ -26,10 +27,11 @@ from sigmacat.filteredness import (check_sigma_cofiltered, check_sigma_cofinal,
 from sigmacat.fincat import (arrow_category, discrete_category,
                              functor_category_full, iso_pair_category,
                              product_category, terminal_category)
-from sigmacat.fixtures import (arrow_2cat, diagram_collapse, diagram_on_free2cell,
-                               diagram_pick0, diamond_2cat, marked_fixtures,
-                               poset_category, pseudo_not_flat, pseudo_swap,
-                               pseudo_z2, weight_on_op_arrow)
+from sigmacat.fixtures import (arrow_2cat, chain3_2cat, diagram_collapse,
+                               diagram_on_free2cell, diagram_pick0, diamond_2cat,
+                               marked_fixtures, poset_category, pseudo_not_flat,
+                               pseudo_swap, pseudo_z2, weight_constant_terminal_op,
+                               weight_on_op_arrow)
 from sigmacat.flatness import (canonical_expression, check_flat, check_flat_pseudo,
                                check_left_exact, generate_bilimit_cones,
                                representable)
@@ -37,9 +39,10 @@ from sigmacat.presented import localize
 from sigmacat.shapes import BIINSERTER
 from sigmacat.transforms import (LAX, PSEUDO, STRICT, TwoFunctor, constant_diagram,
                                  hom_eps, identity_twofunctor, sigma_flavor)
-from sigmacat.two_cat import (Marked2Cat, free_2cell_2cat, parallel_2cells_2cat,
-                              terminal_2cat, two_cat_from_cat, wide_all,
-                              wide_from, wide_identities)
+from sigmacat.two_cat import (Marked2Cat, free_2cell_2cat, op_dual,
+                              parallel_2cells_2cat, terminal_2cat,
+                              two_cat_from_cat, wide_all, wide_from,
+                              wide_identities)
 
 
 def chain(n, prefix=""):
@@ -540,3 +543,101 @@ def test_scan_ticks_and_reports_are_pinned(case):
     meter = Meter()
     result = SCAN_CASES[case](meter)
     assert (meter.count, digest(result)) == SCAN_EXPECTED[case]
+
+
+# Coends of W ⊗ P, (A, B) ↦ W(A) × P(B) on the product of the base's 1-cell
+# dual with the base, in every flavour, the σ one marking the base's first
+# non-identity 1-cell: (ticks, status, objects, arrows, composable pairs,
+# shape digest).  The shape digest holds the object names but not the arrow
+# names, which spell words in the presentation's generators.
+def coend_cases() -> dict:
+    cases = {}
+    arrow = arrow_2cat()
+    for wname, W in (("w_arrow", weight_on_op_arrow()),
+                     ("w_one", weight_constant_terminal_op())):
+        for pname, P in (("pick0", diagram_pick0()), ("collapse", diagram_collapse())):
+            cases[f"arrow/{wname}/{pname}"] = (external_product(W, P), arrow)
+    chain3 = chain3_2cat()
+    op = op_dual(chain3)
+    weights = {"one": constant_diagram(op, terminal_category()),
+               "repra": representable(op, "a"), "reprb": representable(op, "b")}
+    diagrams = {"arrow": constant_diagram(chain3, arrow_category()),
+                "repra": representable(chain3, "a"), "reprb": representable(chain3, "b")}
+    for wname, W in weights.items():
+        for pname, P in diagrams.items():
+            cases[f"chain3/{wname}/{pname}"] = (external_product(W, P), chain3)
+    out = {}
+    for name, (T, base) in cases.items():
+        first = sorted(set(base.all_one_cells()) - set(base.id1.values()))[0]
+        for fname, flavor in (("s", STRICT), ("l", LAX), ("p", PSEUDO),
+                              ("sigma", sigma_flavor({first}))):
+            out[f"{name}/{fname}"] = (T, base, flavor)
+    return out
+
+
+COEND_CASES = coend_cases()
+
+COEND_EXPECTED = {
+    "arrow/w_arrow/collapse/l": (16, 'finite', 4, 10, 20, 'b331da13bd149238'),
+    "arrow/w_arrow/collapse/p": (81, 'finite', 4, 16, 64, '91d95671e1ffd106'),
+    "arrow/w_arrow/collapse/s": (7, 'finite', 1, 1, 1, '5b7be2e036263b66'),
+    "arrow/w_arrow/collapse/sigma": (81, 'finite', 4, 16, 64, '91d95671e1ffd106'),
+    "arrow/w_arrow/pick0/l": (15, 'finite', 5, 12, 22, '89fed9ae4ded28a9'),
+    "arrow/w_arrow/pick0/p": (45, 'finite', 5, 18, 58, 'a5eea496dcbfad98'),
+    "arrow/w_arrow/pick0/s": (10, 'finite', 3, 6, 10, '281ad69722080b6e'),
+    "arrow/w_arrow/pick0/sigma": (45, 'finite', 5, 18, 58, 'a5eea496dcbfad98'),
+    "arrow/w_one/collapse/l": (7, 'finite', 3, 6, 10, 'cd97a8f08d870dab'),
+    "arrow/w_one/collapse/p": (24, 'finite', 3, 9, 27, '787e90024aebbab8'),
+    "arrow/w_one/collapse/s": (2, 'finite', 1, 1, 1, '025548c7a47963a8'),
+    "arrow/w_one/collapse/sigma": (24, 'finite', 3, 9, 27, '787e90024aebbab8'),
+    "arrow/w_one/pick0/l": (5, 'finite', 3, 5, 7, '1449125f11040545'),
+    "arrow/w_one/pick0/p": (11, 'finite', 3, 7, 15, '7aed137cd9e4ef4f'),
+    "arrow/w_one/pick0/s": (3, 'finite', 2, 3, 4, '40201f0c5b660fec'),
+    "arrow/w_one/pick0/sigma": (11, 'finite', 3, 7, 15, '7aed137cd9e4ef4f'),
+    "chain3/one/arrow/l": (25, 'finite', 6, 18, 40, 'c04b97c522d3d3e4'),
+    "chain3/one/arrow/p": (121, 'finite', 6, 27, 108, '90f9b4dcf6b4f0c2'),
+    "chain3/one/arrow/s": (6, 'finite', 2, 3, 4, 'bc6a790a8a7e408f'),
+    "chain3/one/arrow/sigma": (49, 'finite', 6, 21, 60, 'f6bb26cc019f4fa2'),
+    "chain3/one/repra/l": (7, 'finite', 3, 6, 10, '7b2cb2e68f3b9b7e'),
+    "chain3/one/repra/p": (35, 'finite', 3, 9, 27, '8d05124f01f97077'),
+    "chain3/one/repra/s": (1, 'finite', 1, 1, 1, 'f4016ba5c068be30'),
+    "chain3/one/repra/sigma": (14, 'finite', 3, 7, 15, 'c796576dd5c12450'),
+    "chain3/one/reprb/l": (3, 'finite', 2, 3, 4, '0fed690922c5ef06'),
+    "chain3/one/reprb/p": (8, 'finite', 2, 4, 8, '6c8df0c443c75dda'),
+    "chain3/one/reprb/s": (1, 'finite', 1, 1, 1, '011b369e8039edf3'),
+    "chain3/one/reprb/sigma": (3, 'finite', 2, 3, 4, '0fed690922c5ef06'),
+    "chain3/repra/arrow/l": (3, 'finite', 2, 3, 4, '7f624d7ad205ec94'),
+    "chain3/repra/arrow/p": (3, 'finite', 2, 3, 4, '7f624d7ad205ec94'),
+    "chain3/repra/arrow/s": (3, 'finite', 2, 3, 4, '7f624d7ad205ec94'),
+    "chain3/repra/arrow/sigma": (3, 'finite', 2, 3, 4, '7f624d7ad205ec94'),
+    "chain3/repra/repra/l": (1, 'finite', 1, 1, 1, '1297728d7fafd852'),
+    "chain3/repra/repra/p": (1, 'finite', 1, 1, 1, '1297728d7fafd852'),
+    "chain3/repra/repra/s": (1, 'finite', 1, 1, 1, '1297728d7fafd852'),
+    "chain3/repra/repra/sigma": (1, 'finite', 1, 1, 1, '1297728d7fafd852'),
+    "chain3/repra/reprb/l": (0, 'finite', 0, 0, 0, '068ba53caf4bb89b'),
+    "chain3/repra/reprb/p": (0, 'finite', 0, 0, 0, '068ba53caf4bb89b'),
+    "chain3/repra/reprb/s": (0, 'finite', 0, 0, 0, '068ba53caf4bb89b'),
+    "chain3/repra/reprb/sigma": (0, 'finite', 0, 0, 0, '068ba53caf4bb89b'),
+    "chain3/reprb/arrow/l": (10, 'finite', 4, 9, 16, '421a83ddf3fc3e8c'),
+    "chain3/reprb/arrow/p": (27, 'finite', 4, 12, 32, 'a74cf829d090ae7c'),
+    "chain3/reprb/arrow/s": (4, 'finite', 2, 3, 4, '329ff76e16ea0af0'),
+    "chain3/reprb/arrow/sigma": (27, 'finite', 4, 12, 32, 'a74cf829d090ae7c'),
+    "chain3/reprb/repra/l": (3, 'finite', 2, 3, 4, 'cedec412c9f96657'),
+    "chain3/reprb/repra/p": (8, 'finite', 2, 4, 8, '12b67307febdc156'),
+    "chain3/reprb/repra/s": (1, 'finite', 1, 1, 1, '24e4ca23cdb493a2'),
+    "chain3/reprb/repra/sigma": (8, 'finite', 2, 4, 8, '12b67307febdc156'),
+    "chain3/reprb/reprb/l": (1, 'finite', 1, 1, 1, '1cf40e8a069604e6'),
+    "chain3/reprb/reprb/p": (1, 'finite', 1, 1, 1, '1cf40e8a069604e6'),
+    "chain3/reprb/reprb/s": (1, 'finite', 1, 1, 1, '1cf40e8a069604e6'),
+    "chain3/reprb/reprb/sigma": (1, 'finite', 1, 1, 1, '1cf40e8a069604e6'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COEND_CASES))
+def test_coend_ticks_and_realizations_are_pinned(case):
+    T, base, flavor = COEND_CASES[case]
+    meter = Meter()
+    out = coend_eps(T, base, flavor, meter=meter)
+    R = out.realization
+    assert (meter.count, out.status, len(R.objects), len(R.arrows), len(R.compose),
+            shape_digest(R)) == COEND_EXPECTED[case]
