@@ -16,8 +16,8 @@ the result R with its universal cone κ is certified by the cocone
 classifier: Cl(Q, Σ) is presented so that its functors into any E are
 exactly the σ-cones under Q with vertex E, and the functor Cl → R that κ
 induces must be an isomorphism, which proves the universal property for
-every E.  Cl is
-built from Q's own tables, not through the elements construction, and
+every E.  Every classifier is built by one builder, ``_Classifier``; Cl
+is built from Q's own tables, not through the elements construction, and
 decided by one coset table (``presented.presents``).  A weighted
 σ-colimit W ⋆ P is the conical one of P·π over the dual of W's elements;
 it is certified the same way by the classifier of σ-natural
@@ -59,15 +59,16 @@ alone: each lim is the shape's conical σ-limit, read by
 ``conical_sigma_colimit``; the functors between the colimits and the
 comparison are induced by ``induced_from_colimit``.  ``is_equivalence``
 decides the comparison and names a witness when it fails.  The coend of
-``coend_eps`` is presented as the classifier of dinatural cocones, so
-its status is exact and it carries no certificate.
+``coend_eps`` is presented as the classifier of dinatural cocones, built
+by the same ``_Classifier`` as the σ-colimits' certificates but with no
+Φ, so its status is exact and it carries no certificate.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .config import DEFAULT_CAP, Meter
 from .errors import CertificateFailure, PreconditionFailed, UndecidedAtCap
@@ -75,9 +76,9 @@ from .fincat import (EquivalenceReport, FinCat, Functor, NatTransf,
                      ValidationReport, assemble_category, compose_functors,
                      enumerate_functors, enumerate_nat_transfs, is_equivalence,
                      is_equivalence_on_homs, nat_is_identity, nat_is_invertible,
-                     pair_name, partition, terminal_category, validate_functor,
-                     validate_nat_transf, vcomp_nat, whisker_functor_nat,
-                     whisker_nat_functor)
+                     mint, pair_name, partition, terminal_category,
+                     validate_functor, validate_nat_transf, vcomp_nat,
+                     whisker_functor_nat, whisker_nat_functor)
 from .two_cat import Fin2Cat, WideSub, op_dual
 from .transforms import (CatDiagram, HomCategory, Transformation, TwoFunctor,
                          Flavor, PSEUDO, compose_diagram, constant_diagram,
@@ -432,8 +433,9 @@ def conical_sigma_colimit(Q: CatDiagram, sigma: WideSub, cap: int = DEFAULT_CAP,
 
 class _Classifier:
     """A classifier's presentation with the images of its objects and
-    generators under Φ.  Generators are named by position; in a path,
-    None stands for an identity and is dropped."""
+    generators under Φ.  The images are optional: a presentation that is
+    not certified, as the coend's, gives None.  Generators are named by
+    position; in a path, None stands for an identity and is dropped."""
 
     def __init__(self):
         self.obj_image, self.ends, self.gen_image = {}, {}, {}
@@ -1388,144 +1390,68 @@ def coend_eps(T: CatDiagram, base: Fin2Cat, flavor: Flavor,
               meter: Meter | None = None) -> PresentedCategory:
     """The flavor-constrained coend of a two-sided strict diagram.
 
-    The presentation is the classifier of the flavor's dinatural cocones:
-    one object (A, x) per diagonal element, a generator per arrow of
-    T(A,A) and a connecting generator e[f;z] per (1-cell, off-diagonal
-    element) pair; the naturality of e in z, its composition along
-    composable 1-cells and its compatibility with 2-cells are relations,
-    and the flavor dictates which e are inverted (the strict flavor merges
-    their ends instead).  Its functors into any E are exactly the
-    dinatural cocones with vertex E, so the realization is the coend and
-    its ``finite`` status is exact; no certificate is needed.
+    The presentation is the classifier of the flavor's dinatural cocones,
+    built by ``_Classifier`` with no Φ.  Objects (x,A), x in T(A, A), each
+    name minted once; generators d[A|u] for each non-identity u of T(A, A)
+    and e[f|z] : (T(1_B, f)z, B) → (T(f, 1_A)z, A) for each non-identity
+    f : A → B and z in T(B, A), e being empty at identities.  Relations:
+    T(A, A)'s composition as hints; naturality of e[f|-]; e[g|T(1_C, f)z]
+    then e[f|T(g, 1_A)z] is e[gf|z]; e[f|z] then d[A|T(x, 1_A)_z] is
+    d[B|T(1_B, x)_z] then e[g|z] for x : f ⇒ g; e[f|z] inverted where the
+    flavor asks it.  The strict flavor merges the ends of each e instead.
+    Its functors into any E are exactly the dinatural cocones with vertex
+    E, so the realization is the coend and its ``finite`` status is exact;
+    no certificate is needed.
     """
     meter = meter or Meter()
     if T.is_pseudo:
         raise PreconditionFailed("coends are implemented for strict diagrams")
-    idof = {A: base.id1[A] for A in base.objects}
-
-    def tcell(l, r):
-        return T.on_1[pair_name(l, r)]
-
-    def t2cell(l, r):
-        return T.on_2[pair_name(l, r)]
-
-    objects = []
-    obj_of = {}
-    for A in sorted(base.objects):
-        for x in sorted(T.on_obj[pair_name(A, A)].objects):
-            name = el_mod.obj_name(x, A)
-            objects.append(name)
-            obj_of[(A, x)] = name
-
-    generators = {}
-    hints = {}
-    relations = []
-    strict_object_merges = []
-
-    def diag_gen(A, arr):
-        return f"{A}:{arr}"
-
+    strict = flavor.requires_identity()
+    cl, points, merges, d, e, tail = _Classifier(), {}, [], {}, {}, {}
     for A in sorted(base.objects):
         TA = T.on_obj[pair_name(A, A)]
-        for arr, (x, y) in sorted(TA.arrows.items()):
-            if TA.is_identity(arr):
-                continue
-            generators[diag_gen(A, arr)] = (obj_of[(A, x)], obj_of[(A, y)])
-        for (g, f), h in TA.compose.items():
-            if TA.is_identity(g) or TA.is_identity(f):
-                continue
-            hints[(diag_gen(A, f), diag_gen(A, g))] = \
-                None if TA.is_identity(h) else diag_gen(A, h)
-
-    non_id1 = [f for f in base.all_one_cells() if f not in set(base.id1.values())]
-
-    def e_gen(f, z):
-        return f"e[{f};{z}]"
-
-    strict = flavor.requires_identity()
-    for f in non_id1:
+        for x in sorted(TA.objects):
+            tail[(base.id1[A], x)] = name = el_mod.obj_name(x, A)
+            mint(points, name, (x, A))
+            e[(base.id1[A], x)] = None
+        for u, (x, x2) in sorted(TA.arrows.items()):
+            d[(A, u)] = None if TA.is_identity(u) else cl.gen(
+                el_mod.obj_name(x, A), el_mod.obj_name(x2, A), None)
+        for (v, u), w in sorted(TA.compose.items()):
+            cl.hint(d[(A, u)], d[(A, v)], d[(A, w)])
+    cl.obj_image = dict.fromkeys(points)
+    for f in sorted(set(base.all_one_cells()) - set(base.id1.values())):
         A, B = base.src1(f), base.tgt1(f)
+        lf, rf = T.on_1[pair_name(base.id1[B], f)], T.on_1[pair_name(f, base.id1[A])]
         TBA = T.on_obj[pair_name(B, A)]
         for z in sorted(TBA.objects):
-            left = tcell(idof[B], f).obj_map[z]   # in T(B,B)
-            right = tcell(f, idof[A]).obj_map[z]  # in T(A,A)
+            tail[(f, z)] = src = el_mod.obj_name(lf.obj_map[z], B)
+            tgt = el_mod.obj_name(rf.obj_map[z], A)
+            e[(f, z)] = None if strict else cl.gen(src, tgt, None)
             if strict:
-                strict_object_merges.append((obj_of[(B, left)], obj_of[(A, right)]))
-            else:
-                generators[e_gen(f, z)] = (obj_of[(B, left)], obj_of[(A, right)])
-        # naturality of the connecting cells in the off-diagonal variable
+                merges.append((src, tgt))
+            elif flavor.requires_invertible(f):
+                cl.inverted.append(e[(f, z)])
         for w, (z, z2) in sorted(TBA.arrows.items()):
-            if TBA.is_identity(w):
-                continue
-            lft = tcell(idof[B], f).arr_map[w]
-            rgt = tcell(f, idof[A]).arr_map[w]
-            lw = () if T.on_obj[pair_name(B, B)].is_identity(lft) \
-                else (diag_gen(B, lft),)
-            rw = () if T.on_obj[pair_name(A, A)].is_identity(rgt) \
-                else (diag_gen(A, rgt),)
-            if strict:
-                lhs = lw
-                rhs = rw
-                src_obj = obj_of[(B, tcell(idof[B], f).obj_map[z])]
-            else:
-                lhs = lw + (e_gen(f, z2),)
-                rhs = (e_gen(f, z),) + rw
-                src_obj = obj_of[(B, tcell(idof[B], f).obj_map[z])]
-            relations.append((tuple(lhs), tuple(rhs), src_obj))
-    # composition of connecting cells along composable base 1-cells
-    for (g, f), gf in base.hcomp1.items():
-        if f in set(base.id1.values()) or g in set(base.id1.values()):
-            continue
-        A = base.src1(f)
-        B = base.tgt1(f)
-        C = base.tgt1(g)
-        TCA = T.on_obj[pair_name(C, A)]
-        for z in sorted(TCA.objects):
-            z_right = tcell(idof[C], f).obj_map[z]  # in T(C,B)
-            z_left = tcell(g, idof[A]).obj_map[z]   # in T(B,A)
-            if strict:
-                continue
-            first = e_gen(g, z_right)
-            second = e_gen(f, z_left)
-            hints[(first, second)] = \
-                None if gf in set(base.id1.values()) else e_gen(gf, z)
-    # 2-cells relate the connecting generators of their boundaries
+            cl.rel((d[(B, lf.arr_map[w])], e[(f, z2)]),
+                   (e[(f, z)], d[(A, rf.arr_map[w])]), tail[(f, z)])
+    for (g, f), gf in sorted(base.hcomp1.items()):
+        A, C = base.src1(f), base.tgt1(g)
+        zf = T.on_1[pair_name(base.id1[C], f)].obj_map  # T(C, A) → T(C, B)
+        zg = T.on_1[pair_name(g, base.id1[A])].obj_map  # T(C, A) → T(B, A)
+        for z in sorted(T.on_obj[pair_name(C, A)].objects):
+            cl.hint(e[(g, zf[z])], e[(f, zg[z])], e[(gf, z)])
     for x in base.all_two_cells():
         f, g = base.src2(x), base.tgt2(x)
-        if base.is_identity_2cell(x):
-            continue
         A, B = base.src1(f), base.tgt1(f)
-        TBA = T.on_obj[pair_name(B, A)]
-        for z in sorted(TBA.objects):
-            lcell = t2cell(x, base.id2(idof[B])).components[z]  # T(B,B)
-            rcell = t2cell(base.id2(idof[A]), x).components[z]  # T(A,A)
-            lw = () if T.on_obj[pair_name(B, B)].is_identity(lcell) \
-                else (diag_gen(B, lcell),)
-            rw = () if T.on_obj[pair_name(A, A)].is_identity(rcell) \
-                else (diag_gen(A, rcell),)
-            if strict:
-                relations.append((rw, lw,
-                                  obj_of[(A, T.on_obj[pair_name(A, A)].src(rcell))]
-                                  if rw else obj_of[(B, tcell(idof[B], f).obj_map[z])]))
-            else:
-                # e_f then the right cell equals the left cell then e_g
-                lhs = (e_gen(f, z),) + rw
-                rhs = lw + (e_gen(g, z),)
-                relations.append((lhs, rhs,
-                                  obj_of[(B, tcell(idof[B], f).obj_map[z])]))
-    inverted = []
-    if not strict:
-        for f in non_id1:
-            if flavor.requires_invertible(f):
-                A, B = base.src1(f), base.tgt1(f)
-                TBA = T.on_obj[pair_name(B, A)]
-                inverted.extend(e_gen(f, z) for z in sorted(TBA.objects))
-    # strict flavor merges objects outright
-    if strict_object_merges:
-        merged = partition(objects, strict_object_merges)
-        objects = sorted(set(merged.values()))
-        generators = {g: (merged[s], merged[t]) for g, (s, t) in generators.items()}
-        relations = [(l, r, merged[s]) for (l, r, s) in relations]
-    return saturate_presentation(Presentation(tuple(objects), generators, hints,
-                                              tuple(relations), tuple(sorted(inverted))),
-                                 cap, meter)
+        lx = T.on_2[pair_name(base.id2(base.id1[B]), x)].components  # in T(B, B)
+        rx = T.on_2[pair_name(x, base.id2(base.id1[A]))].components  # in T(A, A)
+        for z in sorted(T.on_obj[pair_name(B, A)].objects):
+            cl.rel((e[(f, z)], d[(A, rx[z])]), (d[(B, lx[z])], e[(g, z)]), tail[(f, z)])
+    pres = cl.presentation()
+    if merges:
+        m = partition(pres.objects, merges)
+        ends = {g: (m[s], m[t]) for g, (s, t) in pres.generators.items()}
+        pres = replace(pres, objects=tuple(sorted(set(m.values()))), generators=ends,
+                       relations=tuple((u, v, m[s]) for u, v, s in pres.relations))
+    return saturate_presentation(pres, cap, meter)

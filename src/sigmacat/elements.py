@@ -19,7 +19,8 @@ One enumerator, ``_cells``, lists the elements and the 1-cells and
 ``elements_of_pseudo``, ``gamma_dual``).  ``dual_pi0`` reads from it only
 what a conical σ-colimit needs: π0 of the 1-cell dual of Γ(Q), each hom
 collapsed by its 2-cells.  ``_OpElements`` reads from it only what
-``check_flat``'s filteredness scan needs of the 1-cell dual of El_P: its homs of 1-cells
+the filteredness scan of ``check_flat`` and ``check_flat_pseudo`` needs of
+the 1-cell dual of El_P, for a strict or a pseudo P: its homs of 1-cells
 and 2-cells, and its horizontal composites, each computed on first
 lookup.  Neither of the last two builds a hom category, a horizontal
 composition table or a dual copy.
@@ -318,23 +319,23 @@ class _Table(dict):
 
 
 class _OpElements:
-    """The 1-cell dual of El_P for a strict P, marked by its cartesian
-    1-cells, read off P's tables: what ``check_sigma_filtered`` reads of
-    ``op_dual(elements_of(P).cat)``, with no hom category, horizontal
-    composition table or dual copy built.  It serves ``check_flat`` only:
+    """The 1-cell dual of El_P, marked by its cartesian 1-cells, read off
+    P's tables: what ``check_sigma_filtered`` reads of
+    ``op_dual(elements_of(P).cat)``, or of ``elements_of_pseudo``'s for a
+    pseudo P, with no hom category, horizontal composition table or dual
+    copy built.  It serves ``check_flat`` and ``check_flat_pseudo`` only:
     it is not a ``Fin2Cat``, and a reader of more than that scan reads
-    needs ``elements_of``.
+    needs ``elements_of`` or ``elements_of_pseudo``.
 
     Names, ticks and the refusal of colliding names are those of
-    ``elements_of``.  The 1-cells of the dual point against El_P's, its
-    2-cells as there.  ``hcomp1`` and ``hcomp2`` are the dual's tables,
-    each entry computed from P's tables on first lookup; a 2-cell is
-    invertible when its base 2-cell has an inverse among the 2-cells
-    back, by the vertical composition of the base."""
+    ``elements_of``; a pseudo P composes 1-cells through its structure
+    cells, as ``elements_of_pseudo`` does.  The 1-cells of the dual point
+    against El_P's, its 2-cells as there.  ``hcomp1`` and ``hcomp2`` are
+    the dual's tables, each entry computed from P's tables on first
+    lookup; a 2-cell is invertible when its base 2-cell has an inverse
+    among the 2-cells back, by the vertical composition of the base."""
 
     def __init__(self, P: CatDiagram, meter: Meter | None = None):
-        if P.is_pseudo:
-            raise PreconditionFailed("use elements_of_pseudo for pseudofunctors")
         self.P, self.base = P, P.source
         points, homs, self.pairs1, self.pairs2 = _cells(P, False, meter or Meter())
         self.points = points
@@ -359,7 +360,8 @@ class _OpElements:
     def _hcomp1(self, h: str, f: str) -> str:
         """h∘f in the dual: f after h in El_P."""
         x = self.points[self.ends1[h][0]][0]
-        return _hcomp1(self.P, False, False, self.pairs1[f], self.pairs1[h], x)
+        return _hcomp1(self.P, False, self.P.is_pseudo, self.pairs1[f],
+                       self.pairs1[h], x)
 
     def _hcomp2(self, b: str, a: str) -> str:
         """b*a in the dual: a*b in El_P, computed in the base."""

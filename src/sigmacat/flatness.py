@@ -1,14 +1,13 @@
 """Flatness of Cat-valued diagrams, decided through the elements construction.
 
 A diagram is recorded as flat exactly when its 2-category of elements is
-cofiltered with respect to the cocartesian marking.  For a strict
-diagram the 1-cell dual of El_P is read off P's tables
-(``elements._OpElements``), not assembled; a pseudofunctor's El_P is
-assembled, and cross-checked against the reader on its
-strictification.  The verdict carries the full
-filteredness report as evidence and names the route, since the
-defining Kan-extension property quantifies over an infinite 2-category
-and is not checked directly.  Left exactness is checked shape by shape
+cofiltered with respect to the cocartesian marking.  The 1-cell dual
+of El_P is read off P's tables (``elements._OpElements``), not
+assembled, for a strict diagram and for a pseudofunctor; a
+pseudofunctor's verdict is cross-checked against its strictification's.
+The verdict carries the full filteredness report as evidence and names
+the route, since the defining Kan-extension property quantifies over an
+infinite 2-category and is not checked directly.  Left exactness is checked shape by shape
 against user-supplied or generated bilimit cones, and the agreement of
 the two notions on finitely complete bases is enforced as a consistency
 check, never assumed.
@@ -22,13 +21,11 @@ from .config import DEFAULT_CAP, Meter
 from .errors import Inconsistency, PreconditionFailed
 from .fincat import (Functor, NatTransf, compose_functors, is_equivalence, mint,
                      mk_fincat, EquivalenceReport, validate_functor)
-from .two_cat import Fin2Cat, Marked2Cat, WideSub
+from .two_cat import Fin2Cat, WideSub
 from .transforms import (CatDiagram, Transformation, compose_diagram,
                          dual_twofunctor, hom_eps, PSEUDO, reinterpret_as_pseudo)
-from .elements import (ElementsResult, _OpElements, elements_of,
-                       elements_of_pseudo, obj_name)
-from .filteredness import (FilterednessReport, check_sigma_cofiltered,
-                           check_sigma_filtered)
+from .elements import ElementsResult, _OpElements, elements_of, obj_name
+from .filteredness import FilterednessReport, check_sigma_filtered
 from .colimits import (BaseConeCategories, SigmaCone, check_base_cone,
                        conical_sigma_colimit, hom_actions, induced_from_colimit,
                        preserves_bilimit, weighted_sigma_limit)
@@ -195,16 +192,16 @@ def check_flat(P: CatDiagram, meter: Meter | None = None) -> FlatnessVerdict:
 def check_flat_pseudo(P: CatDiagram, meter: Meter | None = None) -> FlatnessVerdict:
     """Flatness of a pseudofunctor, cross-checked through strictification.
 
-    The direct route tests cofilteredness of the assembled pseudo
-    elements construction; the second route strictifies and runs
-    ``check_flat``, which reads the strictification's elements off its
-    tables.  Disagreement raises, since the two must coincide.
+    The direct route tests cofilteredness of the pseudo elements
+    construction, read off P's tables by ``_OpElements``; the second route
+    strictifies and runs ``check_flat``, which reads the
+    strictification's elements the same way.  Disagreement raises, since
+    the two must coincide.
     """
     meter = meter or Meter()
     if not P.is_pseudo:
         P = reinterpret_as_pseudo(P)
-    el = elements_of_pseudo(P, meter)
-    rep = check_sigma_cofiltered(Marked2Cat(el.cat, el.cart), meter)
+    rep = check_sigma_filtered(_OpElements(P, meter).marked(), meter)
     tilde, eta, eps = strictify(P, meter)
     other = check_flat(tilde, meter)
     mine = "flat" if rep.verdict else "not-flat"

@@ -241,10 +241,13 @@ def certify_weighted(out, sigma: WideSub, E: FinCat,
 def certify_coend(R: FinCat, T: CatDiagram, base: Fin2Cat, flavor, E: FinCat,
                   meter: Meter | None = None) -> bool:
     """Functors out of the coend's realization R and the flavor's end of
-    Cat(T(-,-), E) must form isomorphic categories, found by search."""
+    Cat(T(-,-), E) must form isomorphic categories, found by search.  The
+    end's wedges are the dinatural cocones out of T, so their lax cells
+    run as a σ-cocone's do (``cocone``)."""
     meter = meter or Meter()
     fc = functor_category_full(R, E, meter)
-    e = end_eps(hom_out_diagram(T, base, E, meter), base, flavor, meter)
+    e = end_eps(hom_out_diagram(T, base, E, meter), base, flavor, meter,
+                cocone=True)
     return len(fc.cat.objects) == len(e.cat.objects) and \
         len(fc.cat.arrows) == len(e.cat.arrows) and \
         find_isomorphism(fc.cat, e.cat, meter) is not None
@@ -301,12 +304,17 @@ class EndCategory:
 
 
 def end_eps(T: CatDiagram, base: Fin2Cat, flavor: Flavor,
-            meter: Meter | None = None) -> EndCategory:
+            meter: Meter | None = None, cocone: bool = False) -> EndCategory:
     """The flavor-constrained end of a two-sided strict diagram.
 
     Realized concretely as the category of vertex-1 dicones: objects are
     families (x_A, phi_f) satisfying the dinaturality axioms, arrows are
-    families of cells satisfying the morphism axiom.
+    families of cells satisfying the morphism axiom.  For f : A → B,
+    phi_f : T(1_A, f)x_A → T(f, 1_B)x_B, as a lax transformation's cell
+    runs.  With ``cocone`` it runs T(f, 1_B)x_B → T(1_A, f)x_A: on
+    T = Cat(S(-,-), E) these wedges are the dinatural cocones
+    λ_B∘S(1_B, f) ⇒ λ_A∘S(f, 1_A) out of S, as a σ-cocone's
+    κ_B∘Q(f) ⇒ κ_A runs.
     """
     meter = meter or Meter()
     if T.is_pseudo:
@@ -326,6 +334,8 @@ def end_eps(T: CatDiagram, base: Fin2Cat, flavor: Flavor,
             hom_cat = T.on_obj[pair_name(A, B)]
             left = _t_cell(T, base.id1[A], f).obj_map[xs[A]]
             right = _t_cell(T, f, base.id1[B]).obj_map[xs[B]]
+            if cocone:
+                left, right = right, left
             if flavor.requires_identity():
                 pool = [hom_cat.identity[left]] if left == right else []
             else:
@@ -344,7 +354,7 @@ def end_eps(T: CatDiagram, base: Fin2Cat, flavor: Flavor,
             for A in objs:
                 idA = base.id1[A]
                 phis[idA] = diag[A].identity[xs[A]]
-            if _end_point_ok(T, base, xs, phis, non_id):
+            if _end_point_ok(T, base, xs, phis, cocone):
                 points.append((xs, phis))
     points.sort(key=lambda p: (tuple(sorted(p[0].items())), tuple(sorted(p[1].items()))))
     homs = {}
@@ -355,7 +365,7 @@ def end_eps(T: CatDiagram, base: Fin2Cat, flavor: Flavor,
                     *[diag[A].hom(xs1[A], xs2[A]) for A in objs]):
                 meter.tick()
                 xi = dict(zip(objs, combo))
-                if _end_arrow_ok(T, base, ph1, ph2, xi):
+                if _end_arrow_ok(T, base, ph1, ph2, xi, cocone):
                     homs[(i, j)].append(xi)
     cat, _ = assemble_category(
         len(points), ("e", "a"), homs,
@@ -366,7 +376,7 @@ def end_eps(T: CatDiagram, base: Fin2Cat, flavor: Flavor,
     return EndCategory(cat, {f"e{i}": p for i, p in enumerate(points)}, flavor)
 
 
-def _end_point_ok(T, base, xs, phis, non_id) -> bool:
+def _end_point_ok(T, base, xs, phis, cocone) -> bool:
     # LD2 before LD1, mirroring the transformation enumeration
     for x in base.all_two_cells():
         f, g = base.src2(x), base.tgt2(x)
@@ -377,6 +387,8 @@ def _end_point_ok(T, base, xs, phis, non_id) -> bool:
         idA2, idB2 = base.id2(base.id1[A]), base.id2(base.id1[B])
         left = _t_2cell(T, x, idB2).components[xs[B]]
         right = _t_2cell(T, idA2, x).components[xs[A]]
+        if cocone:
+            left, right = right, left
         if hom_cat.compose[(left, phis[f])] != hom_cat.compose[(phis[g], right)]:
             return False
     for (g, f), gf in base.hcomp1.items():
@@ -385,17 +397,21 @@ def _end_point_ok(T, base, xs, phis, non_id) -> bool:
         hom_cat = T.on_obj[pair_name(A, C)]
         post = _t_cell(T, f, base.id1[C]).arr_map[phis[g]]
         pre = _t_cell(T, base.id1[A], g).arr_map[phis[f]]
+        if cocone:
+            post, pre = pre, post
         if hom_cat.compose[(post, pre)] != phis[gf]:
             return False
     return True
 
 
-def _end_arrow_ok(T, base, ph1, ph2, xi) -> bool:
+def _end_arrow_ok(T, base, ph1, ph2, xi, cocone) -> bool:
     for f in base.all_one_cells():
         A, B = base.src1(f), base.tgt1(f)
         hom_cat = T.on_obj[pair_name(A, B)]
-        lhs = hom_cat.compose[(ph2[f], _t_cell(T, base.id1[A], f).arr_map[xi[A]])]
-        rhs = hom_cat.compose[(_t_cell(T, f, base.id1[B]).arr_map[xi[B]], ph1[f])]
-        if lhs != rhs:
+        pre = _t_cell(T, base.id1[A], f).arr_map[xi[A]]
+        post = _t_cell(T, f, base.id1[B]).arr_map[xi[B]]
+        if cocone:
+            pre, post = post, pre
+        if hom_cat.compose[(ph2[f], pre)] != hom_cat.compose[(post, ph1[f])]:
             return False
     return True

@@ -14,8 +14,9 @@ from sigmacat.fixtures import diamond_2cat, poset_category
 from sigmacat.flatness import representable
 from sigmacat.shapes import BIINSERTER
 from sigmacat.transforms import CatDiagram, constant_diagram
-from sigmacat.two_cat import (free_2cell_2cat, two_cat_from_cat, two_cat_product,
-                              wide_all, wide_from, wide_identities)
+from sigmacat.two_cat import (free_2cell_2cat, op_dual, two_cat_from_cat,
+                              two_cat_product, wide_all, wide_from,
+                              wide_identities)
 
 FIXTURE_DOCUMENTS = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -65,6 +66,30 @@ def external_product(P, W):
                 {pair_name(p, q): pair_name(px[p], wy[q])
                  for p in px for q in wy})
     return CatDiagram(two_cat_product(a, b), on_obj, on_1, on_2)
+
+
+def arrow_tensor_factors() -> dict:
+    """The factors (W, P) of W ⊗ P over the walking arrow 0 → 1, by name:
+    W on its 1-cell dual, ``weight_on_op_arrow`` or Δ1, and P, pick0 or
+    collapse."""
+    return {f"{wname}/{pname}": (W, P)
+            for wname, W in (("w_arrow", fixtures.weight_on_op_arrow()),
+                             ("w_one", fixtures.weight_constant_terminal_op()))
+            for pname, P in (("pick0", fixtures.diagram_pick0()),
+                             ("collapse", fixtures.diagram_collapse()))}
+
+
+def tensor_factors(base, at) -> dict:
+    """The factors (W, P) of W ⊗ P over ``base``, by name: W is Δ1 or the
+    representable of the base's 1-cell dual at an object of ``at``, P is
+    Δ(walking arrow) or the base's representable there."""
+    op = op_dual(base)
+    weights = {"one": constant_diagram(op, terminal_category()),
+               **{f"repr{A}": representable(op, A) for A in at}}
+    diagrams = {"arrow": constant_diagram(base, arrow_category()),
+                **{f"repr{A}": representable(base, A) for A in at}}
+    return {f"{wname}/{pname}": (W, P) for wname, W in weights.items()
+            for pname, P in diagrams.items()}
 
 
 def discrete_diagram(values: dict):

@@ -8,8 +8,8 @@ import pytest
 from certificate_reference import certify_coend, default_test_family
 from dicone_reference import cotensor_diagram
 from equivalence_reference import categories_equivalent
-from helpers import (chain_2cat, colimit_rungs, external_product,
-                     strict_fixture_diagrams)
+from helpers import (arrow_tensor_factors, chain_2cat, colimit_rungs,
+                     external_product, strict_fixture_diagrams, tensor_factors)
 from sigmacat.config import DEFAULT_CAP, Meter
 from sigmacat.errors import CertificateFailure, PreconditionFailed, UndecidedAtCap
 from sigmacat.filteredness import check_sigma_filtered
@@ -19,12 +19,13 @@ from sigmacat.fincat import (Functor, NatTransf, arrow_category,
                              functor_category_full, group_z2_category,
                              identity_functor, is_equivalence,
                              iso_pair_category, parallel_pair_category,
-                             pair_table, product_category,
-                             terminal_category, validate_category)
-from sigmacat.fixtures import (arrow_2cat, diagram_chain_to_pp, diagram_collapse,
-                               diagram_on_free2cell, diagram_pick0,
-                               diamond_2cat, idn, pseudo_swap, pseudo_z2,
-                               weight_constant_terminal_op, weight_on_op_arrow)
+                             product_category, terminal_category,
+                             validate_category)
+from sigmacat.fixtures import (arrow_2cat, chain3_2cat, diagram_chain_to_pp,
+                               diagram_collapse, diagram_on_free2cell,
+                               diagram_pick0, diamond_2cat, idn, pseudo_swap,
+                               pseudo_z2, weight_constant_terminal_op,
+                               weight_on_op_arrow)
 from sigmacat.flatness import representable
 from sigmacat.two_cat import (Marked2Cat, WideSub, free_2cell_2cat, op_dual,
                               pair_name, terminal_2cat, two_cat_from_cat,
@@ -411,40 +412,10 @@ def test_coend_over_one_object_base():
     assert find_isomorphism(out.realization, C) is not None
 
 
-def _tensor_diagram(W, P, base):
-    prod = two_cat_product(op_dual(base), base)
-    on_obj, on_1, on_2, points, arrows = {}, {}, {}, {}, {}
-    for A in base.objects:
-        for B in base.objects:
-            WA, PB = W.on_obj[A], P.on_obj[B]
-            on_obj[pair_name(A, B)] = product_category(WA, PB)
-            points[pair_name(A, B)] = pair_table(WA.objects, PB.objects)
-            arrows[pair_name(A, B)] = pair_table(WA.arrows, PB.arrows)
-    for f in base.all_one_cells():
-        for g in base.all_one_cells():
-            A2, A = base.src1(f), base.tgt1(f)
-            B, B2 = base.src1(g), base.tgt1(g)
-            om = {o: pair_name(W.on_1[f].obj_map[w], P.on_1[g].obj_map[p])
-                  for o, (w, p) in points[pair_name(A, B)].items()}
-            am = {a: pair_name(W.on_1[f].arr_map[w], P.on_1[g].arr_map[p])
-                  for a, (w, p) in arrows[pair_name(A, B)].items()}
-            on_1[pair_name(f, g)] = Functor(on_obj[pair_name(A, B)],
-                                            on_obj[pair_name(A2, B2)], om, am)
-    for x in base.all_two_cells():
-        for y in base.all_two_cells():
-            f, f2 = base.src2(x), base.tgt2(x)
-            g, g2 = base.src2(y), base.tgt2(y)
-            comps = {o: pair_name(W.on_2[x].components[w], P.on_2[y].components[p])
-                     for o, (w, p) in points[pair_name(base.tgt1(f), base.src1(g))].items()}
-            on_2[pair_name(x, y)] = NatTransf(on_1[pair_name(f, g)],
-                                              on_1[pair_name(f2, g2)], comps)
-    return CatDiagram(prod, on_obj, on_1, on_2)
-
-
 def test_coend_of_tensor_matches_weighted_colimit(base):
     W = weight_on_op_arrow()
     P = diagram_pick0()
-    T = _tensor_diagram(W, P, base)
+    T = external_product(W, P)
     out = coend_eps(T, base, PSEUDO)
     assert out.finite
     assert all(certify_coend(out.realization, T, base, PSEUDO, E)
@@ -462,6 +433,73 @@ def test_coend_over_empty_base_is_empty():
     out = coend_eps(T, e2, PSEUDO)
     assert out.finite
     assert out.realization.objects == ()
+
+
+# W ⊗ P, (A, B) ↦ W(A) × P(B), over the walking arrow 0 → 1, and each
+# non-strict flavour of the coend with the marking of its weighted
+# σ-colimit: lax with the identities, σ with f, pseudo with every 1-cell.
+ARROW_TENSORS = arrow_tensor_factors()
+
+COEND_FLAVOURS = {"l": (LAX, wide_identities),
+                  "sigma": (sigma_flavor({"f"}), lambda b: wide_from(b, ["f"])),
+                  "p": (PSEUDO, wide_all)}
+
+
+@pytest.mark.parametrize("flavor", sorted(COEND_FLAVOURS))
+@pytest.mark.parametrize("name", sorted(ARROW_TENSORS))
+def test_coend_of_tensor_is_the_weighted_colimit_in_each_flavour(base, name, flavor):
+    W, P = ARROW_TENSORS[name]
+    fl, marking = COEND_FLAVOURS[flavor]
+    out = coend_eps(external_product(W, P), base, fl)
+    res = weighted_sigma_colimit(W, P, marking(base))
+    assert find_isomorphism(out.realization, res.category) is not None
+
+
+@pytest.mark.parametrize("flavor", [STRICT, LAX, PSEUDO], ids=["s", "l", "p"])
+@pytest.mark.parametrize("name", sorted(ARROW_TENSORS))
+def test_coend_of_tensor_passes_the_test_family_certificate(base, name, flavor):
+    """The lax coend of pick0 passes only since the reference end's lax
+    cells run as a σ-cocone's do."""
+    T = external_product(*ARROW_TENSORS[name])
+    out = coend_eps(T, base, flavor)
+    assert all(certify_coend(out.realization, T, base, flavor, E)
+               for _, E in default_test_family())
+
+
+def test_the_test_family_certificate_tells_the_lax_coend_from_the_pseudo_one(base):
+    T = external_product(weight_on_op_arrow(), diagram_pick0())
+    R = coend_eps(T, base, PSEUDO).realization
+    assert not all(certify_coend(R, T, base, LAX, E) for _, E in default_test_family())
+
+
+@pytest.mark.parametrize("which", ["free2cell", "chain3"])
+def test_coend_of_tensor_is_the_weighted_colimit_over_2cells_and_composites(which):
+    """Over the free 2-cell the 2-cell relation reads T(1_b, th) in T(b, b)
+    and T(th, 1_a) in T(a, a); over the 3-chain composites meet."""
+    base = free_2cell_2cat() if which == "free2cell" else chain3_2cat()
+    for W, P in tensor_factors(base, sorted(base.objects)).values():
+        T = external_product(W, P)
+        for fl, marking in (COEND_FLAVOURS["l"], COEND_FLAVOURS["p"]):
+            res = weighted_sigma_colimit(W, P, marking(base))
+            assert find_isomorphism(coend_eps(T, base, fl).realization,
+                                    res.category) is not None
+
+
+def test_coend_refuses_colliding_object_names():
+    """x,y over a and x over y,a would both be the object (x,y,a)."""
+    base = two_cat_from_cat(discrete_category(["a", "y,a"]))
+    values = {("a", "a"): ["x,y"], ("y,a", "y,a"): ["x"]}
+    on_obj, on_1, on_2 = {}, {}, {}
+    for A in base.objects:
+        for B in base.objects:
+            C = discrete_category(values.get((A, B), []))
+            f = pair_name(base.id1[A], base.id1[B])
+            on_obj[pair_name(A, B)], on_1[f] = C, identity_functor(C)
+            on_2[pair_name(base.id2(base.id1[A]), base.id2(base.id1[B]))] = \
+                idn(on_1[f])
+    T = CatDiagram(two_cat_product(op_dual(base), base), on_obj, on_1, on_2)
+    with pytest.raises(PreconditionFailed, match=r"name \(x,y,a\) is minted"):
+        coend_eps(T, base, PSEUDO)
 
 
 # ---------------------------------------------------------------------------
@@ -639,5 +677,5 @@ def test_commutation_and_coend_run_without_an_isomorphism_search(base, monkeypat
     a, sigma, P = FILTERED_INDICES["arrow"]()
     assert commutation_check(_along(P, BIEQUALIZER, "weight"), a, sigma,
                              BIEQUALIZER).verdict
-    T = _tensor_diagram(weight_on_op_arrow(), diagram_pick0(), base)
+    T = external_product(weight_on_op_arrow(), diagram_pick0())
     assert coend_eps(T, base, PSEUDO).finite

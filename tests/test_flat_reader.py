@@ -2,11 +2,11 @@
 
 ``elements._OpElements`` is what the filteredness scan reads of the 1-cell
 dual of El_P.  Scanning it must give what the assembled route gives,
-``check_sigma_cofiltered`` on ``elements_of(P)`` with its cartesian
-marking: the verdict, every witness in order, the counterexample and the
-ticks.  Its tables must be those of ``op_dual(elements_of(P).cat)`` entry
-for entry, and ``check_flat`` must answer with no 2-category of elements
-built.
+``check_sigma_cofiltered`` on ``elements_of(P)``, or on
+``elements_of_pseudo(P)`` for a pseudo P, with its cartesian marking: the
+verdict, every witness in order, the counterexample and the ticks.  Its
+tables must be those of the assembled El_P's 1-cell dual entry for entry,
+and ``check_flat`` must answer with no 2-category of elements built.
 """
 
 import pytest
@@ -16,14 +16,15 @@ from helpers import (chain_2cat, discrete_diagram, grid_2cat, posets,
                      strict_fixture_diagrams)
 from sigmacat import elements, filteredness, two_cat
 from sigmacat.config import Meter
-from sigmacat.elements import _OpElements, elements_of
+from sigmacat.elements import _OpElements, elements_of, elements_of_pseudo
 from sigmacat.errors import PreconditionFailed
 from sigmacat.filteredness import (AXIOM_F2, check_sigma_cofiltered,
                                    check_sigma_filtered)
 from sigmacat.fincat import (Functor, NatTransf, arrow_category,
                              discrete_category, identity_functor, mk_fincat,
                              terminal_category)
-from sigmacat.fixtures import diamond_2cat, idn, pseudo_z2
+from sigmacat.fixtures import (diamond_2cat, idn, pseudo_not_flat, pseudo_swap,
+                               pseudo_z2)
 from sigmacat.flatness import check_flat, representable
 from sigmacat.transforms import CatDiagram, constant_diagram
 from sigmacat.two_cat import (Marked2Cat, co_dual, mk_fin2cat, op_dual,
@@ -104,10 +105,10 @@ DIAGRAMS = {**strict_fixture_diagrams(), **ladder_diagrams(),
             "twice_stepped": twice_stepped()}
 
 
-def assert_reader_is_the_assembled_scan(P):
+def assert_reader_is_the_assembled_scan(P, build=elements_of):
     read, assembled = Meter(), Meter()
     got = check_sigma_filtered(_OpElements(P, read).marked(), read)
-    el = elements_of(P, assembled)
+    el = build(P, assembled)
     want = check_sigma_cofiltered(Marked2Cat(el.cat, el.cart), assembled)
     assert (got.verdict, got.witnesses, got.counterexample) == \
         (want.verdict, want.witnesses, want.counterexample)
@@ -115,10 +116,10 @@ def assert_reader_is_the_assembled_scan(P):
     return got
 
 
-def assert_reader_reads_the_dual(P):
+def assert_reader_reads_the_dual(P, build=elements_of):
     """Every table the scan may read, entry for entry."""
     view = _OpElements(P)
-    el = elements_of(P)
+    el = build(P)
     dual = op_dual(el.cat)
     assert view.objects == dual.objects
     assert view.cart == el.cart.arrows
@@ -222,9 +223,20 @@ def test_the_reader_refuses_colliding_names_as_elements_of_does(P, name):
 
 
 def test_the_reader_refuses_a_pseudo_diagram():
-    for build in (elements_of, _OpElements):
-        with pytest.raises(PreconditionFailed, match="elements_of_pseudo"):
-            build(pseudo_z2())
+    """``elements_of`` refuses a pseudo P; the reader serves it."""
+    with pytest.raises(PreconditionFailed, match="elements_of_pseudo"):
+        elements_of(pseudo_z2())
+
+
+PSEUDO_DIAGRAMS = {"pseudo_z2": pseudo_z2, "pseudo_swap": pseudo_swap,
+                   "pseudo_not_flat": pseudo_not_flat}
+
+
+@pytest.mark.parametrize("name", sorted(PSEUDO_DIAGRAMS))
+def test_the_reader_reads_the_pseudo_dual_table_for_table(name):
+    P = PSEUDO_DIAGRAMS[name]()
+    assert_reader_reads_the_dual(P, elements_of_pseudo)
+    assert_reader_is_the_assembled_scan(P, elements_of_pseudo)
 
 
 def test_check_flat_builds_no_2category_of_elements(monkeypatch):

@@ -14,8 +14,9 @@ from certificate_reference import end_eps
 from cone_reference import (base_cone_category, cocone_category, cone_existence,
                             shape_diagram_1, shape_diagram_2, shape_diagram_3)
 from dicone_reference import internal_hom_diagram
-from helpers import (chain_2cat, colimit_rungs, corpus_biinserter,
-                     external_product, grid_2cat, shape_digest, table_digest)
+from helpers import (arrow_tensor_factors, chain_2cat, colimit_rungs,
+                     corpus_biinserter, external_product, grid_2cat,
+                     shape_digest, table_digest, tensor_factors)
 from sigmacat.colimits import (bilimit_cat, coend_eps, cones_sigma,
                                conical_sigma_colimit,
                                point_cone_homs, weighted_sigma_colimit,
@@ -30,8 +31,7 @@ from sigmacat.fincat import (arrow_category, discrete_category,
 from sigmacat.fixtures import (arrow_2cat, chain3_2cat, diagram_collapse,
                                diagram_on_free2cell, diagram_pick0, diamond_2cat,
                                marked_fixtures, poset_category, pseudo_not_flat,
-                               pseudo_swap, pseudo_z2, weight_constant_terminal_op,
-                               weight_on_op_arrow)
+                               pseudo_swap, pseudo_z2, weight_on_op_arrow)
 from sigmacat.flatness import (canonical_expression, check_flat, check_flat_pseudo,
                                check_left_exact, generate_bilimit_cones,
                                representable)
@@ -39,10 +39,9 @@ from sigmacat.presented import localize
 from sigmacat.shapes import BIINSERTER
 from sigmacat.transforms import (LAX, PSEUDO, STRICT, TwoFunctor, constant_diagram,
                                  hom_eps, identity_twofunctor, sigma_flavor)
-from sigmacat.two_cat import (Marked2Cat, free_2cell_2cat, op_dual,
-                              parallel_2cells_2cat, terminal_2cat,
-                              two_cat_from_cat, wide_all, wide_from,
-                              wide_identities)
+from sigmacat.two_cat import (Marked2Cat, free_2cell_2cat, parallel_2cells_2cat,
+                              terminal_2cat, two_cat_from_cat, wide_all,
+                              wide_from, wide_identities)
 
 
 def chain(n, prefix=""):
@@ -551,27 +550,15 @@ def test_scan_ticks_and_reports_are_pinned(case):
 # shape digest).  The shape digest holds the object names but not the arrow
 # names, which spell words in the presentation's generators.
 def coend_cases() -> dict:
-    cases = {}
-    arrow = arrow_2cat()
-    for wname, W in (("w_arrow", weight_on_op_arrow()),
-                     ("w_one", weight_constant_terminal_op())):
-        for pname, P in (("pick0", diagram_pick0()), ("collapse", diagram_collapse())):
-            cases[f"arrow/{wname}/{pname}"] = (external_product(W, P), arrow)
-    chain3 = chain3_2cat()
-    op = op_dual(chain3)
-    weights = {"one": constant_diagram(op, terminal_category()),
-               "repra": representable(op, "a"), "reprb": representable(op, "b")}
-    diagrams = {"arrow": constant_diagram(chain3, arrow_category()),
-                "repra": representable(chain3, "a"), "reprb": representable(chain3, "b")}
-    for wname, W in weights.items():
-        for pname, P in diagrams.items():
-            cases[f"chain3/{wname}/{pname}"] = (external_product(W, P), chain3)
     out = {}
-    for name, (T, base) in cases.items():
+    for bname, base, factors in (("arrow", arrow_2cat(), arrow_tensor_factors()),
+                                 ("chain3", chain3_2cat(),
+                                  tensor_factors(chain3_2cat(), "ab"))):
         first = sorted(set(base.all_one_cells()) - set(base.id1.values()))[0]
-        for fname, flavor in (("s", STRICT), ("l", LAX), ("p", PSEUDO),
-                              ("sigma", sigma_flavor({first}))):
-            out[f"{name}/{fname}"] = (T, base, flavor)
+        for name, (W, P) in factors.items():
+            for fname, flavor in (("s", STRICT), ("l", LAX), ("p", PSEUDO),
+                                  ("sigma", sigma_flavor({first}))):
+                out[f"{bname}/{name}/{fname}"] = (external_product(W, P), base, flavor)
     return out
 
 
