@@ -96,6 +96,20 @@ def test_weighted_colimit_reports(capsys, sigma, golden):
     assert out == (GOLDEN / golden).read_text()
 
 
+
+@pytest.mark.parametrize("fixture,flags", [
+    ("diagram_pick0", []), ("diagram_pick0", ["--pseudo"]),
+    ("diagram_pick0", ["--sigma", "f"]), ("repr_diamond_a", []),
+    ("weight_on_op_arrow", ["--sigma", "f"]), ("pseudo_swap", ["--pseudo"]),
+    ("pseudo_swap", ["--pseudo", "--sigma", "f"]),
+])
+def test_elements_reports(capsys, fixture, flags):
+    """The full report of ``elements``, byte for byte."""
+    code, out = invoke(capsys, "elements", str(FIXTURES / f"{fixture}.json"), *flags)
+    assert code == 0
+    suffix = "".join(f"_{flag.lstrip('-')}" for flag in flags)
+    assert out == (GOLDEN / f"elements_{fixture}{suffix}.json").read_text()
+
 # The Hom categories and weighted limits of the benchmark's CLI corpus, in
 # every flavour, and its Yoneda comparisons: reports captured from the
 # enumerating implementation that the conical reduction replaced.

@@ -17,11 +17,13 @@ from dicone_reference import internal_hom_diagram
 from helpers import (arrow_tensor_factors, chain_2cat, colimit_rungs,
                      corpus_biinserter, external_product, grid_2cat,
                      shape_digest, table_digest, tensor_factors)
+from test_flat_reader import DIAGRAMS as FLAT_READER_DIAGRAMS
 from sigmacat.colimits import (bilimit_cat, coend_eps, cones_sigma,
                                conical_sigma_colimit,
                                point_cone_homs, weighted_sigma_colimit,
                                weighted_sigma_limit)
 from sigmacat.config import DEFAULT_BUDGET, Meter
+from sigmacat.elements import elements_of, elements_of_pseudo, gamma_dual
 from sigmacat.errors import PreconditionFailed
 from sigmacat.filteredness import (check_sigma_cofiltered, check_sigma_cofinal,
                                    check_sigma_filtered)
@@ -628,3 +630,322 @@ def test_coend_ticks_and_realizations_are_pinned(case):
     R = out.realization
     assert (meter.count, out.status, len(R.objects), len(R.arrows), len(R.compose),
             shape_digest(R)) == COEND_EXPECTED[case]
+
+
+# The 2-category of elements, the dual construction and the pseudo one over
+# the flat reader's diagrams and the pseudo fixtures: (ticks, digest of the
+# objects, each hom's table digest, the identity 1-cells, both horizontal
+# composition tables, the cartesian 1-cells and the projection), or the
+# refusal with the ticks spent before it.
+def elements_result(build, P):
+    def run(m):
+        try:
+            el = build(P, m)
+        except PreconditionFailed as e:
+            return ("refused", str(e))
+        c, pr = el.cat, el.projection
+        return (c.objects, [(pair, table_digest(h)) for pair, h in sorted(c.hom.items())],
+                sorted(c.id1.items()), sorted(c.hcomp1.items()),
+                sorted(c.hcomp2.items()), sorted(el.cart.arrows),
+                sorted(pr.obj_map.items()), sorted(pr.map1.items()),
+                sorted(pr.map2.items()))
+    return run
+
+
+def elements_cases() -> dict:
+    cases = {}
+    for name, P in FLAT_READER_DIAGRAMS.items():
+        cases[f"elements-{name}"] = elements_result(elements_of, P)
+        cases[f"gamma-{name}"] = elements_result(gamma_dual, P)
+    for name, P in (("pseudo_swap", pseudo_swap()), ("pseudo_z2", pseudo_z2()),
+                    ("pseudo_not_flat", pseudo_not_flat())):
+        cases[f"pseudo-{name}"] = elements_result(elements_of_pseudo, P)
+    return cases
+
+
+ELEMENTS_CASES = elements_cases()
+
+ELEMENTS_EXPECTED = {
+    "elements-chain1/arrow": (6, "aa64ff3e35cbea25"),
+    "elements-chain1/one": (2, "76469e5d5faadb4d"),
+    "elements-chain1/pair": (4, "1e3b35c6f3d2325d"),
+    "elements-chain1/reprc0": (2, "44532b61fc1c4aa9"),
+    "elements-chain2/arrow": (18, "2155abc7820346a4"),
+    "elements-chain2/one": (6, "2fbedc07b0948fc2"),
+    "elements-chain2/pair": (12, "96f5df49eebb9818"),
+    "elements-chain2/reprc0": (6, "89635793124dbfcf"),
+    "elements-chain2/reprc1": (2, "4054af166cb6cdbe"),
+    "elements-chain4/arrow": (60, "50c5d70830c300c3"),
+    "elements-chain4/one": (20, "2f82ee5f4b789de9"),
+    "elements-chain4/pair": (40, "56dc98466d148181"),
+    "elements-chain4/reprc0": (20, "93d3a642d797d656"),
+    "elements-chain4/reprc1": (12, "c855ca2a52fb7f69"),
+    "elements-chain4/reprc2": (6, "2b2cf23bbb9abb72"),
+    "elements-chain4/reprc3": (2, "84168ca77d74da01"),
+    "elements-chain6/arrow": (126, "cd90d4abd10d5c15"),
+    "elements-chain6/one": (42, "ed81d3272de9cfb5"),
+    "elements-chain6/pair": (84, "f4da4a50ee262afd"),
+    "elements-chain6/reprc0": (42, "2170f7e2deb93554"),
+    "elements-chain6/reprc1": (30, "c1de74f16e02e046"),
+    "elements-chain6/reprc2": (20, "dff0ce7b3eb47f66"),
+    "elements-chain6/reprc3": (12, "db014059300c5ca1"),
+    "elements-chain6/reprc4": (6, "cf3faf56880f5f64"),
+    "elements-chain6/reprc5": (2, "af99f0f169426514"),
+    "elements-const_discrete_pair.json": (4, "5062b393642163da"),
+    "elements-const_terminal.json": (6, "c5c7b8b2d40a519c"),
+    "elements-const_terminal_parallel.json": (8, "43c4edd9ed1cedba"),
+    "elements-delta_arrow_free2cell": (27, "7b39b86e857204bc"),
+    "elements-diagram_chain_to_pp": (32, "9ccff62bc59ea53d"),
+    "elements-diagram_collapse": (12, "852444dd3f1bc0bd"),
+    "elements-diagram_collapse.json": (12, "852444dd3f1bc0bd"),
+    "elements-diagram_on_free2cell": (15, "8604b01861ceab33"),
+    "elements-diagram_pick0": (12, "f68f0b2bc1a10e68"),
+    "elements-diagram_pick0.json": (12, "f68f0b2bc1a10e68"),
+    "elements-diamond/arrow": (54, "a4758ee2cfa3b62e"),
+    "elements-diamond/one": (18, "96d7b1a51d4283cb"),
+    "elements-diamond/pair": (36, "6716b39821796a20"),
+    "elements-diamond/repra": (6, "f03440361c6b6122"),
+    "elements-diamond/reprb": (6, "256179da66c54617"),
+    "elements-diamond/reprbot": (18, "43c5de01a63142dd"),
+    "elements-diamond/reprtop": (2, "7b7817020a179268"),
+    "elements-grid2x2/arrow": (54, "b662203bcdba7fdf"),
+    "elements-grid2x2/one": (18, "8389cc726b7c8307"),
+    "elements-grid2x2/pair": (36, "43f3dd6c482b536c"),
+    "elements-grid2x2/reprg0_0": (18, "e1bf2db49db124d7"),
+    "elements-grid2x2/reprg0_1": (6, "497eb46ad365d8d6"),
+    "elements-grid2x2/reprg1_0": (6, "4005e56c44410bc8"),
+    "elements-grid2x2/reprg1_1": (2, "af00514dd990d37d"),
+    "elements-grid2x3/arrow": (108, "0181f61b286ad270"),
+    "elements-grid2x3/one": (36, "a8e731dec196bae1"),
+    "elements-grid2x3/pair": (72, "92f3c137226bf215"),
+    "elements-grid2x3/reprg0_0": (36, "c57dfdb43b596912"),
+    "elements-grid2x3/reprg0_1": (18, "98aa9843b8733fd1"),
+    "elements-grid2x3/reprg0_2": (6, "2db3e896ddacad16"),
+    "elements-grid2x3/reprg1_0": (12, "cab3e0d829b967b1"),
+    "elements-grid2x3/reprg1_1": (6, "2415479ff7a2b5ee"),
+    "elements-grid2x3/reprg1_2": (2, "7adb1bedd851100f"),
+    "elements-parallel0/arrow": (24, "7ac62977bb53bc3b"),
+    "elements-parallel0/co/arrow": (24, "7ac62977bb53bc3b"),
+    "elements-parallel0/co/one": (8, "43c4edd9ed1cedba"),
+    "elements-parallel0/co/pair": (16, "c4a7bbd6690da098"),
+    "elements-parallel0/co/repra": (10, "4365aafed2c20369"),
+    "elements-parallel0/co/reprb": (2, "3de30ba22a6553c2"),
+    "elements-parallel0/coop/arrow": (24, "94fda3a3ac50c6bd"),
+    "elements-parallel0/coop/one": (8, "7f95eca6cc36f749"),
+    "elements-parallel0/coop/pair": (16, "9060c46c37fbaaa7"),
+    "elements-parallel0/coop/repra": (2, "569fe69f28a8f6c5"),
+    "elements-parallel0/coop/reprb": (10, "6fdf3d7faa297c6a"),
+    "elements-parallel0/one": (8, "43c4edd9ed1cedba"),
+    "elements-parallel0/op/arrow": (24, "94fda3a3ac50c6bd"),
+    "elements-parallel0/op/one": (8, "7f95eca6cc36f749"),
+    "elements-parallel0/op/pair": (16, "9060c46c37fbaaa7"),
+    "elements-parallel0/op/repra": (2, "569fe69f28a8f6c5"),
+    "elements-parallel0/op/reprb": (10, "6fdf3d7faa297c6a"),
+    "elements-parallel0/pair": (16, "c4a7bbd6690da098"),
+    "elements-parallel0/repra": (10, "4365aafed2c20369"),
+    "elements-parallel0/reprb": (2, "3de30ba22a6553c2"),
+    "elements-parallel1/arrow": (27, "7b39b86e857204bc"),
+    "elements-parallel1/co/arrow": (27, "2a0cf8836e6f2d42"),
+    "elements-parallel1/co/one": (9, "6a385299346650e4"),
+    "elements-parallel1/co/pair": (18, "8d1745fd18d37009"),
+    "elements-parallel1/co/repra": (15, "5e21a52b0751feeb"),
+    "elements-parallel1/co/reprb": (2, "3de30ba22a6553c2"),
+    "elements-parallel1/coop/arrow": (27, "01031aa01569f950"),
+    "elements-parallel1/coop/one": (9, "129205a28c24637e"),
+    "elements-parallel1/coop/pair": (18, "28c8e45d06c1cbd1"),
+    "elements-parallel1/coop/repra": (2, "569fe69f28a8f6c5"),
+    "elements-parallel1/coop/reprb": (15, "52a5a21ea4cd5355"),
+    "elements-parallel1/one": (9, "0a27fb9fbc6ea32e"),
+    "elements-parallel1/op/arrow": (27, "f5f9409798e4d7f4"),
+    "elements-parallel1/op/one": (9, "ebc88a522111fadf"),
+    "elements-parallel1/op/pair": (18, "93750b49b27a5f1a"),
+    "elements-parallel1/op/repra": (2, "569fe69f28a8f6c5"),
+    "elements-parallel1/op/reprb": (15, "97555fde0e24ad57"),
+    "elements-parallel1/pair": (18, "1e8c6952bee94abe"),
+    "elements-parallel1/repra": (15, "321e48174cc24d64"),
+    "elements-parallel1/reprb": (2, "3de30ba22a6553c2"),
+    "elements-parallel2/arrow": (30, "ed29a97d57e9069a"),
+    "elements-parallel2/co/arrow": (30, "87f30e900d4eab23"),
+    "elements-parallel2/co/one": (10, "753ad3676b2d55da"),
+    "elements-parallel2/co/pair": (20, "2c08a1a5592c8b71"),
+    "elements-parallel2/co/repra": (26, "5073b15e03058289"),
+    "elements-parallel2/co/reprb": (2, "3de30ba22a6553c2"),
+    "elements-parallel2/coop/arrow": (30, "377ef3a8cefd6153"),
+    "elements-parallel2/coop/one": (10, "c2df15974068aed2"),
+    "elements-parallel2/coop/pair": (20, "6a7cc52dcb8d782b"),
+    "elements-parallel2/coop/repra": (2, "569fe69f28a8f6c5"),
+    "elements-parallel2/coop/reprb": (26, "c363215fbbdf0959"),
+    "elements-parallel2/one": (10, "b5bb9b05b07cc881"),
+    "elements-parallel2/op/arrow": (30, "65e77d41817b5873"),
+    "elements-parallel2/op/one": (10, "4b948be1262a26a0"),
+    "elements-parallel2/op/pair": (20, "5199693213688da9"),
+    "elements-parallel2/op/repra": (2, "569fe69f28a8f6c5"),
+    "elements-parallel2/op/reprb": (26, "e66ef383e3498ac1"),
+    "elements-parallel2/pair": (20, "faf3538e2b694581"),
+    "elements-parallel2/repra": (26, "f7228a9ad2bd93cc"),
+    "elements-parallel2/reprb": (2, "3de30ba22a6553c2"),
+    "elements-parallel_diagram.json": (15, "8604b01861ceab33"),
+    "elements-repr_diamond_a.json": (6, "f03440361c6b6122"),
+    "elements-representable_0.json": (6, "3fcbc4edcf7be805"),
+    "elements-representable_diamond_top.json": (2, "7b7817020a179268"),
+    "elements-retract/arrow": (33, "9f37004b0180a91b"),
+    "elements-retract/co/arrow": (33, "d710731eddc2a637"),
+    "elements-retract/co/one": (11, "afc5ba0b7513d849"),
+    "elements-retract/co/pair": (22, "d74980cf906eb685"),
+    "elements-retract/co/repra": (37, "6d8ef85dd18dcf34"),
+    "elements-retract/co/reprb": (2, "3de30ba22a6553c2"),
+    "elements-retract/one": (11, "0ac88c0f373813f2"),
+    "elements-retract/pair": (22, "3f9402cac2a10af0"),
+    "elements-retract/repra": (37, "73acd3cf7ec3fed8"),
+    "elements-retract/reprb": (2, "3de30ba22a6553c2"),
+    "elements-twice_stepped": (16, "fe2cd315893973d6"),
+    "elements-weight_constant_terminal_op": (6, "350e077a63ef6467"),
+    "elements-weight_on_op_arrow": (12, "a38e400cea7ed3fa"),
+    "elements-weight_on_op_arrow.json": (12, "a38e400cea7ed3fa"),
+    "gamma-chain1/arrow": (6, "fbed4c28cd649c9e"),
+    "gamma-chain1/one": (2, "76469e5d5faadb4d"),
+    "gamma-chain1/pair": (4, "1e3b35c6f3d2325d"),
+    "gamma-chain1/reprc0": (2, "44532b61fc1c4aa9"),
+    "gamma-chain2/arrow": (18, "194429fd782d7199"),
+    "gamma-chain2/one": (6, "2fbedc07b0948fc2"),
+    "gamma-chain2/pair": (12, "96f5df49eebb9818"),
+    "gamma-chain2/reprc0": (6, "89635793124dbfcf"),
+    "gamma-chain2/reprc1": (2, "4054af166cb6cdbe"),
+    "gamma-chain4/arrow": (60, "9f4bb4b3c6d1345c"),
+    "gamma-chain4/one": (20, "2f82ee5f4b789de9"),
+    "gamma-chain4/pair": (40, "56dc98466d148181"),
+    "gamma-chain4/reprc0": (20, "93d3a642d797d656"),
+    "gamma-chain4/reprc1": (12, "c855ca2a52fb7f69"),
+    "gamma-chain4/reprc2": (6, "2b2cf23bbb9abb72"),
+    "gamma-chain4/reprc3": (2, "84168ca77d74da01"),
+    "gamma-chain6/arrow": (126, "8051aba29a76b3ad"),
+    "gamma-chain6/one": (42, "ed81d3272de9cfb5"),
+    "gamma-chain6/pair": (84, "f4da4a50ee262afd"),
+    "gamma-chain6/reprc0": (42, "2170f7e2deb93554"),
+    "gamma-chain6/reprc1": (30, "c1de74f16e02e046"),
+    "gamma-chain6/reprc2": (20, "dff0ce7b3eb47f66"),
+    "gamma-chain6/reprc3": (12, "db014059300c5ca1"),
+    "gamma-chain6/reprc4": (6, "cf3faf56880f5f64"),
+    "gamma-chain6/reprc5": (2, "af99f0f169426514"),
+    "gamma-const_discrete_pair.json": (4, "5062b393642163da"),
+    "gamma-const_terminal.json": (6, "c5c7b8b2d40a519c"),
+    "gamma-const_terminal_parallel.json": (8, "43c4edd9ed1cedba"),
+    "gamma-delta_arrow_free2cell": (27, "5a0144127f1da45c"),
+    "gamma-diagram_chain_to_pp": (20, "b176136702a10245"),
+    "gamma-diagram_collapse": (12, "42f4d49ddd9c4bee"),
+    "gamma-diagram_collapse.json": (12, "42f4d49ddd9c4bee"),
+    "gamma-diagram_on_free2cell": (15, "6c20dd2d3ca3d9d3"),
+    "gamma-diagram_pick0": (10, "88fee6886ae58d7f"),
+    "gamma-diagram_pick0.json": (10, "88fee6886ae58d7f"),
+    "gamma-diamond/arrow": (54, "b5d299b5b548bd88"),
+    "gamma-diamond/one": (18, "96d7b1a51d4283cb"),
+    "gamma-diamond/pair": (36, "6716b39821796a20"),
+    "gamma-diamond/repra": (6, "f03440361c6b6122"),
+    "gamma-diamond/reprb": (6, "256179da66c54617"),
+    "gamma-diamond/reprbot": (18, "43c5de01a63142dd"),
+    "gamma-diamond/reprtop": (2, "7b7817020a179268"),
+    "gamma-grid2x2/arrow": (54, "90536bda737eac24"),
+    "gamma-grid2x2/one": (18, "8389cc726b7c8307"),
+    "gamma-grid2x2/pair": (36, "43f3dd6c482b536c"),
+    "gamma-grid2x2/reprg0_0": (18, "e1bf2db49db124d7"),
+    "gamma-grid2x2/reprg0_1": (6, "497eb46ad365d8d6"),
+    "gamma-grid2x2/reprg1_0": (6, "4005e56c44410bc8"),
+    "gamma-grid2x2/reprg1_1": (2, "af00514dd990d37d"),
+    "gamma-grid2x3/arrow": (108, "e207e2a81cfbb579"),
+    "gamma-grid2x3/one": (36, "a8e731dec196bae1"),
+    "gamma-grid2x3/pair": (72, "92f3c137226bf215"),
+    "gamma-grid2x3/reprg0_0": (36, "c57dfdb43b596912"),
+    "gamma-grid2x3/reprg0_1": (18, "98aa9843b8733fd1"),
+    "gamma-grid2x3/reprg0_2": (6, "2db3e896ddacad16"),
+    "gamma-grid2x3/reprg1_0": (12, "cab3e0d829b967b1"),
+    "gamma-grid2x3/reprg1_1": (6, "2415479ff7a2b5ee"),
+    "gamma-grid2x3/reprg1_2": (2, "7adb1bedd851100f"),
+    "gamma-parallel0/arrow": (24, "8a423443975906c9"),
+    "gamma-parallel0/co/arrow": (24, "8a423443975906c9"),
+    "gamma-parallel0/co/one": (8, "43c4edd9ed1cedba"),
+    "gamma-parallel0/co/pair": (16, "c4a7bbd6690da098"),
+    "gamma-parallel0/co/repra": (10, "4365aafed2c20369"),
+    "gamma-parallel0/co/reprb": (2, "3de30ba22a6553c2"),
+    "gamma-parallel0/coop/arrow": (24, "0db5b059da8138fe"),
+    "gamma-parallel0/coop/one": (8, "7f95eca6cc36f749"),
+    "gamma-parallel0/coop/pair": (16, "9060c46c37fbaaa7"),
+    "gamma-parallel0/coop/repra": (2, "569fe69f28a8f6c5"),
+    "gamma-parallel0/coop/reprb": (10, "6fdf3d7faa297c6a"),
+    "gamma-parallel0/one": (8, "43c4edd9ed1cedba"),
+    "gamma-parallel0/op/arrow": (24, "0db5b059da8138fe"),
+    "gamma-parallel0/op/one": (8, "7f95eca6cc36f749"),
+    "gamma-parallel0/op/pair": (16, "9060c46c37fbaaa7"),
+    "gamma-parallel0/op/repra": (2, "569fe69f28a8f6c5"),
+    "gamma-parallel0/op/reprb": (10, "6fdf3d7faa297c6a"),
+    "gamma-parallel0/pair": (16, "c4a7bbd6690da098"),
+    "gamma-parallel0/repra": (10, "4365aafed2c20369"),
+    "gamma-parallel0/reprb": (2, "3de30ba22a6553c2"),
+    "gamma-parallel1/arrow": (27, "5a0144127f1da45c"),
+    "gamma-parallel1/co/arrow": (27, "9b328d074a7b7588"),
+    "gamma-parallel1/co/one": (9, "6a385299346650e4"),
+    "gamma-parallel1/co/pair": (18, "8d1745fd18d37009"),
+    "gamma-parallel1/co/repra": (15, "80ee8a27e3bb2e06"),
+    "gamma-parallel1/co/reprb": (2, "3de30ba22a6553c2"),
+    "gamma-parallel1/coop/arrow": (27, "fcf893dec4fbfbe0"),
+    "gamma-parallel1/coop/one": (9, "129205a28c24637e"),
+    "gamma-parallel1/coop/pair": (18, "28c8e45d06c1cbd1"),
+    "gamma-parallel1/coop/repra": (2, "569fe69f28a8f6c5"),
+    "gamma-parallel1/coop/reprb": (15, "6f3dcc9e23d5ccd5"),
+    "gamma-parallel1/one": (9, "0a27fb9fbc6ea32e"),
+    "gamma-parallel1/op/arrow": (27, "f54ee11000a93625"),
+    "gamma-parallel1/op/one": (9, "ebc88a522111fadf"),
+    "gamma-parallel1/op/pair": (18, "93750b49b27a5f1a"),
+    "gamma-parallel1/op/repra": (2, "569fe69f28a8f6c5"),
+    "gamma-parallel1/op/reprb": (15, "d1d5c3c3f93e3085"),
+    "gamma-parallel1/pair": (18, "1e8c6952bee94abe"),
+    "gamma-parallel1/repra": (15, "9474a6ca64eb1376"),
+    "gamma-parallel1/reprb": (2, "3de30ba22a6553c2"),
+    "gamma-parallel2/arrow": (30, "9c289db905de52a8"),
+    "gamma-parallel2/co/arrow": (30, "238d8ee4830b61a3"),
+    "gamma-parallel2/co/one": (10, "753ad3676b2d55da"),
+    "gamma-parallel2/co/pair": (20, "2c08a1a5592c8b71"),
+    "gamma-parallel2/co/repra": (26, "31183ea39d7f9bec"),
+    "gamma-parallel2/co/reprb": (2, "3de30ba22a6553c2"),
+    "gamma-parallel2/coop/arrow": (30, "15f296269c28a1e9"),
+    "gamma-parallel2/coop/one": (10, "c2df15974068aed2"),
+    "gamma-parallel2/coop/pair": (20, "6a7cc52dcb8d782b"),
+    "gamma-parallel2/coop/repra": (2, "569fe69f28a8f6c5"),
+    "gamma-parallel2/coop/reprb": (26, "218f961547b79e06"),
+    "gamma-parallel2/one": (10, "b5bb9b05b07cc881"),
+    "gamma-parallel2/op/arrow": (30, "df551be14d955683"),
+    "gamma-parallel2/op/one": (10, "4b948be1262a26a0"),
+    "gamma-parallel2/op/pair": (20, "5199693213688da9"),
+    "gamma-parallel2/op/repra": (2, "569fe69f28a8f6c5"),
+    "gamma-parallel2/op/reprb": (26, "55ab65e5baa30b78"),
+    "gamma-parallel2/pair": (20, "faf3538e2b694581"),
+    "gamma-parallel2/repra": (26, "67eb8d2c157c7fad"),
+    "gamma-parallel2/reprb": (2, "3de30ba22a6553c2"),
+    "gamma-parallel_diagram.json": (15, "6c20dd2d3ca3d9d3"),
+    "gamma-repr_diamond_a.json": (6, "f03440361c6b6122"),
+    "gamma-representable_0.json": (6, "3fcbc4edcf7be805"),
+    "gamma-representable_diamond_top.json": (2, "7b7817020a179268"),
+    "gamma-retract/arrow": (33, "8f57680db8e13548"),
+    "gamma-retract/co/arrow": (33, "eaad847536640633"),
+    "gamma-retract/co/one": (11, "afc5ba0b7513d849"),
+    "gamma-retract/co/pair": (22, "d74980cf906eb685"),
+    "gamma-retract/co/repra": (37, "9e7b0955901ad6c5"),
+    "gamma-retract/co/reprb": (2, "3de30ba22a6553c2"),
+    "gamma-retract/one": (11, "0ac88c0f373813f2"),
+    "gamma-retract/pair": (22, "3f9402cac2a10af0"),
+    "gamma-retract/repra": (37, "d105380543da85d4"),
+    "gamma-retract/reprb": (2, "3de30ba22a6553c2"),
+    "gamma-twice_stepped": (16, "dab06cea4b1759f6"),
+    "gamma-weight_constant_terminal_op": (6, "350e077a63ef6467"),
+    "gamma-weight_on_op_arrow": (12, "075934bea0e28113"),
+    "gamma-weight_on_op_arrow.json": (12, "075934bea0e28113"),
+    "pseudo-pseudo_not_flat": (12, "d6c010482028dd92"),
+    "pseudo-pseudo_swap": (24, "7846e950a59235ae"),
+    "pseudo-pseudo_z2": (18, "7c16a158054ac667"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ELEMENTS_CASES))
+def test_elements_ticks_and_tables_are_pinned(case):
+    meter = Meter()
+    result = ELEMENTS_CASES[case](meter)
+    assert (meter.count, digest(result)) == ELEMENTS_EXPECTED[case]
