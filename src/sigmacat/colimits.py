@@ -79,7 +79,7 @@ from .fincat import (EquivalenceReport, FinCat, Functor, NatTransf,
                      mint, pair_name, partition, terminal_category,
                      validate_functor, validate_nat_transf, vcomp_nat,
                      whisker_functor_nat, whisker_nat_functor)
-from .two_cat import Fin2Cat, WideSub, op_dual
+from .two_cat import Fin2Cat, WideSub, marks, op_dual, two_cat_product
 from .transforms import (CatDiagram, HomCategory, Transformation, TwoFunctor,
                          Flavor, PSEUDO, compose_diagram, constant_diagram,
                          dual_twofunctor, hom_eps, sigma_flavor)
@@ -386,6 +386,8 @@ def conical_sigma_colimit(Q: CatDiagram, sigma: WideSub, cap: int = DEFAULT_CAP,
     meter = meter or Meter()
     if Q.is_pseudo:
         raise PreconditionFailed("conical colimits expect a strict diagram")
+    if not marks(sigma, Q.source):
+        raise PreconditionFailed("the marking is not of the diagram's base")
     gamma = el_mod.dual_pi0(Q, meter)
     base_cat, cls = gamma.pi0, gamma.classes
     inverted = {cls[m] for m in gamma.cart if gamma.pairs1[m][0] in sigma.arrows}
@@ -611,6 +613,8 @@ def weighted_sigma_colimit(W: CatDiagram, P: CatDiagram, sigma: WideSub,
         raise PreconditionFailed("weighted colimits expect a strict weight and diagram")
     if W.source != opbase:
         raise PreconditionFailed("weight must live on the dual of the base")
+    if not marks(sigma, base):
+        raise PreconditionFailed("the marking is not of the diagram's base")
     el_w = el_mod.elements_of(W, meter)
     sigma_op = WideSub(opbase, sigma.arrows)
     marked_el = el_mod.cart_sigma(el_w, sigma_op)
@@ -1406,6 +1410,8 @@ def coend_eps(T: CatDiagram, base: Fin2Cat, flavor: Flavor,
     meter = meter or Meter()
     if T.is_pseudo:
         raise PreconditionFailed("coends are implemented for strict diagrams")
+    if T.source != two_cat_product(op_dual(base), base):
+        raise PreconditionFailed("T must live on two_cat_product(op_dual(base), base)")
     strict = flavor.requires_identity()
     cl, points, merges, d, e, tail = _Classifier(), {}, [], {}, {}, {}
     for A in sorted(base.objects):

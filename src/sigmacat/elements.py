@@ -14,27 +14,27 @@ Names are minted by ``obj_name``, ``mor_name``, ``cell_name`` and
 twice for different cells is refused.
 
 One enumerator, ``_cells``, lists the elements and the 1-cells and
-2-cells between them; it ticks and mints for its three readers.
-``_build`` assembles the 2-category from it (``elements_of``,
-``elements_of_pseudo``, ``gamma_dual``).  ``dual_pi0`` reads from it only
-what a conical σ-colimit needs: π0 of the 1-cell dual of Γ(Q), each hom
-collapsed by its 2-cells.  ``_OpElements`` reads from it only what
-the filteredness scan of ``check_flat`` and ``check_flat_pseudo`` needs of
-the 1-cell dual of El_P, for a strict or a pseudo P: its homs of 1-cells
-and 2-cells, and its horizontal composites, each computed on first
-lookup.  Neither of the last two builds a hom category, a horizontal
-composition table or a dual copy.
+2-cells between them; it ticks and mints for its two readers.
+``_Elements`` reads the 2-category they form, each horizontal composite
+computed on first lookup: ``_build`` assembles it (``elements_of``,
+``elements_of_pseudo``, ``gamma_dual``), and ``check_flat`` scans its
+``two_cat.OpView`` with no hom category, horizontal composition table
+or dual copy built.  ``dual_pi0`` reads from ``_cells`` only what a
+conical σ-colimit needs: π0 of the 1-cell dual of Γ(Q), each hom
+collapsed by its 2-cells.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
+from functools import cached_property, partial
 
 from .config import Meter
 from .errors import Inconsistency, PreconditionFailed, ValidationError
 from .fincat import (FinCat, Functor, NatTransf, compose_functors, mint,
                      mk_fincat, partition, terminal_category)
-from .two_cat import Fin2Cat, Marked2Cat, WideSub, mk_fin2cat
+from .two_cat import Fin2Cat, WideSub, _Table, mk_fin2cat
 from .transforms import (CatDiagram, Transformation, TwoFunctor,
                          check_transformation, compose_diagram,
                          constant_diagram, hom_eps, LAX)
@@ -116,19 +116,102 @@ def _cells(P: CatDiagram, reverse_phi: bool, meter: Meter) -> tuple:
     return points, homs, pairs1, pairs2
 
 
-def _build(P: CatDiagram, reverse_phi: bool, pseudo: bool,
-           meter: Meter) -> ElementsResult:
-    """The 2-category of ``_cells``' elements.  Every composite is taken
-    along non-empty homs only: pairs of 1-cells through the objects each
-    one reaches, pairs of 2-cells through their middle object."""
-    base = P.source
-    points, homs, pairs1, pairs2 = _cells(P, reverse_phi, meter)
-    objects = list(points)
+class _Elements:
+    """El_P, or Γ(Q) with ``reverse_phi``, read off P's tables: the one
+    reader of the 2-category of elements.  It holds ``_cells``' cells
+    with their ends and the cartesian 1-cells ``cart``, and answers the
+    filteredness scan's names, ``hcomp1`` and ``hcomp2`` computed on
+    first lookup.  A 2-cell is invertible when its base 2-cell has an
+    inverse among the 2-cells back, by the base's vertical composition."""
+
+    def __init__(self, P: CatDiagram, reverse_phi: bool, meter: Meter):
+        self.P, self.base, self.reverse_phi = P, P.source, reverse_phi
+        self.points, self.homs, self.pairs1, self.pairs2 = _cells(P, reverse_phi, meter)
+        self.objects = tuple(sorted(self.points))
+        self.ends1 = {m: pair for pair, (cells1, _) in self.homs.items() for m in cells1}
+        self.ends2 = {nm: ends for _, cells2 in self.homs.values()
+                      for nm, ends in cells2.items()}
+        self.cart = _cartesian(P, self.pairs1)
+        # the entries reach the reader weakly: a dropped reader is freed at once
+        self.hcomp1 = _Table(partial(_Elements._hcomp1, weakref.proxy(self)))
+        self.hcomp2 = _Table(partial(_Elements._hcomp2, weakref.proxy(self)))
+
+    def _hcomp1(self, second: str, first: str) -> str:
+        """(g, psi) = ``second`` after (f, phi) = ``first``, out of (x, A)."""
+        P, base = self.P, self.base
+        (g, psi), (f, phi) = self.pairs1[second], self.pairs1[first]
+        x = self.points[self.ends1[first][0]][0]
+        PC, Pg = P.on_obj[base.tgt1(g)], P.on_1[g]
+        if self.reverse_phi:
+            # z -> P(g)(y) -> P(g)P(f)(x)
+            w = PC.compose[(Pg.arr_map[phi], psi)]
+        else:
+            # P(gf)(x) [-> P(g)P(f)(x)] -> P(g)(y) -> z
+            w = PC.compose[(psi, Pg.arr_map[phi])]
+            if P.is_pseudo:
+                ac_inv = _invert_component(PC, P.alpha_comp[(f, g)].components[x])
+                w = PC.compose[(w, ac_inv)]
+        return mor_name(base.hcomp1[(g, f)], w, x)
+
+    def _hcomp2(self, b: str, a: str) -> str:
+        (sb, tb), (sa, ta) = self.ends2[b], self.ends2[a]
+        th = self.base.hcomp2[(self.pairs2[b], self.pairs2[a])]
+        return cell_name(th, self.hcomp1[(sb, sa)], self.hcomp1[(tb, ta)])
+
+    @cached_property
+    def _one_cells(self) -> dict:
+        """(A, B) -> the 1-cells A → B, sorted by name, for non-empty homs."""
+        return {pair: tuple(sorted(c)) for pair, (c, _) in self.homs.items() if c}
+
+    @cached_property
+    def _between(self) -> dict:
+        """(f, g) -> the 2-cells f ⇒ g, sorted by name, where there are any."""
+        between = {}
+        for nm, ends in self.ends2.items():
+            between.setdefault(ends, []).append(nm)
+        return {ends: tuple(sorted(cells)) for ends, cells in between.items()}
+
+    def one_cells(self, A: str, B: str) -> tuple[str, ...]:
+        return self._one_cells.get((A, B), ())
+
+    def two_cells_between(self, f: str, g: str) -> tuple[str, ...]:
+        return self._between.get((f, g), ())
+
+    def src1(self, f: str) -> str:
+        return self.ends1[f][0]
+
+    def tgt1(self, f: str) -> str:
+        return self.ends1[f][1]
+
+    def src2(self, a: str) -> str:
+        return self.ends2[a][0]
+
+    def tgt2(self, a: str) -> str:
+        return self.ends2[a][1]
+
+    def id2(self, f: str) -> str:
+        return cell_name(self.base.id2(self.pairs1[f][0]), f, f)
+
+    def is_invertible_2cell(self, a: str) -> bool:
+        s, t = self.ends2[a]
+        base, th = self.base, self.pairs2[a]
+        one_s, one_t = base.id2(self.pairs1[s][0]), base.id2(self.pairs1[t][0])
+        return any(base.vcomp(self.pairs2[b], th) == one_s and
+                   base.vcomp(th, self.pairs2[b]) == one_t
+                   for b in self.two_cells_between(t, s))
+
+
+def _build(P: CatDiagram, reverse_phi: bool, meter: Meter) -> ElementsResult:
+    """El_P assembled from its reader: each hom's vertical composition,
+    and the reader's horizontal composites at every composable pair,
+    taken along non-empty homs: 1-cells through the objects each one
+    reaches, 2-cells through their middle object."""
+    el = _Elements(P, reverse_phi, meter)
+    base, points, homs, pairs2 = P.source, el.points, el.homs, el.pairs2
     hom = {}
     after = {}  # object -> the objects it has 1-cells to
-    cells2_from = {}  # object -> [(2-cell, (source, target))] in the homs out of it
+    cells2_from = {}  # object -> the 2-cells in the homs out of it
     for (oa, ob), (cells1, arrows) in homs.items():
-        ident = {m1: cell_name(base.id2(pairs1[m1][0]), m1, m1) for m1 in cells1}
         compose = {}
         hom_base = base.hom[(points[oa][1], points[ob][1])]
         leaving = {}  # 1-cell -> the 2-cells out of it
@@ -138,71 +221,32 @@ def _build(P: CatDiagram, reverse_phi: bool, pseudo: bool,
             for nm2 in leaving.get(mid, ()):
                 comp = hom_base.compose[(pairs2[nm2], pairs2[nm1])]
                 compose[(nm2, nm1)] = cell_name(comp, m1, arrows[nm2][1])
-        hom[(oa, ob)] = mk_fincat(cells1, arrows, ident, compose)
+        hom[(oa, ob)] = mk_fincat(cells1, arrows, {m1: el.id2(m1) for m1 in cells1},
+                                  compose)
         if cells1:
             after.setdefault(oa, []).append(ob)
-        cells2_from.setdefault(oa, []).extend(arrows.items())
+        cells2_from.setdefault(oa, []).extend(arrows)
 
-    # identity 1-cells
+    # identity 1-cells, a pseudo P's through its inverted unit components
     id1 = {}
-    for oa in objects:
+    for oa in el.objects:
         x, A = points[oa]
-        if pseudo:
-            alpha = P.alpha_obj[A]
-            inv = _invert_component(P.on_obj[A], alpha.components[x])
-            id1[oa] = mor_name(base.id1[A], inv, x)
-        else:
-            id1[oa] = mor_name(base.id1[A], P.on_obj[A].identity[x], x)
+        PA = P.on_obj[A]
+        unit = PA.identity[x]
+        if P.is_pseudo:
+            unit = _invert_component(PA, P.alpha_obj[A].components[x])
+        id1[oa] = mor_name(base.id1[A], unit, x)
 
-    # horizontal composition of 1-cells
-    hcomp1 = {}
-    for oa, reached in after.items():
-        x = points[oa][0]
-        for ob in reached:
-            firsts = homs[(oa, ob)][0]
-            for oc in after.get(ob, ()):
-                for m2 in homs[(ob, oc)][0]:
-                    for m1 in firsts:
-                        hcomp1[(m2, m1)] = _hcomp1(P, reverse_phi, pseudo,
-                                                   pairs1[m2], pairs1[m1], x)
-
-    # horizontal composition of 2-cells is computed in the base
-    hcomp2 = {}
-    for (_, ob), (_, arrows) in homs.items():
-        for nm1, (s1, t1) in arrows.items():
-            for nm2, (s2, t2) in cells2_from.get(ob, ()):
-                th = base.hcomp2[(pairs2[nm2], pairs2[nm1])]
-                hcomp2[(nm2, nm1)] = cell_name(th, hcomp1[(s2, s1)], hcomp1[(t2, t1)])
-
-    cat = mk_fin2cat(objects, hom, id1, hcomp1, hcomp2)
-    cart = WideSub(cat, _cartesian(P, pairs1))
-    projection = TwoFunctor(
-        cat, base,
-        {o: points[o][1] for o in objects},
-        {nm: fp[0] for nm, fp in pairs1.items()},
-        {nm: th for nm, th in pairs2.items()},
-    )
-    return ElementsResult(cat, cart, projection, points, pairs1, pairs2)
-
-
-def _hcomp1(P: CatDiagram, reverse_phi: bool, pseudo: bool, second: tuple,
-            first: tuple, x: str) -> str:
-    """The name of the composite of two element 1-cells: ``first`` =
-    (f, phi) out of an element (x, A), then ``second`` = (g, psi)."""
-    (g, psi), (f, phi) = second, first
-    base = P.source
-    PC = P.on_obj[base.tgt1(g)]
-    Pg = P.on_1[g]
-    if reverse_phi:
-        # z -> P(g)(y) -> P(g)P(f)(x)
-        w = PC.compose[(Pg.arr_map[phi], psi)]
-    else:
-        # P(gf)(x) [-> P(g)P(f)(x)] -> P(g)(y) -> z
-        w = PC.compose[(psi, Pg.arr_map[phi])]
-        if pseudo:
-            ac_inv = _invert_component(PC, P.alpha_comp[(f, g)].components[x])
-            w = PC.compose[(w, ac_inv)]
-    return mor_name(base.hcomp1[(g, f)], w, x)
+    hcomp1 = el.hcomp1.fill([(m2, m1) for oa, reached in after.items() for ob in reached
+                             for oc in after.get(ob, ()) for m2 in homs[(ob, oc)][0]
+                             for m1 in homs[(oa, ob)][0]])
+    hcomp2 = el.hcomp2.fill([(nm2, nm1) for (_, ob), (_, arrows) in homs.items()
+                             for nm1 in arrows for nm2 in cells2_from.get(ob, ())])
+    cat = mk_fin2cat(el.objects, hom, id1, hcomp1, hcomp2)
+    projection = TwoFunctor(cat, base, {o: points[o][1] for o in el.objects},
+                            {nm: fp[0] for nm, fp in el.pairs1.items()}, dict(pairs2))
+    return ElementsResult(cat, WideSub(cat, el.cart), projection, points, el.pairs1,
+                          pairs2)
 
 
 def _cartesian(P: CatDiagram, pairs1: dict) -> frozenset:
@@ -223,7 +267,7 @@ def elements_of(P: CatDiagram, meter: Meter | None = None) -> ElementsResult:
     """El_P for a strict diagram, with its cocartesian marking."""
     if P.is_pseudo:
         raise PreconditionFailed("use elements_of_pseudo for pseudofunctors")
-    return _build(P, reverse_phi=False, pseudo=False, meter=meter or Meter())
+    return _build(P, False, meter or Meter())
 
 
 def elements_of_pseudo(P: CatDiagram, meter: Meter | None = None) -> ElementsResult:
@@ -231,14 +275,14 @@ def elements_of_pseudo(P: CatDiagram, meter: Meter | None = None) -> ElementsRes
     into account and identities are the inverted unit components."""
     if not P.is_pseudo:
         raise PreconditionFailed("diagram is not a pseudofunctor")
-    return _build(P, reverse_phi=False, pseudo=True, meter=meter or Meter())
+    return _build(P, False, meter or Meter())
 
 
 def gamma_dual(Q: CatDiagram, meter: Meter | None = None) -> ElementsResult:
     """The dual construction, with the direction of phi reversed."""
     if Q.is_pseudo:
         raise PreconditionFailed("the dual construction expects a strict diagram")
-    return _build(Q, reverse_phi=True, pseudo=False, meter=meter or Meter())
+    return _build(Q, True, meter or Meter())
 
 
 @dataclass
@@ -303,103 +347,6 @@ def dual_pi0(Q: CatDiagram, meter: Meter | None = None) -> DualPi0:
                                 f"pi0 composition ill-defined on ({classes[m1]},{c2})")
     return DualPi0(points, pairs1, ends, classes, _cartesian(Q, pairs1),
                    mk_fincat(points, arrows, identity, compose))
-
-
-class _Table(dict):
-    """A composition table whose entries are computed on first lookup,
-    by ``entry`` on the key's two cells, and kept."""
-
-    def __init__(self, entry):
-        super().__init__()
-        self.entry = entry
-
-    def __missing__(self, key):
-        value = self[key] = self.entry(*key)
-        return value
-
-
-class _OpElements:
-    """The 1-cell dual of El_P, marked by its cartesian 1-cells, read off
-    P's tables: what ``check_sigma_filtered`` reads of
-    ``op_dual(elements_of(P).cat)``, or of ``elements_of_pseudo``'s for a
-    pseudo P, with no hom category, horizontal composition table or dual
-    copy built.  It serves ``check_flat`` and ``check_flat_pseudo`` only:
-    it is not a ``Fin2Cat``, and a reader of more than that scan reads
-    needs ``elements_of`` or ``elements_of_pseudo``.
-
-    Names, ticks and the refusal of colliding names are those of
-    ``elements_of``; a pseudo P composes 1-cells through its structure
-    cells, as ``elements_of_pseudo`` does.  The 1-cells of the dual point
-    against El_P's, its 2-cells as there.  ``hcomp1`` and ``hcomp2`` are
-    the dual's tables, each entry computed from P's tables on first
-    lookup; a 2-cell is invertible when its base 2-cell has an inverse
-    among the 2-cells back, by the vertical composition of the base."""
-
-    def __init__(self, P: CatDiagram, meter: Meter | None = None):
-        self.P, self.base = P, P.source
-        points, homs, self.pairs1, self.pairs2 = _cells(P, False, meter or Meter())
-        self.points = points
-        self.objects = tuple(sorted(points))
-        self.ends1 = {}  # 1-cell -> (source, target) in El_P
-        self.ends2 = {}  # 2-cell -> (source, target) 1-cells
-        self._one_cells = {}  # (A, B) -> the dual's 1-cells A -> B, sorted
-        between = {}
-        for (oa, ob), (cells1, cells2) in homs.items():
-            if cells1:
-                self._one_cells[(ob, oa)] = tuple(sorted(cells1))
-            for m in cells1:
-                self.ends1[m] = (oa, ob)
-            for nm, ends in cells2.items():
-                self.ends2[nm] = ends
-                between.setdefault(ends, []).append(nm)
-        self._between = {ends: tuple(sorted(cells)) for ends, cells in between.items()}
-        self.cart = _cartesian(P, self.pairs1)
-        self.hcomp1 = _Table(self._hcomp1)
-        self.hcomp2 = _Table(self._hcomp2)
-
-    def _hcomp1(self, h: str, f: str) -> str:
-        """h∘f in the dual: f after h in El_P."""
-        x = self.points[self.ends1[h][0]][0]
-        return _hcomp1(self.P, False, self.P.is_pseudo, self.pairs1[f],
-                       self.pairs1[h], x)
-
-    def _hcomp2(self, b: str, a: str) -> str:
-        """b*a in the dual: a*b in El_P, computed in the base."""
-        (sb, tb), (sa, ta) = self.ends2[b], self.ends2[a]
-        th = self.base.hcomp2[(self.pairs2[a], self.pairs2[b])]
-        return cell_name(th, self.hcomp1[(sb, sa)], self.hcomp1[(tb, ta)])
-
-    def one_cells(self, A: str, B: str) -> tuple[str, ...]:
-        return self._one_cells.get((A, B), ())
-
-    def two_cells_between(self, f: str, g: str) -> tuple[str, ...]:
-        return self._between.get((f, g), ())
-
-    def src1(self, f: str) -> str:
-        return self.ends1[f][1]
-
-    def tgt1(self, f: str) -> str:
-        return self.ends1[f][0]
-
-    def src2(self, a: str) -> str:
-        return self.ends2[a][0]
-
-    def tgt2(self, a: str) -> str:
-        return self.ends2[a][1]
-
-    def id2(self, f: str) -> str:
-        return cell_name(self.base.id2(self.pairs1[f][0]), f, f)
-
-    def is_invertible_2cell(self, a: str) -> bool:
-        s, t = self.ends2[a]
-        base, th = self.base, self.pairs2[a]
-        one_s, one_t = base.id2(self.pairs1[s][0]), base.id2(self.pairs1[t][0])
-        return any(base.vcomp(self.pairs2[b], th) == one_s and
-                   base.vcomp(th, self.pairs2[b]) == one_t
-                   for b in self.two_cells_between(t, s))
-
-    def marked(self) -> Marked2Cat:
-        return Marked2Cat(self, WideSub(self, self.cart))
 
 
 def cart_sigma(e: ElementsResult, sigma: WideSub) -> WideSub:

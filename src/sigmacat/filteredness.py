@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from .config import Meter
 from .errors import PreconditionFailed
 from .fincat import Functor, is_equivalence
-from .two_cat import Marked2Cat, WideSub, op_dual, transport_sigma
+from .two_cat import Marked2Cat, OpView, WideSub
 from .transforms import TwoFunctor
 
 
@@ -182,9 +182,10 @@ def check_sigma_filtered(m: Marked2Cat, meter: Meter | None = None) -> Filteredn
 
 
 def check_sigma_cofiltered(m: Marked2Cat, meter: Meter | None = None) -> FilterednessReport:
-    """Filteredness of the 1-cell dual, marking transported by name."""
-    dual = op_dual(m.cat)
-    return check_sigma_filtered(Marked2Cat(dual, transport_sigma(m.sigma, dual)), meter)
+    """Filteredness of the 1-cell dual, read through ``OpView`` with
+    nothing copied, the marking transported by name."""
+    dual = OpView(m.cat)
+    return check_sigma_filtered(Marked2Cat(dual, WideSub(dual, m.sigma.arrows)), meter)
 
 
 def check_sigma_cofinal(T: TwoFunctor, sigma: WideSub, sigma_prime: WideSub,

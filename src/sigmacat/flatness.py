@@ -1,16 +1,17 @@
 """Flatness of Cat-valued diagrams, decided through the elements construction.
 
 A diagram is recorded as flat exactly when its 2-category of elements is
-cofiltered with respect to the cocartesian marking.  The 1-cell dual
-of El_P is read off P's tables (``elements._OpElements``), not
-assembled, for a strict diagram and for a pseudofunctor; a
-pseudofunctor's verdict is cross-checked against its strictification's.
-The verdict carries the full filteredness report as evidence and names
-the route, since the defining Kan-extension property quantifies over an
-infinite 2-category and is not checked directly.  Left exactness is checked shape by shape
-against user-supplied or generated bilimit cones, and the agreement of
-the two notions on finitely complete bases is enforced as a consistency
-check, never assumed.
+cofiltered with respect to the cocartesian marking: its 1-cell dual,
+the ``two_cat.OpView`` of El_P's reader ``elements._Elements``, is
+filtered.  Nothing is assembled, for a strict diagram or a
+pseudofunctor; a pseudofunctor's verdict is cross-checked against its
+strictification's.  The verdict carries the full filteredness report as
+evidence and names the route, since the defining Kan-extension property
+quantifies over an infinite 2-category and is not checked directly.
+Left exactness is checked shape by shape against user-supplied or
+generated bilimit cones, and the agreement of the two notions on
+finitely complete bases is enforced as a consistency check, never
+assumed.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ from .config import DEFAULT_CAP, Meter
 from .errors import Inconsistency, PreconditionFailed
 from .fincat import (Functor, NatTransf, compose_functors, is_equivalence, mint,
                      mk_fincat, EquivalenceReport, validate_functor)
-from .two_cat import Fin2Cat, WideSub
+from .two_cat import Fin2Cat, Marked2Cat, OpView, WideSub
 from .transforms import (CatDiagram, Transformation, compose_diagram,
                          dual_twofunctor, hom_eps, PSEUDO, reinterpret_as_pseudo)
-from .elements import ElementsResult, _OpElements, elements_of, obj_name
+from .elements import ElementsResult, _Elements, elements_of, obj_name
 from .filteredness import FilterednessReport, check_sigma_filtered
 from .colimits import (BaseConeCategories, SigmaCone, check_base_cone,
                        conical_sigma_colimit, hom_actions, induced_from_colimit,
@@ -179,12 +180,17 @@ class FlatnessVerdict:
         return self.verdict == "flat"
 
 
+def _cofiltered_elements(P: CatDiagram, meter: Meter) -> FilterednessReport:
+    """Filteredness of the 1-cell dual of El_P, marked by its cartesian
+    1-cells: the ``OpView`` of El_P's reader, with nothing assembled."""
+    dual = OpView(_Elements(P, False, meter))
+    return check_sigma_filtered(Marked2Cat(dual, WideSub(dual, dual.op.cart)), meter)
+
+
 def check_flat(P: CatDiagram, meter: Meter | None = None) -> FlatnessVerdict:
-    """Flatness of a strict diagram via cofilteredness of its elements:
-    filteredness of the 1-cell dual of El_P, which ``_OpElements`` reads
-    off P's tables rather than assembles."""
+    """Flatness of a strict diagram via cofilteredness of its elements."""
     meter = meter or Meter()
-    rep = check_sigma_filtered(_OpElements(P, meter).marked(), meter)
+    rep = _cofiltered_elements(P, meter)
     return FlatnessVerdict("flat" if rep.verdict else "not-flat",
                            "elements-cofiltered", rep)
 
@@ -193,7 +199,7 @@ def check_flat_pseudo(P: CatDiagram, meter: Meter | None = None) -> FlatnessVerd
     """Flatness of a pseudofunctor, cross-checked through strictification.
 
     The direct route tests cofilteredness of the pseudo elements
-    construction, read off P's tables by ``_OpElements``; the second route
+    construction, read as ``check_flat`` reads El_P; the second route
     strictifies and runs ``check_flat``, which reads the
     strictification's elements the same way.  Disagreement raises, since
     the two must coincide.
@@ -201,7 +207,7 @@ def check_flat_pseudo(P: CatDiagram, meter: Meter | None = None) -> FlatnessVerd
     meter = meter or Meter()
     if not P.is_pseudo:
         P = reinterpret_as_pseudo(P)
-    rep = check_sigma_filtered(_OpElements(P, meter).marked(), meter)
+    rep = _cofiltered_elements(P, meter)
     tilde, eta, eps = strictify(P, meter)
     other = check_flat(tilde, meter)
     mine = "flat" if rep.verdict else "not-flat"

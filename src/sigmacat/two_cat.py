@@ -298,13 +298,18 @@ def wide_from(a: Fin2Cat, arrows) -> WideSub:
     return w
 
 
+def marks(w: WideSub, a) -> bool:
+    """Whether ``w`` marks ``a``: its parent is ``a``, or equal to it."""
+    return w.parent is a or w.parent == a
+
+
 @dataclass(frozen=True)
 class Marked2Cat:
     cat: Fin2Cat
     sigma: WideSub
 
     def __post_init__(self):
-        if self.sigma.parent is not self.cat and self.sigma.parent != self.cat:
+        if not marks(self.sigma, self.cat):
             raise ValidationError("sigma is not a subcategory of this 2-category")
 
 
@@ -323,6 +328,45 @@ def op_dual(a: Fin2Cat) -> Fin2Cat:
     )
 
 
+class _Table(dict):
+    """A composition table whose entries are computed on first lookup,
+    by ``entry`` on the key's two cells, and kept."""
+
+    def __init__(self, entry):
+        super().__init__()
+        self.entry = entry
+
+    def __missing__(self, key):
+        value = self[key] = self.entry(*key)
+        return value
+
+    def fill(self, keys) -> _Table:
+        """The table, with the entries at ``keys`` computed."""
+        for key in keys:
+            if key not in self:
+                self[key] = self.entry(*key)
+        return self
+
+
+class OpView:
+    """The 1-cell dual of ``a``, read through a's own tables, with nothing
+    copied: what ``op_dual(a)`` answers to the filteredness scan.  ``a``
+    (``op``) is anything that answers the scan's names: a ``Fin2Cat``, a
+    reader of El_P, another view.  A horizontal composite is a's under
+    the swapped key, looked up once and kept."""
+
+    def __init__(self, a):
+        self.op, self.objects = a, a.objects
+        self.src1, self.tgt1, self.src2, self.tgt2 = a.tgt1, a.src1, a.src2, a.tgt2
+        self.two_cells_between, self.id2 = a.two_cells_between, a.id2
+        self.is_invertible_2cell = a.is_invertible_2cell
+        self.hcomp1 = _Table(lambda g, f: a.hcomp1[(f, g)])
+        self.hcomp2 = _Table(lambda y, x: a.hcomp2[(x, y)])
+
+    def one_cells(self, A: str, B: str) -> tuple[str, ...]:
+        return self.op.one_cells(B, A)
+
+
 def co_dual(a: Fin2Cat) -> Fin2Cat:
     """Reverse 2-cells, keep 1-cells.  Involutive on the nose."""
     return mk_fin2cat(
@@ -332,11 +376,6 @@ def co_dual(a: Fin2Cat) -> Fin2Cat:
         hcomp1=dict(a.hcomp1),
         hcomp2=dict(a.hcomp2),
     )
-
-
-def transport_sigma(w: WideSub, b: Fin2Cat) -> WideSub:
-    """Reinterpret a marking in a dual with the same 1-cell names."""
-    return WideSub(b, w.arrows)
 
 
 # ---------------------------------------------------------------------------

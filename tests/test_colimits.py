@@ -502,6 +502,28 @@ def test_coend_refuses_colliding_object_names():
         coend_eps(T, base, PSEUDO)
 
 
+@pytest.mark.parametrize("flavor", [STRICT, LAX, PSEUDO], ids=["s", "l", "p"])
+def test_coend_refuses_a_diagram_on_another_base(flavor):
+    """W ⊗ P lives on the walking arrow's product, not on chain3's: it is
+    refused before any of its names is read."""
+    T = external_product(weight_on_op_arrow(), diagram_pick0())
+    with pytest.raises(PreconditionFailed, match=r"T must live on two_cat_product\(op_dual\(base\), base\)"):
+        coend_eps(T, chain3_2cat(), flavor)
+
+
+def test_a_marking_of_another_base_is_refused():
+    """The diamond's 1-cells mark none of diagram_pick0's, so answering would
+    answer the identities-marked question (3 objects, 5 arrows).  A marking
+    of an equal copy of the base is the base's own (7 arrows)."""
+    P, foreign = diagram_pick0(), wide_all(diamond_2cat())
+    with pytest.raises(PreconditionFailed, match="marking is not of the diagram's base"):
+        conical_sigma_colimit(P, foreign)
+    with pytest.raises(PreconditionFailed, match="marking is not of the diagram's base"):
+        weighted_sigma_colimit(weight_on_op_arrow(), P, foreign)
+    R = conical_sigma_colimit(P, wide_all(arrow_2cat())).category
+    assert (len(R.objects), len(R.arrows)) == (3, 7)
+
+
 # ---------------------------------------------------------------------------
 # Commutation of filtered colimits with finite limits, one instance
 

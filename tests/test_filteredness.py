@@ -1,17 +1,21 @@
 """Filteredness, cofinality, and the three probe shapes."""
 
 import pytest
+from hypothesis import given, settings
 
 from cone_reference import (cone_category_equiv, cone_existence,
                             explicit_shape_category, probe, shape_diagram_1,
                             shape_diagram_2, shape_diagram_3)
+from helpers import posets
+from sigmacat import two_cat
+from sigmacat.config import Meter
 from sigmacat.errors import PreconditionFailed
 from sigmacat.fincat import validate_category
 from sigmacat.fixtures import (arrow_2cat, diamond_2cat, iso_2cat,
                                marked_fixtures, parallel_2cat)
 from sigmacat.two_cat import (Marked2Cat, WideSub, op_dual,
                               parallel_2cells_2cat, terminal_2cat,
-                              transport_sigma, wide_all, wide_from,
+                              two_cat_from_cat, wide_all, wide_from,
                               wide_identities)
 from sigmacat.transforms import TwoFunctor, identity_twofunctor
 from sigmacat.filteredness import (Witness, check_sigma_cofiltered,
@@ -40,12 +44,48 @@ def test_negative_counterexamples_name_the_axiom():
     assert check_sigma_filtered(m).counterexample.axiom == "sigma-F1"
 
 
+def scan(check, m) -> tuple:
+    """The verdict, the witnesses in order, the counterexample and the ticks."""
+    meter = Meter()
+    rep = check(m, meter)
+    return rep.verdict, rep.witnesses, rep.counterexample, meter.count
+
+
+def assert_cofiltered_is_filtered_of_the_dual(m):
+    """The reference is the scan of the copied 1-cell dual."""
+    dual = op_dual(m.cat)
+    assert scan(check_sigma_cofiltered, m) == \
+        scan(check_sigma_filtered, Marked2Cat(dual, WideSub(dual, m.sigma.arrows)))
+
+
 def test_cofiltered_is_filtered_of_the_dual():
     for label, m, expect in marked_fixtures():
-        dual = op_dual(m.cat)
-        md = Marked2Cat(dual, transport_sigma(m.sigma, dual))
-        assert check_sigma_cofiltered(m).verdict == \
-            check_sigma_filtered(md).verdict
+        assert_cofiltered_is_filtered_of_the_dual(m)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(c=posets(5))
+def test_cofiltered_is_filtered_of_the_dual_on_posets(c):
+    a = two_cat_from_cat(c)
+    markings = [wide_identities(a), wide_all(a)]
+    first = sorted(set(a.all_one_cells()) - set(a.id1.values()))[:1]
+    markings += [wide_from(a, first)] if first else []
+    for sigma in markings:
+        assert_cofiltered_is_filtered_of_the_dual(Marked2Cat(a, sigma))
+
+
+def test_cofiltered_copies_nothing(monkeypatch):
+    """The 1-cell dual is read through a view: with no dual copy and no
+    2-category assembled, every answer is the same."""
+    cases = [m for _, m, _ in marked_fixtures()]
+    want = [scan(check_sigma_cofiltered, m) for m in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dual copy was built")
+
+    monkeypatch.setattr(two_cat, "op_dual", refuse)
+    monkeypatch.setattr(two_cat, "mk_fin2cat", refuse)
+    assert [scan(check_sigma_cofiltered, m) for m in cases] == want
 
 
 def _all_shape_instances(m):

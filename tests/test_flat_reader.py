@@ -1,7 +1,7 @@
 """Flatness decided on P's own tables.
 
-``elements._OpElements`` is what the filteredness scan reads of the 1-cell
-dual of El_P.  Scanning it must give what the assembled route gives,
+``two_cat.OpView`` of ``elements._Elements`` is what the filteredness scan
+reads of the 1-cell dual of El_P.  Scanning it must give what the assembled route gives,
 ``check_sigma_cofiltered`` on ``elements_of(P)``, or on
 ``elements_of_pseudo(P)`` for a pseudo P, with its cartesian marking: the
 verdict, every witness in order, the counterexample and the ticks.  Its
@@ -14,9 +14,9 @@ from hypothesis import given, settings
 
 from helpers import (chain_2cat, discrete_diagram, grid_2cat, posets,
                      strict_fixture_diagrams)
-from sigmacat import elements, filteredness, two_cat
+from sigmacat import elements, two_cat
 from sigmacat.config import Meter
-from sigmacat.elements import _OpElements, elements_of, elements_of_pseudo
+from sigmacat.elements import _Elements, elements_of, elements_of_pseudo
 from sigmacat.errors import PreconditionFailed
 from sigmacat.filteredness import (AXIOM_F2, check_sigma_cofiltered,
                                    check_sigma_filtered)
@@ -27,9 +27,14 @@ from sigmacat.fixtures import (diamond_2cat, idn, pseudo_not_flat, pseudo_swap,
                                pseudo_z2)
 from sigmacat.flatness import check_flat, representable
 from sigmacat.transforms import CatDiagram, constant_diagram
-from sigmacat.two_cat import (Marked2Cat, co_dual, mk_fin2cat, op_dual,
-                              parallel_2cells_2cat, two_cat_from_cat,
+from sigmacat.two_cat import (Marked2Cat, OpView, WideSub, co_dual, mk_fin2cat,
+                              op_dual, parallel_2cells_2cat, two_cat_from_cat,
                               validate_2category)
+
+
+def reader(P, meter=None):
+    """The 1-cell dual of El_P that ``check_flat`` scans."""
+    return OpView(_Elements(P, False, meter or Meter()))
 
 
 def twice_stepped() -> CatDiagram:
@@ -77,12 +82,9 @@ def retract_2cat():
     return mk_fin2cat(("a", "b"), hom, {"a": "id_a", "b": "id_b"}, hcomp1, hcomp2)
 
 
-def ladder_diagrams() -> dict:
-    """Δ1, Δ(walking arrow), Δ(discrete pair) and every representable over
-    chains, grids, the diamond, the split idempotent and its co-dual, and
-    the bases with parallel 2-cells and their duals."""
-    values = {"one": terminal_category, "arrow": arrow_category,
-              "pair": lambda: discrete_category(["x", "y"])}
+def ladder_bases() -> dict:
+    """Chains, grids, the diamond, the split idempotent and its co-dual,
+    and the bases with parallel 2-cells and their duals."""
     bases = {f"chain{n}": chain_2cat(n) for n in (1, 2, 4, 6)}
     bases.update(grid2x2=grid_2cat(2, 2), grid2x3=grid_2cat(2, 3),
                  diamond=diamond_2cat(), retract=retract_2cat(),
@@ -92,8 +94,16 @@ def ladder_diagrams() -> dict:
         bases.update({f"parallel{k}": b, f"parallel{k}/op": op_dual(b),
                       f"parallel{k}/co": co_dual(b),
                       f"parallel{k}/coop": co_dual(op_dual(b))})
+    return bases
+
+
+def ladder_diagrams() -> dict:
+    """Δ1, Δ(walking arrow), Δ(discrete pair) and every representable over
+    each of ``ladder_bases``."""
+    values = {"one": terminal_category, "arrow": arrow_category,
+              "pair": lambda: discrete_category(["x", "y"])}
     out = {}
-    for name, base in bases.items():
+    for name, base in ladder_bases().items():
         for vname, value in values.items():
             out[f"{name}/{vname}"] = constant_diagram(base, value())
         for A in sorted(base.objects):
@@ -107,7 +117,8 @@ DIAGRAMS = {**strict_fixture_diagrams(), **ladder_diagrams(),
 
 def assert_reader_is_the_assembled_scan(P, build=elements_of):
     read, assembled = Meter(), Meter()
-    got = check_sigma_filtered(_OpElements(P, read).marked(), read)
+    view = reader(P, read)
+    got = check_sigma_filtered(Marked2Cat(view, WideSub(view, view.op.cart)), read)
     el = build(P, assembled)
     want = check_sigma_cofiltered(Marked2Cat(el.cat, el.cart), assembled)
     assert (got.verdict, got.witnesses, got.counterexample) == \
@@ -116,13 +127,9 @@ def assert_reader_is_the_assembled_scan(P, build=elements_of):
     return got
 
 
-def assert_reader_reads_the_dual(P, build=elements_of):
+def assert_reads_as(view, dual):
     """Every table the scan may read, entry for entry."""
-    view = _OpElements(P)
-    el = build(P)
-    dual = op_dual(el.cat)
     assert view.objects == dual.objects
-    assert view.cart == el.cart.arrows
     for A in dual.objects:
         for B in dual.objects:
             assert view.one_cells(A, B) == dual.one_cells(A, B)
@@ -140,6 +147,12 @@ def assert_reader_reads_the_dual(P, build=elements_of):
         assert view.hcomp2[key] == value
 
 
+def assert_reader_reads_the_dual(P, build=elements_of):
+    view, el = reader(P), build(P)
+    assert view.op.cart == el.cart.arrows
+    assert_reads_as(view, op_dual(el.cat))
+
+
 @pytest.mark.parametrize("name", sorted(DIAGRAMS))
 def test_the_reader_is_the_assembled_scan(name):
     P = DIAGRAMS[name]
@@ -150,6 +163,17 @@ def test_the_reader_is_the_assembled_scan(name):
 @pytest.mark.parametrize("name", sorted(DIAGRAMS))
 def test_the_reader_reads_the_dual_table_for_table(name):
     assert_reader_reads_the_dual(DIAGRAMS[name])
+
+
+LADDER_BASES = ladder_bases()
+
+
+@pytest.mark.parametrize("name", sorted(LADDER_BASES))
+def test_the_op_view_reads_the_dual_table_for_table(name):
+    """``OpView`` reads as the copy ``op_dual``, and twice as the base."""
+    a = LADDER_BASES[name]
+    assert_reads_as(OpView(a), op_dual(a))
+    assert_reads_as(OpView(OpView(a)), a)
 
 
 @settings(derandomize=True, max_examples=25, deadline=None)
@@ -174,11 +198,11 @@ def test_the_inputs_hold_one_sided_inverses():
     with an inverse on one side only, so the table test above tells a
     two-sided inverse test from a one-sided one."""
     assert validate_2category(retract_2cat()).ok
-    view = _OpElements(DIAGRAMS["retract/repra"])
-    base = view.base
-    one_sided = [x for x in view.ends2 if not view.is_invertible_2cell(x) and any(
-        base.vcomp(view.pairs2[b], view.pairs2[x]) == base.id2(view.pairs1[view.src2(x)][0])
-        for b in view.two_cells_between(view.tgt2(x), view.src2(x)))]
+    el = _Elements(DIAGRAMS["retract/repra"], False, Meter())
+    base = el.base
+    one_sided = [x for x in el.ends2 if not el.is_invertible_2cell(x) and any(
+        base.vcomp(el.pairs2[b], el.pairs2[x]) == base.id2(el.pairs1[el.src2(x)][0])
+        for b in el.two_cells_between(el.tgt2(x), el.src2(x)))]
     assert one_sided
 
 
@@ -213,7 +237,7 @@ def colliding_1cells() -> CatDiagram:
 ], ids=["elements", "1-cells"])
 def test_the_reader_refuses_colliding_names_as_elements_of_does(P, name):
     refusals = []
-    for build in (elements_of, _OpElements):
+    for build in (elements_of, reader):
         meter = Meter()
         with pytest.raises(PreconditionFailed) as err:
             build(P, meter)
@@ -241,7 +265,7 @@ def test_the_reader_reads_the_pseudo_dual_table_for_table(name):
 
 def test_check_flat_builds_no_2category_of_elements(monkeypatch):
     """No 2-category of elements, hom category of elements or dual copy is
-    assembled: the verdicts come from ``_OpElements`` alone."""
+    assembled: the verdicts come from El_P's reader alone."""
     names = ("diagram_pick0.json", "diamond/reprbot", "diamond/pair",
              "parallel1/co/repra", "twice_stepped", "chain6/one")
     want = {name: check_flat(DIAGRAMS[name]).evidence for name in names}
@@ -251,7 +275,7 @@ def test_check_flat_builds_no_2category_of_elements(monkeypatch):
 
     for module, attr in ((elements, "_build"), (elements, "mk_fin2cat"),
                          (elements, "mk_fincat"), (two_cat, "mk_fin2cat"),
-                         (two_cat, "op_dual"), (filteredness, "op_dual")):
+                         (two_cat, "op_dual")):
         monkeypatch.setattr(module, attr, refuse)
     for name in names:
         assert check_flat(DIAGRAMS[name]).evidence == want[name]
