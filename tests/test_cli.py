@@ -504,6 +504,15 @@ def test_strictify_command(capsys, tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("fixture", ["pseudo_z2", "pseudo_swap", "pseudo_not_flat",
+                                     "diagram_pick0"])
+def test_strictify_reports(capsys, fixture):
+    """The full report of ``strictify`` without ``-o``, byte for byte."""
+    code, out = invoke(capsys, "strictify", str(FIXTURES / f"{fixture}.json"))
+    assert code == 0
+    assert out == (GOLDEN / f"strictify_{fixture}.json").read_text()
+
+
 def test_yoneda_command(capsys):
     code, out = invoke(capsys, "yoneda", str(FIXTURES / "arrow_2cat.json"),
                        "--object", "0", "--against",

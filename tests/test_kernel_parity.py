@@ -36,7 +36,8 @@ from sigmacat.fixtures import (arrow_2cat, chain3_2cat, diagram_collapse,
                                pseudo_swap, pseudo_z2, weight_on_op_arrow)
 from sigmacat.flatness import (canonical_expression, check_flat, check_flat_pseudo,
                                check_left_exact, generate_bilimit_cones,
-                               representable)
+                               representable, strictify)
+from sigmacat.io import diagram_to_doc, transformation_to_doc
 from sigmacat.presented import localize
 from sigmacat.shapes import BIINSERTER
 from sigmacat.transforms import (LAX, PSEUDO, STRICT, TwoFunctor, constant_diagram,
@@ -949,3 +950,197 @@ def test_elements_ticks_and_tables_are_pinned(case):
     meter = Meter()
     result = ELEMENTS_CASES[case](meter)
     assert (meter.count, digest(result)) == ELEMENTS_EXPECTED[case]
+
+
+# ---------------------------------------------------------------------------
+# Strictification, pinned on the flat reader's diagrams and the pseudo
+# fixtures: (ticks, digest of P̃, η and ε as documents, digest of the
+# insertion order of every table they hold), or the refusal with the
+# ticks spent before it.
+
+
+def insertion_orders(tilde, eta, eps) -> tuple:
+    cats = [(B, list(c.objects), list(c.arrows), list(c.identity), list(c.compose))
+            for B, c in tilde.on_obj.items()]
+    maps = [(g, list(F.obj_map), list(F.arr_map)) for g, F in tilde.on_1.items()]
+    cells = [(x, list(n.components)) for x, n in tilde.on_2.items()]
+    transfs = [([(A, list(F.obj_map), list(F.arr_map)) for A, F in t.components.items()],
+                [(f, list(n.components)) for f, n in t.structural.items()])
+               for t in (eta, eps)]
+    return cats, maps, cells, transfs
+
+
+def strictify_result(P):
+    def run(m):
+        try:
+            tilde, eta, eps = strictify(P, m)
+        except PreconditionFailed as e:
+            return ("refused", str(e))
+        docs = (diagram_to_doc(tilde), transformation_to_doc(eta),
+                transformation_to_doc(eps))
+        return digest(docs), digest(insertion_orders(tilde, eta, eps))
+    return run
+
+
+def strictify_cases() -> dict:
+    cases = {f"strictify-{name}": strictify_result(P)
+             for name, P in FLAT_READER_DIAGRAMS.items()}
+    for name, P in (("pseudo_swap", pseudo_swap()), ("pseudo_z2", pseudo_z2()),
+                    ("pseudo_not_flat", pseudo_not_flat())):
+        cases[f"strictify-{name}"] = strictify_result(P)
+    return cases
+
+
+STRICTIFY_CASES = strictify_cases()
+
+STRICTIFY_EXPECTED = {
+    "strictify-chain1/arrow": (3, ("c8af87a544125416", "6f230d3b6f9ec843")),
+    "strictify-chain1/one": (1, ("3f26dd303cfefe79", "1f6f9aba1eb4c03c")),
+    "strictify-chain1/pair": (2, ("697f2a51fdf46618", "0ac29b79ed701b70")),
+    "strictify-chain1/reprc0": (1, ("390411bbf8566a7c", "81d6850dbba1616a")),
+    "strictify-chain2/arrow": (15, ("ba86dab277f7112e", "03e7b7808e4500e5")),
+    "strictify-chain2/one": (5, ("4bd1b28fa321b389", "063bcf43449261e1")),
+    "strictify-chain2/pair": (10, ("e868e191a7ee0a0d", "704bf0c6e3a902f2")),
+    "strictify-chain2/reprc0": (5, ("ad4ed239172881c3", "392bfef8e5268a5b")),
+    "strictify-chain2/reprc1": (1, ("2615025761689633", "a35708ed75d1acab")),
+    "strictify-chain4/arrow": (90, ("9dd35069c5e04c9a", "2528f726827d1e19")),
+    "strictify-chain4/one": (30, ("0da5357ad29c4b22", "b7929a3bede29d63")),
+    "strictify-chain4/pair": (60, ("1451fa668f6449ce", "1cd314362264edb0")),
+    "strictify-chain4/reprc0": (30, ("ad1910db1d7e00da", "230569d731bee025")),
+    "strictify-chain4/reprc1": (14, ("62e9b02d03a152e9", "876d5bd93930e8f9")),
+    "strictify-chain4/reprc2": (5, ("7c7f75e4d7697f74", "556f1612e16e00bf")),
+    "strictify-chain4/reprc3": (1, ("cc8076e108b11c9a", "fc817a1e50e5ace2")),
+    "strictify-chain6/arrow": (273, ("e9f0a8525df5e60b", "8a40bf8380ce75d9")),
+    "strictify-chain6/one": (91, ("036b31d5468646d6", "cf0e29639da8f85a")),
+    "strictify-chain6/pair": (182, ("35272aeffc340ff4", "31530d148106d962")),
+    "strictify-chain6/reprc0": (91, ("b7390c2c56a92ae4", "d8d1ee8ca29d1288")),
+    "strictify-chain6/reprc1": (55, ("693fe2ad09586596", "1b4010fd9b3e44e6")),
+    "strictify-chain6/reprc2": (30, ("ca66c6e01b1f4ba4", "93154e7ed6580b08")),
+    "strictify-chain6/reprc3": (14, ("a5c98f1813d68723", "165942690f30caed")),
+    "strictify-chain6/reprc4": (5, ("ef46ea7dae2b84c9", "71ac706a2401dd85")),
+    "strictify-chain6/reprc5": (1, ("fbc7580764590f81", "0c192e324b03260d")),
+    "strictify-const_discrete_pair.json": (2, ("acb003989db956ac", "1e8c64324fc2819e")),
+    "strictify-const_terminal.json": (5, ("30592c702906ec64", "aed4540655e22cba")),
+    "strictify-const_terminal_parallel.json":
+        (10, ("55c93f9c283ce618", "acde991c3f78da5c")),
+    "strictify-delta_arrow_free2cell": (30, ("7ae29b5666bfba4c", "8419a01c3a96ff65")),
+    "strictify-diagram_chain_to_pp": (21, ("749802d73b8a42b1", "c34985fa788d6de8")),
+    "strictify-diagram_collapse": (12, ("d039cc55ee5df6e3", "ca02dabac3705feb")),
+    "strictify-diagram_collapse.json": (12, ("d039cc55ee5df6e3", "ca02dabac3705feb")),
+    "strictify-diagram_on_free2cell": (13, ("9a962d3e5d3d1a30", "a97d6e03a52eee01")),
+    "strictify-diagram_pick0": (8, ("a19f1e72b03556f1", "f5b0297bf3d75df4")),
+    "strictify-diagram_pick0.json": (8, ("a19f1e72b03556f1", "f5b0297bf3d75df4")),
+    "strictify-diamond/arrow": (75, ("a352242130f7c5de", "c7e4fb856e93f065")),
+    "strictify-diamond/one": (25, ("bbc8ce12949dec43", "443808d172528980")),
+    "strictify-diamond/pair": (50, ("c49eb0c2d5977624", "7d90f47d660063c9")),
+    "strictify-diamond/repra": (5, ("41be30fd9c8797c1", "5ff501a1d3483abc")),
+    "strictify-diamond/reprb": (5, ("1d159be8aa5fcadf", "6119e23861700d96")),
+    "strictify-diamond/reprbot": (25, ("88c2dd9c87d0673d", "79748dc0914a06e8")),
+    "strictify-diamond/reprtop": (1, ("7e34c038b14525e4", "8da1aea24472b707")),
+    "strictify-grid2x2/arrow": (75, ("d1cbb7d4370b8ac6", "ccd7b040da693c07")),
+    "strictify-grid2x2/one": (25, ("9db9079988082480", "15295e9cd2d4e7f0")),
+    "strictify-grid2x2/pair": (50, ("3cba67b568c12732", "c6216752983537ee")),
+    "strictify-grid2x2/reprg0_0": (25, ("bdc80c20ca581c61", "6298e1ccbd151aaf")),
+    "strictify-grid2x2/reprg0_1": (5, ("99ca78062c35a376", "a61e1ecb972885d9")),
+    "strictify-grid2x2/reprg1_0": (5, ("234345f1acfcbda2", "9e6e223287723366")),
+    "strictify-grid2x2/reprg1_1": (1, ("73ecf935ab1bf3c4", "493b1afecebfe3a5")),
+    "strictify-grid2x3/arrow": (210, ("ab2316b4c3fc3a9d", "f8dbe07bae3396c3")),
+    "strictify-grid2x3/one": (70, ("93b645496d5ad796", "89c77a1b0334f95a")),
+    "strictify-grid2x3/pair": (140, ("02899915353d3f34", "6a5c892229cab8fd")),
+    "strictify-grid2x3/reprg0_0": (70, ("9edfb941d48b5e3a", "aed47327d2db849e")),
+    "strictify-grid2x3/reprg0_1": (25, ("91e709cba4d0990a", "dcaa0c0b64dbe929")),
+    "strictify-grid2x3/reprg0_2": (5, ("0a99a2a792731bef", "71df9388570ee0f9")),
+    "strictify-grid2x3/reprg1_0": (14, ("26975986e30fcb4f", "03217a7d053ae184")),
+    "strictify-grid2x3/reprg1_1": (5, ("0612b3f8cff3af7e", "f4ae76abe754e964")),
+    "strictify-grid2x3/reprg1_2": (1, ("be43fa621de48c6e", "bc05b78118a76ab6")),
+    "strictify-parallel0/arrow": (30, ("bdd1c8cd8705b113", "fc434a8e4b83c2f6")),
+    "strictify-parallel0/co/arrow": (30, ("bdd1c8cd8705b113", "fc434a8e4b83c2f6")),
+    "strictify-parallel0/co/one": (10, ("55c93f9c283ce618", "acde991c3f78da5c")),
+    "strictify-parallel0/co/pair": (20, ("2b38ae6ceab406c7", "1dc221bbe6ffadbd")),
+    "strictify-parallel0/co/repra": (9, ("6db9710f35f10741", "eb57b72fb23c5f84")),
+    "strictify-parallel0/co/reprb": (1, ("be7e047e80ff698f", "27e40c72fd541795")),
+    "strictify-parallel0/coop/arrow": (30, ("f34f0856c9aaaf84", "7842cfbf76f5bee1")),
+    "strictify-parallel0/coop/one": (10, ("ddd03f51c701fe92", "fe5881c797383538")),
+    "strictify-parallel0/coop/pair": (20, ("8d73e0100d36fbc3", "e9a8d56208638e7d")),
+    "strictify-parallel0/coop/repra": (1, ("2ea5e050f2eafa7d", "9724cb940ab0e0c8")),
+    "strictify-parallel0/coop/reprb": (9, ("1d672b1d4c87ffa0", "8f3777a95cd0abd1")),
+    "strictify-parallel0/one": (10, ("55c93f9c283ce618", "acde991c3f78da5c")),
+    "strictify-parallel0/op/arrow": (30, ("f34f0856c9aaaf84", "7842cfbf76f5bee1")),
+    "strictify-parallel0/op/one": (10, ("ddd03f51c701fe92", "fe5881c797383538")),
+    "strictify-parallel0/op/pair": (20, ("8d73e0100d36fbc3", "e9a8d56208638e7d")),
+    "strictify-parallel0/op/repra": (1, ("2ea5e050f2eafa7d", "9724cb940ab0e0c8")),
+    "strictify-parallel0/op/reprb": (9, ("1d672b1d4c87ffa0", "8f3777a95cd0abd1")),
+    "strictify-parallel0/pair": (20, ("2b38ae6ceab406c7", "1dc221bbe6ffadbd")),
+    "strictify-parallel0/repra": (9, ("6db9710f35f10741", "eb57b72fb23c5f84")),
+    "strictify-parallel0/reprb": (1, ("be7e047e80ff698f", "27e40c72fd541795")),
+    "strictify-parallel1/arrow": (30, ("7ae29b5666bfba4c", "8419a01c3a96ff65")),
+    "strictify-parallel1/co/arrow": (30, ("6e478271f96d2efa", "8419a01c3a96ff65")),
+    "strictify-parallel1/co/one": (10, ("8ab1a57691653bb3", "3efd3e27786bc0ba")),
+    "strictify-parallel1/co/pair": (20, ("1a54e096bbab8fe1", "641c4906f336368e")),
+    "strictify-parallel1/co/repra": (13, ("5423a18ee0a17383", "760711696e5bd205")),
+    "strictify-parallel1/co/reprb": (1, ("643f54188ff9ade1", "cde11fdbe1be66ac")),
+    "strictify-parallel1/coop/arrow": (30, ("f89c4e2c0b8e434c", "f03e31af29b60172")),
+    "strictify-parallel1/coop/one": (10, ("fd2013b02f55fb42", "0e9551d49415d864")),
+    "strictify-parallel1/coop/pair": (20, ("f9f4dc845fe8e363", "cac63d00ffeb6f66")),
+    "strictify-parallel1/coop/repra": (1, ("364e87632910a0fc", "482c408912697251")),
+    "strictify-parallel1/coop/reprb": (13, ("539e9d701ac52c1d", "0572698a692677ef")),
+    "strictify-parallel1/one": (10, ("749607ef33ab1721", "3efd3e27786bc0ba")),
+    "strictify-parallel1/op/arrow": (30, ("796168a981e1f7e2", "f03e31af29b60172")),
+    "strictify-parallel1/op/one": (10, ("06fbefca6f8fb5e7", "0e9551d49415d864")),
+    "strictify-parallel1/op/pair": (20, ("c1c7368b307bd731", "cac63d00ffeb6f66")),
+    "strictify-parallel1/op/repra": (1, ("523039fbf9e91d55", "482c408912697251")),
+    "strictify-parallel1/op/reprb": (13, ("2707063df367bb86", "01be924e70538355")),
+    "strictify-parallel1/pair": (20, ("a98e656812ec1625", "641c4906f336368e")),
+    "strictify-parallel1/repra": (13, ("d211d1253e2b3482", "835b507ba70d1933")),
+    "strictify-parallel1/reprb": (1, ("fba700de1ac4aeab", "cde11fdbe1be66ac")),
+    "strictify-parallel2/arrow": (30, ("e2c26cefef410180", "383fc4de837fb98a")),
+    "strictify-parallel2/co/arrow": (30, ("f32f8bebe07ca28e", "383fc4de837fb98a")),
+    "strictify-parallel2/co/one": (10, ("92488a2860c1e999", "ff53498f9c6f8b0d")),
+    "strictify-parallel2/co/pair": (20, ("0df8b6eb6a4ceeb2", "efc2d717e08660fd")),
+    "strictify-parallel2/co/repra": (17, ("66d9e5550943f4a6", "b5d360fdf7978eb8")),
+    "strictify-parallel2/co/reprb": (1, ("8922c70a40e9a2e3", "6b7e8fbf1ab5b7e2")),
+    "strictify-parallel2/coop/arrow": (30, ("41c31e66dc88f9f7", "314e5df40a823685")),
+    "strictify-parallel2/coop/one": (10, ("dd4b349124059873", "e06c2949559f0b7c")),
+    "strictify-parallel2/coop/pair": (20, ("fa21d6f189125add", "2ef8578839864c05")),
+    "strictify-parallel2/coop/repra": (1, ("9e06090a2383db3f", "eb4e1d1cc71f71cd")),
+    "strictify-parallel2/coop/reprb": (17, ("0efb44e35933f94b", "6eb36fd226b24aba")),
+    "strictify-parallel2/one": (10, ("04ae954f8dcf329d", "ff53498f9c6f8b0d")),
+    "strictify-parallel2/op/arrow": (30, ("e038e7c08b31b8d8", "314e5df40a823685")),
+    "strictify-parallel2/op/one": (10, ("0bb9887d6a8787ed", "e06c2949559f0b7c")),
+    "strictify-parallel2/op/pair": (20, ("994955a11ad3056a", "2ef8578839864c05")),
+    "strictify-parallel2/op/repra": (1, ("c585d5cef9a7eeb4", "eb4e1d1cc71f71cd")),
+    "strictify-parallel2/op/reprb": (17, ("81b6fb293c7a5b05", "14671aa81daa94eb")),
+    "strictify-parallel2/pair": (20, ("2fd222e6f08518a2", "efc2d717e08660fd")),
+    "strictify-parallel2/repra": (17, ("5188eacb209b45fd", "a9dcd37e0a0cfa91")),
+    "strictify-parallel2/reprb": (1, ("cf801db7dcd3589f", "6b7e8fbf1ab5b7e2")),
+    "strictify-parallel_diagram.json": (13, ("9a962d3e5d3d1a30", "a97d6e03a52eee01")),
+    "strictify-pseudo_not_flat": (7, ("a38364293bf72dfd", "181711eed6935a0f")),
+    "strictify-pseudo_swap": (20, ("a681a3ee14ee7e33", "1489f4c220f0883d")),
+    "strictify-pseudo_z2": (10, ("8005795225633171", "269f0ee82f081ff8")),
+    "strictify-repr_diamond_a.json": (5, ("41be30fd9c8797c1", "5ff501a1d3483abc")),
+    "strictify-representable_0.json": (5, ("1929d68b2ab57eb6", "92cb484e690e9849")),
+    "strictify-representable_diamond_top.json":
+        (1, ("7e34c038b14525e4", "8da1aea24472b707")),
+    "strictify-retract/arrow": (30, ("bb89591d2139c91b", "07c43a542d935d33")),
+    "strictify-retract/co/arrow": (30, ("ab1dc3fdf7e09dab", "07c43a542d935d33")),
+    "strictify-retract/co/one": (10, ("230d4ea5170843fd", "6a55e3843e04a44e")),
+    "strictify-retract/co/pair": (20, ("842b4374fd85b86c", "aa7127c2c901f980")),
+    "strictify-retract/co/repra": (21, ("96a68b1739a593d9", "1e44b64f48bf3e3f")),
+    "strictify-retract/co/reprb": (1, ("f1f1682af44fd648", "89827d9c2e8f0a4f")),
+    "strictify-retract/one": (10, ("46329865101c3048", "6a55e3843e04a44e")),
+    "strictify-retract/pair": (20, ("2d489cfdbb9d9657", "aa7127c2c901f980")),
+    "strictify-retract/repra": (21, ("52c5a37d62a07e7d", "591d9519af780f5c")),
+    "strictify-retract/reprb": (1, ("0be444364fe3aa7c", "89827d9c2e8f0a4f")),
+    "strictify-twice_stepped": (13, ("72e3343b21257b53", "8d5efd93988cc47c")),
+    "strictify-weight_constant_terminal_op":
+        (5, ("4a2d514955cc4bb2", "70475cb056b4b59b")),
+    "strictify-weight_on_op_arrow": (12, ("3e37fc36191507f7", "b4784d48568067bb")),
+    "strictify-weight_on_op_arrow.json": (12, ("3e37fc36191507f7", "b4784d48568067bb")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STRICTIFY_CASES))
+def test_strictify_ticks_tables_and_orders_are_pinned(case):
+    meter = Meter()
+    result = STRICTIFY_CASES[case](meter)
+    assert (meter.count, result) == STRICTIFY_EXPECTED[case]
