@@ -448,7 +448,6 @@ def lax_pullback_factor(F: TwoFunctor, theta: Transformation,
     if not rep.ok:
         raise PreconditionFailed(f"invalid cone: {rep.violations[0].detail}")
     Z = F.source
-    PF = theta.target
     obj_map = {}
     for ZO in Z.objects:
         x = theta.components[ZO].obj_map["*"]

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .config import Meter
+from .elements import preimage_marking
 from .errors import PreconditionFailed
 from .fincat import Functor, is_equivalence
 from .two_cat import Marked2Cat, OpView, WideSub
@@ -146,20 +147,19 @@ def check_sigma_filtered(m: Marked2Cat, meter: Meter | None = None) -> Filteredn
     if not _record(rep, AXIOM_NONEMPTY, (), (objs[0],) if objs else None):
         return rep
 
+    # the marked 1-cells out of each object, in (target, name) order
+    marked_out = {B: [(h, h) for E in objs for h in a.one_cells(B, E) if h in sig]
+                  for B in objs}
+
     # F0: every object pair has a marked cospan
     for A in objs:
         for B in objs:
             found = None
-            for E in objs:
-                for f in a.one_cells(A, E):
-                    if f not in sig:
-                        continue
-                    for g in a.one_cells(B, E):
-                        meter.tick()
-                        if g in sig:
-                            found = (f, g)
-                            break
-                    if found:
+            for _, f in marked_out[A]:
+                for g in a.one_cells(B, a.tgt1(f)):
+                    meter.tick()
+                    if g in sig:
+                        found = (f, g)
                         break
                 if found:
                     break
@@ -168,8 +168,6 @@ def check_sigma_filtered(m: Marked2Cat, meter: Meter | None = None) -> Filteredn
 
     # F1 and F2: parallel pairs with marked second leg, extended by the
     # marked 1-cells out of their target
-    marked_out = {B: [(h, h) for E in objs for h in a.one_cells(B, E) if h in sig]
-                  for B in objs}
     instances = [(f, g, (), marked_out[B]) for A in objs for B in objs
                  for f in a.one_cells(A, B) for g in a.one_cells(A, B) if g in sig]
     if not _coequalize(a, sig, instances, (AXIOM_F1, AXIOM_F2), rep, meter):
@@ -248,7 +246,6 @@ def cofinal_via_ff(T: TwoFunctor, sigma_prime: WideSub,
         raise PreconditionFailed("target is not filtered for its marking")
     for A in T.source.objects:
         for B in T.source.objects:
-            src_cells = T.source.one_cells(A, B)
             hom_src = T.source.hom[(A, B)]
             hom_tgt = cp.hom[(T.obj_map[A], T.obj_map[B])]
             F = Functor(hom_src, hom_tgt,
@@ -257,8 +254,7 @@ def cofinal_via_ff(T: TwoFunctor, sigma_prime: WideSub,
             if not is_equivalence(F).verdict:
                 raise PreconditionFailed("functor is not hom-wise an equivalence")
     # C0 by direct search
-    sigma = WideSub(T.source, frozenset(
-        f for f in T.source.all_one_cells() if T.map1[f] in sigma_prime.arrows))
+    sigma = preimage_marking(T, sigma_prime)
     for Cp in cp.objects:
         hit = any(f in sigma_prime.arrows
                   for C in T.source.objects

@@ -286,11 +286,14 @@ def _comparison_cone(P: CatDiagram, el: ElementsResult, QB: CatDiagram,
 def strictify(P: CatDiagram, meter: Meter | None = None):
     """Replace a pseudofunctor by a strict diagram up to pseudo-equivalence.
 
-    The category at B collects pairs (f, x) of an incoming 1-cell and an
-    element over its source, with arrows taken between their values; the
-    action on 1-cells composes names.  Returns the strict diagram with
-    the unit and counit transformations, both pseudonatural with
-    equivalence components.
+    The category P̃(B) collects pairs (f, x) of an incoming 1-cell f and
+    an element x over its source, with arrows taken between their values
+    P(f)x: it is the full image of the counit ε_B on these objects, and
+    both are read off the names minted for B in one pass.  The action on
+    1-cells composes names, and conjugates each arrow by the structure
+    cells P(g)P(f)x → P(gf)x, which are also the counit's cells.  Returns
+    the strict diagram with the unit and counit transformations, both
+    pseudonatural with equivalence components.
     """
     meter = meter or Meter()
     if not P.is_pseudo:
@@ -303,68 +306,67 @@ def strictify(P: CatDiagram, meter: Meter | None = None):
     def parr(phi, o1, o2):
         return f"{phi}:{o1}->{o2}"
 
-    # per object B of the base, the names minted for its category:
-    # object name -> (f, x), and arrow name -> (phi, o1, o2)
-    points, cells = {}, {}
-    tilde_obj = {}
+    # per object B of the base, the names minted for its category: object
+    # name -> (f, x) with its value P(f)x, and arrow name -> (phi, o1, o2)
+    # with an index by source, o1 -> [(name, phi, o2)]
+    points, tilde_obj, eps_comps = {}, {}, {}
     for B in sorted(base.objects):
         pts = points[B] = {}
-        arrs = cells[B] = {}
+        val, arrs, out, identity, compose = {}, {}, {}, {}, {}
+        PB = P.on_obj[B]
         for A in sorted(base.objects):
             for f in base.one_cells(A, B):
                 for x in sorted(P.on_obj[A].objects):
                     mint(pts, pobj(f, x), (f, x))
-        arrows, identity, compose = {}, {}, {}
-        PB = P.on_obj[B]
-        val = {o: P.on_1[f].obj_map[x] for o, (f, x) in pts.items()}
+                    val[pobj(f, x)] = P.on_1[f].obj_map[x]
         for o1 in pts:
             for o2 in pts:
                 for phi in PB.hom(val[o1], val[o2]):
                     meter.tick()
                     n = parr(phi, o1, o2)
                     mint(arrs, n, (phi, o1, o2))
-                    arrows[n] = (o1, o2)
+                    out.setdefault(o1, []).append((n, phi, o2))
             identity[o1] = parr(PB.identity[val[o1]], o1, o1)
         for n1, (phi1, o1, o2) in arrs.items():
-            for n2, (phi2, o2b, o3) in arrs.items():
-                if o2b != o2:
-                    continue
+            for n2, phi2, o3 in out[o2]:
                 compose[(n2, n1)] = parr(PB.compose[(phi2, phi1)], o1, o3)
-        tilde_obj[B] = mk_fincat(list(pts), arrows, identity, compose)
+        c = tilde_obj[B] = mk_fincat(
+            pts, {n: (o1, o2) for n, (_, o1, o2) in arrs.items()}, identity, compose)
+        eps_comps[B] = Functor(c, PB, {o: val[o] for o in c.objects},
+                               {n: arrs[n][0] for n in c.arrows})
 
-    tilde_1 = {}
+    def move(g, o):
+        """The object (gf, x) that P̃(g) sends o = (f, x) to, and the
+        structure cell P(g)P(f)x → P(gf)x."""
+        f, x = points[base.src1(g)][o]
+        return pobj(base.hcomp1[(g, f)], x), P.alpha_comp[(f, g)].components[x]
+
+    # P̃(g) conjugates P(g)φ by the structure cells, φ read off ε_B
+    tilde_1, eps_struct = {}, {}
     for g in base.all_one_cells():
-        B, B2 = base.src1(g), base.tgt1(g)
-        src_cat, tgt_cat = tilde_obj[B], tilde_obj[B2]
-        om, am = {}, {}
-        for o in src_cat.objects:
-            f, x = points[B][o]
-            om[o] = pobj(base.hcomp1[(g, f)], x)
-        Pg = P.on_1[g]
-        for n in src_cat.arrows:
-            phi, o1, o2 = cells[B][n]
-            f1, x1 = points[B][o1]
-            f2, x2 = points[B][o2]
-            moved = Pg.arr_map[phi]
-            a1 = P.alpha_comp[(f1, g)].components[x1]
-            a2 = P.alpha_comp[(f2, g)].components[x2]
-            PB2 = P.on_obj[B2]
-            new_phi = PB2.compose[(a2, PB2.compose[(moved, PB2.inverse(a1))])]
-            am[n] = parr(new_phi, om[o1], om[o2])
-        tilde_1[g] = Functor(src_cat, tgt_cat, om, am)
+        E, E2 = eps_comps[base.src1(g)], eps_comps[base.tgt1(g)]
+        PB2, Pg = E2.target, P.on_1[g]
+        moved = {o: move(g, o) for o in E.source.objects}
+        am = {}
+        for n, (o1, o2) in E.source.arrows.items():
+            (m1, a1), (m2, a2) = moved[o1], moved[o2]
+            conj = PB2.compose[(Pg.arr_map[E.arr_map[n]], PB2.inverse(a1))]
+            am[n] = parr(PB2.compose[(a2, conj)], m1, m2)
+        tilde_1[g] = Functor(E.source, E2.source,
+                             {o: m for o, (m, _) in moved.items()}, am)
+        eps_struct[g] = NatTransf(compose_functors(Pg, E),
+                                  compose_functors(E2, tilde_1[g]),
+                                  {o: a for o, (_, a) in moved.items()})
 
     tilde_2 = {}
     for cell in base.all_two_cells():
-        g, g2 = base.src2(cell), base.tgt2(cell)
-        B = base.src1(g)
-        src_cat = tilde_obj[B]
+        G, G2 = tilde_1[base.src2(cell)], tilde_1[base.tgt2(cell)]
         comps = {}
-        for o in src_cat.objects:
-            f, x = points[B][o]
+        for o in G.source.objects:
+            f, x = points[base.src1(base.src2(cell))][o]
             whisk = base.hcomp2[(cell, base.id2(f))]
-            comps[o] = parr(P.on_2[whisk].components[x],
-                            tilde_1[g].obj_map[o], tilde_1[g2].obj_map[o])
-        tilde_2[cell] = NatTransf(tilde_1[g], tilde_1[g2], comps)
+            comps[o] = parr(P.on_2[whisk].components[x], G.obj_map[o], G2.obj_map[o])
+        tilde_2[cell] = NatTransf(G, G2, comps)
 
     tilde = CatDiagram(base, tilde_obj, tilde_1, tilde_2)
 
@@ -391,27 +393,6 @@ def strictify(P: CatDiagram, meter: Meter | None = None):
         tgt = compose_functors(eta_comps[B], P.on_1[f])
         eta_struct[f] = NatTransf(src, tgt, comp)
     eta = Transformation(P, tilde, eta_comps, eta_struct, PSEUDO)
-
-    eps_comps, eps_struct = {}, {}
-    for B in base.objects:
-        src_cat = tilde_obj[B]
-        PB = P.on_obj[B]
-        om = {}
-        for o in src_cat.objects:
-            f, x = points[B][o]
-            om[o] = P.on_1[f].obj_map[x]
-        am = {n: cells[B][n][0] for n in src_cat.arrows}
-        eps_comps[B] = Functor(src_cat, PB, om, am)
-    for g in base.all_one_cells():
-        B, B2 = base.src1(g), base.tgt1(g)
-        src_cat = tilde_obj[B]
-        comp = {}
-        for o in src_cat.objects:
-            f, x = points[B][o]
-            comp[o] = P.alpha_comp[(f, g)].components[x]
-        src = compose_functors(P.on_1[g], eps_comps[B])
-        tgt = compose_functors(eps_comps[B2], tilde_1[g])
-        eps_struct[g] = NatTransf(src, tgt, comp)
     eps = Transformation(tilde, P, eps_comps, eps_struct, PSEUDO)
     return tilde, eta, eps
 

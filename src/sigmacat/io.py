@@ -42,6 +42,13 @@ def _need(doc: dict, keys: set, what: str, optional: set = frozenset()):
         raise ParseError(f"{what}: missing keys {sorted(missing)}")
 
 
+def _declared(name, known, record: str, what: str) -> None:
+    """Refuse a record that names a cell the document does not declare,
+    which the tables would otherwise drop without a word."""
+    if not isinstance(name, str) or name not in known:
+        raise ParseError(f"{record}: {name!r} is not a declared {what}")
+
+
 # ---------------------------------------------------------------------------
 # FinCat
 
@@ -65,6 +72,8 @@ def fincat_from_doc(doc: dict) -> FinCat:
         _need(rec, {"name", "src", "tgt"}, "arrow")
         arrows[_ident(rec["name"], "arrow")] = (rec["src"], rec["tgt"])
     identity = {k: v for k, v in doc["identities"].items()}
+    for x in identity:
+        _declared(x, objects, "identities", "object")
     compose = {}
     for rec in doc["compose"]:
         _need(rec, {"g", "f", "result"}, "compose entry")
@@ -120,16 +129,26 @@ def fin2cat_from_doc(doc: dict):
     home1 = {}
     for rec in doc["cells1"]:
         _need(rec, {"name", "src", "tgt"}, "1-cell")
-        home1[_ident(rec["name"], "1-cell")] = (rec["src"], rec["tgt"])
+        name = _ident(rec["name"], "1-cell")
+        for end in (rec["src"], rec["tgt"]):
+            _declared(end, objects, f"1-cell {name}", "object")
+        home1[name] = (rec["src"], rec["tgt"])
+    # a 2-cell is filed under the hom of its src1, and a vcomp entry under
+    # the hom of its f; validation checks the other end against that hom
     cell2 = {}
     for rec in doc["cells2"]:
         _need(rec, {"name", "src1", "tgt1"}, "2-cell")
-        cell2[_ident(rec["name"], "2-cell")] = (rec["src1"], rec["tgt1"])
+        name = _ident(rec["name"], "2-cell")
+        _declared(rec["src1"], home1, f"2-cell {name}", "1-cell")
+        cell2[name] = (rec["src1"], rec["tgt1"])
     vcomp = {}
     for rec in doc["vcomp"]:
         _need(rec, {"g", "f", "result"}, "vcomp entry")
+        _declared(rec["f"], cell2, f"vcomp entry ({rec['g']}, {rec['f']})", "2-cell")
         vcomp[(rec["g"], rec["f"])] = rec["result"]
     id2 = dict(doc["identities2"])
+    for f in id2:
+        _declared(f, home1, "identities2", "1-cell")
     hom = {}
     for A in objects:
         for B in objects:

@@ -2,15 +2,17 @@
 
 import dataclasses
 import re
+from functools import partial
 
 import pytest
 
 from helpers import chain_2cat, discrete_diagram
+from test_flat_reader import DIAGRAMS
 from sigmacat.colimits import (BaseCone, BaseConeCategories, comparison_functor,
                                preserves_bilimit)
 from sigmacat.errors import Inconsistency, PreconditionFailed
-from sigmacat.fincat import (Functor, arrow_category, discrete_category,
-                             group_z2_category, is_equivalence,
+from sigmacat.fincat import (Functor, arrow_category, compose_functors,
+                             discrete_category, group_z2_category, is_equivalence,
                              iso_pair_category, mk_fincat, terminal_category)
 from sigmacat.fixtures import (arrow_2cat, diamond_2cat, idn, iso_2cat,
                                marked_fixtures, pseudo_not_flat, pseudo_swap,
@@ -383,7 +385,14 @@ PSEUDO_FIXTURES = [
 ]
 
 
-@pytest.mark.parametrize("label,mk", PSEUDO_FIXTURES)
+# the pseudo fixtures, then the flat reader's diagrams, which strictify
+# reads as pseudofunctors
+STRICTIFY_INPUTS = PSEUDO_FIXTURES + [
+    pytest.param(name, partial(DIAGRAMS.get, name), id=name)
+    for name in sorted(DIAGRAMS)]
+
+
+@pytest.mark.parametrize("label,mk", STRICTIFY_INPUTS)
 def test_strictify_output_is_strict_with_equivalence_unit(label, mk):
     P = mk()
     tilde, eta, eps = strictify(P)
@@ -429,13 +438,24 @@ def test_strictify_refuses_object_names_that_collide():
 
 
 def test_unit_counit_composites_are_equivalences():
-    for label, mk in PSEUDO_FIXTURES:
-        P = mk()
+    for P in [mk() for _, mk in PSEUDO_FIXTURES] + list(DIAGRAMS.values()):
         tilde, eta, eps = strictify(P)
-        from sigmacat.fincat import compose_functors
         for A in P.source.objects:
             round_trip = compose_functors(eps.components[A], eta.components[A])
             assert is_equivalence(round_trip).verdict
+
+
+def test_flatness_survives_strictification_on_every_ladder_diagram():
+    """P, its strictification and P read as a pseudofunctor are flat
+    together, and the diagrams hold both verdicts."""
+    verdicts = set()
+    for name, P in DIAGRAMS.items():
+        tilde, _, _ = strictify(P)
+        got = {check_flat(P).verdict, check_flat(tilde).verdict,
+               check_flat_pseudo(P).verdict}
+        assert len(got) == 1, name
+        verdicts |= got
+    assert verdicts == {"flat", "not-flat"}
 
 
 @pytest.mark.parametrize("label,mk", PSEUDO_FIXTURES)

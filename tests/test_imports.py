@@ -5,6 +5,11 @@ the package is parsed, and every name bound by a top-level ``import`` or
 ``from ... import`` must appear as a name somewhere in the module's code.
 ``__init__.py`` is exempt, since its imports are the public re-exports.
 
+Likewise every plain local name a function assigns is read somewhere
+in that function: a name that only stores is a computation whose result
+is thrown away.  Names that start with ``_`` and targets of tuple
+unpacking are exempt.
+
 Every module imports only at top level: the package's modules import
 one another without a cycle, so no import needs to wait inside a
 function.
@@ -48,6 +53,40 @@ def test_top_level_imports_are_used(module):
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     unused = [name for name in imported_names(tree) if name not in used]
     assert not unused, f"{module} never uses: {', '.join(unused)}"
+
+
+def unused_locals(tree: ast.Module) -> list[str]:
+    """``function.name`` for every plain name assigned in a function and
+    never read there, nor declared ``global`` or ``nonlocal``."""
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        outer = {name for node in ast.walk(fn)
+                 if isinstance(node, (ast.Global, ast.Nonlocal)) for name in node.names}
+        stored = [t.id for node in ast.walk(fn) if isinstance(node, ast.Assign)
+                  for t in node.targets if isinstance(t, ast.Name)]
+        read = {n.id for n in ast.walk(fn)
+                if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+        found += [f"{fn.name}.{name}" for name in dict.fromkeys(stored)
+                  if not name.startswith("_") and name not in read | outer]
+    return found
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_assigned_locals_are_read(module):
+    unused = unused_locals(parsed(module))
+    assert not unused, f"{module} assigns and never reads: {', '.join(unused)}"
+
+
+def test_an_assigned_local_that_is_never_read_is_flagged():
+    tree = ast.parse("def f(xs):\n"
+                     "    kept = len(xs)\n"
+                     "    dropped = sorted(xs)\n"
+                     "    _spare = 0\n"
+                     "    a, b = xs\n"
+                     "    return kept\n")
+    assert unused_locals(tree) == ["f.dropped"]
 
 
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))

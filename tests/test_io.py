@@ -2,11 +2,13 @@
 survive encoding and parsing, and a broken one is refused."""
 
 import json
+import re
 
 import pytest
 
+from helpers import FIXTURE_DOCUMENTS
 from sigmacat import io as sio
-from sigmacat.errors import ValidationError
+from sigmacat.errors import ParseError, ValidationError
 from sigmacat.fincat import (Functor, NatTransf, arrow_category, identity_functor,
                              terminal_category)
 from sigmacat.fixtures import diagram_collapse, diagram_pick0
@@ -83,3 +85,39 @@ def test_diagram_document_with_a_partial_functor_is_refused():
     doc["on_1cell"]["f"]["obj_map"] = {}
     with pytest.raises(ValidationError, match="diagram document"):
         sio.diagram_from_doc(doc)
+
+
+
+# one record naming an undeclared cell, added to a fixture that parses:
+# (fixture, key, record, refusal, message).  The first five were accepted,
+# the record dropped without a word; a far end is left to validation,
+# which refuses it as it did
+DANGLING = {
+    "cells2": ("arrow_2cat", "cells2", {"name": "z", "src1": "q", "tgt1": "q"},
+               ParseError, "2-cell z: 'q' is not a declared 1-cell"),
+    "cells1": ("arrow_2cat", "cells1", {"name": "h", "src": "9", "tgt": "1"},
+               ParseError, "1-cell h: '9' is not a declared object"),
+    "vcomp": ("arrow_2cat", "vcomp", {"g": "p", "f": "q", "result": "p"},
+              ParseError, "vcomp entry (p, q): 'q' is not a declared 2-cell"),
+    "identities2": ("arrow_2cat", "identities2", {"q": "i2_f"},
+                    ParseError, "identities2: 'q' is not a declared 1-cell"),
+    "identities": ("arrow_category", "identities", {"9": "f"},
+                   ParseError, "identities: '9' is not a declared object"),
+    "cells2-tgt1": ("arrow_2cat", "cells2", {"name": "z", "src1": "f", "tgt1": "q"},
+                    ValidationError, "2-category document: arrow z has unknown endpoints"),
+    "vcomp-g": ("arrow_2cat", "vcomp", {"g": "p", "f": "i2_f", "result": "i2_f"},
+                ValidationError, "2-category document: table entry over unknown arrows"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DANGLING))
+def test_a_record_naming_an_undeclared_cell_is_refused(kind):
+    fixture, key, record, refusal, message = DANGLING[kind]
+    doc = json.loads((FIXTURE_DOCUMENTS / f"{fixture}.json").read_text())
+    sio.parse_document(json.dumps(doc))
+    if isinstance(doc[key], list):
+        doc[key].append(record)
+    else:
+        doc[key].update(record)
+    with pytest.raises(refusal, match=f"^{re.escape(message)}$"):
+        sio.parse_document(json.dumps(doc))
