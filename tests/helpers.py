@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from sigmacat import fixtures
 from sigmacat import io as sio
 from sigmacat.fincat import (Functor, NatTransf, arrow_category,
-                             discrete_category, identity_functor, mk_fincat,
-                             pair_name, product_category, terminal_category)
+                             compose_functors, discrete_category,
+                             identity_functor, mk_fincat, pair_name,
+                             product_category, terminal_category)
 from sigmacat.fixtures import diamond_2cat, poset_category
 from sigmacat.flatness import representable
 from sigmacat.shapes import BIINSERTER
@@ -197,3 +198,24 @@ def corpus_biinserter():
     two = arrow_category()
     const1 = Functor(two, two, {"0": "1", "1": "1"}, {a: "id_1" for a in two.arrows})
     return BIINSERTER.cat_diagram(identity_functor(two), const1)
+
+
+def diagram_from_tables(doc: dict) -> CatDiagram:
+    """The diagram a document's tables describe, built as ``io`` builds it
+    but not validated, so that a corrupted table reaches the validator."""
+    base = sio.fin2cat_from_doc(doc["base"])
+    on_obj = {A: sio.fincat_from_doc(d) for A, d in doc["on_obj"].items()}
+    on_1 = {f: Functor(on_obj[base.src1(f)], on_obj[base.tgt1(f)],
+                       dict(d["obj_map"]), dict(d["arr_map"]))
+            for f, d in doc["on_1cell"].items()}
+    on_2 = {x: NatTransf(on_1[base.src2(x)], on_1[base.tgt2(x)], dict(c))
+            for x, c in doc["on_2cell"].items()}
+    if doc["kind"] == "strict":
+        return CatDiagram(base, on_obj, on_1, on_2)
+    alpha_obj = {A: NatTransf(identity_functor(on_obj[A]), on_1[base.id1[A]], dict(c))
+                 for A, c in doc["alpha_obj"].items()}
+    alpha_comp = {(r["f"], r["g"]): NatTransf(compose_functors(on_1[r["g"]], on_1[r["f"]]),
+                                              on_1[base.hcomp1[(r["g"], r["f"])]],
+                                              dict(r["components"]))
+                  for r in doc["alpha_comp"]}
+    return CatDiagram(base, on_obj, on_1, on_2, "pseudo", alpha_obj, alpha_comp)

@@ -9,10 +9,12 @@ import pytest
 from helpers import FIXTURE_DOCUMENTS
 from sigmacat import io as sio
 from sigmacat.errors import ParseError, ValidationError
-from sigmacat.fincat import (Functor, NatTransf, arrow_category, identity_functor,
-                             terminal_category)
+from sigmacat.fincat import (FinCat, Functor, NatTransf, arrow_category,
+                             identity_functor, terminal_category)
 from sigmacat.fixtures import diagram_collapse, diagram_pick0
-from sigmacat.transforms import LAX, PSEUDO, STRICT, constant_diagram, hom_eps
+from sigmacat.transforms import (LAX, PSEUDO, STRICT, CatDiagram, constant_diagram,
+                                 hom_eps)
+from sigmacat.two_cat import Fin2Cat, Marked2Cat
 
 
 def _step():
@@ -30,6 +32,24 @@ def test_nat_transf_round_trip():
     assert again == n
     assert sio.nat_transf_from_doc(json.loads(sio.dumps(doc))) == n
     assert sio.nat_transf_to_doc(again) == doc
+
+
+def _to_doc(value) -> dict:
+    if isinstance(value, CatDiagram):
+        return sio.diagram_to_doc(value)
+    if isinstance(value, Marked2Cat):
+        return sio.fin2cat_to_doc(value.cat, value.sigma)
+    if isinstance(value, Fin2Cat):
+        return sio.fin2cat_to_doc(value)
+    assert isinstance(value, FinCat)
+    return sio.fincat_to_doc(value)
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURE_DOCUMENTS.glob("*.json")),
+                         ids=lambda path: path.stem)
+def test_every_fixture_re_encodes_byte_for_byte(path):
+    text = path.read_text()
+    assert sio.dumps(_to_doc(sio.parse_document(text))) == text
 
 
 def test_nat_transf_document_must_be_natural():
