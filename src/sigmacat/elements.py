@@ -407,26 +407,6 @@ def t_h(H: TwoFunctor, P: CatDiagram, el_ph: ElementsResult,
     return TwoFunctor(el_ph.cat, el_p.cat, obj_map, map1, map2)
 
 
-def is_two_fully_faithful(T: TwoFunctor) -> bool:
-    """Hom-by-hom bijectivity on 1-cells and 2-cells."""
-    a, b = T.source, T.target
-    for A in a.objects:
-        for B in a.objects:
-            src_cells = a.one_cells(A, B)
-            tgt_cells = b.one_cells(T.obj_map[A], T.obj_map[B])
-            image = [T.map1[f] for f in src_cells]
-            if len(set(image)) != len(image) or set(image) != set(tgt_cells):
-                return False
-            for f in src_cells:
-                for g in src_cells:
-                    cells = a.two_cells_between(f, g)
-                    image2 = [T.map2[x] for x in cells]
-                    want = b.two_cells_between(T.map1[f], T.map1[g])
-                    if len(set(image2)) != len(image2) or set(image2) != set(want):
-                        return False
-    return True
-
-
 def preimage_marking(T: TwoFunctor, marked: WideSub) -> WideSub:
     return WideSub(T.source, frozenset(
         f for f in T.source.all_one_cells() if T.map1[f] in marked.arrows))

@@ -230,9 +230,10 @@ def validate_nat_transf(n: NatTransf) -> ValidationReport:
     if not rep.ok:
         return rep
     for a, (s, t) in sorted(c.arrows.items()):
-        lhs = d.compose[(n.components[t], F.arr_map[a])]
-        rhs = d.compose[(G.arr_map[a], n.components[s])]
-        if lhs != rhs:
+        # a square over an arrow F or G maps out of type is not natural
+        lhs = d.compose.get((n.components[t], F.arr_map.get(a)))
+        rhs = d.compose.get((G.arr_map.get(a), n.components[s]))
+        if lhs is None or lhs != rhs:
             rep.add("naturality", (a,), f"naturality square fails at {a}")
     return rep
 

@@ -25,14 +25,52 @@ from .transforms import (CatDiagram, Flavor, LAX, PSEUDO, STRICT,
 
 
 def _ident(s, what="identifier"):
-    if not isinstance(s, str) or not s or not s.isascii() or any(c.isspace() for c in s):
+    # ``split`` breaks at every whitespace character and drops empty pieces
+    if not isinstance(s, str) or not s.isascii() or s.split() != [s]:
         raise ParseError(f"bad {what}: {s!r} (need nonempty ASCII, no whitespace)")
     return s
+
+
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ParseError(f"{what}: expected a list")
+    return value
+
+
+def _record(rec, keys: set, what: str) -> dict:
+    """A table record: an object with exactly ``keys``, each a string."""
+    _need(rec, keys, what)
+    for k, v in rec.items():
+        if not isinstance(v, str):
+            raise ParseError(f"{what}: {k} must be a string, not {v!r}")
+    return rec
+
+
+def _map(value, what: str) -> dict:
+    """A table from names to names: an object whose values are strings."""
+    if not isinstance(value, dict) or \
+            not all(isinstance(v, str) for v in value.values()):
+        raise ParseError(f"{what}: expected an object of strings")
+    return dict(value)
+
+
+def _assigned(table, known, what: str, kind: str) -> dict:
+    """An object with a value for every declared ``kind`` and no other."""
+    if not isinstance(table, dict):
+        raise ParseError(f"{what}: expected an object")
+    for name in table:
+        _declared(name, known, what, kind)
+    for name in known:
+        if name not in table:
+            raise ParseError(f"{what}: {kind} {name} is not assigned")
+    return table
 
 
 def _need(doc: dict, keys: set, what: str, optional: set = frozenset()):
     if not isinstance(doc, dict):
         raise ParseError(f"{what}: expected an object")
+    if doc.keys() == keys:
+        return
     got = set(doc)
     unknown = got - keys - optional
     if unknown:
@@ -66,17 +104,17 @@ def fincat_to_doc(c: FinCat) -> dict:
 
 def fincat_from_doc(doc: dict) -> FinCat:
     _need(doc, {"objects", "arrows", "identities", "compose"}, "category")
-    objects = [_ident(o, "object") for o in doc["objects"]]
+    objects = [_ident(o, "object") for o in _list(doc["objects"], "objects")]
     arrows = {}
-    for rec in doc["arrows"]:
-        _need(rec, {"name", "src", "tgt"}, "arrow")
+    for rec in _list(doc["arrows"], "arrows"):
+        _record(rec, {"name", "src", "tgt"}, "arrow")
         arrows[_ident(rec["name"], "arrow")] = (rec["src"], rec["tgt"])
-    identity = {k: v for k, v in doc["identities"].items()}
+    identity = _map(doc["identities"], "identities")
     for x in identity:
         _declared(x, objects, "identities", "object")
     compose = {}
-    for rec in doc["compose"]:
-        _need(rec, {"g", "f", "result"}, "compose entry")
+    for rec in _list(doc["compose"], "compose"):
+        _record(rec, {"g", "f", "result"}, "compose entry")
         compose[(rec["g"], rec["f"])] = rec["result"]
     c = mk_fincat(objects, arrows, identity, compose)
     rep = validate_category(c)
@@ -125,57 +163,55 @@ def fin2cat_from_doc(doc: dict):
     keys = {"objects", "cells1", "cells2", "identities", "identities2",
             "vcomp", "hcomp1", "hcomp2"}
     _need(doc, keys, "2-category", optional={"sigma"})
-    objects = [_ident(o, "object") for o in doc["objects"]]
+    objects = [_ident(o, "object") for o in _list(doc["objects"], "objects")]
     home1 = {}
-    for rec in doc["cells1"]:
-        _need(rec, {"name", "src", "tgt"}, "1-cell")
+    for rec in _list(doc["cells1"], "cells1"):
+        _record(rec, {"name", "src", "tgt"}, "1-cell")
         name = _ident(rec["name"], "1-cell")
         for end in (rec["src"], rec["tgt"]):
             _declared(end, objects, f"1-cell {name}", "object")
         home1[name] = (rec["src"], rec["tgt"])
-    # a 2-cell is filed under the hom of its src1, and a vcomp entry under
-    # the hom of its f; validation checks the other end against that hom
-    cell2 = {}
-    for rec in doc["cells2"]:
-        _need(rec, {"name", "src1", "tgt1"}, "2-cell")
+    home2 = {}
+    for rec in _list(doc["cells2"], "cells2"):
+        _record(rec, {"name", "src1", "tgt1"}, "2-cell")
         name = _ident(rec["name"], "2-cell")
         _declared(rec["src1"], home1, f"2-cell {name}", "1-cell")
-        cell2[name] = (rec["src1"], rec["tgt1"])
-    vcomp = {}
-    for rec in doc["vcomp"]:
-        _need(rec, {"g", "f", "result"}, "vcomp entry")
-        _declared(rec["f"], cell2, f"vcomp entry ({rec['g']}, {rec['f']})", "2-cell")
-        vcomp[(rec["g"], rec["f"])] = rec["result"]
-    id2 = dict(doc["identities2"])
-    for f in id2:
+        home2[name] = (rec["src1"], rec["tgt1"])
+    # each cell is filed once under its hom: a 2-cell under the hom of its
+    # src1, an identity and a vcomp entry under that of their 1-cell and f;
+    # validation checks the other end against that hom
+    homs = {(A, B): ([], {}, {}, {}) for A in objects for B in objects}
+    for f, pair in home1.items():
+        homs[pair][0].append(f)
+    for x, (s, t) in home2.items():
+        homs[home1[s]][1][x] = (s, t)
+    for f, i in _map(doc["identities2"], "identities2").items():
         _declared(f, home1, "identities2", "1-cell")
+        homs[home1[f]][2][f] = i
+    for rec in _list(doc["vcomp"], "vcomp"):
+        _record(rec, {"g", "f", "result"}, "vcomp entry")
+        _declared(rec["f"], home2, f"vcomp entry ({rec['g']}, {rec['f']})", "2-cell")
+        homs[home1[home2[rec["f"]][0]]][3][(rec["g"], rec["f"])] = rec["result"]
     hom = {}
-    for A in objects:
-        for B in objects:
-            cells = sorted(f for f, (s, t) in home1.items() if (s, t) == (A, B))
-            arrows = {}
-            for x, (s, t) in cell2.items():
-                if s in cells:
-                    arrows[x] = (s, t)
-            identity = {f: id2[f] for f in cells if f in id2}
-            if set(identity) != set(cells):
-                raise ParseError(f"missing identity 2-cells in hom ({A},{B})")
-            compose = {(g, f): r for (g, f), r in vcomp.items() if f in arrows}
-            hom[(A, B)] = mk_fincat(cells, arrows, identity, compose)
+    for (A, B), (cells, arrows, identity, compose) in homs.items():
+        if len(identity) != len(cells):
+            raise ParseError(f"missing identity 2-cells in hom ({A},{B})")
+        hom[(A, B)] = mk_fincat(cells, arrows, identity, compose)
     hcomp1 = {}
-    for rec in doc["hcomp1"]:
-        _need(rec, {"g", "f", "result"}, "hcomp1 entry")
+    for rec in _list(doc["hcomp1"], "hcomp1"):
+        _record(rec, {"g", "f", "result"}, "hcomp1 entry")
         hcomp1[(rec["g"], rec["f"])] = rec["result"]
     hcomp2 = {}
-    for rec in doc["hcomp2"]:
-        _need(rec, {"b", "a", "result"}, "hcomp2 entry")
+    for rec in _list(doc["hcomp2"], "hcomp2"):
+        _record(rec, {"b", "a", "result"}, "hcomp2 entry")
         hcomp2[(rec["b"], rec["a"])] = rec["result"]
-    a = mk_fin2cat(objects, hom, dict(doc["identities"]), hcomp1, hcomp2)
+    a = mk_fin2cat(objects, hom, _map(doc["identities"], "identities"), hcomp1, hcomp2)
     rep = validate_2category(a)
     if not rep.ok:
         raise ValidationError(f"2-category document: {rep.violations[0].detail}")
     if "sigma" in doc:
-        w = WideSub(a, frozenset(doc["sigma"]))
+        w = WideSub(a, frozenset(_ident(f, "marked 1-cell")
+                                 for f in _list(doc["sigma"], "sigma")))
         wrep = validate_wide_sub(w)
         if not wrep.ok:
             raise ValidationError(f"sigma: {wrep.violations[0].detail}")
@@ -257,20 +293,18 @@ def diagram_from_doc(doc: dict) -> CatDiagram:
     base = fin2cat_from_doc(doc["base"])
     if isinstance(base, Marked2Cat):
         base = base.cat
-    on_obj = {A: fincat_from_doc(d) for A, d in doc["on_obj"].items()}
+    on_obj = {A: fincat_from_doc(d) for A, d in
+              _assigned(doc["on_obj"], base.objects, "on_obj", "object").items()}
     on_1 = {}
-    for f, d in doc["on_1cell"].items():
+    for f, d in _assigned(doc["on_1cell"], base._cell1_home, "on_1cell", "1-cell").items():
         _need(d, {"obj_map", "arr_map"}, "1-cell assignment")
         A, B = base.hom_of_1cell(f)
-        on_1[f] = Functor(on_obj[A], on_obj[B], dict(d["obj_map"]),
-                          dict(d["arr_map"]))
+        on_1[f] = Functor(on_obj[A], on_obj[B], _map(d["obj_map"], f"on_1cell {f}: obj_map"),
+                          _map(d["arr_map"], f"on_1cell {f}: arr_map"))
     on_2 = {}
-    for x, comps in doc["on_2cell"].items():
-        f, g = None, None
-        pair = base.hom_of_2cell(x)
-        f = base.hom[pair].src(x)
-        g = base.hom[pair].tgt(x)
-        on_2[x] = NatTransf(on_1[f], on_1[g], dict(comps))
+    for x, comps in _assigned(doc["on_2cell"], base._cell2_home, "on_2cell", "2-cell").items():
+        on_2[x] = NatTransf(on_1[base.src2(x)], on_1[base.tgt2(x)],
+                            _map(comps, f"on_2cell {x}"))
     kind = doc["kind"]
     if kind not in ("strict", "pseudo"):
         raise ParseError(f"unknown diagram kind {kind!r}")
@@ -279,16 +313,23 @@ def diagram_from_doc(doc: dict) -> CatDiagram:
         if "alpha_obj" not in doc or "alpha_comp" not in doc:
             raise ParseError("pseudo diagram needs alpha_obj and alpha_comp")
         alpha_obj = {}
-        for A, comps in doc["alpha_obj"].items():
+        for A, comps in _assigned(doc["alpha_obj"], base.objects, "alpha_obj", "object").items():
             alpha_obj[A] = NatTransf(identity_functor(on_obj[A]),
-                                     on_1[base.id1[A]], dict(comps))
+                                     on_1[base.id1[A]], _map(comps, f"alpha_obj {A}"))
         alpha_comp = {}
-        for rec in doc["alpha_comp"]:
+        for rec in _list(doc["alpha_comp"], "alpha_comp"):
             _need(rec, {"f", "g", "components"}, "alpha_comp entry")
-            f, g = rec["f"], rec["g"]
-            src = compose_functors(on_1[g], on_1[f])
+            f, g = _ident(rec["f"], "1-cell"), _ident(rec["g"], "1-cell")
+            if (g, f) not in base.hcomp1:
+                raise ParseError(f"alpha_comp entry ({f}, {g}): not a composable pair")
+            # P(g)P(f) read with ``get``: where P(f) or P(g) is no functor,
+            # validation refuses the document before it reads this cell
+            F, G = on_1[f], on_1[g]
+            src = Functor(F.source, G.target,
+                          {x: G.obj_map.get(y) for x, y in F.obj_map.items()},
+                          {a: G.arr_map.get(b) for a, b in F.arr_map.items()})
             alpha_comp[(f, g)] = NatTransf(src, on_1[base.hcomp1[(g, f)]],
-                                           dict(rec["components"]))
+                                           _map(rec["components"], f"alpha_comp entry ({f}, {g})"))
     P = CatDiagram(base, on_obj, on_1, on_2, kind, alpha_obj, alpha_comp)
     rep = validate_diagram(P)
     if not rep.ok:

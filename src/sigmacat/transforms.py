@@ -183,9 +183,22 @@ def dual_twofunctor(T: TwoFunctor) -> TwoFunctor:
 def validate_diagram(P: CatDiagram) -> ValidationReport:
     """Structural validation plus the strict laws or the pseudo axioms.
 
-    The pseudo axioms checked are the unit and associativity coherence
-    of the structure cells (LF0, LF1), their naturality, and the
-    compatibility of the action on 2-cells with horizontal composition.
+    Every law is read off the tables, building no functor and no
+    transformation: a composite is one lookup per object or arrow.
+    - on-*: each P(f) against the categories assigned to its ends and
+      ``validate_functor``; the ends of each P(x) against the object and
+      arrow tables of P(f) and P(g), then ``validate_nat_transf``;
+    - vert-id, vert-comp: each hom's identity and composition tables,
+      against P(x)'s components composed in P(B)'s composition table;
+    - strict-id, strict-comp: the object and arrow tables of P(id_A), and
+      per ``hcomp1`` entry those of P(g∘f) against P(g)'s read at P(f)'s;
+    - strict-hcomp2, alpha-natural: per ``hcomp2`` entry (y, x), with
+      x : f ⇒ f' and y : g ⇒ g', P(y) * P(x) is P(y)'s components at
+      P(f')'s objects after P(g)'s arrow table at P(x)'s components;
+    - alpha-typing, alpha-obj, alpha-comp: the ends of each structure cell
+      as for P(x), and its components invertible in the target category;
+    - LF0, LF1: the structure cells' components composed in the target
+      category's table; LF1 walks the 1-cells into each object.
     """
     rep = ValidationReport("CatDiagram")
     base = P.source
@@ -206,8 +219,8 @@ def validate_diagram(P: CatDiagram) -> ValidationReport:
         if n is None:
             rep.add("on-2", (x,), f"2-cell {x} not assigned")
             continue
-        if n.source.key() != P.on_1[base.src2(x)].key() or \
-                n.target.key() != P.on_1[base.tgt2(x)].key():
+        if _tables(n.source) != _tables(P.on_1[base.src2(x)]) or \
+                _tables(n.target) != _tables(P.on_1[base.tgt2(x)]):
             rep.add("on-2-typing", (x,), f"transformation at {x} mistyped")
         elif not validate_nat_transf(n).ok:
             rep.add("on-2-natural", (x,), f"assignment at {x} is not natural")
@@ -215,27 +228,29 @@ def validate_diagram(P: CatDiagram) -> ValidationReport:
         return rep
 
     # vertical functoriality holds for both kinds
-    for pair, h in base.hom.items():
+    on_1, on_2 = P.on_1, P.on_2
+    for h in base.hom.values():
         for f in h.objects:
-            if P.on_2[base.id2(f)].components != \
-                    idn(P.on_1[f]).components:
+            F = on_1[f]
+            ident, fo = F.target.identity, F.obj_map
+            if on_2[h.identity[f]].components != {x: ident[fo[x]] for x in F.source.objects}:
                 rep.add("vert-id", (f,), f"identity 2-cell at {f} not sent to identity")
         for (q, p), r in h.compose.items():
-            got = vcomp_nat(P.on_2[q], P.on_2[p])
-            if got.components != P.on_2[r].components:
+            after, first = on_2[q].components, on_2[p]
+            comp = first.source.target.compose
+            if {x: comp[(after[x], a)] for x, a in first.components.items()} != \
+                    on_2[r].components:
                 rep.add("vert-comp", (q, p), "vertical composition not preserved")
 
     if not P.is_pseudo:
         for A in base.objects:
-            idA = base.id1[A]
-            if P.on_1[idA].key() != identity_functor(P.on_obj[A]).key():
+            if _tables(on_1[base.id1[A]]) != _identity_tables(P.on_obj[A]):
                 rep.add("strict-id", (A,), f"identity 1-cell of {A} not the identity functor")
         for (g, f), h in base.hcomp1.items():
-            if compose_functors(P.on_1[g], P.on_1[f]).key() != P.on_1[h].key():
+            if _composite(on_1[g], on_1[f]) != _tables(on_1[h]):
                 rep.add("strict-comp", (g, f), f"P({g}∘{f}) != P({g})P({f})")
         for (y, x), z in base.hcomp2.items():
-            want = _hcomp_transf(P.on_2[y], P.on_2[x])
-            if want.components != P.on_2[z].components:
+            if _hcomp(on_2[y], on_2[x]) != on_2[z].components:
                 rep.add("strict-hcomp2", (y, x), "horizontal 2-cell action not preserved")
         return rep
 
@@ -245,67 +260,76 @@ def validate_diagram(P: CatDiagram) -> ValidationReport:
         return rep
     for A in base.objects:
         n = P.alpha_obj.get(A)
-        want_src = identity_functor(P.on_obj[A])
-        want_tgt = P.on_1[base.id1[A]]
-        if n is None or n.source.key() != want_src.key() or \
-                n.target.key() != want_tgt.key() or not validate_nat_transf(n).ok:
+        if n is None or _tables(n.source) != _identity_tables(P.on_obj[A]) or \
+                _tables(n.target) != _tables(on_1[base.id1[A]]) or \
+                not validate_nat_transf(n).ok:
             rep.add("alpha-typing", (A,), f"unit cell at {A} mistyped")
         elif not nat_is_invertible(n):
             rep.add("alpha-obj", (A,), f"unit cell at {A} not invertible")
-    for (g, f) in base.hcomp1:
+    for (g, f), gf in base.hcomp1.items():
         n = P.alpha_comp.get((f, g))
-        want_src = compose_functors(P.on_1[g], P.on_1[f])
-        want_tgt = P.on_1[base.hcomp1[(g, f)]]
-        if n is None or n.source.key() != want_src.key() or \
-                n.target.key() != want_tgt.key() or not validate_nat_transf(n).ok:
+        if n is None or _tables(n.source) != _composite(on_1[g], on_1[f]) or \
+                _tables(n.target) != _tables(on_1[gf]) or not validate_nat_transf(n).ok:
             rep.add("alpha-typing", (f, g), f"composition cell at ({f},{g}) mistyped")
         elif not nat_is_invertible(n):
             rep.add("alpha-comp", (f, g), "composition cell not invertible")
     if not rep.ok:
         return rep
+    cells = {fg: n.components for fg, n in P.alpha_comp.items()}
     cells1 = base.all_one_cells()
-    # LF0: unit coherence
+    into = {}  # object -> the 1-cells into it, sorted
+    # LF0: unit coherence, in P(B) for f : A -> B
     for f in cells1:
-        A, B = base.src1(f), base.tgt1(f)
-        Ff = P.on_1[f]
-        lhs = vcomp_nat(P.alpha_comp[(f, base.id1[B])],
-                        whisker_nat_functor(P.alpha_obj[B], Ff))
-        if not nat_is_identity(lhs):
+        (A, B), F = base.hom_of_1cell(f), on_1[f]
+        into.setdefault(B, []).append(f)
+        comp, is_id = P.on_obj[B].compose, P.on_obj[B].is_identity
+        left, unit = cells[(f, base.id1[B])], P.alpha_obj[B].components
+        if not all(is_id(comp[(left[x], unit[F.obj_map[x]])]) for x in F.source.objects):
             rep.add("LF0", (f,), f"unit coherence fails on the left at {f}")
-        rhs = vcomp_nat(P.alpha_comp[(base.id1[A], f)],
-                        whisker_functor_nat(Ff, P.alpha_obj[A]))
-        if not nat_is_identity(rhs):
+        right, unit = cells[(base.id1[A], f)], P.alpha_obj[A].components
+        if not all(is_id(comp[(right[x], F.arr_map[a])]) for x, a in unit.items()):
             rep.add("LF0", (f,), f"unit coherence fails on the right at {f}")
-    # LF1: associativity coherence
+    # LF1: associativity coherence, in P(D) for h ending at D
     for h in cells1:
-        for g in cells1:
-            if base.src1(h) != base.tgt1(g):
-                continue
-            for f in cells1:
-                if base.src1(g) != base.tgt1(f):
-                    continue
-                gf = base.hcomp1[(g, f)]
-                hg = base.hcomp1[(h, g)]
-                lhs = vcomp_nat(P.alpha_comp[(gf, h)],
-                                whisker_functor_nat(P.on_1[h], P.alpha_comp[(f, g)]))
-                rhs = vcomp_nat(P.alpha_comp[(f, hg)],
-                                whisker_nat_functor(P.alpha_comp[(g, h)], P.on_1[f]))
-                if lhs.components != rhs.components:
+        comp, ha = on_1[h].target.compose, on_1[h].arr_map
+        for g in into.get(base.src1(h), ()):
+            hg, gh = base.hcomp1[(h, g)], cells[(g, h)]
+            for f in into.get(base.src1(g), ()):
+                F = on_1[f]
+                outer, right = cells[(base.hcomp1[(g, f)], h)], cells[(f, hg)]
+                lhs = {x: comp[(outer[x], ha[a])] for x, a in cells[(f, g)].items()}
+                if lhs != {x: comp[(right[x], gh[F.obj_map[x]])] for x in F.source.objects}:
                     rep.add("LF1", (f, g, h), "associativity coherence fails")
     # naturality of the composition cells in both arguments
     for (y, x), z in base.hcomp2.items():
-        f, g = base.src2(x), base.src2(y)
-        f2, g2 = base.tgt2(x), base.tgt2(y)
-        lhs = vcomp_nat(P.alpha_comp[(f2, g2)], _hcomp_transf(P.on_2[y], P.on_2[x]))
-        rhs = vcomp_nat(P.on_2[base.hcomp2[(y, x)]], P.alpha_comp[(f, g)])
-        if lhs.components != rhs.components:
+        g = base.src2(y)
+        comp, image = on_1[g].target.compose, on_2[z].components
+        outer = cells[(base.tgt2(x), base.tgt2(y))]
+        lhs = {o: comp[(outer[o], a)] for o, a in _hcomp(on_2[y], on_2[x]).items()}
+        if lhs != {o: comp[(image[o], a)] for o, a in cells[(base.src2(x), g)].items()}:
             rep.add("alpha-natural", (y, x), "structure cells not natural")
     return rep
 
 
-def _hcomp_transf(b: NatTransf, a: NatTransf) -> NatTransf:
-    """Horizontal composite of transformation images (a on the inside)."""
-    return vcomp_nat(whisker_nat_functor(b, a.target), whisker_functor_nat(b.source, a))
+def _tables(F: Functor) -> tuple:
+    return F.obj_map, F.arr_map
+
+
+def _identity_tables(c: FinCat) -> tuple:
+    return {x: x for x in c.objects}, {a: a for a in c.arrows}
+
+
+def _composite(G: Functor, F: Functor) -> tuple:
+    """The tables of G∘F."""
+    go, ga = G.obj_map, G.arr_map
+    return {x: go[y] for x, y in F.obj_map.items()}, {a: ga[b] for a, b in F.arr_map.items()}
+
+
+def _hcomp(b: NatTransf, a: NatTransf) -> dict:
+    """The components of b * a (a on the inside), a : F ⇒ F', b : G ⇒ G':
+    b at F'o after G of a at o, in G's target."""
+    comp, bc, ga, fo = b.source.target.compose, b.components, b.source.arr_map, a.target.obj_map
+    return {o: comp[(bc[fo[o]], ga[ao])] for o, ao in a.components.items()}
 
 
 def reinterpret_as_pseudo(P: CatDiagram) -> CatDiagram:

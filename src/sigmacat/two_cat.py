@@ -166,66 +166,70 @@ def validate_2category(a: Fin2Cat) -> ValidationReport:
     if not rep.ok:
         return rep
 
+    home1, hcomp1, hcomp2 = a._cell1_home, a.hcomp1, a.hcomp2
     cells1 = a.all_one_cells()
     into1 = {}  # object -> the 1-cells into it, sorted
     for f in cells1:
-        into1.setdefault(a.tgt1(f), []).append(f)
+        into1.setdefault(home1[f][1], []).append(f)
     # hcomp1 totality and typing
     for g in cells1:
-        for f in into1.get(a.src1(g), ()):
-            if (g, f) not in a.hcomp1:
+        for f in into1.get(home1[g][0], ()):
+            if (g, f) not in hcomp1:
                 rep.add("hcomp1-missing", (g, f), "composable 1-cells have no entry")
                 continue
-            gf = a.hcomp1[(g, f)]
-            if a._cell1_home.get(gf) != (a.src1(f), a.tgt1(g)):
+            gf = hcomp1[(g, f)]
+            if home1.get(gf) != (home1[f][0], home1[g][1]):
                 rep.add("hcomp1-typing", (g, f, gf), "composite 1-cell mistyped")
     if not rep.ok:
         return rep
     # hcomp2 totality and typing
     cells2 = a.all_two_cells()
+    ends2, id2 = {}, {}  # 2-cell -> (src1, tgt1); 1-cell -> its identity 2-cell
+    for h in a.hom.values():
+        ends2.update(h.arrows)
+        id2.update(h.identity)
     into2 = {}  # object -> the 2-cells between 1-cells into it, sorted
     for x in cells2:
-        into2.setdefault(a.tgt1(a.src2(x)), []).append(x)
+        into2.setdefault(home1[ends2[x][0]][1], []).append(x)
     for b in cells2:
-        for x in into2.get(a.src1(a.src2(b)), ()):
-            if (b, x) not in a.hcomp2:
+        bs, bt = ends2[b]
+        for x in into2.get(home1[bs][0], ()):
+            if (b, x) not in hcomp2:
                 rep.add("hcomp2-missing", (b, x), "composable 2-cells have no entry")
                 continue
-            bx = a.hcomp2[(b, x)]
-            want_src = a.hcomp1[(a.src2(b), a.src2(x))]
-            want_tgt = a.hcomp1[(a.tgt2(b), a.tgt2(x))]
-            if a.src2(bx) != want_src or a.tgt2(bx) != want_tgt:
+            bx = hcomp2[(b, x)]
+            xs, xt = ends2[x]
+            if ends2.get(bx) != (hcomp1[(bs, xs)], hcomp1[(bt, xt)]):
                 rep.add("hcomp2-typing", (b, x, bx), "composite 2-cell mistyped")
     if not rep.ok:
         return rep
     # units
     for f in cells1:
-        A, B = a._cell1_home[f]
-        if a.hcomp1[(a.id1[B], f)] != f or a.hcomp1[(f, a.id1[A])] != f:
+        A, B = home1[f]
+        if hcomp1[(a.id1[B], f)] != f or hcomp1[(f, a.id1[A])] != f:
             rep.add("unit1", (f,), f"identity 1-cells are not units at {f}")
     for x in cells2:
-        f = a.src2(x)
-        A, B = a._cell1_home[f]
-        if a.hcomp2[(a.id2(a.id1[B]), x)] != x or a.hcomp2[(x, a.id2(a.id1[A]))] != x:
+        A, B = home1[ends2[x][0]]
+        if hcomp2[(id2[a.id1[B]], x)] != x or hcomp2[(x, id2[a.id1[A]])] != x:
             rep.add("unit2", (x,), f"identity 2-cells of identity 1-cells are not units at {x}")
     # associativity of 1-cell composition
     for h in cells1:
-        for g in into1.get(a.src1(h), ()):
-            hg = a.hcomp1[(h, g)]
-            for f in into1.get(a.src1(g), ()):
-                if a.hcomp1[(hg, f)] != a.hcomp1[(h, a.hcomp1[(g, f)])]:
+        for g in into1.get(home1[h][0], ()):
+            hg = hcomp1[(h, g)]
+            for f in into1.get(home1[g][0], ()):
+                if hcomp1[(hg, f)] != hcomp1[(h, hcomp1[(g, f)])]:
                     rep.add("assoc1", (h, g, f), "1-cell composition not associative")
     # associativity of 2-cell horizontal composition
     for z in cells2:
-        for y in into2.get(a.src1(a.src2(z)), ()):
-            zy = a.hcomp2[(z, y)]
-            for x in into2.get(a.src1(a.src2(y)), ()):
-                if a.hcomp2[(zy, x)] != a.hcomp2[(z, a.hcomp2[(y, x)])]:
+        for y in into2.get(home1[ends2[z][0]][0], ()):
+            zy = hcomp2[(z, y)]
+            for x in into2.get(home1[ends2[y][0]][0], ()):
+                if hcomp2[(zy, x)] != hcomp2[(z, hcomp2[(y, x)])]:
                     rep.add("assoc2", (z, y, x), "2-cell horizontal composition not associative")
     # functoriality of hcomp: identities and interchange
     for g in cells1:
-        for f in into1.get(a.src1(g), ()):
-            if a.hcomp2[(a.id2(g), a.id2(f))] != a.id2(a.hcomp1[(g, f)]):
+        for f in into1.get(home1[g][0], ()):
+            if hcomp2[(id2[g], id2[f])] != id2[hcomp1[(g, f)]]:
                 rep.add("hcomp-id", (g, f), "horizontal composite of identity 2-cells wrong")
     homs_into = {}  # object -> the homs (pair, hom) into it
     composable = {}  # hom -> its composable pairs (b2, b1) of 2-cells, sorted

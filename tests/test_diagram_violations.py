@@ -6,6 +6,12 @@ so that a strict law or a pseudo axiom fails, not the typing of the
 tables; ``golden/diagram_violations.json`` holds the lists each report
 must equal, code, cells and detail, entry for entry.
 
+The reference validator of ``diagram_validation_reference``, which builds
+every composite as a functor or a transformation, must give the same
+report as ``validate_diagram`` on every diagram with one table entry
+changed; and ``validate_diagram`` must decide every law without building
+one.
+
 The diagrams changed are the fixture documents; the strict part of a
 pseudo fixture (its tables read as a strict diagram), where the values
 have automorphisms a single entry can break; and constant diagrams read
@@ -16,13 +22,19 @@ naturality of the composition cells.
 
 import json
 import pathlib
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import diagram_validation_reference as reference
 from helpers import FIXTURE_DOCUMENTS, diagram_from_tables, idempotent_category
 from sigmacat import io as sio
+from sigmacat import transforms
+from sigmacat.errors import ValidationError
 from sigmacat.fincat import Functor, NatTransf, group_z2_category
 from sigmacat.fixtures import arrow_2cat
+from sigmacat.flatness import strictify
 from sigmacat.transforms import (CatDiagram, constant_diagram,
                                  reinterpret_as_pseudo, validate_diagram)
 from sigmacat.two_cat import parallel_2cells_2cat
@@ -127,3 +139,83 @@ def test_each_corruption_shows_its_own_law():
     # the typing pass stops before any law is read
     assert set(codes["on-2-typing"]) == {"on-2-typing"}
     assert set(codes["alpha-typing"]) == {"alpha-typing"}
+
+
+# ---------------------------------------------------------------------------
+# The reference agrees on every diagram with one table entry changed
+
+DIAGRAM_FIXTURES = sorted(p.stem for p in FIXTURE_DOCUMENTS.glob("*.json")
+                          if "on_obj" in json.loads(p.read_text()))
+
+SOURCES = {
+    **{name: (lambda name=name: fixture_doc(name)) for name in DIAGRAM_FIXTURES},
+    **{f"{name}/strict": (lambda name=name: strict_part(name))
+       for name in ("pseudo_not_flat", "pseudo_swap", "pseudo_z2")},
+    "idempotent/pseudo": lambda: constant_pseudo(arrow_2cat(), idempotent_category()),
+    "z2-on-parallel/pseudo": lambda: constant_pseudo(parallel_2cells_2cat(("th",)),
+                                                     group_z2_category()),
+}
+
+
+def entries(doc: dict) -> list:
+    """Every table entry of a diagram document, with the values it may take:
+    an object of P(f)'s target for an object entry, an arrow of it for an
+    arrow entry, so that P(g)P(f) can still be read; any arrow of any of
+    the document's categories for a component."""
+    base = sio.fin2cat_from_doc(doc["base"])
+    arrows = {A: sorted(a["name"] for a in c["arrows"]) for A, c in doc["on_obj"].items()}
+    everywhere = sorted({a for names in arrows.values() for a in names})
+    found = []
+    for f, d in sorted(doc["on_1cell"].items()):
+        B = base.tgt1(f)
+        found += [(("on_1cell", f, "obj_map", x), doc["on_obj"][B]["objects"])
+                  for x in sorted(d["obj_map"])]
+        found += [(("on_1cell", f, "arr_map", a), arrows[B]) for a in sorted(d["arr_map"])]
+    for x, comps in sorted(doc["on_2cell"].items()):
+        found += [(("on_2cell", x, o), everywhere) for o in sorted(comps)]
+    if doc["kind"] == "pseudo":
+        for A, comps in sorted(doc["alpha_obj"].items()):
+            found += [(("alpha_obj", A, o), everywhere) for o in sorted(comps)]
+        for r in doc["alpha_comp"]:
+            found += [(("alpha_comp", (r["f"], r["g"]), o), everywhere)
+                      for o in sorted(r["components"])]
+    return found
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.data())
+def test_reference_and_table_validators_agree_on_one_changed_entry(data):
+    source = data.draw(st.sampled_from(sorted(SOURCES)))
+    doc = SOURCES[source]()
+    path, values = data.draw(st.sampled_from(entries(doc)))
+    doc = edit(doc, path, data.draw(st.sampled_from(values)))
+    P = diagram_from_tables(doc)
+    got = [(v.code, v.cells, v.detail) for v in validate_diagram(P).violations]
+    want = [(v.code, v.cells, v.detail) for v in reference.validate_diagram(P).violations]
+    assert got == want
+    if not want:
+        sio.diagram_from_doc(doc)
+    else:
+        with pytest.raises(ValidationError, match=f"^diagram document: {re.escape(want[0][2])}$"):
+            sio.diagram_from_doc(doc)
+
+
+def test_the_golden_is_the_reference_report():
+    assert reports(reference.validate_diagram) == EXPECTED
+
+
+def test_validation_builds_no_functor_or_transformation(monkeypatch):
+    """Every law is read off the tables: validation must pass on every
+    fixture diagram and every strictification with the functor and
+    transformation algebra made to fail."""
+    diagrams = [diagram_from_tables(fixture_doc(name)) for name in DIAGRAM_FIXTURES]
+    diagrams += [strictify(P)[0] for P in diagrams]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("validation built a functor or a transformation")
+
+    for name in ("compose_functors", "vcomp_nat", "whisker_functor_nat",
+                 "whisker_nat_functor", "_hcomp_transf"):
+        monkeypatch.setattr(transforms, name, refuse, raising=False)
+    for P in diagrams:
+        assert validate_diagram(P).ok

@@ -2,6 +2,7 @@
 
 import pytest
 
+from elements_reference import is_two_fully_faithful
 from sigmacat.fincat import (Functor, NatTransf, arrow_category,
                              compose_functors, identity_functor,
                              terminal_category)
@@ -17,8 +18,7 @@ from sigmacat.transforms import (LAX, PSEUDO, Transformation, TwoFunctor,
                                  reinterpret_as_pseudo, sigma_flavor,
                                  validate_twofunctor)
 from sigmacat.elements import (cart_sigma, elements_of, elements_of_pseudo,
-                               gamma_dual, is_two_fully_faithful,
-                               lax_dense_transport, lax_pullback_factor,
+                               gamma_dual, lax_dense_transport, lax_pullback_factor,
                                obj_name, preimage_marking, t_eta, t_h)
 from sigmacat.flatness import representable
 

@@ -8,6 +8,7 @@ import pytest
 
 from helpers import FIXTURE_DOCUMENTS
 from sigmacat import io as sio
+from sigmacat.cli import run
 from sigmacat.errors import ParseError, ValidationError
 from sigmacat.fincat import (FinCat, Functor, NatTransf, arrow_category,
                              identity_functor, terminal_category)
@@ -141,3 +142,62 @@ def test_a_record_naming_an_undeclared_cell_is_refused(kind):
         doc[key].update(record)
     with pytest.raises(refusal, match=f"^{re.escape(message)}$"):
         sio.parse_document(json.dumps(doc))
+
+
+# malformed documents that escaped ``cli.run`` as a TypeError, ValueError,
+# AttributeError or KeyError, or that answered ``valid``: (fixture, change,
+# command, refusal).  The last three name a cell that is not there or not
+# of the right type, which validation, or the parser's composite of P(g)
+# and P(f), looked up
+def _set(*path, value):
+    def change(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+    return change
+
+
+def _drop_object_0(doc):
+    del doc["on_obj"]["0"]
+
+
+MALFORMED = {
+    "objects-string": ("arrow_2cat", _set("objects", value="01"), ["validate"],
+                       (ParseError, "objects: expected a list")),
+    "hcomp2-result-object": ("diamond_2cat", _set("hcomp2", 0, "result", value={"x": 1}),
+                             ["validate"], (ParseError, "hcomp2 entry: result must be "
+                                            "a string, not {'x': 1}")),
+    "identities-string": ("arrow_2cat", _set("identities", value="id_0"), ["validate"],
+                          (ParseError, "identities: expected an object of strings")),
+    "obj-map-list": ("diagram_pick0", _set("on_1cell", "id_1", "obj_map", value=["0", "1"]),
+                     ["validate"],
+                     (ParseError, "on_1cell id_1: obj_map: expected an object of strings")),
+    "on-2cell-list": ("diagram_pick0", _set("on_2cell", value=[]), ["validate"],
+                      (ParseError, "on_2cell: expected an object")),
+    "on-obj-missing": ("pseudo_z2", _drop_object_0, ["flat", "--pseudo"],
+                       (ParseError, "on_obj: object 0 is not assigned")),
+    "hcomp2-result-undeclared": ("diamond_2cat", _set("hcomp2", 0, "result", value="z"),
+                                 ["validate"], (ValidationError, "2-category document: "
+                                                "composite 2-cell mistyped")),
+    "obj-map-undeclared": ("pseudo_swap", _set("on_1cell", "f", "obj_map", "0", value="z"),
+                           ["validate"], (ValidationError, "diagram document: assignment "
+                                                           "at f is not a functor")),
+    "arr-map-mistyped": ("diagram_collapse", _set("on_1cell", "id_0", "arr_map", "f",
+                                                  value="id_0"), ["validate"],
+                         (ValidationError, "diagram document: assignment at id_0 "
+                                           "is not a functor")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_a_malformed_document_is_refused(case, tmp_path, capsys):
+    fixture, change, command, (refusal, message) = MALFORMED[case]
+    doc = json.loads((FIXTURE_DOCUMENTS / f"{fixture}.json").read_text())
+    change(doc)
+    with pytest.raises(refusal, match=f"^{re.escape(message)}$"):
+        sio.parse_document(json.dumps(doc))
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert run([command[0], str(path), *command[1:]]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "command": command[0], "detail": message, "error": "invalid-input"}
