@@ -229,11 +229,11 @@ def validate_nat_transf(n: NatTransf) -> ValidationReport:
             rep.add("component-typing", (x, a), f"component at {x} is mistyped")
     if not rep.ok:
         return rep
+    compose, comps, fa, ga = d.compose.get, n.components, F.arr_map.get, G.arr_map.get
     for a, (s, t) in sorted(c.arrows.items()):
         # a square over an arrow F or G maps out of type is not natural
-        lhs = d.compose.get((n.components[t], F.arr_map.get(a)))
-        rhs = d.compose.get((G.arr_map.get(a), n.components[s]))
-        if lhs is None or lhs != rhs:
+        lhs = compose((comps[t], fa(a)))
+        if lhs is None or lhs != compose((ga(a), comps[s])):
             rep.add("naturality", (a,), f"naturality square fails at {a}")
     return rep
 
