@@ -18,7 +18,8 @@ from helpers import (arrow_tensor_factors, chain_2cat, colimit_rungs,
                      corpus_biinserter, external_product, grid_2cat,
                      shape_digest, table_digest, tensor_factors)
 from test_flat_reader import DIAGRAMS as FLAT_READER_DIAGRAMS
-from sigmacat.colimits import (bilimit_cat, coend_eps, cones_sigma,
+from test_enumeration_oracles import CONES as ENUMERATION_CONES
+from sigmacat.colimits import (_morphism_key, bilimit_cat, coend_eps, cones_sigma,
                                conical_sigma_colimit,
                                point_cone_homs, weighted_sigma_colimit,
                                weighted_sigma_limit)
@@ -124,6 +125,43 @@ def test_ticks_and_tables_are_pinned(case):
     meter = Meter()
     result = CASES[case](meter)
     assert fingerprint(meter, result) == EXPECTED[case]
+
+
+# σ-cocones under Q with vertex E in Cat: the cases of the brute-force
+# comparison in test_enumeration_oracles and the pick0 case above, with
+# digests of each cone's key and of each morphism's ends and key, by name.
+CONE_CATEGORY_CASES = dict(ENUMERATION_CONES, **{
+    "pick0-iso_pair-all": lambda: (diagram_pick0(),
+                                   frozenset(wide_all(arrow_2cat()).arrows),
+                                   iso_pair_category())})
+
+# (ticks, objects, arrows, composable pairs, table digest, cone keys,
+# morphism keys)
+CONE_CATEGORY_EXPECTED = {
+    "collapse-iso_pair-all": (632, 8, 64, 512, "e204e570e8de4e94", "0fa9f633c9a1d3af",
+                              "3c535b1c57c2b2a0"),
+    "free2cell-arrow-ids": (69, 4, 10, 20, "325114d1e5a2e3f2", "72006c62b1cc88aa",
+                            "f4ce5b16ab0afcab"),
+    "free2cell-arrow-u": (39, 2, 3, 4, "428eae98ac374b9b", "948fbdb835a15377",
+                          "cf081af4d052da6d"),
+    "pick0-arrow-all": (50, 3, 6, 10, "d94deabe701c3be3", "5d041cbd30fe5f16",
+                        "83122acfedbda9c8"),
+    "pick0-arrow-ids": (80, 5, 14, 30, "db7412539b383373", "fcc16b3a52863fa8",
+                        "90771102c395ae49"),
+    "pick0-iso_pair-all": (632, 8, 64, 512, "e204e570e8de4e94", "6027adb85c417341",
+                           "1ebfa40f14b4bbaa"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONE_CATEGORY_CASES))
+def test_cone_categories_in_cat_are_pinned(case):
+    meter = Meter()
+    cc = cones_sigma(*CONE_CATEGORY_CASES[case](), meter)
+    cone_keys = [(n, cc.cones[n].key()) for n in sorted(cc.cones)]
+    morphism_keys = [(n, cc.cat.arrows[n], _morphism_key(cc.morphisms[n]))
+                     for n in sorted(cc.morphisms)]
+    assert (*fingerprint(meter, cc.cat), digest(cone_keys), digest(morphism_keys)) == \
+        CONE_CATEGORY_EXPECTED[case]
 
 
 # Weighted limits through the conical reduction.  The digests are those of
