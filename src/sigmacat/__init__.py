@@ -12,7 +12,9 @@ question has one implementation here; the assembled constructions that
 the kernels replaced are kept with the tests, as references, except
 ``cones_sigma``, ``comparison_functor``, ``gamma_dual``,
 ``find_isomorphism`` and ``functor_category``, which stay here because
-the benchmark's spans (``bench/spans.py``) wrap them.
+the benchmark's spans (``bench/spans.py``) wrap them.  ``cones_sigma``
+stays only as that name: its cones are the cone kernel's, read under
+Cat(Q-, E).
 """
 
 from .errors import (CertificateFailure, Inconsistency, ParseError,

@@ -27,12 +27,15 @@ a bug and raises; an unstable localization propagates as an undecided
 status, and a classifier still growing at the cap raises UndecidedAtCap,
 never a guess.
 
-Cones from the point and cones in a finite 2-category run on one kernel,
-``ConeKernel``: the σ-cones from the point under a strict Cat-valued
-diagram given by its tables, and their morphisms.  ``point_cone_homs``
-binds it to a diagram's tables; so the limit of P over a cone,
-σ-Nat(Δ1, P·D), is read with no ``Transformation`` or ``Modification``,
-and ``ConicalLimit`` is that limit assembled.  A cone over D in a finite
+Cones from the point, cocones into Cat and cones in a finite 2-category
+run on one kernel, ``ConeKernel``: the σ-cones from the point under a
+strict Cat-valued diagram given by its tables, and their morphisms.
+``point_cone_homs`` binds it to a diagram's tables; so the limit of P
+over a cone, σ-Nat(Δ1, P·D), is read with no ``Transformation`` or
+``Modification``, and ``ConicalLimit`` is that limit assembled.  A
+σ-cocone under Q with vertex E in Cat is a σ-cone from the point under
+the hom diagram Cat(Q-, E) (``hom_into_diagram``), so
+``sigma_cone_homs`` reads σ-Cones(Q, E) there.  A cone over D in a finite
 2-category with vertex X is a σ-cone from the point under the hom
 diagram a(X, D-), so ``BaseConeCategories`` binds the kernel once per
 diagram to the actions of ``hom_actions`` and builds each Cones_D(X) on
@@ -74,7 +77,7 @@ from .config import DEFAULT_CAP, Meter
 from .errors import CertificateFailure, PreconditionFailed, UndecidedAtCap
 from .fincat import (EquivalenceReport, FinCat, Functor, NatTransf,
                      ValidationReport, assemble_category, compose_functors,
-                     enumerate_functors, enumerate_nat_transfs, is_equivalence,
+                     functor_category_full, is_equivalence,
                      is_equivalence_on_homs, nat_is_identity, nat_is_invertible,
                      mint, pair_name, partition, terminal_category,
                      validate_functor, validate_nat_transf, vcomp_nat,
@@ -190,155 +193,69 @@ def _morphism_key(rho: dict) -> tuple:
     return tuple((A, rho[A].key()) for A in sorted(rho))
 
 
+def hom_into_diagram(P: CatDiagram, E: FinCat,
+                     meter: Meter | None = None) -> tuple[CatDiagram, dict]:
+    """The diagram Cat(P-, E) on the dual base, and per base object A the
+    functor category Cat(P(A), E) whose table is its value at A."""
+    meter = meter or Meter()
+    base = P.source
+    fcats = {A: functor_category_full(P.on_obj[A], E, meter) for A in base.objects}
+    on_1 = {}
+    for f in base.all_one_cells():
+        # f : A -> B in the base is a 1-cell B -> A in the dual
+        src, tgt, Pf = fcats[base.tgt1(f)], fcats[base.src1(f)], P.on_1[f]
+        on_1[f] = Functor(
+            src.cat, tgt.cat,
+            {h: tgt.name_of_functor(compose_functors(K, Pf)) for h, K in src.functors.items()},
+            {n: tgt.name_of_transf(whisker_nat_functor(t, Pf)) for n, t in src.transfs.items()})
+    on_2 = {}
+    for x in base.all_two_cells():
+        # P(x) : P(f) ⇒ P(g) whiskers to K∘P(f) ⇒ K∘P(g): in the dual base
+        # 2-cells keep their boundaries
+        f, g = base.src2(x), base.tgt2(x)
+        src, tgt = fcats[base.tgt1(f)], fcats[base.src1(f)]
+        on_2[x] = NatTransf(on_1[f], on_1[g], {
+            h: tgt.name_of_transf(whisker_functor_nat(K, P.on_2[x]))
+            for h, K in src.functors.items()})
+    return CatDiagram(op_dual(base), {A: fc.cat for A, fc in fcats.items()},
+                      on_1, on_2), fcats
+
+
 def sigma_cone_homs(Q: CatDiagram, marked: frozenset, E: FinCat,
                     meter: Meter | None = None) -> tuple[list[SigmaCone], dict]:
     """The marked-relative cones under Q with vertex E, sorted by key, and
     per pair (i, j) of their positions the cone morphisms from the i-th to
-    the j-th, each a dict from base object to component: the objects and
-    hom-sets of ``cones_sigma``, with no composition table.
+    the j-th, sorted by key, each a dict from base object to component:
+    the objects and hom-sets of ``cones_sigma``, with no composition table.
 
-    The axioms are decided on component tables, as in the transformation
-    enumerator; ``check_sigma_cone`` is the functor-level reference.  The
-    transformations between two component functors at one base object are
-    enumerated once per call, and shared by every pair of cones with
-    those components.
+    A σ-cone under Q with vertex E is a σ-cone from the point under the
+    hom diagram Cat(Q-, E) on the 1-cell dual of Q's base
+    (``hom_into_diagram``): A goes to Cat(Q(A), E), f : A → B acts by
+    K ↦ K∘Q(f) and x : f ⇒ g by K ↦ K*Q(x).  Its object at A is κ_A, its
+    cell at f is κ_f : κ_B∘Q(f) ⇒ κ_A, and the kernel's LN2, LN1 and
+    morphism squares are those of ``check_sigma_cone`` and of a cone
+    morphism.  So ``point_cone_homs`` reads the cones and their morphisms,
+    which are decoded through the functor categories' names.  Strict Q
+    only.
     """
     meter = meter or Meter()
-    base = Q.source
-    objs = sorted(base.objects)
-    comp_pools = [enumerate_functors(Q.on_obj[A], E, meter) for A in objs]
-    non_id = [f for f in base.all_one_cells() if f not in set(base.id1.values())]
-    ln2, ln1 = _cone_tables(Q)
-    # built once per component choice: (A, i) -> the identity cell at id_A
-    # on the i-th component at A, (f, j) -> the functor κ_B Q(f) on the
-    # j-th component at B
-    unit, leg = {}, {}
-    found = []
-    if not any(not p for p in comp_pools):
-        for idx in itertools.product(*(range(len(pool)) for pool in comp_pools)):
-            meter.tick()
-            at = dict(zip(objs, idx))
-            comps = {A: pool[i] for A, pool, i in zip(objs, comp_pools, idx)}
-            structural = {}
-            for A in objs:
-                if (A, at[A]) not in unit:
-                    k = comps[A]
-                    unit[(A, at[A])] = NatTransf(
-                        compose_functors(k, Q.on_1[base.id1[A]]), k,
-                        {x: E.identity[k.obj_map[x]] for x in Q.on_obj[A].objects})
-                structural[base.id1[A]] = unit[(A, at[A])]
-            pools = []
-            ok = True
-            for f in non_id:
-                A, B = base.src1(f), base.tgt1(f)
-                if (f, at[B]) not in leg:
-                    leg[(f, at[B])] = compose_functors(comps[B], Q.on_1[f])
-                pool = enumerate_nat_transfs(leg[(f, at[B])], comps[A], meter)
-                if f in marked:
-                    pool = [n for n in pool if nat_is_invertible(n)]
-                if not pool:
-                    ok = False
-                    break
-                pools.append(pool)
-            if not ok:
-                continue
-            eqs2 = [(f, g, [(y, comps[B].arr_map[qx[y]]) for y in ys])
-                    for f, g, B, qx, ys in ln2]
-            fixed = {f: n.components for f, n in structural.items()}
-            for cells in itertools.product(*pools):
-                meter.tick()
-                cc = dict(fixed)
-                cc.update(zip(non_id, [n.components for n in cells]))
-                if _cone_axioms_hold(E.compose, eqs2, ln1, cc):
-                    st = dict(structural)
-                    st.update(zip(non_id, cells))
-                    found.append((SigmaCone(Q, marked, E, comps, st), idx))
-    found.sort(key=lambda c: c[0].key())
-    pos = {A: k for k, A in enumerate(objs)}
-    # (k, a, b) -> the transformations from the a-th to the b-th functor of
-    # the k-th component pool, enumerated once per call
-    nats = {}
+    if Q.is_pseudo:
+        raise PreconditionFailed("σ-cones in Cat expect a strict diagram")
+    H, fcats = hom_into_diagram(Q, E, meter)
+    base, objs = Q.source, sorted(Q.source.objects)
+    cells = [(f, fcats[base.src1(f)].transfs) for f in sorted(base.all_one_cells())]
+    found, hom = point_cone_homs(H, marked, meter)
+    cones = [SigmaCone(Q, marked, E, {A: fcats[A].functors[k] for A, k in zip(objs, ks)},
+                       {f: ts[s] for (f, ts), s in zip(cells, ss)})
+             for ks, ss in found]
+    order = sorted(range(len(cones)), key=lambda p: cones[p].key())
 
-    def between(k: int, a: int, b: int) -> list:
-        got = nats.get((k, a, b))
-        if got is None:
-            pool = comp_pools[k]
-            got = nats[(k, a, b)] = enumerate_nat_transfs(pool[a], pool[b], meter)
-        return got
+    def morphism(ms: tuple) -> dict:
+        return {A: fcats[A].transfs[m] for A, m in zip(objs, ms)}
 
-    homs = {}
-    for i, (c1, idx1) in enumerate(found):
-        for j, (c2, idx2) in enumerate(found):
-            squares = _cone_morphism_squares(c1, c2, pos)
-            homs[(i, j)] = []
-            for combo in itertools.product(
-                    *[between(k, a, b) for k, (a, b) in enumerate(zip(idx1, idx2))]):
-                meter.tick()
-                if _cone_morphism_ok(E.compose, squares, combo):
-                    homs[(i, j)].append(dict(zip(objs, combo)))
-    return [c for c, _ in found], homs
-
-
-def _cone_tables(Q: CatDiagram) -> tuple[list, list]:
-    """The tables the cone axioms read, per object y of Q(A).
-
-    LN2 at x : f ⇒ g (f, g : A → B) reads Q(x); LN1 at (g, f) with
-    f : A → B reads Q(f) on objects.
-    """
-    base = Q.source
-    ln2 = []
-    for x in base.all_two_cells():
-        f, g = base.src2(x), base.tgt2(x)
-        ln2.append((f, g, base.tgt1(f), Q.on_2[x].components,
-                    Q.on_obj[base.src1(f)].objects))
-    ln1 = []
-    for (g, f), gf in base.hcomp1.items():
-        qf = Q.on_1[f].obj_map
-        ln1.append((gf, g, f, [(y, qf[y]) for y in Q.on_obj[base.src1(f)].objects]))
-    return ln2, ln1
-
-
-def _cone_axioms_hold(cmp: dict, eqs2: list, ln1: list, cells: dict) -> bool:
-    """LN2, then LN1, pointwise in the vertex's composition table ``cmp``.
-
-    Per object y, LN2 compares σ_f,y with σ_g,y∘κ_B(Q(x)_y) (``eqs2``
-    holds κ_B(Q(x)_y)) and LN1 compares σ_gf,y with σ_f,y∘σ_g,Q(f)y.
-    """
-    for f, g, rows in eqs2:
-        sf, sg = cells[f], cells[g]
-        for y, kx in rows:
-            if sf[y] != cmp[(sg[y], kx)]:
-                return False
-    for gf, g, f, rows in ln1:
-        sgf, sg, sf = cells[gf], cells[g], cells[f]
-        for y, fy in rows:
-            if sgf[y] != cmp[(sf[y], sg[fy])]:
-                return False
-    return True
-
-
-def _cone_morphism_squares(c1: SigmaCone, c2: SigmaCone, pos: dict) -> list:
-    """Per 1-cell f : A → B, the positions of A and B and, per object y of
-    Q(A), the cells σ1_f,y and σ2_f,y and the object Q(f)y."""
-    Q, base = c1.diagram, c1.diagram.source
-    squares = []
-    for f in base.all_one_cells():
-        A, B = base.src1(f), base.tgt1(f)
-        s1, s2 = c1.structural[f].components, c2.structural[f].components
-        qf = Q.on_1[f].obj_map
-        squares.append((pos[A], pos[B],
-                        [(y, s1[y], s2[y], qf[y]) for y in Q.on_obj[A].objects]))
-    return squares
-
-
-def _cone_morphism_ok(cmp: dict, squares: list, combo: tuple) -> bool:
-    """The morphism square ρ_A,y∘σ1_f,y = σ2_f,y∘ρ_B,Q(f)y at every f and y."""
-    for a, b, rows in squares:
-        ra, rb = combo[a].components, combo[b].components
-        for y, s1, s2, fy in rows:
-            if cmp[(ra[y], s1)] != cmp[(s2, rb[fy])]:
-                return False
-    return True
+    return [cones[p] for p in order], {
+        (a, b): sorted(map(morphism, hom(p, q)), key=_morphism_key)
+        for a, p in enumerate(order) for b, q in enumerate(order)}
 
 
 # ---------------------------------------------------------------------------
@@ -1071,8 +988,10 @@ def point_cone_homs(Q: CatDiagram, marked: frozenset,
     them: ``hom(p, q)`` lists those from the p-th cone to the q-th,
     enumerated afresh at each call, so a caller reads only the hom-sets
     it needs.  No ``Functor``, ``NatTransf`` or ``Transformation`` is
-    built."""
+    built.  Strict Q only: the kernel reads no structure cells."""
     meter = meter or Meter()
+    if Q.is_pseudo:
+        raise PreconditionFailed("cones from the point expect a strict diagram")
     kernel = ConeKernel(Q.source, marked,
                         lambda u: (Q.on_1[u].obj_map, Q.on_1[u].arr_map),
                         lambda x: Q.on_2[x].components)

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 from dicone_reference import _t_2cell, _t_cell
 from sigmacat import elements as el_mod
-from sigmacat.colimits import SigmaCone, _morphism_key, sigma_cone_homs
+from sigmacat.colimits import (SigmaCone, _morphism_key, hom_into_diagram,
+                               sigma_cone_homs)
 from sigmacat.config import Meter
 from sigmacat.errors import PreconditionFailed
 from sigmacat.fincat import (FinCat, Functor, NatTransf, arrow_category,
@@ -33,7 +34,7 @@ from sigmacat.fincat import (FinCat, Functor, NatTransf, arrow_category,
                              whisker_nat_functor)
 from sigmacat.transforms import (CatDiagram, Flavor, sigma_flavor,
                                  transformation_homs)
-from sigmacat.two_cat import Fin2Cat, WideSub, op_dual
+from sigmacat.two_cat import Fin2Cat, WideSub
 
 
 def default_test_family() -> list[tuple[str, FinCat]]:
@@ -102,37 +103,6 @@ def certify_against(result, E: FinCat, homs: tuple,
                 return False
             hit.add(k)
     return True
-
-
-def hom_into_diagram(P: CatDiagram, E: FinCat,
-                     meter: Meter | None = None) -> tuple[CatDiagram, dict]:
-    """The diagram Cat(P-, E) on the dual base, and per base object A the
-    functor category Cat(P(A), E) whose table is its value at A."""
-    meter = meter or Meter()
-    base = P.source
-    opbase = op_dual(base)
-    fcats = {A: functor_category_full(P.on_obj[A], E, meter) for A in base.objects}
-    on_obj = {A: fcats[A].cat for A in base.objects}
-    on_1 = {}
-    for f in base.all_one_cells():
-        # f : A -> B in the base is a 1-cell B -> A in the dual
-        A, B = base.src1(f), base.tgt1(f)
-        om, am = {}, {}
-        for hname, h in fcats[B].functors.items():
-            om[hname] = fcats[A].name_of_functor(compose_functors(h, P.on_1[f]))
-        for nname, n in fcats[B].transfs.items():
-            am[nname] = fcats[A].name_of_transf(whisker_nat_functor(n, P.on_1[f]))
-        on_1[f] = Functor(fcats[B].cat, fcats[A].cat, om, am)
-    on_2 = {}
-    for x in base.all_two_cells():
-        f, g = base.src2(x), base.tgt2(x)
-        A, B = base.src1(f), base.tgt1(f)
-        # P(x) : P(f) ⇒ P(g) whiskers to h∘P(f) ⇒ h∘P(g): in the dual base
-        # 2-cells keep their boundaries
-        comps = {hname: fcats[A].name_of_transf(whisker_functor_nat(h, P.on_2[x]))
-                 for hname, h in fcats[B].functors.items()}
-        on_2[x] = NatTransf(on_1[f], on_1[g], comps)
-    return CatDiagram(opbase, on_obj, on_1, on_2), fcats
 
 
 def certify_weighted(out, sigma: WideSub, E: FinCat,

@@ -38,7 +38,8 @@ from sigmacat.colimits import (SigmaCone, _conical_classifier, bilimit_cat,
                                check_sigma_cone, coend_eps, commutation_check,
                                cones_sigma,
                                conical_sigma_colimit, induced_from_colimit,
-                               weighted_limit_cat, weighted_sigma_colimit)
+                               point_cone_homs, weighted_limit_cat,
+                               weighted_sigma_colimit)
 from sigmacat.shapes import BIEQUALIZER, BIEQUIFIER, BIINSERTER, BIPRODUCT, SHAPES
 
 
@@ -247,6 +248,16 @@ def test_weighted_colimit_refuses_a_pseudo_diagram_or_weight(mk):
     with pytest.raises(PreconditionFailed, match="strict weight and diagram"):
         weighted_sigma_colimit(P, W, wide_all(W.source))
 
+
+@pytest.mark.parametrize("mk", [pseudo_swap, pseudo_z2])
+def test_strict_cone_readers_refuse_a_pseudo_diagram(mk):
+    """The cone kernel reads a diagram's functors and never its coherence
+    cells: σ-cones in Cat and cones from the point refuse a pseudo Q."""
+    P = mk()
+    with pytest.raises(PreconditionFailed, match="expect a strict diagram"):
+        cones_sigma(P, frozenset(), iso_pair_category())
+    with pytest.raises(PreconditionFailed, match="expect a strict diagram"):
+        point_cone_homs(P, frozenset())
 
 def test_terminal_weight_reduces_to_conical(base):
     W = weight_constant_terminal_op()

@@ -62,7 +62,7 @@ from cone_reference import (ShapeDiagram, base_cone_category, cocone_category,
                             cone_category_names, cone_existence,
                             shape_diagram_1, shape_diagram_2, shape_diagram_3)
 from helpers import chain_2cat, idempotent_category, posets
-from sigmacat.colimits import (BaseCone, BaseConeCategories, SigmaCone,
+from sigmacat.colimits import (BaseCone, BaseConeCategories, ConeKernel, SigmaCone,
                                _conical_classifier, _weighted_classifier,
                                check_base_cone, check_sigma_cone,
                                comparison_functor, cones_sigma,
@@ -243,6 +243,17 @@ def test_cones_sigma_matches_the_brute_force_reference(case):
         for n2, c2 in cc.cones.items():
             assert by_pair.get((n1, n2), []) == brute_cone_morphisms(c1, c2)
 
+
+def test_cones_sigma_runs_on_the_cone_kernel(monkeypatch):
+    """σ-Cones(Q, E) is read by the one cone kernel, under Cat(Q-, E):
+    with ``ConeKernel.cones`` made to fail, ``cones_sigma`` fails too."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the cone kernel was asked")
+
+    monkeypatch.setattr(ConeKernel, "cones", refuse)
+    for case in sorted(CONES):
+        with pytest.raises(AssertionError, match="the cone kernel was asked"):
+            cones_sigma(*CONES[case]())
 
 # ---------------------------------------------------------------------------
 # The colimit certificate against the assembled comparison.  The reference

@@ -104,7 +104,7 @@ EXPECTED = {
     "fun-arrow-iso_pair": (88, 4, 16, 64, "47ba3bccd2aadb58"),
     "fun-chain2-chain3": (85, 6, 20, 50, "b7f2e2fb73bf173f"),
     "fun-chain3-chain4": (1239, 20, 175, 980, "3d7dda3da6006b89"),
-    "cones-pick0-iso_pair": (632, 8, 64, 512, "e204e570e8de4e94"),
+    "cones-pick0-iso_pair": (696, 8, 64, 512, "e204e570e8de4e94"),
     "localize-arrow-f": (8, 2, 4, 8, "a8766173a21e9366"),
     "localize-chain3-all": (24, 3, 9, 27, "48fe927c6f128b67"),
     "localize-square-two": (41, 4, 17, 73, "a4b770df3a0b7bd6"),
@@ -138,17 +138,17 @@ CONE_CATEGORY_CASES = dict(ENUMERATION_CONES, **{
 # (ticks, objects, arrows, composable pairs, table digest, cone keys,
 # morphism keys)
 CONE_CATEGORY_EXPECTED = {
-    "collapse-iso_pair-all": (632, 8, 64, 512, "e204e570e8de4e94", "0fa9f633c9a1d3af",
+    "collapse-iso_pair-all": (696, 8, 64, 512, "e204e570e8de4e94", "0fa9f633c9a1d3af",
                               "3c535b1c57c2b2a0"),
-    "free2cell-arrow-ids": (69, 4, 10, 20, "325114d1e5a2e3f2", "72006c62b1cc88aa",
+    "free2cell-arrow-ids": (74, 4, 10, 20, "325114d1e5a2e3f2", "72006c62b1cc88aa",
                             "f4ce5b16ab0afcab"),
-    "free2cell-arrow-u": (39, 2, 3, 4, "428eae98ac374b9b", "948fbdb835a15377",
+    "free2cell-arrow-u": (49, 2, 3, 4, "428eae98ac374b9b", "948fbdb835a15377",
                           "cf081af4d052da6d"),
-    "pick0-arrow-all": (50, 3, 6, 10, "d94deabe701c3be3", "5d041cbd30fe5f16",
+    "pick0-arrow-all": (59, 3, 6, 10, "d94deabe701c3be3", "5d041cbd30fe5f16",
                         "83122acfedbda9c8"),
-    "pick0-arrow-ids": (80, 5, 14, 30, "db7412539b383373", "fcc16b3a52863fa8",
+    "pick0-arrow-ids": (89, 5, 14, 30, "db7412539b383373", "fcc16b3a52863fa8",
                         "90771102c395ae49"),
-    "pick0-iso_pair-all": (632, 8, 64, 512, "e204e570e8de4e94", "6027adb85c417341",
+    "pick0-iso_pair-all": (696, 8, 64, 512, "e204e570e8de4e94", "6027adb85c417341",
                            "1ebfa40f14b4bbaa"),
 }
 
