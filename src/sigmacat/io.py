@@ -235,7 +235,7 @@ def functor_to_doc(F: Functor) -> dict:
 def functor_from_doc(doc: dict) -> Functor:
     _need(doc, {"source", "target", "obj_map", "arr_map"}, "functor")
     F = Functor(fincat_from_doc(doc["source"]), fincat_from_doc(doc["target"]),
-                dict(doc["obj_map"]), dict(doc["arr_map"]))
+                _map(doc["obj_map"], "obj_map"), _map(doc["arr_map"], "arr_map"))
     rep = validate_functor(F)
     if not rep.ok:
         raise ValidationError(f"functor document: {rep.violations[0].detail}")
@@ -255,7 +255,7 @@ def nat_transf_from_doc(doc: dict) -> NatTransf:
           "natural transformation")
     n = NatTransf(functor_from_doc(doc["source_functor"]),
                   functor_from_doc(doc["target_functor"]),
-                  dict(doc["components"]))
+                  _map(doc["components"], "components"))
     rep = validate_nat_transf(n)
     if not rep.ok:
         raise ValidationError(f"transformation document: {rep.violations[0].detail}")
@@ -359,8 +359,10 @@ def twofunctor_from_doc(doc: dict) -> TwoFunctor:
         src = src.cat
     if isinstance(tgt, Marked2Cat):
         tgt = tgt.cat
-    T = TwoFunctor(src, tgt, dict(doc["obj_map"]), dict(doc["map1"]),
-                   dict(doc["map2"]))
+    obj_map = _assigned(_map(doc["obj_map"], "obj_map"), src.objects, "obj_map", "object")
+    map1 = _assigned(_map(doc["map1"], "map1"), src._cell1_home, "map1", "1-cell")
+    map2 = _assigned(_map(doc["map2"], "map2"), src._cell2_home, "map2", "2-cell")
+    T = TwoFunctor(src, tgt, obj_map, map1, map2)
     rep = validate_twofunctor(T)
     if not rep.ok:
         raise ValidationError(f"2-functor document: {rep.violations[0].detail}")
@@ -381,7 +383,8 @@ def flavor_from_doc(doc) -> Flavor:
     if doc == "lax":
         return LAX
     if isinstance(doc, dict) and set(doc) == {"sigma"}:
-        return sigma_flavor(doc["sigma"])
+        return sigma_flavor(_ident(f, "marked 1-cell")
+                            for f in _list(doc["sigma"], "sigma"))
     raise ParseError(f"unknown flavor {doc!r}")
 
 
@@ -404,21 +407,26 @@ def transformation_from_doc(doc: dict) -> Transformation:
     P = diagram_from_doc(doc["source"])
     Q = diagram_from_doc(doc["target"])
     base = P.source
+    if Q.source != base:
+        raise ValidationError("transformation document: source and target live "
+                              "over different bases")
     comps = {}
-    for A, d in doc["components"].items():
+    for A, d in _assigned(doc["components"], base.objects, "components", "object").items():
         _need(d, {"obj_map", "arr_map"}, "component")
-        comps[A] = Functor(P.on_obj[A], Q.on_obj[A], dict(d["obj_map"]),
-                           dict(d["arr_map"]))
+        comps[A] = Functor(P.on_obj[A], Q.on_obj[A],
+                           _map(d["obj_map"], f"component {A}: obj_map"),
+                           _map(d["arr_map"], f"component {A}: arr_map"))
         rep = validate_functor(comps[A])
         if not rep.ok:
             raise ValidationError(
                 f"transformation document: component at {A}: {rep.violations[0].detail}")
     structural = {}
-    for f, c in doc["structural"].items():
+    for f, c in _assigned(doc["structural"], base._cell1_home, "structural",
+                          "1-cell").items():
         A, B = base.hom_of_1cell(f)
         src = compose_functors(Q.on_1[f], comps[A])
         tgt = compose_functors(comps[B], P.on_1[f])
-        structural[f] = NatTransf(src, tgt, dict(c))
+        structural[f] = NatTransf(src, tgt, _map(c, f"structural {f}"))
     t = Transformation(P, Q, comps, structural, flavor_from_doc(doc["flavor"]))
     rep = check_transformation(t)
     if not rep.ok:

@@ -1,10 +1,16 @@
 """Documents of natural transformations and of transformations of diagrams
 survive encoding and parsing, and a broken one is refused."""
 
+import copy
 import json
+import pathlib
 import re
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import FIXTURE_DOCUMENTS
 from sigmacat import io as sio
@@ -12,9 +18,9 @@ from sigmacat.cli import run
 from sigmacat.errors import ParseError, ValidationError
 from sigmacat.fincat import (FinCat, Functor, NatTransf, arrow_category,
                              identity_functor, terminal_category)
-from sigmacat.fixtures import diagram_collapse, diagram_pick0
+from sigmacat.fixtures import arrow_2cat, diagram_collapse, diagram_pick0
 from sigmacat.transforms import (LAX, PSEUDO, STRICT, CatDiagram, constant_diagram,
-                                 hom_eps)
+                                 hom_eps, identity_twofunctor, sigma_flavor)
 from sigmacat.two_cat import Fin2Cat, Marked2Cat
 
 
@@ -144,11 +150,31 @@ def test_a_record_naming_an_undeclared_cell_is_refused(kind):
         sio.parse_document(json.dumps(doc))
 
 
+def _documents() -> dict:
+    """The fixture documents by name, and one document of each kind no
+    fixture is: a functor, a natural transformation, a 2-functor and a
+    σ-transformation."""
+    docs = {p.stem: json.loads(p.read_text())
+            for p in sorted(FIXTURE_DOCUMENTS.glob("*.json"))}
+    point = constant_diagram(diagram_pick0().source, terminal_category())
+    docs["functor"] = sio.functor_to_doc(_step().target)
+    docs["nat_transf"] = sio.nat_transf_to_doc(_step())
+    docs["twofunctor"] = sio.twofunctor_to_doc(identity_twofunctor(arrow_2cat()))
+    docs["transformation"] = sio.transformation_to_doc(
+        next(iter(hom_eps(point, diagram_pick0(), sigma_flavor({"f"})).transfs.values())))
+    return docs
+
+
+DOCUMENTS = _documents()
+
+
 # malformed documents that escaped ``cli.run`` as a TypeError, ValueError,
-# AttributeError or KeyError, or that answered ``valid``: (fixture, change,
-# command, refusal).  The last three name a cell that is not there or not
-# of the right type, which validation, or the parser's composite of P(g)
-# and P(f), looked up
+# AttributeError or KeyError, or that answered ``valid``: (document,
+# change, command, refusal).  The three refused with ValidationError among
+# the fixtures' name a cell that is not there or not of the right type,
+# which validation, or the parser's composite of P(g) and P(f), looked up;
+# the last six are documents of the kinds no fixture is, whose maps were
+# read unchecked
 def _set(*path, value):
     def change(doc):
         for key in path[:-1]:
@@ -157,8 +183,12 @@ def _set(*path, value):
     return change
 
 
-def _drop_object_0(doc):
-    del doc["on_obj"]["0"]
+def _drop(*path):
+    def change(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        del doc[path[-1]]
+    return change
 
 
 MALFORMED = {
@@ -174,7 +204,7 @@ MALFORMED = {
                      (ParseError, "on_1cell id_1: obj_map: expected an object of strings")),
     "on-2cell-list": ("diagram_pick0", _set("on_2cell", value=[]), ["validate"],
                       (ParseError, "on_2cell: expected an object")),
-    "on-obj-missing": ("pseudo_z2", _drop_object_0, ["flat", "--pseudo"],
+    "on-obj-missing": ("pseudo_z2", _drop("on_obj", "0"), ["flat", "--pseudo"],
                        (ParseError, "on_obj: object 0 is not assigned")),
     "hcomp2-result-undeclared": ("diamond_2cat", _set("hcomp2", 0, "result", value="z"),
                                  ["validate"], (ValidationError, "2-category document: "
@@ -186,13 +216,29 @@ MALFORMED = {
                                                   value="id_0"), ["validate"],
                          (ValidationError, "diagram document: assignment at id_0 "
                                            "is not a functor")),
+    "functor-obj-map-string": ("functor", _set("obj_map", value="01"), ["validate"],
+                               (ParseError, "obj_map: expected an object of strings")),
+    "nat-transf-components-list": ("nat_transf", _set("components", value=["0", "1"]),
+                                   ["validate"],
+                                   (ParseError, "components: expected an object of strings")),
+    "twofunctor-map1-missing": ("twofunctor", _drop("map1", "f"), ["cofinal"],
+                                (ParseError, "map1: 1-cell f is not assigned")),
+    "transformation-structural-null": ("transformation", _set("structural", value=None),
+                                       ["validate"],
+                                       (ParseError, "structural: expected an object")),
+    "transformation-sigma-number": ("transformation", _set("flavor", "sigma", value=1),
+                                    ["validate"], (ParseError, "sigma: expected a list")),
+    "transformation-target-elsewhere": (
+        "transformation", _set("target", value=DOCUMENTS["representable_diamond_top"]),
+        ["validate"], (ValidationError, "transformation document: source and target "
+                                        "live over different bases")),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_a_malformed_document_is_refused(case, tmp_path, capsys):
     fixture, change, command, (refusal, message) = MALFORMED[case]
-    doc = json.loads((FIXTURE_DOCUMENTS / f"{fixture}.json").read_text())
+    doc = copy.deepcopy(DOCUMENTS[fixture])
     change(doc)
     with pytest.raises(refusal, match=f"^{re.escape(message)}$"):
         sio.parse_document(json.dumps(doc))
@@ -201,3 +247,88 @@ def test_a_malformed_document_is_refused(case, tmp_path, capsys):
     assert run([command[0], str(path), *command[1:]]) == 2
     assert json.loads(capsys.readouterr().out) == {
         "command": command[0], "detail": message, "error": "invalid-input"}
+
+
+# ---------------------------------------------------------------------------
+# The error contract under one mutation: every command answers a mutated
+# document with exit 0, 2 or 3 and one JSON report on stdout, and nothing
+# escapes ``cli.run``.
+
+
+COMMANDS = (("validate",), ("flat",), ("flat", "--pseudo"), ("elements",), ("exact",),
+            ("colimit",), ("filtered",), ("filtered", "--co"))
+RETYPED = (None, 1, "01", ["0", "1"], {"x": 1})
+
+
+def _paths(doc, path=()):
+    """The path of every value below the document's root, in document order."""
+    items = doc.items() if isinstance(doc, dict) else \
+        enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _paths(value, path + (key,))
+
+
+def _at(doc, path: tuple):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _strings(doc) -> list:
+    """Every key and string value of the document, sorted."""
+    found = set()
+    for path in _paths(doc):
+        found.update(k for k in path[-1:] if isinstance(k, str))
+        if isinstance(_at(doc, path), str):
+            found.add(_at(doc, path))
+    return sorted(found)
+
+
+def _mutated(doc, path: tuple, kind: str, value=None):
+    """A copy of ``doc`` with the value at ``path`` deleted, duplicated (a
+    list entry twice over, a map value as a list of two copies) or replaced
+    by ``value``."""
+    doc = copy.deepcopy(doc)
+    parent, last = _at(doc, path[:-1]), path[-1]
+    if kind == "delete":
+        del parent[last]
+    elif kind == "duplicate":
+        if isinstance(parent, list):
+            parent.insert(last, copy.deepcopy(parent[last]))
+        else:
+            parent[last] = [parent[last], copy.deepcopy(parent[last])]
+    else:
+        parent[last] = value
+    return doc
+
+
+def _run_on(doc, command: tuple, path) -> tuple[int, str]:
+    path.write_text(json.dumps(doc))
+    out = StringIO()
+    with redirect_stdout(out), redirect_stderr(StringIO()):
+        code = run(["--budget", "20000", command[0], str(path), *command[1:]])
+    return code, out.getvalue()
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(st.data())
+def test_one_mutation_never_escapes_the_cli(data):
+    name = data.draw(st.sampled_from(sorted(DOCUMENTS)), "document")
+    doc = DOCUMENTS[name]
+    path = data.draw(st.sampled_from(list(_paths(doc))), "path")
+    kind = data.draw(st.sampled_from(("delete", "retype", "replace", "duplicate")), "kind")
+    value = None
+    if kind == "retype":
+        old = type(_at(doc, path))
+        value = data.draw(st.sampled_from([v for v in RETYPED if type(v) is not old]),
+                          "value")
+    elif kind == "replace":
+        value = data.draw(st.sampled_from(_strings(doc)), "value")
+    commands = COMMANDS + ((("cofinal",),) if name == "twofunctor" else ())
+    command = data.draw(st.sampled_from(commands), "command")
+    with tempfile.TemporaryDirectory() as tmp:
+        code, out = _run_on(_mutated(doc, path, kind, value), command,
+                            pathlib.Path(tmp) / "doc.json")
+    assert code in (0, 2, 3)
+    assert isinstance(json.loads(out), dict)
