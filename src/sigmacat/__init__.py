@@ -8,13 +8,15 @@ by localization through coset enumeration, with a cap on the length of
 a coset's defining word, and flatness of a Cat-valued diagram is decided
 through filteredness of its 2-category of elements.  The shapes that
 generate the finite bilimits are catalogued in ``shapes``.  Each
-question has one implementation here; the assembled constructions that
-the kernels replaced are kept with the tests, as references, except
-``cones_sigma``, ``comparison_functor``, ``gamma_dual``,
-``find_isomorphism`` and ``functor_category``, which stay here because
-the benchmark's spans (``bench/spans.py``) wrap them.  ``cones_sigma``
-stays only as that name: its cones are the cone kernel's, read under
-Cat(Q-, E).
+question on strict input has one implementation here; the assembled
+constructions that the kernels replaced are kept with the tests, as
+references.  There are two exceptions.  Pseudo input to a weighted
+limit, and the callers that need ``Transformation`` objects, still run
+on ``hom_eps``.  ``hom_eps``, ``cones_sigma``, ``comparison_functor``,
+``gamma_dual``, ``find_isomorphism`` and ``functor_category`` stay here
+because the benchmark (``bench/ladders.py``, ``bench/spans.py``) calls
+or wraps them; ``cones_sigma`` stays only as that name, its cones being
+the cone kernel's, read under Cat(Q-, E).
 """
 
 from .errors import (CertificateFailure, Inconsistency, ParseError,

@@ -1,10 +1,11 @@
 """Weighted limits in Cat, conical colimits via localization, bilimits,
 the commutation of σ-filtered σ-colimits with finite bilimits, coends.
 
-A weighted σ-limit {W, P}_σ of strict diagrams, lax, σ or pseudo, is the
+A weighted σ-limit {W, P}_σ of strict diagrams, in every flavour, is the
 conical σ-limit of P·π over the elements of W (``weighted_sigma_limit``),
-read off P's tables by ``point_cone_homs``; the strict flavour, pseudo
-input and callers that need ``Transformation`` objects stay with
+read off P's tables by ``point_cone_homs``; the strict flavour forces
+identity cells where the others mark invertible ones.  Pseudo input and
+callers that need ``Transformation`` objects stay with
 ``transforms.hom_eps``.  Conical colimits relative to a marking are
 computed by the classical recipe: take the dual elements construction
 Γ(Q) of the diagram, reverse its 1-cells, collapse each hom to connected
@@ -698,13 +699,13 @@ class ConeKernel:
 
     A cone is a pair of tuples: an object x_i of Q(i) per shape object i,
     and an arrow σ_u : Q(u)x_i → x_j of Q(j) per shape 1-cell u : i → j,
-    the identity at an identity 1-cell and invertible at a marked one,
-    each in sorted order; a morphism, its arrows m_i : x_i → x'_i.  The
-    shape's rows (``Fin2Cat._shape_index``) are bound to Q's tables:
-    per non-identity 2-cell x : u ⇒ v, LN2, σ_u = σ_v∘Q(x)_(x_i); per
-    composable pair (v, u) of non-identities, LN1, σ_vu = σ_v∘Q(v)(σ_u);
-    per non-identity u, the square m_j∘σ_u = σ'_u∘Q(u)(m_i).  The rows
-    left out hold in every strict Q.
+    the identity at an identity 1-cell and at one of ``identities``,
+    invertible at a marked one, each in sorted order; a morphism, its
+    arrows m_i : x_i → x'_i.  The shape's rows (``Fin2Cat._shape_index``)
+    are bound to Q's tables: per non-identity 2-cell x : u ⇒ v, LN2,
+    σ_u = σ_v∘Q(x)_(x_i); per composable pair (v, u) of non-identities,
+    LN1, σ_vu = σ_v∘Q(v)(σ_u); per non-identity u, the square
+    m_j∘σ_u = σ'_u∘Q(u)(m_i).  The rows left out hold in every strict Q.
 
     ``on_1(u)`` gives Q(u)'s object and arrow maps, ``on_2(x)`` Q(x)'s
     components, and the categories Q(i) come with each search, so one
@@ -713,34 +714,37 @@ class ConeKernel:
     ``transforms`` and ``check_base_cone`` are the references.
     """
 
-    def __init__(self, shape: Fin2Cat, marked: frozenset, on_1, on_2):
+    def __init__(self, shape: Fin2Cat, marked: frozenset, on_1, on_2,
+                 identities: frozenset = frozenset()):
         self.objs, self.cells, ends, two, pairs = shape._shape_index
         maps = [None if k is not None else on_1(u) for u, (k, _, _) in zip(self.cells, ends)]
-        # per 1-cell: the identity's object, or Q(u) on objects, ends, marking
-        self.cell_rows = [(k, None, i, j, False) if m is None else
-                          (None, m[0], i, j, u in marked)
+        # per 1-cell: the identity's object, or Q(u) on objects, ends, and
+        # whether the cell must be an identity, and whether invertible
+        self.cell_rows = [(k, None, i, j, False, False) if m is None else
+                          (None, m[0], i, j, u in identities, u in marked)
                           for u, m, (k, i, j) in zip(self.cells, maps, ends)]
         self.ln2 = [(u, v, on_2(x), *ends[u][1:]) for x, u, v in two]
         self.ln1 = [(vu, v, u, maps[v][1], ends[v][2]) for vu, v, u in pairs]
         self.squares = [(i, j, n, m[1]) for n, (m, (_, i, j)) in enumerate(zip(maps, ends))
                         if m is not None]
 
-    def cones(self, cats: list, pools: list, meter: Meter, legs=None):
-        """Every cone under Q with Q(i) = ``cats[i]``, lazily: objects
-        lexicographically from ``pools``, the sorted objects of each
-        category (kept to ``legs`` when it is given), then cells.  Every
-        pool is sorted by name, so this is also the sorted order.  Ticks
-        once per choice of objects and per cell candidate."""
-        if legs is not None:
-            pools = [[x for x in pool if x in legs] for pool in pools]
+    def cones(self, cats: list, pools: list, meter: Meter):
+        """Every cone under Q with Q(i) = ``cats[i]`` whose objects lie in
+        ``pools``, lazily: objects lexicographically from the pools, one
+        sorted list of candidates per category, then cells.  So this is
+        also the sorted order.  Ticks once per choice of objects and per
+        cell candidate."""
         for t in itertools.product(*pools):
             meter.tick()
             cell_pools = []
-            for k, om, i, j, marked in self.cell_rows:
+            for k, om, i, j, identity, marked in self.cell_rows:
                 if om is None:
                     cell_pools.append((cats[k].identity[t[k]],))
                     continue
-                pool = cats[j].hom(om[t[i]], t[j])
+                if identity:
+                    pool = (cats[j].identity[t[j]],) if om[t[i]] == t[j] else ()
+                else:
+                    pool = cats[j].hom(om[t[i]], t[j])
                 if marked:
                     pool = [a for a in pool if cats[j].is_iso(a)]
                 if not pool:
@@ -839,23 +843,17 @@ class BaseConeCategories:
         self.meter = meter or Meter()
         self._at = {}
 
-    def search(self, X: str, legs=None):
-        """The cones of Cones_D(X) as (legs, cells), lazily, in generation
-        order; with ``legs``, only those whose legs all lie in it."""
-        amb = self.D.target
-        return self.kernel.cones([amb.hom.get((X, d)) for d in self.values],
-                                 [amb.one_cells(X, d) for d in self.values],
-                                 self.meter, legs)
-
     def build(self, X: str) -> tuple[list, dict]:
-        """Cones_D(X) built afresh: its cones as ``search`` gives them, and
-        per pair (p, q) of their positions the morphisms from the p-th to
-        the q-th, with no composition table."""
-        cones = list(self.search(X))
+        """Cones_D(X) built afresh: its cones in generation order, and per
+        pair (p, q) of their positions the morphisms from the p-th to the
+        q-th, with no composition table."""
+        amb = self.D.target
+        cats = [amb.hom.get((X, d)) for d in self.values]
+        cones = list(self.kernel.cones(cats, [amb.one_cells(X, d) for d in self.values],
+                                       self.meter))
         if not cones:
             return cones, {}
-        hom = self.kernel.morphisms([self.D.target.hom[(X, d)] for d in self.values],
-                                    self.meter)
+        hom = self.kernel.morphisms(cats, self.meter)
         return cones, {(p, q): hom(c1, c2)
                        for p, c1 in enumerate(cones) for q, c2 in enumerate(cones)}
 
@@ -956,45 +954,35 @@ def comparison_functor(P: CatDiagram, cone: BaseCone,
             structural[u] = NatTransf(src, tgt, {"*": cellval})
         t = Transformation(k1, PD, comps, structural, sigma_flavor(cone.marked))
         obj_map[c] = h.name_of_transf(t)
-    rev = {}
-    for name, m in h.mods.items():
-        rev[(h.cat.arrows[name][0], h.cat.arrows[name][1], m.key())] = name
-    arr_map = {}
-    for a, (c, c2) in PL.arrows.items():
-        comps = {}
-        for i in sh.objects:
-            tcat = PD.on_obj[i]
-            val = P.on_1[cone.comp[i]].arr_map[a]
-            src = Functor(k1.on_obj[i], tcat,
-                          {"*": P.on_1[cone.comp[i]].obj_map[c]},
-                          {"id_*": tcat.identity[P.on_1[cone.comp[i]].obj_map[c]]})
-            tgt = Functor(k1.on_obj[i], tcat,
-                          {"*": P.on_1[cone.comp[i]].obj_map[c2]},
-                          {"id_*": tcat.identity[P.on_1[cone.comp[i]].obj_map[c2]]})
-            comps[i] = NatTransf(src, tgt, {"*": val})
-        key = tuple((i, comps[i].key()) for i in sorted(comps))
-        arr_map[a] = rev[(obj_map[c], obj_map[c2], key)]
+    # a modification's key is its components' keys, (("*", value),) per
+    # shape object, so an arrow's image is read off its components alone
+    rev = {(*h.cat.arrows[name], m.key()): name for name, m in h.mods.items()}
+    objs = sorted(sh.objects)
+    arr_map = {a: rev[(obj_map[c], obj_map[c2],
+                       tuple((i, (("*", P.on_1[cone.comp[i]].arr_map[a]),)) for i in objs))]
+               for a, (c, c2) in PL.arrows.items()}
     F = Functor(PL, h.cat, obj_map, arr_map)
     if not validate_functor(F).ok:
         raise CertificateFailure("comparison functor is not functorial")
     return F, h
 
 
-def point_cone_homs(Q: CatDiagram, marked: frozenset,
-                    meter: Meter | None = None) -> tuple[list, object]:
+def point_cone_homs(Q: CatDiagram, marked: frozenset, meter: Meter | None = None,
+                    identities: frozenset = frozenset()) -> tuple[list, object]:
     """The σ-cones from the point under a strict Cat-valued diagram Q on a
     shape, the objects of σ-Nat(Δ1, Q), as ``ConeKernel`` reads them off
-    Q's tables, and a function that gives the morphisms between two of
-    them: ``hom(p, q)`` lists those from the p-th cone to the q-th,
-    enumerated afresh at each call, so a caller reads only the hom-sets
-    it needs.  No ``Functor``, ``NatTransf`` or ``Transformation`` is
-    built.  Strict Q only: the kernel reads no structure cells."""
+    Q's tables, with identity cells at ``identities``, and a function that
+    gives the morphisms between two of them: ``hom(p, q)`` lists those
+    from the p-th cone to the q-th, enumerated afresh at each call, so a
+    caller reads only the hom-sets it needs.  No ``Functor``, ``NatTransf``
+    or ``Transformation`` is built.  Strict Q only: the kernel reads no
+    structure cells."""
     meter = meter or Meter()
     if Q.is_pseudo:
         raise PreconditionFailed("cones from the point expect a strict diagram")
     kernel = ConeKernel(Q.source, marked,
                         lambda u: (Q.on_1[u].obj_map, Q.on_1[u].arr_map),
-                        lambda x: Q.on_2[x].components)
+                        lambda x: Q.on_2[x].components, identities)
     cats = [Q.on_obj[i] for i in kernel.objs]
     cones = list(kernel.cones(cats, [sorted(c.objects) for c in cats], meter))
     hom = kernel.morphisms(cats, meter)
@@ -1081,13 +1069,14 @@ class ConicalLimit:
 
 def _conical_limit(Q: CatDiagram, marked: frozenset, meter: Meter,
                    prefixes: tuple[str, str] = ("c", "m"), cone_key=None,
-                   morphism_key=None) -> ConicalLimit:
-    """σ-Nat(Δ1, Q) for a strict Q on a shape: ``point_cone_homs``
-    assembled, composed componentwise, one tick per composable pair.
+                   morphism_key=None, identities: frozenset = frozenset()) -> ConicalLimit:
+    """σ-Nat(Δ1, Q) for a strict Q on a shape, with identity cells at
+    ``identities``: ``point_cone_homs`` assembled, composed componentwise,
+    one tick per composable pair.
 
     Cones are numbered, and each hom-set listed, in the kernel's order or
     by ``cone_key`` and ``morphism_key``; the names follow the order."""
-    cones, hom = point_cone_homs(Q, marked, meter)
+    cones, hom = point_cone_homs(Q, marked, meter, identities)
     cats = [Q.on_obj[i] for i in sorted(Q.source.objects)]
     order = list(range(len(cones)))
     if cone_key is not None:
@@ -1148,49 +1137,49 @@ def _transformation_order(W: CatDiagram, el: el_mod.ElementsResult) -> tuple:
     return cone_key, morphism_key
 
 
-def _reduces_to_conical(W: CatDiagram, P: CatDiagram, flavor: Flavor) -> bool:
-    return not (flavor.requires_identity() or W.is_pseudo or P.is_pseudo)
-
-
 def weighted_sigma_limit(W: CatDiagram, P: CatDiagram, flavor: Flavor,
                          meter: Meter | None = None) -> ConicalLimit:
-    """{W, P}_σ in the lax, σ or pseudo flavour, as the conical σ-limit of
-    P·π over the elements of W (Street 1976), with (f, φ) marked when f
-    is marked and φ invertible (``cart_sigma``; every cartesian arrow for
-    pseudo, none for lax).  Such a cone is a transformation W ⇒ P of the
-    flavour and a cone morphism a modification, so ``point_cone_homs``
-    reads them off P's tables and ``_conical_limit`` assembles them,
-    named ``t0, …`` and ``m0, …`` in ``hom_eps``'s order: the category
-    equals ``hom_eps(W, P, flavor).cat`` table for table.
+    """{W, P}_σ of strict diagrams, in any flavour, as the conical σ-limit
+    of P·π over the elements of W (Street 1976), with (f, φ) marked when
+    f is marked and φ invertible (``cart_sigma``; every cartesian arrow
+    for pseudo, none for lax and strict), and for the strict flavour an
+    identity cell forced at every (f, 1_W(f)x).  Such a cone is a
+    transformation W ⇒ P of the flavour and a cone morphism a
+    modification, so ``point_cone_homs`` reads them off P's tables and
+    ``_conical_limit`` assembles them, named ``t0, …`` and ``m0, …`` in
+    ``hom_eps``'s order: the category equals ``hom_eps(W, P, flavor).cat``
+    table for table.
 
-    The strict flavour's identity cells are no marking of El W, and a
-    pseudo W or P has coherence cells the kernel does not read; both are
-    refused and stay with ``hom_eps``.
+    A pseudo W or P has coherence cells the kernel does not read; it is
+    refused and stays with ``hom_eps``.
     """
     meter = meter or Meter()
     if W.source != P.source:
         raise PreconditionFailed("the diagrams live on different bases")
-    if not _reduces_to_conical(W, P, flavor):
-        raise PreconditionFailed("the conical reduction expects strict diagrams "
-                                 "and a lax, σ or pseudo flavour")
+    if W.is_pseudo or P.is_pseudo:
+        raise PreconditionFailed("the conical reduction expects strict diagrams")
     el = el_mod.elements_of(W, meter)
     if flavor.kind == "p":
         marked = el.cart.arrows
     else:
         marked = el_mod.cart_sigma(el, WideSub(W.source, flavor.marked)).arrows
+    identities = frozenset()
+    if flavor.requires_identity():
+        identities = frozenset(nm for nm, (f, phi) in el.pairs1.items()
+                               if W.on_obj[W.source.tgt1(f)].is_identity(phi))
     return _conical_limit(compose_diagram(P, el.projection), marked, meter,
-                          ("t", "m"), *_transformation_order(W, el))
+                          ("t", "m"), *_transformation_order(W, el), identities)
 
 
 def weighted_limit_cat(W: CatDiagram, P: CatDiagram, flavor: Flavor,
                        meter: Meter | None = None) -> ConicalLimit | HomCategory:
     """The weighted limit {W, P} in Cat, the category of transformations
     W ⇒ P of the flavour and their modifications; callers read ``.cat``.
-    ``weighted_sigma_limit`` where it applies, else ``hom_eps``; both
+    ``weighted_sigma_limit`` for strict W and P, else ``hom_eps``; both
     refuse mismatched bases before building anything."""
-    if _reduces_to_conical(W, P, flavor):
-        return weighted_sigma_limit(W, P, flavor, meter)
-    return hom_eps(W, P, flavor, meter)
+    if W.is_pseudo or P.is_pseudo:
+        return hom_eps(W, P, flavor, meter)
+    return weighted_sigma_limit(W, P, flavor, meter)
 
 
 def bilimit_cat(W: CatDiagram, F: CatDiagram,

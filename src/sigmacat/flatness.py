@@ -1,9 +1,9 @@
 """Flatness of Cat-valued diagrams, decided through the elements construction.
 
 A diagram is recorded as flat exactly when its 2-category of elements is
-cofiltered with respect to the cocartesian marking: its 1-cell dual,
-the ``two_cat.OpView`` of El_P's reader ``elements._Elements``, is
-filtered.  Nothing is assembled, for a strict diagram or a
+cofiltered with respect to the cocartesian marking
+(``filteredness.check_sigma_cofiltered`` on El_P's reader
+``elements._Elements``).  Nothing is assembled, for a strict diagram or a
 pseudofunctor; a pseudofunctor's verdict is cross-checked against its
 strictification's.  The verdict carries the full filteredness report as
 evidence and names the route, since the defining Kan-extension property
@@ -22,11 +22,11 @@ from .config import DEFAULT_CAP, Meter
 from .errors import Inconsistency, PreconditionFailed
 from .fincat import (Functor, NatTransf, compose_functors, is_equivalence, mint,
                      mk_fincat, EquivalenceReport, validate_functor)
-from .two_cat import Fin2Cat, Marked2Cat, OpView, WideSub
+from .two_cat import Fin2Cat, Marked2Cat, WideSub
 from .transforms import (CatDiagram, Transformation, compose_diagram,
                          dual_twofunctor, hom_eps, PSEUDO, reinterpret_as_pseudo)
 from .elements import ElementsResult, _Elements, elements_of, obj_name
-from .filteredness import FilterednessReport, check_sigma_filtered
+from .filteredness import FilterednessReport, check_sigma_cofiltered
 from .colimits import (BaseConeCategories, SigmaCone, check_base_cone,
                        conical_sigma_colimit, hom_actions, induced_from_colimit,
                        preserves_bilimit, weighted_sigma_limit)
@@ -181,10 +181,10 @@ class FlatnessVerdict:
 
 
 def _cofiltered_elements(P: CatDiagram, meter: Meter) -> FilterednessReport:
-    """Filteredness of the 1-cell dual of El_P, marked by its cartesian
-    1-cells: the ``OpView`` of El_P's reader, with nothing assembled."""
-    dual = OpView(_Elements(P, False, meter))
-    return check_sigma_filtered(Marked2Cat(dual, WideSub(dual, dual.op.cart)), meter)
+    """Cofilteredness of El_P, marked by its cartesian 1-cells, read off
+    El_P's reader with nothing assembled."""
+    el = _Elements(P, False, meter)
+    return check_sigma_cofiltered(Marked2Cat(el, WideSub(el, el.cart)), meter)
 
 
 def check_flat(P: CatDiagram, meter: Meter | None = None) -> FlatnessVerdict:

@@ -427,7 +427,10 @@ def transformation_from_doc(doc: dict) -> Transformation:
         src = compose_functors(Q.on_1[f], comps[A])
         tgt = compose_functors(comps[B], P.on_1[f])
         structural[f] = NatTransf(src, tgt, _map(c, f"structural {f}"))
-    t = Transformation(P, Q, comps, structural, flavor_from_doc(doc["flavor"]))
+    flavor = flavor_from_doc(doc["flavor"])
+    for f in sorted(flavor.marked):
+        _declared(f, base._cell1_home, "flavor", "1-cell")
+    t = Transformation(P, Q, comps, structural, flavor)
     rep = check_transformation(t)
     if not rep.ok:
         raise ValidationError(f"transformation document: {rep.violations[0].detail}")

@@ -14,8 +14,11 @@ per object and a structural natural transformation per 1-cell, directed
 
 Hom categories of a given flavor are produced by exhaustive enumeration
 (``hom_eps``): components first, then structural cells, pruning with the
-per-2-cell axiom before the composition axiom; ``hom_eps`` is the
-reference for the faster ``colimits.weighted_sigma_limit``.  The enumerators decide each axiom
+per-2-cell axiom before the composition axiom.  On strict input, in
+every flavour, ``hom_eps`` is only the reference for
+``colimits.weighted_sigma_limit`` and the target of the benchmark's
+direct calls; it answers pseudo input and the callers that need the
+``Transformation`` objects.  The enumerators decide each axiom
 pointwise on component tables, as lookups in the target categories'
 composition tables, and build a Transformation or Modification only for
 the candidates they accept.  ``check_transformation`` and
@@ -65,14 +68,16 @@ def validate_twofunctor(F: TwoFunctor) -> ValidationReport:
         if g is None or g not in b._cell1_home:
             rep.add("map1", (f,), f"1-cell {f} not mapped")
             continue
-        if b._cell1_home[g] != (F.obj_map[a.src1(f)], F.obj_map[a.tgt1(f)]):
+        ends = (F.obj_map.get(a.src1(f)), F.obj_map.get(a.tgt1(f)))
+        if None not in ends and b._cell1_home[g] != ends:
             rep.add("map1-typing", (f, g), f"image of {f} mistyped")
     for x in a.all_two_cells():
         y = F.map2.get(x)
         if y is None or y not in b._cell2_home:
             rep.add("map2", (x,), f"2-cell {x} not mapped")
             continue
-        if b.src2(y) != F.map1[a.src2(x)] or b.tgt2(y) != F.map1[a.tgt2(x)]:
+        ends = (F.map1.get(a.src2(x)), F.map1.get(a.tgt2(x)))
+        if None not in ends and (b.src2(y), b.tgt2(y)) != ends:
             rep.add("map2-typing", (x, y), f"image of {x} mistyped")
     if not rep.ok:
         return rep
@@ -780,10 +785,10 @@ def hom_eps(P: CatDiagram, Q: CatDiagram, flavor: Flavor,
     composable pair.
 
     The reference for ``colimits.weighted_sigma_limit``, which reads the
-    same category with the same names off Q's tables, and the fallback of
-    ``colimits.weighted_limit_cat`` where that does not apply: the strict
-    flavour and pseudo P or Q.  Callers that need the ``Transformation``
-    and ``Modification`` objects call it directly."""
+    same category with the same names off Q's tables in every flavour, and
+    the fallback of ``colimits.weighted_limit_cat`` for pseudo P or Q.
+    Callers that need the ``Transformation`` and ``Modification`` objects
+    call it directly."""
     meter = meter or Meter()
     ts, mods = transformation_homs(P, Q, flavor, meter)
 

@@ -71,8 +71,11 @@ def cone_existence(sd: ShapeDiagram, sigma: WideSub, meter: Meter | None = None)
     lexicographic order, as (vertex, legs, cells), or None.
     """
     over = BaseConeCategories(dual_twofunctor(sd.diagram), sd.marked, meter)
-    for E in sorted(over.D.target.objects):
-        for legs, cells in over.search(E, legs=sigma.arrows):
+    amb = over.D.target
+    for E in sorted(amb.objects):
+        pools = [[t for t in amb.one_cells(E, d) if t in sigma.arrows] for d in over.values]
+        for legs, cells in over.kernel.cones([amb.hom.get((E, d)) for d in over.values],
+                                             pools, over.meter):
             cone = over.base_cone(E, legs, cells)
             return (E, cone.comp, cone.struct)
     return None

@@ -7,6 +7,7 @@ from cone_reference import (cone_category_equiv, cone_existence,
                             explicit_shape_category, probe, shape_diagram_1,
                             shape_diagram_2, shape_diagram_3)
 from helpers import posets
+from witness_reference import check_filtered_witnesses
 from sigmacat import two_cat
 from sigmacat.config import Meter
 from sigmacat.errors import PreconditionFailed
@@ -260,9 +261,18 @@ def test_cofinal_via_embedding_is_reverified():
 
 
 def test_witnesses_revalidate():
+    """The test-side checker re-checks every witness the scan records, and
+    refuses a witness that does not hold."""
     for label, m, expect in marked_fixtures():
         rep = check_sigma_filtered(m)
-        # the checker re-validates internally and raises on a bad witness;
-        # spot-check the recorded data shape here
+        check_filtered_witnesses(m, rep)
         for w in rep.witnesses:
             assert w.axiom in ("nonempty", "sigma-F0", "sigma-F1", "sigma-F2")
+    m = next(m for label, m, _ in marked_fixtures() if label == "arrow/all")
+    rep = check_sigma_filtered(m)
+    (A, B), legs = next((w.instance, w.data) for w in rep.witnesses
+                        if w.axiom == "sigma-F0" and w.instance[0] != w.instance[1])
+    for bad in (Witness("nonempty", (), ("nowhere",)), Witness("sigma-F0", (B, A), legs)):
+        rep.witnesses = [bad]
+        with pytest.raises(AssertionError):
+            check_filtered_witnesses(m, rep)

@@ -14,6 +14,12 @@ Every module imports only at top level: the package's modules import
 one another without a cycle, so no import needs to wait inside a
 function.
 
+Every ``raise`` in the package raises a ``sigmacat.errors`` class, which
+``cli.run`` reports, the private ``_AtCap`` or ``_UsageError`` that their
+modules catch, or the ``KeyError`` of a ``name_of_*`` lookup, whose
+callers ask only for names they built.  Any other exception would reach
+the caller of ``cli.run`` as a traceback.
+
 The traced benchmark run wraps the functions its span groups name
 (``GROUPS`` in ``bench/spans.py``) by looking each up in its module, so
 every one of them must still be there.
@@ -26,6 +32,8 @@ from functools import cache
 from pathlib import Path
 
 import pytest
+
+from sigmacat import errors
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "sigmacat"
@@ -87,6 +95,46 @@ def test_an_assigned_local_that_is_never_read_is_flagged():
                      "    a, b = xs\n"
                      "    return kept\n")
     assert unused_locals(tree) == ["f.dropped"]
+
+
+ALLOWED_RAISES = {name for name, value in vars(errors).items()
+                  if isinstance(value, type) and issubclass(value, errors.SigmacatError)} | \
+    {"_AtCap", "_UsageError"}
+
+
+def stray_raises(tree: ast.Module) -> list[str]:
+    """``function: exception`` for every ``raise`` outside the allowed set;
+    a ``name_of_*`` function may raise ``KeyError`` too."""
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        allowed = ALLOWED_RAISES | ({"KeyError"} if fn.name.startswith("name_of_") else set())
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Raise):
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                name = ast.unparse(exc) if exc else "a bare raise"
+                if name not in allowed:
+                    found.append(f"{fn.name}: {name}")
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_every_raise_is_a_package_error(module):
+    stray = stray_raises(parsed(module))
+    assert not stray, f"{module} raises outside the error contract: {', '.join(stray)}"
+
+
+def test_a_raise_outside_the_contract_is_flagged():
+    tree = ast.parse("def check(w):\n"
+                     "    raise AssertionError(w)\n"
+                     "def name_of_cell(k):\n"
+                     "    raise KeyError(k)\n"
+                     "def parse(doc):\n"
+                     "    raise ParseError(doc)\n"
+                     "def other(k):\n"
+                     "    raise KeyError(k)\n")
+    assert stray_raises(tree) == ["check: AssertionError", "other: KeyError"]
 
 
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))

@@ -173,8 +173,8 @@ DOCUMENTS = _documents()
 # change, command, refusal).  The three refused with ValidationError among
 # the fixtures' name a cell that is not there or not of the right type,
 # which validation, or the parser's composite of P(g) and P(f), looked up;
-# the last six are documents of the kinds no fixture is, whose maps were
-# read unchecked
+# the last seven are documents of the kinds no fixture is, whose maps were
+# read unchecked, or whose σ-flavour marked a 1-cell the base lacks
 def _set(*path, value):
     def change(doc):
         for key in path[:-1]:
@@ -228,6 +228,9 @@ MALFORMED = {
                                        (ParseError, "structural: expected an object")),
     "transformation-sigma-number": ("transformation", _set("flavor", "sigma", value=1),
                                     ["validate"], (ParseError, "sigma: expected a list")),
+    "transformation-sigma-undeclared": ("transformation",
+                                        _set("flavor", "sigma", value=["zz"]), ["validate"],
+                                        (ParseError, "flavor: 'zz' is not a declared 1-cell")),
     "transformation-target-elsewhere": (
         "transformation", _set("target", value=DOCUMENTS["representable_diamond_top"]),
         ["validate"], (ValidationError, "transformation document: source and target "

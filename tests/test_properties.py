@@ -29,7 +29,7 @@ from sigmacat.fincat import (Functor, NatTransf, arrow_category,
 from sigmacat.fixtures import arrow_2cat, idn, poset_category
 from sigmacat.flatness import check_flat, generate_bilimit_cones, representable
 from sigmacat.shapes import SHAPES
-from sigmacat.transforms import (LAX, PSEUDO, CatDiagram, constant_diagram,
+from sigmacat.transforms import (LAX, PSEUDO, STRICT, CatDiagram, constant_diagram,
                                  hom_eps, sigma_flavor, validate_diagram)
 from sigmacat.two_cat import (Marked2Cat, WideSub, mk_fin2cat, op_dual,
                               two_cat_from_cat, wide_all, wide_identities)
@@ -235,8 +235,8 @@ def test_weighted_limits_over_posets_are_the_conical_ones_over_the_elements(data
     """{W, P}_σ is the conical σ-limit of P·π over the elements of W: on a
     poset base, with W constant at a poset or representable and P constant
     at a poset or representable, ``weighted_sigma_limit`` gives
-    ``hom_eps``'s category table for table, in the lax and pseudo flavours
-    and in σ marking one 1-cell."""
+    ``hom_eps``'s category table for table, in the strict, lax and pseudo
+    flavours and in σ marking one 1-cell."""
     a = two_cat_from_cat(data.draw(posets(3), label="base"))
 
     def diagram(label, max_objects):
@@ -248,7 +248,7 @@ def test_weighted_limits_over_posets_are_the_conical_ones_over_the_elements(data
     ids = set(a.id1.values())
     one_cells = sorted(f for f in a.all_one_cells() if f not in ids)
     flavor = data.draw(st.sampled_from(
-        [LAX, PSEUDO] + [sigma_flavor({f}) for f in one_cells]), label="flavor")
+        [STRICT, LAX, PSEUDO] + [sigma_flavor({f}) for f in one_cells]), label="flavor")
     got, want = weighted_sigma_limit(W, P, flavor).cat, hom_eps(W, P, flavor).cat
     assert (got.objects, got.arrows, got.identity, got.compose) == \
         (want.objects, want.arrows, want.identity, want.compose)

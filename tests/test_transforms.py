@@ -22,13 +22,14 @@ from sigmacat.two_cat import (free_2cell_2cat, op_dual, pair_name,
                               two_cat_product, wide_all, wide_from,
                               wide_identities)
 from sigmacat.transforms import (LAX, PSEUDO, STRICT, CatDiagram,
-                                 Modification, Transformation,
+                                 Modification, Transformation, TwoFunctor,
                                  check_modification, check_transformation,
                                  constant_diagram, enumerate_transformations,
                                  flavor_inclusions, hom_eps,
                                  identity_transformation,
+                                 identity_twofunctor,
                                  reinterpret_as_pseudo, sigma_flavor,
-                                 validate_diagram)
+                                 validate_diagram, validate_twofunctor)
 
 
 @pytest.fixture(scope="module")
@@ -251,6 +252,19 @@ def test_ill_typed_alpha_reported_not_crashing():
     rep = validate_diagram(broken)
     assert not rep.ok
     assert any(v.code == "alpha-typing" for v in rep.violations)
+
+
+@pytest.mark.parametrize("table,cell,code", [("map1", "f", "map1"),
+                                               ("obj_map", "0", "obj-map")])
+def test_a_missing_entry_of_a_2functor_is_reported_not_raised(table, cell, code):
+    """The typing loops read an unmapped cell's ends without indexing the
+    missing entry, and report the entry as missing."""
+    T = identity_twofunctor(arrow_2cat())
+    maps = {"obj_map": dict(T.obj_map), "map1": dict(T.map1), "map2": dict(T.map2)}
+    del maps[table][cell]
+    rep = validate_twofunctor(TwoFunctor(T.source, T.target, **maps))
+    assert not rep.ok
+    assert (code, (cell,)) in [(v.code, v.cells) for v in rep.violations]
 
 
 def test_strict_reinterpretation_passes_pseudo_checks(P):

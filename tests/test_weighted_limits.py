@@ -3,14 +3,14 @@
 ``weighted_sigma_limit`` reads {W, P}_σ as the σ-cones from the point
 under P·π over El W, off P's tables, and names them in ``hom_eps``'s
 order.  Its category must equal ``hom_eps(W, P, flavor).cat`` table for
-table, names included, in the lax, pseudo and every single-1-cell σ
-flavour: on the strict pairs of the brute-force reference, on every pair
+table, names included, in the strict, lax, pseudo and every single-1-cell
+σ flavour: on the strict pairs of the brute-force reference, on every pair
 of fixture diagrams over a common base (among them ``weight_on_op_arrow``,
 whose values are not discrete, and the free 2-cell, whose 2-cell brings
 LN2 in), on two pairs where the kernel's own order differs from
 ``hom_eps``'s, and on generated posets in ``test_properties``.  The callers
 that route through it must answer without enumerating a transformation,
-and the strict flavour and pseudo input must still reach ``hom_eps``.
+in the strict flavour too, and pseudo input must still reach ``hom_eps``.
 """
 
 import pytest
@@ -35,9 +35,9 @@ def tables(c) -> tuple:
 
 
 def reduced_flavors(base) -> list:
-    """Lax, pseudo, and σ marking each non-identity 1-cell alone."""
+    """Strict, lax, pseudo, and σ marking each non-identity 1-cell alone."""
     ids = set(base.id1.values())
-    return [LAX, PSEUDO] + [sigma_flavor({f}) for f in sorted(base.all_one_cells())
+    return [STRICT, LAX, PSEUDO] + [sigma_flavor({f}) for f in sorted(base.all_one_cells())
                             if f not in ids]
 
 
@@ -103,7 +103,8 @@ def test_reordered_pairs_match_hom_eps(pair):
 
 def test_the_reduction_refuses_what_it_does_not_cover():
     P = fx.diagram_pick0()
-    for W, Q, fl in ((P, P, STRICT), (fx.pseudo_z2(), fx.pseudo_z2(), PSEUDO),
+    for W, Q, fl in ((fx.pseudo_z2(), fx.pseudo_z2(), PSEUDO),
+                     (fx.pseudo_z2(), fx.pseudo_z2(), STRICT),
                      (P, fx.weight_on_op_arrow(), LAX)):
         with pytest.raises(PreconditionFailed):
             weighted_sigma_limit(W, Q, fl)
@@ -142,10 +143,11 @@ def test_strict_input_builds_no_transformation(monkeypatch):
         assert yoneda_check(Q, A).verdict
 
 
-def test_the_strict_flavour_and_pseudo_input_reach_hom_eps(monkeypatch):
+def test_pseudo_input_reaches_hom_eps(monkeypatch):
     P = fx.diagram_pick0()
     refuse_hom_enumeration(monkeypatch)
-    for W, Q, fl in ((P, P, STRICT), (fx.pseudo_z2(), fx.pseudo_z2(), PSEUDO),
+    for W, Q, fl in ((fx.pseudo_z2(), fx.pseudo_z2(), PSEUDO),
+                     (fx.pseudo_z2(), fx.pseudo_z2(), STRICT),
                      (representable(P.source, "0"), fx.pseudo_swap(), LAX)):
         with pytest.raises(HomEnumerated):
             weighted_limit_cat(W, Q, fl)
