@@ -3,20 +3,23 @@
 A desk-scale kernel: every category, 2-category, and diagram is given by
 total tables, every law is validated by exhaustive loops, Hom categories
 of transformations are enumerated, weighted σ-limits are read as conical
-ones over the weight's elements, conical relative colimits are built
-by localization through coset enumeration, with a cap on the length of
-a coset's defining word, and flatness of a Cat-valued diagram is decided
-through filteredness of its 2-category of elements.  The shapes that
-generate the finite bilimits are catalogued in ``shapes``.  Each
-question on strict input has one implementation here; the assembled
-constructions that the kernels replaced are kept with the tests, as
-references.  There are two exceptions.  Pseudo input to a weighted
-limit, and the callers that need ``Transformation`` objects, still run
-on ``hom_eps``.  ``hom_eps``, ``cones_sigma``, ``comparison_functor``,
-``gamma_dual``, ``find_isomorphism`` and ``functor_category`` stay here
-because the benchmark (``bench/ladders.py``, ``bench/spans.py``) calls
-or wraps them; ``cones_sigma`` stays only as that name, its cones being
-the cone kernel's, read under Cat(Q-, E).
+ones over the weight's elements, which are read off the weight's tables
+and never assembled, conical relative colimits are built by localization
+through coset enumeration, with a cap on the length of a coset's
+defining word, and flatness of a Cat-valued diagram is decided through
+filteredness of its 2-category of elements.  The shapes that generate
+the finite bilimits are catalogued in ``shapes``.  Each question on
+strict input has one implementation here; the assembled constructions
+that the kernels replaced, and what only the tests call, are kept with
+the tests, as references (``tests/test_imports.py`` lists the few
+uncalled functions that stay, each with its reason).  There are two
+exceptions.  Pseudo input to a weighted limit, and the callers that
+need ``Transformation`` objects, still run on ``hom_eps``.  ``hom_eps``,
+``cones_sigma``, ``comparison_functor``, ``gamma_dual``,
+``find_isomorphism`` and ``functor_category`` stay here because the
+benchmark (``bench/ladders.py``, ``bench/spans.py``) calls or wraps
+them; ``cones_sigma`` stays only as that name, its cones being the cone
+kernel's, read under Cat(Q-, E).
 """
 
 from .errors import (CertificateFailure, Inconsistency, ParseError,

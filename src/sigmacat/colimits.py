@@ -3,8 +3,9 @@ the commutation of σ-filtered σ-colimits with finite bilimits, coends.
 
 A weighted σ-limit {W, P}_σ of strict diagrams, in every flavour, is the
 conical σ-limit of P·π over the elements of W (``weighted_sigma_limit``),
-read off P's tables by ``point_cone_homs``; the strict flavour forces
-identity cells where the others mark invertible ones.  Pseudo input and
+read off P's tables by ``point_cone_homs`` on the rows of El W's reader,
+with neither El W nor P·π built; the strict flavour forces identity
+cells where the others mark invertible ones.  Pseudo input and
 callers that need ``Transformation`` objects stay with
 ``transforms.hom_eps``.  Conical colimits relative to a marking are
 computed by the classical recipe: take the dual elements construction
@@ -31,11 +32,13 @@ never a guess.
 Cones from the point, cocones into Cat and cones in a finite 2-category
 run on one kernel, ``ConeKernel``: the σ-cones from the point under a
 strict Cat-valued diagram given by its tables, and their morphisms.
-``point_cone_homs`` binds it to a diagram's tables; so the limit of P
-over a cone, σ-Nat(Δ1, P·D), is read with no ``Transformation`` or
-``Modification``, and ``ConicalLimit`` is that limit assembled.  A
-σ-cocone under Q with vertex E in Cat is a σ-cone from the point under
-the hom diagram Cat(Q-, E) (``hom_into_diagram``), so
+``point_cone_homs`` runs it on a bound diagram: a shape, its categories
+and its actions, from a diagram's tables (``diagram_binding``) or from
+P's along the maps of a 2-functor (``binding_along``); so the limit of P
+over a cone, σ-Nat(Δ1, P·D), is read with no ``Transformation``,
+``Modification`` or composite P·D, and ``ConicalLimit`` is that limit
+assembled.  A σ-cocone under Q with vertex E in Cat is a σ-cone from the
+point under the hom diagram Cat(Q-, E) (``hom_into_diagram``), so
 ``sigma_cone_homs`` reads σ-Cones(Q, E) there.  A cone over D in a finite
 2-category with vertex X is a σ-cone from the point under the hom
 diagram a(X, D-), so ``BaseConeCategories`` binds the kernel once per
@@ -50,8 +53,9 @@ test and ``preserves_bilimit`` decide the same comparison,
 ``fincat.is_equivalence_on_homs``, with no composition table.
 ``comparison_functor`` assembles the comparison through ``hom_eps`` and
 is the reference.
-``check_base_cone`` and ``check_sigma_cone`` state the laws directly and
-are the reference validators.
+``check_base_cone`` states the laws of a cone in a finite 2-category
+directly and is the reference validator; ``check_sigma_cone`` in
+``tests/cone_reference.py`` does the same for σ-cones in Cat.
 
 ``commutation_check`` decides the fact the paper's main theorem rests
 on, that σ-filtered σ-colimits commute with finite weighted bilimits in
@@ -79,9 +83,8 @@ from .errors import CertificateFailure, PreconditionFailed, UndecidedAtCap
 from .fincat import (EquivalenceReport, FinCat, Functor, NatTransf,
                      ValidationReport, assemble_category, compose_functors,
                      functor_category_full, is_equivalence,
-                     is_equivalence_on_homs, nat_is_identity, nat_is_invertible,
-                     mint, pair_name, partition, terminal_category,
-                     validate_functor, validate_nat_transf, vcomp_nat,
+                     is_equivalence_on_homs, nat_is_identity, mint, pair_name,
+                     partition, terminal_category, validate_functor, vcomp_nat,
                      whisker_functor_nat, whisker_nat_functor)
 from .two_cat import Fin2Cat, WideSub, marks, op_dual, two_cat_product
 from .transforms import (CatDiagram, HomCategory, Transformation, TwoFunctor,
@@ -115,52 +118,6 @@ class SigmaCone:
     def key(self) -> tuple:
         return (tuple((A, self.components[A].key()) for A in sorted(self.components)),
                 tuple((f, self.structural[f].key()) for f in sorted(self.structural)))
-
-
-def check_sigma_cone(c: SigmaCone) -> ValidationReport:
-    rep = ValidationReport("SigmaCone")
-    Q = c.diagram
-    base = Q.source
-    for A in base.objects:
-        k = c.components.get(A)
-        if k is None or k.source != Q.on_obj[A] or k.target != c.vertex:
-            rep.add("component-typing", (A,), f"component at {A} mistyped")
-        elif not validate_functor(k).ok:
-            rep.add("component-functor", (A,), f"component at {A} is not a functor")
-    if not rep.ok:
-        return rep
-    for f in base.all_one_cells():
-        A, B = base.src1(f), base.tgt1(f)
-        n = c.structural.get(f)
-        src = compose_functors(c.components[B], Q.on_1[f])
-        tgt = c.components[A]
-        if n is None or n.source.key() != src.key() or n.target.key() != tgt.key():
-            rep.add("structural-typing", (f,), f"structural cell at {f} mistyped")
-        elif not validate_nat_transf(n).ok:
-            rep.add("structural-natural", (f,), f"cell at {f} not natural")
-    if not rep.ok:
-        return rep
-    for f in base.all_one_cells():
-        if f in c.marked and not nat_is_invertible(c.structural[f]):
-            rep.add("invertibility", (f,), f"cell at marked {f} must be invertible")
-    for A in base.objects:
-        if not nat_is_identity(c.structural[base.id1[A]]):
-            rep.add("LN0", (A,), f"identity cell at {A} is not the identity")
-    for x in base.all_two_cells():
-        f, g = base.src2(x), base.tgt2(x)
-        B = base.tgt1(f)
-        lhs = c.structural[f]
-        rhs = vcomp_nat(c.structural[g],
-                        whisker_functor_nat(c.components[B], Q.on_2[x]))
-        if lhs.components != rhs.components:
-            rep.add("LN2", (x,), f"2-cell compatibility fails at {x}")
-    for (g, f), gf in base.hcomp1.items():
-        lhs = c.structural[gf]
-        rhs = vcomp_nat(c.structural[f],
-                        whisker_nat_functor(c.structural[g], Q.on_1[f]))
-        if lhs.components != rhs.components:
-            rep.add("LN1", (gf,), f"composition coherence fails at ({g},{f})")
-    return rep
 
 
 @dataclass
@@ -233,11 +190,10 @@ def sigma_cone_homs(Q: CatDiagram, marked: frozenset, E: FinCat,
     hom diagram Cat(Q-, E) on the 1-cell dual of Q's base
     (``hom_into_diagram``): A goes to Cat(Q(A), E), f : A → B acts by
     K ↦ K∘Q(f) and x : f ⇒ g by K ↦ K*Q(x).  Its object at A is κ_A, its
-    cell at f is κ_f : κ_B∘Q(f) ⇒ κ_A, and the kernel's LN2, LN1 and
-    morphism squares are those of ``check_sigma_cone`` and of a cone
-    morphism.  So ``point_cone_homs`` reads the cones and their morphisms,
-    which are decoded through the functor categories' names.  Strict Q
-    only.
+    cell at f is κ_f : κ_B∘Q(f) ⇒ κ_A; the kernel's LN2 and LN1 are the
+    σ-cone laws of those names, and its square a cone morphism's.  So
+    ``point_cone_homs`` reads the cones and their morphisms, which are
+    decoded through the functor categories' names.  Strict Q only.
     """
     meter = meter or Meter()
     if Q.is_pseudo:
@@ -245,7 +201,7 @@ def sigma_cone_homs(Q: CatDiagram, marked: frozenset, E: FinCat,
     H, fcats = hom_into_diagram(Q, E, meter)
     base, objs = Q.source, sorted(Q.source.objects)
     cells = [(f, fcats[base.src1(f)].transfs) for f in sorted(base.all_one_cells())]
-    found, hom = point_cone_homs(H, marked, meter)
+    found, hom = point_cone_homs(*diagram_binding(H), marked, meter)
     cones = [SigmaCone(Q, marked, E, {A: fcats[A].functors[k] for A, k in zip(objs, ks)},
                        {f: ts[s] for (f, ts), s in zip(cells, ss)})
              for ks, ss in found]
@@ -294,7 +250,7 @@ def conical_sigma_colimit(Q: CatDiagram, sigma: WideSub, cap: int = DEFAULT_CAP,
     universal cone sends an element x over A to the class of the pair
     (x, A).  It is certified by its classifier: the functor Cl(Q, Σ) → R it induces
     must be an isomorphism (``_conical_classifier``).  That proves the
-    cone laws too, so ``check_sigma_cone`` is not run: ``presents``
+    cone laws too, so they are not checked again: ``presents``
     checks Φ(c·g) = Φ(g)∘Φ(c) at every coset entry, and the relations
     state the legs' functoriality, naturality, LN1, LN2 and marked
     invertibility.  LN0 and the legs' identities hold by construction:
@@ -701,8 +657,9 @@ class ConeKernel:
     and an arrow σ_u : Q(u)x_i → x_j of Q(j) per shape 1-cell u : i → j,
     the identity at an identity 1-cell and at one of ``identities``,
     invertible at a marked one, each in sorted order; a morphism, its
-    arrows m_i : x_i → x'_i.  The shape's rows (``Fin2Cat._shape_index``)
-    are bound to Q's tables: per non-identity 2-cell x : u ⇒ v, LN2,
+    arrows m_i : x_i → x'_i.  The shape's rows (``Fin2Cat._shape_index``,
+    or the same rows of El W's reader ``elements._Elements``) are bound
+    to Q's tables: per non-identity 2-cell x : u ⇒ v, LN2,
     σ_u = σ_v∘Q(x)_(x_i); per composable pair (v, u) of non-identities,
     LN1, σ_vu = σ_v∘Q(v)(σ_u); per non-identity u, the square
     m_j∘σ_u = σ'_u∘Q(u)(m_i).  The rows left out hold in every strict Q.
@@ -889,7 +846,9 @@ class BaseConeCategories:
         2-cell a to the family 1_(c_i)*a: the ``_comparison`` of
         ``preserves_bilimit`` for a(X, -), into the kept Cones_D(X).  The
         cone must be over (D, marked); its laws are not checked here
-        (``check_base_cone`` does that).
+        (``check_base_cone`` does that).  A vertex X where both
+        hom(X, vertex) and Cones_D(X) are empty is skipped after
+        Cones_D(X) is built: the empty functor is an equivalence there.
         """
         if c.diagram != self.D or c.marked != self.marked:
             raise PreconditionFailed("the cone is not over this diagram")
@@ -902,6 +861,8 @@ class BaseConeCategories:
 
         for X in amb.objects:
             _, objects, homs = self.at(X)
+            if not objects and not amb.hom[(X, c.vertex)].objects:
+                continue
             if not is_equivalence_on_homs(amb.hom[(X, c.vertex)], objects, cone_of,
                                           morphism_of, lambda i, j: set(homs[(i, j)]),
                                           invertible):
@@ -967,23 +928,43 @@ def comparison_functor(P: CatDiagram, cone: BaseCone,
     return F, h
 
 
-def point_cone_homs(Q: CatDiagram, marked: frozenset, meter: Meter | None = None,
+def diagram_binding(Q: CatDiagram) -> tuple:
+    """A strict Q as ``point_cone_homs`` reads it: its shape, its categories
+    by shape object, ``on_1(u)``, Q(u)'s object and arrow maps, and
+    ``on_2(x)``, Q(x)'s components."""
+    if Q.is_pseudo:
+        raise PreconditionFailed("cones from the point expect a strict diagram")
+    return (Q.source, Q.on_obj, lambda u: (Q.on_1[u].obj_map, Q.on_1[u].arr_map),
+            lambda x: Q.on_2[x].components)
+
+
+def binding_along(P: CatDiagram, shape, obj_map: dict, map1: dict, map2: dict) -> tuple:
+    """P·H bound as ``diagram_binding`` binds a diagram, for H from
+    ``shape`` to P's base given by its maps, with no composite diagram
+    built: P(H(i)) at each object i, and P(H(u)) and P(H(x)) as the
+    actions.  ``shape`` is anything with ``objects`` and the rows of
+    ``Fin2Cat._shape_index``: a ``Fin2Cat``, or El W's reader."""
+    return (shape, {i: P.on_obj[obj_map[i]] for i in shape.objects},
+            lambda u: (P.on_1[map1[u]].obj_map, P.on_1[map1[u]].arr_map),
+            lambda x: P.on_2[map2[x]].components)
+
+
+def point_cone_homs(shape, cats: dict, on_1, on_2, marked: frozenset,
+                    meter: Meter | None = None,
                     identities: frozenset = frozenset()) -> tuple[list, object]:
     """The σ-cones from the point under a strict Cat-valued diagram Q on a
     shape, the objects of σ-Nat(Δ1, Q), as ``ConeKernel`` reads them off
     Q's tables, with identity cells at ``identities``, and a function that
     gives the morphisms between two of them: ``hom(p, q)`` lists those
     from the p-th cone to the q-th, enumerated afresh at each call, so a
-    caller reads only the hom-sets it needs.  No ``Functor``, ``NatTransf``
-    or ``Transformation`` is built.  Strict Q only: the kernel reads no
-    structure cells."""
+    caller reads only the hom-sets it needs.  Q comes bound, as
+    ``diagram_binding`` or ``binding_along`` give it: the shape, Q(i) in
+    ``cats`` and the actions ``on_1`` and ``on_2``.  No ``Functor``,
+    ``NatTransf`` or ``Transformation`` is built.  Strict Q only: the
+    kernel reads no structure cells."""
     meter = meter or Meter()
-    if Q.is_pseudo:
-        raise PreconditionFailed("cones from the point expect a strict diagram")
-    kernel = ConeKernel(Q.source, marked,
-                        lambda u: (Q.on_1[u].obj_map, Q.on_1[u].arr_map),
-                        lambda x: Q.on_2[x].components, identities)
-    cats = [Q.on_obj[i] for i in kernel.objs]
+    kernel = ConeKernel(shape, marked, on_1, on_2, identities)
+    cats = [cats[i] for i in kernel.objs]
     cones = list(kernel.cones(cats, [sorted(c.objects) for c in cats], meter))
     hom = kernel.morphisms(cats, meter)
     return cones, lambda p, q: hom(cones[p], cones[q])
@@ -995,13 +976,14 @@ def preserves_bilimit(P: CatDiagram, cone: BaseCone,
     P(vertex) → σ-Nat(Δ1, P·D), the functor of ``comparison_functor``, is
     an equivalence, decided on hom-sets.
 
-    The limit is read off P·D's tables by ``point_cone_homs``: an object
-    c of P(vertex) goes to the cone with objects P(t_i)c and cells
-    P(σ_u)_c, an arrow a to the family P(t_i)a, and the comparison is
-    the one the bilimit test of ``BaseConeCategories`` decides for each
-    hom diagram.  Morphisms are enumerated only into the image, for pairs
-    (i, j) with j an image.  ``comparison_functor`` with
-    ``is_equivalence`` is the assembled reference.  Strict diagrams only.
+    The limit is read off P's tables along D by ``point_cone_homs``, with
+    no P·D composed (``binding_along``): an object c of P(vertex) goes
+    to the cone with objects P(t_i)c and cells P(σ_u)_c, an arrow a to
+    the family P(t_i)a, and the comparison is the one the bilimit test
+    of ``BaseConeCategories`` decides for each hom diagram.  Morphisms
+    are enumerated only into the image, for pairs (i, j) with j an
+    image.  ``comparison_functor`` with ``is_equivalence`` is the
+    assembled reference.  Strict diagrams only.
     """
     meter = meter or Meter()
     sh, D = cone.shape, cone.diagram
@@ -1009,12 +991,12 @@ def preserves_bilimit(P: CatDiagram, cone: BaseCone,
         raise PreconditionFailed("cone and diagram live over different bases")
     if P.is_pseudo:
         raise PreconditionFailed("left exactness expects a strict diagram")
-    PD = compose_diagram(P, D)
-    cones, hom = point_cone_homs(PD, cone.marked, meter)
+    bound = binding_along(P, sh, D.obj_map, D.map1, D.map2)
+    cones, hom = point_cone_homs(*bound, cone.marked, meter)
     objs = sorted(sh.objects)
     legs = [(P.on_1[cone.comp[i]].obj_map, P.on_1[cone.comp[i]].arr_map) for i in objs]
     cells = [P.on_2[cone.struct[u]].components for u in sorted(sh.all_one_cells())]
-    cats = [PD.on_obj[i] for i in objs]
+    cats = [bound[1][i] for i in objs]
 
     def invertible(ms: tuple) -> bool:
         return all(c.is_iso(m) for c, m in zip(cats, ms))
@@ -1067,17 +1049,18 @@ class ConicalLimit:
             for (xs, _), c in self.objects.items()})
 
 
-def _conical_limit(Q: CatDiagram, marked: frozenset, meter: Meter,
+def _conical_limit(shape, cats: dict, on_1, on_2, marked: frozenset, meter: Meter,
                    prefixes: tuple[str, str] = ("c", "m"), cone_key=None,
                    morphism_key=None, identities: frozenset = frozenset()) -> ConicalLimit:
-    """σ-Nat(Δ1, Q) for a strict Q on a shape, with identity cells at
-    ``identities``: ``point_cone_homs`` assembled, composed componentwise,
-    one tick per composable pair.
+    """σ-Nat(Δ1, Q) for a strict Q on a shape, bound as ``point_cone_homs``
+    takes it, with identity cells at ``identities``: ``point_cone_homs``
+    assembled, composed componentwise, one tick per composable pair.
 
     Cones are numbered, and each hom-set listed, in the kernel's order or
     by ``cone_key`` and ``morphism_key``; the names follow the order."""
-    cones, hom = point_cone_homs(Q, marked, meter, identities)
-    cats = [Q.on_obj[i] for i in sorted(Q.source.objects)]
+    cones, hom = point_cone_homs(shape, cats, on_1, on_2, marked, meter, identities)
+    objs = sorted(shape.objects)
+    cats = [cats[i] for i in objs]
     order = list(range(len(cones)))
     if cone_key is not None:
         order.sort(key=lambda p: cone_key(cones[p]))
@@ -1095,12 +1078,12 @@ def _conical_limit(Q: CatDiagram, marked: frozenset, meter: Meter,
         len(cones), prefixes, homs,
         lambda ms: all(c.is_identity(m) for c, m in zip(cats, ms)),
         lambda ms: ms, composite)
-    return ConicalLimit(cat, tuple(sorted(Q.source.objects)),
+    return ConicalLimit(cat, tuple(objs),
                         {cones[p]: f"{prefixes[0]}{a}" for a, p in enumerate(order)},
                         {(*cat.arrows[m], ms): m for m, ms in data.items()})
 
 
-def _transformation_order(W: CatDiagram, el: el_mod.ElementsResult) -> tuple:
+def _transformation_order(W: CatDiagram, el: el_mod._Elements) -> tuple:
     """Sort keys that order the cones from the point under P·π over El W,
     and the morphisms between two of them, as ``hom_eps`` orders what
     they stand for: by ``Transformation.key`` and ``Modification.key``.
@@ -1110,9 +1093,9 @@ def _transformation_order(W: CatDiagram, el: el_mod.ElementsResult) -> tuple:
     for the modification with m_A,x its component at (x, A).  The
     kernel's own order reads all objects before any cell, and sorts (x, A)
     by name rather than by A, then x, so it differs in general."""
-    base, sh = W.source, el.cat
-    pos = {o: k for k, o in enumerate(sorted(sh.objects))}
-    cell = {u: n for n, u in enumerate(sorted(sh.all_one_cells()))}
+    base, (objs, cells) = W.source, el._shape_index[:2]
+    pos = {o: k for k, o in enumerate(objs)}
+    cell = {u: n for n, u in enumerate(cells)}
     comps, structural = [], []
     for A in sorted(base.objects):
         WA = W.on_obj[A]
@@ -1141,15 +1124,18 @@ def weighted_sigma_limit(W: CatDiagram, P: CatDiagram, flavor: Flavor,
                          meter: Meter | None = None) -> ConicalLimit:
     """{W, P}_σ of strict diagrams, in any flavour, as the conical σ-limit
     of P·π over the elements of W (Street 1976), with (f, φ) marked when
-    f is marked and φ invertible (``cart_sigma``; every cartesian arrow
-    for pseudo, none for lax and strict), and for the strict flavour an
-    identity cell forced at every (f, 1_W(f)x).  Such a cone is a
-    transformation W ⇒ P of the flavour and a cone morphism a
-    modification, so ``point_cone_homs`` reads them off P's tables and
-    ``_conical_limit`` assembles them, named ``t0, …`` and ``m0, …`` in
-    ``hom_eps``'s order: the category equals ``hom_eps(W, P, flavor).cat``
-    table for table.
+    φ is invertible and the flavour asks f for an invertible cell (every
+    cartesian arrow for pseudo, those over marked f for σ, none for lax
+    and strict), and for the strict flavour an identity cell forced at
+    every (f, 1_W(f)x).  Such a cone is a transformation W ⇒ P of the
+    flavour and a cone morphism a modification, so ``point_cone_homs``
+    reads them off P's tables and ``_conical_limit`` assembles them, named
+    ``t0, …`` and ``m0, …`` in ``hom_eps``'s order: the category equals
+    ``hom_eps(W, P, flavor).cat`` table for table.
 
+    El W is read, not built: the kernel runs on the rows of its reader
+    ``elements._Elements``, and P·π is bound along the reader's
+    ``pairs1`` and ``pairs2`` with no projection or composite diagram.
     A pseudo W or P has coherence cells the kernel does not read; it is
     refused and stays with ``hom_eps``.
     """
@@ -1158,17 +1144,16 @@ def weighted_sigma_limit(W: CatDiagram, P: CatDiagram, flavor: Flavor,
         raise PreconditionFailed("the diagrams live on different bases")
     if W.is_pseudo or P.is_pseudo:
         raise PreconditionFailed("the conical reduction expects strict diagrams")
-    el = el_mod.elements_of(W, meter)
-    if flavor.kind == "p":
-        marked = el.cart.arrows
-    else:
-        marked = el_mod.cart_sigma(el, WideSub(W.source, flavor.marked)).arrows
+    el = el_mod._Elements(W, False, meter)
+    marked = frozenset(nm for nm in el.cart if flavor.requires_invertible(el.pairs1[nm][0]))
     identities = frozenset()
     if flavor.requires_identity():
         identities = frozenset(nm for nm, (f, phi) in el.pairs1.items()
                                if W.on_obj[W.source.tgt1(f)].is_identity(phi))
-    return _conical_limit(compose_diagram(P, el.projection), marked, meter,
-                          ("t", "m"), *_transformation_order(W, el), identities)
+    bound = binding_along(P, el, {o: A for o, (_, A) in el.points.items()},
+                          {u: f for u, (f, _) in el.pairs1.items()}, el.pairs2)
+    return _conical_limit(*bound, marked, meter, ("t", "m"), *_transformation_order(W, el),
+                          identities)
 
 
 def weighted_limit_cat(W: CatDiagram, P: CatDiagram, flavor: Flavor,
@@ -1235,6 +1220,9 @@ def commutation_check(T: CatDiagram, index: Fin2Cat, sigma: WideSub, shape: Shap
             raise UndecidedAtCap("a σ-colimit is still growing at the cap")
         return res
 
+    def limit(Q: CatDiagram) -> ConicalLimit:
+        return _conical_limit(*diagram_binding(Q), shape.marked, meter)
+
     def fixed(a: Fin2Cat, k: str) -> tuple:
         return k, a.id1[k], a.id2(a.id1[k])
 
@@ -1242,8 +1230,7 @@ def commutation_check(T: CatDiagram, index: Fin2Cat, sigma: WideSub, shape: Shap
         """T(f, 1_k)."""
         return T.on_1[pair_name(f, sh.id1[k])]
 
-    limits = {i: _conical_limit(_restrict(T, sh, lambda c, k: pair_name(k, c),
-                                          fixed(index, i)), shape.marked, meter)
+    limits = {i: limit(_restrict(T, sh, lambda c, k: pair_name(k, c), fixed(index, i)))
               for i in index.objects}
     L1 = {f: limits[index.src1(f)].functor(limits[index.tgt1(f)],
                                            [t1(f, s) for s in objs],
@@ -1277,8 +1264,7 @@ def commutation_check(T: CatDiagram, index: Fin2Cat, sigma: WideSub, shape: Shap
             cell = T.on_2[pair_name(index.id2(index.id1[i]), th)].components[x]
             comps[o] = cols[sh.tgt1(u)].cone.components[i].arr_map[cell]
         C2[th] = NatTransf(C1[u], C1[sh.tgt2(th)], comps)
-    rhs = _conical_limit(CatDiagram(sh, {s: c.category for s, c in cols.items()}, C1, C2),
-                         shape.marked, meter)
+    rhs = limit(CatDiagram(sh, {s: c.category for s, c in cols.items()}, C1, C2))
 
     legs = {i: limits[i].functor(rhs, [cols[s].cone.components[i] for s in objs],
                                  [cols[sh.tgt1(u)].cone.components[i] for u in cells])

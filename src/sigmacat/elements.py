@@ -16,12 +16,16 @@ twice for different cells is refused.
 One enumerator, ``_cells``, lists the elements and the 1-cells and
 2-cells between them; it ticks and mints for its two readers.
 ``_Elements`` reads the 2-category they form, each horizontal composite
-computed on first lookup: ``_build`` assembles it (``elements_of``,
-``elements_of_pseudo``, ``gamma_dual``), and ``check_flat`` scans its
-``two_cat.OpView`` with no hom category, horizontal composition table
-or dual copy built.  ``dual_pi0`` reads from ``_cells`` only what a
-conical σ-colimit needs: π0 of the 1-cell dual of Γ(Q), each hom
-collapsed by its 2-cells.
+computed on first lookup.  ``check_flat`` scans its ``two_cat.OpView``
+with no hom category, horizontal composition table or dual copy built,
+and ``colimits.weighted_sigma_limit`` runs the cone kernel on its rows
+(``_shape_index``), so strict weighted limits and Yoneda checks build no
+El W.  ``_build`` assembles it (``elements_of``, ``elements_of_pseudo``,
+``gamma_dual``) only for what needs an assembled El_P: the CLI
+``elements`` command, ``flatness.canonical_expression``,
+``colimits.weighted_sigma_colimit`` and ``lax_dense_transport``.
+``dual_pi0`` reads from ``_cells`` only what a conical σ-colimit needs:
+π0 of the 1-cell dual of Γ(Q), each hom collapsed by its 2-cells.
 """
 
 from __future__ import annotations
@@ -121,8 +125,9 @@ class _Elements:
     reader of the 2-category of elements.  It holds ``_cells``' cells
     with their ends and the cartesian 1-cells ``cart``, and answers the
     filteredness scan's names, ``hcomp1`` and ``hcomp2`` computed on
-    first lookup.  A 2-cell is invertible when its base 2-cell has an
-    inverse among the 2-cells back, by the base's vertical composition."""
+    first lookup, and the cone kernel's rows.  A 2-cell is invertible
+    when its base 2-cell has an inverse among the 2-cells back, by the
+    base's vertical composition."""
 
     def __init__(self, P: CatDiagram, reverse_phi: bool, meter: Meter):
         self.P, self.base, self.reverse_phi = P, P.source, reverse_phi
@@ -138,20 +143,23 @@ class _Elements:
 
     def _hcomp1(self, second: str, first: str) -> str:
         """(g, psi) = ``second`` after (f, phi) = ``first``, out of (x, A)."""
-        P, base = self.P, self.base
         (g, psi), (f, phi) = self.pairs1[second], self.pairs1[first]
         x = self.points[self.ends1[first][0]][0]
-        PC, Pg = P.on_obj[base.tgt1(g)], P.on_1[g]
+        return self._composite(self.P.on_obj[self.base.tgt1(g)], g, psi, f, phi, x)
+
+    def _composite(self, PC: FinCat, g: str, psi: str, f: str, phi: str, x: str) -> str:
+        """The name of (g, psi) after (f, phi) out of (x, A), into P(C)."""
+        P = self.P
         if self.reverse_phi:
             # z -> P(g)(y) -> P(g)P(f)(x)
-            w = PC.compose[(Pg.arr_map[phi], psi)]
+            w = PC.compose[(P.on_1[g].arr_map[phi], psi)]
         else:
             # P(gf)(x) [-> P(g)P(f)(x)] -> P(g)(y) -> z
-            w = PC.compose[(psi, Pg.arr_map[phi])]
+            w = PC.compose[(psi, P.on_1[g].arr_map[phi])]
             if P.is_pseudo:
                 ac_inv = _invert_component(PC, P.alpha_comp[(f, g)].components[x])
                 w = PC.compose[(w, ac_inv)]
-        return mor_name(base.hcomp1[(g, f)], w, x)
+        return mor_name(self.base.hcomp1[(g, f)], w, x)
 
     def _hcomp2(self, b: str, a: str) -> str:
         (sb, tb), (sa, ta) = self.ends2[b], self.ends2[a]
@@ -170,6 +178,53 @@ class _Elements:
         for nm, ends in self.ends2.items():
             between.setdefault(ends, []).append(nm)
         return {ends: tuple(sorted(cells)) for ends, cells in between.items()}
+
+    @cached_property
+    def id1(self) -> dict:
+        """Object -> its identity 1-cell, a pseudo P's through its inverted
+        unit components."""
+        id1 = {}
+        for o in self.objects:
+            x, A = self.points[o]
+            PA = self.P.on_obj[A]
+            unit = PA.identity[x]
+            if self.P.is_pseudo:
+                unit = _invert_component(PA, self.P.alpha_obj[A].components[x])
+            id1[o] = mor_name(self.base.id1[A], unit, x)
+        return id1
+
+    @cached_property
+    def _shape_index(self) -> tuple:
+        """The rows of ``Fin2Cat._shape_index`` for El_P, with nothing
+        assembled: the objects and the 1-cells, each sorted, and by
+        position: per 1-cell, (the position of the object it is the
+        identity of, or None, its source, its target); per non-identity
+        2-cell x : f ⇒ g, (x, f, g); per composable pair (g, f) of
+        non-identity 1-cells, (g∘f, g, f), in one pass over the non-empty
+        homs."""
+        points, pairs1, P = self.points, self.pairs1, self.P
+        objs, cells = list(self.objects), tuple(sorted(self.ends1))
+        pos = {o: k for k, o in enumerate(objs)}
+        at = {f: n for n, f in enumerate(cells)}
+        ids = {f: pos[o] for o, f in self.id1.items()}
+        ends = [(ids.get(f), *(pos[o] for o in self.ends1[f])) for f in cells]
+        two = [(x, at[s], at[t]) for x, (s, t) in sorted(self.ends2.items())
+               if x != self.id2(s)]
+        out = {}  # object -> [(target, the non-identity 1-cells to it)], where any
+        for (oa, ob), (cells1, _) in self.homs.items():
+            if moving := [m for m in cells1 if m not in ids]:
+                out.setdefault(oa, []).append((ob, moving))
+        pairs = []
+        for oa, firsts in out.items():
+            x = points[oa][0]
+            for ob, first in firsts:
+                for oc, second in out.get(ob, ()):
+                    PC = P.on_obj[points[oc][1]]
+                    for m2 in second:
+                        g, psi = pairs1[m2]
+                        pairs += [(at[self._composite(PC, g, psi, *pairs1[m1], x)], at[m2],
+                                   at[m1]) for m1 in first]
+        return objs, cells, ends, two, pairs
 
     def one_cells(self, A: str, B: str) -> tuple[str, ...]:
         return self._one_cells.get((A, B), ())
@@ -227,22 +282,12 @@ def _build(P: CatDiagram, reverse_phi: bool, meter: Meter) -> ElementsResult:
             after.setdefault(oa, []).append(ob)
         cells2_from.setdefault(oa, []).extend(arrows)
 
-    # identity 1-cells, a pseudo P's through its inverted unit components
-    id1 = {}
-    for oa in el.objects:
-        x, A = points[oa]
-        PA = P.on_obj[A]
-        unit = PA.identity[x]
-        if P.is_pseudo:
-            unit = _invert_component(PA, P.alpha_obj[A].components[x])
-        id1[oa] = mor_name(base.id1[A], unit, x)
-
     hcomp1 = el.hcomp1.fill([(m2, m1) for oa, reached in after.items() for ob in reached
                              for oc in after.get(ob, ()) for m2 in homs[(ob, oc)][0]
                              for m1 in homs[(oa, ob)][0]])
     hcomp2 = el.hcomp2.fill([(nm2, nm1) for (_, ob), (_, arrows) in homs.items()
                              for nm1 in arrows for nm2 in cells2_from.get(ob, ())])
-    cat = mk_fin2cat(el.objects, hom, id1, hcomp1, hcomp2)
+    cat = mk_fin2cat(el.objects, hom, el.id1, hcomp1, hcomp2)
     projection = TwoFunctor(cat, base, {o: points[o][1] for o in el.objects},
                             {nm: fp[0] for nm, fp in el.pairs1.items()}, dict(pairs2))
     return ElementsResult(cat, WideSub(cat, el.cart), projection, points, el.pairs1,

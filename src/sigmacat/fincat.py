@@ -496,16 +496,6 @@ def product_category(c: FinCat, d: FinCat) -> FinCat:
     return mk_fincat(list(objects), arrows, identity, compose)
 
 
-def product_projections(p: FinCat, c: FinCat, d: FinCat) -> tuple[Functor, Functor]:
-    """Projections out of product_category(c, d), read off c's and d's cells."""
-    objects = pair_table(c.objects, d.objects)
-    arrows = pair_table(c.arrows, d.arrows)
-    return (Functor(p, c, {o: x for o, (x, _) in objects.items()},
-                    {a: f for a, (f, _) in arrows.items()}),
-            Functor(p, d, {o: y for o, (_, y) in objects.items()},
-                    {a: g for a, (_, g) in arrows.items()}))
-
-
 def pair_name(x: str, y: str) -> str:
     return f"({x},{y})"
 

@@ -61,7 +61,8 @@ def yoneda_check(Q: CatDiagram, A: str,
                  meter: Meter | None = None) -> EquivalenceReport:
     """Evaluation at 1_A, from {Hom(A, -), Q}_p to Q(A), must be an
     equivalence: for a strict Q, the leg of ``weighted_sigma_limit`` at
-    the element (1_A, A); for a pseudo Q, read off ``hom_eps``."""
+    the element (1_A, A), read on the elements of Hom(A, -) with none
+    assembled; for a pseudo Q, read off ``hom_eps``."""
     meter = meter or Meter()
     base = Q.source
     R = representable(base, A)

@@ -403,17 +403,3 @@ def localize(c: FinCat, sigma, cap: int = DEFAULT_CAP,
     """Category of fractions c[sigma^-1] by coset enumeration, exact when
     the status is finite; the presentation is ``localization_presentation``."""
     return saturate_presentation(localization_presentation(c, sigma), cap, meter)
-
-
-def localization_functor(c: FinCat, loc: PresentedCategory) -> tuple[dict, dict]:
-    """The canonical functor c -> realization, as object/arrow maps."""
-    if not loc.finite:
-        raise ValidationError("localization is undecided-at-cap")
-    obj_map = {x: x for x in c.objects}
-    arr_map = {}
-    for a in c.arrows:
-        if c.is_identity(a):
-            arr_map[a] = f"id_{c.src(a)}"
-        else:
-            arr_map[a] = loc.normalize(c.src(a), (a,))
-    return obj_map, arr_map

@@ -381,9 +381,6 @@ def sigma_flavor(marked) -> Flavor:
     return Flavor("sigma", frozenset(marked))
 
 
-FLAVOR_ORDER = {"s": 0, "p": 1, "sigma": 2, "l": 3}
-
-
 # ---------------------------------------------------------------------------
 # Transformations and modifications
 
@@ -409,32 +406,6 @@ class Modification:
 
     def key(self) -> tuple:
         return tuple((A, self.components[A].key()) for A in sorted(self.components))
-
-
-def identity_transformation(P: CatDiagram, flavor: Flavor | None = None) -> Transformation:
-    base = P.source
-    comps = {A: identity_functor(P.on_obj[A]) for A in base.objects}
-    structural = {}
-    for f in base.all_one_cells():
-        F = P.on_1[f]
-        structural[f] = idn(F)
-    return Transformation(P, P, comps, structural, flavor or STRICT)
-
-
-def compose_transformations(t2: Transformation, t1: Transformation) -> Transformation:
-    """t2 after t1; structural cells paste in the usual way."""
-    base = t1.source.source
-    comps = {A: compose_functors(t2.components[A], t1.components[A])
-             for A in base.objects}
-    structural = {}
-    for f in base.all_one_cells():
-        A, B = base.src1(f), base.tgt1(f)
-        first = whisker_nat_functor(t2.structural[f], t1.components[A])
-        second = whisker_functor_nat(t2.components[B], t1.structural[f])
-        structural[f] = vcomp_nat(second, first)
-    kind = max(t1.flavor.kind, t2.flavor.kind, key=lambda k: FLAVOR_ORDER[k])
-    marked = t1.flavor.marked & t2.flavor.marked if kind == "sigma" else frozenset()
-    return Transformation(t1.source, t2.target, comps, structural, Flavor(kind, marked))
 
 
 def check_transformation(t: Transformation) -> ValidationReport:

@@ -22,14 +22,21 @@ at its vertex.  ``filteredness`` scans the axioms directly; the tests
 check that a marked 2-category is filtered exactly when every probe has
 a marked cocone.  ``cone_category_names`` looks up the
 cones and cone morphisms of a ``colimits.ConeCategory`` by key.
+
+``check_sigma_cone`` states the laws of a σ-cone under a Cat-valued
+diagram directly, on its functors and natural transformations: the
+reference validator for the cones the package's colimits carry.
 """
 
 from dataclasses import dataclass
 
-from sigmacat.colimits import BaseConeCategories, _morphism_key
+from sigmacat.colimits import BaseConeCategories, SigmaCone, _morphism_key
 from sigmacat.config import Meter
-from sigmacat.fincat import (assemble_category, enumerate_functors,
-                             is_equivalence, mk_fincat)
+from sigmacat.fincat import (ValidationReport, assemble_category, compose_functors,
+                             enumerate_functors, is_equivalence, mk_fincat,
+                             nat_is_identity, nat_is_invertible, validate_functor,
+                             validate_nat_transf, vcomp_nat, whisker_functor_nat,
+                             whisker_nat_functor)
 from sigmacat.shapes import BIEQUIFIER, BIINSERTER, BIPRODUCT
 from sigmacat.transforms import TwoFunctor, dual_twofunctor
 from sigmacat.two_cat import Fin2Cat, Marked2Cat, WideSub
@@ -224,3 +231,49 @@ def cone_category_names(cc) -> tuple[dict, dict]:
         src, tgt = cc.cat.arrows[name]
         morphisms.setdefault((src, tgt, _morphism_key(comps)), name)
     return cones, morphisms
+
+
+def check_sigma_cone(c: SigmaCone) -> ValidationReport:
+    rep = ValidationReport("SigmaCone")
+    Q = c.diagram
+    base = Q.source
+    for A in base.objects:
+        k = c.components.get(A)
+        if k is None or k.source != Q.on_obj[A] or k.target != c.vertex:
+            rep.add("component-typing", (A,), f"component at {A} mistyped")
+        elif not validate_functor(k).ok:
+            rep.add("component-functor", (A,), f"component at {A} is not a functor")
+    if not rep.ok:
+        return rep
+    for f in base.all_one_cells():
+        A, B = base.src1(f), base.tgt1(f)
+        n = c.structural.get(f)
+        src = compose_functors(c.components[B], Q.on_1[f])
+        tgt = c.components[A]
+        if n is None or n.source.key() != src.key() or n.target.key() != tgt.key():
+            rep.add("structural-typing", (f,), f"structural cell at {f} mistyped")
+        elif not validate_nat_transf(n).ok:
+            rep.add("structural-natural", (f,), f"cell at {f} not natural")
+    if not rep.ok:
+        return rep
+    for f in base.all_one_cells():
+        if f in c.marked and not nat_is_invertible(c.structural[f]):
+            rep.add("invertibility", (f,), f"cell at marked {f} must be invertible")
+    for A in base.objects:
+        if not nat_is_identity(c.structural[base.id1[A]]):
+            rep.add("LN0", (A,), f"identity cell at {A} is not the identity")
+    for x in base.all_two_cells():
+        f, g = base.src2(x), base.tgt2(x)
+        B = base.tgt1(f)
+        lhs = c.structural[f]
+        rhs = vcomp_nat(c.structural[g],
+                        whisker_functor_nat(c.components[B], Q.on_2[x]))
+        if lhs.components != rhs.components:
+            rep.add("LN2", (x,), f"2-cell compatibility fails at {x}")
+    for (g, f), gf in base.hcomp1.items():
+        lhs = c.structural[gf]
+        rhs = vcomp_nat(c.structural[f],
+                        whisker_nat_functor(c.structural[g], Q.on_1[f]))
+        if lhs.components != rhs.components:
+            rep.add("LN1", (gf,), f"composition coherence fails at ({g},{f})")
+    return rep

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 
 from bilimit_reference import reference_bilimit_cones
 from helpers import chain_2cat, grid_2cat, posets
-from sigmacat.colimits import (BaseConeCategories, check_base_cone,
+from sigmacat.colimits import (BaseConeCategories, check_base_cone, diagram_binding,
                                point_cone_homs, preserves_bilimit)
 from sigmacat.config import Meter
 from sigmacat.fincat import group_z2_category
@@ -153,8 +153,8 @@ def assert_cone_categories_are_point_cones(a) -> int:
             built = Meter()
             cones, _, homs = BaseConeCategories(D, marked, built).at(X)
             read = Meter()
-            point, hom = point_cone_homs(compose_diagram(representable(a, X), D),
-                                         marked, read)
+            hom_diagram = compose_diagram(representable(a, X), D)
+            point, hom = point_cone_homs(*diagram_binding(hom_diagram), marked, read)
             n = range(len(point))
             assert {(p, q): hom(p, q) for p in n for q in n} == homs
             assert (cones, built.count) == (point, read.count)

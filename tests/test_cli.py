@@ -132,10 +132,13 @@ def test_hom_and_limit_reports(capsys, command, source, target, flavor):
     assert out == (GOLDEN / f"{command}_{source}_{target}_{flavor}.json").read_text()
 
 
-@pytest.mark.parametrize("base,obj,against", [
+YONEDA_CASES = [
     ("arrow_2cat", "0", "representable_0"), ("arrow_2cat", "1", "diagram_pick0"),
     ("arrow_2cat", "0", "diagram_collapse"), ("diamond_2cat", "a", "repr_diamond_a"),
-    ("diamond_2cat", "bot", "representable_diamond_top")])
+    ("diamond_2cat", "bot", "representable_diamond_top")]
+
+
+@pytest.mark.parametrize("base,obj,against", YONEDA_CASES)
 def test_yoneda_reports(capsys, base, obj, against):
     """The full report of ``yoneda``, byte for byte."""
     code, out = invoke(capsys, "yoneda", str(FIXTURES / f"{base}.json"),

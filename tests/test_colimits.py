@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from certificate_reference import certify_coend, default_test_family
+from cone_reference import check_sigma_cone
 from dicone_reference import cotensor_diagram
 from equivalence_reference import categories_equivalent
 from helpers import (arrow_tensor_factors, chain_2cat, colimit_rungs,
@@ -35,10 +36,10 @@ from sigmacat.transforms import (LAX, PSEUDO, STRICT, CatDiagram,
                                  constant_diagram, hom_eps,
                                  reinterpret_as_pseudo, sigma_flavor)
 from sigmacat.colimits import (SigmaCone, _conical_classifier, bilimit_cat,
-                               check_sigma_cone, coend_eps, commutation_check,
+                               coend_eps, commutation_check,
                                cones_sigma,
                                conical_sigma_colimit, induced_from_colimit,
-                               point_cone_homs, weighted_limit_cat,
+                               diagram_binding, point_cone_homs, weighted_limit_cat,
                                weighted_sigma_colimit)
 from sigmacat.shapes import BIEQUALIZER, BIEQUIFIER, BIINSERTER, BIPRODUCT, SHAPES
 
@@ -257,7 +258,7 @@ def test_strict_cone_readers_refuse_a_pseudo_diagram(mk):
     with pytest.raises(PreconditionFailed, match="expect a strict diagram"):
         cones_sigma(P, frozenset(), iso_pair_category())
     with pytest.raises(PreconditionFailed, match="expect a strict diagram"):
-        point_cone_homs(P, frozenset())
+        point_cone_homs(*diagram_binding(P), frozenset())
 
 def test_terminal_weight_reduces_to_conical(base):
     W = weight_constant_terminal_op()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from construction_reference import compose_transformations, identity_transformation
 from elements_reference import is_two_fully_faithful
 from sigmacat.fincat import (Functor, NatTransf, arrow_category,
                              compose_functors, identity_functor,
@@ -13,8 +14,7 @@ from sigmacat.two_cat import (WideSub, terminal_2cat, validate_2category,
                               wide_identities)
 from sigmacat.transforms import (LAX, PSEUDO, Transformation, TwoFunctor,
                                  check_transformation, compose_diagram,
-                                 compose_transformations, constant_diagram,
-                                 hom_eps, identity_transformation,
+                                 constant_diagram, hom_eps,
                                  reinterpret_as_pseudo, sigma_flavor,
                                  validate_twofunctor)
 from sigmacat.elements import (cart_sigma, elements_of, elements_of_pseudo,

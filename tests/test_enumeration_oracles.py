@@ -58,15 +58,14 @@ from hypothesis import given, settings
 from bilimit_reference import cone_candidates, cone_laws
 from certificate_reference import (certify_against, certify_weighted,
                                    default_test_family, hom_into_diagram)
-from cone_reference import (ShapeDiagram, base_cone_category, cocone_category,
-                            cone_category_names, cone_existence,
+from cone_reference import (ShapeDiagram, base_cone_category, check_sigma_cone,
+                            cocone_category, cone_category_names, cone_existence,
                             shape_diagram_1, shape_diagram_2, shape_diagram_3)
 from helpers import chain_2cat, idempotent_category, posets
 from sigmacat.colimits import (BaseCone, BaseConeCategories, ConeKernel, SigmaCone,
                                _conical_classifier, _weighted_classifier,
-                               check_base_cone, check_sigma_cone,
-                               comparison_functor, cones_sigma,
-                               conical_sigma_colimit, point_cone_homs,
+                               check_base_cone, comparison_functor, cones_sigma,
+                               conical_sigma_colimit, diagram_binding, point_cone_homs,
                                preserves_bilimit, weighted_sigma_colimit)
 from sigmacat.config import Meter
 from sigmacat.errors import PreconditionFailed, SizeLimitExceeded
@@ -1053,7 +1052,7 @@ def test_preservation_of_the_generated_cones_matches_the_assembled_comparison(ba
 def point_cone_rows(Q, marked) -> tuple:
     """``point_cone_homs`` as sorted cones and, per pair of them, the
     sorted morphisms."""
-    cones, hom = point_cone_homs(Q, marked)
+    cones, hom = point_cone_homs(*diagram_binding(Q), marked)
     order = sorted(range(len(cones)), key=lambda p: cones[p])
     return ([cones[p] for p in order],
             [[sorted(hom(p, q)) for q in order] for p in order])

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from construction_reference import product_projections
 from equivalence_reference import (categories_equivalent,
                                    quasi_inverse_search, skeleton)
 from helpers import idempotent_category
@@ -14,7 +15,7 @@ from sigmacat.fincat import (
     functor_category_full, group_z2_category, identity_functor,
     is_equivalence, is_equivalence_on_homs, iso_pair_category, mk_fincat,
     parallel_pair_category,
-    product_category, product_projections, terminal_category, validate_category, validate_functor)
+    product_category, terminal_category, validate_category, validate_functor)
 from sigmacat.two_cat import two_cat_from_cat, two_cat_product
 
 

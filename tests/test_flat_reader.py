@@ -6,7 +6,10 @@ reads of the 1-cell dual of El_P.  Scanning it must give what the assembled rout
 ``elements_of_pseudo(P)`` for a pseudo P, with its cartesian marking: the
 verdict, every witness in order, the counterexample and the ticks.  Its
 tables must be those of the assembled El_P's 1-cell dual entry for entry,
-and ``check_flat`` must answer with no 2-category of elements built.
+and ``check_flat`` must answer with no 2-category of elements built.  The
+rows the cone kernel reads off the reader (``_Elements._shape_index``)
+must be the assembled El_P's, for every diagram here, for the weights of
+the benchmark's limits and on generated posets.
 """
 
 import pytest
@@ -186,6 +189,51 @@ def test_the_reader_is_the_assembled_scan_on_posets(c):
         assert_reader_is_the_assembled_scan(representable(base, A))
 
 
+def assert_rows_are_the_assembled_rows(P, build=elements_of):
+    """The rows the cone kernel reads, off the reader and off the assembled
+    El_P: the objects, the 1-cells and their ends in order, and the LN2
+    and LN1 rows as sorted lists."""
+    objs, cells, ends, two, pairs = _Elements(P, False, Meter())._shape_index
+    want = build(P).cat._shape_index
+    assert (objs, cells, ends) == want[:3]
+    assert (sorted(two), sorted(pairs)) == (sorted(want[3]), sorted(want[4]))
+
+
+def limit_weights() -> dict:
+    """Δ1 and every representable over the chains, grids and the diamond
+    that weigh the benchmark's limits and Yoneda checks."""
+    bases = {f"chain{n}": chain_2cat(n) for n in (2, 4, 8, 16)}
+    bases.update({f"grid{n}x{n}": grid_2cat(n, n) for n in (2, 3, 4)}, diamond=diamond_2cat())
+    out = {}
+    for name, base in bases.items():
+        out[f"{name}/one"] = constant_diagram(base, terminal_category())
+        out.update({f"{name}/repr{A}": representable(base, A) for A in sorted(base.objects)})
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(DIAGRAMS))
+def test_the_reader_rows_are_the_assembled_rows(name):
+    assert_rows_are_the_assembled_rows(DIAGRAMS[name])
+
+
+LIMIT_WEIGHTS = limit_weights()
+
+
+@pytest.mark.parametrize("name", sorted(LIMIT_WEIGHTS))
+def test_the_reader_rows_are_the_assembled_rows_on_the_limit_weights(name):
+    assert_rows_are_the_assembled_rows(LIMIT_WEIGHTS[name])
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(c=posets(5))
+def test_the_reader_rows_are_the_assembled_rows_on_posets(c):
+    base = two_cat_from_cat(c)
+    for value in (terminal_category(), arrow_category()):
+        assert_rows_are_the_assembled_rows(constant_diagram(base, value))
+    for A in sorted(base.objects):
+        assert_rows_are_the_assembled_rows(representable(base, A))
+
+
 def test_parallel_2cells_with_one_action_reach_sigma_f2():
     rep = assert_reader_is_the_assembled_scan(DIAGRAMS["twice_stepped"])
     assert not rep.verdict and rep.counterexample.axiom == AXIOM_F2
@@ -261,6 +309,7 @@ def test_the_reader_reads_the_pseudo_dual_table_for_table(name):
     P = PSEUDO_DIAGRAMS[name]()
     assert_reader_reads_the_dual(P, elements_of_pseudo)
     assert_reader_is_the_assembled_scan(P, elements_of_pseudo)
+    assert_rows_are_the_assembled_rows(P, elements_of_pseudo)
 
 
 def test_check_flat_builds_no_2category_of_elements(monkeypatch):

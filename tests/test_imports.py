@@ -155,3 +155,69 @@ def test_every_benchmark_span_names_a_package_function():
                if not callable(getattr(importlib.import_module(f"sigmacat.{module}"),
                                        fn, None))]
     assert pairs and not missing, f"spans name missing functions: {', '.join(missing)}"
+
+
+# Top-level functions and classes of the package that nothing in src/ or
+# bench/ names, each with the reason it stays in the package rather than
+# in a reference module under tests/.
+UNCALLED_KEPT = {
+    "fincat.empty_category": "the empty category, the unit of the category kit's "
+                             "coproducts, beside terminal_category",
+    "fixtures.marked_fixtures": "the catalogue of marked 2-categories with their "
+                                "expected filteredness, one of the package's fixtures",
+    "fixtures.weight_constant_terminal_op": "the weight Δ1 on the walking arrow's dual, "
+                                            "one of the package's fixtures",
+    "transforms.identity_twofunctor": "the identity 2-functor, the unit of the "
+                                      "2-functors the package composes",
+}
+
+
+def named(trees) -> set[str]:
+    """Every name the code mentions: names, attributes, imported names,
+    and strings that are identifiers, as ``bench/spans.py`` names the
+    functions it wraps."""
+    found = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif isinstance(node, ast.alias):
+                found.add(node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                    and node.value.isidentifier():
+                found.add(node.value)
+    return found
+
+
+def uncalled(modules: dict, users) -> list[str]:
+    """``module.name`` for every top-level function or class of
+    ``modules`` (name -> tree) that no tree of ``users`` names."""
+    used = named(users)
+    return [f"{module}.{node.name}" for module, tree in modules.items()
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in used]
+
+
+def test_every_package_function_has_a_caller():
+    """A function or class that only the tests call belongs under tests/.
+    ``__init__`` names what it exports, so an export counts as named."""
+    modules = {name[:-3]: parsed(name) for name in MODULES}
+    users = [parsed(p.name) for p in PACKAGE.glob("*.py")] + \
+        [ast.parse(p.read_text(), p.name) for p in sorted((ROOT / "bench").glob("*.py"))]
+    found = uncalled(modules, users)
+    assert sorted(found) == sorted(UNCALLED_KEPT), \
+        f"no caller in src/ or bench/: {', '.join(sorted(set(found) - set(UNCALLED_KEPT)))}; " \
+        f"kept but called: {', '.join(sorted(set(UNCALLED_KEPT) - set(found)))}"
+
+
+def test_an_uncalled_function_is_flagged():
+    module = ast.parse("def called(): pass\n"
+                       "def wrapped(): pass\n"
+                       "def orphan(): pass\n"
+                       "class Orphan: pass\n")
+    user = ast.parse("import m\n"
+                     "m.called()\n"
+                     "GROUPS = [('m', 'wrapped')]\n")
+    assert uncalled({"m": module}, [module, user]) == ["m.orphan", "m.Orphan"]

@@ -21,7 +21,7 @@ from test_flat_reader import DIAGRAMS as FLAT_READER_DIAGRAMS
 from test_enumeration_oracles import CONES as ENUMERATION_CONES
 from sigmacat.colimits import (_morphism_key, bilimit_cat, coend_eps, cones_sigma,
                                conical_sigma_colimit,
-                               point_cone_homs, weighted_sigma_colimit,
+                               diagram_binding, point_cone_homs, weighted_sigma_colimit,
                                weighted_sigma_limit)
 from sigmacat.config import DEFAULT_BUDGET, Meter
 from sigmacat.elements import elements_of, elements_of_pseudo, gamma_dual
@@ -199,7 +199,8 @@ def test_the_lax_grid_limit_is_read_within_the_default_budget():
     Assembling the category costs another 211,250 composition ticks."""
     grid = grid_2cat(3, 3)
     meter = Meter(DEFAULT_BUDGET)
-    cones, hom = point_cone_homs(constant_diagram(grid, chain(3)), frozenset(), meter)
+    cones, hom = point_cone_homs(*diagram_binding(constant_diagram(grid, chain(3))),
+                                 frozenset(), meter)
     morphisms = sum(len(hom(p, q)) for p in range(len(cones)) for q in range(len(cones)))
     assert (len(cones), morphisms, meter.count) == (175, 8790, 28648)
 

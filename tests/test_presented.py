@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from certificate_reference import default_test_family
 from closure_reference import reference_localize
+from construction_reference import localization_functor
 from helpers import colimit_rungs, idempotent_category, posets, table_digest
 from sigmacat.colimits import conical_sigma_colimit
 from sigmacat.config import Meter
@@ -15,7 +16,7 @@ from sigmacat.fincat import (Functor, arrow_category, compose_functors,
                              group_z2_category, iso_pair_category,
                              mk_fincat, parallel_pair_category,
                              validate_category)
-from sigmacat.presented import (Presentation, localization_functor, localize,
+from sigmacat.presented import (Presentation, localize,
                                 saturate_presentation)
 
 

@@ -11,18 +11,20 @@ LN2 in), on two pairs where the kernel's own order differs from
 ``hom_eps``'s, and on generated posets in ``test_properties``.  The callers
 that route through it must answer without enumerating a transformation,
 in the strict flavour too, and pseudo input must still reach ``hom_eps``.
+Strict weighted limits and Yoneda checks read El W and never assemble it.
 """
 
 import pytest
 
 from helpers import (corpus_biinserter, idempotent_category,
                      strict_fixture_diagrams, table_digest)
+from test_cli import FIXTURES, FLAVOR_FLAGS, GOLDEN, HOM_PAIRS, YONEDA_CASES, invoke
 from test_enumeration_oracles import PAIRS
 from sigmacat import cli, colimits, elements, flatness, transforms
 from sigmacat import fixtures as fx
 from sigmacat.colimits import bilimit_cat, weighted_limit_cat, weighted_sigma_limit
 from sigmacat.errors import PreconditionFailed
-from sigmacat.fincat import (Functor, discrete_category, idn, identity_functor,
+from sigmacat.fincat import (Functor, arrow_category, discrete_category, idn, identity_functor,
                              parallel_pair_category)
 from sigmacat.flatness import representable, yoneda_check
 from sigmacat.shapes import BIINSERTER
@@ -153,3 +155,47 @@ def test_pseudo_input_reaches_hom_eps(monkeypatch):
             weighted_limit_cat(W, Q, fl)
     with pytest.raises(HomEnumerated):
         yoneda_check(fx.pseudo_z2(), "0")
+
+
+def test_strict_limits_build_no_2category_of_elements(monkeypatch, capsys):
+    """No El W is assembled, no projection and no composite diagram built:
+    with ``elements._build`` refusing, strict weighted limits in the four
+    flavours, ``weighted_limit_cat``, strict ``yoneda_check`` and the CLI's
+    ``limit``, ``yoneda`` and ``hom`` on strict fixtures answer as before:
+    the categories are ``hom_eps``'s table for table, the Yoneda reports
+    are unchanged and the CLI reports are the goldens, byte for byte."""
+    diamond = fx.diamond_2cat()
+    pairs = [(representable(diamond, A), constant_diagram(diamond, arrow_category()))
+             for A in sorted(diamond.objects)]
+    pairs += [(DIAGRAMS[w], DIAGRAMS[p]) for w, p in (
+        ("weight_on_op_arrow", "weight_on_op_arrow"), ("diagram_pick0", "diagram_collapse"),
+        ("diagram_on_free2cell", "delta_arrow_free2cell"))]
+    flavors = [(W, P, fl) for W, P in pairs for fl in reduced_flavors(W.source)]
+    expected = [table_digest(hom_eps(W, P, fl).cat) for W, P, fl in flavors]
+    yonedas = [(Q, A) for Q in (fx.diagram_collapse(), fx.diagram_pick0(), pairs[0][1])
+               for A in sorted(Q.source.objects)]
+    expected_yoneda = [yoneda_check(Q, A) for Q, A in yonedas]
+    assert all(rep.verdict for rep in expected_yoneda)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a 2-category of elements was built")
+
+    for module, attr in ((elements, "_build"), (elements, "mk_fin2cat"),
+                         (colimits, "compose_diagram"), (elements, "compose_diagram")):
+        monkeypatch.setattr(module, attr, refuse)
+    assert [table_digest(weighted_sigma_limit(W, P, fl).cat)
+            for W, P, fl in flavors] == expected
+    assert [table_digest(weighted_limit_cat(W, P, fl).cat)
+            for W, P, fl in flavors] == expected
+    assert [yoneda_check(Q, A) for Q, A in yonedas] == expected_yoneda
+    for command in ("hom", "limit"):
+        for source, target in HOM_PAIRS:
+            for flavor, flags in FLAVOR_FLAGS.items():
+                code, out = invoke(capsys, command, str(FIXTURES / f"{source}.json"),
+                                   str(FIXTURES / f"{target}.json"), *flags)
+                assert (code, out) == (0, (GOLDEN / f"{command}_{source}_{target}_{flavor}"
+                                           ".json").read_text())
+    for base, obj, against in YONEDA_CASES:
+        code, out = invoke(capsys, "yoneda", str(FIXTURES / f"{base}.json"), "--object", obj,
+                           "--against", str(FIXTURES / f"{against}.json"))
+        assert (code, out) == (0, (GOLDEN / f"yoneda_{against}_{obj}.json").read_text())
