@@ -425,7 +425,10 @@ CONE_CASES = {
     "cocones-free2cell-ids+v": free2cell_cocones,
     "cone-existence-free2cell-ids+v": free2cell_cone_existence,
     "bilimit-cones-diamond": bilimit_cones(diamond_2cat),
+    "bilimit-cones-chain2": bilimit_cones(lambda: chain_2cat(2)),
+    "bilimit-cones-chain4": bilimit_cones(lambda: chain_2cat(4)),
     "bilimit-cones-chain8": bilimit_cones(lambda: chain_2cat(8)),
+    "bilimit-cones-grid2x2": bilimit_cones(lambda: grid_2cat(2, 2)),
     "bilimit-cones-grid3x3": bilimit_cones(lambda: grid_2cat(3, 3)),
 }
 
@@ -433,8 +436,11 @@ CONE_CASES = {
 CONE_EXPECTED = {
     "base-cones-diamond-biequalizers": (64, 36, "a0af0a49479d9f50"),
     "base-cones-diamond-biproducts": (100, 64, "76eed562399096db"),
+    "bilimit-cones-chain2": (57, 14, "513ad7474a6ce4d2"),
+    "bilimit-cones-chain4": (282, 47, "100a99e18953fad9"),
     "bilimit-cones-chain8": (1716, 173, "a21c183bb890e390"),
     "bilimit-cones-diamond": (231, 44, "85abf3966c065e81"),
+    "bilimit-cones-grid2x2": (231, 44, "92c2aa008295bf01"),
     "bilimit-cones-grid3x3": (1515, 190, "cdaa8b8952aab59b"),
     "cocones-free2cell-ids+v": (21, 6, "0d3a7961ed08e797"),
     "cone-existence-free2cell-ids+v": (6, 3, "34d60c7a7254de5f"),
@@ -446,6 +452,43 @@ def test_cone_search_ticks_and_results_are_pinned(case):
     meter = Meter()
     rows = CONE_CASES[case](meter)
     assert (meter.count, len(rows), digest(rows)) == CONE_EXPECTED[case]
+
+
+# Left exactness of the benchmark's exactness inputs: Δ1, the bottom
+# representable and Δ of the discrete pair, over the cones the search finds
+# in chain8 and grid3x3.  Each case records the ticks of ``check_left_exact``
+# alone, on a fresh meter, its verdict and one digest of its per-shape
+# answers, in order.
+
+
+def left_exact_inputs(a) -> dict:
+    return {"one": constant_diagram(a, terminal_category()),
+            "repr-bottom": representable(a, sorted(a.objects)[0]),
+            "pair": constant_diagram(a, discrete_category(["x", "y"]))}
+
+
+LEFT_EXACT_BASES = {"chain8": lambda: chain_2cat(8), "grid3x3": lambda: grid_2cat(3, 3)}
+
+# (ticks, verdict, number of shapes, digest of the per-shape answers)
+LEFT_EXACT_EXPECTED = {
+    "chain8-one": (519, True, 173, "7155cdd2c27ac78a"),
+    "chain8-pair": (1507, False, 173, "d6827ddacf097982"),
+    "chain8-repr-bottom": (519, True, 173, "7155cdd2c27ac78a"),
+    "grid3x3-one": (570, True, 190, "3e48fadd31821c57"),
+    "grid3x3-pair": (1677, False, 190, "977060f1006ec185"),
+    "grid3x3-repr-bottom": (570, True, 190, "3e48fadd31821c57"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LEFT_EXACT_EXPECTED))
+def test_left_exactness_ticks_and_answers_are_pinned(case):
+    name, label = case.split("-", 1)
+    a = LEFT_EXACT_BASES[name]()
+    cones = generate_bilimit_cones(a)
+    meter = Meter()
+    rep = check_left_exact(left_exact_inputs(a)[label], cones, meter)
+    assert (meter.count, rep.verdict, len(rep.per_shape), digest(rep.per_shape)) == \
+        LEFT_EXACT_EXPECTED[case]
 
 
 # Filteredness, cofinality and flatness scans.  Each case records the ticks
