@@ -607,6 +607,8 @@ def check_base_cone(c: BaseCone) -> ValidationReport:
     rep = ValidationReport("BaseCone")
     sh, D = c.shape, c.diagram
     amb = D.target
+    for u in sorted(c.marked.difference(sh.all_one_cells())):
+        rep.add("marking", (u,), f"marked {u} is not a 1-cell of the shape")
     for i in sh.objects:
         t = c.comp.get(i)
         if t is None or t not in amb._cell1_home or \
@@ -792,6 +794,8 @@ class BaseConeCategories:
 
     def __init__(self, D: TwoFunctor, marked: frozenset,
                  meter: Meter | None = None, actions: tuple | None = None):
+        if not marked.issubset(D.source.all_one_cells()):
+            raise PreconditionFailed("the marking is not of the diagram's shape")
         self.D, self.marked = D, marked
         self.on_1, self.on_2 = actions or hom_actions(D.target)
         self.kernel = ConeKernel(D.source, marked, lambda u: self.on_1(D.map1[u]),
@@ -803,11 +807,16 @@ class BaseConeCategories:
     def build(self, X: str) -> tuple[list, dict]:
         """Cones_D(X) built afresh: its cones in generation order, and per
         pair (p, q) of their positions the morphisms from the p-th to the
-        q-th, with no composition table."""
+        q-th, with no composition table.  When some hom(X, D(i)) has no
+        1-cell there is no cone, and none is looked for: the answer is
+        ``([], {})`` before the kernel is entered, for no ticks, as the
+        kernel would spend none on an empty pool of legs."""
         amb = self.D.target
-        cats = [amb.hom.get((X, d)) for d in self.values]
-        cones = list(self.kernel.cones(cats, [amb.one_cells(X, d) for d in self.values],
-                                       self.meter))
+        pools = [amb.one_cells(X, d) for d in self.values]
+        if not all(pools):
+            return [], {}
+        cats = [amb.hom[(X, d)] for d in self.values]
+        cones = list(self.kernel.cones(cats, pools, self.meter))
         if not cones:
             return cones, {}
         hom = self.kernel.morphisms(cats, self.meter)
@@ -852,20 +861,20 @@ class BaseConeCategories:
         """
         if c.diagram != self.D or c.marked != self.marked:
             raise PreconditionFailed("the cone is not over this diagram")
-        amb = self.D.target
+        amb, vertex = self.D.target, c.vertex
         cone_of, morphism_of = _comparison([self.on_1(c.comp[i]) for i in self.kernel.objs],
                                            [self.on_2(c.struct[u]) for u in self.kernel.cells])
+        is_iso = amb.is_invertible_2cell
 
         def invertible(rho: tuple) -> bool:
-            return all(amb.is_invertible_2cell(x) for x in rho)
+            return all(map(is_iso, rho))
 
         for X in amb.objects:
             _, objects, homs = self.at(X)
-            if not objects and not amb.hom[(X, c.vertex)].objects:
-                continue
-            if not is_equivalence_on_homs(amb.hom[(X, c.vertex)], objects, cone_of,
-                                          morphism_of, lambda i, j: set(homs[(i, j)]),
-                                          invertible):
+            into = amb.hom[(X, vertex)]
+            if (objects or into.objects) and not is_equivalence_on_homs(
+                    into, objects, cone_of, morphism_of, lambda i, j: set(homs[(i, j)]),
+                    invertible):
                 return False
         return True
 

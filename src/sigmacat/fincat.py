@@ -30,7 +30,8 @@ class FinCat:
     ``compose[(g, f)]`` is the composite ``g after f`` and is defined for
     exactly the pairs with ``tgt(f) == src(g)``.  The tables are never
     mutated after construction; ``hom`` relies on this, since it answers
-    from an index of the arrow table built on its first call.
+    from an index of the arrow table built on its first call, and so does
+    ``inverse``, which keeps the answer for each arrow it is asked about.
     """
 
     objects: tuple[str, ...]
@@ -65,12 +66,18 @@ class FinCat:
         return self.inverse(a) is not None
 
     def inverse(self, a: str) -> str | None:
-        s, t = self.arrows[a]
-        for b in self.hom(t, s):
-            if self.compose[(b, a)] == self.identity[s] and \
-               self.compose[(a, b)] == self.identity[t]:
-                return b
-        return None
+        inverses = self._inverses
+        if a not in inverses:
+            s, t = self.arrows[a]
+            inverses[a] = next((b for b in self.hom(t, s)
+                                if self.compose[(b, a)] == self.identity[s]
+                                and self.compose[(a, b)] == self.identity[t]), None)
+        return inverses[a]
+
+    @cached_property
+    def _inverses(self) -> dict:
+        """arrow -> its inverse, or None, filled in by ``inverse``."""
+        return {}
 
     def op(self) -> "FinCat":
         """Same arrow names, sources and targets swapped."""

@@ -127,21 +127,22 @@ def generate_bilimit_cones(a: Fin2Cat, meter: Meter | None = None) -> list:
     one diagram of the empty shape, whose bilimit is a biterminal object,
     then every diagram of the four binary shapes (``generating_diagrams``).
 
-    Only shapes certified by the bilimit test are returned; on bases
-    without some bilimit the shape is simply absent.  Each diagram
-    (D, marked) is searched over one ``BaseConeCategories``, all of them
-    on the base's one ``hom_actions``: every Cones_D(X) is built first,
-    once, and the ticks are those of these builds.  Then the vertices L
-    are tried in sorted order, the cones of
-    Cones_D(L) in generation order, and the first that passes the bilimit
-    test is returned.  Only vertices L where hom(X, L) is inhabited
-    exactly where Cones_D(X) is are tried: at any other L the test fails
-    for every cone, as it asks at each X for an equivalence hom(X, L) →
-    Cones_D(X), and no functor between an empty and an inhabited category
-    is one.  So the filter changes neither the cone returned nor the
-    order; nor do the builds up front change the ticks, since a walk of
-    every vertex, when no cone passes, or else the passing test, builds
-    every Cones_D(X) anyway.
+    Only shapes certified by the bilimit test are returned; on bases without
+    some bilimit the shape is simply absent.  Each diagram (D, marked) is
+    searched over one ``BaseConeCategories``, all of them on the base's one
+    ``hom_actions``: every Cones_D(X) is built first, once, and the ticks
+    are those of these builds.  One where some hom(X, D(i)) has no 1-cell is
+    empty, and its build answers so before the cone kernel is entered.
+    Nothing is kept between calls, so each call charges every build.  Then
+    the vertices L are tried in sorted order, the cones of Cones_D(L) in
+    generation order, and the first that passes the bilimit test is
+    returned.  Only vertices L where hom(X, L) is inhabited exactly where
+    Cones_D(X) is are tried: at any other L the test fails for every cone,
+    as it asks at each X for an equivalence hom(X, L) → Cones_D(X), and no
+    functor between an empty and an inhabited category is one.  So the
+    filter changes neither the cone returned nor the order; nor do the
+    builds up front change the ticks, since a walk of every vertex, when no
+    cone passes, or else the passing test, builds every Cones_D(X) anyway.
     """
     meter = meter or Meter()
     objects = sorted(a.objects)

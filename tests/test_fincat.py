@@ -3,11 +3,12 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
 
 from construction_reference import product_projections
 from equivalence_reference import (categories_equivalent,
                                    quasi_inverse_search, skeleton)
-from helpers import idempotent_category
+from helpers import idempotent_category, posets
 from sigmacat.errors import PreconditionFailed
 from sigmacat.fincat import (
     FinCat, Functor, arrow_category, connected_components, discrete_category, empty_category,
@@ -16,6 +17,7 @@ from sigmacat.fincat import (
     is_equivalence, is_equivalence_on_homs, iso_pair_category, mk_fincat,
     parallel_pair_category,
     product_category, terminal_category, validate_category, validate_functor)
+from sigmacat.fixtures import chain3_2cat, marked_fixtures
 from sigmacat.two_cat import two_cat_from_cat, two_cat_product
 
 
@@ -41,6 +43,51 @@ def hom_matches_scan(c):
 def test_fixtures_validate(name, cat):
     assert validate_category(cat).ok
     assert hom_matches_scan(cat)
+
+
+def scanned_inverse(c, a):
+    """The inverse of a in c, or None, from a scan of the whole arrow table:
+    the first, in sorted order, of the arrows back that compose to both
+    identities."""
+    s, t = c.arrows[a]
+    return next((b for b in sorted(c.arrows) if c.arrows[b] == (t, s)
+                 and c.compose[(b, a)] == c.identity[s]
+                 and c.compose[(a, b)] == c.identity[t]), None)
+
+
+def assert_inverses_match_a_scan(c):
+    """``inverse`` keeps its answer per arrow; on two fresh copies of c,
+    each arrow asked twice, in sorted and in reversed order, it answers as
+    a fresh scan does, and ``is_iso`` with it."""
+    want = {a: scanned_inverse(c, a) for a in c.arrows}
+    for order in (sorted(c.arrows), sorted(c.arrows, reverse=True)):
+        fresh = FinCat(c.objects, dict(c.arrows), dict(c.identity), dict(c.compose))
+        for a in order + order:
+            assert fresh.inverse(a) == want[a]
+            assert fresh.is_iso(a) == (want[a] is not None)
+
+
+FIXTURE_2CATS = [(label, m.cat) for label, m, _ in marked_fixtures()] + \
+    [("chain3", chain3_2cat())]
+
+
+@pytest.mark.parametrize("name,cat", FIXTURES + [
+    ("functors-arrow-iso_pair", functor_category(arrow_category(), iso_pair_category())),
+    ("functors-iso_pair-z2", functor_category(iso_pair_category(), group_z2_category()))])
+def test_inverses_are_those_of_a_scan(name, cat):
+    assert_inverses_match_a_scan(cat)
+
+
+@pytest.mark.parametrize("name,a", FIXTURE_2CATS, ids=[n for n, _ in FIXTURE_2CATS])
+def test_inverses_in_every_hom_are_those_of_a_scan(name, a):
+    for h in a.hom.values():
+        assert_inverses_match_a_scan(h)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(c=posets(5))
+def test_inverses_in_posets_are_those_of_a_scan(c):
+    assert_inverses_match_a_scan(c)
 
 
 def test_validation_catches_identity_law_violation():

@@ -8,8 +8,8 @@ import pytest
 
 from helpers import chain_2cat, discrete_diagram
 from test_flat_reader import DIAGRAMS
-from sigmacat.colimits import (BaseCone, BaseConeCategories, comparison_functor,
-                               preserves_bilimit)
+from sigmacat.colimits import (BaseCone, BaseConeCategories, ConeKernel,
+                               check_base_cone, comparison_functor, preserves_bilimit)
 from sigmacat.errors import Inconsistency, PreconditionFailed
 from sigmacat.fincat import (Functor, arrow_category, compose_functors,
                              discrete_category, group_z2_category, is_equivalence,
@@ -179,6 +179,27 @@ def test_bilimit_search_builds_each_cone_category_once(diamond, monkeypatch):
     assert len(set(built)) == len(built) == len(diamond.objects) * diagrams == 4 * 44
 
 
+def test_bilimit_search_enters_the_kernel_only_where_every_leg_pool_is_inhabited(
+        diamond, monkeypatch):
+    """A Cones_D(X) with no 1-cell X → D(i) for some i has no cone, and
+    its build answers before the kernel: the kernel is entered once per
+    (D, marked) and X where every pool of legs is inhabited, and at no
+    other X."""
+    cones = ConeKernel.cones
+    entered = []
+
+    def counted(kernel, cats, pools, meter):
+        entered.append(tuple(map(len, pools)))
+        return cones(kernel, cats, pools, meter)
+
+    monkeypatch.setattr(ConeKernel, "cones", counted)
+    assert len(generate_bilimit_cones(diamond)) == 44
+    inhabited = [X for _, D, _ in generating_diagrams(diamond) for X in diamond.objects
+                 if all(diamond.one_cells(X, D.obj_map[i]) for i in D.source.objects)]
+    assert all(all(sizes) for sizes in entered)
+    assert len(entered) == len(inhabited) < 4 * 44
+
+
 def test_left_exactness_builds_no_composition_table(diamond, monkeypatch):
     """The bilimit search and the comparisons into the limits are decided
     on hom-sets, and each limit is read off P·D's tables: left exactness
@@ -342,6 +363,37 @@ def test_malformed_cones_passed_in_are_refused(diamond, diamond_cones):
             with pytest.raises(PreconditionFailed,
                                match=f"malformed cone {re.escape(label)}: component at"):
                 check_left_exact(P, cones)
+
+
+def markings_outside_the_shape():
+    """The ``biproduct(0,0)`` cone of the walking arrow, its label, and the
+    same cone marking an undeclared cell or the base's 1-cell f."""
+    label, cone = next((label, c) for label, c in generate_bilimit_cones(arrow_2cat())
+                       if label == "biproduct(0,0)")
+    return label, cone, [(name, dataclasses.replace(cone, marked=cone.marked | {name}))
+                         for name in ("zz", "f")]
+
+
+def test_a_cone_marking_outside_its_shape_is_refused():
+    """A marking names 1-cells of the cone's shape: one that names another
+    cell is a ``marking`` violation, and ``check_left_exact`` refuses it."""
+    label, cone, bad = markings_outside_the_shape()
+    P = representable(arrow_2cat(), "0")
+    assert check_left_exact(P, [(label, dataclasses.replace(cone))]).verdict
+    for name, c in bad:
+        assert [(v.code, v.cells) for v in check_base_cone(c).violations] == \
+            [("marking", (name,))]
+        with pytest.raises(PreconditionFailed, match=f"malformed cone {re.escape(label)}: "
+                                                     f"marked {name} is not a 1-cell"):
+            check_left_exact(P, [(label, c)])
+
+
+def test_cone_categories_refuse_a_marking_outside_the_shape():
+    _, cone, bad = markings_outside_the_shape()
+    assert BaseConeCategories(cone.diagram, cone.marked).is_bilimit(cone)
+    for _, c in bad:
+        with pytest.raises(PreconditionFailed, match="marking is not of the diagram's shape"):
+            BaseConeCategories(c.diagram, c.marked)
 
 
 def test_exact_implies_cofiltered(diamond, diamond_cones):

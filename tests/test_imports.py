@@ -221,3 +221,126 @@ def test_an_uncalled_function_is_flagged():
                      "m.called()\n"
                      "GROUPS = [('m', 'wrapped')]\n")
     assert uncalled({"m": module}, [module, user]) == ["m.orphan", "m.Orphan"]
+
+
+# A memo keeps a result for later calls, and a later call that reads it is
+# not charged for building it.  So no memoized function may tick or name a
+# meter: every answer charges every build it needs, on the meter of the
+# call.  And no memo may outlive the objects it is kept on: a cache on a
+# module-level function, or on a method (kept on the class, for every
+# instance), serves every caller in the process.
+MEMOS = {"cache", "lru_cache", "cached_property"}
+# Module-level caches kept, each with its reason.
+MODULE_CACHES_KEPT = {
+    "cli.build_parser": "the argument parser, the same for every call of cli.run; "
+                        "it builds no answer and reads no input",
+}
+
+
+def memo_name(node) -> str | None:
+    """The memo a decorator or a call names, bare, called, or through
+    ``functools``, or None."""
+    while isinstance(node, ast.Call):
+        node = node.func
+    name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+    return name if name in MEMOS else None
+
+
+def memoized(tree: ast.Module, module: str) -> list[tuple[str, ast.AST, bool]]:
+    """(``module.qualified.name``, definition, whether module-level) of every
+    memoized function: decorated with a memo, or a function of the same
+    scope wrapped in ``cache(...)`` or ``lru_cache(...)``.  A ``cache`` or
+    ``lru_cache`` outside any function is module-level, and so is a module
+    assignment of a wrapped callable."""
+    found = []
+
+    def visit(body, prefix: str, in_function: bool):
+        wrapped = {arg.id for node in body for call in ast.walk(node)
+                   if isinstance(call, ast.Call) and memo_name(call)
+                   for arg in call.args if isinstance(arg, ast.Name)}
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                kinds = {memo_name(d) for d in node.decorator_list} - {None}
+                if kinds or node.name in wrapped:
+                    found.append((f"{prefix}{node.name}", node,
+                                  not in_function and bool(kinds - {"cached_property"})))
+                visit(node.body, f"{prefix}{node.name}.", True)
+            elif isinstance(node, ast.ClassDef):
+                visit(node.body, f"{prefix}{node.name}.", in_function)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)) and not in_function \
+                    and isinstance(node.value, ast.Call) and memo_name(node.value):
+                target = node.targets[0] if isinstance(node, ast.Assign) else node.target
+                found.append((f"{prefix}{ast.unparse(target)}", node, True))
+
+    visit(tree.body, f"{module}.", False)
+    return found
+
+
+def ticking_memos(tree: ast.Module, module: str) -> list[str]:
+    """The memoized functions that call ``.tick(`` or name a meter."""
+    def ticks(node) -> bool:
+        for n in ast.walk(node):
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) \
+                    and n.func.attr == "tick":
+                return True
+            name = n.id if isinstance(n, ast.Name) else n.attr \
+                if isinstance(n, ast.Attribute) else n.arg if isinstance(n, ast.arg) else ""
+            if "meter" in name.lower():
+                return True
+        return False
+    return [name for name, node, _ in memoized(tree, module) if ticks(node)]
+
+
+def module_caches(tree: ast.Module, module: str) -> list[str]:
+    return [name for name, _, module_level in memoized(tree, module) if module_level]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_memos_tick_nothing(module):
+    ticking = ticking_memos(parsed(module), module[:-3])
+    assert not ticking, f"{module} memoizes what it charges to a meter: {', '.join(ticking)}"
+
+
+def test_no_cache_outlives_its_objects_but_the_kept_ones():
+    found = [name for module in MODULES for name in module_caches(parsed(module), module[:-3])]
+    assert sorted(found) == sorted(MODULE_CACHES_KEPT)
+
+
+def test_the_memo_scan_reads_every_memo():
+    """The scan is not vacuous: it sees the memos of the package, the
+    inverse table among them."""
+    found = {name for module in MODULES for name, _, _ in memoized(parsed(module), module[:-3])}
+    assert {"fincat.FinCat._inverses", "fincat.FinCat._hom_index", "cli.build_parser",
+            "colimits.hom_actions.on_1", "colimits.hom_actions.on_2"} <= found
+
+
+def test_a_ticking_memo_or_a_module_cache_is_flagged():
+    tree = ast.parse("import functools\n"
+                     "class C:\n"
+                     "    @cached_property\n"
+                     "    def table(self):\n"
+                     "        self.meter.tick()\n"
+                     "        return {}\n"
+                     "    @cached_property\n"
+                     "    def index(self):\n"
+                     "        return {}\n"
+                     "    @functools.cache\n"
+                     "    def shared(self):\n"
+                     "        return {}\n"
+                     "@functools.lru_cache(maxsize=None)\n"
+                     "def parse(text):\n"
+                     "    return text\n"
+                     "def actions(count):\n"
+                     "    def on_1(f):\n"
+                     "        count.tick()\n"
+                     "    def on_2(x):\n"
+                     "        return x\n"
+                     "    return functools.cache(on_1), functools.cache(on_2)\n"
+                     "def charged(meter):\n"
+                     "    @functools.cache\n"
+                     "    def read(k):\n"
+                     "        return meter\n"
+                     "    return read\n"
+                     "TABLE = functools.cache(len)\n")
+    assert ticking_memos(tree, "m") == ["m.C.table", "m.actions.on_1", "m.charged.read"]
+    assert module_caches(tree, "m") == ["m.C.shared", "m.parse", "m.TABLE"]
