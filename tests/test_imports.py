@@ -248,10 +248,10 @@ def memo_name(node) -> str | None:
 
 def memoized(tree: ast.Module, module: str) -> list[tuple[str, ast.AST, bool]]:
     """(``module.qualified.name``, definition, whether module-level) of every
-    memoized function: decorated with a memo, or a function of the same
-    scope wrapped in ``cache(...)`` or ``lru_cache(...)``.  A ``cache`` or
-    ``lru_cache`` outside any function is module-level, and so is a module
-    assignment of a wrapped callable."""
+    memoized function: decorated with a memo, or passed to one, as in
+    ``functools.cache(on_1)``, in the scope that defines it.  A ``cache``
+    or ``lru_cache`` outside any function is module-level, and so is a
+    module assignment of a memo call."""
     found = []
 
     def visit(body, prefix: str, in_function: bool):
@@ -279,15 +279,12 @@ def memoized(tree: ast.Module, module: str) -> list[tuple[str, ast.AST, bool]]:
 def ticking_memos(tree: ast.Module, module: str) -> list[str]:
     """The memoized functions that call ``.tick(`` or name a meter."""
     def ticks(node) -> bool:
-        for n in ast.walk(node):
-            if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) \
-                    and n.func.attr == "tick":
-                return True
-            name = n.id if isinstance(n, ast.Name) else n.attr \
-                if isinstance(n, ast.Attribute) else n.arg if isinstance(n, ast.arg) else ""
-            if "meter" in name.lower():
-                return True
-        return False
+        nodes = list(ast.walk(node))
+        names = {getattr(n, field) for n in nodes for field in ("id", "attr", "arg")
+                 if isinstance(getattr(n, field, None), str)}
+        return any("meter" in name.lower() for name in names) or \
+            any(isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                and n.func.attr == "tick" for n in nodes)
     return [name for name, node, _ in memoized(tree, module) if ticks(node)]
 
 
