@@ -768,10 +768,10 @@ def _comparison(legs: list, cells: list) -> tuple:
     isomorphism, since its componentwise inverse satisfies the
     modification square too."""
     def cone_of(c: str) -> tuple:
-        return tuple(om[c] for om, _ in legs), tuple(s[c] for s in cells)
+        return tuple([om[c] for om, _ in legs]), tuple([s[c] for s in cells])
 
     def morphism_of(a: str) -> tuple:
-        return tuple(am[a] for _, am in legs)
+        return tuple([am[a] for _, am in legs])
 
     return cone_of, morphism_of
 

@@ -642,11 +642,13 @@ def is_equivalence_on_homs(c: FinCat, objects: dict, obj_key, arr_key, hom,
         for y in objs:
             target = homset(pos[x], pos[y])
             arrows = c.hom(x, y)
-            image = {arr_key(a) for a in arrows}
+            image = set(map(arr_key, arrows))
             if len(arrows) != len(target) or len(image) != len(arrows) or \
                     not image <= target:
                 return False
     hit = set(pos.values())
+    if len(hit) == len(objects):  # every object of D is an image
+        return True
     images = sorted(hit)
     return all(i in hit or any(invertible(m) for j in images for m in homset(i, j))
                for i in range(len(objects)))
