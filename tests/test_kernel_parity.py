@@ -25,7 +25,7 @@ from sigmacat.colimits import (_morphism_key, bilimit_cat, coend_eps, cones_sigm
                                weighted_sigma_limit)
 from sigmacat.config import DEFAULT_BUDGET, Meter
 from sigmacat.elements import elements_of, elements_of_pseudo, gamma_dual
-from sigmacat.errors import PreconditionFailed
+from sigmacat.errors import PreconditionFailed, SizeLimitExceeded
 from sigmacat.filteredness import (check_sigma_cofiltered, check_sigma_cofinal,
                                    check_sigma_filtered)
 from sigmacat.fincat import (arrow_category, discrete_category,
@@ -40,7 +40,7 @@ from sigmacat.flatness import (canonical_expression, check_flat, check_flat_pseu
                                representable, strictify)
 from sigmacat.io import diagram_to_doc, transformation_to_doc
 from sigmacat.presented import localize
-from sigmacat.shapes import BIINSERTER
+from sigmacat.shapes import BIINSERTER, generating_diagrams
 from sigmacat.transforms import (LAX, PSEUDO, STRICT, TwoFunctor, constant_diagram,
                                  hom_eps, identity_twofunctor, sigma_flavor)
 from sigmacat.two_cat import (Marked2Cat, free_2cell_2cat, parallel_2cells_2cat,
@@ -454,11 +454,27 @@ def test_cone_search_ticks_and_results_are_pinned(case):
     assert (meter.count, len(rows), digest(rows)) == CONE_EXPECTED[case]
 
 
+# The bilimit search on a budget one tick short of its pinned total is
+# refused, and on exactly that budget answers: where the budget runs out
+# stays where it was.
+
+
+@pytest.mark.parametrize("name", ["chain8", "grid3x3"])
+def test_the_bilimit_search_needs_exactly_its_pinned_budget(name):
+    total = CONE_EXPECTED[f"bilimit-cones-{name}"][0]
+    search = CONE_CASES[f"bilimit-cones-{name}"]
+    with pytest.raises(SizeLimitExceeded):
+        search(Meter(limit=total - 1))
+    meter = Meter(limit=total)
+    assert len(search(meter)) == CONE_EXPECTED[f"bilimit-cones-{name}"][1]
+    assert meter.count == total
+
+
 # Left exactness of the benchmark's exactness inputs: Δ1, the bottom
 # representable and Δ of the discrete pair, over the cones the search finds
-# in chain8 and grid3x3.  Each case records the ticks of ``check_left_exact``
-# alone, on a fresh meter, its verdict and one digest of its per-shape
-# answers, in order.
+# in the six bases the benchmark asks about.  Each case records the ticks of
+# ``check_left_exact`` alone, on a fresh meter, its verdict and one digest of
+# its per-shape answers, in order.
 
 
 def left_exact_inputs(a) -> dict:
@@ -467,13 +483,27 @@ def left_exact_inputs(a) -> dict:
             "pair": constant_diagram(a, discrete_category(["x", "y"]))}
 
 
-LEFT_EXACT_BASES = {"chain8": lambda: chain_2cat(8), "grid3x3": lambda: grid_2cat(3, 3)}
+LEFT_EXACT_BASES = {"chain2": lambda: chain_2cat(2), "chain4": lambda: chain_2cat(4),
+                    "chain8": lambda: chain_2cat(8), "diamond": diamond_2cat,
+                    "grid2x2": lambda: grid_2cat(2, 2), "grid3x3": lambda: grid_2cat(3, 3)}
 
 # (ticks, verdict, number of shapes, digest of the per-shape answers)
 LEFT_EXACT_EXPECTED = {
+    "chain2-one": (42, True, 14, "a21de52c3e065ce2"),
+    "chain2-pair": (115, False, 14, "f2333f708a65a570"),
+    "chain2-repr-bottom": (42, True, 14, "a21de52c3e065ce2"),
+    "chain4-one": (141, True, 47, "cc0bce45b004c416"),
+    "chain4-pair": (403, False, 47, "e7baebee8be9b3e6"),
+    "chain4-repr-bottom": (141, True, 47, "cc0bce45b004c416"),
     "chain8-one": (519, True, 173, "7155cdd2c27ac78a"),
     "chain8-pair": (1507, False, 173, "d6827ddacf097982"),
     "chain8-repr-bottom": (519, True, 173, "7155cdd2c27ac78a"),
+    "diamond-one": (132, True, 44, "c5c724cbf5d422b6"),
+    "diamond-pair": (379, False, 44, "c5355a029d34c5c4"),
+    "diamond-repr-bottom": (42, True, 44, "c5c724cbf5d422b6"),
+    "grid2x2-one": (132, True, 44, "e25e350c75b545f8"),
+    "grid2x2-pair": (379, False, 44, "c86800d1c1fba13e"),
+    "grid2x2-repr-bottom": (132, True, 44, "e25e350c75b545f8"),
     "grid3x3-one": (570, True, 190, "3e48fadd31821c57"),
     "grid3x3-pair": (1677, False, 190, "977060f1006ec185"),
     "grid3x3-repr-bottom": (570, True, 190, "3e48fadd31821c57"),
@@ -489,6 +519,27 @@ def test_left_exactness_ticks_and_answers_are_pinned(case):
     rep = check_left_exact(left_exact_inputs(a)[label], cones, meter)
     assert (meter.count, rep.verdict, len(rep.per_shape), digest(rep.per_shape)) == \
         LEFT_EXACT_EXPECTED[case]
+
+
+# The generating diagrams of the same bases: per diagram its label, the
+# items of its object, 1-cell and 2-cell maps in their order, and its
+# marking; (number of diagrams, digest of the rows).
+GENERATING_EXPECTED = {
+    "chain2": (14, "39165cafa6ccd66f"),
+    "chain4": (47, "e0e9ae06e7a8a2ea"),
+    "chain8": (173, "a1b5f0ab0b28644f"),
+    "diamond": (44, "b60868e1595bf7ce"),
+    "grid2x2": (44, "8af8ad405ce094fe"),
+    "grid3x3": (190, "5127f9d4bb3ff395"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEFT_EXACT_BASES))
+def test_generating_diagrams_are_pinned(name):
+    rows = [(label, list(D.obj_map.items()), list(D.map1.items()), list(D.map2.items()),
+             sorted(marked))
+            for label, D, marked in generating_diagrams(LEFT_EXACT_BASES[name]())]
+    assert (len(rows), digest(rows)) == GENERATING_EXPECTED[name]
 
 
 # Filteredness, cofinality and flatness scans.  Each case records the ticks
