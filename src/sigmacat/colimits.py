@@ -742,8 +742,10 @@ def hom_actions(a: Fin2Cat) -> tuple:
     """The actions of the hom diagrams a(X, -), for every X at once, each
     table built from a's composition tables on first use: ``on_1(f)`` is
     the pair (f∘- on 1-cells, 1_f*- on 2-cells) and ``on_2(x)`` is x*1_-
-    on 1-cells, over the cells into the source of f or of x."""
+    on 1-cells, over the cells into the source of f or of x.  Third, per
+    object L, the set of X with a 1-cell X → L."""
     hc1, hc2, into = a.hcomp1, a.hcomp2, a._cells_into
+    reaching = {L: {X for X in a.objects if a.one_cells(X, L)} for L in a.objects}
 
     def on_1(f: str) -> tuple:
         idf, (ts, xs) = a.id2(f), into[a.src1(f)]
@@ -752,7 +754,7 @@ def hom_actions(a: Fin2Cat) -> tuple:
     def on_2(x: str) -> dict:
         return {t: hc2[(x, a.id2(t))] for t in into[a.src1(a.src2(x))][0]}
 
-    return functools.cache(on_1), functools.cache(on_2)
+    return functools.cache(on_1), functools.cache(on_2), reaching
 
 
 def _comparison(legs: list, cells: list) -> tuple:
@@ -788,8 +790,8 @@ class BaseConeCategories:
     once, on the actions of ``hom_actions`` along D, and each X only
     supplies the categories hom(X, D(i)).  ``at(X)`` builds Cones_D(X) on
     first use and keeps it, so a search that tests many cones over D
-    builds each at most once.  All ticks are those of the builds, on the
-    given meter.
+    builds each at most once; only at the X in ``legs``, where every
+    hom(X, D(i)) is inhabited.  All ticks are those of the builds.
     """
 
     def __init__(self, D: TwoFunctor, marked: frozenset,
@@ -797,38 +799,44 @@ class BaseConeCategories:
         if not marked.issubset(D.source.all_one_cells()):
             raise PreconditionFailed("the marking is not of the diagram's shape")
         self.D, self.marked = D, marked
-        self.on_1, self.on_2 = actions or hom_actions(D.target)
+        self.on_1, self.on_2, self.reaching = actions or hom_actions(D.target)
         self.kernel = ConeKernel(D.source, marked, lambda u: self.on_1(D.map1[u]),
                                  lambda x: self.on_2(D.map2[x]))
         self.values = [D.obj_map[i] for i in self.kernel.objs]
+        self.legs = set(D.target.objects).intersection(*map(self.reaching.get, self.values))
         self.meter = meter or Meter()
         self._at = {}
 
     def build(self, X: str) -> tuple[list, dict]:
         """Cones_D(X) built afresh: its cones in generation order, and per
         pair (p, q) of their positions the morphisms from the p-th to the
-        q-th, with no composition table.  When some hom(X, D(i)) has no
-        1-cell there is no cone, and none is looked for: the answer is
-        ``([], {})`` before the kernel is entered, for no ticks, as the
-        kernel would spend none on an empty pool of legs."""
+        q-th, with no composition table.  ``at`` calls it only in ``legs``."""
         amb = self.D.target
         pools = [amb.one_cells(X, d) for d in self.values]
-        if not all(pools):
-            return [], {}
         cats = [amb.hom[(X, d)] for d in self.values]
         cones = list(self.kernel.cones(cats, pools, self.meter))
-        if not cones:
-            return cones, {}
         hom = self.kernel.morphisms(cats, self.meter)
         return cones, {(p, q): hom(c1, c2)
                        for p, c1 in enumerate(cones) for q, c2 in enumerate(cones)}
 
+    def reached(self, X: str) -> set:
+        """The vertices with a 1-cell into X, an object of the base; any
+        other X is refused."""
+        got = self.reaching.get(X)
+        if got is None:
+            raise PreconditionFailed(f"{X} is not an object of the base")
+        return got
+
     def at(self, X: str) -> tuple:
         """(the cones of Cones_D(X) as (legs, cells) in generation order,
         the position of each, and per pair of positions the components of
-        the morphisms between them)."""
+        the morphisms between them); none at an X outside ``legs``, and an X
+        that is not an object of the base is refused."""
         got = self._at.get(X)
         if got is None:
+            if X not in self.legs:
+                self.reached(X)
+                return [], {}, {}
             cones, homs = self.build(X)
             got = self._at[X] = (cones, {c: p for p, c in enumerate(cones)}, homs)
         return got
@@ -855,13 +863,14 @@ class BaseConeCategories:
         2-cell a to the family 1_(c_i)*a: the ``_comparison`` of
         ``preserves_bilimit`` for a(X, -), into the kept Cones_D(X).  The
         cone must be over (D, marked); its laws are not checked here
-        (``check_base_cone`` does that).  A vertex X where both
-        hom(X, vertex) and Cones_D(X) are empty is skipped after
-        Cones_D(X) is built: the empty functor is an equivalence there.
+        (``check_base_cone`` does that).  An X where both hom(X, vertex) and
+        Cones_D(X) are empty is skipped, as the empty functor is an
+        equivalence: all X outside ``legs`` with no 1-cell X → vertex.
         """
         if c.diagram != self.D or c.marked != self.marked:
             raise PreconditionFailed("the cone is not over this diagram")
         amb, vertex = self.D.target, c.vertex
+        walk = self.legs | self.reached(vertex)
         cone_of, morphism_of = _comparison([self.on_1(c.comp[i]) for i in self.kernel.objs],
                                            [self.on_2(c.struct[u]) for u in self.kernel.cells])
         is_iso = amb.is_invertible_2cell
@@ -869,7 +878,7 @@ class BaseConeCategories:
         def invertible(rho: tuple) -> bool:
             return all(map(is_iso, rho))
 
-        for X in amb.objects:
+        for X in filter(walk.__contains__, amb.objects):
             _, objects, homs = self.at(X)
             into = amb.hom[(X, vertex)]
             if (objects or into.objects) and not is_equivalence_on_homs(

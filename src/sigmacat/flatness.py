@@ -130,41 +130,29 @@ def generate_bilimit_cones(a: Fin2Cat, meter: Meter | None = None) -> list:
     Only shapes certified by the bilimit test are returned; on bases without
     some bilimit the shape is simply absent.  Each diagram (D, marked) is
     searched over one ``BaseConeCategories``, all of them on the base's one
-    ``hom_actions``: every Cones_D(X) is built first, once, and the ticks
-    are those of these builds.  One where some hom(X, D(i)) has no 1-cell is
-    empty, and its build answers so before the cone kernel is entered.
-    Nothing is kept between calls, so each call charges every build.  Then
-    the vertices L are tried in sorted order, the cones of Cones_D(L) in
-    generation order, and the first that passes the bilimit test is
-    returned.  Only vertices L where hom(X, L) is inhabited exactly where
-    Cones_D(X) is are tried: at any other L the test fails for every cone,
-    as it asks at each X for an equivalence hom(X, L) → Cones_D(X), and no
-    functor between an empty and an inhabited category is one.  So the
-    filter changes neither the cone returned nor the order; nor do the
-    builds up front change the ticks, since a walk of every vertex, when no
-    cone passes, or else the passing test, builds every Cones_D(X) anyway.
+    ``hom_actions``: every Cones_D(X) with X in ``legs``, where each
+    hom(X, D(i)) is inhabited, is built first, once; every other is empty
+    and never built.  The ticks are those of these builds, charged on each
+    call.  Then the vertices L are tried in sorted order, the cones of
+    Cones_D(L) in generation order, and the first that passes the bilimit
+    test is returned.  Only an L with hom(X, L) inhabited exactly where
+    Cones_D(X) is can pass, as the test asks at each X for an equivalence
+    hom(X, L) → Cones_D(X), and none joins an empty and an inhabited
+    category.  So the filter moves no cone; nor do the builds up front move
+    the ticks, since the filter itself reads every Cones_D(X) in ``legs``.
     """
     meter = meter or Meter()
     objects = sorted(a.objects)
-    reaching = {L: {X for X in objects if a.one_cells(X, L)} for L in objects}
     actions = hom_actions(a)
 
     def search(D, marked):
         over = BaseConeCategories(D, marked, meter, actions)
-        inhabited = {X for X in objects if over.at(X)[0]}
-        for L in objects:
-            if reaching[L] == inhabited:
-                for cone in over.cones(L):
-                    if over.is_bilimit(cone):
-                        return cone
-        return None
+        inhabited = {X for X in objects if X in over.legs and over.at(X)[0]}
+        return next((cone for L in objects if over.reaching[L] == inhabited
+                     for cone in over.cones(L) if over.is_bilimit(cone)), None)
 
-    cones = []
-    for label, D, marked in generating_diagrams(a):
-        got = search(D, marked)
-        if got is not None:
-            cones.append((label, got))
-    return cones
+    return [(label, cone) for label, D, marked in generating_diagrams(a)
+            if (cone := search(D, marked)) is not None]
 
 
 # ---------------------------------------------------------------------------
@@ -407,10 +395,17 @@ def exact_implies_cofiltered_check(P: CatDiagram, bilimit_cones,
                                    meter: Meter | None = None) -> FilterednessReport:
     """Left exactness must force cofilteredness of the elements.
 
-    A failure here is inconsistent, not a property of the input: exact
-    diagrams have cofiltered elements.
+    The theorem asks for a bilimit of every generating diagram of the base,
+    so a base where one has no supplied cone, matched by its label in
+    ``generating_diagrams``, is refused, naming the first such diagram.
+    Past that, a failure here is inconsistent, not a property of the input:
+    exact diagrams have cofiltered elements.
     """
     meter = meter or Meter()
+    labels = {label for label, _ in bilimit_cones}
+    for label, _, _ in generating_diagrams(P.source):
+        if label not in labels:
+            raise PreconditionFailed(f"no bilimit cone for {label}: the base may lack it")
     ex = check_left_exact(P, bilimit_cones, meter)
     if not ex.verdict:
         raise PreconditionFailed("diagram is not left exact on the supplied cones")

@@ -41,22 +41,26 @@ _CAT_KINDS = ((FinCat, "category"), (Functor, "functor"),
              (NatTransf, "transformation"))
 
 
-def _fill(sh: Fin2Cat, dim: int, tops, boundary, id1, id2):
-    """Images of every generator of ``sh`` from those of dimension ``dim``:
-    ``boundary(d, x)`` is the (source, target) of an image x of dimension d,
-    ``id1`` and ``id2`` give identities.  Returns (objects, 1-cells, 2-cells)."""
-    images = [dict(zip(GENERATORS[dim], tops))]
+def _below(dim: int, tops, boundary) -> list:
+    """The images of the generators of each dimension, from ``tops`` of
+    dimension ``dim``: ``boundary(d, x)`` is the (source, target) of x."""
+    images = [tops]
     for d in range(dim, 0, -1):
-        tops = boundary(d, tops[0])
-        images.insert(0, dict(zip(GENERATORS[d - 1], tops)))
-    obj, one, two = images + [{}] * (3 - len(images))
-    map1 = {sh.id1[A]: id1(obj[A]) for A in GENERATORS[0]} | one
-    map2 = {sh.id2(f): id2(g) for f, g in map1.items()} | two
-    return obj, map1, map2
+        images.insert(0, boundary(d, images[0][0]))
+    return images + [()] * (2 - dim)
 
 
-def _cat_diagram(sh: Fin2Cat, dim: int, tops) -> CatDiagram:
-    return CatDiagram(sh, *_fill(sh, dim, tops, lambda d, x: (x.source, x.target),
+def _fill(keys: tuple, images, id1, id2) -> tuple:
+    """The (object, 1-cell, 2-cell) maps on a shape's ``keys`` from the
+    images of its generators; ``id1`` and ``id2`` give identities."""
+    obj, one, two = images
+    map1 = dict(zip(keys[0], (*map(id1, obj), *one)))
+    return (dict(zip(GENERATORS[0], obj)), map1,
+            dict(zip(keys[1], (*map(id2, map1.values()), *two))))
+
+
+def _cat_diagram(sh: Fin2Cat, keys: tuple, dim: int, tops) -> CatDiagram:
+    return CatDiagram(sh, *_fill(keys, _below(dim, tops, lambda d, x: (x.source, x.target)),
                                  identity_functor, idn))
 
 
@@ -70,12 +74,13 @@ class Shape:
     dim: int  # the dimension of the top generators
     weight: CatDiagram
     marked: frozenset  # shape 1-cells marked in the conical search
+    keys: tuple  # the keys of a diagram's 1-cell and 2-cell maps, identities first
 
     def diagram(self, a: Fin2Cat, x: str, y: str) -> TwoFunctor:
         """The diagram in ``a`` sending the top generators to x and y."""
         def boundary(d, z):
             return (a.src2(z), a.tgt2(z)) if d == 2 else (a.src1(z), a.tgt1(z))
-        return TwoFunctor(self.cat, a, *_fill(self.cat, self.dim, (x, y), boundary,
+        return TwoFunctor(self.cat, a, *_fill(self.keys, _below(self.dim, (x, y), boundary),
                                               a.id1.__getitem__, a.id2))
 
     def cat_diagram(self, x, y) -> CatDiagram:
@@ -86,7 +91,7 @@ class Shape:
             raise ValidationError(f"{self.name} expects two {noun} documents")
         if self.dim and (x.source, x.target) != (y.source, y.target):
             raise ValidationError(f"expected parallel {noun} documents")
-        return _cat_diagram(self.cat, self.dim, (x, y))
+        return _cat_diagram(self.cat, self.keys, self.dim, (x, y))
 
 
 _ONE, _TWO, _ISO = terminal_category(), arrow_category(), iso_pair_category()
@@ -100,7 +105,9 @@ def _picks(c: FinCat) -> tuple[Functor, Functor]:
 
 
 def _shape(name: str, cat: Fin2Cat, dim: int, weight, marked) -> Shape:
-    return Shape(name, cat, dim, _cat_diagram(cat, dim, weight), frozenset(marked))
+    one = tuple(cat.id1[A] for A in GENERATORS[0]) + GENERATORS[1][:2 * (dim > 0)]
+    keys = one, tuple(map(cat.id2, one)) + GENERATORS[2][:2 * (dim > 1)]
+    return Shape(name, cat, dim, _cat_diagram(cat, keys, dim, weight), frozenset(marked), keys)
 
 
 # The weights send the top generators to: the terminal category, twice; the
@@ -125,20 +132,24 @@ def generating_diagrams(a: Fin2Cat):
     in ``a``: the one diagram of the empty shape, labelled ``biterminal``,
     then the biproducts of each pair of objects, then for each parallel
     pair f, g the biequalizer, the biinserter and the biequifier of each
-    pair of 2-cells f => g."""
-    def of(sh, x, y):
-        return f"{sh.name}({x},{y})", sh.diagram(a, x, y), sh.marked
+    pair of 2-cells f => g.  The maps are ``Shape.diagram``'s, laid on the
+    shape's ``keys`` from the images the loops hold, with no boundary read."""
+    id1, id2 = a.id1.__getitem__, {f: a.id2(f) for f in a.all_one_cells()}.__getitem__
+
+    def of(sh, tops, *images):
+        return (f"{sh.name}({tops[0]},{tops[1]})",
+                TwoFunctor(sh.cat, a, *_fill(sh.keys, images, id1, id2)), sh.marked)
 
     yield "biterminal", TwoFunctor(BITERMINAL, a, {}, {}, {}), frozenset()
     for C in sorted(a.objects):
         for D in sorted(a.objects):
-            yield of(BIPRODUCT, C, D)
+            yield of(BIPRODUCT, (C, D), (C, D), (), ())
     for A in sorted(a.objects):
         for B in sorted(a.objects):
             for f in a.one_cells(A, B):
                 for g in a.one_cells(A, B):
-                    yield of(BIEQUALIZER, f, g)
-                    yield of(BIINSERTER, f, g)
+                    yield of(BIEQUALIZER, (f, g), (A, B), (f, g), ())
+                    yield of(BIINSERTER, (f, g), (A, B), (f, g), ())
                     for al in a.two_cells_between(f, g):
                         for be in a.two_cells_between(f, g):
-                            yield of(BIEQUIFIER, al, be)
+                            yield of(BIEQUIFIER, (al, be), (A, B), (f, g), (al, be))

@@ -15,8 +15,8 @@ from sigmacat.fincat import (Functor, arrow_category, compose_functors,
                              discrete_category, group_z2_category, is_equivalence,
                              iso_pair_category, mk_fincat, terminal_category)
 from sigmacat.fixtures import (arrow_2cat, diamond_2cat, idn, iso_2cat,
-                               marked_fixtures, pseudo_not_flat, pseudo_swap,
-                               pseudo_z2)
+                               marked_fixtures, poset_category, pseudo_not_flat,
+                               pseudo_swap, pseudo_z2)
 from sigmacat.two_cat import (Marked2Cat, WideSub, free_2cell_2cat, op_dual,
                               terminal_2cat, two_cat_from_cat, wide_all)
 from sigmacat.transforms import (PSEUDO, CatDiagram, check_transformation,
@@ -161,8 +161,9 @@ def _i_if_above_a(diamond):
 
 def test_bilimit_search_builds_each_cone_category_once(diamond, monkeypatch):
     """The vertex filter and the bilimit test read the same cone
-    categories: every Cones_D(X) is built exactly once for each
-    (D, marked), which is what keeps the ticks those of the builds."""
+    categories: each Cones_D(X) where every pool of legs hom(X, D(i)) is
+    inhabited is built exactly once for each (D, marked), which is what
+    keeps the ticks those of the builds, and no other is built."""
     from sigmacat.colimits import BaseConeCategories
     build = BaseConeCategories.build
     built = []
@@ -175,8 +176,12 @@ def test_bilimit_search_builds_each_cone_category_once(diamond, monkeypatch):
 
     monkeypatch.setattr(BaseConeCategories, "build", counted)
     assert len(generate_bilimit_cones(diamond)) == 44
-    diagrams = len(list(generating_diagrams(diamond)))
-    assert len(set(built)) == len(built) == len(diamond.objects) * diagrams == 4 * 44
+    legs = [(tuple(sorted(D.obj_map.items())), tuple(sorted(D.map1.items())),
+             tuple(sorted(D.map2.items())), marked, X)
+            for _, D, marked in generating_diagrams(diamond) for X in diamond.objects
+            if all(diamond.one_cells(X, D.obj_map[i]) for i in D.source.objects)]
+    assert len(set(built)) == len(built) == len(legs) < 4 * 44
+    assert set(built) == set(legs)
 
 
 def test_bilimit_search_enters_the_kernel_only_where_every_leg_pool_is_inhabited(
@@ -396,6 +401,23 @@ def test_cone_categories_refuse_a_marking_outside_the_shape():
             BaseConeCategories(c.diagram, c.marked)
 
 
+def test_cone_categories_refuse_a_vertex_outside_the_base(diamond):
+    """Over the biterminal diagram every object of the base has its cone
+    category, and a name that is no object must not get one: ``at`` used to
+    answer ``zz`` with a cone, whose bilimit test raised ``KeyError``."""
+    diagrams = {label: (D, marked) for label, D, marked in generating_diagrams(diamond)}
+    for label in ("biterminal", "biproduct(a,b)"):
+        D, marked = diagrams[label]
+        over = BaseConeCategories(D, marked)
+        for read in (over.at, over.cones):
+            with pytest.raises(PreconditionFailed, match="zz is not an object of the base"):
+                read("zz")
+        cone = BaseCone(D.source, D, marked, "zz", {i: "id_a" for i in D.source.objects},
+                        {u: "i2_id_a" for u in D.source.all_one_cells()})
+        with pytest.raises(PreconditionFailed, match="zz is not an object of the base"):
+            over.is_bilimit(cone)
+
+
 def test_exact_implies_cofiltered(diamond, diamond_cones):
     for P in (representable(diamond, "a"),
               constant_diagram(diamond, terminal_category()),
@@ -406,6 +428,30 @@ def test_exact_implies_cofiltered(diamond, diamond_cones):
         exact_implies_cofiltered_check(
             constant_diagram(diamond, discrete_category(["x", "y"])),
             diamond_cones)
+
+
+# Bases that lack some generating bilimit: Δ1 preserves every cone the
+# search finds there, yet its elements are not cofiltered.  The theorem asks
+# for every bilimit, so the bridge refuses the input and names the first
+# generating diagram with no cone; it used to raise Inconsistency.
+INCOMPLETE_BASES = {
+    "discrete-pair": (["l", "r"], [], 8, 11, "biterminal"),
+    "cospan": (["l", "r", "t"], [("l", "t"), ("r", "t")], 23, 25, "biproduct(l,r)"),
+    "empty": ([], [], 0, 1, "biterminal"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INCOMPLETE_BASES))
+def test_the_exactness_bridge_refuses_a_base_lacking_a_bilimit(name):
+    objs, rels, found, diagrams, first = INCOMPLETE_BASES[name]
+    base = two_cat_from_cat(poset_category(objs, rels))
+    cones = generate_bilimit_cones(base)
+    assert (len(cones), len(list(generating_diagrams(base)))) == (found, diagrams)
+    P = constant_diagram(base, terminal_category())
+    assert check_left_exact(P, cones).verdict
+    assert check_flat(P).verdict == "not-flat"
+    with pytest.raises(PreconditionFailed, match=re.escape(f"no bilimit cone for {first}")):
+        exact_implies_cofiltered_check(P, cones)
 
 
 # ---------------------------------------------------------------------------
