@@ -136,20 +136,21 @@ def generating_diagrams(a: Fin2Cat):
     shape's ``keys`` from the images the loops hold, with no boundary read."""
     id1, id2 = a.id1.__getitem__, {f: a.id2(f) for f in a.all_one_cells()}.__getitem__
 
-    def of(sh, tops, *images):
-        return (f"{sh.name}({tops[0]},{tops[1]})",
+    def of(sh, *images):
+        x, y = images[sh.dim]
+        return (f"{sh.name}({x},{y})",
                 TwoFunctor(sh.cat, a, *_fill(sh.keys, images, id1, id2)), sh.marked)
 
     yield "biterminal", TwoFunctor(BITERMINAL, a, {}, {}, {}), frozenset()
     for C in sorted(a.objects):
         for D in sorted(a.objects):
-            yield of(BIPRODUCT, (C, D), (C, D), (), ())
+            yield of(BIPRODUCT, (C, D), (), ())
     for A in sorted(a.objects):
         for B in sorted(a.objects):
             for f in a.one_cells(A, B):
                 for g in a.one_cells(A, B):
-                    yield of(BIEQUALIZER, (f, g), (A, B), (f, g), ())
-                    yield of(BIINSERTER, (f, g), (A, B), (f, g), ())
+                    yield of(BIEQUALIZER, (A, B), (f, g), ())
+                    yield of(BIINSERTER, (A, B), (f, g), ())
                     for al in a.two_cells_between(f, g):
                         for be in a.two_cells_between(f, g):
-                            yield of(BIEQUIFIER, (al, be), (A, B), (f, g), (al, be))
+                            yield of(BIEQUIFIER, (A, B), (f, g), (al, be))
