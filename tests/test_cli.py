@@ -16,6 +16,17 @@ from sigmacat.transforms import CatDiagram, constant_diagram
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
+@pytest.fixture(autouse=True)
+def no_pure_python_json_encoder(monkeypatch):
+    """Every report here, the goldens among them, is written with json's
+    pure-Python encoder refused: ``json.dumps`` with ``indent`` takes that
+    path, and the reports are written by ``io.dumps`` alone."""
+    def refused(*args, **kwargs):
+        raise AssertionError("a report went through json's pure-Python encoder")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refused)
+
+
 def invoke(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()

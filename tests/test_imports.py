@@ -20,6 +20,9 @@ modules catch, or the ``KeyError`` of a ``name_of_*`` lookup, whose
 callers ask only for names they built.  Any other exception would reach
 the caller of ``cli.run`` as a traceback.
 
+No module calls ``json.dump`` or ``json.dumps``, nor imports them: every
+byte of a report or written document goes through ``io.dumps``.
+
 The traced benchmark run wraps the functions its span groups name
 (``GROUPS`` in ``bench/spans.py``) by looking each up in its module, so
 every one of them must still be there.
@@ -135,6 +138,41 @@ def test_a_raise_outside_the_contract_is_flagged():
                      "def other(k):\n"
                      "    raise KeyError(k)\n")
     assert stray_raises(tree) == ["check: AssertionError", "other: KeyError"]
+
+
+JSON_WRITERS = {"dump", "dumps"}
+
+
+def json_writes(tree: ast.Module) -> list[str]:
+    """``line n: json.name`` for every use of ``json.dump`` or
+    ``json.dumps``, by attribute or by ``from json import``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in JSON_WRITERS \
+                and isinstance(node.value, ast.Name) and node.value.id == "json":
+            found.append(f"line {node.lineno}: json.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            found += [f"line {node.lineno}: json.{a.name}"
+                      for a in node.names if a.name in JSON_WRITERS]
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_reports_are_written_by_io_dumps_alone(module):
+    found = json_writes(parsed(module))
+    assert not found, f"{module} writes JSON past io.dumps at {', '.join(found)}"
+
+
+def test_a_json_write_is_flagged():
+    tree = ast.parse("import json\n"
+                     "from json import dumps as d, loads\n"
+                     "from json.encoder import encode_basestring_ascii\n"
+                     "def emit(doc, fh):\n"
+                     "    json.dump(doc, fh)\n"
+                     "    fh.write(json.dumps(doc, indent=2))\n"
+                     "    return json.loads(d(doc))\n")
+    assert json_writes(tree) == ["line 2: json.dumps", "line 5: json.dump",
+                                 "line 6: json.dumps"]
 
 
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))

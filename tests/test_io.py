@@ -1,5 +1,7 @@
 """Documents of natural transformations and of transformations of diagrams
-survive encoding and parsing, and a broken one is refused."""
+survive encoding and parsing, and a broken one is refused.  ``dumps``
+writes the bytes of ``json.dumps(doc, sort_keys=True, indent=2)`` and a
+newline, and refuses what it cannot write."""
 
 import copy
 import json
@@ -15,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import FIXTURE_DOCUMENTS
 from sigmacat import io as sio
 from sigmacat.cli import run
-from sigmacat.errors import ParseError, ValidationError
+from sigmacat.errors import ParseError, PreconditionFailed, ValidationError
 from sigmacat.fincat import (FinCat, Functor, NatTransf, arrow_category,
                              identity_functor, terminal_category)
 from sigmacat.fixtures import arrow_2cat, diagram_collapse, diagram_pick0
@@ -57,6 +59,48 @@ def _to_doc(value) -> dict:
 def test_every_fixture_re_encodes_byte_for_byte(path):
     text = path.read_text()
     assert sio.dumps(_to_doc(sio.parse_document(text))) == text
+
+
+# Expectation tables that tests read with ``json.loads``, written one
+# violation a line; every other golden is a report as ``dumps`` writes it.
+EXPECTATION_TABLES = {"diagram_violations.json", "violations.json"}
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+REPORT_GOLDENS = [path for path in sorted(GOLDEN.glob("*.json"))
+                  if path.name not in EXPECTATION_TABLES]
+
+
+def test_the_expectation_tables_are_goldens():
+    assert EXPECTATION_TABLES < {path.name for path in GOLDEN.glob("*.json")}
+
+
+@pytest.mark.parametrize("path", REPORT_GOLDENS, ids=lambda path: path.stem)
+def test_every_golden_report_re_encodes_byte_for_byte(path):
+    text = path.read_text()
+    assert sio.dumps(json.loads(text)) == text
+
+
+# Strings with every kind of character json escapes or passes through:
+# quotes, backslashes, control characters, non-ASCII and astral ones.
+SPECIAL = '"\\/\x00\x1f\x7f\u00e9\u2028\U0001f600'
+TEXT = st.text(st.one_of(st.characters(), st.sampled_from(SPECIAL)), max_size=6)
+SCALARS = st.one_of(st.none(), st.booleans(), TEXT,
+                    st.integers(), st.integers(-2 ** 200, 2 ** 200))
+VALUES = st.recursive(SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.dictionaries(TEXT, inner, max_size=4)), max_leaves=24)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(VALUES)
+def test_dumps_writes_the_bytes_of_json_dumps(value):
+    assert sio.dumps(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [
+    1.5, (1, 2), {"a"}, {1: "a"}, {"a": 1, 2: "b"}, {"a": [{"b": 0.5}]}, ["a", ("b",)],
+], ids=["float", "tuple", "set", "int-key", "mixed-keys", "nested-float", "nested-tuple"])
+def test_dumps_refuses_what_json_would_coerce(value):
+    with pytest.raises(PreconditionFailed, match="cannot write the"):
+        sio.dumps(value)
 
 
 def test_nat_transf_document_must_be_natural():
