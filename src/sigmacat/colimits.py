@@ -862,15 +862,19 @@ class BaseConeCategories:
         A 1-cell t goes to the cone with legs c_i∘t and cells σ_u*1_t, a
         2-cell a to the family 1_(c_i)*a: the ``_comparison`` of
         ``preserves_bilimit`` for a(X, -), into the kept Cones_D(X).  The
-        cone must be over (D, marked); its laws are not checked here
-        (``check_base_cone`` does that).  An X where both hom(X, vertex) and
-        Cones_D(X) are empty is skipped, as the empty functor is an
-        equivalence: all X outside ``legs`` with no 1-cell X → vertex.
+        cone must be over (D, marked) with its vertex in the base, and a
+        cone that ``cones`` did not build, not marked ``searched``, must pass
+        ``check_base_cone``; any other is refused.  An X where both
+        hom(X, vertex) and Cones_D(X) are empty is skipped, as the empty
+        functor is an equivalence: all X outside ``legs`` with no 1-cell
+        X → vertex.
         """
         if c.diagram != self.D or c.marked != self.marked:
             raise PreconditionFailed("the cone is not over this diagram")
         amb, vertex = self.D.target, c.vertex
         walk = self.legs | self.reached(vertex)
+        if not c.searched and not (rep := check_base_cone(c)).ok:
+            raise PreconditionFailed(f"malformed cone: {rep.violations[0].detail}")
         cone_of, morphism_of = _comparison([self.on_1(c.comp[i]) for i in self.kernel.objs],
                                            [self.on_2(c.struct[u]) for u in self.kernel.cells])
         is_iso = amb.is_invertible_2cell

@@ -418,6 +418,21 @@ def test_cone_categories_refuse_a_vertex_outside_the_base(diamond):
             over.is_bilimit(cone)
 
 
+@pytest.mark.parametrize("leg", ["zz", "bot<b"], ids=["no-1-cell", "into-b"])
+def test_bilimit_test_refuses_a_malformed_cone(diamond, leg):
+    """A cone that ``cones`` did not build is checked before it is read: at
+    the biproduct of a and b, a leg at a that is no 1-cell used to raise
+    ``KeyError``, and one into b instead of a was answered ``False``."""
+    D, marked = next((D, marked) for label, D, marked in generating_diagrams(diamond)
+                     if label == "biproduct(a,b)")
+    over = BaseConeCategories(D, marked)
+    (searched,) = over.cones("bot")
+    assert over.is_bilimit(searched) and over.is_bilimit(dataclasses.replace(searched))
+    cone = BaseCone(D.source, D, marked, "bot", {**searched.comp, "a": leg}, searched.struct)
+    with pytest.raises(PreconditionFailed, match="malformed cone: component at a mistyped"):
+        over.is_bilimit(cone)
+
+
 def test_exact_implies_cofiltered(diamond, diamond_cones):
     for P in (representable(diamond, "a"),
               constant_diagram(diamond, terminal_category()),
