@@ -143,15 +143,34 @@ def test_hom_and_limit_reports(capsys, command, source, target, flavor):
     assert out == (GOLDEN / f"{command}_{source}_{target}_{flavor}.json").read_text()
 
 
+PSEUDO_HOM_PAIRS = [("pseudo_z2", "pseudo_z2"), ("pseudo_swap", "pseudo_not_flat"),
+                    ("pseudo_not_flat", "pseudo_z2"), ("representable_0", "pseudo_swap")]
+
+
+@pytest.mark.parametrize("flavor", sorted(FLAVOR_FLAGS))
+@pytest.mark.parametrize("source,target", PSEUDO_HOM_PAIRS)
+@pytest.mark.parametrize("command", ["hom", "limit"])
+def test_pseudo_hom_and_limit_reports(capsys, command, source, target, flavor):
+    """``hom`` and ``limit`` with a pseudo weight or diagram, byte for byte:
+    answered in the pseudo, lax and σ flavours, refused in the strict one."""
+    code, out = invoke(capsys, command, str(FIXTURES / f"{source}.json"),
+                       str(FIXTURES / f"{target}.json"), *FLAVOR_FLAGS[flavor])
+    assert code == (2 if flavor == "s" else 0)
+    assert out == (GOLDEN / f"{command}_{source}_{target}_{flavor}.json").read_text()
+
+
 YONEDA_CASES = [
     ("arrow_2cat", "0", "representable_0"), ("arrow_2cat", "1", "diagram_pick0"),
     ("arrow_2cat", "0", "diagram_collapse"), ("diamond_2cat", "a", "repr_diamond_a"),
     ("diamond_2cat", "bot", "representable_diamond_top")]
+PSEUDO_YONEDA_CASES = [("arrow_2cat", obj, against) for obj in ("0", "1")
+                       for against in ("pseudo_z2", "pseudo_swap", "pseudo_not_flat")]
 
 
-@pytest.mark.parametrize("base,obj,against", YONEDA_CASES)
+@pytest.mark.parametrize("base,obj,against", YONEDA_CASES + PSEUDO_YONEDA_CASES)
 def test_yoneda_reports(capsys, base, obj, against):
-    """The full report of ``yoneda``, byte for byte."""
+    """The full report of ``yoneda``, byte for byte; against a pseudo
+    diagram the verdict is true with an empty witness."""
     code, out = invoke(capsys, "yoneda", str(FIXTURES / f"{base}.json"),
                        "--object", obj, "--against", str(FIXTURES / f"{against}.json"))
     assert code == 0
