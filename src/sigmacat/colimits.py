@@ -1,13 +1,15 @@
 """Weighted limits in Cat, conical colimits via localization, bilimits,
 the commutation of σ-filtered σ-colimits with finite bilimits, coends.
 
-A weighted σ-limit {W, P}_σ of strict diagrams, in every flavour, is the
-conical σ-limit of P·π over the elements of W (``weighted_sigma_limit``),
-read off P's tables by ``point_cone_homs`` on the rows of El W's reader,
-with neither El W nor P·π built; the strict flavour forces identity
-cells where the others mark invertible ones.  Pseudo input and
-callers that need ``Transformation`` objects stay with
-``transforms.hom_eps``.  Conical colimits relative to a marking are
+A weighted σ-limit {W, P}_σ, in every flavour, is the conical σ-limit of
+P·π over the elements of W (``weighted_sigma_limit``), read off P's
+tables by ``point_cone_homs`` on the rows of El W's reader, with neither
+El W nor P·π built; the strict flavour forces identity cells where the
+others mark invertible ones.  A pseudo W brings its structure cells in
+through El W's identities and composites, a pseudo P through the
+binding, and the strict flavour refuses both.  Only the callers that
+need ``Transformation`` objects stay with ``transforms.hom_eps``.
+Conical colimits relative to a marking are
 computed by the classical recipe: take the dual elements construction
 Γ(Q) of the diagram, reverse its 1-cells, collapse each hom to connected
 components, and invert the marked cartesian arrows in the category of
@@ -31,10 +33,11 @@ never a guess.
 
 Cones from the point, cocones into Cat and cones in a finite 2-category
 run on one kernel, ``ConeKernel``: the σ-cones from the point under a
-strict Cat-valued diagram given by its tables, and their morphisms.
-``point_cone_homs`` runs it on a bound diagram: a shape, its categories
-and its actions, from a diagram's tables (``diagram_binding``) or from
-P's along the maps of a 2-functor (``binding_along``); so the limit of P
+Cat-valued diagram given by its tables, and their morphisms.
+``point_cone_homs`` runs it on a bound diagram: a shape, its categories,
+its actions and a pseudo diagram's structure cells, from a strict
+diagram's tables (``diagram_binding``) or from P's along the maps of a
+2-functor (``binding_along``); so the limit of P
 over a cone, σ-Nat(Δ1, P·D), is read with no ``Transformation``,
 ``Modification`` or composite P·D, and ``ConicalLimit`` is that limit
 assembled.  A σ-cocone under Q with vertex E in Cat is a σ-cone from the
@@ -82,12 +85,12 @@ from .config import DEFAULT_CAP, Meter
 from .errors import CertificateFailure, PreconditionFailed, UndecidedAtCap
 from .fincat import (EquivalenceReport, FinCat, Functor, NatTransf,
                      ValidationReport, assemble_category, compose_functors,
-                     functor_category_full, is_equivalence,
+                     functor_category_full, invert_nat, is_equivalence,
                      is_equivalence_on_homs, nat_is_identity, mint, pair_name,
                      partition, terminal_category, validate_functor, vcomp_nat,
                      whisker_functor_nat, whisker_nat_functor)
 from .two_cat import Fin2Cat, WideSub, marks, op_dual, two_cat_product
-from .transforms import (CatDiagram, HomCategory, Transformation, TwoFunctor,
+from .transforms import (CatDiagram, Transformation, TwoFunctor,
                          Flavor, PSEUDO, compose_diagram, constant_diagram,
                          dual_twofunctor, hom_eps, sigma_flavor)
 from .presented import (Presentation, PresentedCategory, base_of_inv, is_inv,
@@ -651,9 +654,9 @@ def check_base_cone(c: BaseCone) -> ValidationReport:
 
 
 class ConeKernel:
-    """The one cone kernel: the σ-cones from the point under a strict
-    Cat-valued diagram Q on a shape, relative to a marking, and the
-    morphisms between them, read off Q's tables.
+    """The one cone kernel: the σ-cones from the point under a Cat-valued
+    diagram Q on a shape, relative to a marking, and the morphisms
+    between them, read off Q's tables.
 
     A cone is a pair of tuples: an object x_i of Q(i) per shape object i,
     and an arrow σ_u : Q(u)x_i → x_j of Q(j) per shape 1-cell u : i → j,
@@ -666,6 +669,13 @@ class ConeKernel:
     LN1, σ_vu = σ_v∘Q(v)(σ_u); per non-identity u, the square
     m_j∘σ_u = σ'_u∘Q(u)(m_i).  The rows left out hold in every strict Q.
 
+    A pseudo Q's structure ``cells`` come with its binding, as the pair
+    (``unit(i)``, ``comp(v, u)``) of its inverted unit and composition
+    components.  Then the cell at an identity 1-cell is the inverted
+    unit component, and LN1 reads σ_vu = σ_v∘Q(v)(σ_u)∘α⁻¹_(x_i); the
+    rows left out hold by the unit laws and the naturality of the unit.
+    A strict binding brings None and keeps the strict rows and checks.
+
     ``on_1(u)`` gives Q(u)'s object and arrow maps, ``on_2(x)`` Q(x)'s
     components, and the categories Q(i) come with each search, so one
     kernel serves the diagrams that share their actions, as the hom
@@ -673,7 +683,7 @@ class ConeKernel:
     ``transforms`` and ``check_base_cone`` are the references.
     """
 
-    def __init__(self, shape: Fin2Cat, marked: frozenset, on_1, on_2,
+    def __init__(self, shape: Fin2Cat, marked: frozenset, on_1, on_2, cells=None,
                  identities: frozenset = frozenset()):
         self.objs, self.cells, ends, two, pairs = shape._shape_index
         maps = [None if k is not None else on_1(u) for u, (k, _, _) in zip(self.cells, ends)]
@@ -686,6 +696,14 @@ class ConeKernel:
         self.ln1 = [(vu, v, u, maps[v][1], ends[v][2]) for vu, v, u in pairs]
         self.squares = [(i, j, n, m[1]) for n, (m, (_, i, j)) in enumerate(zip(maps, ends))
                         if m is not None]
+        # a pseudo Q's inverted unit components per object, and per LN1 row
+        # its inverted composition components and the row's source object
+        self.units = self.ln1_cells = None
+        if cells is not None:
+            unit, comp = cells
+            self.units = [unit(i) for i in self.objs]
+            self.ln1_cells = [(comp(self.cells[v], self.cells[u]), ends[u][1])
+                              for _, v, u in pairs]
 
     def cones(self, cats: list, pools: list, meter: Meter):
         """Every cone under Q with Q(i) = ``cats[i]`` whose objects lie in
@@ -693,12 +711,13 @@ class ConeKernel:
         sorted list of candidates per category, then cells.  So this is
         also the sorted order.  Ticks once per choice of objects and per
         cell candidate."""
+        units = self.units or [c.identity for c in cats]
         for t in itertools.product(*pools):
             meter.tick()
             cell_pools = []
             for k, om, i, j, identity, marked in self.cell_rows:
                 if om is None:
-                    cell_pools.append((cats[k].identity[t[k]],))
+                    cell_pools.append((units[k][t[k]],))
                     continue
                 if identity:
                     pool = (cats[j].identity[t[j]],) if om[t[i]] == t[j] else ()
@@ -712,6 +731,11 @@ class ConeKernel:
             else:
                 ln2 = [(u, v, comps[t[i]], cats[j].compose) for u, v, comps, i, j in self.ln2]
                 ln1 = [(vu, v, u, am, cats[j].compose) for vu, v, u, am, j in self.ln1]
+                if self.ln1_cells:
+                    # σ_vu = σ_v∘Q(v)(σ_u)∘α⁻¹ at x_i: Q(v), then the inverted
+                    # composition cell, tabled on σ_u's pool
+                    ln1 = [(vu, v, u, {a: c[(am[a], inv[t[i]])] for a in cell_pools[u]}, c)
+                           for (vu, v, u, am, c), (inv, i) in zip(ln1, self.ln1_cells)]
                 for s in itertools.product(*cell_pools):
                     meter.tick()
                     if all(s[u] == c[(s[v], w)] for u, v, w, c in ln2) and \
@@ -952,12 +976,12 @@ def comparison_functor(P: CatDiagram, cone: BaseCone,
 
 def diagram_binding(Q: CatDiagram) -> tuple:
     """A strict Q as ``point_cone_homs`` reads it: its shape, its categories
-    by shape object, ``on_1(u)``, Q(u)'s object and arrow maps, and
-    ``on_2(x)``, Q(x)'s components."""
+    by shape object, ``on_1(u)``, Q(u)'s object and arrow maps, ``on_2(x)``,
+    Q(x)'s components, and no structure cells."""
     if Q.is_pseudo:
         raise PreconditionFailed("cones from the point expect a strict diagram")
     return (Q.source, Q.on_obj, lambda u: (Q.on_1[u].obj_map, Q.on_1[u].arr_map),
-            lambda x: Q.on_2[x].components)
+            lambda x: Q.on_2[x].components, None)
 
 
 def binding_along(P: CatDiagram, shape, obj_map: dict, map1: dict, map2: dict) -> tuple:
@@ -965,27 +989,33 @@ def binding_along(P: CatDiagram, shape, obj_map: dict, map1: dict, map2: dict) -
     ``shape`` to P's base given by its maps, with no composite diagram
     built: P(H(i)) at each object i, and P(H(u)) and P(H(x)) as the
     actions.  ``shape`` is anything with ``objects`` and the rows of
-    ``Fin2Cat._shape_index``: a ``Fin2Cat``, or El W's reader."""
+    ``Fin2Cat._shape_index``: a ``Fin2Cat``, or El W's reader.  A pseudo
+    P brings its structure cells along, inverted: ``unit(i)`` is
+    P's unit at H(i), ``comp(v, u)`` its composition cell at (H(u), H(v))."""
+    cells = None
+    if P.is_pseudo:
+        cells = (lambda i: invert_nat(P.alpha_obj[obj_map[i]]).components,
+                 lambda v, u: invert_nat(P.alpha_comp[(map1[u], map1[v])]).components)
     return (shape, {i: P.on_obj[obj_map[i]] for i in shape.objects},
             lambda u: (P.on_1[map1[u]].obj_map, P.on_1[map1[u]].arr_map),
-            lambda x: P.on_2[map2[x]].components)
+            lambda x: P.on_2[map2[x]].components, cells)
 
 
-def point_cone_homs(shape, cats: dict, on_1, on_2, marked: frozenset,
+def point_cone_homs(shape, cats: dict, on_1, on_2, cells, marked: frozenset,
                     meter: Meter | None = None,
                     identities: frozenset = frozenset()) -> tuple[list, object]:
-    """The σ-cones from the point under a strict Cat-valued diagram Q on a
-    shape, the objects of σ-Nat(Δ1, Q), as ``ConeKernel`` reads them off
-    Q's tables, with identity cells at ``identities``, and a function that
+    """The σ-cones from the point under a Cat-valued diagram Q on a shape,
+    the objects of σ-Nat(Δ1, Q), as ``ConeKernel`` reads them off Q's
+    tables, with identity cells at ``identities``, and a function that
     gives the morphisms between two of them: ``hom(p, q)`` lists those
     from the p-th cone to the q-th, enumerated afresh at each call, so a
     caller reads only the hom-sets it needs.  Q comes bound, as
     ``diagram_binding`` or ``binding_along`` give it: the shape, Q(i) in
-    ``cats`` and the actions ``on_1`` and ``on_2``.  No ``Functor``,
-    ``NatTransf`` or ``Transformation`` is built.  Strict Q only: the
-    kernel reads no structure cells."""
+    ``cats``, the actions ``on_1`` and ``on_2``, and a pseudo Q's
+    structure ``cells``.  No ``Functor``, ``NatTransf`` or
+    ``Transformation`` is built."""
     meter = meter or Meter()
-    kernel = ConeKernel(shape, marked, on_1, on_2, identities)
+    kernel = ConeKernel(shape, marked, on_1, on_2, cells, identities)
     cats = [cats[i] for i in kernel.objs]
     cones = list(kernel.cones(cats, [sorted(c.objects) for c in cats], meter))
     hom = kernel.morphisms(cats, meter)
@@ -1071,16 +1101,16 @@ class ConicalLimit:
             for (xs, _), c in self.objects.items()})
 
 
-def _conical_limit(shape, cats: dict, on_1, on_2, marked: frozenset, meter: Meter,
+def _conical_limit(shape, cats: dict, on_1, on_2, cells, marked: frozenset, meter: Meter,
                    prefixes: tuple[str, str] = ("c", "m"), cone_key=None,
                    morphism_key=None, identities: frozenset = frozenset()) -> ConicalLimit:
-    """σ-Nat(Δ1, Q) for a strict Q on a shape, bound as ``point_cone_homs``
-    takes it, with identity cells at ``identities``: ``point_cone_homs``
+    """σ-Nat(Δ1, Q) for Q on a shape, bound as ``point_cone_homs`` takes
+    it, with identity cells at ``identities``: ``point_cone_homs``
     assembled, composed componentwise, one tick per composable pair.
 
     Cones are numbered, and each hom-set listed, in the kernel's order or
     by ``cone_key`` and ``morphism_key``; the names follow the order."""
-    cones, hom = point_cone_homs(shape, cats, on_1, on_2, marked, meter, identities)
+    cones, hom = point_cone_homs(shape, cats, on_1, on_2, cells, marked, meter, identities)
     objs = sorted(shape.objects)
     cats = [cats[i] for i in objs]
     order = list(range(len(cones)))
@@ -1105,35 +1135,48 @@ def _conical_limit(shape, cats: dict, on_1, on_2, marked: frozenset, meter: Mete
                         {(*cat.arrows[m], ms): m for m, ms in data.items()})
 
 
-def _transformation_order(W: CatDiagram, el: el_mod._Elements) -> tuple:
+def _transformation_order(W: CatDiagram, P: CatDiagram, el: el_mod._Elements) -> tuple:
     """Sort keys that order the cones from the point under P·π over El W,
     and the morphisms between two of them, as ``hom_eps`` orders what
     they stand for: by ``Transformation.key`` and ``Modification.key``.
 
-    A cone stands for θ : W ⇒ P with θ_A(x) its object at (x, A), θ_A(a)
-    its cell at (1_A, a) and σ_f,x its cell at (f, 1_W(f)x); a morphism
-    for the modification with m_A,x its component at (x, A).  The
-    kernel's own order reads all objects before any cell, and sorts (x, A)
-    by name rather than by A, then x, so it differs in general."""
+    A cone stands for θ : W ⇒ P with θ_A(x) its object at (x, A), σ_f,x
+    its cell at (f, 1_W(f)x), and θ_A(a), for a : x → x', its cell at
+    (1_A, a∘α⁻¹_x) after P's unit at θ_A(x), where α⁻¹_x is the arrow of
+    the identity 1-cell of (x, A): (1_A, a) and the cell itself for
+    strict W and P.  A morphism stands for the modification with m_A,x
+    its component at (x, A).  The kernel's own order reads all objects
+    before any cell, and sorts (x, A) by name rather than by A, then x,
+    so it differs in general."""
     base, (objs, cells) = W.source, el._shape_index[:2]
     pos = {o: k for k, o in enumerate(objs)}
     cell = {u: n for n, u in enumerate(cells)}
     comps, structural = [], []
     for A in sorted(base.objects):
-        WA = W.on_obj[A]
+        WA, idA = W.on_obj[A], base.id1[A]
+        unit = {x: el.pairs1[el.id1[el_mod.obj_name(x, A)]][1] for x in WA.objects}
         comps.append((A, [(x, pos[el_mod.obj_name(x, A)]) for x in sorted(WA.objects)],
-                      [(a, cell[el_mod.mor_name(base.id1[A], a, x)])
+                      [(a, pos[el_mod.obj_name(x, A)],
+                        cell[el_mod.mor_name(idA, WA.compose[(a, unit[x])], x)])
                        for a, (x, _) in sorted(WA.arrows.items())]))
     for f in sorted(base.all_one_cells()):
         Wf, WB = W.on_1[f], W.on_obj[base.tgt1(f)]
         structural.append((f, [(x, cell[el_mod.mor_name(f, WB.identity[Wf.obj_map[x]], x)])
                                for x in sorted(W.on_obj[base.src1(f)].objects)]))
+    if P.is_pseudo:
+        units = [(P.on_obj[A].compose, P.alpha_obj[A].components) for A, _, _ in comps]
+
+        def arrow_images(xs: tuple, cs: tuple) -> tuple:
+            return tuple(tuple((a, c[(cs[n], u[xs[k]])]) for a, k, n in arrs)
+                         for (_, _, arrs), (c, u) in zip(comps, units))
+    else:
+        def arrow_images(xs: tuple, cs: tuple) -> tuple:
+            return tuple(tuple((a, cs[n]) for a, _, n in arrs) for _, _, arrs in comps)
 
     def cone_key(cone: tuple) -> tuple:
         xs, cs = cone
-        return (tuple((A, (tuple((x, xs[k]) for x, k in objs),
-                           tuple((a, cs[n]) for a, n in arrs)))
-                      for A, objs, arrs in comps),
+        return (tuple((A, (tuple((x, xs[k]) for x, k in objs), arrs))
+                      for (A, objs, _), arrs in zip(comps, arrow_images(xs, cs))),
                 tuple((f, tuple((x, cs[n]) for x, n in row)) for f, row in structural))
 
     def morphism_key(ms: tuple) -> tuple:
@@ -1144,28 +1187,29 @@ def _transformation_order(W: CatDiagram, el: el_mod._Elements) -> tuple:
 
 def weighted_sigma_limit(W: CatDiagram, P: CatDiagram, flavor: Flavor,
                          meter: Meter | None = None) -> ConicalLimit:
-    """{W, P}_σ of strict diagrams, in any flavour, as the conical σ-limit
-    of P·π over the elements of W (Street 1976), with (f, φ) marked when
-    φ is invertible and the flavour asks f for an invertible cell (every
-    cartesian arrow for pseudo, those over marked f for σ, none for lax
-    and strict), and for the strict flavour an identity cell forced at
-    every (f, 1_W(f)x).  Such a cone is a transformation W ⇒ P of the
-    flavour and a cone morphism a modification, so ``point_cone_homs``
-    reads them off P's tables and ``_conical_limit`` assembles them, named
-    ``t0, …`` and ``m0, …`` in ``hom_eps``'s order: the category equals
+    """{W, P}_σ, in any flavour, as the conical σ-limit of P·π over the
+    elements of W (Street 1976), with (f, φ) marked when φ is invertible
+    and the flavour asks f for an invertible cell (every cartesian arrow
+    for pseudo, those over marked f for σ, none for lax and strict), and
+    for the strict flavour an identity cell forced at every (f, 1_W(f)x).
+    Such a cone is a transformation W ⇒ P of the flavour and a cone
+    morphism a modification, so ``point_cone_homs`` reads them off P's
+    tables and ``_conical_limit`` assembles them, named ``t0, …`` and
+    ``m0, …`` in ``hom_eps``'s order: the category equals
     ``hom_eps(W, P, flavor).cat`` table for table.
 
     El W is read, not built: the kernel runs on the rows of its reader
-    ``elements._Elements``, and P·π is bound along the reader's
-    ``pairs1`` and ``pairs2`` with no projection or composite diagram.
-    A pseudo W or P has coherence cells the kernel does not read; it is
-    refused and stays with ``hom_eps``.
+    ``elements._Elements``, whose identities and composites carry a
+    pseudo W's structure cells, and P·π is bound along the reader's
+    ``pairs1`` and ``pairs2`` with no projection or composite diagram,
+    with a pseudo P's structure cells (``binding_along``).  The strict
+    flavour refuses pseudo input, as ``hom_eps`` does.
     """
     meter = meter or Meter()
     if W.source != P.source:
         raise PreconditionFailed("the diagrams live on different bases")
-    if W.is_pseudo or P.is_pseudo:
-        raise PreconditionFailed("the conical reduction expects strict diagrams")
+    if flavor.requires_identity() and (W.is_pseudo or P.is_pseudo):
+        raise PreconditionFailed("strict flavor requires strict diagrams")
     el = el_mod._Elements(W, False, meter)
     marked = frozenset(nm for nm in el.cart if flavor.requires_invertible(el.pairs1[nm][0]))
     identities = frozenset()
@@ -1174,23 +1218,20 @@ def weighted_sigma_limit(W: CatDiagram, P: CatDiagram, flavor: Flavor,
                                if W.on_obj[W.source.tgt1(f)].is_identity(phi))
     bound = binding_along(P, el, {o: A for o, (_, A) in el.points.items()},
                           {u: f for u, (f, _) in el.pairs1.items()}, el.pairs2)
-    return _conical_limit(*bound, marked, meter, ("t", "m"), *_transformation_order(W, el),
-                          identities)
+    return _conical_limit(*bound, marked, meter, ("t", "m"),
+                          *_transformation_order(W, P, el), identities)
 
 
 def weighted_limit_cat(W: CatDiagram, P: CatDiagram, flavor: Flavor,
-                       meter: Meter | None = None) -> ConicalLimit | HomCategory:
+                       meter: Meter | None = None) -> ConicalLimit:
     """The weighted limit {W, P} in Cat, the category of transformations
-    W ⇒ P of the flavour and their modifications; callers read ``.cat``.
-    ``weighted_sigma_limit`` for strict W and P, else ``hom_eps``; both
-    refuse mismatched bases before building anything."""
-    if W.is_pseudo or P.is_pseudo:
-        return hom_eps(W, P, flavor, meter)
+    W ⇒ P of the flavour and their modifications, strict or pseudo:
+    ``weighted_sigma_limit``; callers read ``.cat``."""
     return weighted_sigma_limit(W, P, flavor, meter)
 
 
 def bilimit_cat(W: CatDiagram, F: CatDiagram,
-                meter: Meter | None = None) -> ConicalLimit | HomCategory:
+                meter: Meter | None = None) -> ConicalLimit:
     """A finite bilimit, computed as the pseudolimit {W, F}_p by
     ``weighted_limit_cat``."""
     return weighted_limit_cat(W, F, PSEUDO, meter)

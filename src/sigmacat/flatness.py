@@ -24,7 +24,7 @@ from .fincat import (Functor, NatTransf, compose_functors, is_equivalence, mint,
                      mk_fincat, EquivalenceReport, validate_functor)
 from .two_cat import Fin2Cat, Marked2Cat, WideSub
 from .transforms import (CatDiagram, Transformation, compose_diagram,
-                         dual_twofunctor, hom_eps, PSEUDO, reinterpret_as_pseudo)
+                         dual_twofunctor, PSEUDO, reinterpret_as_pseudo)
 from .elements import ElementsResult, _Elements, elements_of, obj_name
 from .filteredness import FilterednessReport, check_sigma_cofiltered
 from .colimits import (BaseConeCategories, SigmaCone, check_base_cone,
@@ -60,22 +60,13 @@ def representable(a: Fin2Cat, A: str) -> CatDiagram:
 def yoneda_check(Q: CatDiagram, A: str,
                  meter: Meter | None = None) -> EquivalenceReport:
     """Evaluation at 1_A, from {Hom(A, -), Q}_p to Q(A), must be an
-    equivalence: for a strict Q, the leg of ``weighted_sigma_limit`` at
-    the element (1_A, A), read on the elements of Hom(A, -) with none
-    assembled; for a pseudo Q, read off ``hom_eps``."""
+    equivalence: the leg of ``weighted_sigma_limit`` at the element
+    (1_A, A), read on the elements of Hom(A, -) with none assembled, for
+    a strict or a pseudo Q."""
     meter = meter or Meter()
     base = Q.source
-    R = representable(base, A)
-    QA = Q.on_obj[A]
-    idA = base.id1[A]
-    if Q.is_pseudo:
-        h = hom_eps(R, Q, PSEUDO, meter)
-        ev = Functor(h.cat, QA,
-                     {name: t.components[A].obj_map[idA] for name, t in h.transfs.items()},
-                     {name: m.components[A].components[idA]
-                      for name, m in h.mods.items()})
-    else:
-        ev = weighted_sigma_limit(R, Q, PSEUDO, meter).leg(obj_name(idA, A), QA)
+    ev = weighted_sigma_limit(representable(base, A), Q, PSEUDO, meter).leg(
+        obj_name(base.id1[A], A), Q.on_obj[A])
     rep = validate_functor(ev)
     if not rep.ok:
         raise Inconsistency(f"evaluation is not a functor: {rep.violations[0].detail}")

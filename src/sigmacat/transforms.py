@@ -14,10 +14,10 @@ per object and a structural natural transformation per 1-cell, directed
 
 Hom categories of a given flavor are produced by exhaustive enumeration
 (``hom_eps``): components first, then structural cells, pruning with the
-per-2-cell axiom before the composition axiom.  On strict input, in
-every flavour, ``hom_eps`` is only the reference for
+per-2-cell axiom before the composition axiom.  On strict and pseudo
+input, in every flavour, ``hom_eps`` is the reference for
 ``colimits.weighted_sigma_limit`` and the target of the benchmark's
-direct calls; it answers pseudo input and the callers that need the
+direct calls; it answers only the callers that need the
 ``Transformation`` objects.  The enumerators decide each axiom
 pointwise on component tables, as lookups in the target categories'
 composition tables, and build a Transformation or Modification only for
@@ -756,10 +756,9 @@ def hom_eps(P: CatDiagram, Q: CatDiagram, flavor: Flavor,
     composable pair.
 
     The reference for ``colimits.weighted_sigma_limit``, which reads the
-    same category with the same names off Q's tables in every flavour, and
-    the fallback of ``colimits.weighted_limit_cat`` for pseudo P or Q.
-    Callers that need the ``Transformation`` and ``Modification`` objects
-    call it directly."""
+    same category with the same names off Q's tables in every flavour,
+    strict or pseudo P and Q alike.  Callers that need the
+    ``Transformation`` and ``Modification`` objects call it directly."""
     meter = meter or Meter()
     ts, mods = transformation_homs(P, Q, flavor, meter)
 

@@ -4,14 +4,17 @@
 under P·π over El W, off P's tables, and names them in ``hom_eps``'s
 order.  Its category must equal ``hom_eps(W, P, flavor).cat`` table for
 table, names included, in the strict, lax, pseudo and every single-1-cell
-σ flavour: on the strict pairs of the brute-force reference, on every pair
-of fixture diagrams over a common base (among them ``weight_on_op_arrow``,
+σ flavour: on the pairs of the brute-force reference, on every pair of
+fixture diagrams over a common base (among them ``weight_on_op_arrow``,
 whose values are not discrete, and the free 2-cell, whose 2-cell brings
-LN2 in), on two pairs where the kernel's own order differs from
-``hom_eps``'s, and on generated posets in ``test_properties``.  The callers
-that route through it must answer without enumerating a transformation,
-in the strict flavour too, and pseudo input must still reach ``hom_eps``.
-Strict weighted limits and Yoneda checks read El W and never assemble it.
+LN2 in), on the same pairs read as pseudofunctors, on every pair over the
+walking arrow with a pseudo fixture, whose structure cells are not
+identities, on two pairs where the kernel's own order differs from
+``hom_eps``'s, and on generated posets in ``test_properties``.  Pseudo
+input is refused in the strict flavour only, with ``hom_eps``'s message.
+The callers that route through it must answer without enumerating a
+transformation, strict or pseudo input alike.  Strict weighted limits and
+Yoneda checks read El W and never assemble it.
 """
 
 import pytest
@@ -28,8 +31,9 @@ from sigmacat.fincat import (Functor, arrow_category, discrete_category, idn, id
                              parallel_pair_category)
 from sigmacat.flatness import representable, yoneda_check
 from sigmacat.shapes import BIINSERTER
+from sigmacat.config import Meter
 from sigmacat.transforms import (LAX, PSEUDO, STRICT, CatDiagram, constant_diagram,
-                                 hom_eps, sigma_flavor)
+                                 hom_eps, reinterpret_as_pseudo, sigma_flavor)
 
 
 def tables(c) -> tuple:
@@ -43,20 +47,23 @@ def reduced_flavors(base) -> list:
                             if f not in ids]
 
 
-def assert_matches_hom_eps(W, P):
-    for fl in reduced_flavors(W.source):
+def assert_matches_hom_eps(W, P, flavors=None):
+    """Table for table in each flavour; where ``hom_eps`` refuses pseudo
+    input, the strict flavour, the reduction refuses it with its message."""
+    for fl in flavors or reduced_flavors(W.source):
+        if fl.requires_identity() and (W.is_pseudo or P.is_pseudo):
+            for answer in (weighted_sigma_limit, hom_eps):
+                with pytest.raises(PreconditionFailed,
+                                   match="^strict flavor requires strict diagrams$"):
+                    answer(W, P, fl)
+            continue
         assert tables(weighted_sigma_limit(W, P, fl).cat) == \
             tables(hom_eps(W, P, fl).cat), fl.label()
 
 
 @pytest.mark.parametrize("pair", sorted(PAIRS))
 def test_reference_pairs_match_hom_eps(pair):
-    W, P, _ = PAIRS[pair]()
-    if W.is_pseudo or P.is_pseudo:
-        with pytest.raises(PreconditionFailed):
-            weighted_sigma_limit(W, P, PSEUDO)
-        return
-    assert_matches_hom_eps(W, P)
+    assert_matches_hom_eps(*PAIRS[pair]()[:2])
 
 
 DIAGRAMS = strict_fixture_diagrams()
@@ -72,6 +79,48 @@ def test_the_fixture_pairs_cover_the_non_discrete_weight_and_the_free_2cell():
 @pytest.mark.parametrize("weight,diagram", COMMON_BASE)
 def test_fixture_pairs_match_hom_eps(weight, diagram):
     assert_matches_hom_eps(DIAGRAMS[weight], DIAGRAMS[diagram])
+
+
+@pytest.mark.parametrize("weight,diagram", COMMON_BASE)
+def test_fixture_pairs_read_as_pseudofunctors_match_hom_eps(weight, diagram):
+    """With identity structure cells the pseudo route reads the same
+    category: W, P or both reread by ``reinterpret_as_pseudo``."""
+    W, P = DIAGRAMS[weight], DIAGRAMS[diagram]
+    for pair in ((reinterpret_as_pseudo(W), P), (W, reinterpret_as_pseudo(P)),
+                 (reinterpret_as_pseudo(W), reinterpret_as_pseudo(P))):
+        assert_matches_hom_eps(*pair)
+
+
+PSEUDO_FIXTURES = {name: getattr(fx, name)()
+                   for name in ("pseudo_z2", "pseudo_swap", "pseudo_not_flat")}
+ON_THE_ARROW = {name: d for name, d in {**DIAGRAMS, **PSEUDO_FIXTURES}.items()
+                if d.source == fx.arrow_2cat()}
+PSEUDO_PAIRS = [(w, p) for w in sorted(ON_THE_ARROW) for p in sorted(ON_THE_ARROW)
+                if w in PSEUDO_FIXTURES or p in PSEUDO_FIXTURES]
+
+
+@pytest.mark.parametrize("weight,diagram", PSEUDO_PAIRS)
+def test_pseudo_fixture_pairs_match_hom_eps(weight, diagram):
+    """Every pair over the walking arrow with a pseudo weight or diagram,
+    whose structure cells are not identities, in the lax, pseudo and
+    σ(f) flavours, and refused in the strict one."""
+    assert_matches_hom_eps(ON_THE_ARROW[weight], ON_THE_ARROW[diagram],
+                           [STRICT, LAX, PSEUDO, sigma_flavor({"f"})])
+
+
+@pytest.mark.parametrize("weight,diagram", [("pseudo_z2", "pseudo_z2"),
+                                            ("pseudo_swap", "pseudo_z2"),
+                                            ("representable_0.json", "pseudo_swap")])
+def test_each_cone_is_keyed_by_its_transformation(weight, diagram):
+    """The key a cone is sorted by is ``Transformation.key`` of the
+    transformation it stands for: θ_A(a) is read at (1_A, a∘α⁻¹_x), after
+    P's unit at θ_A(x), not merely in the same order."""
+    W, P = ON_THE_ARROW[weight], ON_THE_ARROW[diagram]
+    el = elements._Elements(W, False, Meter())
+    cone_key, _ = colimits._transformation_order(W, P, el)
+    limit = weighted_sigma_limit(W, P, LAX)
+    keys = {name: cone_key(cone) for cone, name in limit.objects.items()}
+    assert keys == {name: t.key() for name, t in hom_eps(W, P, LAX).transfs.items()}
 
 
 def renamed_point_weight():
@@ -104,12 +153,16 @@ def test_reordered_pairs_match_hom_eps(pair):
 
 
 def test_the_reduction_refuses_what_it_does_not_cover():
-    P = fx.diagram_pick0()
-    for W, Q, fl in ((fx.pseudo_z2(), fx.pseudo_z2(), PSEUDO),
-                     (fx.pseudo_z2(), fx.pseudo_z2(), STRICT),
-                     (P, fx.weight_on_op_arrow(), LAX)):
-        with pytest.raises(PreconditionFailed):
-            weighted_sigma_limit(W, Q, fl)
+    """Pseudo input only in the strict flavour, and diagrams on different
+    bases; pseudo input in the other flavours is answered."""
+    P, Z = fx.diagram_pick0(), fx.pseudo_z2()
+    for W, Q in ((Z, Z), (Z, P), (P, Z)):
+        with pytest.raises(PreconditionFailed, match="^strict flavor requires strict diagrams$"):
+            weighted_sigma_limit(W, Q, STRICT)
+        for fl in (LAX, PSEUDO, sigma_flavor({"f"})):
+            assert weighted_sigma_limit(W, Q, fl).cat.objects
+    with pytest.raises(PreconditionFailed, match="^the diagrams live on different bases$"):
+        weighted_sigma_limit(P, fx.weight_on_op_arrow(), LAX)
 
 
 # ---------------------------------------------------------------------------
@@ -145,16 +198,26 @@ def test_strict_input_builds_no_transformation(monkeypatch):
         assert yoneda_check(Q, A).verdict
 
 
-def test_pseudo_input_reaches_hom_eps(monkeypatch):
+def test_pseudo_input_reaches_no_hom_eps(monkeypatch):
+    """Pseudo weighted limits, bilimits and Yoneda checks answer with
+    ``hom_eps`` and the transformation enumerators refusing, as
+    ``hom_eps`` answered them before; the strict flavour is refused."""
     P = fx.diagram_pick0()
+    cases = [(fx.pseudo_z2(), fx.pseudo_z2(), PSEUDO),
+             (fx.pseudo_swap(), fx.pseudo_z2(), sigma_flavor({"f"})),
+             (representable(P.source, "0"), fx.pseudo_swap(), LAX)]
+    expected = [table_digest(hom_eps(W, Q, fl).cat) for W, Q, fl in cases]
+    inserter = reinterpret_as_pseudo(corpus_biinserter())
+    expected_bilimit = table_digest(hom_eps(BIINSERTER.weight, inserter, PSEUDO).cat)
     refuse_hom_enumeration(monkeypatch)
-    for W, Q, fl in ((fx.pseudo_z2(), fx.pseudo_z2(), PSEUDO),
-                     (fx.pseudo_z2(), fx.pseudo_z2(), STRICT),
-                     (representable(P.source, "0"), fx.pseudo_swap(), LAX)):
-        with pytest.raises(HomEnumerated):
-            weighted_limit_cat(W, Q, fl)
-    with pytest.raises(HomEnumerated):
-        yoneda_check(fx.pseudo_z2(), "0")
+    assert [table_digest(weighted_limit_cat(W, Q, fl).cat) for W, Q, fl in cases] == expected
+    assert table_digest(bilimit_cat(BIINSERTER.weight, inserter).cat) == expected_bilimit
+    with pytest.raises(PreconditionFailed, match="^strict flavor requires strict diagrams$"):
+        weighted_limit_cat(fx.pseudo_z2(), fx.pseudo_z2(), STRICT)
+    for Q in PSEUDO_FIXTURES.values():
+        for A in sorted(Q.source.objects):
+            rep = yoneda_check(Q, A)
+            assert (rep.verdict, rep.witness) == (True, "")
 
 
 def test_strict_limits_build_no_2category_of_elements(monkeypatch, capsys):
