@@ -42,7 +42,7 @@ over a cone, σ-Nat(Δ1, P·D), is read with no ``Transformation``,
 ``Modification`` or composite P·D, and ``ConicalLimit`` is that limit
 assembled.  A σ-cocone under Q with vertex E in Cat is a σ-cone from the
 point under the hom diagram Cat(Q-, E) (``hom_into_diagram``), so
-``sigma_cone_homs`` reads σ-Cones(Q, E) there.  A cone over D in a finite
+``cones_sigma`` reads and assembles σ-Cones(Q, E) there.  A cone over D in a finite
 2-category with vertex X is a σ-cone from the point under the hom
 diagram a(X, D-), so ``BaseConeCategories`` binds the kernel once per
 diagram to the actions of ``hom_actions`` and builds each Cones_D(X) on
@@ -86,9 +86,9 @@ from .errors import CertificateFailure, PreconditionFailed, UndecidedAtCap
 from .fincat import (EquivalenceReport, FinCat, Functor, NatTransf,
                      ValidationReport, assemble_category, compose_functors,
                      functor_category_full, invert_nat, is_equivalence,
-                     is_equivalence_on_homs, nat_is_identity, mint, pair_name,
-                     partition, terminal_category, validate_functor, vcomp_nat,
-                     whisker_functor_nat, whisker_nat_functor)
+                     is_equivalence_on_homs, mint, pair_name, partition,
+                     terminal_category, validate_functor, whisker_functor_nat,
+                     whisker_nat_functor)
 from .two_cat import Fin2Cat, WideSub, marks, op_dual, two_cat_product
 from .transforms import (CatDiagram, Transformation, TwoFunctor,
                          Flavor, PSEUDO, compose_diagram, constant_diagram,
@@ -132,22 +132,39 @@ class ConeCategory:
 
 def cones_sigma(Q: CatDiagram, marked: frozenset, E: FinCat,
                 meter: Meter | None = None) -> ConeCategory:
-    """The category of marked-relative cones under Q with vertex E:
-    ``sigma_cone_homs`` assembled, composed componentwise, one tick per
-    composable pair."""
+    """The category of marked-relative cones under Q with vertex E, the
+    cones named in the order of ``SigmaCone.key`` and each hom-set in
+    that of ``_morphism_key``.
+
+    A σ-cone under Q with vertex E is a σ-cone from the point under the
+    hom diagram Cat(Q-, E) on the 1-cell dual of Q's base
+    (``hom_into_diagram``): A goes to Cat(Q(A), E), f : A → B acts by
+    K ↦ K∘Q(f) and x : f ⇒ g by K ↦ K*Q(x).  Its object at A is κ_A, its
+    cell at f is κ_f : κ_B∘Q(f) ⇒ κ_A; the kernel's LN2 and LN1 are the
+    σ-cone laws of those names, and its square a cone morphism's.  So
+    ``_conical_limit`` reads and assembles them, composed in the functor
+    categories' tables, and they are decoded through those categories'
+    names.  Strict Q only.
+    """
     meter = meter or Meter()
-    found, homs = sigma_cone_homs(Q, marked, E, meter)
-    objs = sorted(Q.source.objects)
+    if Q.is_pseudo:
+        raise PreconditionFailed("σ-cones in Cat expect a strict diagram")
+    H, fcats = hom_into_diagram(Q, E, meter)
+    base, objs = Q.source, sorted(Q.source.objects)
+    cells = [(f, fcats[base.src1(f)].transfs) for f in sorted(base.all_one_cells())]
 
-    def composite(r2: dict, r1: dict) -> tuple:
-        meter.tick()
-        return tuple((A, vcomp_nat(r2[A], r1[A]).key()) for A in objs)
+    def cone(c: tuple) -> SigmaCone:
+        ks, ss = c
+        return SigmaCone(Q, marked, E, {A: fcats[A].functors[k] for A, k in zip(objs, ks)},
+                         {f: ts[s] for (f, ts), s in zip(cells, ss)})
 
-    cat, morphisms = assemble_category(
-        len(found), ("c", "r"), homs,
-        lambda rho: all(nat_is_identity(n) for n in rho.values()),
-        _morphism_key, composite)
-    return ConeCategory(cat, {f"c{i}": c for i, c in enumerate(found)}, morphisms)
+    def morphism(ms: tuple) -> dict:
+        return {A: fcats[A].transfs[m] for A, m in zip(objs, ms)}
+
+    limit = _conical_limit(*diagram_binding(H), marked, meter, ("c", "r"),
+                           lambda c: cone(c).key(), lambda ms: _morphism_key(morphism(ms)))
+    return ConeCategory(limit.cat, {name: cone(c) for c, name in limit.objects.items()},
+                        {name: morphism(ms) for (_, _, ms), name in limit.arrows.items()})
 
 
 def _morphism_key(rho: dict) -> tuple:
@@ -180,42 +197,6 @@ def hom_into_diagram(P: CatDiagram, E: FinCat,
             for h, K in src.functors.items()})
     return CatDiagram(op_dual(base), {A: fc.cat for A, fc in fcats.items()},
                       on_1, on_2), fcats
-
-
-def sigma_cone_homs(Q: CatDiagram, marked: frozenset, E: FinCat,
-                    meter: Meter | None = None) -> tuple[list[SigmaCone], dict]:
-    """The marked-relative cones under Q with vertex E, sorted by key, and
-    per pair (i, j) of their positions the cone morphisms from the i-th to
-    the j-th, sorted by key, each a dict from base object to component:
-    the objects and hom-sets of ``cones_sigma``, with no composition table.
-
-    A σ-cone under Q with vertex E is a σ-cone from the point under the
-    hom diagram Cat(Q-, E) on the 1-cell dual of Q's base
-    (``hom_into_diagram``): A goes to Cat(Q(A), E), f : A → B acts by
-    K ↦ K∘Q(f) and x : f ⇒ g by K ↦ K*Q(x).  Its object at A is κ_A, its
-    cell at f is κ_f : κ_B∘Q(f) ⇒ κ_A; the kernel's LN2 and LN1 are the
-    σ-cone laws of those names, and its square a cone morphism's.  So
-    ``point_cone_homs`` reads the cones and their morphisms, which are
-    decoded through the functor categories' names.  Strict Q only.
-    """
-    meter = meter or Meter()
-    if Q.is_pseudo:
-        raise PreconditionFailed("σ-cones in Cat expect a strict diagram")
-    H, fcats = hom_into_diagram(Q, E, meter)
-    base, objs = Q.source, sorted(Q.source.objects)
-    cells = [(f, fcats[base.src1(f)].transfs) for f in sorted(base.all_one_cells())]
-    found, hom = point_cone_homs(*diagram_binding(H), marked, meter)
-    cones = [SigmaCone(Q, marked, E, {A: fcats[A].functors[k] for A, k in zip(objs, ks)},
-                       {f: ts[s] for (f, ts), s in zip(cells, ss)})
-             for ks, ss in found]
-    order = sorted(range(len(cones)), key=lambda p: cones[p].key())
-
-    def morphism(ms: tuple) -> dict:
-        return {A: fcats[A].transfs[m] for A, m in zip(objs, ms)}
-
-    return [cones[p] for p in order], {
-        (a, b): sorted(map(morphism, hom(p, q)), key=_morphism_key)
-        for a, p in enumerate(order) for b, q in enumerate(order)}
 
 
 # ---------------------------------------------------------------------------

@@ -49,9 +49,6 @@ class FilterednessReport:
     witnesses: list = field(default_factory=list)
     counterexample: Witness | None = None
 
-    def __bool__(self) -> bool:
-        return self.verdict
-
 
 def _record(rep: FilterednessReport, axiom: str, instance: tuple,
             data: tuple | None) -> bool:

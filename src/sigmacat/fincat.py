@@ -144,9 +144,6 @@ class ValidationReport:
     def add(self, code: str, cells, detail: str) -> None:
         self.violations.append(Violation(code, tuple(cells), detail))
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def validate_category(c: FinCat) -> ValidationReport:
     """Exhaustive law scan.  Empty report iff ``c`` is a category."""
@@ -566,9 +563,6 @@ class EquivalenceReport:
     faithful: bool
     essentially_surjective: bool
     witness: str
-
-    def __bool__(self) -> bool:
-        return self.verdict
 
 
 def iso_classes(c: FinCat) -> list[frozenset]:

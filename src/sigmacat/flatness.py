@@ -83,9 +83,6 @@ class ExactnessReport:
     per_shape: list  # (label, bool)
     no_evidence: bool = False
 
-    def __bool__(self) -> bool:
-        return self.verdict
-
 
 def check_left_exact(P: CatDiagram, bilimit_cones,
                      meter: Meter | None = None) -> ExactnessReport:
@@ -155,10 +152,6 @@ class FlatnessVerdict:
     verdict: str  # "flat" | "not-flat" | "undecided"
     route: str
     evidence: object
-
-    @property
-    def flat(self) -> bool:
-        return self.verdict == "flat"
 
 
 def _cofiltered_elements(P: CatDiagram, meter: Meter) -> FilterednessReport:

@@ -558,7 +558,8 @@ def enumerate_transformations(P: CatDiagram, Q: CatDiagram, flavor: Flavor,
     non_id = [f for f in base.all_one_cells() if f not in ids]
     ln2, ln1 = _coherence_tables(P, Q)
     # what depends on one component choice is built once per choice:
-    # (A, i) -> the identity cell LN0 forces on the i-th component at A;
+    # (A, i) -> the identity cell LN0 forces on the i-th component at A,
+    # an identity for strict P and Q, so for the strict flavor;
     # (f, i, j) -> the source and target of the cell at f between the i-th
     # components at its ends, and the strict flavor's identity cell if any
     forced, typed = {}, {}
@@ -568,17 +569,11 @@ def enumerate_transformations(P: CatDiagram, Q: CatDiagram, flavor: Flavor,
         at = dict(zip(objs, idx))
         comps = {A: pool[i] for A, pool, i in zip(objs, comp_pools, idx)}
         structural = {}
-        ok = True
         for A in objs:
             if (A, at[A]) not in forced:
-                forced[(A, at[A])] = _forced_identity_cell(P, Q, A, comps[A], strict)
-            cell, passes = forced[(A, at[A])]
-            structural[base.id1[A]] = cell
-            if not passes:
-                ok = False
-                break
-        if not ok:
-            continue
+                forced[(A, at[A])] = _forced_identity_cell(P, Q, A, comps[A])
+            structural[base.id1[A]] = forced[(A, at[A])]
+        ok = True
         pools = []
         for f in non_id:
             A, B = base.src1(f), base.tgt1(f)
@@ -615,17 +610,14 @@ def enumerate_transformations(P: CatDiagram, Q: CatDiagram, flavor: Flavor,
     return out
 
 
-def _forced_identity_cell(P: CatDiagram, Q: CatDiagram, A: str, th: Functor,
-                          strict: bool) -> tuple[NatTransf, bool]:
-    """The cell at id_A that LN0 forces on θ_A, and whether it passes the
-    strict flavor's identity test (always True for the other flavors)."""
+def _forced_identity_cell(P: CatDiagram, Q: CatDiagram, A: str, th: Functor) -> NatTransf:
+    """The cell at id_A that LN0 forces on θ_A."""
     idA = P.source.id1[A]
     rhs = whisker_functor_nat(th, P.alpha_at(A))
     pre = whisker_nat_functor(Q.alpha_at(A), th)
     forced = vcomp_nat(rhs, invert_nat(pre))
-    cell = NatTransf(compose_functors(Q.on_1[idA], th), compose_functors(th, P.on_1[idA]),
+    return NatTransf(compose_functors(Q.on_1[idA], th), compose_functors(th, P.on_1[idA]),
                      forced.components)
-    return cell, not strict or nat_is_identity(cell)
 
 
 def _coherence_tables(P: CatDiagram, Q: CatDiagram) -> tuple[list, list]:
@@ -699,11 +691,6 @@ def enumerate_modifications(t1: Transformation, t2: Transformation,
              for A in objs]
     if any(not p for p in pools):
         return []
-    # check_modification's per-component typing and naturality, once per
-    # pool element; enumerate_nat_transfs output always passes them
-    pools = [[n for n in pool if _modification_component_ok(n, t1.components[A],
-                                                            t2.components[A])]
-             for A, pool in zip(objs, pools)]
     pos = {A: k for k, A in enumerate(objs)}
     squares = []  # LNM at f : A → B, per object y of P(A)
     for f in base.all_one_cells():
@@ -719,11 +706,6 @@ def enumerate_modifications(t1: Transformation, t2: Transformation,
             out.append(Modification(t1, t2, dict(zip(objs, combo))))
     out.sort(key=lambda m: m.key())
     return out
-
-
-def _modification_component_ok(n: NatTransf, src: Functor, tgt: Functor) -> bool:
-    return (n.source is src or n.source.key() == src.key()) and \
-        (n.target is tgt or n.target.key() == tgt.key()) and validate_nat_transf(n).ok
 
 
 def _squares_commute(squares: list, combo: tuple) -> bool:

@@ -262,9 +262,6 @@ class WideSub:
     parent: Fin2Cat
     arrows: frozenset  # 1-cell names
 
-    def __contains__(self, f: str) -> bool:
-        return f in self.arrows
-
 
 def validate_wide_sub(w: WideSub) -> ValidationReport:
     rep = ValidationReport("WideSub")

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 
 from dicone_reference import _t_2cell, _t_cell
 from sigmacat import elements as el_mod
-from sigmacat.colimits import (SigmaCone, _morphism_key, hom_into_diagram,
-                               sigma_cone_homs)
+from sigmacat.colimits import SigmaCone, _morphism_key, cones_sigma, hom_into_diagram
 from sigmacat.config import Meter
 from sigmacat.errors import PreconditionFailed
 from sigmacat.fincat import (FinCat, Functor, NatTransf, arrow_category,
@@ -70,10 +69,13 @@ def certify_against(result, E: FinCat, homs: tuple,
     base = Q.source
     objs = sorted(base.objects)
     fs, nats = homs
-    cones, chom = sigma_cone_homs(Q, result.marked, E, meter)
+    cc = cones_sigma(Q, result.marked, E, meter)
+    cones = [cc.cones[c] for c in cc.cat.objects]
     if len(fs) != len(cones):
         return False
     position = {c.key(): i for i, c in enumerate(cones)}
+    chom = {(i, j): [cc.morphisms[m] for m in cc.cat.hom(c, d)]
+            for i, c in enumerate(cc.cat.objects) for j, d in enumerate(cc.cat.objects)}
     obj_map = []
     for H in fs:
         image = SigmaCone(

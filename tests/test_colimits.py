@@ -114,7 +114,7 @@ def test_a_cone_with_one_broken_cell_fails_its_classifier():
 # What the test-family certificates enumerated: functors out of the
 # colimit, cones and cone morphisms, transformations and modifications,
 # and the categories assembled from them.
-ENUMERATORS = ("functor_homs", "sigma_cone_homs", "transformation_homs",
+ENUMERATORS = ("functor_homs", "cones_sigma", "transformation_homs",
                "enumerate_functors", "enumerate_nat_transfs",
                "enumerate_transformations", "enumerate_modifications",
                "assemble_category", "functor_category_full", "hom_eps",
