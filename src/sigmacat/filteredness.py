@@ -151,11 +151,18 @@ def check_sigma_cofinal(T: TwoFunctor, sigma: WideSub, sigma_prime: WideSub,
                         meter: Meter | None = None) -> FilterednessReport:
     """Cofinality of T relative to markings on its source and target.
 
-    Requires the source to be filtered for its marking; scans the three
+    σ-cofinality is defined for a 2-functor of marked 2-categories: T must
+    send every 1-cell of Σ into Σ', and the source must be filtered for
+    Σ; other input is refused.  Without T(Σ) ⊆ Σ' the axioms can hold
+    while the σ-colimits differ: for the identity of the walking arrow,
+    Σ all and Σ' the identities, the Σ-colimit of Δ1 is the walking
+    isomorphism and the Σ'-colimit the walking arrow.  Scans the three
     cofinality axioms with witnesses.
     """
     meter = meter or Meter()
     c, cp = T.source, T.target
+    if not all(T.map1.get(u) in sigma_prime.arrows for u in sigma.arrows):
+        raise PreconditionFailed("T does not send the source marking into the target's")
     pre = check_sigma_filtered(Marked2Cat(c, sigma), meter)
     if not pre.verdict:
         raise PreconditionFailed("source is not filtered for its marking")

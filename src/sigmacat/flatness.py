@@ -11,7 +11,9 @@ quantifies over an infinite 2-category and is not checked directly.
 Left exactness is checked shape by shape against user-supplied or
 generated bilimit cones, and the agreement of the two notions on
 finitely complete bases is enforced as a consistency check, never
-assumed.
+assumed.  The Yoneda comparison reads {Hom(A, -), Q}_p on the cone
+kernel (``colimits.weighted_sigma_limit``), for a strict or a pseudo Q;
+no transformation is enumerated.
 """
 
 from __future__ import annotations

@@ -9,16 +9,17 @@ from cone_reference import (cone_category_equiv, cone_existence,
 from helpers import posets
 from witness_reference import check_filtered_witnesses
 from sigmacat import two_cat
+from sigmacat.colimits import conical_sigma_colimit
 from sigmacat.config import Meter
 from sigmacat.errors import PreconditionFailed
-from sigmacat.fincat import validate_category
+from sigmacat.fincat import terminal_category, validate_category
 from sigmacat.fixtures import (arrow_2cat, diamond_2cat, iso_2cat,
                                marked_fixtures, parallel_2cat)
 from sigmacat.two_cat import (Marked2Cat, WideSub, op_dual,
                               parallel_2cells_2cat, terminal_2cat,
                               two_cat_from_cat, wide_all, wide_from,
                               wide_identities)
-from sigmacat.transforms import TwoFunctor, identity_twofunctor
+from sigmacat.transforms import TwoFunctor, constant_diagram, identity_twofunctor
 from sigmacat.filteredness import (Witness, check_sigma_cofiltered,
                                    check_sigma_cofinal, check_sigma_filtered,
                                    cofinal_via_ff)
@@ -241,6 +242,22 @@ def test_cofinal_requires_filtered_source():
                    {x: x for x in d2.all_two_cells()})
     with pytest.raises(PreconditionFailed):
         check_sigma_cofinal(T, wide_identities(d2), wide_identities(d2))
+
+
+def test_cofinal_requires_the_marking_to_be_preserved():
+    """The identity of the walking arrow, Σ all and Σ' the identities:
+    C0–C2 hold, yet the Σ-colimit of Δ1 is the walking isomorphism and
+    the Σ'-colimit the walking arrow, so T(Σ) ⊄ Σ' is refused."""
+    a = arrow_2cat()
+    T = identity_twofunctor(a)
+    assert check_sigma_filtered(Marked2Cat(a, wide_all(a))).verdict
+    with pytest.raises(PreconditionFailed, match="source marking"):
+        check_sigma_cofinal(T, wide_all(a), wide_identities(a))
+    point = constant_diagram(a, terminal_category())
+    sizes = {name: (len(res.category.objects), len(res.category.arrows))
+             for name, res in (("all", conical_sigma_colimit(point, wide_all(a))),
+                               ("ids", conical_sigma_colimit(point, wide_identities(a))))}
+    assert sizes == {"all": (2, 4), "ids": (2, 3)}
 
 
 def test_cofinal_via_embedding_is_reverified():
