@@ -1124,9 +1124,9 @@ def _transformation_order(W: CatDiagram, P: CatDiagram, el: el_mod._Elements) ->
     A cone stands for θ : W ⇒ P with θ_A(x) its object at (x, A), σ_f,x
     its cell at (f, 1_W(f)x), and θ_A(a), for a : x → x', its cell at
     (1_A, a∘α⁻¹_x) after P's unit at θ_A(x), where α⁻¹_x is the arrow of
-    the identity 1-cell of (x, A): (1_A, a) and the cell itself for
-    strict W and P.  A morphism stands for the modification with m_A,x
-    its component at (x, A).  The kernel's own order reads all objects
+    the identity 1-cell of (x, A): the cell at (1_A, a) itself for strict
+    W and P, which invert no unit.  A morphism stands for the
+    modification with m_A,x its component at (x, A).  The kernel's own order reads all objects
     before any cell, and sorts (x, A) by name rather than by A, then x,
     so it differs in general."""
     base, (objs, cells) = W.source, el._shape_index[:2]
@@ -1136,7 +1136,8 @@ def _transformation_order(W: CatDiagram, P: CatDiagram, el: el_mod._Elements) ->
     for A in sorted(base.objects):
         WA, idA = W.on_obj[A], base.id1[A]
         unit = {x: el.pairs1[el.id1[el_mod.obj_name(x, A)]][1] for x in WA.objects}
-        comps.append((A, [(x, pos[el_mod.obj_name(x, A)]) for x in sorted(WA.objects)],
+        comps.append((A, P.on_obj[A].compose, P.alpha_at(A).components,
+                      [(x, pos[el_mod.obj_name(x, A)]) for x in sorted(WA.objects)],
                       [(a, pos[el_mod.obj_name(x, A)],
                         cell[el_mod.mor_name(idA, WA.compose[(a, unit[x])], x)])
                        for a, (x, _) in sorted(WA.arrows.items())]))
@@ -1144,24 +1145,16 @@ def _transformation_order(W: CatDiagram, P: CatDiagram, el: el_mod._Elements) ->
         Wf, WB = W.on_1[f], W.on_obj[base.tgt1(f)]
         structural.append((f, [(x, cell[el_mod.mor_name(f, WB.identity[Wf.obj_map[x]], x)])
                                for x in sorted(W.on_obj[base.src1(f)].objects)]))
-    if P.is_pseudo:
-        units = [(P.on_obj[A].compose, P.alpha_obj[A].components) for A, _, _ in comps]
-
-        def arrow_images(xs: tuple, cs: tuple) -> tuple:
-            return tuple(tuple((a, c[(cs[n], u[xs[k]])]) for a, k, n in arrs)
-                         for (_, _, arrs), (c, u) in zip(comps, units))
-    else:
-        def arrow_images(xs: tuple, cs: tuple) -> tuple:
-            return tuple(tuple((a, cs[n]) for a, _, n in arrs) for _, _, arrs in comps)
 
     def cone_key(cone: tuple) -> tuple:
         xs, cs = cone
-        return (tuple((A, (tuple((x, xs[k]) for x, k in objs), arrs))
-                      for (A, objs, _), arrs in zip(comps, arrow_images(xs, cs))),
+        return (tuple((A, (tuple((x, xs[k]) for x, k in objs),
+                           tuple((a, c[(cs[n], u[xs[k]])]) for a, k, n in arrs)))
+                      for A, c, u, objs, arrs in comps),
                 tuple((f, tuple((x, cs[n]) for x, n in row)) for f, row in structural))
 
     def morphism_key(ms: tuple) -> tuple:
-        return tuple((A, tuple((x, ms[k]) for x, k in objs)) for A, objs, _ in comps)
+        return tuple((A, tuple((x, ms[k]) for x, k in objs)) for A, _, _, objs, _ in comps)
 
     return cone_key, morphism_key
 
