@@ -6,7 +6,11 @@ or certificate check failed (always a bug), 2 the arguments or the input
 were invalid or over budget, 3 the answer is undecided at the configured
 cap.  A usage error is reported as ``{"command", "error": "usage",
 "detail"}``, with argparse's message as the detail and its usage text on
-standard error.  Identical inputs produce byte-identical reports.
+standard error.  Invalid input is reported as ``{"command", "error":
+"invalid-input", "detail"}`` with exit code 2: a document that does not
+parse or validate, a file that is not UTF-8 text, and a path that cannot
+be read or written, a directory say.  Identical inputs produce
+byte-identical reports.
 
 The argument parser is built on the first ``run`` and reused by later
 ones in the process, since building it costs more than many questions.
@@ -47,8 +51,13 @@ EXIT_UNDECIDED = 3
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    """The text of the file at ``path``; one that is not UTF-8 is refused
+    as a ``ParseError``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path} is not UTF-8 text: {e.reason} at byte {e.start}") from None
 
 
 def _emit(doc) -> None:
@@ -394,7 +403,7 @@ def run(argv=None) -> int:
         _say(f"undecided: {e}")
         return EXIT_UNDECIDED
     except (ParseError, ValidationError, PreconditionFailed,
-            SizeLimitExceeded, FileNotFoundError) as e:
+            SizeLimitExceeded, OSError) as e:
         _emit({"command": args.command, "error": "invalid-input",
                "detail": str(e)})
         _say(f"invalid input: {e}")

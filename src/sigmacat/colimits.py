@@ -46,10 +46,11 @@ point under the hom diagram Cat(Q-, E) (``hom_into_diagram``), so
 2-category with vertex X is a σ-cone from the point under the hom
 diagram a(X, D-), so ``BaseConeCategories`` binds the kernel once per
 diagram to the actions of ``hom_actions`` and builds each Cones_D(X) on
-it.  The tests' cocone search, ``cone_existence`` in
-``tests/cone_reference.py``, runs there too, a cocone being a cone in
-the 1-cell duals; ``filteredness`` scans its axioms directly and binds no
-kernel.  A cone is a bilimit exactly when every
+it; a base keeps those bindings for its generating diagrams, with no
+cone category, in its ``BilimitPlan``.  The tests' cocone search,
+``cone_existence`` in ``tests/cone_reference.py``, runs there too, a
+cocone being a cone in the 1-cell duals; ``filteredness`` scans its
+axioms directly and binds no kernel.  A cone is a bilimit exactly when every
 a(X, -) takes it to a bilimit cone in Cat (Kelly 1989), so the bilimit
 test and ``preserves_bilimit`` decide the same comparison,
 ``_comparison``, on objects and hom-sets by
@@ -95,7 +96,7 @@ from .transforms import (CatDiagram, Transformation, TwoFunctor,
                          dual_twofunctor, hom_eps, sigma_flavor)
 from .presented import (Presentation, PresentedCategory, base_of_inv, is_inv,
                         localize, presents, saturate_presentation)
-from .shapes import Shape
+from .shapes import Shape, generating_diagrams
 from . import elements as el_mod
 
 
@@ -574,7 +575,7 @@ class BaseCone:
     Components are 1-cells from the vertex to the diagram values and the
     structural cells point ``D(u) ∘ t_i ⇒ t_j``; cells at marked shape
     arrows must be invertible.  ``searched`` is set only on the cones
-    ``BaseConeCategories.cones`` builds, whose laws the cone kernel
+    ``BaseConeCategories.base_cone`` builds, whose laws the cone kernel
     decided; ``dataclasses.replace`` clears it.
     """
 
@@ -664,19 +665,21 @@ class ConeKernel:
     ``transforms`` and ``check_base_cone`` are the references.
     """
 
+    __slots__ = ("objs", "cells", "cell_rows", "ln2", "ln1", "squares", "units", "ln1_cells")
+
     def __init__(self, shape: Fin2Cat, marked: frozenset, on_1, on_2, cells=None,
                  identities: frozenset = frozenset()):
         self.objs, self.cells, ends, two, pairs = shape._shape_index
         maps = [None if k is not None else on_1(u) for u, (k, _, _) in zip(self.cells, ends)]
         # per 1-cell: the identity's object, or Q(u) on objects, ends, and
         # whether the cell must be an identity, and whether invertible
-        self.cell_rows = [(k, None, i, j, False, False) if m is None else
-                          (None, m[0], i, j, u in identities, u in marked)
-                          for u, m, (k, i, j) in zip(self.cells, maps, ends)]
-        self.ln2 = [(u, v, on_2(x), *ends[u][1:]) for x, u, v in two]
-        self.ln1 = [(vu, v, u, maps[v][1], ends[v][2]) for vu, v, u in pairs]
-        self.squares = [(i, j, n, m[1]) for n, (m, (_, i, j)) in enumerate(zip(maps, ends))
-                        if m is not None]
+        self.cell_rows = tuple((k, None, i, j, False, False) if m is None else
+                               (None, m[0], i, j, u in identities, u in marked)
+                               for u, m, (k, i, j) in zip(self.cells, maps, ends))
+        self.ln2 = tuple((u, v, on_2(x), *ends[u][1:]) for x, u, v in two)
+        self.ln1 = tuple((vu, v, u, maps[v][1], ends[v][2]) for vu, v, u in pairs)
+        self.squares = tuple((i, j, n, m[1]) for n, (m, (_, i, j)) in enumerate(zip(maps, ends))
+                             if m is not None)
         # a pseudo Q's inverted unit components per object, and per LN1 row
         # its inverted composition components and the row's source object
         self.units = self.ln1_cells = None
@@ -748,9 +751,13 @@ def hom_actions(a: Fin2Cat) -> tuple:
     table built from a's composition tables on first use: ``on_1(f)`` is
     the pair (f∘- on 1-cells, 1_f*- on 2-cells) and ``on_2(x)`` is x*1_-
     on 1-cells, over the cells into the source of f or of x.  Third, per
-    object L, the set of X with a 1-cell X → L."""
+    object L, the set of X with a 1-cell X → L.  Nothing here ticks.  A
+    base keeps one set in its ``BilimitPlan``, so the tables filled by one
+    search serve the next, while every search still charges every
+    Cones_D(X) it builds; the cones it returns share the plan's frozen
+    diagrams.  ``BaseConeCategories`` built without a plan makes its own."""
     hc1, hc2, into = a.hcomp1, a.hcomp2, a._cells_into
-    reaching = {L: {X for X in a.objects if a.one_cells(X, L)} for L in a.objects}
+    reaching = {L: frozenset(X for X in a.objects if a.one_cells(X, L)) for L in a.objects}
 
     def on_1(f: str) -> tuple:
         idf, (ts, xs) = a.id2(f), into[a.src1(f)]
@@ -783,6 +790,65 @@ def _comparison(legs: list, cells: list) -> tuple:
     return cone_of, morphism_of
 
 
+class CompiledCones:
+    """What ``BaseConeCategories`` reads off a diagram (D, marked) and the
+    base alone, with no meter: the diagram, the base's ``hom_actions``,
+    the ``ConeKernel`` bound to them along D, D's values in the kernel's
+    order of shape objects, and ``legs``, the X where every hom(X, D(i))
+    is inhabited.  ``kernel`` may be given when the shape's rows read no
+    diagram, as ``BilimitPlan`` gives one to all the biproducts."""
+
+    __slots__ = ("D", "marked", "actions", "kernel", "values", "legs")
+
+    def __init__(self, D: TwoFunctor, marked: frozenset, actions: tuple,
+                 kernel: ConeKernel | None = None):
+        if not marked.issubset(D.source.all_one_cells()):
+            raise PreconditionFailed("the marking is not of the diagram's shape")
+        on_1, on_2, reaching = actions
+        self.D, self.marked, self.actions = D, marked, actions
+        self.kernel = kernel or ConeKernel(D.source, marked, lambda u: on_1(D.map1[u]),
+                                           lambda x: on_2(D.map2[x]))
+        self.values = tuple(D.obj_map[i] for i in self.kernel.objs)
+        self.legs = frozenset(D.target.objects).intersection(*map(reaching.get, self.values))
+
+
+class BilimitPlan:
+    """What the bilimit search of ``flatness.generate_bilimit_cones`` reads
+    off a base alone, kept on it as ``Fin2Cat._bilimit_plan``: its objects
+    in sorted order, its ``hom_actions``, and per generating diagram
+    (``shapes.generating_diagrams``) the label and the ``CompiledCones``.
+    A shape whose 1-cells and 2-cells are all identities, as the
+    biproduct's, has kernel rows that read no diagram, so all its
+    diagrams share one kernel.  The plan names no meter and keeps no cone
+    category and no cone: each search builds every Cones_D(X) it reads
+    afresh, on its own meter, and the cones it returns share the plan's
+    frozen diagrams, which nothing mutates."""
+
+    __slots__ = ("objects", "actions", "diagrams")
+
+    def __init__(self, a: Fin2Cat):
+        self.objects = tuple(sorted(a.objects))
+        self.actions = hom_actions(a)
+        shared = {}  # (shape, marking) -> the kernel of a shape that reads no diagram
+        kept = {}  # each tuple of values and set of legs, once for all diagrams
+
+        def compiled(D: TwoFunctor, marked: frozenset) -> CompiledCones:
+            _, _, ends, two, _ = D.source._shape_index
+            kernel = None
+            if not two and all(k is not None for k, _, _ in ends):
+                key = (id(D.source), marked)
+                if key not in shared:
+                    shared[key] = ConeKernel(D.source, marked, None, None)
+                kernel = shared[key]
+            c = CompiledCones(D, marked, self.actions, kernel)
+            c.values = kept.setdefault(c.values, c.values)
+            c.legs = kept.setdefault(c.legs, c.legs)
+            return c
+
+        self.diagrams = tuple((label, compiled(D, marked))
+                              for label, D, marked in generating_diagrams(a))
+
+
 class BaseConeCategories:
     """The cone categories Cones_D(X) of one diagram (D, marked) in a
     finite 2-category, kept as objects and hom-sets, and the bilimit test
@@ -793,22 +859,24 @@ class BaseConeCategories:
     σ_u : D(u)∘t_i ⇒ t_j are its objects and cells, its morphisms the
     2-cells between legs.  So the diagram's ``ConeKernel`` is compiled
     once, on the actions of ``hom_actions`` along D, and each X only
-    supplies the categories hom(X, D(i)).  ``at(X)`` builds Cones_D(X) on
-    first use and keeps it, so a search that tests many cones over D
-    builds each at most once; only at the X in ``legs``, where every
-    hom(X, D(i)) is inhabited.  All ticks are those of the builds.
+    supplies the categories hom(X, D(i)).  That compiled part reads no
+    meter: it is ``compiled``, (D, marked)'s ``CompiledCones``, which the
+    base keeps in its ``BilimitPlan``, or compiled here when none is
+    given.  The meter and the builds are this object's alone: ``at(X)``
+    builds Cones_D(X) on first use and keeps it here, never in the plan,
+    so a search that tests many cones over D builds each at most once,
+    and every search charges every build it makes; only at the X in
+    ``legs``, where every hom(X, D(i)) is inhabited.  All ticks are those
+    of the builds.  The cones of ``base_cone`` share D, which with a plan
+    is the plan's frozen diagram.
     """
 
     def __init__(self, D: TwoFunctor, marked: frozenset,
-                 meter: Meter | None = None, actions: tuple | None = None):
-        if not marked.issubset(D.source.all_one_cells()):
-            raise PreconditionFailed("the marking is not of the diagram's shape")
-        self.D, self.marked = D, marked
-        self.on_1, self.on_2, self.reaching = actions or hom_actions(D.target)
-        self.kernel = ConeKernel(D.source, marked, lambda u: self.on_1(D.map1[u]),
-                                 lambda x: self.on_2(D.map2[x]))
-        self.values = [D.obj_map[i] for i in self.kernel.objs]
-        self.legs = set(D.target.objects).intersection(*map(self.reaching.get, self.values))
+                 meter: Meter | None = None, compiled: CompiledCones | None = None):
+        c = compiled or CompiledCones(D, marked, hom_actions(D.target))
+        self.D, self.marked, self.kernel, self.values, self.legs = \
+            D, marked, c.kernel, c.values, c.legs
+        self.on_1, self.on_2, self.reaching = c.actions
         self.meter = meter or Meter()
         self._at = {}
 
@@ -847,16 +915,17 @@ class BaseConeCategories:
         return got
 
     def base_cone(self, X: str, legs: tuple, cells: tuple) -> BaseCone:
-        return BaseCone(self.D.source, self.D, self.marked, X,
+        """The cone with vertex X and the kernel's (legs, cells), marked
+        ``searched``, since the kernel decided its laws."""
+        cone = BaseCone(self.D.source, self.D, self.marked, X,
                         dict(zip(self.kernel.objs, legs)),
                         dict(zip(self.kernel.cells, cells)))
+        object.__setattr__(cone, "searched", True)
+        return cone
 
     def cones(self, X: str) -> list[BaseCone]:
         """The cones of Cones_D(X), in generation order, marked ``searched``."""
-        cones = [self.base_cone(X, *c) for c in self.at(X)[0]]
-        for cone in cones:
-            object.__setattr__(cone, "searched", True)
-        return cones
+        return [self.base_cone(X, *c) for c in self.at(X)[0]]
 
     def is_bilimit(self, c: BaseCone) -> bool:
         """Bilimit test: every hom diagram a(X, -) preserves the cone, that
@@ -864,24 +933,34 @@ class BaseConeCategories:
         equivalence at every X, never required to be an isomorphism;
         equivalent bilimits need not be isomorphic.
 
-        A 1-cell t goes to the cone with legs c_i∘t and cells σ_u*1_t, a
-        2-cell a to the family 1_(c_i)*a: the ``_comparison`` of
-        ``preserves_bilimit`` for a(X, -), into the kept Cones_D(X).  The
-        cone must be over (D, marked) with its vertex in the base, and a
-        cone that ``cones`` did not build, not marked ``searched``, must pass
-        ``check_base_cone``; any other is refused.  An X where both
-        hom(X, vertex) and Cones_D(X) are empty is skipped, as the empty
-        functor is an equivalence: all X outside ``legs`` with no 1-cell
-        X → vertex.
+        The cone must be over (D, marked) with its vertex in the base, and a
+        cone that the kernel did not build, not marked ``searched``, must
+        pass ``check_base_cone``; any other is refused.  Then its legs and
+        cells go to ``is_bilimit_at``.
         """
         if c.diagram != self.D or c.marked != self.marked:
             raise PreconditionFailed("the cone is not over this diagram")
-        amb, vertex = self.D.target, c.vertex
-        walk = self.legs | self.reached(vertex)
+        self.reached(c.vertex)
         if not c.searched and not (rep := check_base_cone(c)).ok:
             raise PreconditionFailed(f"malformed cone: {rep.violations[0].detail}")
-        cone_of, morphism_of = _comparison([self.on_1(c.comp[i]) for i in self.kernel.objs],
-                                           [self.on_2(c.struct[u]) for u in self.kernel.cells])
+        return self.is_bilimit_at(c.vertex, [c.comp[i] for i in self.kernel.objs],
+                                  [c.struct[u] for u in self.kernel.cells])
+
+    def is_bilimit_at(self, vertex: str, legs, cells) -> bool:
+        """The bilimit test on the cone with that vertex, legs and cells, in
+        the kernel's order, taken as lawful, as the kernel's own are.
+
+        A 1-cell t goes to the cone with legs c_i∘t and cells σ_u*1_t, a
+        2-cell a to the family 1_(c_i)*a: the ``_comparison`` of
+        ``preserves_bilimit`` for a(X, -), into the kept Cones_D(X).  An X
+        where both hom(X, vertex) and Cones_D(X) are empty is skipped, as
+        the empty functor is an equivalence: all X outside ``legs`` with no
+        1-cell X → vertex.
+        """
+        amb = self.D.target
+        walk = self.legs | self.reached(vertex)
+        cone_of, morphism_of = _comparison(list(map(self.on_1, legs)),
+                                           list(map(self.on_2, cells)))
         is_iso = amb.is_invertible_2cell
 
         def invertible(rho: tuple) -> bool:

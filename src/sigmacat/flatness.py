@@ -11,7 +11,12 @@ quantifies over an infinite 2-category and is not checked directly.
 Left exactness is checked shape by shape against user-supplied or
 generated bilimit cones, and the agreement of the two notions on
 finitely complete bases is enforced as a consistency check, never
-assumed.  The Yoneda comparison reads {Hom(A, -), Q}_p on the cone
+assumed.  The search for generated cones reads what depends on the base
+alone from the plan the base keeps (``Fin2Cat._bilimit_plan``): the
+generating diagrams, the hom actions and a compiled cone kernel per
+diagram, which charge no tick.  Every search still builds, and charges,
+every cone category it reads, and the cones it returns share the plan's
+frozen diagrams.  The Yoneda comparison reads {Hom(A, -), Q}_p on the cone
 kernel (``colimits.weighted_sigma_limit``), for a strict or a pseudo Q;
 no transformation is enumerated.
 """
@@ -30,7 +35,7 @@ from .transforms import (CatDiagram, Transformation, compose_diagram,
 from .elements import ElementsResult, _Elements, elements_of, obj_name
 from .filteredness import FilterednessReport, check_sigma_cofiltered
 from .colimits import (BaseConeCategories, SigmaCone, check_base_cone,
-                       conical_sigma_colimit, hom_actions, induced_from_colimit,
+                       conical_sigma_colimit, induced_from_colimit,
                        preserves_bilimit, weighted_sigma_limit)
 from .shapes import generating_diagrams
 
@@ -118,31 +123,38 @@ def generate_bilimit_cones(a: Fin2Cat, meter: Meter | None = None) -> list:
     then every diagram of the four binary shapes (``generating_diagrams``).
 
     Only shapes certified by the bilimit test are returned; on bases without
-    some bilimit the shape is simply absent.  Each diagram (D, marked) is
-    searched over one ``BaseConeCategories``, all of them on the base's one
-    ``hom_actions``: every Cones_D(X) with X in ``legs``, where each
-    hom(X, D(i)) is inhabited, is built first, once; every other is empty
-    and never built.  The ticks are those of these builds, charged on each
-    call.  Then the vertices L are tried in sorted order, the cones of
-    Cones_D(L) in generation order, and the first that passes the bilimit
-    test is returned.  Only an L with hom(X, L) inhabited exactly where
-    Cones_D(X) is can pass, as the test asks at each X for an equivalence
-    hom(X, L) → Cones_D(X), and none joins an empty and an inhabited
-    category.  So the filter moves no cone; nor do the builds up front move
-    the ticks, since the filter itself reads every Cones_D(X) in ``legs``.
+    some bilimit the shape is simply absent.  What depends on the base
+    alone is its plan, ``Fin2Cat._bilimit_plan``, built on the first search
+    and kept as long as the base: the generating diagrams, the base's
+    ``hom_actions`` and each diagram's compiled ``ConeKernel``.  It charges
+    no tick.  Each diagram (D, marked) is then searched over a
+    ``BaseConeCategories`` of this call: every Cones_D(X) with X in
+    ``legs``, where each hom(X, D(i)) is inhabited, is built first, once;
+    every other is empty and never built.  The ticks are those of these
+    builds, and every call charges every build it makes, so a search on a
+    base that earlier searches have planned costs the same ticks.  Then
+    the vertices L are tried in sorted order, the cones of Cones_D(L) in
+    generation order, and the first that passes the bilimit test is
+    returned, the only one made a ``BaseCone``; the returned cones share
+    the plan's frozen diagrams, which nothing mutates.  Only an L with
+    hom(X, L) inhabited exactly where Cones_D(X) is can pass, as the test
+    asks at each X for an equivalence hom(X, L) → Cones_D(X), and none
+    joins an empty and an inhabited category.  So the filter moves no cone; nor do
+    the builds up front move the ticks, since the filter itself reads
+    every Cones_D(X) in ``legs``.
     """
     meter = meter or Meter()
-    objects = sorted(a.objects)
-    actions = hom_actions(a)
+    plan = a._bilimit_plan
 
-    def search(D, marked):
-        over = BaseConeCategories(D, marked, meter, actions)
-        inhabited = {X for X in objects if X in over.legs and over.at(X)[0]}
-        return next((cone for L in objects if over.reaching[L] == inhabited
-                     for cone in over.cones(L) if over.is_bilimit(cone)), None)
+    def search(compiled):
+        over = BaseConeCategories(compiled.D, compiled.marked, meter, compiled)
+        inhabited = {X for X in plan.objects if X in over.legs and over.at(X)[0]}
+        return next((over.base_cone(L, *cone) for L in plan.objects
+                     if over.reaching[L] == inhabited
+                     for cone in over.at(L)[0] if over.is_bilimit_at(L, *cone)), None)
 
-    return [(label, cone) for label, D, marked in generating_diagrams(a)
-            if (cone := search(D, marked)) is not None]
+    return [(label, cone) for label, compiled in plan.diagrams
+            if (cone := search(compiled)) is not None]
 
 
 # ---------------------------------------------------------------------------

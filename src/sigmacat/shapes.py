@@ -133,7 +133,11 @@ def generating_diagrams(a: Fin2Cat):
     then the biproducts of each pair of objects, then for each parallel
     pair f, g the biequalizer, the biinserter and the biequifier of each
     pair of 2-cells f => g.  The maps are ``Shape.diagram``'s, laid on the
-    shape's ``keys`` from the images the loops hold, with no boundary read."""
+    shape's ``keys`` from the images the loops hold, with no boundary read.
+    The biinserter of f, g is the biequalizer's diagram with its own
+    marking, and each biequifier shares the biequalizer's object and
+    1-cell maps: a base keeps these diagrams in its bilimit search's plan,
+    so nothing may mutate them."""
     id1, id2 = a.id1.__getitem__, {f: a.id2(f) for f in a.all_one_cells()}.__getitem__
 
     def of(sh, *images):
@@ -149,8 +153,14 @@ def generating_diagrams(a: Fin2Cat):
         for B in sorted(a.objects):
             for f in a.one_cells(A, B):
                 for g in a.one_cells(A, B):
-                    yield of(BIEQUALIZER, (A, B), (f, g), ())
-                    yield of(BIINSERTER, (A, B), (f, g), ())
+                    label, D, marked = of(BIEQUALIZER, (A, B), (f, g), ())
+                    yield label, D, marked
+                    # the biinserter has the biequalizer's shape, so its diagram,
+                    # and the biequifier its keys below the top 2-cells, so its maps
+                    yield f"{BIINSERTER.name}({f},{g})", D, BIINSERTER.marked
                     for al in a.two_cells_between(f, g):
                         for be in a.two_cells_between(f, g):
-                            yield of(BIEQUIFIER, (A, B), (f, g), (al, be))
+                            top = dict(zip(GENERATORS[2], (al, be)))
+                            yield (f"{BIEQUIFIER.name}({al},{be})",
+                                   TwoFunctor(BIEQUIFIER.cat, a, D.obj_map, D.map1,
+                                              {**D.map2, **top}), BIEQUIFIER.marked)

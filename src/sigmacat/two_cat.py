@@ -20,9 +20,9 @@ from .errors import ValidationError
 
 @dataclass(frozen=True)
 class Fin2Cat:
-    """The tables are never mutated after construction; the sorted cells
-    and the shape rows the accessors return are computed on first use and
-    kept."""
+    """The tables are never mutated after construction; the sorted cells,
+    the shape rows and the bilimit search's plan are computed on first use
+    and kept."""
 
     objects: tuple[str, ...]
     hom: dict  # (A, B) -> FinCat
@@ -128,6 +128,14 @@ class Fin2Cat:
         pairs = [(at[gf], at[g], at[f]) for (g, f), gf in self.hcomp1.items()
                  if f not in ids and g not in ids]
         return objs, cells, ends, two, pairs
+
+    @cached_property
+    def _bilimit_plan(self) -> BilimitPlan:
+        """The plan of the bilimit search (``colimits.BilimitPlan``): the
+        generating diagrams, the hom actions and a compiled cone kernel per
+        diagram, read off the tables alone, with no meter, and kept as long
+        as the base."""
+        return BilimitPlan(self)
 
     @cached_property
     def _all_one_cells(self) -> tuple[str, ...]:
@@ -465,3 +473,8 @@ def parallel_2cells_2cat(cells: tuple[str, ...] = ()) -> Fin2Cat:
 def free_2cell_2cat() -> Fin2Cat:
     """Two objects, parallel 1-cells u, v : a -> b, one 2-cell th : u => v."""
     return parallel_2cells_2cat(("th",))
+
+
+# ``colimits`` builds on this module, so the plan's class is imported last,
+# once every name ``colimits`` reads from here is defined.
+from .colimits import BilimitPlan  # noqa: E402

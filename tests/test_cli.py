@@ -248,6 +248,33 @@ def test_broken_document_exits_two(tmp_path, capsys):
     assert code == 2
 
 
+def invalid_input(capsys, *argv) -> str:
+    """The detail of the invalid-input report a run must end in, with exit 2."""
+    code, out = invoke(capsys, *argv)
+    doc = json.loads(out)
+    assert code == 2 and sorted(doc) == ["command", "detail", "error"]
+    assert (doc["command"], doc["error"]) == (argv[0], "invalid-input")
+    return doc["detail"]
+
+
+def test_a_directory_to_read_exits_two(capsys):
+    assert "Is a directory" in invalid_input(capsys, "validate", str(FIXTURES))
+
+
+def test_a_directory_to_write_exits_two(tmp_path, capsys):
+    detail = invalid_input(capsys, "strictify", str(FIXTURES / "pseudo_z2.json"),
+                           "-o", str(tmp_path))
+    assert "Is a directory" in detail
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_document_that_is_not_utf8_exits_two(tmp_path, capsys):
+    bad = tmp_path / "utf16.json"
+    bad.write_bytes(b"\xff\xfe" + '{"objects": []}'.encode("utf-16-le"))
+    assert invalid_input(capsys, "validate", str(bad)) == \
+        f"{bad} is not UTF-8 text: invalid start byte at byte 0"
+
+
 def test_semantically_broken_category_exits_two(tmp_path, capsys):
     c = arrow_category()
     doc = sio.fincat_to_doc(c)

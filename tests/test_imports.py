@@ -11,8 +11,10 @@ is thrown away.  Names that start with ``_`` and targets of tuple
 unpacking are exempt.
 
 Every module imports only at top level: the package's modules import
-one another without a cycle, so no import needs to wait inside a
-function.
+one another without a cycle but one, so no import needs to wait inside
+a function.  The one is ``two_cat``'s import of ``colimits.BilimitPlan``,
+the plan each ``Fin2Cat`` keeps for its bilimit search, made at the foot
+of ``two_cat`` once every name ``colimits`` reads from it is defined.
 
 Every ``raise`` in the package raises a ``sigmacat.errors`` class, which
 ``cli.run`` reports, the private ``_AtCap`` or ``_UsageError`` that their
@@ -346,7 +348,8 @@ def test_the_memo_scan_reads_every_memo():
     inverse table among them."""
     found = {name for module in MODULES for name, _, _ in memoized(parsed(module), module[:-3])}
     assert {"fincat.FinCat._inverses", "fincat.FinCat._hom_index", "cli.build_parser",
-            "colimits.hom_actions.on_1", "colimits.hom_actions.on_2"} <= found
+            "colimits.hom_actions.on_1", "colimits.hom_actions.on_2",
+            "two_cat.Fin2Cat._bilimit_plan"} <= found
 
 
 def test_a_ticking_memo_or_a_module_cache_is_flagged():

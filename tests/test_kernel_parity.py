@@ -470,6 +470,25 @@ def test_the_bilimit_search_needs_exactly_its_pinned_budget(name):
     assert meter.count == total
 
 
+@pytest.mark.parametrize("name", ["chain8", "grid3x3"])
+def test_one_base_needs_its_pinned_budget_on_every_search(name):
+    """The plan the base keeps charges no tick: on one base object, a
+    search one tick short of the pinned total is refused, and then each of
+    two searches on exactly that budget charges the pinned ticks and finds
+    the pinned rows, over the plan the refused search left."""
+    expected = CONE_EXPECTED[f"bilimit-cones-{name}"]
+    a = {"chain8": lambda: chain_2cat(8), "grid3x3": lambda: grid_2cat(3, 3)}[name]()
+    search = bilimit_cones(lambda: a)
+    with pytest.raises(SizeLimitExceeded):
+        search(Meter(limit=expected[0] - 1))
+    plan = a._bilimit_plan
+    for _ in range(2):
+        meter = Meter(limit=expected[0])
+        rows = search(meter)
+        assert (meter.count, len(rows), digest(rows)) == expected
+    assert a._bilimit_plan is plan
+
+
 # Left exactness of the benchmark's exactness inputs: Δ1, the bottom
 # representable and Δ of the discrete pair, over the cones the search finds
 # in the six bases the benchmark asks about.  Each case records the ticks of
