@@ -673,13 +673,13 @@ class ConeKernel:
         maps = [None if k is not None else on_1(u) for u, (k, _, _) in zip(self.cells, ends)]
         # per 1-cell: the identity's object, or Q(u) on objects, ends, and
         # whether the cell must be an identity, and whether invertible
-        self.cell_rows = tuple((k, None, i, j, False, False) if m is None else
-                               (None, m[0], i, j, u in identities, u in marked)
-                               for u, m, (k, i, j) in zip(self.cells, maps, ends))
-        self.ln2 = tuple((u, v, on_2(x), *ends[u][1:]) for x, u, v in two)
-        self.ln1 = tuple((vu, v, u, maps[v][1], ends[v][2]) for vu, v, u in pairs)
-        self.squares = tuple((i, j, n, m[1]) for n, (m, (_, i, j)) in enumerate(zip(maps, ends))
-                             if m is not None)
+        self.cell_rows = tuple([(k, None, i, j, False, False) if m is None else
+                                (None, m[0], i, j, u in identities, u in marked)
+                                for u, m, (k, i, j) in zip(self.cells, maps, ends)])
+        self.ln2 = tuple([(u, v, on_2(x), *ends[u][1:]) for x, u, v in two])
+        self.ln1 = tuple([(vu, v, u, maps[v][1], ends[v][2]) for vu, v, u in pairs])
+        self.squares = tuple([(i, j, n, m[1]) for n, (m, (_, i, j)) in enumerate(zip(maps, ends))
+                              if m is not None])
         # a pseudo Q's inverted unit components per object, and per LN1 row
         # its inverted composition components and the row's source object
         self.units = self.ln1_cells = None

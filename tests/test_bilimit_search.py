@@ -110,7 +110,7 @@ def test_bilimit_search_keeps_nothing_between_calls():
 
 # The bytes each base keeps for its bilimit search's plan: what deleting
 # the plan frees, by tracemalloc, after a search has filled its hom
-# actions.  Measured at 240,756 on chain8 and 257,073 on grid3x3 with
+# actions.  Measured at 236,724 on chain8 and 253,041 on grid3x3 with
 # CPython 3.11; the ceilings leave room for another interpreter's object
 # sizes, not for another table in the plan.
 PLAN_BYTES_CEILING = {"chain8": 280_000, "grid3x3": 300_000}
