@@ -37,9 +37,8 @@ from .two_cat import (Fin2Cat, Marked2Cat, WideSub, co_dual, mk_fin2cat,
                       wide_all, wide_from, wide_identities)
 from .transforms import (CatDiagram, Flavor, LAX, Modification, PSEUDO, STRICT,
                          Transformation, TwoFunctor, check_modification,
-                         check_transformation, constant_diagram,
-                         flavor_inclusions, hom_eps, sigma_flavor,
-                         validate_diagram)
+                         check_transformation, constant_diagram, hom_eps,
+                         sigma_flavor, validate_diagram)
 from .elements import (DualPi0, ElementsResult, cart_sigma, dual_pi0,
                        elements_of, elements_of_pseudo, gamma_dual,
                        lax_dense_transport, lax_pullback_factor, t_eta, t_h)

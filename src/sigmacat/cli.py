@@ -302,12 +302,21 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(self.prog.partition(" ")[2] or None, message)
 
 
+class _Count(argparse.Action):
+    """An integer option that refuses a negative value as a usage error."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if value < 0:
+            parser.error(f"argument {option_string}: {value} is negative")
+        setattr(namespace, self.dest, value)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(
         prog="sigmacat",
         description="finite 2-categories, relative limits, and flatness")
-    p.add_argument("--budget", type=int, default=None,
+    p.add_argument("--budget", type=int, default=None, action=_Count,
                    help="enumeration budget (candidates)")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -339,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("diagram")
     q.add_argument("--sigma", default=None)
     q.add_argument("--weight", default=None)
-    q.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    q.add_argument("--cap", type=int, default=DEFAULT_CAP, action=_Count)
     q.set_defaults(fn=cmd_colimit)
 
     q = sub.add_parser("bilimit", help="one of the four binary generating bilimits")

@@ -23,9 +23,9 @@ induces must be an isomorphism, which proves the universal property for
 every E.  Every classifier is built by one builder, ``_Classifier``; Cl
 is built from Q's own tables, not through the elements construction, and
 decided by one coset table (``presented.presents``).  A weighted
-σ-colimit W ⋆ P is the conical one of P·π over the dual of W's elements;
-it is certified the same way by the classifier of σ-natural
-transformations W ⇒ Cat(P-, E), built from W's and P's tables.  No
+σ-colimit W ⋆ P is the conical one of P·π over the dual of W's elements,
+read off El W's reader; it is certified the same way by the classifier of
+σ-natural transformations W ⇒ Cat(P-, E), from W's and P's tables.  No
 functor, cone or transformation is enumerated.  A certificate failure is
 a bug and raises; an unstable localization propagates as an undecided
 status, and a classifier still growing at the cap raises UndecidedAtCap,
@@ -90,10 +90,10 @@ from .fincat import (EquivalenceReport, FinCat, Functor, NatTransf,
                      is_equivalence_on_homs, mint, pair_name, partition,
                      terminal_category, validate_functor, whisker_functor_nat,
                      whisker_nat_functor)
-from .two_cat import Fin2Cat, WideSub, marks, op_dual, two_cat_product
+from .two_cat import Fin2Cat, OpView, WideSub, marks, op_dual, two_cat_product
 from .transforms import (CatDiagram, Transformation, TwoFunctor,
                          Flavor, PSEUDO, compose_diagram, constant_diagram,
-                         dual_twofunctor, hom_eps, sigma_flavor)
+                         hom_eps, sigma_flavor)
 from .presented import (Presentation, PresentedCategory, base_of_inv, is_inv,
                         localize, presents, saturate_presentation)
 from .shapes import Shape, generating_diagrams
@@ -460,31 +460,40 @@ def weighted_sigma_colimit(W: CatDiagram, P: CatDiagram, sigma: WideSub,
 
     The weight lives on the 1-cell dual of the argument's base; both must
     be strict.  The result C is the conical σ-colimit of P·π over the dual
-    of W's elements, with the universal cone κ and its conical
-    certificate.  The weighted certificate is the classifier of weighted
-    σ-cocones, built from W's and P's tables: the functor Cl_W(W, P, Σ) → C
-    that κ induces must be an isomorphism (``_weighted_classifier``).
+    of W's elements, read on El W's reader (``diagram_along_dual``), with
+    the universal cone κ and its conical certificate.  The weighted
+    certificate is the classifier of weighted σ-cocones, built from W's and
+    P's tables: the functor Cl_W(W, P, Σ) → C that κ induces must be an
+    isomorphism (``_weighted_classifier``).
     """
     meter = meter or Meter()
     base = P.source
-    opbase = op_dual(base)
     if W.is_pseudo or P.is_pseudo:
         raise PreconditionFailed("weighted colimits expect a strict weight and diagram")
-    if W.source != opbase:
+    if W.source != op_dual(base):
         raise PreconditionFailed("weight must live on the dual of the base")
     if not marks(sigma, base):
         raise PreconditionFailed("the marking is not of the diagram's base")
-    el_w = el_mod.elements_of(W, meter)
-    sigma_op = WideSub(opbase, sigma.arrows)
-    marked_el = el_mod.cart_sigma(el_w, sigma_op)
-    Q2 = compose_diagram(P, dual_twofunctor(el_w.projection))
-    marked_op = WideSub(Q2.source, marked_el.arrows)
-    conical = conical_sigma_colimit(Q2, marked_op, cap, meter)
+    el = el_mod._Elements(W, False, meter)
+    dual = el.dual()
+    marked = frozenset(m for m in el.cart if el.pairs1[m][0] in sigma.arrows)
+    conical = conical_sigma_colimit(diagram_along_dual(dual, P.on_obj, P.on_1, P.on_2),
+                                    WideSub(dual, marked), cap, meter)
     out = WeightedColimitResult(conical, W, P, [])
     if conical.finite:
         cl = _weighted_classifier(W, P, sigma.arrows, conical.cone)
         out.certificate = cl.certify(conical.category, cap, meter)
     return out
+
+
+def diagram_along_dual(dual: OpView, on_obj: dict, on_1: dict, on_2: dict) -> CatDiagram:
+    """P·π on ``dual``, the 1-cell dual of El W (``_Elements.dual``), for P
+    given on W's base by ``on_obj``, ``on_1`` and ``on_2``: bound along the
+    reader's ``points``, ``pairs1`` and ``pairs2``, with nothing composed."""
+    el = dual.op
+    return CatDiagram(dual, {o: on_obj[el.points[o][1]] for o in el.objects},
+                      {m: on_1[el.pairs1[m][0]] for m in el.all_one_cells()},
+                      {c: on_2[el.pairs2[c]] for c in el.all_two_cells()})
 
 
 def _weighted_classifier(W: CatDiagram, P: CatDiagram, marked,

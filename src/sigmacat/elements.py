@@ -17,13 +17,13 @@ One enumerator, ``_cells``, lists the elements and the 1-cells and
 2-cells between them; it ticks and mints for its two readers.
 ``_Elements`` reads the 2-category they form, each horizontal composite
 computed on first lookup.  ``check_flat`` scans its ``two_cat.OpView``
-with no hom category, horizontal composition table or dual copy built,
-and ``colimits.weighted_sigma_limit`` runs the cone kernel on its rows
-(``_shape_index``), so strict weighted limits and Yoneda checks build no
-El W.  ``_build`` assembles it (``elements_of``, ``elements_of_pseudo``,
-``gamma_dual``) only for what needs an assembled El_P: the CLI
-``elements`` command, ``flatness.canonical_expression``,
-``colimits.weighted_sigma_colimit`` and ``lax_dense_transport``.
+with no hom category, horizontal composition table or dual copy built;
+``colimits.weighted_sigma_limit`` runs the cone kernel on its rows
+(``_shape_index``), and ``flatness.canonical_expression`` and
+``colimits.weighted_sigma_colimit`` their σ-colimits on its ``dual``:
+no limit, Yoneda check, canonical expression or weighted colimit builds
+El_P.  ``_build`` (``elements_of``, ``elements_of_pseudo``, ``gamma_dual``)
+assembles it only for the CLI ``elements`` command and ``lax_dense_transport``.
 ``dual_pi0`` reads from ``_cells`` only what a conical σ-colimit needs:
 π0 of the 1-cell dual of Γ(Q), each hom collapsed by its 2-cells.
 """
@@ -38,7 +38,7 @@ from .config import Meter
 from .errors import Inconsistency, PreconditionFailed, ValidationError
 from .fincat import (FinCat, Functor, NatTransf, compose_functors, mint,
                      mk_fincat, partition, terminal_category)
-from .two_cat import Fin2Cat, WideSub, _Table, mk_fin2cat
+from .two_cat import Fin2Cat, OpView, WideSub, _Table, mk_fin2cat
 from .transforms import (CatDiagram, Transformation, TwoFunctor,
                          check_transformation, compose_diagram,
                          constant_diagram, hom_eps, LAX)
@@ -180,6 +180,11 @@ class _Elements:
         return {ends: tuple(sorted(cells)) for ends, cells in between.items()}
 
     @cached_property
+    def _sorted(self) -> tuple:
+        """The 1-cells and the 2-cells, each sorted by name."""
+        return tuple(sorted(self.ends1)), tuple(sorted(self.ends2))
+
+    @cached_property
     def id1(self) -> dict:
         """Object -> its identity 1-cell, a pseudo P's through its inverted
         unit components."""
@@ -192,6 +197,23 @@ class _Elements:
                 unit = _invert_component(PA, self.P.alpha_obj[A].components[x])
             id1[o] = mor_name(self.base.id1[A], unit, x)
         return id1
+
+    def composable(self) -> list:
+        """Every composable pair (g, f) of 1-cells, g after f, taken along
+        the non-empty homs through the objects each f reaches."""
+        out = {}  # object -> [(target, the 1-cells to it)], where any
+        for (oa, ob), (cells1, _) in self.homs.items():
+            if cells1:
+                out.setdefault(oa, []).append((ob, cells1))
+        return [(m2, m1) for firsts in out.values() for ob, first in firsts
+                for _, second in out.get(ob, ()) for m2 in second for m1 in first]
+
+    def dual(self) -> OpView:
+        """The 1-cell dual, an ``OpView`` whose ``hcomp1`` holds every
+        composable pair: a conical σ-colimit's classifier iterates it."""
+        view = OpView(self)
+        view.hcomp1.fill((f, g) for g, f in self.composable())
+        return view
 
     @cached_property
     def _shape_index(self) -> tuple:
@@ -229,6 +251,12 @@ class _Elements:
     def one_cells(self, A: str, B: str) -> tuple[str, ...]:
         return self._one_cells.get((A, B), ())
 
+    def all_one_cells(self) -> tuple[str, ...]:
+        return self._sorted[0]
+
+    def all_two_cells(self) -> tuple[str, ...]:
+        return self._sorted[1]
+
     def two_cells_between(self, f: str, g: str) -> tuple[str, ...]:
         return self._between.get((f, g), ())
 
@@ -264,7 +292,6 @@ def _build(P: CatDiagram, reverse_phi: bool, meter: Meter) -> ElementsResult:
     el = _Elements(P, reverse_phi, meter)
     base, points, homs, pairs2 = P.source, el.points, el.homs, el.pairs2
     hom = {}
-    after = {}  # object -> the objects it has 1-cells to
     cells2_from = {}  # object -> the 2-cells in the homs out of it
     for (oa, ob), (cells1, arrows) in homs.items():
         compose = {}
@@ -278,13 +305,9 @@ def _build(P: CatDiagram, reverse_phi: bool, meter: Meter) -> ElementsResult:
                 compose[(nm2, nm1)] = cell_name(comp, m1, arrows[nm2][1])
         hom[(oa, ob)] = mk_fincat(cells1, arrows, {m1: el.id2(m1) for m1 in cells1},
                                   compose)
-        if cells1:
-            after.setdefault(oa, []).append(ob)
         cells2_from.setdefault(oa, []).extend(arrows)
 
-    hcomp1 = el.hcomp1.fill([(m2, m1) for oa, reached in after.items() for ob in reached
-                             for oc in after.get(ob, ()) for m2 in homs[(ob, oc)][0]
-                             for m1 in homs[(oa, ob)][0]])
+    hcomp1 = el.hcomp1.fill(el.composable())
     hcomp2 = el.hcomp2.fill([(nm2, nm1) for (_, ob), (_, arrows) in homs.items()
                              for nm1 in arrows for nm2 in cells2_from.get(ob, ())])
     cat = mk_fin2cat(el.objects, hom, el.id1, hcomp1, hcomp2)

@@ -17,8 +17,9 @@ generating diagrams, the hom actions and a compiled cone kernel per
 diagram, which charge no tick.  Every search still builds, and charges,
 every cone category it reads, and the cones it returns share the plan's
 frozen diagrams.  The Yoneda comparison reads {Hom(A, -), Q}_p on the cone
-kernel (``colimits.weighted_sigma_limit``), for a strict or a pseudo Q;
-no transformation is enumerated.
+kernel (``colimits.weighted_sigma_limit``), for a strict or a pseudo Q, with
+no transformation enumerated; the canonical expression reads its
+σ-colimits on El_P's reader.
 """
 
 from __future__ import annotations
@@ -30,13 +31,12 @@ from .errors import Inconsistency, PreconditionFailed
 from .fincat import (Functor, NatTransf, compose_functors, is_equivalence, mint,
                      mk_fincat, EquivalenceReport, validate_functor)
 from .two_cat import Fin2Cat, Marked2Cat, WideSub
-from .transforms import (CatDiagram, Transformation, compose_diagram,
-                         dual_twofunctor, PSEUDO, reinterpret_as_pseudo)
-from .elements import ElementsResult, _Elements, elements_of, obj_name
+from .transforms import CatDiagram, Transformation, PSEUDO, reinterpret_as_pseudo
+from .elements import _Elements, obj_name
 from .filteredness import FilterednessReport, check_sigma_cofiltered
 from .colimits import (BaseConeCategories, SigmaCone, check_base_cone,
-                       conical_sigma_colimit, induced_from_colimit,
-                       preserves_bilimit, weighted_sigma_limit)
+                       conical_sigma_colimit, diagram_along_dual,
+                       induced_from_colimit, preserves_bilimit, weighted_sigma_limit)
 from .shapes import generating_diagrams
 
 
@@ -219,36 +219,55 @@ def canonical_expression(P: CatDiagram, cap: int = DEFAULT_CAP,
                          meter: Meter | None = None) -> CanonicalExpression:
     """Rebuild P, object by object, as a colimit of representables.
 
-    Over each base object the elements-indexed diagram of hom categories
-    has a conical colimit relative to the cocartesian marking; the
-    canonical comparison into the value of P must be an equivalence.
-    Any undecided localization yields an undecided verdict.
+    Over each base object B the representables A(−, B) carried along El_P
+    have a conical colimit relative to the cocartesian marking; the
+    canonical comparison into P(B) must be an equivalence.  El_P is read
+    on its reader (``colimits.diagram_along_dual``), and A(−, B) off the
+    base's own tables (``_representable_at``).  A failed comparison fails
+    the verdict, else an undecided localization leaves it undecided.  A
+    pseudo P is refused.
     """
     meter = meter or Meter()
+    if P.is_pseudo:
+        raise PreconditionFailed("use elements_of_pseudo for pseudofunctors")
     base = P.source
-    el = elements_of(P, meter)
-    pi = dual_twofunctor(el.projection)
-    marked = WideSub(pi.source, el.cart.arrows)
+    el = _Elements(P, False, meter)
+    dual = el.dual()
+    marked = WideSub(dual, el.cart)
+    cells1, cells2 = {f for f, _ in el.pairs1.values()}, set(el.pairs2.values())
     per_object = []
-    verdict = "equivalent"
     for B in sorted(base.objects):
-        # the representables carried along El_P's projection
-        QB = compose_diagram(representable(pi.target, B), pi)
+        QB = diagram_along_dual(dual, *_representable_at(base, B, cells1, cells2))
         colim = conical_sigma_colimit(QB, marked, cap, meter)
         if not colim.finite:
             per_object.append((B, "undecided", None))
-            verdict = "undecided"
             continue
-        target = _comparison_cone(P, el, QB, B)
-        F = induced_from_colimit(colim, target)
-        ok = is_equivalence(F).verdict
-        per_object.append((B, "finite", ok))
-        if not ok:
-            verdict = "failed"
+        F = induced_from_colimit(colim, _comparison_cone(P, el, QB, B))
+        per_object.append((B, "finite", is_equivalence(F).verdict))
+    oks = [ok for _, _, ok in per_object]
+    verdict = "failed" if False in oks else "undecided" if None in oks else "equivalent"
     return CanonicalExpression(verdict, per_object)
 
 
-def _comparison_cone(P: CatDiagram, el: ElementsResult, QB: CatDiagram,
+def _representable_at(base: Fin2Cat, B: str, cells1, cells2) -> tuple:
+    """A(−, B) read off the base's ``hom``, ``hcomp1`` and ``hcomp2`` at the
+    1-cells ``cells1`` and the 2-cells ``cells2`` alone: A(A, B) at A, and
+    precomposition A(C, B) → A(A, B) by f : A → C, whiskered by x : f ⇒ g."""
+    on_1, on_2 = {}, {}
+    for f in cells1:
+        C = base.tgt1(f)
+        on_1[f] = Functor(base.hom[(C, B)], base.hom[(base.src1(f), B)],
+                          {g: base.hcomp1[(g, f)] for g in base.one_cells(C, B)},
+                          {d: base.hcomp2[(d, base.id2(f))] for d in base.hom[(C, B)].arrows})
+    for x in cells2:
+        f = base.src2(x)
+        on_2[x] = NatTransf(on_1[f], on_1[base.tgt2(x)],
+                            {h: base.hcomp2[(base.id2(h), x)]
+                             for h in base.one_cells(base.tgt1(f), B)})
+    return {A: base.hom[(A, B)] for A in base.objects}, on_1, on_2
+
+
+def _comparison_cone(P: CatDiagram, el: _Elements, QB: CatDiagram,
                      B: str) -> SigmaCone:
     base = P.source
     PB = P.on_obj[B]
@@ -260,11 +279,11 @@ def _comparison_cone(P: CatDiagram, el: ElementsResult, QB: CatDiagram,
         comps[o] = Functor(base.hom[(A, B)], PB, om, am)
     structural = {}
     for nm, (f, phi) in el.pairs1.items():
-        oa, ob = el.cat.hom_of_1cell(nm)
+        oa, ob = el.ends1[nm]
         comp = {h: P.on_1[h].arr_map[phi] for h in base.one_cells(base.tgt1(f), B)}
         src = compose_functors(comps[oa], QB.on_1[nm])
         structural[nm] = NatTransf(src, comps[ob], comp)
-    return SigmaCone(QB, frozenset(el.cart.arrows), PB, comps, structural)
+    return SigmaCone(QB, el.cart, PB, comps, structural)
 
 
 # ---------------------------------------------------------------------------

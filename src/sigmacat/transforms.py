@@ -41,7 +41,7 @@ from .fincat import (FinCat, Functor, NatTransf, ValidationReport,
                      nat_is_identity, nat_is_invertible, validate_functor,
                      validate_nat_transf, vcomp_nat, whisker_functor_nat,
                      whisker_nat_functor)
-from .two_cat import Fin2Cat, WideSub, op_dual
+from .two_cat import Fin2Cat, WideSub
 
 
 # ---------------------------------------------------------------------------
@@ -177,12 +177,6 @@ def compose_diagram(P: CatDiagram, H: TwoFunctor) -> CatDiagram:
     for (g, f) in H.source.hcomp1:
         a_comp[(f, g)] = P.alpha_comp[(H.map1[f], H.map1[g])]
     return CatDiagram(H.source, on_obj, on_1, on_2, "pseudo", a_obj, a_comp)
-
-
-def dual_twofunctor(T: TwoFunctor) -> TwoFunctor:
-    """T between the 1-cell duals of its source and target, same maps; a
-    cocone under T is a cone over it."""
-    return TwoFunctor(op_dual(T.source), op_dual(T.target), T.obj_map, T.map1, T.map2)
 
 
 def validate_diagram(P: CatDiagram) -> ValidationReport:
@@ -755,63 +749,3 @@ def hom_eps(P: CatDiagram, Q: CatDiagram, flavor: Flavor,
     cat, named = assemble_category(len(ts), ("t", "m"), mods, is_identity,
                                    Modification.key, composite)
     return HomCategory(cat, {f"t{i}": t for i, t in enumerate(ts)}, named, flavor)
-
-
-@dataclass
-class InclusionChain:
-    homs: dict  # 's'|'p'|'sigma'|'l' -> HomCategory
-    functors: dict  # ('s','p') etc -> Functor
-    report: ValidationReport
-
-
-def flavor_inclusions(P: CatDiagram, Q: CatDiagram, sigma: WideSub,
-                      meter: Meter | None = None) -> InclusionChain:
-    """The chain of full and faithful inclusions s ⊆ p ⊆ sigma ⊆ l.
-
-    Each inclusion is verified object-by-object on the enumerations and
-    returned as an injective-on-objects functor.
-    """
-    meter = meter or Meter()
-    rep = ValidationReport("flavor-inclusions")
-    flavors = {"s": STRICT, "p": PSEUDO, "sigma": sigma_flavor(sigma), "l": LAX}
-    homs = {k: hom_eps(P, Q, fl, meter) for k, fl in flavors.items()}
-    keysets = {k: {t.key(): name for name, t in homs[k].transfs.items()}
-               for k in flavors}
-
-    functors = {}
-    for a, b in (("s", "p"), ("p", "sigma"), ("sigma", "l")):
-        obj_map, arr_map = {}, {}
-        for name, t in homs[a].transfs.items():
-            k = t.key()
-            if k not in keysets[b]:
-                rep.add("inclusion", (a, b, name),
-                        f"{a}-transformation {name} missing from {b}-enumeration")
-                continue
-            obj_map[name] = keysets[b][k]
-        if not rep.ok:
-            continue
-        ca, cb = homs[a].cat, homs[b].cat
-        mods_b = {(cb.src(n), cb.tgt(n), homs[b].mods[n].key()): n
-                  for n in homs[b].mods}
-        for n in ca.arrow_names():
-            m = homs[a].mods[n]
-            tgt_key = (obj_map[ca.src(n)], obj_map[ca.tgt(n)], m.key())
-            if tgt_key not in mods_b:
-                rep.add("inclusion-arrow", (a, b, n),
-                        f"{a}-modification {n} missing from {b}-enumeration")
-                continue
-            arr_map[n] = mods_b[tgt_key]
-        if rep.ok:
-            F = Functor(ca, cb, obj_map, arr_map)
-            functors[(a, b)] = F
-            if len(set(obj_map.values())) != len(obj_map):
-                rep.add("inclusion-injective", (a, b), "inclusion not injective")
-            # local fullness and faithfulness
-            for x in ca.objects:
-                for y in ca.objects:
-                    image = {arr_map[v] for v in ca.hom(x, y)}
-                    target = set(cb.hom(obj_map[x], obj_map[y]))
-                    if len(image) != len(ca.hom(x, y)) or image != target:
-                        rep.add("inclusion-ff", (a, b, x, y),
-                                "inclusion not locally full and faithful")
-    return InclusionChain(homs, functors, rep)

@@ -327,7 +327,9 @@ class Marked2Cat:
 
 
 def op_dual(a: Fin2Cat) -> Fin2Cat:
-    """Reverse 1-cells, keep 2-cells.  Involutive on the nose."""
+    """Reverse 1-cells, keep 2-cells.  Involutive on the nose, views too."""
+    if isinstance(a, OpView):
+        return a.op
     return mk_fin2cat(
         objects=a.objects,
         hom={(B, A): h for (A, B), h in a.hom.items()},
@@ -359,18 +361,23 @@ class _Table(dict):
 
 class OpView:
     """The 1-cell dual of ``a``, read through a's own tables, with nothing
-    copied: what ``op_dual(a)`` answers to the filteredness scan.  ``a``
-    (``op``) is anything that answers the scan's names: a ``Fin2Cat``, a
-    reader of El_P, another view.  A horizontal composite is a's under
-    the swapped key, looked up once and kept."""
+    copied: what ``op_dual(a)`` answers to the filteredness scan and to a
+    conical σ-colimit.  ``a`` (``op``) is anything that answers their
+    names: a ``Fin2Cat``, a reader of El_P, another view.  A horizontal
+    composite is a's under the swapped key, looked up once and kept."""
 
     def __init__(self, a):
         self.op, self.objects = a, a.objects
         self.src1, self.tgt1, self.src2, self.tgt2 = a.tgt1, a.src1, a.src2, a.tgt2
         self.two_cells_between, self.id2 = a.two_cells_between, a.id2
+        self.all_one_cells, self.all_two_cells = a.all_one_cells, a.all_two_cells
         self.is_invertible_2cell = a.is_invertible_2cell
         self.hcomp1 = _Table(lambda g, f: a.hcomp1[(f, g)])
         self.hcomp2 = _Table(lambda y, x: a.hcomp2[(x, y)])
+
+    @property
+    def id1(self) -> dict:
+        return self.op.id1
 
     def one_cells(self, A: str, B: str) -> tuple[str, ...]:
         return self.op.one_cells(B, A)

@@ -30,6 +30,7 @@ reference validator for the cones the package's colimits carry.
 
 from dataclasses import dataclass
 
+from construction_reference import dual_twofunctor
 from sigmacat.colimits import BaseConeCategories, SigmaCone, _morphism_key
 from sigmacat.config import Meter
 from sigmacat.fincat import (ValidationReport, assemble_category, compose_functors,
@@ -38,7 +39,7 @@ from sigmacat.fincat import (ValidationReport, assemble_category, compose_functo
                              validate_nat_transf, vcomp_nat, whisker_functor_nat,
                              whisker_nat_functor)
 from sigmacat.shapes import BIEQUIFIER, BIINSERTER, BIPRODUCT
-from sigmacat.transforms import TwoFunctor, dual_twofunctor
+from sigmacat.transforms import TwoFunctor
 from sigmacat.two_cat import Fin2Cat, Marked2Cat, WideSub
 
 

@@ -725,6 +725,9 @@ def test_sigma_names_that_name_no_one_cell_are_refused(capsys, tmp_path, name, s
     (["--budget", "many", "flat", "d.json"], None,
      "argument --budget: invalid int value: 'many'"),
     ([], None, "the following arguments are required: command"),
+    (["colimit", "d.json", "--cap", "-1"], "colimit", "argument --cap: -1 is negative"),
+    (["--budget", "-5", "flat", "d.json"], None, "argument --budget: -5 is negative"),
+    (["--budget", "-5", "validate", "d.json"], None, "argument --budget: -5 is negative"),
 ])
 def test_usage_errors_are_reported_as_json(capsys, argv, command, detail):
     """A usage error exits 2 with a JSON report on stdout, naming the
@@ -736,6 +739,16 @@ def test_usage_errors_are_reported_as_json(capsys, argv, command, detail):
     assert code == 2 and captured.err.startswith("usage: sigmacat")
     assert report == {"command": command, "error": "usage", "detail": report["detail"]}
     assert report["detail"].startswith(detail)
+
+
+def test_a_cap_or_budget_of_zero_is_allowed(capsys):
+    """Zero is an honest, tiny cap or budget: the colimit is undecided at
+    cap 0, and a document is validated with no tick to spend."""
+    pick0 = str(FIXTURES / "diagram_pick0.json")
+    code, out = invoke(capsys, "colimit", pick0, "--cap", "0")
+    assert code == 3 and json.loads(out)["status"] == "undecided-at-cap"
+    code, out = invoke(capsys, "--budget", "0", "validate", pick0)
+    assert code == 0 and json.loads(out)["verdict"] == "valid"
 
 
 def test_help_is_unchanged(capsys):

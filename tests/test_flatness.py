@@ -8,13 +8,14 @@ import pytest
 
 from helpers import chain_2cat, discrete_diagram
 from test_flat_reader import DIAGRAMS
+from sigmacat import flatness
 from sigmacat.colimits import (BaseCone, BaseConeCategories, ConeKernel,
                                check_base_cone, comparison_functor, preserves_bilimit)
 from sigmacat.errors import Inconsistency, PreconditionFailed
 from sigmacat.fincat import (Functor, arrow_category, compose_functors,
                              discrete_category, group_z2_category, is_equivalence,
                              iso_pair_category, mk_fincat, terminal_category)
-from sigmacat.fixtures import (arrow_2cat, diamond_2cat, idn, iso_2cat,
+from sigmacat.fixtures import (arrow_2cat, diagram_pick0, diamond_2cat, idn, iso_2cat,
                                marked_fixtures, poset_category, pseudo_not_flat,
                                pseudo_swap, pseudo_z2)
 from sigmacat.two_cat import (Marked2Cat, WideSub, free_2cell_2cat, op_dual,
@@ -114,6 +115,19 @@ def test_canonical_expression_of_constant_terminal():
     P = constant_diagram(base, terminal_category())
     ce = canonical_expression(P)
     assert ce.verdict == "equivalent"
+
+
+def test_a_failed_comparison_wins_over_a_later_undecided_object(monkeypatch):
+    """At cap 0 the canonical expression of pick0 decides its colimit at 0
+    and not at 1.  With the comparison at 0 made to fail, the verdict is
+    "failed", whatever order the objects come in."""
+    def failing(F):
+        return dataclasses.replace(is_equivalence(F), verdict=False)
+
+    monkeypatch.setattr(flatness, "is_equivalence", failing)
+    ce = canonical_expression(diagram_pick0(), cap=0)
+    assert ce.per_object == [("0", "finite", False), ("1", "undecided", None)]
+    assert ce.verdict == "failed"
 
 
 def test_not_flat_is_reported_without_guessing():

@@ -265,8 +265,8 @@ def test_an_uncalled_function_is_flagged():
 
 # A memo keeps a result for later calls, and a later call that reads it is
 # not charged for building it.  So no memoized function may tick or name a
-# meter: every answer charges every build it needs, on the meter of the
-# call.  And no memo may outlive the objects it is kept on: a cache on a
+# meter, nor run a function or class of the package that does: every
+# answer charges every build it needs, on the meter of the call.  And no memo may outlive the objects it is kept on: a cache on a
 # module-level function, or on a method (kept on the class, for every
 # instance), serves every caller in the process.
 MEMOS = {"cache", "lru_cache", "cached_property"}
@@ -316,8 +316,54 @@ def memoized(tree: ast.Module, module: str) -> list[tuple[str, ast.AST, bool]]:
     return found
 
 
-def ticking_memos(tree: ast.Module, module: str) -> list[str]:
-    """The memoized functions that call ``.tick(`` or name a meter."""
+def definitions(trees) -> tuple[dict, dict]:
+    """What a call may run, by the name it is called by: each top-level
+    function, and each class's ``__init__`` and ``__post_init__``, as
+    (definition, class or None); and each method by (class, name)."""
+    called, methods = {}, {}
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                called.setdefault(node.name, []).append((node, None))
+            elif isinstance(node, ast.ClassDef):
+                for fn in node.body:
+                    if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        methods[(node.name, fn.name)] = fn
+                        if fn.name in ("__init__", "__post_init__"):
+                            called.setdefault(node.name, []).append((fn, node.name))
+    return called, methods
+
+
+def reached(node, trees) -> list:
+    """``node`` and every definition of ``trees`` it runs, transitively:
+    the functions and classes it calls by name, as ``f(...)`` or
+    ``module.f(...)``, and the methods of its own class it calls on
+    ``self``."""
+    called, methods = definitions(trees)
+    owner = {id(fn): name for (name, _), fn in methods.items()}
+    out, todo, seen = [], [(node, owner.get(id(node)))], set()
+    while todo:
+        node, cls = todo.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        out.append(node)
+        for call in ast.walk(node):
+            if not isinstance(call, ast.Call):
+                continue
+            f = call.func
+            if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) \
+                    and f.value.id == "self" and (cls, f.attr) in methods:
+                todo.append((methods[(cls, f.attr)], cls))
+            elif isinstance(f, (ast.Name, ast.Attribute)):
+                todo += called.get(f.id if isinstance(f, ast.Name) else f.attr, [])
+    return out
+
+
+def ticking_memos(tree: ast.Module, module: str, trees=None) -> list[str]:
+    """The memoized functions that call ``.tick(`` or name a meter, in
+    their own body or in a definition of ``trees`` (``tree`` alone by
+    default) that they run (``reached``)."""
     def ticks(node) -> bool:
         nodes = list(ast.walk(node))
         names = {getattr(n, field) for n in nodes for field in ("id", "attr", "arg")
@@ -325,7 +371,9 @@ def ticking_memos(tree: ast.Module, module: str) -> list[str]:
         return any("meter" in name.lower() for name in names) or \
             any(isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
                 and n.func.attr == "tick" for n in nodes)
-    return [name for name, node, _ in memoized(tree, module) if ticks(node)]
+    trees = trees or [tree]
+    return [name for name, node, _ in memoized(tree, module)
+            if any(ticks(n) for n in reached(node, trees))]
 
 
 def module_caches(tree: ast.Module, module: str) -> list[str]:
@@ -334,7 +382,8 @@ def module_caches(tree: ast.Module, module: str) -> list[str]:
 
 @pytest.mark.parametrize("module", MODULES)
 def test_memos_tick_nothing(module):
-    ticking = ticking_memos(parsed(module), module[:-3])
+    """Nor does any function or class of the package that a memo runs."""
+    ticking = ticking_memos(parsed(module), module[:-3], [parsed(m) for m in MODULES])
     assert not ticking, f"{module} memoizes what it charges to a meter: {', '.join(ticking)}"
 
 
@@ -382,3 +431,39 @@ def test_a_ticking_memo_or_a_module_cache_is_flagged():
                      "TABLE = functools.cache(len)\n")
     assert ticking_memos(tree, "m") == ["m.C.table", "m.actions.on_1", "m.charged.read"]
     assert module_caches(tree, "m") == ["m.C.shared", "m.parse", "m.TABLE"]
+
+
+def test_a_memo_that_runs_a_ticking_definition_is_flagged():
+    """A memo is flagged for what the package definitions it runs tick:
+    a class's ``__init__`` and what it calls, another module's function,
+    and a method called on ``self``; a method of another class that shares
+    a name is not followed."""
+    tree = ast.parse("class Plan:\n"
+                     "    def __init__(self, a):\n"
+                     "        self.kernel = Kernel(a)\n"
+                     "class Kernel:\n"
+                     "    def __init__(self, a):\n"
+                     "        self.rows = rows(a)\n"
+                     "class Base:\n"
+                     "    @cached_property\n"
+                     "    def plan(self):\n"
+                     "        return Plan(self)\n"
+                     "    @cached_property\n"
+                     "    def index(self):\n"
+                     "        return self.build()\n"
+                     "    @cached_property\n"
+                     "    def quiet(self):\n"
+                     "        return self.tidy()\n"
+                     "    def build(self):\n"
+                     "        return other.count(self)\n"
+                     "    def tidy(self):\n"
+                     "        return {}\n"
+                     "class Loud:\n"
+                     "    def tidy(self, meter):\n"
+                     "        meter.tick()\n")
+    other = ast.parse("def rows(a):\n"
+                      "    a.count.tick()\n"
+                      "def count(a):\n"
+                      "    return Meter()\n")
+    assert ticking_memos(tree, "m") == []
+    assert ticking_memos(tree, "m", [tree, other]) == ["m.Base.plan", "m.Base.index"]

@@ -8,7 +8,7 @@ cell and the corresponding axiom must be named in the report.
 import pytest
 
 from certificate_reference import end_eps
-from construction_reference import identity_transformation
+from construction_reference import flavor_inclusions, identity_transformation
 from dicone_reference import (Dicone, check_dicone, check_dicone_morphism,
                               cotensor_diagram, internal_hom_diagram)
 from sigmacat.config import Meter
@@ -26,7 +26,7 @@ from sigmacat.transforms import (LAX, PSEUDO, STRICT, CatDiagram,
                                  Modification, Transformation, TwoFunctor,
                                  check_modification, check_transformation,
                                  constant_diagram, enumerate_transformations,
-                                 flavor_inclusions, hom_eps,
+                                 hom_eps,
                                  identity_twofunctor,
                                  reinterpret_as_pseudo, sigma_flavor,
                                  validate_diagram, validate_twofunctor)
